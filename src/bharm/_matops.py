@@ -27,15 +27,11 @@ def rmatvec(m, v: np.ndarray) -> np.ndarray:
 
 
 def row_sums(m) -> np.ndarray:
-    if sp.issparse(m):
-        return np.asarray(m.sum(axis=1)).reshape(-1)
-    return m.sum(axis=1)
+    return np.asarray(m.sum(axis=1)).reshape(-1)
 
 
 def col_sums(m) -> np.ndarray:
-    if sp.issparse(m):
-        return np.asarray(m.sum(axis=0)).reshape(-1)
-    return m.sum(axis=0)
+    return np.asarray(m.sum(axis=0)).reshape(-1)
 
 
 def scale_rows(m, s: np.ndarray):
@@ -51,19 +47,29 @@ def to_dense(m) -> np.ndarray:
     return np.asarray(m)
 
 
-def nonzero_entries(m):
-    """Yield (i, j, value) over stored nonzeros."""
+def stored_entries(m):
+    """(rows, cols, values) of the stored entries in row-major order: every
+    stored entry of a canonical CSR matrix (explicit zeros included), the
+    nonzeros of a dense array."""
     if sp.issparse(m):
         coo = m.tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-    else:
-        arr = np.asarray(m)
-        for i, j in zip(*np.nonzero(arr)):
-            yield int(i), int(j), float(arr[i, j])
+        return coo.row, coo.col, coo.data
+    arr = np.asarray(m)
+    rows, cols = np.nonzero(arr)
+    return rows, cols, arr[rows, cols]
 
 
-def maybe_sparse(dense: np.ndarray, threshold: int = SPARSE_THRESHOLD):
-    """Return `dense` as CSR when a dimension exceeds the threshold."""
-    if max(dense.shape) > threshold:
-        return sp.csr_matrix(dense)
-    return dense
+def level_matrix(shape, rows, cols, vals):
+    """Level matrix with vals at the distinct positions (rows, cols).
+
+    Dense when neither dimension exceeds SPARSE_THRESHOLD; otherwise the
+    canonical CSR that csr_matrix() of the dense array gives (sorted
+    indices, zeros dropped), built without the dense array.
+    """
+    if max(shape) <= SPARSE_THRESHOLD:
+        m = np.zeros(shape)
+        m[rows, cols] = vals
+        return m
+    m = sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=float)
+    m.eliminate_zeros()
+    return m

@@ -541,7 +541,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
+        # RuntimeError: solver failures (CG non-convergence, singular systems)
         if isinstance(exc, BrokenPipeError):
             return 0
         print(f"error: {exc}", file=sys.stderr)

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._matops import (
-    SPARSE_THRESHOLD,
     col_sums,
     is_sparse,
-    maybe_sparse,
-    nonzero_entries,
+    level_matrix,
     row_sums,
+    stored_entries,
     to_dense,
 )
 
@@ -107,25 +105,26 @@ class Diagram:
     def edges(self) -> Iterable[tuple]:
         """Yield (n, i, j, c) over all stored edges."""
         for n, cm in enumerate(self.conductance):
-            for i, j, c in nonzero_entries(cm):
+            rows, cols, vals = stored_entries(cm)
+            for i, j, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
                 yield n, i, j, c
 
 
-def _freeze(mats) -> tuple:
-    out = []
-    for m in mats:
-        if is_sparse(m):
-            m = m.tocsr()
-        else:
-            m = np.array(m, dtype=float)
-            m.setflags(write=False)
-        out.append(m)
-    return tuple(out)
+def _freeze(m):
+    """Private float copy: canonical CSR, or a read-only dense array."""
+    if is_sparse(m):
+        m = m.tocsr().astype(float)
+        m.sum_duplicates()
+        return m
+    m = np.array(m, dtype=float)
+    m.setflags(write=False)
+    return m
 
 
 def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=None,
                  incidence: Sequence = None) -> Diagram:
-    """Construct a Diagram from conductance matrices, deriving incidence.
+    """Construct a Diagram from conductance matrices, deriving incidence
+    unless it is given: every nonzero conductance is an edge.
 
     Shapes are checked eagerly; logical invariants are left to validate().
     """
@@ -136,32 +135,23 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
         raise ValueError("every level must have at least one vertex")
     if len(conductance) != len(sizes) - 1:
         raise ValueError("need one conductance matrix per consecutive level pair")
-    mats = []
-    incs = []
-    for n, cm in enumerate(conductance):
-        if is_sparse(cm):
-            cm = cm.tocsr().astype(float)
-        else:
-            cm = np.asarray(cm, dtype=float)
+    mats = [_freeze(cm) for cm in conductance]
+    for n, cm in enumerate(mats):
         if cm.shape != (sizes[n], sizes[n + 1]):
             raise ValueError(
                 f"conductance[{n}] has shape {cm.shape}, expected {(sizes[n], sizes[n + 1])}")
-        mats.append(cm)
-        if incidence is None:
+    if incidence is None:
+        for cm in mats:
             if is_sparse(cm):
-                a = cm.copy()
-                a.data = np.ones_like(a.data)
-                incs.append(a)
-            else:
-                incs.append((cm > 0).astype(float))
-    if incidence is not None:
-        incs = list(incidence)
+                cm.eliminate_zeros()
+        incs = [_freeze(cm != 0) for cm in mats]
+    else:
+        incs = [_freeze(a) for a in incidence]
         for n, a in enumerate(incs):
-            shape = a.shape
-            if shape != (sizes[n], sizes[n + 1]):
-                raise ValueError(f"incidence[{n}] has shape {shape}")
-    return Diagram(level_sizes=sizes, incidence=_freeze(incs),
-                   conductance=_freeze(mats), extension=extension)
+            if a.shape != (sizes[n], sizes[n + 1]):
+                raise ValueError(f"incidence[{n}] has shape {a.shape}")
+    return Diagram(level_sizes=sizes, incidence=tuple(incs),
+                   conductance=tuple(mats), extension=extension)
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +169,22 @@ def validate(d: Diagram) -> list:
     for n in range(d.num_levels):
         a = d.incidence[n]
         c = d.conductance[n]
-        a_arr = to_dense(a) if max(a.shape) <= 4096 else None
-        if a_arr is not None:
-            bad = (a_arr != 0) & (a_arr != 1)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                out.append(Violation("zero-one", n, f"edge ({i},{j})",
-                                     f"incidence entry {a_arr[i, j]} is not 0 or 1"))
-        else:
-            data = a.data if is_sparse(a) else np.asarray(a).ravel()
-            if ((data != 0) & (data != 1)).any():
-                out.append(Violation("zero-one", n, "incidence", "entries outside {0,1}"))
-        # conductance support must match incidence exactly and be positive there
-        for i, j, cv in nonzero_entries(c):
-            av = a[i, j] if not is_sparse(a) else a[i, j]
-            if av == 0:
-                out.append(Violation("support", n, f"edge ({i},{j})",
-                                     f"conductance {cv} on a non-edge"))
-        for i, j, av in nonzero_entries(a):
-            cv = c[i, j] if not is_sparse(c) else c[i, j]
-            if cv <= 0:
-                out.append(Violation("positivity", n, f"edge ({i},{j})",
-                                     "c=0 on edge (c_xy > 0 required exactly on edges)"))
+        ar, ac, av = stored_entries(a)
+        cr, cc, cv = stored_entries(c)
+        bad = np.flatnonzero((av != 0) & (av != 1))
+        if bad.size and max(a.shape) <= 4096:
+            k = bad[0]
+            out.append(Violation("zero-one", n, f"edge ({ar[k]},{ac[k]})",
+                                 f"incidence entry {av[k].item()} is not 0 or 1"))
+        elif bad.size:
+            out.append(Violation("zero-one", n, "incidence", "entries outside {0,1}"))
+        # conductance support must match incidence exactly and be positive (not NaN) there
+        for k in np.flatnonzero(to_dense(a[cr, cc]).ravel() == 0):
+            out.append(Violation("support", n, f"edge ({cr[k]},{cc[k]})",
+                                 f"conductance {cv[k].item()} on a non-edge"))
+        for k in np.flatnonzero(~(to_dense(c[ar, ac]).ravel() > 0)):
+            out.append(Violation("positivity", n, f"edge ({ar[k]},{ac[k]})",
+                                 "c=0 on edge (c_xy > 0 required exactly on edges)"))
         rs = row_sums(a)
         for i in np.nonzero(rs == 0)[0]:
             out.append(Violation("outgoing", n, f"vertex {int(i)}",
@@ -229,15 +213,8 @@ def gen_binary_tree(depth: int, lam: float) -> Diagram:
     mats = []
     for n in range(depth):
         m, k = sizes[n], sizes[n + 1]
-        if k > SPARSE_THRESHOLD:
-            rows = np.repeat(np.arange(m), 2)
-            cols = np.arange(k)
-            cm = sp.csr_matrix((np.full(k, lam ** n), (rows, cols)), shape=(m, k))
-        else:
-            cm = np.zeros((m, k))
-            for i in range(m):
-                cm[i, 2 * i] = cm[i, 2 * i + 1] = lam ** n
-        mats.append(cm)
+        mats.append(level_matrix((m, k), np.repeat(np.arange(m), 2), np.arange(k),
+                                 np.full(k, lam ** n)))
     return make_diagram(sizes, mats, extension=ExtensionRule("tree", lam))
 
 
@@ -251,10 +228,9 @@ def gen_pascal(depth: int, lam: float) -> Diagram:
     sizes = [n + 1 for n in range(depth + 1)]
     mats = []
     for n in range(depth):
-        cm = np.zeros((n + 1, n + 2))
-        for i in range(n + 1):
-            cm[i, i] = cm[i, i + 1] = lam ** n
-        mats.append(maybe_sparse(cm))
+        rows = np.repeat(np.arange(n + 1), 2)
+        cols = rows + np.tile([0, 1], n + 1)
+        mats.append(level_matrix((n + 1, n + 2), rows, cols, np.full(rows.size, lam ** n)))
     return make_diagram(sizes, mats, extension=ExtensionRule("pascal", lam))
 
 
@@ -314,7 +290,8 @@ def gen_bottleneck(profile: Sequence[int], seed: int) -> Diagram:
         for j in range(k):
             if a[:, j].sum() == 0:
                 a[rng.integers(m), j] = 1.0
-        mats.append(maybe_sparse(a))
+        rows, cols = np.nonzero(a)
+        mats.append(level_matrix((m, k), rows, cols, a[rows, cols]))
     return make_diagram(profile, mats, extension=ExtensionRule("explicit"))
 
 
@@ -482,22 +459,26 @@ def diagram_from_graph(g: GeneralGraph, root: int) -> Diagram:
 
 
 def _diagram_from_levels(g: GeneralGraph, levels: list) -> Diagram:
+    """The subgraph of g induced on the given levels, keeping only edges
+    between consecutive levels."""
     sizes = [len(lv) for lv in levels]
     index = {}
     for n, lv in enumerate(levels):
         for k, v in enumerate(lv):
             index[v] = (n, k)
-    mats = [np.zeros((sizes[n], sizes[n + 1])) for n in range(len(sizes) - 1)]
+    entries = [([], [], []) for _ in range(len(sizes) - 1)]
     for i, j, c in g.edges:
-        if i not in index or j not in index:
-            continue
-        (ni, ki), (nj, kj) = index[i], index[j]
-        if abs(ni - nj) != 1:
-            continue
-        if ni > nj:
-            (ni, ki), (nj, kj) = (nj, kj), (ni, ki)
-        mats[ni][ki, kj] = c
-    return make_diagram(sizes, [maybe_sparse(m) for m in mats], extension=ExtensionRule("explicit"))
+        if i in index and j in index:
+            (ni, ki), (nj, kj) = index[i], index[j]
+            if ni == nj + 1:
+                (ni, ki), (nj, kj) = (nj, kj), (ni, ki)
+            if ni + 1 == nj:
+                rows, cols, vals = entries[ni]
+                rows.append(ki)
+                cols.append(kj)
+                vals.append(c)
+    mats = [level_matrix((sizes[n], sizes[n + 1]), *entries[n]) for n in range(len(sizes) - 1)]
+    return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
 
 
 @dataclass(frozen=True)
@@ -581,24 +562,8 @@ def extract_maximal_bratteli(g: GeneralGraph, ray: Sequence[int]) -> ExtractionR
             has_parent = any(u in prev for u in g.adj[v])
             if not to_same and has_parent:
                 uncertified.append(v)
-    d = _diagram_from_levels_subgraph(g, levels)
+    d = _diagram_from_levels(g, levels)
     return ExtractionResult(diagram=d, kept=tuple(tuple(lv) for lv in levels),
                             maximal_within_ball=not uncertified,
                             uncertified=tuple(uncertified))
 
-
-def _diagram_from_levels_subgraph(g: GeneralGraph, levels: list) -> Diagram:
-    sizes = [len(lv) for lv in levels]
-    index = {}
-    for n, lv in enumerate(levels):
-        for k, v in enumerate(lv):
-            index[v] = (n, k)
-    mats = [np.zeros((sizes[n], sizes[n + 1])) for n in range(len(sizes) - 1)]
-    for i, j, c in g.edges:
-        if i in index and j in index:
-            (ni, ki), (nj, kj) = index[i], index[j]
-            if ni + 1 == nj:
-                mats[ni][ki, kj] = c
-            elif nj + 1 == ni:
-                mats[nj][kj, ki] = c
-    return make_diagram(sizes, [maybe_sparse(m) for m in mats], extension=ExtensionRule("explicit"))

@@ -16,12 +16,18 @@ Function file:
     <n> <i> <value>          # unlisted entries are zero
 
 Numbers are written with 12 significant digits and a '.' decimal separator.
+
+Reading a diagram file costs time and memory linear in the number of edges:
+each level is built straight from its edge lines, dense only when it has at
+most 512 vertices on both sides.  An edge line with conductance 0 is dropped
+(the pair is a non-edge); any other conductance makes an edge, so a negative
+one is reported by validate() as a positivity violation.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._matops import maybe_sparse
+from ._matops import level_matrix
 from .diagram import (
     Diagram,
     GeneralGraph,
@@ -57,23 +63,65 @@ def parse_diagram(text: str) -> Diagram:
         raise ValueError(f"levels line announces {k} sizes but lists {len(sizes)}")
     if any(s <= 0 for s in sizes):
         raise ValueError("degenerate level of size 0")
-    mats = [np.zeros((sizes[n], sizes[n + 1])) for n in range(len(sizes) - 1)]
+    edges = _edge_arrays(lines[2:], sizes)
+    if edges is None:
+        _raise_first_edge_error(lines[2:], sizes)
+    n, i, j, c = edges
+    bounds = np.searchsorted(n, np.arange(len(sizes)))
+    mats = [level_matrix((sizes[m], sizes[m + 1]), i[lo:hi], j[lo:hi], c[lo:hi])
+            for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    return make_diagram(sizes, mats)
+
+
+def _edge_arrays(lines, sizes):
+    """Edge lines as arrays (n, i, j, c) sorted by (n, i, j), or None when
+    any line is malformed, fails conversion, is out of range or repeats an
+    edge."""
+    body = "\n".join(lines)
+    tokens = body.split()
+    # Every line starts with an 'e' token, which no int() or float() accepts,
+    # so once the numeric columns convert, each 'e' sits at a multiple of 5
+    # and every line has exactly five fields.
+    count = len(lines)
+    if (len(tokens) != 5 * count or tokens[0::5].count("e") != count
+            or ("\n" + body).count("\ne") != count):
+        return None
+    try:
+        n, i, j = (np.array(list(map(int, tokens[k::5])), dtype=np.int64) for k in (1, 2, 3))
+        c = np.array(list(map(float, tokens[4::5])), dtype=float)
+        size = np.array(sizes, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if ((n < 0) | (n >= len(sizes) - 1)).any():
+        return None
+    if ((i < 0) | (i >= size[n]) | (j < 0) | (j >= size[n + 1])).any():
+        return None
+    order = np.lexsort((j, i, n))
+    n, i, j, c = n[order], i[order], j[order], c[order]
+    if ((n[1:] == n[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])).any():
+        return None
+    return n, i, j, c
+
+
+def _raise_first_edge_error(lines, sizes):
+    """Raise the error of the first bad edge line in file order, checking a
+    line for shape, number conversion, level range, index range and repeat,
+    in that order; with no bad line, the level sizes overflow int64."""
     seen = set()
-    for line in lines[2:]:
+    for line in lines:
         parts = line.split()
         if parts[0] != "e" or len(parts) != 5:
             raise ValueError(f"malformed edge line: {line!r}")
         n, i, j = int(parts[1]), int(parts[2]), int(parts[3])
-        c = float(parts[4])
-        if not (0 <= n < len(mats)):
+        float(parts[4])
+        if not (0 <= n < len(sizes) - 1):
             raise ValueError(f"edge level {n} out of range")
         if not (0 <= i < sizes[n] and 0 <= j < sizes[n + 1]):
             raise ValueError(f"edge ({n},{i},{j}) out of range")
         if (n, i, j) in seen:
             raise ValueError(f"duplicate edge ({n},{i},{j})")
         seen.add((n, i, j))
-        mats[n][i, j] = c
-    return make_diagram(sizes, [maybe_sparse(m) for m in mats])
+    raise ValueError("level size too large")
 
 
 def format_diagram(d: Diagram) -> str:

@@ -121,12 +121,8 @@ def _solve_level(a, b: np.ndarray, pins: Optional[Dict[int, float]] = None):
             x[j] = val
         pinned_idx = np.array(sorted(pins), dtype=int)
         free = np.setdiff1d(free, pinned_idx)
-        if is_sparse(a):
-            b = b - a[:, pinned_idx] @ x[pinned_idx]
-            a = a[:, free]
-        else:
-            b = b - np.asarray(a)[:, pinned_idx] @ x[pinned_idx]
-            a = np.asarray(a)[:, free]
+        b = b - a[:, pinned_idx] @ x[pinned_idx]
+        a = a[:, free]
     if free.size == 0:
         resid = float(np.abs(matvec(a, x[free]) - b).max()) if b.size else 0.0
         return x, resid, 0

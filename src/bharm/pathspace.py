@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._matops import matvec, nonzero_entries
+from ._matops import matvec, stored_entries, to_dense
 from .diagram import Diagram, VertexId
 from .harmonic import harmonicity_check
 from .operators import LevelFunction, build_level_operators
@@ -203,23 +203,23 @@ def green_exact(d: Diagram, boundary_level: int,
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
     reach_ratio = green / gdiag[None, :]
     ops = build_level_operators(d)
-    return_prob = np.empty(k)
-    for j, v in enumerate(vertices):
-        h = h_cols[j]
-        total = 0.0
-        if v.level > 0:
-            row = np.asarray(ops.p_fwd[v.level][[v.index], :].todense()).ravel() \
-                if sp.issparse(ops.p_fwd[v.level]) else np.asarray(ops.p_fwd[v.level])[v.index]
-            total += float(np.dot(row, h.values[v.level - 1]))
-        if v.level < d.num_levels:
-            row = np.asarray(ops.p_back[v.level][[v.index], :].todense()).ravel() \
-                if sp.issparse(ops.p_back[v.level]) else np.asarray(ops.p_back[v.level])[v.index]
-            # steps into the boundary level never return; h is 0 there
-            total += float(np.dot(row, h.values[v.level + 1]))
-        return_prob[j] = total
+    # steps into the boundary level never return; h is 0 there
+    return_prob = np.array([_p_row_apply(d, ops, v, h) for v, h in zip(vertices, h_cols)])
     return GreenSolve(boundary_level=boundary_level, vertices=vertices, degrees=degs,
                       green=green, reach_ratio=reach_ratio, reach_hit=reach_hit,
                       return_prob=return_prob, green_columns=g_cols, hit_columns=h_cols)
+
+
+def _p_row_apply(d: Diagram, ops, v: VertexId, f: LevelFunction) -> float:
+    """(P f)(v): one step of the walk from v, read off v's transition rows."""
+    total = 0.0
+    if v.level > 0:
+        total += float(np.dot(to_dense(ops.p_fwd[v.level][[v.index], :]).ravel(),
+                              f.values[v.level - 1]))
+    if v.level < d.num_levels:
+        total += float(np.dot(to_dense(ops.p_back[v.level][[v.index], :]).ravel(),
+                              f.values[v.level + 1]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -245,26 +245,11 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     diag = np.abs(np.diag(gs.green) * (1.0 - gs.return_prob) - 1.0).max()
     ratio_hit = np.abs(gs.green - gs.reach_hit * np.diag(gs.green)[None, :]).max()
     ops = build_level_operators(d)
-
-    def p_row_apply(v: VertexId, f: LevelFunction) -> float:
-        total = 0.0
-        if v.level > 0:
-            blk = ops.p_fwd[v.level]
-            row = np.asarray(blk[[v.index], :].todense()).ravel() if sp.issparse(blk) \
-                else np.asarray(blk)[v.index]
-            total += float(np.dot(row, f.values[v.level - 1]))
-        if v.level < d.num_levels:
-            blk = ops.p_back[v.level]
-            row = np.asarray(blk[[v.index], :].todense()).ravel() if sp.issparse(blk) \
-                else np.asarray(blk)[v.index]
-            total += float(np.dot(row, f.values[v.level + 1]))
-        return total
-
     one_step_return = 0.0
     for j, v in enumerate(gs.vertices):
         ratio_col = gs.green_columns[j] * (gs.degrees[j] / gs.green[j, j])
         one_step_return = max(one_step_return,
-                              abs(gs.return_prob[j] - p_row_apply(v, ratio_col)))
+                              abs(gs.return_prob[j] - _p_row_apply(d, ops, v, ratio_col)))
     one_step_reach = 0.0
     for j, y in enumerate(gs.vertices):
         h = gs.hit_columns[j]
@@ -272,7 +257,7 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
             if x == y:
                 continue
             one_step_reach = max(one_step_reach,
-                                 abs(gs.reach_hit[i, j] - p_row_apply(x, h)))
+                                 abs(gs.reach_hit[i, j] - _p_row_apply(d, ops, x, h)))
     cg = gs.degrees[:, None] * gs.green
     rev_g = np.abs(cg - cg.T).max()
     cf = gs.degrees[:, None] * gs.reach_hit
@@ -388,12 +373,10 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     def delta_at(f: LevelFunction, v: VertexId) -> float:
         val = d.degree_vector(v.level)[v.index] * f.at(v)
         if v.level > 0:
-            col = d.conductance[v.level - 1][:, [v.index]]
-            col = np.asarray(col.todense()).ravel() if sp.issparse(col) else np.asarray(col).ravel()
+            col = to_dense(d.conductance[v.level - 1][:, [v.index]]).ravel()
             val -= float(np.dot(col, f.values[v.level - 1]))
         if v.level < d.num_levels:
-            row = d.conductance[v.level][[v.index], :]
-            row = np.asarray(row.todense()).ravel() if sp.issparse(row) else np.asarray(row).ravel()
+            row = to_dense(d.conductance[v.level][[v.index], :]).ravel()
             val -= float(np.dot(row, f.values[v.level + 1]))
         return val
 
@@ -480,7 +463,8 @@ def _transition_tables(d: Diagram, absorb_level: int):
     nbrs: list = [[] for _ in range(offsets[absorb_level + 1])]
     wts: list = [[] for _ in range(offsets[absorb_level + 1])]
     for n in range(absorb_level):
-        for i, j, c in nonzero_entries(d.conductance[n]):
+        rows, cols, vals = stored_entries(d.conductance[n])
+        for i, j, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             a = offsets[n] + i
             b = offsets[n + 1] + j
             nbrs[a].append(b)

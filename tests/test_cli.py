@@ -190,3 +190,13 @@ def test_auto_seed_gives_nonzero_harmonic(tmp_path):
     assert np.abs(f.values[1]).max() > 0.5
     from bharm import harmonicity_check
     assert harmonicity_check(d, f).consistent
+
+
+def test_solver_failure_is_exit_one_without_traceback(monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+    from bharm import pathspace
+    monkeypatch.setattr(pathspace, "DIRECT_THRESHOLD", 0)
+    monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 7))
+    assert main(["green", "--diagram", "tree:4:2", "--vertices", "1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: conjugate gradient did not converge (info=7)\n"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bharm import (
     GeneralGraph,
@@ -17,6 +18,7 @@ from bharm import (
     validate,
 )
 from bharm._matops import to_dense
+from bharm.fileio import format_diagram, parse_diagram
 
 
 def ladder_graph(length, diagonals=False):
@@ -294,3 +296,136 @@ def test_extend_without_rule_rejected():
     d = gen_bottleneck([1, 2, 2], 3)
     with pytest.raises(ValueError):
         extend_to(d, 5)
+
+
+# --- validation battery ---------------------------------------------------
+# The expected lists pin the rule order, the row-major order within a rule and
+# the message text, for dense and CSR levels alike.
+
+def _tree_file(depth, edit):
+    """Parse a binary-tree file after edit() rewrote its edge lines."""
+    lines = format_diagram(gen_binary_tree(depth, 2.0)).splitlines()
+    return parse_diagram("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+
+
+def _zero_line(k):
+    return lambda edges: [e.rsplit(" ", 1)[0] + " 0" if n == k else e
+                          for n, e in enumerate(edges)]
+
+
+def _wide(n, inc_vals=None, cond_vals=None, kind=np.array):
+    """Root joined to n vertices; inc_vals / cond_vals override entries."""
+    inc, cond = np.ones((1, n)), np.ones((1, n))
+    for j, v in (inc_vals or {}).items():
+        inc[0, j] = v
+    for j, v in (cond_vals or {}).items():
+        cond[0, j] = v
+    return make_diagram([1, n], [kind(cond)], incidence=[kind(inc)])
+
+
+def _scattered(kind):
+    """A 4x5 (or 600x700) level whose violations are listed out of row-major order."""
+    m, k = (4, 5) if kind is np.array else (600, 700)
+    a = np.zeros((m, k))
+    a[np.arange(k) % m, np.arange(k)] = 1
+    a[:, k - 1] = 1
+    c = a.copy()
+    c[m - 1, 1] = 2.0    # support, last row
+    c[0, 2] = -4.5       # support, first row
+    c[1, k - 1] = 0.0    # positivity
+    c[0, 0] = 0.0        # positivity, first
+    root = np.ones((1, m))
+    return make_diagram([1, m, k], [root, kind(c)], incidence=[root, kind(a)])
+
+
+def _explicit_zero():
+    """CSR conductance storing a 0 off the incidence support."""
+    c = sp.csr_matrix((np.array([1.0, 0.0] + [1.0] * 598),
+                       (np.zeros(600, dtype=int), np.arange(600))), shape=(1, 600))
+    a = sp.csr_matrix(np.where(np.arange(600) == 1, 0.0, 1.0)[None, :])
+    return make_diagram([1, 600], [c], incidence=[a])
+
+
+BATTERY = {
+    "small-zero-one": lambda: _wide(3, inc_vals={1: 2.0, 2: 0.5}),
+    "small-support": lambda: _wide(2, inc_vals={1: 0.0}, cond_vals={1: 3.5}),
+    "small-positivity": lambda: _wide(2, cond_vals={0: 0.0}),
+    "small-scattered": lambda: _scattered(np.array),
+    "small-missing-edges": lambda: _tree_file(4, lambda e: e[:6] + e[8:9] + e[10:]),
+    "small-zero-line": lambda: _tree_file(4, _zero_line(7)),
+    "big-zero-one": lambda: _wide(600, inc_vals={9: 0.5, 7: 2.0}, kind=sp.csr_matrix),
+    "huge-zero-one": lambda: _wide(5000, inc_vals={77: 2.0}, kind=sp.csr_matrix),
+    "big-support": lambda: _wide(600, inc_vals={3: 0.0, 520: 0.0}, kind=sp.csr_matrix),
+    "big-positivity": lambda: _wide(600, cond_vals={599: 0.0, 11: 0.0}, kind=sp.csr_matrix),
+    "big-scattered": lambda: _scattered(sp.csr_matrix),
+    "big-explicit-zero": _explicit_zero,
+    "big-missing-edges": lambda: _tree_file(10, lambda e: e[:-700] + e[-698:-5] + e[-4:]),
+    "big-zero-line": lambda: _tree_file(10, _zero_line(1500)),
+}
+
+EXPECTED = {
+    "small-zero-one": ["[zero-one] level 0, edge (0,1): incidence entry 2.0 is not 0 or 1"],
+    "small-support": [
+        "[support] level 0, edge (0,1): conductance 3.5 on a non-edge",
+        "[incoming] level 1, vertex 1: vertex without incoming edge",
+    ],
+    "small-positivity": [
+        "[positivity] level 0, edge (0,0): c=0 on edge (c_xy > 0 required exactly on edges)",
+    ],
+    "small-scattered": [
+        "[support] level 1, edge (0,2): conductance -4.5 on a non-edge",
+        "[support] level 1, edge (3,1): conductance 2.0 on a non-edge",
+        "[positivity] level 1, edge (0,0): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 1, edge (1,4): c=0 on edge (c_xy > 0 required exactly on edges)",
+    ],
+    "small-missing-edges": [
+        "[outgoing] level 2, vertex 0: vertex without outgoing edge",
+        "[incoming] level 3, vertex 0: vertex without incoming edge",
+        "[incoming] level 3, vertex 1: vertex without incoming edge",
+        "[incoming] level 3, vertex 3: vertex without incoming edge",
+    ],
+    "small-zero-line": ["[incoming] level 3, vertex 1: vertex without incoming edge"],
+    "big-zero-one": ["[zero-one] level 0, edge (0,7): incidence entry 2.0 is not 0 or 1"],
+    "huge-zero-one": ["[zero-one] level 0, incidence: entries outside {0,1}"],
+    "big-support": [
+        "[support] level 0, edge (0,3): conductance 1.0 on a non-edge",
+        "[support] level 0, edge (0,520): conductance 1.0 on a non-edge",
+        "[incoming] level 1, vertex 3: vertex without incoming edge",
+        "[incoming] level 1, vertex 520: vertex without incoming edge",
+    ],
+    "big-positivity": [
+        "[positivity] level 0, edge (0,11): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 0, edge (0,599): c=0 on edge (c_xy > 0 required exactly on edges)",
+    ],
+    "big-scattered": [
+        "[support] level 1, edge (0,2): conductance -4.5 on a non-edge",
+        "[support] level 1, edge (599,1): conductance 2.0 on a non-edge",
+        "[positivity] level 1, edge (0,0): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 1, edge (1,699): c=0 on edge (c_xy > 0 required exactly on edges)",
+    ],
+    "big-explicit-zero": [
+        "[support] level 0, edge (0,1): conductance 0.0 on a non-edge",
+        "[incoming] level 1, vertex 1: vertex without incoming edge",
+    ],
+    "big-missing-edges": [
+        "[outgoing] level 9, vertex 162: vertex without outgoing edge",
+        "[incoming] level 10, vertex 324: vertex without incoming edge",
+        "[incoming] level 10, vertex 325: vertex without incoming edge",
+        "[incoming] level 10, vertex 1019: vertex without incoming edge",
+    ],
+    "big-zero-line": ["[incoming] level 10, vertex 478: vertex without incoming edge"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_validation_battery(name):
+    assert [str(v) for v in validate(BATTERY[name]())] == EXPECTED[name]
+
+
+@pytest.mark.parametrize("width", [2, 600])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_non_positive_conductance_line_is_positivity_at_any_width(width, value):
+    edges = "".join(f"e 0 0 {j} {value if j == 1 else 1}\n" for j in range(width))
+    d = parse_diagram(f"bratteli v1\nlevels 2 : 1 {width}\n" + edges)
+    assert [str(v) for v in validate(d)] == [
+        "[positivity] level 0, edge (0,1): c=0 on edge (c_xy > 0 required exactly on edges)"]

@@ -1,7 +1,20 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from bharm import LevelFunction, gen_binary_tree, gen_pascal, validate
+from bharm import (
+    LevelFunction,
+    gen_binary_tree,
+    gen_binary_tree_radial,
+    gen_bottleneck,
+    gen_ladder,
+    gen_pascal,
+    gen_stationary,
+    validate,
+)
 from bharm._matops import to_dense
 from bharm.fileio import (
     format_diagram,
@@ -37,6 +50,11 @@ def test_duplicate_edge_rejected():
 def test_zero_size_level_rejected():
     with pytest.raises(ValueError):
         parse_diagram("bratteli v1\nlevels 2 : 1 0\n")
+
+
+def test_level_size_beyond_int64_rejected():
+    with pytest.raises(ValueError):
+        parse_diagram("bratteli v1\nlevels 2 : 1 99999999999999999999\ne 0 0 0 1\n")
 
 
 def test_out_of_range_edge_rejected():
@@ -82,3 +100,60 @@ def test_genspec_parsing():
     assert parse_genspec("bottleneck:1-3-1:7").level_sizes == (1, 3, 1)
     with pytest.raises(ValueError):
         parse_genspec("moebius:3")
+
+
+def _same_level(a, b):
+    if sp.issparse(a):
+        return (sp.issparse(b) and a.shape == b.shape
+                and np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices)
+                and np.array_equal(a.data, b.data))
+    return not sp.issparse(b) and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [
+    gen_binary_tree(11, 0.5),
+    gen_pascal(30, 2.0),
+    gen_stationary([[1, 1], [1, 0]], 5, 2.0),
+    gen_bottleneck([1, 3, 600, 700, 4], 5),
+    gen_ladder(5, 2.5),
+    gen_binary_tree_radial(9, 2.0, 3),
+], ids=["tree", "pascal", "stationary", "bottleneck", "ladder", "radial"])
+def test_round_trip_reproduces_generator_levels(d):
+    # conductances with at most 12 significant digits survive the text format
+    d2 = parse_diagram(format_diagram(d))
+    assert d2.level_sizes == d.level_sizes
+    for a, b in zip(d.conductance + d.incidence, d2.conductance + d2.incidence):
+        assert _same_level(a, b)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("e 0 0 5 1\ne 0 0\n", "edge (0,0,5) out of range"),
+    ("e 0 0\ne 0 0 5 1\n", "malformed edge line: 'e 0 0'"),
+    ("e 0 0 0 1\ne 0 0 0 1\ne 7 0 x 1\n", "duplicate edge (0,0,0)"),
+    ("e 7 0 0 1\ne 0 0 x 1\n", "edge level 7 out of range"),
+    ("e 0 0 x 1\ne 7 0 0 1\n", "invalid literal for int() with base 10: 'x'"),
+    ("e 7 0 9 1\n", "edge level 7 out of range"),
+    ("e 0 0 9 y\n", "could not convert string to float: 'y'"),
+    ("e 0 0 0 1\ne 0 0 1 1\ne 1 0 0 1\ne 1 1 0 1\ne 99999999999999999999 0 0 1\n",
+     "edge level 99999999999999999999 out of range"),
+])
+def test_first_bad_line_is_reported(edges, message):
+    with pytest.raises(ValueError) as info:
+        parse_diagram("bratteli v1\nlevels 3 : 1 2 2\n" + edges)
+    assert str(info.value) == message
+
+
+def test_validate_tree16_file_in_linear_memory(tmp_path):
+    path = tmp_path / "tree16.bd"
+    path.write_text(format_diagram(gen_binary_tree(16, 2.0)))
+    child = ("import resource, sys\n"
+             "from bharm.cli import main\n"
+             "code = main(['validate', sys.argv[1]])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid: 17 levels")
+    assert int(proc.stderr.split()[-1]) < 400 * 1024  # ru_maxrss is in KiB
