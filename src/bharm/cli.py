@@ -541,11 +541,12 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError) as exc:
-        # RuntimeError: solver failures (CG non-convergence, singular systems)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # RuntimeError: solver failures (CG non-convergence, singular systems);
+        # MemoryError: e.g. a levels line whose sizes fit int64 but not memory
         if isinstance(exc, BrokenPipeError):
             return 0
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

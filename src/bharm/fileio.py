@@ -57,6 +57,8 @@ def parse_diagram(text: str) -> Diagram:
     if len(lines) < 2 or not lines[1].startswith("levels"):
         raise ValueError("expected 'levels <k> : <sizes>' line")
     head, _, sizes_part = lines[1].partition(":")
+    if len(head.split()) < 2:
+        raise ValueError("expected 'levels <k> : <sizes>' line")
     k = int(head.split()[1])
     sizes = [int(s) for s in sizes_part.split()]
     if len(sizes) != k:

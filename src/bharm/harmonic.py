@@ -466,15 +466,6 @@ def _nullspace(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(m, rcond=RANK_RCOND)
 
 
-def _rank(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int((sv > RANK_RCOND * sv[0]).sum())
-
-
 def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
                    tol: float = DEFAULT_TOL) -> DimensionResult:
     """Dimension of the space of harmonic prefixes with f(o) = 0.
@@ -484,6 +475,12 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
     accounting for interior degrees of freedom already forgotten by the pair
     representation.  Equals the null-space dimension of the stacked
     constraint system (the brute-force oracle) on every tested instance.
+
+    Each C_n is decomposed by one SVD per level, which gives its rank, its
+    column space, its kernel and the minimum-norm particular solutions.  Only
+    the particular block of the new pair basis is re-orthonormalized: its
+    level-(n+1) half lies in the row space of C_n, so the orthonormal kernel
+    block (zero on level n) is orthogonal to it and is appended as is.
     """
     n_max = d.num_levels if up_to_level is None else up_to_level
     if n_max < 1:
@@ -502,36 +499,35 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
         cprev = to_dense(d.conductance[n - 1])
         degs = d.degree_vector(n)
         g_map = degs[:, None] * cur - cprev.T @ prev
-        q = _orth(cn)
-        resid = g_map - q @ (q.T @ g_map)
+        u, s, vt = np.linalg.svd(cn, full_matrices=True)
+        rank_cn = int((s > RANK_RCOND * s[0]).sum()) if s.size else 0
+        q = u[:, :rank_cn]
+        qt_g = q.T @ g_map
+        resid = g_map - q @ qt_g
         # rank decisions on the residual must be relative to the scale of the
         # constraint map, not to the residual's own (possibly noise) spectrum
         scale = max(float(np.linalg.norm(g_map, 2)) if g_map.size else 0.0, 1.0)
         if resid.size:
-            u_, sv, vt = np.linalg.svd(resid)
+            u_, sv, vt_r = np.linalg.svd(resid)
             r = int((sv > RANK_RCOND * scale).sum())
-            z = vt[r:].T
+            z = vt_r[r:].T
         else:
             r = 0
             z = np.eye(g_map.shape[1])
-        rank_cn = _rank(cn)
         nullity = cn.shape[1] - rank_cn
         if nullity > 0:
             unique = False
         dim_p = (dim_p - r) + nullity
         sol_dims[n] = nullity
         drops[n] = r
-        # particular next-level solutions for the surviving pair basis
-        g_ext = g_map @ z if z.size else np.zeros((g_map.shape[0], 0))
-        if g_ext.shape[1] > 0:
-            f_next, _, _, _ = np.linalg.lstsq(cn, g_ext, rcond=RANK_RCOND)
-        else:
-            f_next = np.zeros((cn.shape[1], 0))
-        kern = _nullspace(cn)
-        top = np.hstack([cur @ z, np.zeros((cur.shape[0], kern.shape[1]))])
-        bot = np.hstack([f_next, kern])
-        stacked = _orth(np.vstack([top, bot]))
-        prev, cur = stacked[: cur.shape[0]], stacked[cur.shape[0]:]
+        # minimum-norm particular next-level solutions for the surviving pair
+        # basis (the pseudo-inverse of C_n applied to g_map @ z)
+        f_next = vt[:rank_cn].T @ ((qt_g @ z) / s[:rank_cn, None])
+        kern = vt[rank_cn:].T
+        part = _orth(np.vstack([cur @ z, f_next]))
+        top, bot = part[: cur.shape[0]], part[cur.shape[0]:]
+        prev = np.hstack([top, np.zeros((cur.shape[0], kern.shape[1]))])
+        cur = np.hstack([bot, kern])
         per_level[n + 1] = dim_p
     state = HarmonicState(level=n_max, sizes=(prev.shape[0], cur.shape[0]),
                           basis=np.vstack([prev, cur]), tol=tol)

@@ -84,8 +84,8 @@ class DirichletSystem:
                     self._lu = spla.splu(self.matrix.tocsc())
                 return self._lu.solve(b)
             return spla.splu(matrix.tocsc()).solve(b)
-        precond = spla.LinearOperator(
-            matrix.shape, matvec=lambda x: x / matrix.diagonal())
+        diag = matrix.diagonal()
+        precond = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diag)
         scale = float(np.linalg.norm(b)) or 1.0
         x, info = spla.cg(matrix, b, rtol=CG_RTOL, atol=1e-14 * scale, M=precond,
                           maxiter=20 * int(np.sqrt(matrix.shape[0]) + 1000))

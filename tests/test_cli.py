@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -69,6 +70,16 @@ def test_dimension_table(capsys):
     assert main(["dimension", "--diagram", "pascal:5:1"]) == 0
     out = capsys.readouterr().out
     assert "prefix dimension at level 5: 5" in out
+
+
+DIMENSION_GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "dimension_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(DIMENSION_GOLDENS))
+def test_dimension_stdout_golden(spec, capsys):
+    assert main(["dimension", "--diagram", spec]) == 0
+    assert capsys.readouterr().out == DIMENSION_GOLDENS[spec]
 
 
 def test_monopole_dipole_outputs(tmp_path):
@@ -200,3 +211,22 @@ def test_solver_failure_is_exit_one_without_traceback(monkeypatch, capsys):
     assert main(["green", "--diagram", "tree:4:2", "--vertices", "1,0"]) == 1
     err = capsys.readouterr().err
     assert err == "error: conjugate gradient did not converge (info=7)\n"
+
+
+def test_levels_line_without_count_is_exit_one():
+    code, out, err = run_cli(["validate", "-"], stdin="bratteli v1\nlevels\n")
+    assert code == 1
+    assert err == "error: expected 'levels <k> : <sizes>' line\n"
+
+
+def test_memory_error_is_exit_one_without_traceback(monkeypatch, tmp_path, capsys):
+    from bharm import cli
+
+    def exhausted(text):
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    monkeypatch.setattr(cli, "parse_diagram", exhausted)
+    path = tmp_path / "d.txt"
+    path.write_text("bratteli v1\nlevels 3 : 1 3000000000 3000000000\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 22.4 GiB\n"

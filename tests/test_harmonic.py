@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bharm import (
     LevelFunction,
@@ -26,7 +27,7 @@ from bharm.closedforms import (
     tree_pins,
     tree_symmetric_harmonic,
 )
-from bruteforce import stacked_nullity
+from bruteforce import stacked_constraint_matrix, stacked_nullity
 
 
 # --- harmonicity check ---------------------------------------------------------
@@ -222,11 +223,41 @@ def test_stationary_dimension_unique_extension():
     assert res.unique_extension
 
 
-def test_dimension_state_is_orthonormal():
-    d = gen_pascal(5, 1.0)
+def _random_conductances(d, seed):
+    """Same edges as d, conductances drawn uniformly from [0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    mats = [to_dense(c) * rng.uniform(0.5, 2.0, c.shape) for c in d.conductance]
+    return make_diagram(d.level_sizes, mats)
+
+
+@pytest.mark.parametrize("d", [
+    _random_conductances(gen_binary_tree(6, 2.0), 5),
+    _random_conductances(gen_pascal(8, 1.0), 6),
+    # C_1 is 4x4 of rank 3 for any weights on its edges
+    _random_conductances(gen_bottleneck([1, 4, 4, 1, 4, 4], 29), 7),
+], ids=["tree6-random", "pascal8-random", "bottleneck-b-random"])
+def test_dimension_and_state_match_oracle(d):
     res = harm_dimension(d)
-    b = res.state.basis
-    assert np.allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-12)
+    assert sorted(res.per_level) == list(range(1, d.num_levels + 1))
+    for k, dim in res.per_level.items():
+        assert dim == stacked_nullity(d, k), f"level {k}"
+    for k in range(2, d.num_levels + 1):
+        # the pair basis spans the last two levels of the admissible prefixes
+        state = harm_dimension(d, up_to_level=k).state
+        null = scipy.linalg.null_space(stacked_constraint_matrix(d, k), rcond=1e-10)
+        pairs = scipy.linalg.orth(null[-state.basis.shape[0]:], rcond=1e-10)
+        assert pairs.shape[1] == state.pair_dimension, f"level {k}"
+        if pairs.shape[1]:
+            assert scipy.linalg.subspace_angles(pairs, state.basis).max() < 1e-9
+
+
+def test_dimension_state_is_orthonormal():
+    # the kernel block of each level is appended without re-orthonormalizing
+    for d in (gen_pascal(5, 1.0), gen_binary_tree(6, 2.0),
+              gen_bottleneck([1, 4, 4, 1, 4, 4], 29)):
+        res = harm_dimension(d)
+        b = res.state.basis
+        assert np.allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-12)
 
 
 # --- monopoles and dipoles ---------------------------------------------------------
