@@ -79,7 +79,6 @@ def _write_output(path: str, text: str, args, extra: dict) -> None:
         "tool": "bharm",
         "version": __version__,
         "command": sys.argv[1:],
-        "threads": int(os.environ.get("BH_THREADS", "1")),
         "input_sha256_16": dict(_INPUT_HASHES),
         "output_sha256_16": _hash(text),
     }
@@ -163,14 +162,15 @@ def _cmd_harmonic(args) -> int:
         seed = basis[:, 0]
         lead = seed[np.nonzero(np.abs(seed) > 1e-12)[0][0]]
         seed = seed / lead
-    f, report = solve_chain(d, depth=depth, seed_f1=seed, pins=pins,
-                            mode=args.mode, tol=args.tol)
+    f, report = solve_chain(d, depth=depth, seed_f1=seed, pins=pins, tol=args.tol)
     if not report.consistent:
         lvl = report.first_inconsistent_level()
         print(f"# inconsistent at level {lvl}: residual "
               + FMT.format(report.residuals[lvl]), file=sys.stderr)
     _write_output(args.out, format_function(f), args,
-                  {"tol": args.tol, "max_residual": report.max_residual})
+                  {"tol": args.tol, "max_residual": report.max_residual,
+                   "solve_path": report.diagnostics["path"],
+                   "fallback": report.diagnostics["fallback"]})
     return 0
 
 
@@ -189,15 +189,17 @@ def _cmd_pole(args, dipole: bool) -> int:
     depth = args.depth if args.depth is not None else d.num_levels
     try:
         if dipole:
-            f, report = solve_dipole(d, x, up_to_level=depth, mode=args.mode, tol=args.tol)
+            f, report = solve_dipole(d, x, up_to_level=depth, tol=args.tol)
         else:
-            f, report = solve_monopole(d, x, up_to_level=depth, mode=args.mode, tol=args.tol)
+            f, report = solve_monopole(d, x, up_to_level=depth, tol=args.tol)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     if not report.consistent:
         print("# inconsistent recursion; least-squares solution emitted", file=sys.stderr)
     _write_output(args.out, format_function(f), args,
-                  {"pole": str(x), "max_residual": report.max_residual})
+                  {"pole": str(x), "max_residual": report.max_residual,
+                   "solve_path": report.diagnostics["path"],
+                   "fallback": report.diagnostics["fallback"]})
     return 0
 
 
@@ -460,8 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--seed-vector", default="auto")
-    sp.add_argument("--mode", choices=["min-norm", "least-squares", "pinned"],
-                    default="min-norm")
     sp.add_argument("--pin", action="append", help="level,index=value (repeatable)")
     sp.set_defaults(func=_cmd_harmonic)
 
@@ -475,8 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_common(sp)
         sp.add_argument("--vertex", required=True, help="level,index")
         sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--mode", choices=["min-norm", "least-squares", "pinned"],
-                        default="min-norm")
         sp.set_defaults(func=lambda a, dip=dip: _cmd_pole(a, dip))
 
     sp = sub.add_parser("green", help="exact killed-chain G/F/U values")

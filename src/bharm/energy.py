@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from ._matops import col_sums, matvec, rmatvec, row_sums
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import LevelFunction, build_level_operators, markov_apply
+from .operators import LevelFunction, build_level_operators, laplacian_apply, markov_apply
 from .pathspace import dipole_green
 
 
@@ -165,14 +165,10 @@ def energy_harmonic_formulas(d: Diagram, f: LevelFunction,
     via_markov = 0.5 * float(sum(
         np.dot(ops.degrees[n], pf2.values[n] - f2.values[n])
         for n in range(d.num_levels)))
+    lf2, _ = laplacian_apply(ops, f2)
     via_laplacian = 0.0
     for n in range(d.num_levels):
-        v = ops.degrees[n] * f2.values[n]
-        if n > 0:
-            v = v - rmatvec(d.conductance[n - 1], f2.values[n - 1])
-        if n < d.num_levels:
-            v = v - matvec(d.conductance[n], f2.values[n + 1])
-        via_laplacian -= 0.5 * float(v.sum())
+        via_laplacian -= 0.5 * float(lf2.values[n].sum())
     incs = [_edge_energy(d.conductance[n], f.values[n], f.values[n + 1])
             for n in range(d.num_levels)]
     boundary_half = 0.5 * incs[-1] if incs else 0.0

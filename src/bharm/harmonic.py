@@ -6,10 +6,12 @@ The recursion solves, level by level,
     P<-_n f_{n+1} = f_n - P->_{n-1} f_{n-1} - rhs_n / c_n
 
 where rhs is a point-source vector (empty for harmonic functions, delta_x
-for a monopole at x, delta_x - delta_o for a dipole).  Underdetermined
-levels take the minimum-norm representative unless coordinates are pinned;
-inconsistent levels are reported, not thrown, and the least-squares solution
-is used.
+for a monopole at x, delta_x - delta_o for a dipole).  solve_chain stacks
+these equations for all levels and returns one representative: the global
+minimum-norm solution with the seed and the pins fixed, from a sparse LU of
+the square system or of the augmented system.  Where that solve fails, the
+level-by-level least-squares pass is returned and the report says why;
+inconsistent levels are reported, not thrown.
 """
 from __future__ import annotations
 
@@ -37,11 +39,13 @@ class SolveReport:
     residuals[n] is the max-norm constraint violation at level n; consistent
     is true iff every residual is within the tolerance.  solution_dims[n] is
     the dimension of the level-n solution set where the solver computed it
-    (None on large sparse levels, where rank is not revealed).
+    (None on large sparse levels, where rank is not revealed).  diagnostics
+    says how solve_chain got its solution (see there).
     """
     residuals: list
     tol: float
     solution_dims: list = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def consistent(self) -> bool:
@@ -139,22 +143,17 @@ def _solve_level(a, b: np.ndarray, pins: Optional[Dict[int, float]] = None):
     return x, float(np.abs(resid).max()) if resid.size else 0.0, dim
 
 
-def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray], mode: str = "min-norm",
+def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
                     pins: Optional[Dict[int, float]] = None, tol: float = DEFAULT_TOL,
                     source: Optional[Dict[VertexId, float]] = None,
                     ops: Optional[LevelOperators] = None):
     """Solve the next level of the recursion from a prefix f_0..f_n.
 
-    mode "min-norm" (default) and "least-squares" return the minimum-norm
-    least-squares representative; "pinned" fixes the given coordinates of
-    f_{n+1} and takes minimum norm on the rest.  The report carries the
-    residual (inconsistent levels are reported, not raised) and the
-    dimension of the level solution set where available.
+    Returns the minimum-norm least-squares f_{n+1}; pins fix the given
+    coordinates of f_{n+1} and minimum norm is taken on the rest.  The
+    report carries the residual (inconsistent levels are reported, not
+    raised) and the dimension of the level solution set where available.
     """
-    if mode not in ("min-norm", "least-squares", "pinned"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "pinned":
-        pins = None
     ops = ops or build_level_operators(d)
     n = len(prefix) - 1
     if n >= d.num_levels:
@@ -206,21 +205,34 @@ def _exact_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return out
 
 
-def _global_refine(d: Diagram, ops: LevelOperators, depth: int, rhs,
-                   values: list, seed_given: bool, pins: Dict[int, Dict[int, float]],
-                   forward_ok: bool = True):
-    """One global solve of the stacked constraint system to remove the
-    forward recursion's error growth.
+def _refine(lu, sol: np.ndarray, residual):
+    """Iterative refinement sol += lu.solve(residual(sol)), stopped when the
+    step falls to rounding level or stops shrinking.  Returns (sol, steps)."""
+    prev = np.inf
+    for steps in range(1, 31):
+        step = lu.solve(residual(sol))
+        norm = float(np.abs(step).max())
+        sol = sol + step
+        if norm <= 1e-15 * max(1.0, float(np.abs(sol).max())) or norm >= prev:
+            break
+        prev = norm
+    return sol, steps
 
-    The forward pass propagates rounding through the three-term recursion,
-    which has exponentially growing modes on expanding diagrams; the stacked
-    system with the seed and pins eliminated behaves like a boundary value
-    problem and is solved in one shot.  Square systems go through a sparse
-    LU followed by iterative refinement with exactly rounded residuals (the
-    stacked map can be ill-conditioned even though each level is benign, so
-    plain double solves stall well above the target accuracy).
-    Underdetermined systems get a minimum-norm LSQR correction on top of the
-    forward representative, preserving the per-level representative choice.
+
+def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
+                  seed_f1: Optional[np.ndarray], pins: Dict[int, Dict[int, float]]):
+    """Global minimum-norm solution of the stacked constraint system.
+
+    Unknowns f_1..f_depth, equations at levels 0..depth-1; the seed and the
+    pins are eliminated and equations left without unknowns dropped.  A
+    square system takes a sparse LU and iterative refinement with exactly
+    rounded residuals (the stacked map can be ill-conditioned even though
+    each level is benign, so plain double refinement stalls well above the
+    target accuracy).  An underdetermined A x = b takes one sparse LU of the
+    augmented system [[I, A^T], [A, 0]], whose x block is the minimum-norm
+    solution (Bjorck; Arioli, Duff & de Rijk, Numer. Math. 1989), and plain
+    refinement.  Raises RuntimeError when the system is overdetermined or
+    the LU fails.  Returns (values f_0..f_depth, path, refinement steps).
     """
     sizes = d.level_sizes
     off = np.concatenate([[0], np.cumsum(sizes[1: depth + 1])]).astype(int)
@@ -253,13 +265,17 @@ def _global_refine(d: Diagram, ops: LevelOperators, depth: int, rhs,
     b = np.concatenate(b_parts)
     n_rows = row_base
     fixed = np.zeros(nvar, dtype=bool)
-    x_full = np.concatenate([values[n + 1] for n in range(depth)])
-    if seed_given:
-        fixed[off[0]: off[1]] = True
+    x_full = np.zeros(nvar)
     for lvl, coord_map in pins.items():
         if 1 <= lvl <= depth:
-            for idx in coord_map:
+            for idx, val in coord_map.items():
+                if not (0 <= idx < sizes[lvl]):
+                    raise ValueError(f"pinned index {idx} outside level of size {sizes[lvl]}")
                 fixed[off[lvl - 1] + idx] = True
+                x_full[off[lvl - 1] + idx] = val
+    if seed_f1 is not None:
+        fixed[off[0]: off[1]] = True
+        x_full[off[0]: off[1]] = seed_f1
     keep = ~fixed[cols]
     fix_mask = fixed[cols]
     b_adj = b.copy()
@@ -276,107 +292,82 @@ def _global_refine(d: Diagram, ops: LevelOperators, depth: int, rhs,
     n_live = int(live_rows.sum())
     a_free = sp.csr_matrix((v_f, (r_f, c_f)), shape=(n_live, free_ids.size))
     b_live = b_adj[live_rows]
-    x0 = x_full[free_ids]
-    if a_free.shape[0] == a_free.shape[1]:
-        try:
-            lu = spla.splu(a_free.tocsc())
-        except RuntimeError:
-            lu = None
-        if lu is None:
-            sol = x0 + spla.lsqr(a_free, b_live - a_free @ x0, atol=1e-14,
-                                 btol=1e-14, iter_lim=8 * sum(a_free.shape))[0]
-        else:
-            sol = lu.solve(b_live)
-            if v_f.size <= 2_000_000:
-                prev = np.inf
-                for _ in range(30):
-                    resid = _exact_residual(r_f, c_f, v_f, n_live, sol, b_live)
-                    step = lu.solve(resid)
-                    norm = float(np.abs(step).max())
-                    sol = sol + step
-                    if norm <= 1e-15 * max(1.0, float(np.abs(sol).max())) or norm >= prev:
-                        break
-                    prev = norm
+    m, n_free = a_free.shape
+    if m > n_free:
+        raise RuntimeError(f"overdetermined ({m} equations, {n_free} unknowns)")
+    if m == n_free:
+        path, steps = "lu", 0
+        lu = spla.splu(a_free.tocsc())
+        sol = lu.solve(b_live)
+        if 0 < v_f.size <= 2_000_000:
+            sol, steps = _refine(lu, sol, lambda s: _exact_residual(
+                r_f, c_f, v_f, n_live, s, b_live))
     else:
-        r0 = b_live - a_free @ x0
-        if forward_ok:
-            # healthy forward pass: keep its per-level representative
-            correction = spla.lsqr(a_free, r0, atol=1e-14, btol=1e-14,
-                                   iter_lim=8 * sum(a_free.shape))[0]
-            sol = x0 + correction
-        elif v_f.size <= 2_000_000 and max(a_free.shape) <= 4000:
-            # the forward pass drifted: return the global minimum-norm
-            # least-squares representative (dense SVD: iterative solvers
-            # stall on the ill-conditioning that caused the drift)
-            sol = np.linalg.lstsq(a_free.toarray(), b_live, rcond=RANK_RCOND)[0]
-        else:
-            sol = x0 + spla.lsqr(a_free, r0, atol=1e-14, btol=1e-14,
-                                 iter_lim=8 * sum(a_free.shape))[0]
+        path = "augmented-lu"
+        k = sp.bmat([[sp.identity(n_free), a_free.T], [a_free, None]], format="csc")
+        lu = spla.splu(k)
+        rhs_k = np.concatenate([np.zeros(n_free), b_live])
+        z, steps = _refine(lu, lu.solve(rhs_k), lambda z: rhs_k - k @ z)
+        sol = z[:n_free]
     x_full[free_ids] = sol
-    out = [values[0]] + [x_full[off[n]: off[n + 1]].copy() for n in range(depth)]
-    return out
+    values = [np.zeros(1)] + [x_full[off[n]: off[n + 1]].copy() for n in range(depth)]
+    return values, path, steps
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
                 source: Optional[Dict[VertexId, float]] = None,
                 seed_f1: Optional[np.ndarray] = None,
                 pins: Optional[Dict[int, Dict[int, float]]] = None,
-                mode: str = "min-norm", tol: float = DEFAULT_TOL,
-                stabilize: bool = True):
+                tol: float = DEFAULT_TOL):
     """Run the recursion from the root through `depth`, with point sources.
 
-    pins maps level -> {index: value}.  With no seed_f1, level 1 is solved
-    from the root equation (min-norm / pinned); a given seed is verified
-    against the root equation instead.  When the forward pass is consistent
-    and `stabilize` is set, a global solve of the stacked system removes the
-    forward error growth (see _global_refine); inconsistent runs keep the
-    sequential least-squares semantics untouched.  Returns (LevelFunction,
-    SolveReport) with one residual per solved level (root equation first).
+    Returns the global minimum-norm solution of the stacked constraint
+    system on f_1..f_depth, with f_0 = 0, f_1 = seed_f1 when given and the
+    pinned coordinates fixed (pins maps level -> {index: value}); see
+    _global_solve for the square and the augmented LU path.  When there is
+    no global solve, the LU fails, or the refined solution misses `tol` on
+    some level, the level-by-level least-squares pass is returned instead
+    and the report names the reason.  A given seed is verified against the
+    root equation, not enforced.
+
+    Returns (LevelFunction, SolveReport) with one residual per level
+    (root equation first).  The report's diagnostics hold the path ("lu",
+    "augmented-lu" or "forward"), refine_steps, final_residual (the largest
+    residual of the returned solution) and fallback (None or the reason).
     """
     depth = d.num_levels if depth is None else depth
-    if depth > d.num_levels:
-        raise ValueError("depth exceeds the stored prefix")
+    if not 1 <= depth <= d.num_levels:
+        raise ValueError(f"depth must lie in 1..{d.num_levels}")
     ops = build_level_operators(d)
     pins = pins or {}
     rhs = _source_vectors(d, source)
-    values = [np.zeros(1)]
-    residuals = []
-    dims = []
     if seed_f1 is not None:
         seed_f1 = np.asarray(seed_f1, dtype=float).reshape(-1)
         if seed_f1.shape[0] != d.level_sizes[1]:
             raise ValueError("seed vector length does not match level 1")
-        root_resid = abs(float(matvec(ops.p_back[0], seed_f1)[0]
-                               - values[0][0] + rhs[0][0] / ops.degrees[0][0]))
-        values.append(seed_f1)
-        residuals.append(root_resid)
-        dims.append(None)
-    for n in range(len(values) - 1, depth):
-        mode_n = "pinned" if n + 1 in pins else (mode if mode != "pinned" else "min-norm")
-        x, rep = extend_harmonic(d, values, mode=mode_n, pins=pins.get(n + 1),
-                                 tol=tol, source=source, ops=ops)
-        values.append(x)
-        residuals.extend(rep.residuals)
-        dims.extend(rep.solution_dims)
-    if stabilize and depth >= 2:
-        # Run the global solve even when the forward pass looks inconsistent:
-        # forward drift on expanding diagrams is indistinguishable from a
-        # genuine obstruction until the stacked system has been solved.  The
-        # refined values are kept only if they actually satisfy the system;
-        # genuinely inconsistent runs keep the sequential least-squares
-        # semantics and reports.
-        forward_ok = all(r <= tol for r in residuals)
-        refined = _global_refine(d, ops, depth, rhs, values, seed_f1 is not None,
-                                 pins, forward_ok=forward_ok)
-        refined_residuals = _chain_residuals(d, ops, depth, rhs, refined)
-        refined_ok = all(r <= tol for r in refined_residuals)
-        if refined_ok or (forward_ok and max(refined_residuals) <= max(residuals)):
-            values = refined
-            residuals = refined_residuals
+    fallback = None
+    try:
+        values, path, steps = _global_solve(d, ops, depth, rhs, seed_f1, pins)
+        residuals = _chain_residuals(d, ops, depth, rhs, values)
+        if not max(residuals) <= tol:
+            fallback = f"refined chain residual {max(residuals):.3g} exceeds tol {tol:.3g}"
+    except RuntimeError as exc:
+        fallback = f"no global solve: {exc}"
+    if fallback is not None:
+        # level by level: the minimum-norm least-squares (or pinned) next level
+        values = [np.zeros(1)] if seed_f1 is None else [np.zeros(1), seed_f1]
+        for n in range(len(values) - 1, depth):
+            values.append(extend_harmonic(d, values, pins=pins.get(n + 1), tol=tol,
+                                          source=source, ops=ops)[0])
+        residuals = _chain_residuals(d, ops, depth, rhs, values)
+        path, steps = "forward", 0
     # pad to the stored depth so the result is a full LevelFunction
     for n in range(depth + 1, d.num_levels + 1):
         values.append(np.zeros(d.level_sizes[n]))
-    return LevelFunction(values), SolveReport(residuals=residuals, tol=tol, solution_dims=dims)
+    diagnostics = {"path": path, "refine_steps": steps,
+                   "final_residual": max(residuals), "fallback": fallback}
+    return LevelFunction(values), SolveReport(residuals=residuals, tol=tol,
+                                              diagnostics=diagnostics)
 
 
 def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values) -> list:
@@ -393,7 +384,7 @@ def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values) -
 
 
 def solve_monopole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
-                   mode: str = "min-norm", pins=None, tol: float = DEFAULT_TOL):
+                   pins=None, tol: float = DEFAULT_TOL):
     """Recursion solution of Delta w = delta_x with w(o) = 0.
 
     Inconsistent levels are reported in the SolveReport, not raised.
@@ -402,11 +393,11 @@ def solve_monopole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
     n = d.num_levels if up_to_level is None else up_to_level
     if x.level >= n:
         raise ValueError("pole must lie strictly above the solve depth")
-    return solve_chain(d, depth=n, source={x: 1.0}, pins=pins, mode=mode, tol=tol)
+    return solve_chain(d, depth=n, source={x: 1.0}, pins=pins, tol=tol)
 
 
 def solve_dipole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
-                 mode: str = "min-norm", pins=None, tol: float = DEFAULT_TOL):
+                 pins=None, tol: float = DEFAULT_TOL):
     """Recursion solution of Delta v = delta_x - delta_o with v(o) = 0.
 
     The root equation this induces is sum_y c_oy v_1(y) = +1: the definition
@@ -420,7 +411,7 @@ def solve_dipole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
     n = d.num_levels if up_to_level is None else up_to_level
     if x.level >= n:
         raise ValueError("pole must lie strictly above the solve depth")
-    return solve_chain(d, depth=n, source={x: 1.0, o: -1.0}, pins=pins, mode=mode, tol=tol)
+    return solve_chain(d, depth=n, source={x: 1.0, o: -1.0}, pins=pins, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,25 @@ def test_harmonic_pin_matches_closed_form(tmp_path):
         assert np.allclose(f.values[n], h.values[n], atol=1e-8)
 
 
-def test_manifest_written_and_reproducible(tmp_path):
+@pytest.mark.parametrize("spec", ["pascal:90:1", "pascal:120:1"])
+def test_harmonic_deep_pascal_is_consistent(spec, tmp_path, capsys):
+    out_file = tmp_path / "h.fn"
+    assert main(["harmonic", "--diagram", spec, "--out", str(out_file)]) == 0
+    assert "inconsistent" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "h.fn.manifest.json").read_text())
+    assert manifest["max_residual"] <= 1e-9
+    # the printed 12 digits cannot meet tol, so check the solve in process
+    from bharm import harmonicity_check, solve_chain
+    d = gen_pascal(int(spec.split(":")[1]), 1.0)
+    f, _ = solve_chain(d, seed_f1=[1.0, -1.0])
+    assert harmonicity_check(d, f).consistent
+    assert manifest["solve_path"] == "augmented-lu"
+    assert manifest["fallback"] is None
+
+
+def test_manifest_written_and_reproducible(tmp_path, monkeypatch):
+    # BH_THREADS is not read: a value that is not a number changes nothing
+    monkeypatch.setenv("BH_THREADS", "two")
     out_file = tmp_path / "d.bd"
     assert main(["gen", "pascal:4:1", "--out", str(out_file)]) == 0
     first = out_file.read_bytes()
@@ -92,6 +110,9 @@ def test_monopole_dipole_outputs(tmp_path):
     assert float(w.values[1].sum()) == pytest.approx(-1.0, abs=1e-9)
     assert main(["dipole", "--diagram", "tree:6:2", "--vertex", "1,0",
                  "--out", str(tmp_path / "v.fn")]) == 0
+    manifest = json.loads((tmp_path / "v.fn.manifest.json").read_text())
+    assert (manifest["solve_path"], manifest["fallback"]) == ("augmented-lu", None)
+    assert "threads" not in manifest
 
 
 def test_green_csv_schema(capsys):

@@ -68,8 +68,7 @@ def test_pascal_extension_solution_set_is_one_dimensional():
     assert rep.solution_dims == [1]
     assert rep.consistent
     # pinned leftmost coordinate reproduces the closed form exactly
-    x, rep = extend_harmonic(d, h.values[:3], mode="pinned",
-                             pins={0: pascal_value(3, 0)})
+    x, rep = extend_harmonic(d, h.values[:3], pins={0: pascal_value(3, 0)})
     assert np.allclose(x, h.values[3], atol=1e-10)
 
 
@@ -99,12 +98,13 @@ def test_bottleneck_extension_inconsistent():
     _, rep = extend_harmonic(d, [np.zeros(1), f1])
     assert not rep.consistent
     assert rep.residuals[0] > 1e-6 / d.degree_vector(1).max()
-
-
-def test_extension_mode_validation():
-    d = gen_pascal(3, 1.0)
-    with pytest.raises(ValueError):
-        extend_harmonic(d, [np.zeros(1)], mode="zigzag")
+    # the seeded chain has no global solve: the level-by-level pass is
+    # returned and the report says why
+    _, rep = solve_chain(d, seed_f1=f1)
+    assert not rep.consistent
+    assert rep.diagnostics["path"] == "forward"
+    assert "no global solve" in rep.diagnostics["fallback"]
+    assert rep.diagnostics["final_residual"] == rep.max_residual
 
 
 # --- chained recursion ------------------------------------------------------------
@@ -134,6 +134,41 @@ def test_tree_pinned_chain_matches_closed_form():
     err = max(np.abs(a - b).max() for a, b in zip(f.values, g.values))
     assert err < 1e-8
     assert rep.consistent
+
+
+@pytest.mark.parametrize("case", ["tree5-monopole", "pascal8-seeded"])
+def test_chain_is_global_minimum_norm_solution(case):
+    # oracle: dense lstsq of the stacked system with the seed eliminated
+    if case == "tree5-monopole":
+        d = gen_binary_tree(5, 2.0)
+        x = VertexId(2, 1)
+        f, rep = solve_monopole(d, x)
+        seed = np.zeros(0)
+        b = np.zeros(sum(d.level_sizes[:5]))
+        b[sum(d.level_sizes[: x.level]) + x.index] = -1.0
+    else:
+        d = gen_pascal(8, 1.0)
+        seed = np.array([1.0, -1.0])
+        f, rep = solve_chain(d, seed_f1=seed)
+        b = np.zeros(sum(d.level_sizes[:8]))
+    assert rep.diagnostics["path"] == "augmented-lu"
+    assert rep.diagnostics["fallback"] is None
+    m = stacked_constraint_matrix(d, d.num_levels)
+    want = np.linalg.lstsq(m[:, seed.size:], b - m[:, : seed.size] @ seed, rcond=None)[0]
+    got = np.concatenate(f.values[1:])[seed.size:]
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_overdetermined_chain_takes_the_reported_forward_pass():
+    # seed plus all of level 3 pinned: 5 equations on the 3 unknowns of f_2
+    d = gen_pascal(3, 1.0)
+    h = pascal_harmonic(3)
+    f, rep = solve_chain(d, seed_f1=[1.0, -1.0],
+                         pins={3: dict(enumerate(h.values[3]))})
+    assert rep.diagnostics["path"] == "forward"
+    assert rep.diagnostics["fallback"].startswith("no global solve: overdetermined")
+    assert rep.consistent
+    assert np.allclose(f.values[2], h.values[2], atol=1e-12)
 
 
 def test_seed_vector_violating_root_equation_is_reported():
