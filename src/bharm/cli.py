@@ -78,7 +78,7 @@ def _write_output(path: str, text: str, args, extra: dict) -> None:
     manifest = {
         "tool": "bharm",
         "version": __version__,
-        "command": sys.argv[1:],
+        "command": args.argv,
         "input_sha256_16": dict(_INPUT_HASHES),
         "output_sha256_16": _hash(text),
     }
@@ -531,8 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv  # recorded in run manifests
     _INPUT_HASHES.clear()
     try:
         return args.func(args)

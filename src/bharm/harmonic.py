@@ -232,7 +232,8 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
     augmented system [[I, A^T], [A, 0]], whose x block is the minimum-norm
     solution (Bjorck; Arioli, Duff & de Rijk, Numer. Math. 1989), and plain
     refinement.  Raises RuntimeError when the system is overdetermined or
-    the LU fails.  Returns (values f_0..f_depth, path, refinement steps).
+    the LU fails.  Returns (values f_0..f_depth, path, refinement steps,
+    live) where live[n] marks the level-n equations that kept an unknown.
     """
     sizes = d.level_sizes
     off = np.concatenate([[0], np.cumsum(sizes[1: depth + 1])]).astype(int)
@@ -311,7 +312,8 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
         sol = z[:n_free]
     x_full[free_ids] = sol
     values = [np.zeros(1)] + [x_full[off[n]: off[n + 1]].copy() for n in range(depth)]
-    return values, path, steps
+    live = np.split(live_rows, np.cumsum([1] + list(sizes[1:depth]))[:-1])
+    return values, path, steps, live
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
@@ -326,9 +328,10 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     pinned coordinates fixed (pins maps level -> {index: value}); see
     _global_solve for the square and the augmented LU path.  When there is
     no global solve, the LU fails, or the refined solution misses `tol` on
-    some level, the level-by-level least-squares pass is returned instead
-    and the report names the reason.  A given seed is verified against the
-    root equation, not enforced.
+    some equation that has an unknown, the level-by-level least-squares
+    pass is returned instead and the report names the reason.  A given seed
+    is verified against the root equation, not enforced: its residual is
+    reported, but no solve can change it, so it never causes the fallback.
 
     Returns (LevelFunction, SolveReport) with one residual per level
     (root equation first).  The report's diagnostics hold the path ("lu",
@@ -347,10 +350,11 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
             raise ValueError("seed vector length does not match level 1")
     fallback = None
     try:
-        values, path, steps = _global_solve(d, ops, depth, rhs, seed_f1, pins)
+        values, path, steps, live = _global_solve(d, ops, depth, rhs, seed_f1, pins)
         residuals = _chain_residuals(d, ops, depth, rhs, values)
-        if not max(residuals) <= tol:
-            fallback = f"refined chain residual {max(residuals):.3g} exceeds tol {tol:.3g}"
+        worst = max(_chain_residuals(d, ops, depth, rhs, values, rows=live))
+        if not worst <= tol:
+            fallback = f"refined chain residual {worst:.3g} exceeds tol {tol:.3g}"
     except RuntimeError as exc:
         fallback = f"no global solve: {exc}"
     if fallback is not None:
@@ -370,8 +374,10 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
                                               diagnostics=diagnostics)
 
 
-def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values) -> list:
-    """Per-level residuals of the recursion equations in normalized form."""
+def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
+                     rows=None) -> list:
+    """Per-level residuals of the recursion equations in normalized form,
+    over the equations that rows[n] selects at level n when given."""
     out = []
     for n in range(depth):
         g = values[n].copy()
@@ -379,6 +385,8 @@ def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values) -
             g -= matvec(ops.p_fwd[n], values[n - 1])
         g -= rhs[n] / ops.degrees[n]
         r = matvec(ops.p_back[n], values[n + 1]) - g
+        if rows is not None:
+            r = r[rows[n]]
         out.append(float(np.abs(r).max()) if r.size else 0.0)
     return out
 

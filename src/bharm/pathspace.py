@@ -8,10 +8,15 @@ Truncation convention: the walk is absorbed on arrival at the boundary level
 (Dirichlet).  The infinite-network quantities are the monotone limits over
 the boundary level; convergence is assessed empirically and never claimed as
 a proof of transience.
+
+Monte Carlo: `simulate_walks` and the Monte Carlo Poisson kernel share one
+batched engine.  It steps every running walk together over vectorized
+transition tables and draws each walk's numbers from a vectorized
+Philox4x64-10 that reproduces numpy's `Philox` stream for the walk's key and
+counter, so a result depends only on the seed, never on the batching.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +27,7 @@ import scipy.sparse.linalg as spla
 from ._matops import matvec, stored_entries, to_dense
 from .diagram import Diagram, VertexId
 from .harmonic import harmonicity_check
-from .operators import LevelFunction, build_level_operators
+from .operators import LevelFunction, build_level_operators, laplacian_apply
 
 # Direct sparse factorization up to this many interior vertices, CG beyond.
 DIRECT_THRESHOLD = 50_000
@@ -369,19 +374,10 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     sysm = DirichletSystem(d, boundary_level)
     h1 = sysm.solve(pinned={x1: 1.0, x2: 0.0})
     h2 = sysm.solve(pinned={x1: 0.0, x2: 1.0})
-
-    def delta_at(f: LevelFunction, v: VertexId) -> float:
-        val = d.degree_vector(v.level)[v.index] * f.at(v)
-        if v.level > 0:
-            col = to_dense(d.conductance[v.level - 1][:, [v.index]]).ravel()
-            val -= float(np.dot(col, f.values[v.level - 1]))
-        if v.level < d.num_levels:
-            row = to_dense(d.conductance[v.level][[v.index], :]).ravel()
-            val -= float(np.dot(row, f.values[v.level + 1]))
-        return val
-
-    m = np.array([[delta_at(h1, x1), delta_at(h2, x1)],
-                  [delta_at(h1, x2), delta_at(h2, x2)]])
+    ops = build_level_operators(d)
+    lap1, lap2 = (laplacian_apply(ops, h)[0] for h in (h1, h2))
+    m = np.array([[lap1.at(x1), lap2.at(x1)],
+                  [lap1.at(x2), lap2.at(x2)]])
     gs = green_exact(d, boundary_level, vertices=[x1, x2])
     c1, c2 = gs.degrees
     u1 = 1.0 - 1.0 / gs.green[0, 0]
@@ -399,7 +395,8 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
                                   pair_hitting=(h1, h2), residual=None)
     alpha, beta = np.linalg.solve(m, np.array([1.0, -1.0]))
     vbar = LevelFunction([alpha * a + beta * b for a, b in zip(h1.values, h2.values)])
-    resid = max(abs(delta_at(vbar, x1) - 1.0), abs(delta_at(vbar, x2) + 1.0))
+    lap = laplacian_apply(ops, vbar)[0]
+    resid = max(abs(lap.at(x1) - 1.0), abs(lap.at(x2) + 1.0))
     return DipoleMatrixResult(matrix=m, matrix_factored=m_fact,
                               det_closed_form=det_closed, degenerate=False,
                               alpha=float(alpha), beta=float(beta), dipole=vbar,
@@ -454,40 +451,173 @@ class WalkEstimates:
                   "within the step cap; capped walks are reported, not resampled")
 
 
-def _transition_tables(d: Diagram, absorb_level: int):
-    """Flat neighbor lists and cumulative transition probabilities per vertex
-    for levels 0..absorb_level-1 (the root is forced into level 1)."""
-    offsets = [0]
-    for n in range(absorb_level + 1):
-        offsets.append(offsets[-1] + d.level_sizes[n])
-    nbrs: list = [[] for _ in range(offsets[absorb_level + 1])]
-    wts: list = [[] for _ in range(offsets[absorb_level + 1])]
+@dataclass(frozen=True)
+class _Transitions:
+    """The killed walk's next-vertex tables on levels 0..absorb_level.
+
+    Vertices are numbered level by level (offsets[n] is level n's first
+    number).  Column x of `cum` holds the cumulative transition
+    probabilities of interior vertex x over its neighbours (parents, then
+    children, in stored order), padded with +inf; row x of `nbr` holds those
+    neighbours, padded with the last one.  A draw u moves x to
+    nbr[x, #{entries of cum[:, x] below u}], the bisect_left position.
+    """
+    offsets: np.ndarray
+    level: np.ndarray
+    degree: np.ndarray
+    cum: np.ndarray
+    nbr: np.ndarray
+
+
+def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
+    sizes = d.level_sizes[:absorb_level + 1]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    n_int = int(offsets[absorb_level])
+    owner, other, weight = [], [], []
     for n in range(absorb_level):
         rows, cols, vals = stored_entries(d.conductance[n])
-        for i, j, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            a = offsets[n] + i
-            b = offsets[n + 1] + j
-            nbrs[a].append(b)
-            wts[a].append(c)
-            if n + 1 < absorb_level:
-                # vertices at the absorbing level never move again
-                nbrs[b].append(a)
-                wts[b].append(c)
-    cum = []
-    for k in range(offsets[absorb_level]):
-        w = np.array(wts[k])
-        total = w.sum()
-        cum.append((np.cumsum(w) / total).tolist())
-    levels = np.zeros(offsets[absorb_level + 1], dtype=int)
-    for n in range(absorb_level + 1):
-        levels[offsets[n]:offsets[n + 1]] = n
-    return offsets, nbrs, cum, levels
+        a, b = rows + offsets[n], cols + offsets[n + 1]
+        owner.append(a)
+        other.append(b)
+        weight.append(vals)
+        if n + 1 < absorb_level:
+            # vertices at the absorbing level never move again
+            owner.append(b)
+            other.append(a)
+            weight.append(vals)
+    # a stable sort puts each vertex's parents (level n - 1) before its children
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    owner = np.concatenate(owner)[order]
+    other = np.concatenate(other)[order]
+    weight = np.concatenate(weight).astype(float)[order]
+    degree = np.bincount(owner, minlength=n_int)
+    first = np.cumsum(degree) - degree
+    width = int(degree.max())
+    col = np.arange(owner.size) - first[owner]
+    w = np.zeros((n_int, width))
+    w[owner, col] = weight
+    total = np.ones(n_int)
+    for k in np.unique(degree[degree > 0]):
+        # numpy's pairwise sum of each row, as w.sum() of that row alone gives
+        rows = degree == k
+        total[rows] = w[rows, :k].sum(axis=1)
+    cum = np.cumsum(w, axis=1) / total[:, None]
+    cum[np.arange(width) >= degree[:, None]] = np.inf
+    # one row per neighbour slot, so a step gathers whole rows
+    cum = np.ascontiguousarray(cum.T)
+    last = np.maximum(degree - 1, 0)[:, None]
+    nbr = np.append(other, 0)[first[:, None] + np.minimum(np.arange(width + 1), last)]
+    return _Transitions(offsets=offsets, level=np.repeat(np.arange(absorb_level + 1), sizes),
+                        degree=degree, cum=cum, nbr=nbr)
 
 
-def _walk_rng(seed: int, walk_index: int) -> np.random.Generator:
-    """Counter-based substream: one Philox counter block per walk index."""
-    bitgen = np.random.Philox(key=seed % (2 ** 64), counter=[0, 0, walk_index, 0])
-    return np.random.Generator(bitgen)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11) as numpy's Philox bit generator computes it.
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_KEYS = tuple((np.uint64(r * 0x9E3779B97F4A7C15 % 2 ** 64),
+                      np.uint64(r * 0xBB67AE8584CAA73B % 2 ** 64)) for r in range(10))
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_CHUNK = 1 << 13  # counters per pass, so that the temporaries stay in cache
+_MAX_BLOCKS = 32         # Philox blocks per refill: 128 draws per walk
+_MAX_DRAWS = 1 << 20     # draws per refill over all walks: an 8 MB buffer
+_LANES = 1 << 15         # walks stepped together; bounds the engine's memory
+
+
+def _mulhi(x: np.ndarray, m) -> np.ndarray:
+    """High word of the 128-bit products x * m, from 32-bit limbs."""
+    _, m_lo, m_hi = m
+    lo, hi = x & _LO32, x >> _S32
+    lh, hl = lo * m_hi, hi * m_lo
+    lo *= m_lo
+    lo >>= _S32
+    lo += lh & _LO32
+    lo += hl & _LO32
+    lo >>= _S32
+    hi *= m_hi
+    hi += lh >> _S32
+    hi += hl >> _S32
+    hi += lo
+    return hi
+
+
+def _philox_doubles(key: np.ndarray, walk: np.ndarray, first_block: int,
+                    n_blocks: int) -> np.ndarray:
+    """Uniform doubles of many walks' substreams at once.
+
+    Returns u with u[e, b, i] equal to draw 4 * (first_block - 1 + b) + e of
+    Generator(Philox(key=key[i], counter=[0, 0, walk[i], 0])).random():
+    block c = 1, 2, ... is Philox4x64-10 of counter (c, 0, walk[i], 0) under
+    key (key[i], 0), and each of its four words w gives (w >> 11) * 2**-53.
+    """
+    lanes = key.size
+    total = n_blocks * lanes
+    out = np.empty((4, total))
+    for s in range(0, total, _PHILOX_CHUNK):
+        idx = np.arange(s, min(s + _PHILOX_CHUNK, total))
+        lane = idx % lanes
+        k = key[lane]
+        c0 = (idx // lanes + first_block).astype(np.uint64)
+        c2 = walk[lane]
+        c1 = c3 = np.zeros(idx.size, dtype=np.uint64)
+        for k0, k1 in _PHILOX_KEYS:
+            hi1 = _mulhi(c2, _PHILOX_M[1])
+            c2 *= _PHILOX_M[1][0]
+            hi0 = _mulhi(c0, _PHILOX_M[0])
+            c0 *= _PHILOX_M[0][0]
+            hi1 ^= c1
+            hi1 ^= k + k0
+            hi0 ^= c3
+            hi0 ^= k1
+            c0, c1, c2, c3 = hi1, c2, hi0, c0
+        for e, word in enumerate((c0, c1, c2, c3)):
+            np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[e, s:s + idx.size])
+    return out.reshape(4, n_blocks, lanes)
+
+
+def _walk_lanes(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarray,
+                max_steps: int, carry=(), observe=None):
+    """Run killed walks in lockstep, one lane each, until absorption or the cap.
+
+    Lane i starts at vertex v[i] and takes step k with the k-th double of its
+    substream (key[i], walk[i]) (see _philox_doubles), moving to the
+    neighbour that bisect_left picks in its cumulative row; a draw at or
+    above the row's last entry (possible only by rounding) takes the last
+    neighbour.  Draws are made only for lanes still running, in refills that
+    double up to _MAX_BLOCKS blocks (fewer when many lanes run).  After every step, observe(v, *carry)
+    sees the running lanes and may update the per-lane `carry` arrays in
+    place.  Returns (exit, final): exit[i] is lane i's absorbing vertex, or
+    -1 if it hit the cap; final holds the carry values at absorption.
+    """
+    if not tr.degree[v].all():
+        raise ValueError("a walk starts at a vertex without edges")
+    n_int = tr.degree.size
+    lane = np.arange(v.size)
+    exit_ = np.full(v.size, -1)
+    final = [np.zeros_like(c) for c in carry]
+    drawn, grow = 0, 1
+    for step in range(max_steps):
+        if step == drawn:
+            blocks = max(1, min(grow, _MAX_BLOCKS, _MAX_DRAWS // (4 * lane.size)))
+            buf = _philox_doubles(key[lane], walk[lane], step // 4 + 1, blocks)
+            row = np.arange(lane.size)
+            base, drawn, grow = step, step + 4 * blocks, 2 * grow
+        u = buf[(step - base) % 4, (step - base) // 4][row]
+        v = tr.nbr[v, (np.take(tr.cum, v, axis=1) < u).sum(axis=0)]
+        if observe is not None:
+            observe(v, *carry)
+        done = v >= n_int
+        if done.any():
+            ids = lane[done]
+            exit_[ids] = v[done]
+            for f, c in zip(final, carry):
+                f[ids] = c[done]
+            keep = ~done
+            lane, v, row = lane[keep], v[keep], row[keep]
+            carry = [c[keep] for c in carry]
+            if not lane.size:
+                break
+    return exit_, final
 
 
 def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
@@ -496,77 +626,63 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     visit counts, and the return probability.
 
     Deterministic for a fixed seed: walk i draws from its own counter-based
-    substream and results are reduced in walk-index order.
+    Philox substream (key seed mod 2**64, counter word i), and results are
+    reduced in walk-index order.
     """
     d.check_vertex(start)
     if not (start.level < cfg.absorb_level <= d.num_levels):
         raise ValueError("need start.level < absorb_level <= stored depth")
-    offsets, nbrs, cum, levels = _transition_tables(d, cfg.absorb_level)
-    start_flat = offsets[start.level] + start.index
+    tr = _transitions(d, cfg.absorb_level)
+    start_flat = int(tr.offsets[start.level]) + start.index
     targets = list(targets)
-    tflat = {}
-    for t in targets:
+    k = len(targets)
+    # visit-count column per vertex: a target's first position; k counts
+    # returns to a start that is not a target, k + 1 all other visits
+    col = np.full(tr.level.size, k + 1)
+    for j, t in enumerate(targets):
         d.check_vertex(t)
         if t.level >= cfg.absorb_level:
             raise ValueError(f"target {t} is not interior to the absorbing level")
-        tflat[offsets[t.level] + t.index] = targets.index(t)
-    k = len(targets)
+        col[tr.offsets[t.level] + t.index] = min(j, col[tr.offsets[t.level] + t.index])
+    initial = int(col[start_flat] < k)  # a start that is a target counts its first visit
+    col[start_flat] = min(col[start_flat], k)
+    ret = col[start_flat]
+
+    def observe(v, visits, deep, bad):
+        visits[np.arange(v.size), col[v]] += 1
+        # forward bookkeeping: bad is the deepest level so far at the last
+        # step that reached no new level (-1 before any such step); after
+        # it the walk first-visits bad + 1, bad + 2, ... on successive
+        # steps, so bad is the deepest level where that fails
+        lv = tr.level[v]
+        np.copyto(bad, deep, where=lv <= deep)
+        np.maximum(deep, lv, out=deep)
+
     reach_hits = np.zeros(k)
     visit_sum = np.zeros(k)
     visit_sq = np.zeros(k)
     returns = 0
-    n_absorbed = 0
-    n_capped = 0
-    # forward-progression bookkeeping: worst level at which the first visit
-    # was not one step after the previous level's first visit
-    bad_from = np.full(cfg.num_walks, -1, dtype=int)
-    absorbed_mask = np.zeros(cfg.num_walks, dtype=bool)
-    for w in range(cfg.num_walks):
-        rng = _walk_rng(cfg.seed, w)
-        buf: list = []
-        pos = 0
-        v = start_flat
-        visits = np.zeros(k)
-        seen_return = False
-        first_visit = {start.level: 0}
-        if v in tflat:
-            visits[tflat[v]] += 1
-        step = 0
-        absorbed = False
-        while step < cfg.max_steps:
-            if pos == len(buf):
-                buf = rng.random(128).tolist()
-                pos = 0
-            u = buf[pos]
-            pos += 1
-            row = cum[v]
-            v = nbrs[v][bisect_left(row, u)]
-            step += 1
-            lv = levels[v]
-            if lv not in first_visit:
-                first_visit[lv] = step
-            if lv == cfg.absorb_level:
-                absorbed = True
-                break
-            if v == start_flat:
-                seen_return = True
-            if v in tflat:
-                visits[tflat[v]] += 1
-        if absorbed:
-            n_absorbed += 1
-            absorbed_mask[w] = True
-            reach_hits += (visits > 0)
-            visit_sum += visits
-            visit_sq += visits ** 2
-            if seen_return:
-                returns += 1
-            worst = -1
-            for lv in range(start.level, cfg.absorb_level):
-                if first_visit.get(lv + 1, -1) != first_visit.get(lv, -2) + 1:
-                    worst = lv
-            bad_from[w] = worst
-        else:
-            n_capped += 1
+    done = []
+    for w0 in range(0, cfg.num_walks, _LANES):
+        n = min(_LANES, cfg.num_walks - w0)
+        visits = np.zeros((n, k + 2), dtype=np.int64)
+        visits[:, ret] = initial
+        carry = (visits, np.full(n, start.level), np.full(n, -1))
+        exit_, (visits, _, bad) = _walk_lanes(
+            tr, np.full(n, start_flat), np.full(n, cfg.seed % 2 ** 64, dtype=np.uint64),
+            np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps, carry, observe)
+        absorbed = exit_ >= 0
+        vis = visits[absorbed]
+        reach_hits += (vis[:, :k] > 0).sum(axis=0)
+        visit_sum += vis[:, :k].sum(axis=0)
+        visit_sq += (vis[:, :k] ** 2).sum(axis=0)
+        returns += int((vis[:, ret] > initial).sum())
+        done.append(bad[absorbed])
+    # per absorbed walk, in walk-index order: the worst level whose next
+    # level's first visit did not follow its own by one step (-1 if none)
+    done = np.concatenate(done)
+    n_absorbed = int(done.size)
+    n_capped = cfg.num_walks - n_absorbed
     n = max(n_absorbed, 1)
     pairs = []
     for j, t in enumerate(targets):
@@ -582,7 +698,6 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     rp = returns / n
     rse = float(np.sqrt(max(rp * (1 - rp), 0.0) / n))
     fwd = {}
-    done = bad_from[absorbed_mask]
     for m in range(start.level, cfg.absorb_level):
         fwd[m] = float((done < m).sum() / n) if n_absorbed else 0.0
     return WalkEstimates(start=start, config=cfg, pairs=pairs, return_prob=float(rp),
@@ -629,37 +744,36 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         raise ValueError(f"unknown method {method!r}")
     if cfg is None:
         raise ValueError("monte-carlo mode needs a WalkConfig")
-    offsets, nbrs, cum, levels = _transition_tables(d, target_level)
-    vals = []
-    errs = []
+    tr = _transitions(d, target_level)
+    n_int, walks = tr.degree.size, cfg.num_walks
+    vals, errs = np.zeros(n_int), np.zeros(n_int)
     capped = 0
-    for n in range(target_level):
-        level_vals = np.zeros(d.level_sizes[n])
-        level_errs = np.zeros(d.level_sizes[n])
-        for i in range(d.level_sizes[n]):
-            samples = []
-            for w in range(cfg.num_walks):
-                rng = _walk_rng(cfg.seed + 7919 * (offsets[n] + i), w)
-                v = offsets[n] + i
-                buf, pos = [], 0
-                for _ in range(cfg.max_steps):
-                    if pos == len(buf):
-                        buf = rng.random(128).tolist()
-                        pos = 0
-                    u = buf[pos]
-                    pos += 1
-                    v = nbrs[v][bisect_left(cum[v], u)]
-                    if levels[v] == target_level:
-                        samples.append(f_n[v - offsets[target_level]])
-                        break
-                else:
-                    capped += 1
-            if samples:
-                arr = np.array(samples)
-                level_vals[i] = arr.mean()
-                level_errs[i] = arr.std(ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0.0
-        vals.append(level_vals)
-        errs.append(level_errs)
+    # lanes are (start vertex, walk) pairs; start x's walk w draws from the
+    # substream of key seed + 7919 x (mod 2**64) and counter word w
+    per = max(1, _LANES // walks)
+    for x0 in range(0, n_int, per):
+        xs = np.arange(x0, min(x0 + per, n_int))
+        keys = np.uint64(cfg.seed % 2 ** 64) + np.uint64(7919) * xs.astype(np.uint64)
+        exit_, _ = _walk_lanes(tr, np.repeat(xs, walks), np.repeat(keys, walks),
+                               np.tile(np.arange(walks, dtype=np.uint64), xs.size),
+                               cfg.max_steps)
+        exit_ = exit_.reshape(xs.size, walks)
+        ok = exit_ >= 0
+        capped += int(ok.size - ok.sum())
+        samples = f_n[np.where(ok, exit_ - tr.offsets[target_level], 0)]
+        # numpy's mean and std of each start's samples in walk order: whole
+        # rows at once where no walk was capped, the kept samples otherwise
+        full = ok.all(axis=1)
+        vals[xs[full]] = samples[full].mean(axis=1)
+        if walks > 1:
+            errs[xs[full]] = samples[full].std(axis=1, ddof=1) / np.sqrt(walks)
+        for i in np.flatnonzero(~full):
+            arr = samples[i][ok[i]]
+            if arr.size:
+                vals[xs[i]] = arr.mean()
+                errs[xs[i]] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+    vals = [vals[tr.offsets[n]:tr.offsets[n + 1]] for n in range(target_level)]
+    errs = [errs[tr.offsets[n]:tr.offsets[n + 1]] for n in range(target_level)]
     vals.append(f_n.copy())
     errs.append(np.zeros_like(f_n))
     return PoissonResult(values=LevelFunction(vals), stderr=LevelFunction(errs),

@@ -5,6 +5,8 @@ dense numpy, deliberately avoiding the package's own solver paths, so the
 library can be checked against an implementation that shares no code with
 it beyond the Diagram container.
 """
+import bisect
+
 import numpy as np
 
 from bharm._matops import to_dense
@@ -104,3 +106,37 @@ def brute_green(d: Diagram, boundary: int):
 
 def flat_of(d: Diagram, v: VertexId, off) -> int:
     return int(off[v.level] + v.index)
+
+
+def walk_tables(d: Diagram, absorb: int):
+    """Flat offsets, neighbour lists (parents, then children) and the
+    cumulative transition probabilities np.cumsum(w) / w.sum() of every
+    vertex above the absorbing level, built edge by edge."""
+    off = flat_offsets(d, absorb)
+    nbrs = [[] for _ in range(off[-1])]
+    wts = [[] for _ in range(off[-1])]
+    for lvl in range(absorb):
+        cm = to_dense(d.conductance[lvl])
+        for i, j in zip(*np.nonzero(cm)):
+            a, b = off[lvl] + i, off[lvl + 1] + j
+            nbrs[a].append(b)
+            wts[a].append(cm[i, j])
+            if lvl + 1 < absorb:
+                nbrs[b].append(a)
+                wts[b].append(cm[i, j])
+    cum = [list(np.cumsum(w) / np.sum(w)) for w in wts[:off[absorb]]]
+    return off, nbrs, cum
+
+
+def walk_path(tables, start: int, seed: int, walk: int, max_steps: int) -> list:
+    """One killed walk, drawing from its own
+    Generator(Philox(key=seed mod 2**64, counter=[0, 0, walk, 0])): the
+    vertices after each step, up to absorption or the step cap."""
+    off, nbrs, cum = tables
+    rng = np.random.Generator(np.random.Philox(key=seed % 2 ** 64, counter=[0, 0, walk, 0]))
+    path, v = [], start
+    while len(path) < max_steps and v < off[-2]:
+        u = rng.random()
+        v = nbrs[v][bisect.bisect_left(cum[v], u)]
+        path.append(v)
+    return path

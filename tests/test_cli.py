@@ -84,6 +84,14 @@ def test_manifest_written_and_reproducible(tmp_path, monkeypatch):
     assert out_file.read_bytes() == first
 
 
+def test_manifest_records_the_argv_given_to_main(tmp_path):
+    out_file = tmp_path / "h.fn"
+    argv = ["harmonic", "--diagram", "pascal:8:1", "--out", str(out_file)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "h.fn.manifest.json").read_text())
+    assert manifest["command"] == argv
+
+
 def test_dimension_table(capsys):
     assert main(["dimension", "--diagram", "pascal:5:1"]) == 0
     out = capsys.readouterr().out
@@ -98,6 +106,44 @@ DIMENSION_GOLDENS = json.loads(
 def test_dimension_stdout_golden(spec, capsys):
     assert main(["dimension", "--diagram", spec]) == 0
     assert capsys.readouterr().out == DIMENSION_GOLDENS[spec]
+
+
+WALK_GOLDENS = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GOLDENS["cases"]))
+def test_walk_and_monte_carlo_poisson_files_golden(name, tmp_path, capsys):
+    """Output files, stderr and manifests of `walk` and Monte Carlo `poisson`
+    stay byte-identical for fixed seeds: tree, Pascal, a stationary diagram
+    of degree 10 and a file with irregular conductances (rows of up to 18
+    neighbours); root and non-root starts, a target equal to the start,
+    capped walks, walks of hundreds of steps, walk counts that are not
+    multiples of 4, and negative seeds and seeds of at least 2**63."""
+    case = WALK_GOLDENS["cases"][name]
+    files = {"diagram": tmp_path / "irregular.bd", "values": tmp_path / "in.fn"}
+    files["diagram"].write_text(WALK_GOLDENS["diagram"])
+    if case["values"] is not None:
+        files["values"].write_text(case["values"])
+    out = tmp_path / "out"
+    argv = [a.format(**files) for a in case["argv"]] + ["--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == case["out"]
+    assert capsys.readouterr().err == case["stderr"]
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert {k: v for k, v in manifest.items()
+            if k not in ("command", "input_sha256_16")} == case["manifest"]
+
+
+def test_monte_carlo_poisson_from_a_vertex_without_edges_is_exit_one(tmp_path, capsys):
+    # vertex (2,1) has no edges; a walk started there cannot move
+    diagram = tmp_path / "iso.bd"
+    diagram.write_text("bratteli v1\nlevels 4 : 1 2 2 2\ne 0 0 0 1\ne 0 0 1 1\n"
+                       "e 1 0 0 1\ne 1 1 0 1\ne 2 0 0 1\ne 2 0 1 1\n")
+    values = tmp_path / "f.fn"
+    values.write_text("fn v1\n3 0 1\n3 1 2\n")
+    assert main(["poisson", "--diagram", str(diagram), "--level", "3", "--values", str(values),
+                 "--method", "monte-carlo", "--walks", "5", "--out", "-"]) == 1
+    assert capsys.readouterr().err == "error: a walk starts at a vertex without edges\n"
 
 
 def test_monopole_dipole_outputs(tmp_path):

@@ -177,6 +177,18 @@ def test_seed_vector_violating_root_equation_is_reported():
     assert rep.residuals[0] > 0.5
 
 
+def test_seed_off_the_root_equation_keeps_the_global_solve():
+    # the seed fixes the root residual (0.05); no solve can change it, so it
+    # must not send the chain to the forward pass, which drifts to 1e70 here
+    f, rep = solve_chain(gen_pascal(60, 1.0), seed_f1=[1.0, -0.9])
+    assert rep.diagnostics["path"] == "augmented-lu"
+    assert rep.diagnostics["fallback"] is None
+    assert rep.residuals[0] == pytest.approx(0.05)
+    assert max(rep.residuals[1:]) <= 1e-9
+    assert not rep.consistent
+    assert max(float(np.abs(v).max()) for v in f.values) < 1e4
+
+
 def test_scaling_leaves_solution_sets_invariant():
     d = gen_pascal(7, 1.0)
     scaled = make_diagram(d.level_sizes, [5.0 * to_dense(c) for c in d.conductance])

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -25,11 +28,18 @@ from bharm import (
 )
 from bharm._matops import matvec
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
+from bharm import pathspace
+from bharm.fileio import parse_diagram
 from bharm.operators import build_level_operators
-from bruteforce import brute_green, flat_of
+from bharm.pathspace import _philox_doubles, _transitions
+from bruteforce import brute_green, flat_of, walk_path, walk_tables
 
 
 TREE8 = gen_binary_tree(8, 2.0)
+WALK_GOLDENS = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
+# irregular conductances: rows of up to 18 weights, some of whose pairwise
+# sums differ from their last cumulative sums
+IRREGULAR = parse_diagram(WALK_GOLDENS["diagram"])
 VERTS = [VertexId(0, 0), VertexId(1, 0), VertexId(2, 1), VertexId(3, 5)]
 
 
@@ -282,6 +292,118 @@ def test_walk_validation():
                        WalkConfig(max_steps=10, num_walks=1, seed=0, absorb_level=8))
     with pytest.raises(ValueError):
         WalkConfig(max_steps=0, num_walks=1, seed=0, absorb_level=2)
+
+
+@pytest.mark.parametrize("seed", [2 ** 63 + 12345, -7])
+def test_vectorized_philox_matches_numpy_philox(seed):
+    walks = np.array([0, 3, 2 ** 32 + 5], dtype=np.uint64)
+    key = np.full(walks.size, seed % 2 ** 64, dtype=np.uint64)
+    u = _philox_doubles(key, walks, 1, 40)
+    for i, w in enumerate(walks.tolist()):
+        ref = np.random.Generator(np.random.Philox(key=seed % 2 ** 64,
+                                                   counter=[0, 0, w, 0])).random(160)
+        assert np.array_equal(u[:, :, i].T.reshape(-1), ref)
+    # a refill that starts at a later block continues the same streams
+    assert np.array_equal(_philox_doubles(key, walks, 11, 2), u[:, 10:12])
+
+
+def test_transition_tables_match_per_vertex_cumsum():
+    """Each vertex's neighbours and np.cumsum(w) / w.sum() of its weights,
+    built edge by edge."""
+    d = IRREGULAR
+    tr = _transitions(d, d.num_levels)
+    _, nbrs, cum = walk_tables(d, d.num_levels)
+    uneven = 0
+    for x, row in enumerate(cum):
+        k = len(row)
+        assert tr.degree[x] == k
+        assert tr.nbr[x, :k].tolist() == nbrs[x]
+        assert np.all(tr.nbr[x, k:] == nbrs[x][-1])
+        assert tr.cum[:k, x].tolist() == row
+        assert np.all(tr.cum[k:, x] == np.inf)
+        uneven += int(row[-1] != 1.0)
+    assert uneven > 0
+
+
+@pytest.mark.parametrize("d, start, cfg, targets", [
+    (gen_binary_tree(6, 2.0), VertexId(2, 1), WalkConfig(12, 203, -3, 6),
+     [VertexId(2, 1), VertexId(1, 0), VertexId(3, 2)]),
+    (gen_pascal(8, 1.0), VertexId(0, 0), WalkConfig(100_000, 101, 2 ** 63 + 1, 8),
+     [VertexId(2, 1)]),
+    (IRREGULAR, VertexId(2, 4), WalkConfig(5000, 150, 8, 5), [VertexId(3, 1), VertexId(0, 0)]),
+], ids=["tree6-mid-capped", "pascal8-long", "irregular"])
+def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
+    est = simulate_walks(d, start, cfg, targets)
+    tables = walk_tables(d, cfg.absorb_level)
+    off = tables[0]
+    level = np.repeat(np.arange(cfg.absorb_level + 1), d.level_sizes[:cfg.absorb_level + 1])
+    s = off[start.level] + start.index
+    tflat = [off[t.level] + t.index for t in targets]
+    visits, returned, bad = [], [], []
+    for w in range(cfg.num_walks):
+        path = walk_path(tables, s, cfg.seed, w, cfg.max_steps)
+        if path[-1] < off[-2]:
+            continue  # capped
+        visits.append([path[:-1].count(f) + (f == s) for f in tflat])
+        returned.append(s in path)
+        first = {start.level: 0}
+        for step, v in enumerate(path, start=1):
+            first.setdefault(int(level[v]), step)
+        bad.append(max([m for m in range(start.level, cfg.absorb_level)
+                        if first[m + 1] != first[m] + 1], default=-1))
+    n = len(visits)
+    assert (est.n_absorbed, est.n_capped) == (n, cfg.num_walks - n)
+    assert 0 < n
+    for j, (p, t) in enumerate(zip(est.pairs, targets)):
+        reach = 1.0 if t == start else sum(v[j] > 0 for v in visits) / n
+        assert (p.reach, p.visits) == (reach, sum(v[j] for v in visits) / n)
+    assert est.return_prob == sum(returned) / n
+    assert est.forward_fraction == {m: sum(b < m for b in bad) / n
+                                    for m in range(start.level, cfg.absorb_level)}
+
+
+def test_walk_results_do_not_depend_on_batching(monkeypatch):
+    cfg = WalkConfig(300, 103, 17, 8)
+    targets = [VertexId(2, 1), VertexId(3, 3)]
+
+    def run():
+        est = simulate_walks(TREE8, VertexId(1, 1), cfg, targets)
+        res = poisson_kernel(gen_pascal(6, 1.0), np.arange(7.0), 6, method="monte-carlo",
+                             cfg=WalkConfig(40, 11, 5, 6))
+        return est, [v.tolist() for v in res.values.values + res.stderr.values], res.n_capped
+
+    whole = run()
+    monkeypatch.setattr(pathspace, "_LANES", 5)
+    monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", 3)
+    assert run() == whole
+
+
+@pytest.mark.parametrize("d, level, cfg, some_capped", [
+    (gen_pascal(5, 1.0), 5, WalkConfig(15, 23, 4, 5), True),
+    (IRREGULAR, 4, WalkConfig(5000, 9, -1, 4), False),
+], ids=["pascal5-capped", "irregular"])
+def test_monte_carlo_poisson_matches_per_walk_reference(d, level, cfg, some_capped):
+    f = np.cos(np.arange(d.level_sizes[level]) + 0.5)
+    res = poisson_kernel(d, f, level, method="monte-carlo", cfg=cfg)
+    tables = walk_tables(d, level)
+    off = tables[0]
+    capped = 0
+    for n in range(level):
+        for i in range(d.level_sizes[n]):
+            x = int(off[n]) + i
+            samples = []
+            for w in range(cfg.num_walks):
+                path = walk_path(tables, x, cfg.seed + 7919 * x, w, cfg.max_steps)
+                if path[-1] >= off[level]:
+                    samples.append(f[path[-1] - off[level]])
+                else:
+                    capped += 1
+            arr = np.array(samples)
+            assert res.values.values[n][i] == (arr.mean() if arr.size else 0.0)
+            assert res.stderr.values[n][i] == (
+                arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0)
+    assert res.n_capped == capped
+    assert (capped > 0) == some_capped
 
 
 # --- Poisson kernel -----------------------------------------------------------
