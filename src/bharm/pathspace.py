@@ -584,10 +584,11 @@ def _walk_lanes(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarr
     neighbour that bisect_left picks in its cumulative row; a draw at or
     above the row's last entry (possible only by rounding) takes the last
     neighbour.  Draws are made only for lanes still running, in refills that
-    double up to _MAX_BLOCKS blocks (fewer when many lanes run).  After every step, observe(v, *carry)
-    sees the running lanes and may update the per-lane `carry` arrays in
-    place.  Returns (exit, final): exit[i] is lane i's absorbing vertex, or
-    -1 if it hit the cap; final holds the carry values at absorption.
+    double up to _MAX_BLOCKS blocks (fewer when many lanes run).  After every
+    step, observe(v, *carry) sees the running lanes and may update the
+    per-lane `carry` arrays in place.  Returns (exit, final): exit[i] is lane
+    i's absorbing vertex, or -1 if it hit the cap; final holds the carry
+    values at absorption.
     """
     if not tr.degree[v].all():
         raise ValueError("a walk starts at a vertex without edges")
@@ -643,7 +644,8 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
         d.check_vertex(t)
         if t.level >= cfg.absorb_level:
             raise ValueError(f"target {t} is not interior to the absorbing level")
-        col[tr.offsets[t.level] + t.index] = min(j, col[tr.offsets[t.level] + t.index])
+        f = tr.offsets[t.level] + t.index
+        col[f] = min(col[f], j)
     initial = int(col[start_flat] < k)  # a start that is a target counts its first visit
     col[start_flat] = min(col[start_flat], k)
     ret = col[start_flat]
@@ -761,17 +763,11 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         ok = exit_ >= 0
         capped += int(ok.size - ok.sum())
         samples = f_n[np.where(ok, exit_ - tr.offsets[target_level], 0)]
-        # numpy's mean and std of each start's samples in walk order: whole
-        # rows at once where no walk was capped, the kept samples otherwise
-        full = ok.all(axis=1)
-        vals[xs[full]] = samples[full].mean(axis=1)
-        if walks > 1:
-            errs[xs[full]] = samples[full].std(axis=1, ddof=1) / np.sqrt(walks)
-        for i in np.flatnonzero(~full):
+        for i, x in enumerate(xs):
             arr = samples[i][ok[i]]
             if arr.size:
-                vals[xs[i]] = arr.mean()
-                errs[xs[i]] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+                vals[x] = arr.mean()
+                errs[x] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
     vals = [vals[tr.offsets[n]:tr.offsets[n + 1]] for n in range(target_level)]
     errs = [errs[tr.offsets[n]:tr.offsets[n + 1]] for n in range(target_level)]
     vals.append(f_n.copy())
