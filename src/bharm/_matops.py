@@ -1,75 +1,87 @@
-"""Dense/sparse dispatch helpers for per-level matrices.
+"""Per-level matrices: their one storage format and the operations on it.
 
-Level matrices are stored dense (numpy) for small levels and CSR for large
-ones; these helpers keep the callers agnostic.
+Every level matrix is a canonical scipy.sparse.csr_matrix (float64 data,
+sorted column indices, no duplicates, no stored zeros but those as_level
+keeps) whose arrays are read-only, so memory and time grow with the edges,
+not with |V_n| |V_{n+1}|.
+Only this module reads the CSR arrays; it works on them directly because
+scipy's per-call overhead dominates on narrow levels.
 """
 import numpy as np
 import scipy.sparse as sp
 
-# Level matrices switch to CSR once either dimension exceeds this.
-SPARSE_THRESHOLD = 512
+
+def _csr(data, indices, indptr, shape):
+    m = sp.csr_matrix((data, indices, indptr), shape=shape)
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    m.has_canonical_format = True
+    return m
 
 
-def is_sparse(m) -> bool:
-    return sp.issparse(m)
+def level_matrix(shape, rows, cols, vals, keep_zeros: bool = False):
+    """Level matrix with vals at the distinct positions (rows, cols); zero
+    values are dropped unless keep_zeros."""
+    vals = np.asarray(vals, dtype=float)
+    keep = np.ones(vals.size, dtype=bool) if keep_zeros else vals != 0
+    rows, cols = np.asarray(rows, dtype=np.int64)[keep], np.asarray(cols)[keep]
+    order = np.lexsort((cols, rows))
+    idx = np.int32 if max(*shape, rows.size) < 2 ** 31 else np.int64  # scipy's choice
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return _csr(vals[keep][order], cols[order].astype(idx), indptr, shape)
 
 
-def matvec(m, v: np.ndarray) -> np.ndarray:
-    """m @ v as a dense 1-d array."""
-    out = m @ v
-    return np.asarray(out).reshape(-1)
+def as_level(m, keep_zeros: bool = False):
+    """A dense array or any scipy sparse matrix as a level matrix, duplicates
+    summed (a level matrix is returned as it is).  A sparse input's stored
+    zeros are kept only with keep_zeros, so that validate() can report them
+    against a given incidence; the only branch on storage kind is here."""
+    if isinstance(m, sp.csr_matrix) and not m.data.flags.writeable:
+        return m
+    coo = sp.coo_matrix(m, dtype=float, copy=True)
+    coo.sum_duplicates()
+    return level_matrix(coo.shape, coo.row, coo.col, coo.data, keep_zeros)
 
 
-def rmatvec(m, v: np.ndarray) -> np.ndarray:
-    """m.T @ v as a dense 1-d array."""
-    out = m.T @ v
-    return np.asarray(out).reshape(-1)
-
-
-def row_sums(m) -> np.ndarray:
-    return np.asarray(m.sum(axis=1)).reshape(-1)
-
-
-def col_sums(m) -> np.ndarray:
-    return np.asarray(m.sum(axis=0)).reshape(-1)
-
-
-def scale_rows(m, s: np.ndarray):
-    """diag(s) @ m, preserving storage kind."""
-    if sp.issparse(m):
-        return sp.diags(s) @ m
-    return s[:, None] * m
-
-
-def to_dense(m) -> np.ndarray:
-    if sp.issparse(m):
-        return m.toarray()
-    return np.asarray(m)
+def incidence_of(m):
+    """Ones on the structure of m, which it shares."""
+    return _csr(np.ones(m.nnz), m.indices, m.indptr, m.shape)
 
 
 def stored_entries(m):
-    """(rows, cols, values) of the stored entries in row-major order: every
-    stored entry of a canonical CSR matrix (explicit zeros included), the
-    nonzeros of a dense array."""
-    if sp.issparse(m):
-        coo = m.tocoo()
-        return coo.row, coo.col, coo.data
-    arr = np.asarray(m)
-    rows, cols = np.nonzero(arr)
-    return rows, cols, arr[rows, cols]
+    """(rows, cols, values) of the stored entries in row-major order."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows, m.indices, m.data
 
 
-def level_matrix(shape, rows, cols, vals):
-    """Level matrix with vals at the distinct positions (rows, cols).
+def values_at(m, rows, cols) -> np.ndarray:
+    """m[rows[k], cols[k]] for each k, 0 where m stores nothing."""
+    keys = np.append(stored_entries(m)[0] * m.shape[1] + m.indices, -1)
+    want = np.asarray(rows, dtype=np.int64) * m.shape[1] + cols
+    pos = np.searchsorted(keys[:-1], want)
+    return np.where(keys[pos] == want, np.append(m.data, 0.0)[pos], 0.0)
 
-    Dense when neither dimension exceeds SPARSE_THRESHOLD; otherwise the
-    canonical CSR that csr_matrix() of the dense array gives (sorted
-    indices, zeros dropped), built without the dense array.
-    """
-    if max(shape) <= SPARSE_THRESHOLD:
-        m = np.zeros(shape)
-        m[rows, cols] = vals
-        return m
-    m = sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=float)
-    m.eliminate_zeros()
-    return m
+
+def rmatvec(m, v: np.ndarray) -> np.ndarray:
+    """m.T @ v."""
+    return np.bincount(m.indices, m.data * v[stored_entries(m)[0]], minlength=m.shape[1])
+
+
+def row_sums(m) -> np.ndarray:
+    return np.bincount(stored_entries(m)[0], m.data, minlength=m.shape[0])
+
+
+def col_sums(m) -> np.ndarray:
+    return np.bincount(m.indices, m.data, minlength=m.shape[1])
+
+
+def scale_rows(m, s: np.ndarray):
+    """diag(s) @ m."""
+    return _csr(m.data * np.repeat(s, np.diff(m.indptr)), m.indices, m.indptr, m.shape)
+
+
+def scale_rows_of_transpose(m, s: np.ndarray):
+    """diag(s) @ m.T."""
+    rows, cols, vals = stored_entries(m)
+    return level_matrix(m.shape[::-1], cols, rows, vals * s[cols])

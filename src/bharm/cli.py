@@ -154,9 +154,7 @@ def _cmd_harmonic(args) -> int:
         # constraint's null space, sign-normalized (the plain minimum-norm
         # seed would be the zero function)
         import scipy.linalg
-        from ._matops import to_dense
-        c0 = to_dense(d.conductance[0]).reshape(1, -1)
-        basis = scipy.linalg.null_space(c0)
+        basis = scipy.linalg.null_space(d.conductance[0].toarray())
         if basis.shape[1] == 0:
             raise DomainError("root constraint admits only the zero seed")
         seed = basis[:, 0]

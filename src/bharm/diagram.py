@@ -15,12 +15,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._matops import (
+    as_level,
     col_sums,
-    is_sparse,
+    incidence_of,
     level_matrix,
     row_sums,
     stored_entries,
-    to_dense,
+    values_at,
 )
 
 
@@ -63,8 +64,9 @@ class Violation:
 class Diagram:
     """Finite prefix of an infinite weighted graded diagram.
 
-    incidence[n] / conductance[n] have shape |V_n| x |V_{n+1}| and are dense
-    arrays for small levels, CSR above the sparse threshold.
+    incidence[n] / conductance[n] have shape |V_n| x |V_{n+1}| and are
+    read-only canonical CSR matrices at every width (see _matops); a derived
+    incidence shares its conductance's structure.
     """
     level_sizes: tuple
     incidence: tuple
@@ -110,21 +112,10 @@ class Diagram:
                 yield n, i, j, c
 
 
-def _freeze(m):
-    """Private float copy: canonical CSR, or a read-only dense array."""
-    if is_sparse(m):
-        m = m.tocsr().astype(float)
-        m.sum_duplicates()
-        return m
-    m = np.array(m, dtype=float)
-    m.setflags(write=False)
-    return m
-
-
 def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=None,
                  incidence: Sequence = None) -> Diagram:
-    """Construct a Diagram from conductance matrices, deriving incidence
-    unless it is given: every nonzero conductance is an edge.
+    """Construct a Diagram from dense or sparse conductance matrices,
+    deriving incidence unless it is given: every nonzero conductance is an edge.
 
     Shapes are checked eagerly; logical invariants are left to validate().
     """
@@ -135,21 +126,15 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
         raise ValueError("every level must have at least one vertex")
     if len(conductance) != len(sizes) - 1:
         raise ValueError("need one conductance matrix per consecutive level pair")
-    mats = [_freeze(cm) for cm in conductance]
-    for n, cm in enumerate(mats):
-        if cm.shape != (sizes[n], sizes[n + 1]):
-            raise ValueError(
-                f"conductance[{n}] has shape {cm.shape}, expected {(sizes[n], sizes[n + 1])}")
-    if incidence is None:
-        for cm in mats:
-            if is_sparse(cm):
-                cm.eliminate_zeros()
-        incs = [_freeze(cm != 0) for cm in mats]
-    else:
-        incs = [_freeze(a) for a in incidence]
-        for n, a in enumerate(incs):
-            if a.shape != (sizes[n], sizes[n + 1]):
-                raise ValueError(f"incidence[{n}] has shape {a.shape}")
+    given = () if incidence is None else incidence
+    for name, ms in (("conductance", conductance), ("incidence", given)):
+        for n, m in enumerate(ms):
+            if np.shape(m) != (sizes[n], sizes[n + 1]):
+                raise ValueError(f"{name}[{n}] has shape {np.shape(m)}, "
+                                 f"expected {(sizes[n], sizes[n + 1])}")
+    mats = [as_level(cm, keep_zeros=incidence is not None) for cm in conductance]
+    incs = ([incidence_of(cm) for cm in mats] if incidence is None
+            else [as_level(a) for a in incidence])
     return Diagram(level_sizes=sizes, incidence=tuple(incs),
                    conductance=tuple(mats), extension=extension)
 
@@ -179,18 +164,16 @@ def validate(d: Diagram) -> list:
         elif bad.size:
             out.append(Violation("zero-one", n, "incidence", "entries outside {0,1}"))
         # conductance support must match incidence exactly and be positive (not NaN) there
-        for k in np.flatnonzero(to_dense(a[cr, cc]).ravel() == 0):
+        for k in np.flatnonzero(values_at(a, cr, cc) == 0):
             out.append(Violation("support", n, f"edge ({cr[k]},{cc[k]})",
                                  f"conductance {cv[k].item()} on a non-edge"))
-        for k in np.flatnonzero(~(to_dense(c[ar, ac]).ravel() > 0)):
+        for k in np.flatnonzero(~(values_at(c, ar, ac) > 0)):
             out.append(Violation("positivity", n, f"edge ({ar[k]},{ac[k]})",
                                  "c=0 on edge (c_xy > 0 required exactly on edges)"))
-        rs = row_sums(a)
-        for i in np.nonzero(rs == 0)[0]:
+        for i in np.flatnonzero(row_sums(a) == 0):
             out.append(Violation("outgoing", n, f"vertex {int(i)}",
                                  "vertex without outgoing edge"))
-        cs = col_sums(a)
-        for j in np.nonzero(cs == 0)[0]:
+        for j in np.flatnonzero(col_sums(a) == 0):
             out.append(Violation("incoming", n + 1, f"vertex {int(j)}",
                                  "vertex without incoming edge"))
     return out
@@ -335,7 +318,8 @@ def gen_binary_tree_radial(depth: int, lam: float, split_depth: int) -> Diagram:
     for m in range(split_depth, depth):
         sizes.append(width)
         lumped = (2.0 ** (m + 1 - split_depth)) * (lam ** m)
-        mats.append(lumped * np.eye(width))
+        mats.append(level_matrix((width, width), np.arange(width), np.arange(width),
+                                 np.full(width, lumped)))
     return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
 
 

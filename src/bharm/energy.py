@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from ._matops import col_sums, matvec, rmatvec, row_sums
+from ._matops import col_sums, rmatvec, row_sums, stored_entries
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
 from .operators import LevelFunction, build_level_operators, laplacian_apply, markov_apply
@@ -26,9 +25,9 @@ def _edge_energy(cm, f_top: np.ndarray, f_bot: np.ndarray) -> float:
     Computed from per-edge differences: the quadratic expansion cancels
     catastrophically when the differences are small against the values.
     """
-    coo = sp.coo_matrix(cm)
-    drops = f_top[coo.row] - f_bot[coo.col]
-    return float(np.dot(coo.data, drops * drops))
+    rows, cols, vals = stored_entries(cm)
+    drops = f_top[rows] - f_bot[cols]
+    return float(np.dot(vals, drops * drops))
 
 
 @dataclass
@@ -194,7 +193,7 @@ def current_balance(d: Diagram, f: LevelFunction) -> CurrentBalanceReport:
         up = col_sums(d.conductance[n - 1])
         i_in = up * f.values[n] - rmatvec(d.conductance[n - 1], f.values[n - 1])
         down = row_sums(d.conductance[n])
-        i_out = matvec(d.conductance[n], f.values[n + 1]) - down * f.values[n]
+        i_out = d.conductance[n] @ f.values[n + 1] - down * f.values[n]
         per_level.append(float(np.abs(i_in - i_out).max()))
     worst = max(per_level) if per_level else 0.0
     return CurrentBalanceReport(per_level=tuple(per_level), max_imbalance=worst)
@@ -214,10 +213,10 @@ def dissipation_check(d: Diagram, f: LevelFunction) -> DissipationReport:
     f.check_shape(d)
     diss = 0.0
     for n in range(d.num_levels):
-        cm = sp.coo_matrix(d.conductance[n])
-        drops = f.values[n][cm.row] - f.values[n + 1][cm.col]
-        currents = cm.data * drops
-        diss += float(np.sum(currents ** 2 / cm.data))
+        rows, cols, vals = stored_entries(d.conductance[n])
+        drops = f.values[n][rows] - f.values[n + 1][cols]
+        currents = vals * drops
+        diss += float(np.sum(currents ** 2 / vals))
     energy = energy_norm(d, f).energy
     gap = abs(diss - energy) / max(abs(energy), 1.0)
     return DissipationReport(dissipation=float(diss), energy=energy, relative_gap=float(gap))

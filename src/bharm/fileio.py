@@ -18,10 +18,12 @@ Function file:
 Numbers are written with 12 significant digits and a '.' decimal separator.
 
 Reading a diagram file costs time and memory linear in the number of edges:
-each level is built straight from its edge lines, dense only when it has at
-most 512 vertices on both sides.  An edge line with conductance 0 is dropped
-(the pair is a non-edge); any other conductance makes an edge, so a negative
-one is reported by validate() as a positivity violation.
+each level is built straight from its edge lines.  A level larger than
+max(1, number of edge lines) is rejected before it is allocated: every vertex
+past the one-vertex root needs an incoming edge.  An edge line with
+conductance 0 is dropped (the pair is a non-edge); any other conductance
+makes an edge, so a negative one is reported by validate() as a positivity
+violation.
 """
 from __future__ import annotations
 
@@ -68,6 +70,9 @@ def parse_diagram(text: str) -> Diagram:
     edges = _edge_arrays(lines[2:], sizes)
     if edges is None:
         _raise_first_edge_error(lines[2:], sizes)
+    if max(sizes) > max(len(lines) - 2, 1):
+        raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
+                         f"edge lines; the file has {len(lines) - 2}")
     n, i, j, c = edges
     bounds = np.searchsorted(n, np.arange(len(sizes)))
     mats = [level_matrix((sizes[m], sizes[m + 1]), i[lo:hi], j[lo:hi], c[lo:hi])

@@ -23,12 +23,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._matops import is_sparse, matvec, rmatvec, to_dense
+from ._matops import rmatvec, stored_entries
 from .diagram import Diagram, VertexId
 from .operators import LevelFunction, LevelOperators, build_level_operators
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
+# Level solves with at most this many vertices per side use dense lstsq, else LSQR.
+DENSE_SOLVE_LIMIT = 512
 DEFAULT_TOL = 1e-9
 
 
@@ -39,8 +41,8 @@ class SolveReport:
     residuals[n] is the max-norm constraint violation at level n; consistent
     is true iff every residual is within the tolerance.  solution_dims[n] is
     the dimension of the level-n solution set where the solver computed it
-    (None on large sparse levels, where rank is not revealed).  diagnostics
-    says how solve_chain got its solution (see there).
+    (None past DENSE_SOLVE_LIMIT, where LSQR does not reveal the rank).
+    diagnostics says how solve_chain got its solution (see there).
     """
     residuals: list
     tol: float
@@ -104,7 +106,7 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     degs = [d.degree_vector(n) for n in range(d.num_levels + 1)]
     residuals = []
     for n in range(d.num_levels):
-        v = degs[n] * f.values[n] - matvec(d.conductance[n], f.values[n + 1])
+        v = degs[n] * f.values[n] - d.conductance[n] @ f.values[n + 1]
         if n > 0:
             v -= rmatvec(d.conductance[n - 1], f.values[n - 1])
         v -= rhs[n]
@@ -115,6 +117,8 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
 def _solve_level(a, b: np.ndarray, pins: Optional[Dict[int, float]] = None):
     """Minimum-norm least-squares solve of a x = b with optional pinned
     coordinates.  Returns (x, residual_inf, solution_dim or None)."""
+    dense = max(a.shape) <= DENSE_SOLVE_LIMIT
+    a = a.toarray() if dense else a
     ncols = a.shape[1]
     x = np.zeros(ncols)
     free = np.arange(ncols)
@@ -128,18 +132,17 @@ def _solve_level(a, b: np.ndarray, pins: Optional[Dict[int, float]] = None):
         b = b - a[:, pinned_idx] @ x[pinned_idx]
         a = a[:, free]
     if free.size == 0:
-        resid = float(np.abs(matvec(a, x[free]) - b).max()) if b.size else 0.0
+        resid = float(np.abs(a @ x[free] - b).max()) if b.size else 0.0
         return x, resid, 0
-    if is_sparse(a):
+    if dense:
+        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
+        dim = a.shape[1] - rank
+    else:
         sol = spla.lsqr(a.tocsr(), b, atol=1e-14, btol=1e-14,
                         iter_lim=8 * (a.shape[0] + a.shape[1]))[0]
         dim = None
-    else:
-        a = np.asarray(a, dtype=float)
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
-        dim = a.shape[1] - rank
     x[free] = sol
-    resid = matvec(a, sol) - b
+    resid = a @ sol - b
     return x, float(np.abs(resid).max()) if resid.size else 0.0, dim
 
 
@@ -166,7 +169,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     rhs = _source_vectors(d, source)
     g = prefix[n].copy()
     if n > 0:
-        g -= matvec(ops.p_fwd[n], prefix[n - 1])
+        g -= ops.p_fwd[n] @ prefix[n - 1]
     g -= rhs[n] / ops.degrees[n]
     x, resid, dim = _solve_level(ops.p_back[n], g, pins)
     report = SolveReport(residuals=[resid], tol=tol, solution_dims=[dim])
@@ -238,26 +241,22 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
     sizes = d.level_sizes
     off = np.concatenate([[0], np.cumsum(sizes[1: depth + 1])]).astype(int)
     nvar = int(off[-1])
-    rows, cols, vals = [], [], []
-    b_parts = [np.array([-rhs[0][0]])]
-    c0 = to_dense(d.conductance[0]).reshape(-1)
-    rows.append(np.zeros(sizes[1], dtype=np.int64))
-    cols.append(np.arange(sizes[1], dtype=np.int64) + off[0])
-    vals.append(c0)
-    row_base = 1
-    for n in range(1, depth):
-        cn = sp.coo_matrix(d.conductance[n])
-        rows.append(cn.row.astype(np.int64) + row_base)
-        cols.append(cn.col.astype(np.int64) + off[n])
-        vals.append(cn.data.astype(float))
-        rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
-        cols.append(np.arange(sizes[n], dtype=np.int64) + off[n - 1])
-        vals.append(-ops.degrees[n])
+    rows, cols, vals, b_parts = [], [], [], []
+    row_base = 0
+    for n in range(depth):
+        r, c, v = stored_entries(d.conductance[n])
+        rows.append(r + row_base)
+        cols.append(c.astype(np.int64) + off[n])
+        vals.append(v)
+        if n >= 1:
+            rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
+            cols.append(np.arange(sizes[n], dtype=np.int64) + off[n - 1])
+            vals.append(-ops.degrees[n])
         if n >= 2:
-            cp = sp.coo_matrix(d.conductance[n - 1])
-            rows.append(cp.col.astype(np.int64) + row_base)
-            cols.append(cp.row.astype(np.int64) + off[n - 2])
-            vals.append(cp.data.astype(float))
+            r, c, v = stored_entries(d.conductance[n - 1])
+            rows.append(c.astype(np.int64) + row_base)
+            cols.append(r + off[n - 2])
+            vals.append(v)
         b_parts.append(-rhs[n])
         row_base += sizes[n]
     rows = np.concatenate(rows)
@@ -382,9 +381,9 @@ def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
     for n in range(depth):
         g = values[n].copy()
         if n > 0:
-            g -= matvec(ops.p_fwd[n], values[n - 1])
+            g -= ops.p_fwd[n] @ values[n - 1]
         g -= rhs[n] / ops.degrees[n]
-        r = matvec(ops.p_back[n], values[n + 1]) - g
+        r = ops.p_back[n] @ values[n + 1] - g
         if rows is not None:
             r = r[rows[n]]
         out.append(float(np.abs(r).max()) if r.size else 0.0)
@@ -484,8 +483,7 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
     n_max = d.num_levels if up_to_level is None else up_to_level
     if n_max < 1:
         raise ValueError("need up_to_level >= 1")
-    c0 = to_dense(d.conductance[0]).reshape(1, -1)
-    basis1 = _nullspace(c0)
+    basis1 = _nullspace(d.conductance[0].toarray())
     prev = np.zeros((1, basis1.shape[1]))
     cur = basis1
     dim_p = basis1.shape[1]
@@ -494,8 +492,8 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
     drops = {}
     unique = True
     for n in range(1, n_max):
-        cn = to_dense(d.conductance[n])
-        cprev = to_dense(d.conductance[n - 1])
+        cn = d.conductance[n].toarray()
+        cprev = d.conductance[n - 1].toarray()
         degs = d.degree_vector(n)
         g_map = degs[:, None] * cur - cprev.T @ prev
         u, s, vt = np.linalg.svd(cn, full_matrices=True)

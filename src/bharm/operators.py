@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._matops import matvec, rmatvec, scale_rows
+from ._matops import rmatvec, scale_rows, scale_rows_of_transpose
 from .diagram import Diagram
 
 
@@ -128,7 +128,7 @@ def build_level_operators(d: Diagram) -> LevelOperators:
     for n in range(d.num_levels):
         p_back.append(scale_rows(d.conductance[n], 1.0 / degrees[n]))
     for n in range(1, d.num_levels + 1):
-        p_fwd.append(scale_rows(d.conductance[n - 1].T, 1.0 / degrees[n]))
+        p_fwd.append(scale_rows_of_transpose(d.conductance[n - 1], 1.0 / degrees[n]))
     return LevelOperators(diagram=d, p_back=tuple(p_back), p_fwd=tuple(p_fwd),
                           degrees=tuple(degrees))
 
@@ -147,7 +147,7 @@ def laplacian_apply(ops: LevelOperators, f: LevelFunction):
         if n > 0:
             v = v - rmatvec(d.conductance[n - 1], f.values[n - 1])
         if n < d.num_levels:
-            v = v - matvec(d.conductance[n], f.values[n + 1])
+            v = v - d.conductance[n] @ f.values[n + 1]
         out.append(v)
     return LevelFunction(out), ops.interior_mask()
 
@@ -160,9 +160,9 @@ def markov_apply(ops: LevelOperators, f: LevelFunction):
     for n in range(d.num_levels + 1):
         v = np.zeros(d.level_sizes[n])
         if n > 0:
-            v += matvec(ops.p_fwd[n], f.values[n - 1])
+            v += ops.p_fwd[n] @ f.values[n - 1]
         if n < d.num_levels:
-            v += matvec(ops.p_back[n], f.values[n + 1])
+            v += ops.p_back[n] @ f.values[n + 1]
         out.append(v)
     return LevelFunction(out), ops.interior_mask()
 

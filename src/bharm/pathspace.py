@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._matops import matvec, stored_entries, to_dense
+from ._matops import stored_entries
 from .diagram import Diagram, VertexId
 from .harmonic import harmonicity_check
 from .operators import LevelFunction, build_level_operators, laplacian_apply
@@ -57,23 +57,17 @@ class DirichletSystem:
         self.n_interior = int(self.offsets[-1])
         self.degrees = np.concatenate(
             [d.degree_vector(n) for n in range(boundary_level)])
-        rows, cols, vals = [], [], []
-        for n in range(boundary_level - 1):
-            cm = sp.coo_matrix(d.conductance[n])
-            rows.append(cm.row + self.offsets[n])
-            cols.append(cm.col + self.offsets[n + 1])
-            vals.append(-cm.data)
         idx = np.arange(self.n_interior)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(self.degrees)
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        upper = sp.coo_matrix((v, (r, c)), shape=(self.n_interior, self.n_interior))
-        off = upper.copy()
-        off.setdiag(0)
-        self.matrix = (upper + off.T).tocsr()
+        rows, cols, vals = [idx], [idx], [self.degrees]
+        for n in range(boundary_level - 1):
+            r, c, v = stored_entries(d.conductance[n])
+            r, c = r + self.offsets[n], c + self.offsets[n + 1]
+            rows += [r, c]
+            cols += [c, r]
+            vals += [-v, -v]
+        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        self.matrix = sp.csr_matrix(entries, shape=(self.n_interior, self.n_interior))
+        self.matrix.sum_duplicates()  # sorts the indices
         self._lu = None
 
     def flat(self, v: VertexId) -> int:
@@ -114,7 +108,7 @@ class DirichletSystem:
                 raise ValueError("boundary values have the wrong length")
             if np.any(bvals != 0.0):
                 coupling = d.conductance[self.boundary_level - 1]
-                b[self.offsets[-2]:] += matvec(coupling, bvals)
+                b[self.offsets[-2]:] += coupling @ bvals
         else:
             bvals = np.zeros(d.level_sizes[self.boundary_level])
         if pinned:
@@ -219,10 +213,10 @@ def _p_row_apply(d: Diagram, ops, v: VertexId, f: LevelFunction) -> float:
     """(P f)(v): one step of the walk from v, read off v's transition rows."""
     total = 0.0
     if v.level > 0:
-        total += float(np.dot(to_dense(ops.p_fwd[v.level][[v.index], :]).ravel(),
+        total += float(np.dot(ops.p_fwd[v.level][[v.index], :].toarray().ravel(),
                               f.values[v.level - 1]))
     if v.level < d.num_levels:
-        total += float(np.dot(to_dense(ops.p_back[v.level][[v.index], :]).ravel(),
+        total += float(np.dot(ops.p_back[v.level][[v.index], :].toarray().ravel(),
                               f.values[v.level + 1]))
     return total
 
@@ -470,12 +464,18 @@ class _Transitions:
 
 
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
+    """The walk's tables; a conductance that is not > 0 raises ValueError."""
     sizes = d.level_sizes[:absorb_level + 1]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     n_int = int(offsets[absorb_level])
     owner, other, weight = [], [], []
     for n in range(absorb_level):
         rows, cols, vals = stored_entries(d.conductance[n])
+        bad = np.flatnonzero(~(vals > 0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"level {n}, edge ({rows[k]},{cols[k]}): conductance "
+                             f"{vals[k].item()} is not positive; walks need c > 0")
         a, b = rows + offsets[n], cols + offsets[n + 1]
         owner.append(a)
         other.append(b)
@@ -800,7 +800,7 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     ops = build_level_operators(d)
     compat = []
     for n in range(n0, d.num_levels):
-        r = float(np.abs(matvec(ops.p_back[n], f.values[n + 1]) - f.values[n]).max())
+        r = float(np.abs(ops.p_back[n] @ f.values[n + 1] - f.values[n]).max())
         compat.append(r)
         if r > tol:
             raise ValueError(f"compatibility violated at level {n}: residual {r:.3e}")

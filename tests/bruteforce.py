@@ -9,7 +9,6 @@ import bisect
 
 import numpy as np
 
-from bharm._matops import to_dense
 from bharm.diagram import Diagram, VertexId
 
 
@@ -26,7 +25,7 @@ def dense_adjacency(d: Diagram, upto: int = None) -> np.ndarray:
     n = off[-1]
     a = np.zeros((n, n))
     for lvl in range(upto):
-        cm = to_dense(d.conductance[lvl])
+        cm = d.conductance[lvl].toarray()
         for i in range(cm.shape[0]):
             for j in range(cm.shape[1]):
                 if cm[i, j] > 0:
@@ -44,7 +43,7 @@ def brute_energy(d: Diagram, f) -> float:
     """Plain loop over edges: sum c (f(x)-f(y))^2."""
     total = 0.0
     for lvl in range(d.num_levels):
-        cm = to_dense(d.conductance[lvl])
+        cm = d.conductance[lvl].toarray()
         for i in range(cm.shape[0]):
             for j in range(cm.shape[1]):
                 if cm[i, j] > 0:
@@ -58,7 +57,7 @@ def stacked_constraint_matrix(d: Diagram, upto: int) -> np.ndarray:
     sizes = d.level_sizes
     nvar = int(sum(sizes[1: upto + 1]))
     off = np.concatenate([[0], np.cumsum(sizes[1: upto + 1])]).astype(int)
-    cms = [to_dense(c) for c in d.conductance]
+    cms = [c.toarray() for c in d.conductance]
     blocks = []
     root = np.zeros((1, nvar))
     root[0, off[0]: off[1]] = cms[0][0]
@@ -116,7 +115,7 @@ def walk_tables(d: Diagram, absorb: int):
     nbrs = [[] for _ in range(off[-1])]
     wts = [[] for _ in range(off[-1])]
     for lvl in range(absorb):
-        cm = to_dense(d.conductance[lvl])
+        cm = d.conductance[lvl].toarray()
         for i, j in zip(*np.nonzero(cm)):
             a, b = off[lvl] + i, off[lvl + 1] + j
             nbrs[a].append(b)

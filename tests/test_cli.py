@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from bharm.cli import main
-from bharm.fileio import format_function, parse_diagram, parse_function
+from bharm.fileio import format_function, load_diagram, parse_diagram, parse_function
 from bharm import gen_pascal, gen_binary_tree
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 
@@ -132,6 +134,70 @@ def test_walk_and_monte_carlo_poisson_files_golden(name, tmp_path, capsys):
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert {k: v for k, v in manifest.items()
             if k not in ("command", "input_sha256_16")} == case["manifest"]
+
+
+OUTPUT_GOLDENS = json.loads((pathlib.Path(__file__).parent / "output_goldens.json").read_text())
+
+
+def _sample_function(sizes):
+    """The input function of the output goldens: sin(1 + 0.7 n + 0.31 i)."""
+    return "fn v1\n" + "".join(f"{n} {i} {math.sin(1.0 + 0.7 * n + 0.31 * i):.6f}\n"
+                               for n, s in enumerate(sizes) for i in range(s))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_GOLDENS["cases"]))
+def test_solver_and_operator_outputs_golden(name, tmp_path, capsys):
+    """stdout, stderr, output files and manifests of harmonic, monopole,
+    dipole, green, exact poisson, energy and both operators stay
+    byte-identical on pascal:40 (lambda 1 and 1.5), a stationary diagram with
+    lambda 1.7, a ladder and a file with random weights.  Only max_residual
+    may move, and only at rounding level: residual sums may run in another
+    order, but the solve path, fallback and consistency may not change."""
+    case = OUTPUT_GOLDENS["cases"][name]
+    files = {"diagram": tmp_path / "irregular.bd", "values": tmp_path / "in.fn",
+             "out": tmp_path / "out"}
+    files["diagram"].write_text(OUTPUT_GOLDENS["diagram"])
+    argv = [a.format(**files) for a in case["argv"]]
+    spec = argv[argv.index("--diagram") + 1]
+    files["values"].write_text(_sample_function(load_diagram(spec).level_sizes))
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert _sha256(captured.out) == case["stdout_sha256"]
+    assert captured.err == case["stderr"]
+    if case["out_sha256"] is None:
+        assert not files["out"].exists()
+        return
+    assert _sha256(files["out"].read_text()) == case["out_sha256"]
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    manifest = {k: v for k, v in manifest.items() if k not in ("command", "input_sha256_16")}
+    expected = dict(case["manifest"])
+    if "max_residual" in expected:
+        got, want = manifest.pop("max_residual"), expected.pop("max_residual")
+        assert math.isclose(got, want, rel_tol=1.0, abs_tol=1e-14)
+    assert manifest == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--start", "0,0", "--walks", "20"],
+    ["poisson", "--level", "2", "--method", "monte-carlo", "--walks", "20"],
+], ids=["walk", "poisson"])
+def test_walks_on_a_negative_conductance_are_exit_one(argv, tmp_path, capsys):
+    diagram = tmp_path / "neg.bd"
+    diagram.write_text("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 -0.5\n"
+                       "e 1 0 0 1\ne 1 0 1 1\ne 1 1 1 1\n")
+    values = tmp_path / "in.fn"
+    values.write_text("fn v1\n2 0 1\n2 1 2\n")
+    if argv[0] == "poisson":
+        argv = argv + ["--values", str(values)]
+    assert main(argv[:1] + ["--diagram", str(diagram)] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: level 0, edge (0,1): conductance -0.5 is not positive; "
+                   "walks need c > 0\n")
 
 
 def test_monte_carlo_poisson_from_a_vertex_without_edges_is_exit_one(tmp_path, capsys):

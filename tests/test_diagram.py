@@ -17,7 +17,6 @@ from bharm import (
     make_diagram,
     validate,
 )
-from bharm._matops import to_dense
 from bharm.fileio import format_diagram, parse_diagram
 
 
@@ -71,6 +70,41 @@ def test_generators_validate_clean(d):
     assert validate(d) == []
 
 
+# --- storage -------------------------------------------------------------------
+
+def _dense_with_zeros():
+    c1 = np.array([[2.0, 0.0, 1.5], [0.0, 3.0, 0.0]])
+    return make_diagram([1, 2, 3], [np.array([[1.0, 0.5]]), c1])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_binary_tree(10, 2.0),
+    lambda: gen_pascal(520, 1.0),
+    lambda: gen_stationary([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 5, 1.7),
+    lambda: gen_bottleneck([1, 3, 600, 700, 4], 5),
+    lambda: gen_ladder(5, 2.5),
+    lambda: gen_binary_tree_radial(12, 2.0, 10),
+    lambda: parse_diagram(format_diagram(gen_pascal(20, 1.5)) + "e 3 0 3 0\n"),
+    lambda: diagram_from_graph(ladder_graph(6), root=0),
+    _dense_with_zeros,
+], ids=["tree", "pascal", "stationary", "bottleneck", "ladder", "radial", "parse",
+        "graph", "dense"])
+def test_every_level_is_read_only_canonical_csr(build):
+    d = build()
+    for c, a in zip(d.conductance, d.incidence):
+        for m in (c, a):
+            assert isinstance(m, sp.csr_matrix) and m.dtype == np.float64
+            ref = sp.csr_matrix(m.toarray())  # sorted, distinct, zeros dropped
+            assert np.array_equal(m.indptr, ref.indptr)
+            assert np.array_equal(m.indices, ref.indices)
+            assert np.array_equal(m.data, ref.data)
+            for arr in (m.data, m.indices, m.indptr):
+                with pytest.raises(ValueError):
+                    arr[:1] = 1
+        assert np.array_equal(a.indptr, c.indptr) and np.array_equal(a.indices, c.indices)
+        assert np.all(a.data == 1.0)
+
+
 def test_ladder_leveling_is_valid():
     d = diagram_from_graph(ladder_graph(6), root=0)
     assert validate(d) == []
@@ -98,19 +132,19 @@ def test_zero_conductance_on_edge_reported():
 def test_tree_depth2_shapes_and_conductances():
     d = gen_binary_tree(2, 2.0)
     assert d.level_sizes == (1, 2, 4)
-    assert np.allclose(to_dense(d.conductance[0]), [[1.0, 1.0]])
-    assert np.allclose(to_dense(d.conductance[1]),
+    assert np.allclose(d.conductance[0].toarray(), [[1.0, 1.0]])
+    assert np.allclose(d.conductance[1].toarray(),
                        [[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 2.0]])
 
 
 def test_tree_depth1_unit():
     d = gen_binary_tree(1, 1.0)
-    assert np.allclose(to_dense(d.conductance[0]), [[1.0, 1.0]])
+    assert np.allclose(d.conductance[0].toarray(), [[1.0, 1.0]])
 
 
 def test_tree_level2_edges_scale_with_lambda_squared():
     d = gen_binary_tree(3, 0.5)
-    vals = to_dense(d.conductance[2])
+    vals = d.conductance[2].toarray()
     assert np.allclose(vals[vals > 0], 0.25)
 
 
@@ -125,8 +159,8 @@ def test_tree_rejects_bad_lambda():
 
 def test_pascal_incidence_rows():
     d = gen_pascal(2, 1.0)
-    assert np.allclose(to_dense(d.incidence[1]), [[1, 1, 0], [0, 1, 1]])
-    assert np.allclose(to_dense(d.incidence[0]), [[1, 1]])
+    assert np.allclose(d.incidence[1].toarray(), [[1, 1, 0], [0, 1, 1]])
+    assert np.allclose(d.incidence[0].toarray(), [[1, 1]])
 
 
 def test_pascal_neighbor_counts():
@@ -140,7 +174,7 @@ def test_pascal_neighbor_counts():
 def test_pascal_row_and_column_sums():
     d = gen_pascal(6, 1.0)
     for a in d.incidence:
-        a = to_dense(a)
+        a = a.toarray()
         assert np.all(a.sum(axis=1) == 2)
         cols = a.sum(axis=0)
         assert cols[0] == 1 and cols[-1] == 1
@@ -151,12 +185,12 @@ def test_pascal_row_and_column_sums():
 
 def test_stationary_conductance_powers():
     d = gen_stationary([[1, 1], [1, 0]], 3, 2.0)
-    assert np.allclose(to_dense(d.conductance[2]), [[4.0, 4.0], [4.0, 0.0]])
+    assert np.allclose(d.conductance[2].toarray(), [[4.0, 4.0], [4.0, 0.0]])
 
 
 def test_stationary_all_ones_levels():
     d = gen_stationary([[1, 1], [1, 1]], 2, 1.0)
-    assert np.allclose(to_dense(d.conductance[1]), np.ones((2, 2)))
+    assert np.allclose(d.conductance[1].toarray(), np.ones((2, 2)))
 
 
 def test_stationary_zero_column_rejected():
@@ -172,7 +206,7 @@ def test_bottleneck_profile_and_determinism():
     assert d1.level_sizes == (1, 3, 3, 1, 3)
     assert d1.level_sizes[3] == 1
     for a, b in zip(d1.conductance, d2.conductance):
-        assert np.array_equal(to_dense(a), to_dense(b))
+        assert np.array_equal(a.toarray(), b.toarray())
 
 
 def test_bottleneck_single_step():
@@ -289,7 +323,7 @@ def test_extend_to_regenerates_deeper_prefix():
     d = gen_binary_tree(3, 2.0)
     d2 = extend_to(d, 6)
     assert d2.num_levels == 6
-    assert np.allclose(to_dense(d2.conductance[2]), to_dense(d.conductance[2]))
+    assert np.allclose(d2.conductance[2].toarray(), d.conductance[2].toarray())
 
 
 def test_extend_without_rule_rejected():

@@ -72,7 +72,6 @@ def test_level_currents_constant_for_harmonic():
 
 def test_energy_shift_scale_and_conductance_rescale():
     from bharm import make_diagram
-    from bharm._matops import to_dense
     d = gen_pascal(6, 1.0)
     rng = np.random.default_rng(8)
     f = LevelFunction([rng.standard_normal(s) for s in d.level_sizes])
@@ -81,7 +80,7 @@ def test_energy_shift_scale_and_conductance_rescale():
     assert np.isclose(base, shifted, rtol=1e-9)
     scaled_f = energy_norm(d, 3.0 * f).energy
     assert np.isclose(scaled_f, 9.0 * base, rtol=1e-12)
-    d_scaled = make_diagram(d.level_sizes, [2.5 * to_dense(c) for c in d.conductance])
+    d_scaled = make_diagram(d.level_sizes, [2.5 * c.toarray() for c in d.conductance])
     assert np.isclose(energy_norm(d_scaled, f).energy, 2.5 * base, rtol=1e-12)
 
 

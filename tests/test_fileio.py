@@ -3,7 +3,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from bharm import (
     LevelFunction,
@@ -15,7 +14,6 @@ from bharm import (
     gen_stationary,
     validate,
 )
-from bharm._matops import to_dense
 from bharm.fileio import (
     format_diagram,
     format_function,
@@ -32,7 +30,7 @@ def test_diagram_round_trip():
     d2 = parse_diagram(format_diagram(d))
     assert d2.level_sizes == d.level_sizes
     for a, b in zip(d.conductance, d2.conductance):
-        assert np.allclose(to_dense(a), to_dense(b))
+        assert np.allclose(a.toarray(), b.toarray())
     assert validate(d2) == []
 
 
@@ -93,9 +91,9 @@ def test_genspec_parsing():
     assert parse_genspec("pascal:3:1").level_sizes == (1, 2, 3, 4)
     d = parse_genspec("stationary:11;10:3:2")
     assert d.level_sizes == (1, 2, 2, 2)
-    assert np.allclose(to_dense(d.conductance[2]), [[4, 4], [4, 0]])
+    assert np.allclose(d.conductance[2].toarray(), [[4, 4], [4, 0]])
     d2 = parse_genspec("stationary:1,1;1,0:3:2")
-    assert np.allclose(to_dense(d2.conductance[2]), to_dense(d.conductance[2]))
+    assert np.allclose(d2.conductance[2].toarray(), d.conductance[2].toarray())
     assert parse_genspec("ladder:4").level_sizes == (1, 2, 2, 2, 2)
     assert parse_genspec("bottleneck:1-3-1:7").level_sizes == (1, 3, 1)
     with pytest.raises(ValueError):
@@ -103,12 +101,8 @@ def test_genspec_parsing():
 
 
 def _same_level(a, b):
-    if sp.issparse(a):
-        return (sp.issparse(b) and a.shape == b.shape
-                and np.array_equal(a.indptr, b.indptr)
-                and np.array_equal(a.indices, b.indices)
-                and np.array_equal(a.data, b.data))
-    return not sp.issparse(b) and a.shape == b.shape and np.array_equal(a, b)
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
 
 
 @pytest.mark.parametrize("d", [
@@ -144,9 +138,8 @@ def test_first_bad_line_is_reported(edges, message):
     assert str(info.value) == message
 
 
-def test_validate_tree16_file_in_linear_memory(tmp_path):
-    path = tmp_path / "tree16.bd"
-    path.write_text(format_diagram(gen_binary_tree(16, 2.0)))
+def _validate_in_child(path):
+    """`bharm validate path` in a fresh interpreter: (process, ru_maxrss in MB)."""
     child = ("import resource, sys\n"
              "from bharm.cli import main\n"
              "code = main(['validate', sys.argv[1]])\n"
@@ -154,6 +147,34 @@ def test_validate_tree16_file_in_linear_memory(tmp_path):
              "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", child, str(path)],
                           capture_output=True, text=True, timeout=120)
+    return proc, int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB
+
+
+def test_validate_tree16_file_in_linear_memory(tmp_path):
+    path = tmp_path / "tree16.bd"
+    path.write_text(format_diagram(gen_binary_tree(16, 2.0)))
+    proc, rss_mb = _validate_in_child(path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid: 17 levels")
-    assert int(proc.stderr.split()[-1]) < 400 * 1024  # ru_maxrss is in KiB
+    assert rss_mb < 400
+
+
+def test_validate_pascal600_file_in_linear_memory(tmp_path):
+    # 180,600 edges on 601 levels of at most 601 vertices each
+    path = tmp_path / "pascal600.bd"
+    path.write_text(format_diagram(gen_pascal(600, 1.0)))
+    proc, rss_mb = _validate_in_child(path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid: 601 levels, 180901 vertices")
+    assert rss_mb < 400
+
+
+def test_level_larger_than_the_edge_lines_is_rejected_before_allocation(tmp_path):
+    path = tmp_path / "huge.bd"
+    path.write_text("bratteli v1\nlevels 3 : 1 3000000000 3000000000\n")
+    proc, rss_mb = _validate_in_child(path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[0] == (
+        "error: a level of 3000000000 vertices needs at least as many edge lines; "
+        "the file has 0")
+    assert rss_mb < 200

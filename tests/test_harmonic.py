@@ -18,7 +18,6 @@ from bharm import (
     solve_dipole,
     solve_monopole,
 )
-from bharm._matops import to_dense
 from bharm.closedforms import (
     pascal_harmonic,
     pascal_pins,
@@ -86,11 +85,11 @@ def test_bottleneck_extension_inconsistent():
     # three equations, one unknown: generically unsolvable
     d = gen_bottleneck([1, 3, 1, 3], 2)
     rng = np.random.default_rng(0)
-    c0 = to_dense(d.conductance[0])[0]
+    c0 = d.conductance[0].toarray()[0]
     f1 = rng.standard_normal(3)
     f1 -= c0 * (c0 @ f1) / (c0 @ c0)  # root constraint
     # brute force: the 3x1 system C_1 f_2 = D_1 f_1 has no exact solution
-    c1 = to_dense(d.conductance[1]).reshape(-1)
+    c1 = d.conductance[1].toarray().reshape(-1)
     rhs = d.degree_vector(1) * f1
     best = np.linalg.lstsq(c1.reshape(-1, 1), rhs, rcond=None)[0]
     brute_resid = np.abs(c1 * best[0] - rhs).max()
@@ -191,7 +190,7 @@ def test_seed_off_the_root_equation_keeps_the_global_solve():
 
 def test_scaling_leaves_solution_sets_invariant():
     d = gen_pascal(7, 1.0)
-    scaled = make_diagram(d.level_sizes, [5.0 * to_dense(c) for c in d.conductance])
+    scaled = make_diagram(d.level_sizes, [5.0 * c.toarray() for c in d.conductance])
     f1, _ = solve_chain(d, seed_f1=[2.0, -2.0])
     f2, _ = solve_chain(scaled, seed_f1=[2.0, -2.0])
     for a, b in zip(f1.values, f2.values):
@@ -273,7 +272,7 @@ def test_stationary_dimension_unique_extension():
 def _random_conductances(d, seed):
     """Same edges as d, conductances drawn uniformly from [0.5, 2)."""
     rng = np.random.default_rng(seed)
-    mats = [to_dense(c) * rng.uniform(0.5, 2.0, c.shape) for c in d.conductance]
+    mats = [c.toarray() * rng.uniform(0.5, 2.0, c.shape) for c in d.conductance]
     return make_diagram(d.level_sizes, mats)
 
 
@@ -314,7 +313,7 @@ def test_root_monopole_satisfies_source_equation():
     d = gen_binary_tree(8, lam)
     w, rep = solve_monopole(d, VertexId(0, 0))
     assert rep.consistent
-    c0 = to_dense(d.conductance[0])[0]
+    c0 = d.conductance[0].toarray()[0]
     # Delta w(o) = 1 with w(o) = 0: sum c_oy (w(o) - w(y)) = 1
     assert np.isclose(-float(c0 @ w.values[1]), 1.0)
     chk = harmonicity_check(d, w, source={VertexId(0, 0): 1.0})

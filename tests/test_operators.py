@@ -13,7 +13,6 @@ from bharm import (
     markov_apply,
     spectral_bound_check,
 )
-from bharm._matops import to_dense
 from bharm.closedforms import pascal_harmonic
 from bharm.operators import weighted_inner
 
@@ -31,7 +30,7 @@ def test_pascal_back_blocks_bidiagonal_form():
     lam = 2.0
     d = gen_pascal(4, lam)
     ops = build_level_operators(d)
-    pb = to_dense(ops.p_back[2])
+    pb = ops.p_back[2].toarray()
     edge = lam / (1 + 2 * lam)
     mid = lam / (2 + 2 * lam)
     expect = np.array([[edge, edge, 0, 0],
@@ -44,7 +43,7 @@ def test_tree_back_rows_two_equal_entries():
     lam = 2.0
     d = gen_binary_tree(3, lam)
     ops = build_level_operators(d)
-    pb = to_dense(ops.p_back[1])
+    pb = ops.p_back[1].toarray()
     degs = ops.degrees[1]
     for i in range(2):
         row = pb[i]
@@ -59,8 +58,8 @@ def test_stationary_all_ones_quarter_entries():
     ops = build_level_operators(d)
     # interior vertices have c(x) = 4 and all transition entries 1/4
     assert np.allclose(ops.degrees[2], 4.0)
-    assert np.allclose(to_dense(ops.p_back[2]), 0.25)
-    assert np.allclose(to_dense(ops.p_fwd[2]), 0.25)
+    assert np.allclose(ops.p_back[2].toarray(), 0.25)
+    assert np.allclose(ops.p_fwd[2].toarray(), 0.25)
 
 
 def test_isolated_vertex_rejected():
@@ -81,9 +80,9 @@ def test_row_stochasticity_interior():
     d = gen_pascal(6, 2.0)
     ops = build_level_operators(d)
     for n in range(1, d.num_levels):
-        total = to_dense(ops.p_fwd[n]).sum(axis=1) + to_dense(ops.p_back[n]).sum(axis=1)
+        total = ops.p_fwd[n].toarray().sum(axis=1) + ops.p_back[n].toarray().sum(axis=1)
         assert np.allclose(total, 1.0)
-    assert np.allclose(to_dense(ops.p_back[0]).sum(axis=1), 1.0)
+    assert np.allclose(ops.p_back[0].toarray().sum(axis=1), 1.0)
 
 
 def test_laplacian_kills_constants_on_interior():
@@ -180,7 +179,7 @@ def test_delta_vertex_quadratic_form_is_zero():
 def test_global_conductance_rescaling():
     d = gen_pascal(5, 1.0)
     t = 3.7
-    scaled = make_diagram(d.level_sizes, [t * to_dense(c) for c in d.conductance])
+    scaled = make_diagram(d.level_sizes, [t * c.toarray() for c in d.conductance])
     ops = build_level_operators(d)
     ops_s = build_level_operators(scaled)
     f = rand_fn(d, 4)

@@ -26,7 +26,6 @@ from bharm import (
     solve_monopole,
     transience_report,
 )
-from bharm._matops import matvec
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 from bharm import pathspace
 from bharm.fileio import parse_diagram
@@ -458,7 +457,7 @@ def compatible_family(d, top):
     vals = [None] * (d.num_levels + 1)
     vals[d.num_levels] = np.asarray(top, dtype=float)
     for n in range(d.num_levels - 1, -1, -1):
-        vals[n] = matvec(ops.p_back[n], vals[n + 1])
+        vals[n] = ops.p_back[n] @ vals[n + 1]
     return LevelFunction(vals)
 
 
