@@ -16,12 +16,14 @@ inconsistent levels are reported, not thrown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from ._matops import rmatvec, stored_entries
 from .diagram import Diagram, VertexId
@@ -427,7 +429,7 @@ def solve_dipole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
 
 @dataclass
 class DimensionResult:
-    """Prefix-space dimensions from the affine-state propagation.
+    """Dimensions of the spaces of harmonic prefixes with f(o) = 0.
 
     per_level[k] is the dimension of {(f_1..f_k) : f(o)=0, all constraints
     at levels < k hold}; dimension is per_level at the requested depth.
@@ -435,13 +437,25 @@ class DimensionResult:
     k+1); rank_drops[k] = extendability conditions imposed at level k.
     Dimensions are for truncated prefixes; extendability to the infinite
     diagram is not certified.
+
+    path names the route that gave the counts: "ranks" when every C_n below
+    the depth has full row rank, "propagation" otherwise.
+    first_rank_deficient_level is the first n with rank C_n < |V_n| (None
+    on the rank route).  state, the pair basis at the depth, comes from the
+    propagation: on the rank route it is computed on first read, and kept.
     """
     dimension: int
     per_level: dict
     solution_set_dims: dict
     rank_drops: dict
-    state: HarmonicState
     unique_extension: bool
+    path: str
+    first_rank_deficient_level: Optional[int]
+    _compute_state: Callable[[], HarmonicState] = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> HarmonicState:
+        return self._compute_state()
 
     def as_table(self) -> str:
         lines = ["level  prefix_dim  new_free  rank_drop"]
@@ -464,15 +478,103 @@ def _nullspace(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(m, rcond=RANK_RCOND)
 
 
+def _index_within(labels: np.ndarray, n_labels: int):
+    """Position of each element among the elements with its label, in
+    order, and the number of elements per label."""
+    counts = np.bincount(labels, minlength=n_labels)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    pos = np.empty(labels.size, dtype=np.int64)
+    pos[order] = np.arange(labels.size) - starts[labels[order]]
+    return pos, counts
+
+
+def _level_rank(c) -> int:
+    """Rank of the level matrix c with the rank test of its full SVD
+    (singular values above RANK_RCOND times the largest), from singular
+    values only and one connected component of its edge graph at a time.
+
+    Up to permutations c is block diagonal in its components, so its
+    singular values are theirs together with zeros.  The components of one
+    shape are stacked and take one batched SVD without U and V; a level of
+    several components is never densified as a whole.
+    """
+    m, k = c.shape
+    rows, cols, vals = stored_entries(c)
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols + m)), shape=(m + k, m + k))
+    n_comp, label = connected_components(graph, directed=False)
+    row_pos, comp_rows = _index_within(label[:m], n_comp)
+    col_pos, comp_cols = _index_within(label[m:], n_comp)
+    # an isolated vertex is a component of shape 1x0 or 0x1, and has no
+    # singular value
+    shapes, group = np.unique(np.stack([comp_rows, comp_cols], axis=1), axis=0,
+                              return_inverse=True)
+    group = group.reshape(-1)
+    slot, group_size = _index_within(group, len(shapes))
+    comp = label[rows]
+    by_group = np.argsort(group[comp], kind="stable")
+    ends = np.cumsum(np.bincount(group[comp], minlength=len(shapes)))
+    s = [np.zeros(0)]
+    for (a, b), size, take in zip(shapes, group_size, np.split(by_group, ends[:-1])):
+        blocks = np.zeros((size, a, b))
+        blocks[slot[comp[take]], row_pos[rows[take]], col_pos[cols[take]]] = vals[take]
+        s.append(np.linalg.svd(blocks, compute_uv=False).reshape(-1))
+    s = np.concatenate(s)
+    return int((s > RANK_RCOND * s.max()).sum()) if s.size else 0
+
+
+def _first_rank_deficient_level(d: Diagram, depth: int) -> Optional[int]:
+    """The first n < depth with rank C_n < |V_n|, or None."""
+    for n in range(depth):
+        c = d.conductance[n]
+        if c.shape[0] > c.shape[1] or _level_rank(c) < c.shape[0]:
+            return n
+    return None
+
+
 def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
                    tol: float = DEFAULT_TOL) -> DimensionResult:
     """Dimension of the space of harmonic prefixes with f(o) = 0.
 
-    Propagates the admissible-pair subspace level by level (impose the
-    constraint, project onto the column space, re-orthonormalize) while
-    accounting for interior degrees of freedom already forgotten by the pair
-    representation.  Equals the null-space dimension of the stacked
-    constraint system (the brute-force oracle) on every tested instance.
+    The counts come from the ranks of the level matrices.  While C_n has
+    full row rank, level n imposes no extendability condition on the
+    prefix and adds nullity(C_n) free parameters, so when that holds at
+    every level below the depth, per_level[k] = |V_k| - 1 follows from the
+    level sizes (path "ranks", see _level_rank).  The rank pass stops at
+    the first rank-deficient level; from there the counts come from the
+    propagation (path "propagation", see _propagate), which on the rank
+    route runs only when DimensionResult.state is read.  Both equal the
+    null-space dimension of the stacked constraint system (the brute-force
+    oracle) on every tested instance.
+    """
+    n_max = d.num_levels if up_to_level is None else up_to_level
+    if not 1 <= n_max <= d.num_levels:
+        raise ValueError(f"depth must lie in 1..{d.num_levels}")
+    deficient = _first_rank_deficient_level(d, n_max)
+    if deficient is None:
+        sizes = d.level_sizes
+        new_free = {n: sizes[n + 1] - sizes[n] for n in range(1, n_max)}
+        return DimensionResult(
+            dimension=sizes[n_max] - 1,
+            per_level={k: sizes[k] - 1 for k in range(1, n_max + 1)},
+            solution_set_dims=new_free, rank_drops=dict.fromkeys(new_free, 0),
+            unique_extension=not any(new_free.values()), path="ranks",
+            first_rank_deficient_level=None,
+            _compute_state=lambda: _propagate(d, n_max, tol)[-1])
+    per_level, sol_dims, drops, unique, state = _propagate(d, n_max, tol)
+    return DimensionResult(
+        dimension=per_level[n_max], per_level=per_level, solution_set_dims=sol_dims,
+        rank_drops=drops, unique_extension=unique, path="propagation",
+        first_rank_deficient_level=deficient, _compute_state=lambda: state)
+
+
+def _propagate(d: Diagram, n_max: int, tol: float):
+    """Prefix dimensions and the pair basis at n_max by propagating the
+    admissible-pair subspace level by level (impose the constraint, project
+    onto the column space, re-orthonormalize) while accounting for interior
+    degrees of freedom already forgotten by the pair representation.
+    Returns (per_level, solution_set_dims, rank_drops, unique_extension,
+    state) as in DimensionResult.
 
     Each C_n is decomposed by one SVD per level, which gives its rank, its
     column space, its kernel and the minimum-norm particular solutions.  Only
@@ -480,9 +582,6 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
     level-(n+1) half lies in the row space of C_n, so the orthonormal kernel
     block (zero on level n) is orthogonal to it and is appended as is.
     """
-    n_max = d.num_levels if up_to_level is None else up_to_level
-    if n_max < 1:
-        raise ValueError("need up_to_level >= 1")
     basis1 = _nullspace(d.conductance[0].toarray())
     prev = np.zeros((1, basis1.shape[1]))
     cur = basis1
@@ -528,6 +627,4 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
         per_level[n + 1] = dim_p
     state = HarmonicState(level=n_max, sizes=(prev.shape[0], cur.shape[0]),
                           basis=np.vstack([prev, cur]), tol=tol)
-    return DimensionResult(dimension=dim_p, per_level=per_level,
-                           solution_set_dims=sol_dims, rank_drops=drops,
-                           state=state, unique_extension=unique)
+    return per_level, sol_dims, drops, unique, state

@@ -110,6 +110,14 @@ def test_dimension_stdout_golden(spec, capsys):
     assert capsys.readouterr().out == DIMENSION_GOLDENS[spec]
 
 
+@pytest.mark.parametrize("depth", ["0", "50"])
+def test_dimension_depth_outside_the_levels_is_exit_one(depth, capsys):
+    assert main(["dimension", "--diagram", "tree:5:2", "--depth", depth]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: depth must lie in 1..5\n"
+
+
 WALK_GOLDENS = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
 
 

@@ -138,22 +138,32 @@ def test_first_bad_line_is_reported(edges, message):
     assert str(info.value) == message
 
 
-def _validate_in_child(path):
-    """`bharm validate path` in a fresh interpreter: (process, ru_maxrss in MB)."""
+def _main_in_child(argv):
+    """`bharm <argv>` in a fresh interpreter: (process, peak RSS in MB).
+
+    The peak is VmHWM, the high-water mark of the child's own address space.
+    ru_maxrss is no measure here: on Linux it keeps the peak of the process
+    that forked the child, so it would read this test run's own memory.
+    """
     child = ("import resource, sys\n"
              "from bharm.cli import main\n"
-             "code = main(['validate', sys.argv[1]])\n"
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+             "code = main(sys.argv[1:])\n"
+             "try:\n"
+             "    with open('/proc/self/status') as fh:\n"
+             "        kib = [l.split()[1] for l in fh if l.startswith('VmHWM:')][0]\n"
+             "except OSError:\n"
+             "    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "print(kib, file=sys.stderr)\n"
              "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", child, str(path)],
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
                           capture_output=True, text=True, timeout=120)
-    return proc, int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB
+    return proc, int(proc.stderr.split()[-1]) / 1024
 
 
 def test_validate_tree16_file_in_linear_memory(tmp_path):
     path = tmp_path / "tree16.bd"
     path.write_text(format_diagram(gen_binary_tree(16, 2.0)))
-    proc, rss_mb = _validate_in_child(path)
+    proc, rss_mb = _main_in_child(["validate", str(path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid: 17 levels")
     assert rss_mb < 400
@@ -163,16 +173,24 @@ def test_validate_pascal600_file_in_linear_memory(tmp_path):
     # 180,600 edges on 601 levels of at most 601 vertices each
     path = tmp_path / "pascal600.bd"
     path.write_text(format_diagram(gen_pascal(600, 1.0)))
-    proc, rss_mb = _validate_in_child(path)
+    proc, rss_mb = _main_in_child(["validate", str(path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid: 601 levels, 180901 vertices")
     assert rss_mb < 400
 
 
+def test_dimension_of_tree16_in_linear_memory():
+    # a dense 2^15 x 2^16 level matrix alone would take 17 GB
+    proc, rss_mb = _main_in_child(["dimension", "--diagram", "tree:16:2"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "prefix dimension at level 16: 65535"
+    assert rss_mb < 200
+
+
 def test_level_larger_than_the_edge_lines_is_rejected_before_allocation(tmp_path):
     path = tmp_path / "huge.bd"
     path.write_text("bratteli v1\nlevels 3 : 1 3000000000 3000000000\n")
-    proc, rss_mb = _validate_in_child(path)
+    proc, rss_mb = _main_in_child(["validate", str(path)])
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[0] == (
         "error: a level of 3000000000 vertices needs at least as many edge lines; "

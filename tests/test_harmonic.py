@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +21,7 @@ from bharm import (
     solve_dipole,
     solve_monopole,
 )
+from bharm._matops import as_level
 from bharm.closedforms import (
     pascal_harmonic,
     pascal_pins,
@@ -26,6 +30,8 @@ from bharm.closedforms import (
     tree_pins,
     tree_symmetric_harmonic,
 )
+from bharm.fileio import parse_diagram, parse_genspec
+from bharm.harmonic import RANK_RCOND, _level_rank
 from bruteforce import stacked_constraint_matrix, stacked_nullity
 
 
@@ -276,13 +282,34 @@ def _random_conductances(d, seed):
     return make_diagram(d.level_sizes, mats)
 
 
+def _mixed_components():
+    """C_1 has components of shapes 1x2, 1x3 and 1x2, C_2 of shapes 2x1,
+    2x2 (of rank 1) and 3x2."""
+    rng = np.random.default_rng(8)
+    c1 = np.zeros((3, 7))
+    c1[0, :2], c1[1, 2:5], c1[2, 5:] = rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 2.0, 3), 1.0
+    c2 = np.zeros((7, 5))
+    c2[:2, 0] = rng.uniform(0.5, 2.0, 2)
+    c2[2:4, 1:3] = [[1.0, 2.0], [2.0, 4.0]]
+    c2[4:, 3:] = rng.uniform(0.5, 2.0, (3, 2))
+    return make_diagram([1, 3, 7, 5], [np.ones((1, 3)), c1, c2])
+
+
 @pytest.mark.parametrize("d", [
     _random_conductances(gen_binary_tree(6, 2.0), 5),
     _random_conductances(gen_pascal(8, 1.0), 6),
     # C_1 is 4x4 of rank 3 for any weights on its edges
     _random_conductances(gen_bottleneck([1, 4, 4, 1, 4, 4], 29), 7),
-], ids=["tree6-random", "pascal8-random", "bottleneck-b-random"])
+    gen_stationary([[1, 1], [1, 0]], 6, 2.0),
+    parse_diagram(json.loads(
+        (pathlib.Path(__file__).parent / "walk_goldens.json").read_text())["diagram"]),
+    _mixed_components(),
+], ids=["tree6-random", "pascal8-random", "bottleneck-b-random", "stationary",
+        "irregular-file", "mixed-components"])
 def test_dimension_and_state_match_oracle(d):
+    for n, c in enumerate(d.conductance):
+        s = np.linalg.svd(c.toarray(), compute_uv=False)
+        assert _level_rank(c) == (s > RANK_RCOND * s[0]).sum(), f"C_{n}"
     res = harm_dimension(d)
     assert sorted(res.per_level) == list(range(1, d.num_levels + 1))
     for k, dim in res.per_level.items():
@@ -295,6 +322,24 @@ def test_dimension_and_state_match_oracle(d):
         assert pairs.shape[1] == state.pair_dimension, f"level {k}"
         if pairs.shape[1]:
             assert scipy.linalg.subspace_angles(pairs, state.basis).max() < 1e-9
+
+
+def test_level_rank_threshold_is_relative_to_the_whole_level():
+    # the 1x1 component lies below RANK_RCOND times the level's largest
+    # singular value, though not below its own
+    assert _level_rank(as_level(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1e-14]]))) == 1
+
+
+@pytest.mark.parametrize("spec, path, deficient", [
+    ("tree:10:2", "ranks", None),
+    ("tree:11:2", "ranks", None),
+    ("pascal:130:1", "ranks", None),
+    # C_3 is 200 x 30
+    ("bottleneck:1-30-200-200-30-200-200:7", "propagation", 3),
+])
+def test_dimension_route(spec, path, deficient):
+    res = harm_dimension(parse_genspec(spec))
+    assert (res.path, res.first_rank_deficient_level) == (path, deficient)
 
 
 def test_dimension_state_is_orthonormal():
