@@ -215,11 +215,12 @@ def _cmd_green(args) -> int:
             lines.append(f"{x.level},{x.index},{y.level},{y.index},G,"
                          + FMT.format(gs.green[i, j]) + ",0,0")
             lines.append(f"{x.level},{x.index},{y.level},{y.index},F,"
-                         + FMT.format(gs.reach_hit[i, j]) + ",0,0")
+                         + FMT.format(gs.reach_ratio[i, j]) + ",0,0")
     for j, y in enumerate(gs.vertices):
         lines.append(f"{y.level},{y.index},{y.level},{y.index},U,"
                      + FMT.format(gs.return_prob[j]) + ",0,0")
-    _write_output(args.out, "\n".join(lines) + "\n", args, {"boundary_level": boundary})
+    _write_output(args.out, "\n".join(lines) + "\n", args,
+                  {"boundary_level": boundary, "solve_path": gs.diagnostics["path"]})
     return 0
 
 
@@ -264,8 +265,9 @@ def _cmd_poisson(args) -> int:
     if res.n_capped:
         print(f"# {res.n_capped} capped walk(s) excluded (bias note: see docs)",
               file=sys.stderr)
+    path = {"solve_path": res.diagnostics["path"]} if res.diagnostics else {}
     _write_output(args.out, format_function(res.values), args,
-                  {"method": args.method, "level": level})
+                  {"method": args.method, "level": level, **path})
     return 0
 
 

@@ -4,6 +4,10 @@ solves, monopoles and dipoles from the Green's function, the two-pole
 coefficient matrix, and the Poisson-kernel representation of harmonic
 functions.
 
+Reach and return probabilities come from the Green's function: with L u = e_y,
+u / u(y) is harmonic off y, 1 at y and 0 on the boundary level, so it is the
+hitting function F(., y).  `green_identity_report` checks it by pinned solves.
+
 Truncation convention: the walk is absorbed on arrival at the boundary level
 (Dirichlet).  The infinite-network quantities are the monotone limits over
 the boundary level; convergence is assessed empirically and never claimed as
@@ -17,7 +21,7 @@ counter, so a result depends only on the seed, never on the batching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +48,9 @@ class DirichletSystem:
     boundary at `boundary_level`; reusable factorized solver.
 
     Solves Delta u = source on the interior with u = boundary_values on the
-    boundary level and optional pinned interior vertices.
+    boundary level and optional pinned interior vertices.  `diagnostics`: the
+    latest solve's path ("direct" LU up to DIRECT_THRESHOLD unknowns, else
+    "cg"), factorizations, solves, CG iterations and the largest max|b - A x|.
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -69,6 +75,8 @@ class DirichletSystem:
         self.matrix = sp.csr_matrix(entries, shape=(self.n_interior, self.n_interior))
         self.matrix.sum_duplicates()  # sorts the indices
         self._lu = None
+        self.diagnostics = {"path": None, "factorizations": 0, "solves": 0,
+                            "cg_iterations": 0, "max_residual": 0.0}
 
     def flat(self, v: VertexId) -> int:
         self.diagram.check_vertex(v)
@@ -77,19 +85,30 @@ class DirichletSystem:
         return int(self.offsets[v.level] + v.index)
 
     def _solve_flat(self, matrix, b: np.ndarray) -> np.ndarray:
+        report = self.diagnostics
         if matrix.shape[0] <= DIRECT_THRESHOLD:
-            if matrix is self.matrix:
-                if self._lu is None:
-                    self._lu = spla.splu(self.matrix.tocsc())
-                return self._lu.solve(b)
-            return spla.splu(matrix.tocsc()).solve(b)
-        diag = matrix.diagonal()
-        precond = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diag)
-        scale = float(np.linalg.norm(b)) or 1.0
-        x, info = spla.cg(matrix, b, rtol=CG_RTOL, atol=1e-14 * scale, M=precond,
-                          maxiter=20 * int(np.sqrt(matrix.shape[0]) + 1000))
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient did not converge (info={info})")
+            report["path"] = "direct"
+            lu = self._lu if matrix is self.matrix else None
+            if lu is None:
+                lu = spla.splu(matrix.tocsc())
+                report["factorizations"] += 1
+                if matrix is self.matrix:
+                    self._lu = lu
+            x = lu.solve(b)
+        else:
+            report["path"] = "cg"
+            diag = matrix.diagonal()
+            precond = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diag)
+            scale = float(np.linalg.norm(b)) or 1.0
+            x, info = spla.cg(matrix, b, rtol=CG_RTOL, atol=1e-14 * scale, M=precond,
+                              maxiter=20 * int(np.sqrt(matrix.shape[0]) + 1000),
+                              callback=lambda _: report.update(
+                                  cg_iterations=report["cg_iterations"] + 1))
+            if info != 0:
+                raise RuntimeError(f"conjugate gradient did not converge (info={info})")
+        report["solves"] += 1
+        report["max_residual"] = max(report["max_residual"],
+                                     float(np.abs(b - matrix @ x).max(initial=0.0)))
         return x
 
     def solve(self, source: Optional[Dict[VertexId, float]] = None,
@@ -112,14 +131,12 @@ class DirichletSystem:
         else:
             bvals = np.zeros(d.level_sizes[self.boundary_level])
         if pinned:
-            pin_idx = np.array(sorted(self.flat(v) for v in pinned), dtype=int)
-            pin_val = np.array([val for _, val in
-                                sorted((self.flat(v), val) for v, val in pinned.items())])
+            pin_idx, pin_val = map(np.array, zip(*sorted(
+                (self.flat(v), val) for v, val in pinned.items())))
             keep = np.setdiff1d(np.arange(self.n_interior), pin_idx)
-            sub = self.matrix[keep][:, keep].tocsr()
-            rhs = b[keep] - self.matrix[keep][:, pin_idx] @ pin_val
+            rows = self.matrix[keep]
             u = np.zeros(self.n_interior)
-            u[keep] = self._solve_flat(sub, rhs)
+            u[keep] = self._solve_flat(rows[:, keep], b[keep] - rows[:, pin_idx] @ pin_val)
             u[pin_idx] = pin_val
         else:
             u = self._solve_flat(self.matrix, b)
@@ -149,31 +166,31 @@ class GreenSolve:
     """Exact killed-chain quantities for a requested vertex list.
 
     green[i, j] = expected visits to vertices[j] started at vertices[i];
-    reach_ratio[i, j] = green[i, j] / green[j, j] (the Green-ratio route to
-    the reach probability); reach_hit[i, j] = the same probability computed
-    by an independent Dirichlet hitting solve; return_prob[j] = one-step
-    return probability at vertices[j] built from the hitting solves.
-    Columns of the underlying solves are kept for full-network functions.
+    reach_ratio[i, j] = green[i, j] / green[j, j] = F(vertices[i], vertices[j]);
+    return_prob[j] = one-step return probability at vertices[j], read off the
+    ratio column.  green_columns[j] solves L u = e_j on the full network;
+    diagnostics is the DirichletSystem's solve record.
     """
     boundary_level: int
     vertices: tuple
     degrees: np.ndarray
     green: np.ndarray
     reach_ratio: np.ndarray
-    reach_hit: np.ndarray
     return_prob: np.ndarray
     green_columns: list = field(default_factory=list)
-    hit_columns: list = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
 
 
 def green_exact(d: Diagram, boundary_level: int,
                 vertices: Optional[Sequence[VertexId]] = None) -> GreenSolve:
     """Exact Green's function of the walk killed at the boundary level.
 
-    Column y solves the conductance-Laplacian system L u = e_y, giving
-    G(x, y) = u(x) c(y); the independent hitting route solves the Dirichlet
-    problem harmonic off {y} with value 1 at y.  Guarded against singular
-    systems even though a killed irreducible chain cannot produce one.
+    Column y solves L u = e_y on one shared factorization (direct path),
+    giving G(x, y) = u(x) c(y).  u / u(y) is harmonic off y, 1 at y and 0 on
+    the boundary level, so it is the hitting function: F(x, y) =
+    G(x, y)/G(y, y) and U(y) = sum_z p(y, z) F(z, y).  `green_identity_report`
+    checks these against independent pinned hitting solves.  Guarded against
+    singular systems even though a killed irreducible chain cannot produce one.
     """
     sysm = DirichletSystem(d, boundary_level)
     if vertices is None:
@@ -181,32 +198,25 @@ def green_exact(d: Diagram, boundary_level: int,
             raise ValueError("interior too large to tabulate all pairs; pass `vertices`")
         vertices = [VertexId(n, i) for n in range(boundary_level)
                     for i in range(d.level_sizes[n])]
+    return _green_solve(sysm, build_level_operators(d), vertices)
+
+
+def _green_solve(sysm: DirichletSystem, ops, vertices: Sequence[VertexId]) -> GreenSolve:
+    """green_exact on a given system and the diagram's level operators."""
     vertices = tuple(vertices)
-    flat = [sysm.flat(v) for v in vertices]
-    degs = np.array([sysm.degrees[k] for k in flat])
-    k = len(vertices)
-    g_cols, h_cols = [], []
-    for v in vertices:
-        u = sysm.solve(source={v: 1.0})
-        g_cols.append(u)
-        h = sysm.solve(pinned={v: 1.0})
-        h_cols.append(h)
-    green = np.empty((k, k))
-    reach_hit = np.empty((k, k))
-    for j, (u, h) in enumerate(zip(g_cols, h_cols)):
-        for i, v in enumerate(vertices):
-            green[i, j] = u.at(vertices[i]) * degs[j]
-            reach_hit[i, j] = h.at(vertices[i])
+    degs = np.array([sysm.degrees[sysm.flat(v)] for v in vertices])
+    g_cols = [sysm.solve(source={v: 1.0}) for v in vertices]
+    green = np.reshape([u.at(x) for x in vertices for u in g_cols], (len(vertices),) * 2) * degs
     gdiag = np.diag(green)
     if np.any(gdiag <= 0):
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
-    reach_ratio = green / gdiag[None, :]
-    ops = build_level_operators(d)
-    # steps into the boundary level never return; h is 0 there
-    return_prob = np.array([_p_row_apply(d, ops, v, h) for v, h in zip(vertices, h_cols)])
-    return GreenSolve(boundary_level=boundary_level, vertices=vertices, degrees=degs,
-                      green=green, reach_ratio=reach_ratio, reach_hit=reach_hit,
-                      return_prob=return_prob, green_columns=g_cols, hit_columns=h_cols)
+    # steps into the boundary level never return; u is 0 there
+    return_prob = np.array([_p_row_apply(sysm.diagram, ops, v, u) / u.at(v)
+                            for v, u in zip(vertices, g_cols)])
+    return GreenSolve(boundary_level=sysm.boundary_level, vertices=vertices, degrees=degs,
+                      green=green, reach_ratio=green / gdiag[None, :],
+                      return_prob=return_prob, green_columns=g_cols,
+                      diagnostics=dict(sysm.diagnostics))
 
 
 def _p_row_apply(d: Diagram, ops, v: VertexId, f: LevelFunction) -> float:
@@ -224,42 +234,39 @@ def _p_row_apply(d: Diagram, ops, v: VertexId, f: LevelFunction) -> float:
 @dataclass(frozen=True)
 class GreenIdentityReport:
     """Max violations of the four reach/return/visit identities plus the two
-    reversibility identities, mixing the Green route and the hitting route so
-    none of the checks is vacuous."""
-    diag_product: float      # G(x,x)(1 - U(x,x)) = 1
+    reversibility identities.  F_hit and U_hit come from independent pinned
+    hitting solves, F_ratio and U_ratio from the Green solve, so none of the
+    checks is vacuous."""
+    diag_product: float      # G(x,x)(1 - U_hit(x,x)) = 1
     ratio_vs_hit: float      # G(x,y) = F_hit(x,y) G(y,y)
-    one_step_return: float   # U(x,x) = sum_z p(x,z) F_ratio(z,x)
-    one_step_reach: float    # F(x,y) = sum_z p(x,z) F(z,y), x != y
+    one_step_return: float   # U_hit(x,x) = U_ratio(x,x) = sum_z p(x,z) F_ratio(z,x)
+    one_step_reach: float    # F_ratio(x,y) = sum_z p(x,z) F_hit(z,y), x != y
     reversibility_g: float   # c(x) G(x,y) = c(y) G(y,x)
-    reversibility_f: float   # c(x) F(x,y) = c(y) F(y,x)
+    reversibility_f: float   # c(x) F_hit(x,y) = c(y) F_hit(y,x)
 
     @property
     def max_violation(self) -> float:
-        return max(self.diag_product, self.ratio_vs_hit, self.one_step_return,
-                   self.one_step_reach, self.reversibility_g, self.reversibility_f)
+        return max(astuple(self))
 
 
 def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
-    k = len(gs.vertices)
-    diag = np.abs(np.diag(gs.green) * (1.0 - gs.return_prob) - 1.0).max()
-    ratio_hit = np.abs(gs.green - gs.reach_hit * np.diag(gs.green)[None, :]).max()
+    """Check gs against the hitting route: for each vertex y, the Dirichlet
+    problem harmonic off {y} with value 1 at y, solved with y pinned."""
+    sysm = DirichletSystem(d, gs.boundary_level)
     ops = build_level_operators(d)
-    one_step_return = 0.0
-    for j, v in enumerate(gs.vertices):
-        ratio_col = gs.green_columns[j] * (gs.degrees[j] / gs.green[j, j])
-        one_step_return = max(one_step_return,
-                              abs(gs.return_prob[j] - _p_row_apply(d, ops, v, ratio_col)))
-    one_step_reach = 0.0
-    for j, y in enumerate(gs.vertices):
-        h = gs.hit_columns[j]
-        for i, x in enumerate(gs.vertices):
-            if x == y:
-                continue
-            one_step_reach = max(one_step_reach,
-                                 abs(gs.reach_hit[i, j] - _p_row_apply(d, ops, x, h)))
+    hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
+    f_hit = np.array([[h.at(x) for h in hits] for x in gs.vertices])
+    u_hit = np.array([_p_row_apply(d, ops, y, h) for y, h in zip(gs.vertices, hits)])
+    gdiag = np.diag(gs.green)
+    diag = np.abs(gdiag * (1.0 - u_hit) - 1.0).max()
+    ratio_hit = np.abs(gs.green - f_hit * gdiag[None, :]).max()
+    one_step_return = np.abs(u_hit - gs.return_prob).max()
+    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(d, ops, x, h))
+                          for j, h in enumerate(hits) for i, x in enumerate(gs.vertices)
+                          if i != j), default=0.0)
     cg = gs.degrees[:, None] * gs.green
     rev_g = np.abs(cg - cg.T).max()
-    cf = gs.degrees[:, None] * gs.reach_hit
+    cf = gs.degrees[:, None] * f_hit
     rev_f = np.abs(cf - cf.T).max()
     return GreenIdentityReport(diag_product=float(diag), ratio_vs_hit=float(ratio_hit),
                                one_step_return=float(one_step_return),
@@ -282,10 +289,7 @@ def transience_report(d: Diagram, x: VertexId, boundary_levels: Sequence[int],
                       threshold: float = 1e-6) -> TransienceReport:
     """G_N(x,x) along increasing boundary levels with relative increments."""
     levels = sorted(boundary_levels)
-    vals = []
-    for n in levels:
-        gs = green_exact(d, n, vertices=[x])
-        vals.append(float(gs.green[0, 0]))
+    vals = [float(green_exact(d, n, vertices=[x]).green[0, 0]) for n in levels]
     incs = [abs(b - a) / max(abs(b), 1.0) for a, b in zip(vals, vals[1:])]
     converged = bool(incs and incs[-1] <= threshold)
     return TransienceReport(vertex=x, boundary_levels=tuple(levels), values=tuple(vals),
@@ -301,10 +305,8 @@ def hitting_function(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunct
 
     Harmonic off {x}, equal to 1 at x, zero at the boundary level.
     """
-    sysm = DirichletSystem(d, boundary_level)
-    u = sysm.solve(source={x: 1.0})
-    hx = u.at(x)
-    return LevelFunction([v / hx for v in u.values])
+    u = dirichlet_solve(d, boundary_level, source={x: 1.0})
+    return LevelFunction([v / u.at(x) for v in u.values])
 
 
 def monopole_green(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunction:
@@ -372,29 +374,23 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     lap1, lap2 = (laplacian_apply(ops, h)[0] for h in (h1, h2))
     m = np.array([[lap1.at(x1), lap2.at(x1)],
                   [lap1.at(x2), lap2.at(x2)]])
-    gs = green_exact(d, boundary_level, vertices=[x1, x2])
-    c1, c2 = gs.degrees
-    u1 = 1.0 - 1.0 / gs.green[0, 0]
-    u2 = 1.0 - 1.0 / gs.green[1, 1]
-    f12, f21 = gs.reach_hit[0, 1], gs.reach_hit[1, 0]
+    gs = _green_solve(sysm, ops, [x1, x2])
+    (c1, c2), (u1, u2) = gs.degrees, gs.return_prob
+    f12, f21 = gs.reach_ratio[0, 1], gs.reach_ratio[1, 0]
     m_fact = np.diag([c1, c2]) @ np.array([[1.0 - u1, -f12], [-f21, 1.0 - u2]])
     g12, g21 = gs.green[0, 1], gs.green[1, 0]
     det_closed = c1 * c2 * (1.0 - g12 * g21) / (gs.green[0, 0] * gs.green[1, 1])
-    degenerate = (abs(g12 - np.sqrt(c2 / c1)) <= tol
-                  or abs(np.linalg.det(m)) <= tol * max(abs(m).max() ** 2, 1.0))
-    if degenerate:
-        return DipoleMatrixResult(matrix=m, matrix_factored=m_fact,
-                                  det_closed_form=det_closed, degenerate=True,
-                                  alpha=None, beta=None, dipole=None,
-                                  pair_hitting=(h1, h2), residual=None)
-    alpha, beta = np.linalg.solve(m, np.array([1.0, -1.0]))
-    vbar = LevelFunction([alpha * a + beta * b for a, b in zip(h1.values, h2.values)])
-    lap = laplacian_apply(ops, vbar)[0]
-    resid = max(abs(lap.at(x1) - 1.0), abs(lap.at(x2) + 1.0))
-    return DipoleMatrixResult(matrix=m, matrix_factored=m_fact,
-                              det_closed_form=det_closed, degenerate=False,
-                              alpha=float(alpha), beta=float(beta), dipole=vbar,
-                              pair_hitting=(h1, h2), residual=float(resid))
+    degenerate = bool(abs(g12 - np.sqrt(c2 / c1)) <= tol
+                      or abs(np.linalg.det(m)) <= tol * max(abs(m).max() ** 2, 1.0))
+    alpha = beta = vbar = resid = None
+    if not degenerate:
+        alpha, beta = (float(t) for t in np.linalg.solve(m, np.array([1.0, -1.0])))
+        vbar = LevelFunction([alpha * a + beta * b for a, b in zip(h1.values, h2.values)])
+        lap = laplacian_apply(ops, vbar)[0]
+        resid = max(abs(lap.at(x1) - 1.0), abs(lap.at(x2) + 1.0))
+    return DipoleMatrixResult(matrix=m, matrix_factored=m_fact, det_closed_form=det_closed,
+                              degenerate=degenerate, alpha=alpha, beta=beta, dipole=vbar,
+                              pair_hitting=(h1, h2), residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -715,15 +711,16 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
 class PoissonResult:
     """Harmonic extension of boundary data at one level.
 
-    Exact mode solves the Dirichlet problem; Monte Carlo mode estimates
-    E_x[f_n at the first visit to V_n] per vertex with standard errors
-    (zero stderr array in exact mode).  Capped walks are excluded and
-    counted.
+    Exact mode solves the Dirichlet problem and keeps its DirichletSystem
+    diagnostics; Monte Carlo mode estimates E_x[f_n at the first visit to
+    V_n] per vertex with standard errors (stderr is None in exact mode).
+    Capped walks are excluded and counted.
     """
     values: LevelFunction
     stderr: Optional[LevelFunction]
     method: str
     n_capped: int = 0
+    diagnostics: dict = field(default_factory=dict)
 
 
 def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
@@ -739,9 +736,10 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     if f_n.shape[0] != d.level_sizes[target_level]:
         raise ValueError("boundary data has the wrong length")
     if method == "exact-dirichlet":
-        u = dirichlet_solve(d, target_level, boundary_values=f_n)
-        vals = LevelFunction([u.values[n] for n in range(target_level + 1)])
-        return PoissonResult(values=vals, stderr=None, method=method)
+        sysm = DirichletSystem(d, target_level)
+        u = sysm.solve(boundary_values=f_n)
+        return PoissonResult(values=LevelFunction(u.values[:target_level + 1]), stderr=None,
+                             method=method, diagnostics=sysm.diagnostics)
     if method != "monte-carlo":
         raise ValueError(f"unknown method {method!r}")
     if cfg is None:

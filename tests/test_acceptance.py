@@ -203,7 +203,7 @@ def test_criterion_05b_reach_reversibility_as_stated():
     """
     d = gen_binary_tree_radial(25, 2.0, 4)
     gs = green_exact(d, 25, vertices=VERTS25)
-    cf = gs.degrees[:, None] * gs.reach_hit
+    cf = gs.degrees[:, None] * gs.reach_ratio
     report("5b", "reach reversibility (literal)", float(np.abs(cf - cf.T).max()) <= 1e-9)
 
 
@@ -263,7 +263,7 @@ def test_criterion_07_monte_carlo_consistency():
     targets = mc_targets()
     assert len(targets) == 20
     gs = green_exact(d, 12, vertices=[VertexId(0, 0)] + targets)
-    f_exact = gs.reach_hit[0, 1:]
+    f_exact = gs.reach_ratio[0, 1:]
     g_exact = gs.green[0, 1:]
     est = simulate_walks(d, VertexId(0, 0),
                          WalkConfig(max_steps=4000, num_walks=100_000, seed=20260810,

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bharm import (
     LevelFunction,
@@ -52,8 +54,8 @@ def test_green_matches_dense_inverse_oracle():
         for j, y in enumerate(VERTS):
             assert np.isclose(gs.green[i, j], g_bf[flat_of(d, x, off), flat_of(d, y, off)],
                               atol=1e-11)
-            assert np.isclose(gs.reach_hit[i, j], f_bf[flat_of(d, x, off), flat_of(d, y, off)],
-                              atol=1e-11)
+            assert np.isclose(gs.reach_ratio[i, j],
+                              f_bf[flat_of(d, x, off), flat_of(d, y, off)], atol=1e-11)
         assert np.isclose(gs.return_prob[i], u_bf[flat_of(d, x, off)], atol=1e-11)
 
 
@@ -69,14 +71,55 @@ def test_identity_battery_small():
         assert rep.reversibility_g <= 1e-9
 
 
+def test_identity_report_detects_a_perturbed_green_function():
+    # same-level automorphic pair: every identity, reversibility of F too,
+    # holds, so max_violation is small before and large after the scaling
+    gs = green_exact(TREE8, 8, vertices=[VertexId(2, 0), VertexId(2, 3)])
+    assert green_identity_report(TREE8, gs).max_violation <= 1e-9
+    bad = dataclasses.replace(gs, green=gs.green * (1.0 + 1e-6))
+    assert green_identity_report(TREE8, bad).max_violation > 1e-9
+
+
+def test_green_exact_factors_once(monkeypatch):
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    verts = [VertexId(0, 0), VertexId(1, 1), VertexId(3, 2), VertexId(5, 20), VertexId(7, 100)]
+    gs = green_exact(TREE8, 8, vertices=verts)
+    assert len(calls) == 1
+    assert gs.diagnostics["path"] == "direct"
+    assert (gs.diagnostics["factorizations"], gs.diagnostics["solves"]) == (1, 5)
+    assert gs.diagnostics["cg_iterations"] == 0
+    assert gs.diagnostics["max_residual"] <= 1e-12
+
+
+def test_solve_diagnostics_name_the_cg_path(monkeypatch):
+    monkeypatch.setattr(pathspace, "DIRECT_THRESHOLD", 10)
+    gs = green_exact(TREE8, 8, vertices=VERTS)
+    diag = gs.diagnostics
+    assert (diag["path"], diag["factorizations"], diag["solves"]) == ("cg", 0, 4)
+    assert diag["cg_iterations"] >= 4
+    assert diag["max_residual"] <= 1e-9
+    res = poisson_kernel(TREE8, np.ones(256), 8)
+    assert (res.diagnostics["path"], res.diagnostics["solves"]) == ("cg", 1)
+    monkeypatch.undo()
+    res = poisson_kernel(TREE8, np.ones(256), 8)
+    assert (res.diagnostics["path"], res.diagnostics["factorizations"]) == ("direct", 1)
+    assert res.diagnostics["cg_iterations"] == 0
+
+
 def test_f_reversibility_holds_only_for_symmetric_pairs():
     # same-level, automorphism-related pairs satisfy c(x)F(x,y) = c(y)F(y,x);
     # cross-level pairs do not (F is not reversible-symmetric in general)
     gs = green_exact(TREE8, 8, vertices=[VertexId(2, 0), VertexId(2, 3)])
-    cf = gs.degrees[:, None] * gs.reach_hit
+    cf = gs.degrees[:, None] * gs.reach_ratio
     assert np.abs(cf - cf.T).max() <= 1e-9
     gs2 = green_exact(TREE8, 8, vertices=[VertexId(0, 0), VertexId(2, 3)])
-    cf2 = gs2.degrees[:, None] * gs2.reach_hit
+    cf2 = gs2.degrees[:, None] * gs2.reach_ratio
     assert np.abs(cf2 - cf2.T).max() > 1e-3
 
 
@@ -94,7 +137,7 @@ def test_radial_reduction_matches_full_tree():
     gs_full = green_exact(TREE8, 8, vertices=verts)
     gs_red = green_exact(d_red, 8, vertices=verts)
     assert np.abs(gs_full.green - gs_red.green).max() <= 1e-12
-    assert np.abs(gs_full.reach_hit - gs_red.reach_hit).max() <= 1e-12
+    assert np.abs(gs_full.reach_ratio - gs_red.reach_ratio).max() <= 1e-12
     assert np.abs(gs_full.return_prob - gs_red.return_prob).max() <= 1e-12
 
 
@@ -133,7 +176,7 @@ def test_hitting_energy_upper_bound():
     h = hitting_function(d, x, 6)
     lhs = energy_norm(d, h).energy
     cx = gs.degrees[i]
-    rhs = 0.5 * cx * float(np.sum(gs.reach_hit[i, :] * (1.0 - gs.reach_hit[:, i])))
+    rhs = 0.5 * cx * float(np.sum(gs.reach_ratio[i, :] * (1.0 - gs.reach_ratio[:, i])))
     assert lhs < rhs
 
 
@@ -248,7 +291,7 @@ def test_walk_estimates_match_exact_within_three_sigma():
     est = simulate_walks(TREE8, VertexId(0, 0), cfg, targets)
     gs = green_exact(TREE8, 8, vertices=[VertexId(0, 0)] + targets)
     for j, p in enumerate(est.pairs, start=1):
-        f_exact = gs.reach_hit[0, j]
+        f_exact = gs.reach_ratio[0, j]
         g_exact = gs.green[0, j]
         assert abs(p.reach - f_exact) <= 3 * max(p.reach_stderr, 1e-6)
         assert abs(p.visits - g_exact) <= 3 * max(p.visits_stderr, 1e-6)
