@@ -55,6 +55,14 @@ def stored_entries(m):
     return rows, m.indices, m.data
 
 
+def dense_row(m, i: int) -> np.ndarray:
+    """Row i of m as a dense vector."""
+    row = np.zeros(m.shape[1])
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    row[m.indices[lo:hi]] = m.data[lo:hi]
+    return row
+
+
 def values_at(m, rows, cols) -> np.ndarray:
     """m[rows[k], cols[k]] for each k, 0 where m stores nothing."""
     keys = np.append(stored_entries(m)[0] * m.shape[1] + m.indices, -1)

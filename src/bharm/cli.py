@@ -542,8 +542,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
-        # RuntimeError: solver failures (CG non-convergence, singular systems);
-        # MemoryError: e.g. a levels line whose sizes fit int64 but not memory
+        # RuntimeError: solver failures (singular systems); MemoryError: e.g. a
+        # levels line whose sizes fit int64 but not memory, or a sparse factor
         if isinstance(exc, BrokenPipeError):
             return 0
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -28,14 +28,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._matops import stored_entries
+from ._matops import dense_row, stored_entries
 from .diagram import Diagram, VertexId
 from .harmonic import harmonicity_check
 from .operators import LevelFunction, build_level_operators, laplacian_apply
 
-# Direct sparse factorization up to this many interior vertices, CG beyond.
-DIRECT_THRESHOLD = 50_000
-CG_RTOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
@@ -48,9 +45,12 @@ class DirichletSystem:
     boundary at `boundary_level`; reusable factorized solver.
 
     Solves Delta u = source on the interior with u = boundary_values on the
-    boundary level and optional pinned interior vertices.  `diagnostics`: the
-    latest solve's path ("direct" LU up to DIRECT_THRESHOLD unknowns, else
-    "cg"), factorizations, solves, CG iterations and the largest max|b - A x|.
+    boundary level and optional pinned interior vertices, all by one path: a
+    sparse LU ordered by minimum degree on A + A^T (A is symmetric) with
+    one-column supernode panels (a small SuperLU workspace on trees), cached
+    for the unpinned matrix, and one step of iterative refinement, which makes
+    it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
+    `diagnostics`: path, factorizations, solves and the largest max|b - A x|.
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -75,8 +75,8 @@ class DirichletSystem:
         self.matrix = sp.csr_matrix(entries, shape=(self.n_interior, self.n_interior))
         self.matrix.sum_duplicates()  # sorts the indices
         self._lu = None
-        self.diagnostics = {"path": None, "factorizations": 0, "solves": 0,
-                            "cg_iterations": 0, "max_residual": 0.0}
+        self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
+                            "max_residual": 0.0}
 
     def flat(self, v: VertexId) -> int:
         self.diagram.check_vertex(v)
@@ -86,26 +86,15 @@ class DirichletSystem:
 
     def _solve_flat(self, matrix, b: np.ndarray) -> np.ndarray:
         report = self.diagnostics
-        if matrix.shape[0] <= DIRECT_THRESHOLD:
-            report["path"] = "direct"
-            lu = self._lu if matrix is self.matrix else None
-            if lu is None:
-                lu = spla.splu(matrix.tocsc())
-                report["factorizations"] += 1
-                if matrix is self.matrix:
-                    self._lu = lu
-            x = lu.solve(b)
-        else:
-            report["path"] = "cg"
-            diag = matrix.diagonal()
-            precond = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diag)
-            scale = float(np.linalg.norm(b)) or 1.0
-            x, info = spla.cg(matrix, b, rtol=CG_RTOL, atol=1e-14 * scale, M=precond,
-                              maxiter=20 * int(np.sqrt(matrix.shape[0]) + 1000),
-                              callback=lambda _: report.update(
-                                  cg_iterations=report["cg_iterations"] + 1))
-            if info != 0:
-                raise RuntimeError(f"conjugate gradient did not converge (info={info})")
+        lu = self._lu if matrix is self.matrix else None
+        if lu is None:
+            # symmetric, so the CSR matrix's transpose is its CSC form, no copy
+            lu = spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
+            report["factorizations"] += 1
+            if matrix is self.matrix:
+                self._lu = lu
+        x = lu.solve(b)
+        x += lu.solve(b - matrix @ x)
         report["solves"] += 1
         report["max_residual"] = max(report["max_residual"],
                                      float(np.abs(b - matrix @ x).max(initial=0.0)))
@@ -168,8 +157,7 @@ class GreenSolve:
     green[i, j] = expected visits to vertices[j] started at vertices[i];
     reach_ratio[i, j] = green[i, j] / green[j, j] = F(vertices[i], vertices[j]);
     return_prob[j] = one-step return probability at vertices[j], read off the
-    ratio column.  green_columns[j] solves L u = e_j on the full network;
-    diagnostics is the DirichletSystem's solve record.
+    ratio column; diagnostics is the DirichletSystem's solve record.
     """
     boundary_level: int
     vertices: tuple
@@ -177,7 +165,6 @@ class GreenSolve:
     green: np.ndarray
     reach_ratio: np.ndarray
     return_prob: np.ndarray
-    green_columns: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -185,12 +172,12 @@ def green_exact(d: Diagram, boundary_level: int,
                 vertices: Optional[Sequence[VertexId]] = None) -> GreenSolve:
     """Exact Green's function of the walk killed at the boundary level.
 
-    Column y solves L u = e_y on one shared factorization (direct path),
-    giving G(x, y) = u(x) c(y).  u / u(y) is harmonic off y, 1 at y and 0 on
-    the boundary level, so it is the hitting function: F(x, y) =
-    G(x, y)/G(y, y) and U(y) = sum_z p(y, z) F(z, y).  `green_identity_report`
-    checks these against independent pinned hitting solves.  Guarded against
-    singular systems even though a killed irreducible chain cannot produce one.
+    Column y solves L u = e_y on one shared factorization, giving G(x, y) =
+    u(x) c(y).  u / u(y) is harmonic off y, 1 at y and 0 on the boundary
+    level, so it is the hitting function: F(x, y) = G(x, y)/G(y, y) and
+    U(y) = sum_z p(y, z) F(z, y).  `green_identity_report` checks these
+    against independent pinned hitting solves.  Guarded against singular
+    systems even though a killed irreducible chain cannot produce one.
     """
     sysm = DirichletSystem(d, boundary_level)
     if vertices is None:
@@ -205,17 +192,18 @@ def _green_solve(sysm: DirichletSystem, ops, vertices: Sequence[VertexId]) -> Gr
     """green_exact on a given system and the diagram's level operators."""
     vertices = tuple(vertices)
     degs = np.array([sysm.degrees[sysm.flat(v)] for v in vertices])
-    g_cols = [sysm.solve(source={v: 1.0}) for v in vertices]
-    green = np.reshape([u.at(x) for x in vertices for u in g_cols], (len(vertices),) * 2) * degs
+    green = np.empty((len(vertices),) * 2)
+    step = np.empty(len(vertices))
+    for j, y in enumerate(vertices):
+        u = sysm.solve(source={y: 1.0})
+        green[:, j] = [u.at(x) * degs[j] for x in vertices]
+        # steps into the boundary level never return; u is 0 there
+        step[j] = _p_row_apply(sysm.diagram, ops, y, u) / u.at(y)
     gdiag = np.diag(green)
     if np.any(gdiag <= 0):
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
-    # steps into the boundary level never return; u is 0 there
-    return_prob = np.array([_p_row_apply(sysm.diagram, ops, v, u) / u.at(v)
-                            for v, u in zip(vertices, g_cols)])
     return GreenSolve(boundary_level=sysm.boundary_level, vertices=vertices, degrees=degs,
-                      green=green, reach_ratio=green / gdiag[None, :],
-                      return_prob=return_prob, green_columns=g_cols,
+                      green=green, reach_ratio=green / gdiag[None, :], return_prob=step,
                       diagnostics=dict(sysm.diagnostics))
 
 
@@ -223,11 +211,9 @@ def _p_row_apply(d: Diagram, ops, v: VertexId, f: LevelFunction) -> float:
     """(P f)(v): one step of the walk from v, read off v's transition rows."""
     total = 0.0
     if v.level > 0:
-        total += float(np.dot(ops.p_fwd[v.level][[v.index], :].toarray().ravel(),
-                              f.values[v.level - 1]))
+        total += float(np.dot(dense_row(ops.p_fwd[v.level], v.index), f.values[v.level - 1]))
     if v.level < d.num_levels:
-        total += float(np.dot(ops.p_back[v.level][[v.index], :].toarray().ravel(),
-                              f.values[v.level + 1]))
+        total += float(np.dot(dense_row(ops.p_back[v.level], v.index), f.values[v.level + 1]))
     return total
 
 
@@ -368,9 +354,13 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     if x1 == x2:
         raise ValueError("poles must be distinct")
     sysm = DirichletSystem(d, boundary_level)
-    h1 = sysm.solve(pinned={x1: 1.0, x2: 0.0})
-    h2 = sysm.solve(pinned={x1: 0.0, x2: 1.0})
     ops = build_level_operators(d)
+    # pair-hitting functions from the Green columns: h_j = sum_i coef[i, j] w_i
+    # with coef = W^-1, W[a, i] = w_i(x_a) a principal block of L^-1
+    cols = [sysm.solve(source={x: 1.0}) for x in (x1, x2)]
+    coef = np.linalg.inv([[w.at(x) for w in cols] for x in (x1, x2)])
+    h1, h2 = (LevelFunction([coef[0, j] * a + coef[1, j] * b
+                             for a, b in zip(*(w.values for w in cols))]) for j in (0, 1))
     lap1, lap2 = (laplacian_apply(ops, h)[0] for h in (h1, h2))
     m = np.array([[lap1.at(x1), lap2.at(x1)],
                   [lap1.at(x2), lap2.at(x2)]])

@@ -346,12 +346,13 @@ def test_auto_seed_gives_nonzero_harmonic(tmp_path):
 
 def test_solver_failure_is_exit_one_without_traceback(monkeypatch, capsys):
     import scipy.sparse.linalg as spla
-    from bharm import pathspace
-    monkeypatch.setattr(pathspace, "DIRECT_THRESHOLD", 0)
-    monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 7))
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(spla, "splu", singular)
     assert main(["green", "--diagram", "tree:4:2", "--vertices", "1,0"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: conjugate gradient did not converge (info=7)\n"
+    assert err == "error: Factor is exactly singular\n"
 
 
 def test_levels_line_without_count_is_exit_one():

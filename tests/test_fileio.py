@@ -187,6 +187,17 @@ def test_dimension_of_tree16_in_linear_memory():
     assert rss_mb < 200
 
 
+def test_green_on_tree16_keeps_the_factor_workspace_small(tmp_path):
+    # one LU of 65,535 unknowns: about 83 MB with one-column supernode
+    # panels, about 105 MB with SuperLU's default panel workspace
+    out = tmp_path / "g.csv"
+    proc, rss_mb = _main_in_child(["green", "--diagram", "tree:16:2", "--vertices",
+                                   "0,0;3,5;7,100;10,500;14,9000;15,20000", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 1 + 2 * 36 + 6
+    assert rss_mb < 83 * 1.15
+
+
 def test_level_larger_than_the_edge_lines_is_rejected_before_allocation(tmp_path):
     path = tmp_path / "huge.bd"
     path.write_text("bratteli v1\nlevels 3 : 1 3000000000 3000000000\n")

@@ -12,7 +12,6 @@ from bharm import (
     WalkConfig,
     dipole_green,
     dipole_matrix_M,
-    dirichlet_solve,
     gen_binary_tree,
     gen_binary_tree_radial,
     gen_pascal,
@@ -80,36 +79,60 @@ def test_identity_report_detects_a_perturbed_green_function():
     assert green_identity_report(TREE8, bad).max_violation > 1e-9
 
 
-def test_green_exact_factors_once(monkeypatch):
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The list that gets one entry per spla.splu call."""
     calls = []
+    splu = spla.splu
 
     def counting_splu(*args, **kwargs):
         calls.append(1)
         return splu(*args, **kwargs)
-    splu = spla.splu
     monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def test_green_exact_factors_once(splu_calls):
     verts = [VertexId(0, 0), VertexId(1, 1), VertexId(3, 2), VertexId(5, 20), VertexId(7, 100)]
     gs = green_exact(TREE8, 8, vertices=verts)
-    assert len(calls) == 1
+    assert len(splu_calls) == 1
     assert gs.diagnostics["path"] == "direct"
     assert (gs.diagnostics["factorizations"], gs.diagnostics["solves"]) == (1, 5)
-    assert gs.diagnostics["cg_iterations"] == 0
     assert gs.diagnostics["max_residual"] <= 1e-12
 
 
-def test_solve_diagnostics_name_the_cg_path(monkeypatch):
-    monkeypatch.setattr(pathspace, "DIRECT_THRESHOLD", 10)
-    gs = green_exact(TREE8, 8, vertices=VERTS)
-    diag = gs.diagnostics
-    assert (diag["path"], diag["factorizations"], diag["solves"]) == ("cg", 0, 4)
-    assert diag["cg_iterations"] >= 4
-    assert diag["max_residual"] <= 1e-9
+def test_poisson_diagnostics_name_the_direct_path():
     res = poisson_kernel(TREE8, np.ones(256), 8)
-    assert (res.diagnostics["path"], res.diagnostics["solves"]) == ("cg", 1)
-    monkeypatch.undo()
-    res = poisson_kernel(TREE8, np.ones(256), 8)
-    assert (res.diagnostics["path"], res.diagnostics["factorizations"]) == ("direct", 1)
-    assert res.diagnostics["cg_iterations"] == 0
+    diag = res.diagnostics
+    assert (diag["path"], diag["factorizations"], diag["solves"]) == ("direct", 1, 1)
+    assert diag["max_residual"] <= 1e-12
+
+
+def test_green_above_the_old_cg_size_is_one_direct_factorization():
+    # tree:16 has 65,535 unknowns; F(x, y) = u_y(x) / u_y(y) for L u_y = e_y,
+    # compared with u_y refined on a COLAMD factor against long-double residuals
+    d = gen_binary_tree(16, 2.0)
+    x, y = VertexId(10, 500), VertexId(14, 9000)
+    gs = green_exact(d, 16, vertices=[VertexId(0, 0), x, y])
+    assert gs.diagnostics["path"] == "direct"
+    assert gs.diagnostics["factorizations"] == 1
+    sysm = pathspace.DirichletSystem(d, 16)
+    a = sysm.matrix.astype(np.longdouble)
+    b = np.zeros(sysm.n_interior, dtype=np.longdouble)
+    b[sysm.flat(y)] = 1
+    lu = spla.splu(sysm.matrix.tocsc())
+    u = np.zeros_like(b)
+    for _ in range(3):
+        u += lu.solve(np.asarray(b - a @ u, dtype=float))
+    ref = float(u[sysm.flat(x)] / u[sysm.flat(y)])
+    assert abs(gs.reach_ratio[1, 2] - ref) <= 1e-10 * ref
+
+
+def test_dipole_matrix_factors_once(splu_calls):
+    d = gen_binary_tree(10, 2.0)
+    res = dipole_matrix_M(d, VertexId(2, 1), VertexId(5, 17), 10)
+    assert len(splu_calls) == 1
+    assert not res.degenerate and res.residual <= 1e-9
 
 
 def test_f_reversibility_holds_only_for_symmetric_pairs():
@@ -539,19 +562,3 @@ def test_harmonic_family_stabilizes_at_level_plus_one():
                 for n in range(x.level + 1, 10)]
         assert max(abs(v - h.at(x)) for v in vals) <= 1e-10
 
-
-# --- Dirichlet solver internals ----------------------------------------------------
-
-def test_cg_path_matches_direct():
-    import bharm.pathspace as ps
-    d = gen_binary_tree(9, 2.0)
-    x = VertexId(2, 1)
-    direct = dirichlet_solve(d, 9, source={x: 1.0})
-    saved = ps.DIRECT_THRESHOLD
-    try:
-        ps.DIRECT_THRESHOLD = 10  # force conjugate-gradient fallback
-        cg = dirichlet_solve(d, 9, source={x: 1.0})
-    finally:
-        ps.DIRECT_THRESHOLD = saved
-    sup = max(np.abs(a - b).max() for a, b in zip(direct.values, cg.values))
-    assert sup <= 1e-9
