@@ -1,17 +1,19 @@
 """Level recursion for harmonic functions, monopoles, and dipoles, and the
 dimension bookkeeping for the space of harmonic prefixes.
 
-The recursion solves, level by level,
+The level recursion is
 
     P<-_n f_{n+1} = f_n - P->_{n-1} f_{n-1} - rhs_n / c_n
 
 where rhs is a point-source vector (empty for harmonic functions, delta_x
 for a monopole at x, delta_x - delta_o for a dipole).  solve_chain stacks
 these equations for all levels and returns one representative: the global
-minimum-norm solution with the seed and the pins fixed, from a sparse LU of
-the square system or of the augmented system.  Where that solve fails, the
-level-by-level least-squares pass is returned and the report says why;
-inconsistent levels are reported, not thrown.
+minimum-norm solution with the seed and the pins fixed.  The shape of the
+stacked system picks one of three paths: a sparse LU of the square system,
+a sparse LU of the augmented system when it is underdetermined, and LSQR
+when it is overdetermined or the LU fails.  extend_harmonic takes the same
+solve with the whole prefix fixed.  Inconsistent levels are reported, not
+thrown.
 """
 from __future__ import annotations
 
@@ -31,8 +33,6 @@ from .operators import LevelFunction, LevelOperators, build_level_operators
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
-# Level solves with at most this many vertices per side use dense lstsq, else LSQR.
-DENSE_SOLVE_LIMIT = 512
 DEFAULT_TOL = 1e-9
 
 
@@ -41,14 +41,13 @@ class SolveReport:
     """Per-level residuals of the recursion (or of a harmonicity check).
 
     residuals[n] is the max-norm constraint violation at level n; consistent
-    is true iff every residual is within the tolerance.  solution_dims[n] is
-    the dimension of the level-n solution set where the solver computed it
-    (None past DENSE_SOLVE_LIMIT, where LSQR does not reveal the rank).
-    diagnostics says how solve_chain got its solution (see there).
+    is true iff every residual is within the tolerance.  diagnostics says
+    how solve_chain or extend_harmonic got its solution (see solve_chain).
+    The dimension of each level's solution set is
+    harm_dimension(d).solution_set_dims.
     """
     residuals: list
     tol: float
-    solution_dims: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -116,38 +115,6 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     return SolveReport(residuals=residuals, tol=tol)
 
 
-def _solve_level(a, b: np.ndarray, pins: Optional[Dict[int, float]] = None):
-    """Minimum-norm least-squares solve of a x = b with optional pinned
-    coordinates.  Returns (x, residual_inf, solution_dim or None)."""
-    dense = max(a.shape) <= DENSE_SOLVE_LIMIT
-    a = a.toarray() if dense else a
-    ncols = a.shape[1]
-    x = np.zeros(ncols)
-    free = np.arange(ncols)
-    if pins:
-        for j, val in pins.items():
-            if not (0 <= j < ncols):
-                raise ValueError(f"pinned index {j} outside level of size {ncols}")
-            x[j] = val
-        pinned_idx = np.array(sorted(pins), dtype=int)
-        free = np.setdiff1d(free, pinned_idx)
-        b = b - a[:, pinned_idx] @ x[pinned_idx]
-        a = a[:, free]
-    if free.size == 0:
-        resid = float(np.abs(a @ x[free] - b).max()) if b.size else 0.0
-        return x, resid, 0
-    if dense:
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
-        dim = a.shape[1] - rank
-    else:
-        sol = spla.lsqr(a.tocsr(), b, atol=1e-14, btol=1e-14,
-                        iter_lim=8 * (a.shape[0] + a.shape[1]))[0]
-        dim = None
-    x[free] = sol
-    resid = a @ sol - b
-    return x, float(np.abs(resid).max()) if resid.size else 0.0, dim
-
-
 def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
                     pins: Optional[Dict[int, float]] = None, tol: float = DEFAULT_TOL,
                     source: Optional[Dict[VertexId, float]] = None,
@@ -155,9 +122,10 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     """Solve the next level of the recursion from a prefix f_0..f_n.
 
     Returns the minimum-norm least-squares f_{n+1}; pins fix the given
-    coordinates of f_{n+1} and minimum norm is taken on the rest.  The
-    report carries the residual (inconsistent levels are reported, not
-    raised) and the dimension of the level solution set where available.
+    coordinates of f_{n+1} and minimum norm is taken on the rest.  This is
+    the global solve with depth n + 1 and the whole prefix fixed.  The
+    report carries the level-n residual in normalized form (inconsistent
+    levels are reported, not raised) and the solve's diagnostics.
     """
     ops = ops or build_level_operators(d)
     n = len(prefix) - 1
@@ -169,13 +137,12 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
             raise ValueError(f"prefix level {k} has length {v.shape[0]}, "
                              f"expected {d.level_sizes[k]}")
     rhs = _source_vectors(d, source)
-    g = prefix[n].copy()
-    if n > 0:
-        g -= ops.p_fwd[n] @ prefix[n - 1]
-    g -= rhs[n] / ops.degrees[n]
-    x, resid, dim = _solve_level(ops.p_back[n], g, pins)
-    report = SolveReport(residuals=[resid], tol=tol, solution_dims=[dim])
-    return x, report
+    values, path, steps, fallback = _global_solve(d, ops, n + 1, rhs, prefix,
+                                                  {n + 1: pins} if pins else {})
+    resid = _chain_residuals(d, ops, n + 1, rhs, values)[n]
+    diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
+                   "fallback": fallback}
+    return values[n + 1], SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics)
 
 
 def _exact_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -225,39 +192,49 @@ def _refine(lu, sol: np.ndarray, residual):
 
 
 def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
-                  seed_f1: Optional[np.ndarray], pins: Dict[int, Dict[int, float]]):
+                  prefix: Sequence[np.ndarray], pins: Dict[int, Dict[int, float]]):
     """Global minimum-norm solution of the stacked constraint system.
 
-    Unknowns f_1..f_depth, equations at levels 0..depth-1; the seed and the
-    pins are eliminated and equations left without unknowns dropped.  A
-    square system takes a sparse LU and iterative refinement with exactly
-    rounded residuals (the stacked map can be ill-conditioned even though
-    each level is benign, so plain double refinement stalls well above the
-    target accuracy).  An underdetermined A x = b takes one sparse LU of the
-    augmented system [[I, A^T], [A, 0]], whose x block is the minimum-norm
-    solution (Bjorck; Arioli, Duff & de Rijk, Numer. Math. 1989), and plain
-    refinement.  Raises RuntimeError when the system is overdetermined or
-    the LU fails.  Returns (values f_0..f_depth, path, refinement steps,
-    live) where live[n] marks the level-n equations that kept an unknown.
+    Unknowns f_0..f_depth, equations at levels 0..depth-1; the prefix
+    f_0..f_k and the pins (level -> {index: value}, on levels k+1..depth)
+    are eliminated and equations left without unknowns dropped.  The shape
+    of the free system A x = b picks the path.  Square: "lu", a sparse LU
+    and iterative refinement with exactly rounded residuals (the stacked
+    map can be ill-conditioned even though each level is benign, so plain
+    double refinement stalls well above the target accuracy).
+    Underdetermined: "augmented-lu", one sparse LU of the augmented system
+    [[I, A^T], [A, 0]], whose x block is the minimum-norm solution (Bjorck;
+    Arioli, Duff & de Rijk, Numer. Math. 1989), and plain refinement.
+    Overdetermined, or an LU that fails: "lsqr", LSQR from x0 = 0, which
+    converges to the minimum-norm least-squares solution (Paige & Saunders,
+    ACM TOMS 1982).  Raises ValueError for a pin off levels k+1..depth or
+    off its level.  Returns (values f_0..f_depth, path, refinement steps,
+    fallback), where fallback is None, or why the path is lsqr.
     """
     sizes = d.level_sizes
-    off = np.concatenate([[0], np.cumsum(sizes[1: depth + 1])]).astype(int)
+    fixed_levels = len(prefix)
+    for lvl in pins:
+        if not 1 <= lvl <= depth:
+            raise ValueError(f"pin on level {lvl} outside levels 1..{depth}")
+        if lvl < fixed_levels:
+            raise ValueError(f"pin on level {lvl}, but the prefix (f_0 and any seed) "
+                             f"fixes levels 0..{fixed_levels - 1}")
+    off = np.concatenate([[0], np.cumsum(sizes[: depth + 1])]).astype(int)
     nvar = int(off[-1])
     rows, cols, vals, b_parts = [], [], [], []
     row_base = 0
     for n in range(depth):
         r, c, v = stored_entries(d.conductance[n])
         rows.append(r + row_base)
-        cols.append(c.astype(np.int64) + off[n])
+        cols.append(c.astype(np.int64) + off[n + 1])
         vals.append(v)
+        rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
+        cols.append(np.arange(sizes[n], dtype=np.int64) + off[n])
+        vals.append(-ops.degrees[n])
         if n >= 1:
-            rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
-            cols.append(np.arange(sizes[n], dtype=np.int64) + off[n - 1])
-            vals.append(-ops.degrees[n])
-        if n >= 2:
             r, c, v = stored_entries(d.conductance[n - 1])
             rows.append(c.astype(np.int64) + row_base)
-            cols.append(r + off[n - 2])
+            cols.append(r + off[n - 1])
             vals.append(v)
         b_parts.append(-rhs[n])
         row_base += sizes[n]
@@ -268,21 +245,18 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
     n_rows = row_base
     fixed = np.zeros(nvar, dtype=bool)
     x_full = np.zeros(nvar)
+    fixed[: off[fixed_levels]] = True
+    x_full[: off[fixed_levels]] = np.concatenate(prefix)
     for lvl, coord_map in pins.items():
-        if 1 <= lvl <= depth:
-            for idx, val in coord_map.items():
-                if not (0 <= idx < sizes[lvl]):
-                    raise ValueError(f"pinned index {idx} outside level of size {sizes[lvl]}")
-                fixed[off[lvl - 1] + idx] = True
-                x_full[off[lvl - 1] + idx] = val
-    if seed_f1 is not None:
-        fixed[off[0]: off[1]] = True
-        x_full[off[0]: off[1]] = seed_f1
+        for idx, val in coord_map.items():
+            if not (0 <= idx < sizes[lvl]):
+                raise ValueError(f"pinned index {idx} outside level of size {sizes[lvl]}")
+            fixed[off[lvl] + idx] = True
+            x_full[off[lvl] + idx] = val
     keep = ~fixed[cols]
     fix_mask = fixed[cols]
     b_adj = b.copy()
-    if fix_mask.any():
-        np.add.at(b_adj, rows[fix_mask], -vals[fix_mask] * x_full[cols[fix_mask]])
+    np.add.at(b_adj, rows[fix_mask], -vals[fix_mask] * x_full[cols[fix_mask]])
     free_ids = np.nonzero(~fixed)[0]
     remap = np.full(nvar, -1, dtype=np.int64)
     remap[free_ids] = np.arange(free_ids.size)
@@ -295,26 +269,30 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
     a_free = sp.csr_matrix((v_f, (r_f, c_f)), shape=(n_live, free_ids.size))
     b_live = b_adj[live_rows]
     m, n_free = a_free.shape
-    if m > n_free:
-        raise RuntimeError(f"overdetermined ({m} equations, {n_free} unknowns)")
-    if m == n_free:
-        path, steps = "lu", 0
-        lu = spla.splu(a_free.tocsc())
-        sol = lu.solve(b_live)
-        if 0 < v_f.size <= 2_000_000:
-            sol, steps = _refine(lu, sol, lambda s: _exact_residual(
-                r_f, c_f, v_f, n_live, s, b_live))
-    else:
-        path = "augmented-lu"
-        k = sp.bmat([[sp.identity(n_free), a_free.T], [a_free, None]], format="csc")
-        lu = spla.splu(k)
-        rhs_k = np.concatenate([np.zeros(n_free), b_live])
-        z, steps = _refine(lu, lu.solve(rhs_k), lambda z: rhs_k - k @ z)
-        sol = z[:n_free]
+    path, steps, fallback = "lu", 0, None
+    try:
+        if m > n_free:
+            raise RuntimeError(f"overdetermined ({m} equations, {n_free} unknowns)")
+        if m == n_free:
+            lu = spla.splu(a_free.tocsc())
+            sol = lu.solve(b_live)
+            if 0 < v_f.size <= 2_000_000:
+                sol, steps = _refine(lu, sol, lambda s: _exact_residual(
+                    r_f, c_f, v_f, n_live, s, b_live))
+        else:
+            path = "augmented-lu"
+            k = sp.bmat([[sp.identity(n_free), a_free.T], [a_free, None]], format="csc")
+            lu = spla.splu(k)
+            rhs_k = np.concatenate([np.zeros(n_free), b_live])
+            z, steps = _refine(lu, lu.solve(rhs_k), lambda z: rhs_k - k @ z)
+            sol = z[:n_free]
+    except RuntimeError as exc:
+        path, steps, fallback = "lsqr", 0, str(exc)
+        sol = spla.lsqr(a_free, b_live, atol=1e-14, btol=1e-14,
+                        iter_lim=8 * (m + n_free))[0]
     x_full[free_ids] = sol
-    values = [np.zeros(1)] + [x_full[off[n]: off[n + 1]].copy() for n in range(depth)]
-    live = np.split(live_rows, np.cumsum([1] + list(sizes[1:depth]))[:-1])
-    return values, path, steps, live
+    values = [x_full[off[n]: off[n + 1]].copy() for n in range(depth + 1)]
+    return values, path, steps, fallback
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
@@ -324,48 +302,33 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
                 tol: float = DEFAULT_TOL):
     """Run the recursion from the root through `depth`, with point sources.
 
-    Returns the global minimum-norm solution of the stacked constraint
-    system on f_1..f_depth, with f_0 = 0, f_1 = seed_f1 when given and the
-    pinned coordinates fixed (pins maps level -> {index: value}); see
-    _global_solve for the square and the augmented LU path.  When there is
-    no global solve, the LU fails, or the refined solution misses `tol` on
-    some equation that has an unknown, the level-by-level least-squares
-    pass is returned instead and the report names the reason.  A given seed
-    is verified against the root equation, not enforced: its residual is
-    reported, but no solve can change it, so it never causes the fallback.
+    Returns the global minimum-norm (least-squares) solution of the stacked
+    constraint system on f_1..f_depth, with f_0 = 0, f_1 = seed_f1 when
+    given and the pinned coordinates fixed (pins maps level -> {index:
+    value} on the levels the seed leaves free); see _global_solve for the
+    lu, augmented-lu and lsqr paths.  A given seed is verified against the
+    root equation, not enforced: its residual is reported, but no solve can
+    change it.
 
     Returns (LevelFunction, SolveReport) with one residual per level
     (root equation first).  The report's diagnostics hold the path ("lu",
-    "augmented-lu" or "forward"), refine_steps, final_residual (the largest
-    residual of the returned solution) and fallback (None or the reason).
+    "augmented-lu" or "lsqr"), refine_steps, final_residual (the largest
+    residual of the returned solution) and fallback (None, or why the path
+    is lsqr).
     """
     depth = d.num_levels if depth is None else depth
     if not 1 <= depth <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
     ops = build_level_operators(d)
-    pins = pins or {}
     rhs = _source_vectors(d, source)
+    prefix = [np.zeros(1)]
     if seed_f1 is not None:
         seed_f1 = np.asarray(seed_f1, dtype=float).reshape(-1)
         if seed_f1.shape[0] != d.level_sizes[1]:
             raise ValueError("seed vector length does not match level 1")
-    fallback = None
-    try:
-        values, path, steps, live = _global_solve(d, ops, depth, rhs, seed_f1, pins)
-        residuals = _chain_residuals(d, ops, depth, rhs, values)
-        worst = max(_chain_residuals(d, ops, depth, rhs, values, rows=live))
-        if not worst <= tol:
-            fallback = f"refined chain residual {worst:.3g} exceeds tol {tol:.3g}"
-    except RuntimeError as exc:
-        fallback = f"no global solve: {exc}"
-    if fallback is not None:
-        # level by level: the minimum-norm least-squares (or pinned) next level
-        values = [np.zeros(1)] if seed_f1 is None else [np.zeros(1), seed_f1]
-        for n in range(len(values) - 1, depth):
-            values.append(extend_harmonic(d, values, pins=pins.get(n + 1), tol=tol,
-                                          source=source, ops=ops)[0])
-        residuals = _chain_residuals(d, ops, depth, rhs, values)
-        path, steps = "forward", 0
+        prefix.append(seed_f1)
+    values, path, steps, fallback = _global_solve(d, ops, depth, rhs, prefix, pins or {})
+    residuals = _chain_residuals(d, ops, depth, rhs, values)
     # pad to the stored depth so the result is a full LevelFunction
     for n in range(depth + 1, d.num_levels + 1):
         values.append(np.zeros(d.level_sizes[n]))
@@ -375,10 +338,8 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
                                               diagnostics=diagnostics)
 
 
-def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
-                     rows=None) -> list:
-    """Per-level residuals of the recursion equations in normalized form,
-    over the equations that rows[n] selects at level n when given."""
+def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values) -> list:
+    """Per-level residuals of the recursion equations in normalized form."""
     out = []
     for n in range(depth):
         g = values[n].copy()
@@ -386,8 +347,6 @@ def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
             g -= ops.p_fwd[n] @ values[n - 1]
         g -= rhs[n] / ops.degrees[n]
         r = ops.p_back[n] @ values[n + 1] - g
-        if rows is not None:
-            r = r[rows[n]]
         out.append(float(np.abs(r).max()) if r.size else 0.0)
     return out
 

@@ -30,10 +30,8 @@ import scipy.sparse.linalg as spla
 
 from ._matops import dense_row, stored_entries
 from .diagram import Diagram, VertexId
-from .harmonic import harmonicity_check
+from .harmonic import DEFAULT_TOL, harmonicity_check
 from .operators import LevelFunction, build_level_operators, laplacian_apply
-
-DEFAULT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,37 @@ def test_harmonic_deep_pascal_is_consistent(spec, tmp_path, capsys):
     assert manifest["fallback"] is None
 
 
+@pytest.mark.parametrize("spec, bound", [
+    ("bottleneck:1-30-200-200-30-200-200:7", 1e-7),
+    ("ladder:20:1.5", 1e-6),
+])
+def test_harmonic_returns_the_global_solve_when_it_misses_tol(spec, bound, tmp_path, capsys):
+    # the values grow to 1e8-1e11, so the global solve misses the absolute
+    # tol and the verdict stays inconsistent, but its residual is what is
+    # returned
+    out_file = tmp_path / "h.fn"
+    assert main(["harmonic", "--diagram", spec, "--out", str(out_file)]) == 0
+    assert capsys.readouterr().err.startswith("# inconsistent at level ")
+    manifest = json.loads((tmp_path / "h.fn.manifest.json").read_text())
+    assert manifest["max_residual"] <= bound
+    assert manifest["fallback"] is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pin", "99,0=1"], "error: pin on level 99 outside levels 1..10\n"),
+    (["--pin", "0,0=5"], "error: pin on level 0 outside levels 1..10\n"),
+    (["--seed-vector", "{seed}", "--pin", "1,0=3"],
+     "error: pin on level 1, but the prefix (f_0 and any seed) fixes levels 0..1\n"),
+], ids=["past-depth", "root", "seeded-level"])
+def test_harmonic_pin_the_solve_cannot_honour_is_exit_one(argv, message, tmp_path, capsys):
+    seed = tmp_path / "seed.fn"
+    seed.write_text("fn v1\n1 0 1\n1 1 -1\n")
+    argv = [a.format(seed=seed) for a in argv]
+    assert main(["harmonic", "--diagram", "pascal:10:1", *argv, "--out", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message)
+
+
 def test_manifest_written_and_reproducible(tmp_path, monkeypatch):
     # BH_THREADS is not read: a value that is not a number changes nothing
     monkeypatch.setenv("BH_THREADS", "two")

@@ -70,7 +70,7 @@ def test_pascal_extension_solution_set_is_one_dimensional():
     d = gen_pascal(6, 1.0)
     h = pascal_harmonic(6)
     x, rep = extend_harmonic(d, h.values[:3])
-    assert rep.solution_dims == [1]
+    assert harm_dimension(d).solution_set_dims[2] == 1
     assert rep.consistent
     # pinned leftmost coordinate reproduces the closed form exactly
     x, rep = extend_harmonic(d, h.values[:3], pins={0: pascal_value(3, 0)})
@@ -83,17 +83,21 @@ def test_tree_extension_one_free_parameter_per_parent():
     f = tree_symmetric_harmonic(5, lam)
     x, rep = extend_harmonic(d, f.values[:3])
     # 4 parents, 8 children, 4 equations of full row rank
-    assert rep.solution_dims == [4]
+    assert harm_dimension(d).solution_set_dims[2] == 4
     assert rep.consistent
+
+
+def _bottleneck_seed(d):
+    """A random level-1 seed on the root equation of d."""
+    c0 = d.conductance[0].toarray()[0]
+    f1 = np.random.default_rng(0).standard_normal(c0.size)
+    return f1 - c0 * (c0 @ f1) / (c0 @ c0)
 
 
 def test_bottleneck_extension_inconsistent():
     # three equations, one unknown: generically unsolvable
     d = gen_bottleneck([1, 3, 1, 3], 2)
-    rng = np.random.default_rng(0)
-    c0 = d.conductance[0].toarray()[0]
-    f1 = rng.standard_normal(3)
-    f1 -= c0 * (c0 @ f1) / (c0 @ c0)  # root constraint
+    f1 = _bottleneck_seed(d)
     # brute force: the 3x1 system C_1 f_2 = D_1 f_1 has no exact solution
     c1 = d.conductance[1].toarray().reshape(-1)
     rhs = d.degree_vector(1) * f1
@@ -103,12 +107,12 @@ def test_bottleneck_extension_inconsistent():
     _, rep = extend_harmonic(d, [np.zeros(1), f1])
     assert not rep.consistent
     assert rep.residuals[0] > 1e-6 / d.degree_vector(1).max()
-    # the seeded chain has no global solve: the level-by-level pass is
+    # the seeded chain is square and singular: the LU fails, LSQR is
     # returned and the report says why
     _, rep = solve_chain(d, seed_f1=f1)
     assert not rep.consistent
-    assert rep.diagnostics["path"] == "forward"
-    assert "no global solve" in rep.diagnostics["fallback"]
+    assert rep.diagnostics["path"] == "lsqr"
+    assert "singular" in rep.diagnostics["fallback"]
     assert rep.diagnostics["final_residual"] == rep.max_residual
 
 
@@ -164,16 +168,67 @@ def test_chain_is_global_minimum_norm_solution(case):
     assert np.abs(got - want).max() < 1e-10
 
 
-def test_overdetermined_chain_takes_the_reported_forward_pass():
+def test_overdetermined_chain_takes_the_reported_lsqr_path():
     # seed plus all of level 3 pinned: 5 equations on the 3 unknowns of f_2
     d = gen_pascal(3, 1.0)
     h = pascal_harmonic(3)
     f, rep = solve_chain(d, seed_f1=[1.0, -1.0],
                          pins={3: dict(enumerate(h.values[3]))})
-    assert rep.diagnostics["path"] == "forward"
-    assert rep.diagnostics["fallback"].startswith("no global solve: overdetermined")
+    assert rep.diagnostics["path"] == "lsqr"
+    assert rep.diagnostics["fallback"].startswith("overdetermined")
     assert rep.consistent
     assert np.allclose(f.values[2], h.values[2], atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["pascal3-all-of-level-3-pinned", "bottleneck-seeded"])
+def test_lsqr_path_is_the_minimum_norm_least_squares_solution(case):
+    # oracle: dense lstsq of the stacked system with the seed and the pins
+    # eliminated
+    if case == "pascal3-all-of-level-3-pinned":
+        d = gen_pascal(3, 1.0)
+        seed = np.array([1.0, -1.0])
+        pins = {3: dict(enumerate(pascal_harmonic(3).values[3]))}
+        fallback = "overdetermined"
+    else:
+        d = gen_bottleneck([1, 3, 1, 3], 2)
+        seed = _bottleneck_seed(d)
+        pins = {}
+        fallback = "Factor is exactly singular"
+    f, rep = solve_chain(d, seed_f1=seed, pins=pins)
+    assert rep.diagnostics["path"] == "lsqr"
+    assert rep.diagnostics["fallback"].startswith(fallback)
+    m = stacked_constraint_matrix(d, d.num_levels)
+    x_fixed = np.zeros(m.shape[1])
+    fixed = np.zeros(m.shape[1], dtype=bool)
+    fixed[: seed.size], x_fixed[: seed.size] = True, seed
+    for lvl, coords in pins.items():
+        base = sum(d.level_sizes[1: lvl])
+        for i, v in coords.items():
+            fixed[base + i], x_fixed[base + i] = True, v
+    want = np.linalg.lstsq(m[:, ~fixed], -m[:, fixed] @ x_fixed[fixed], rcond=None)[0]
+    got = np.concatenate(f.values[1:])[~fixed]
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extension_uses_the_whole_prefix(n):
+    # h + c is harmonic for a constant c, so the prefix (h + c)_0..n with the
+    # leftmost coordinate of level n + 1 pinned extends to h_{n+1} + c; at
+    # n = 1 this needs f_0 = c, not 0
+    d = gen_pascal(6, 1.0)
+    c = 2.5
+    shifted = [v + c for v in pascal_harmonic(6).values]
+    x, rep = extend_harmonic(d, shifted[: n + 1], pins={0: shifted[n + 1][0]})
+    assert rep.consistent
+    assert np.allclose(x, shifted[n + 1], atol=1e-12)
+
+
+@pytest.mark.parametrize("level, seed", [(0, None), (5, None), (7, None), (1, [1.0, -1.0])],
+                         ids=["root", "past-depth", "past-diagram", "seeded-level"])
+def test_pins_off_the_free_levels_are_rejected(level, seed):
+    # levels 1..depth are free, less those the seed fixes
+    with pytest.raises(ValueError, match=f"pin on level {level}"):
+        solve_chain(gen_pascal(6, 1.0), depth=4, seed_f1=seed, pins={level: {0: 1.0}})
 
 
 def test_seed_vector_violating_root_equation_is_reported():
