@@ -11,10 +11,21 @@ import numpy as np
 import scipy.sparse as sp
 
 
+# Attributes that scipy's constructor gives a CSR matrix besides its arrays.
+_CSR_ATTRS = vars(sp.csr_matrix((1, 1)))
+
+
 def _csr(data, indices, indptr, shape):
-    m = sp.csr_matrix((data, indices, indptr), shape=shape)
-    for a in (m.data, m.indices, m.indptr):
+    """Read-only canonical CSR matrix on arrays this module made canonical
+    (float64 data, one index dtype).  It skips scipy's constructor, whose
+    checks cost about 30 us a call, hundreds of times for a diagram of
+    many narrow levels; tests run check_format(full_check=True) on every
+    kind of level matrix, so that a scipy change that breaks this fails."""
+    for a in (data, indices, indptr):
         a.flags.writeable = False
+    m = sp.csr_matrix.__new__(sp.csr_matrix)
+    vars(m).update(_CSR_ATTRS, _shape=(int(shape[0]), int(shape[1])),
+                   data=data, indices=indices, indptr=indptr)
     m.has_canonical_format = True
     return m
 

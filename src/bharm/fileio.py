@@ -9,13 +9,25 @@ Diagram file (UTF-8, line oriented):
 Graph file:
     graph v1
     v <count>
-    e <i> <j> <c>
+    e <i> <j> [<c>]          # conductance 1 when left out
 
 Function file:
     fn v1
-    <n> <i> <value>          # unlisted entries are zero
+    <n> <i> <value>          # unlisted entries are zero; the last repeat wins
 
-Numbers are written with 12 significant digits and a '.' decimal separator.
+Numbers are written with 12 significant digits and a '.' decimal separator,
+one level at a time from Python lists.
+
+The three readers share one way of reading: after its own header checks,
+each reads the body in bulk, with one call of numpy's C tokenizer
+(np.loadtxt with a record dtype: comments after '#', fields split at
+whitespace, integers within int64) and then checks the columns as arrays.
+Only a body that the bulk read refuses, or whose columns fail a check,
+goes through the per-line path: str.splitlines, str.split, int() and
+float() on each line in file order.  That path takes what int() and float()
+take and the C tokenizer does not ('1_000', non-ASCII digits), and it
+raises the first bad line's error, so errors name the first bad line in
+file order whichever way the body was read.
 
 Reading a diagram file costs time and memory linear in the number of edges:
 each level is built straight from its edge lines.  A level larger than
@@ -27,9 +39,12 @@ violation.
 """
 from __future__ import annotations
 
+import io
+import warnings
+
 import numpy as np
 
-from ._matops import level_matrix
+from ._matops import level_matrix, stored_entries
 from .diagram import (
     Diagram,
     GeneralGraph,
@@ -43,6 +58,12 @@ from .diagram import (
 from .operators import LevelFunction
 
 FMT = "{:.12g}"
+# str.splitlines' line breaks besides "\n"; numpy's tokenizer ends a line
+# only at "\n" or "\r" and reads the others as spaces.
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_EDGE = [("e", "U2"), ("n", "i8"), ("i", "i8"), ("j", "i8"), ("c", "f8")]
+_GRAPH_EDGE = [("e", "U2"), ("i", "i8"), ("j", "i8"), ("c", "f8")]
+_ENTRY = [("n", "i8"), ("i", "i8"), ("v", "f8")]
 
 
 def _clean_lines(text: str):
@@ -52,8 +73,51 @@ def _clean_lines(text: str):
             yield line
 
 
+def _split(text: str, count: int):
+    """The first `count` clean lines of text, then the body after them as
+    UTF-8 bytes and the body's offset in them.  The body's only line break
+    is "\n": "\r\n" becomes "\n", and a text with any other line break of
+    str.splitlines is rebuilt from its clean lines."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(ch in text for ch in _BREAKS):
+        lines = list(_clean_lines(text))
+        return lines[:count], "\n".join(lines[count:]).encode(), 0
+    header, pos = [], 0
+    while len(header) < count and pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end].split("#", 1)[0].strip()
+        if line:
+            header.append(line)
+        pos = end + 1
+    return header, text.encode(), len(text[:pos].encode())
+
+
+def _table(data: bytes, pos: int, dtype):
+    """The body's lines as one record array, read by numpy's C tokenizer
+    with the rules of _clean_lines and str.split, or None when it refuses
+    them: a line with the wrong number of fields, a field it cannot convert
+    (it takes no '_' digit separators, non-ASCII digits or integers beyond
+    int64), an empty body, or a NUL, which it would drop from the end of a
+    string field."""
+    if data.find(b"\0", pos) >= 0:
+        return None
+    stream = io.BytesIO(data)
+    stream.seek(pos)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(stream, dtype=dtype, comments="#", ndmin=1, encoding="utf-8")
+        except (ValueError, Warning):
+            return None
+
+
 def parse_diagram(text: str) -> Diagram:
-    lines = list(_clean_lines(text))
+    """Diagram from its file text.  The edge lines are read in bulk by
+    _table; a body it refuses, or one with a bad edge, goes through the
+    per-line path, which reports the first bad line in file order."""
+    lines, data, pos = _split(text, 2)
     if not lines or lines[0] != "bratteli v1":
         raise ValueError("expected 'bratteli v1' header")
     if len(lines) < 2 or not lines[1].startswith("levels"):
@@ -67,38 +131,31 @@ def parse_diagram(text: str) -> Diagram:
         raise ValueError(f"levels line announces {k} sizes but lists {len(sizes)}")
     if any(s <= 0 for s in sizes):
         raise ValueError("degenerate level of size 0")
-    edges = _edge_arrays(lines[2:], sizes)
+    table = _table(data, pos, _EDGE)
+    edges = None if table is None else _edge_arrays(table, sizes)
     if edges is None:
-        _raise_first_edge_error(lines[2:], sizes)
-    if max(sizes) > max(len(lines) - 2, 1):
-        raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
-                         f"edge lines; the file has {len(lines) - 2}")
+        edges = _edge_arrays(_edge_lines(data[pos:].decode(), sizes), sizes)
     n, i, j, c = edges
+    if max(sizes) > max(n.size, 1):
+        raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
+                         f"edge lines; the file has {n.size}")
     bounds = np.searchsorted(n, np.arange(len(sizes)))
     mats = [level_matrix((sizes[m], sizes[m + 1]), i[lo:hi], j[lo:hi], c[lo:hi])
             for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
     return make_diagram(sizes, mats)
 
 
-def _edge_arrays(lines, sizes):
-    """Edge lines as arrays (n, i, j, c) sorted by (n, i, j), or None when
-    any line is malformed, fails conversion, is out of range or repeats an
-    edge."""
-    body = "\n".join(lines)
-    tokens = body.split()
-    # Every line starts with an 'e' token, which no int() or float() accepts,
-    # so once the numeric columns convert, each 'e' sits at a multiple of 5
-    # and every line has exactly five fields.
-    count = len(lines)
-    if (len(tokens) != 5 * count or tokens[0::5].count("e") != count
-            or ("\n" + body).count("\ne") != count):
+def _edge_arrays(table, sizes):
+    """Edge columns (n, i, j, c) sorted by (n, i, j), or None when a line
+    is not an edge line, is out of range or repeats an edge, or the level
+    sizes overflow int64."""
+    if not (table["e"] == "e").all():
         return None
     try:
-        n, i, j = (np.array(list(map(int, tokens[k::5])), dtype=np.int64) for k in (1, 2, 3))
-        c = np.array(list(map(float, tokens[4::5])), dtype=float)
         size = np.array(sizes, dtype=np.int64)
-    except (ValueError, OverflowError):
+    except OverflowError:
         return None
+    n, i, j, c = table["n"], table["i"], table["j"], table["c"]
     if ((n < 0) | (n >= len(sizes) - 1)).any():
         return None
     if ((i < 0) | (i >= size[n]) | (j < 0) | (j >= size[n + 1])).any():
@@ -110,17 +167,17 @@ def _edge_arrays(lines, sizes):
     return n, i, j, c
 
 
-def _raise_first_edge_error(lines, sizes):
-    """Raise the error of the first bad edge line in file order, checking a
-    line for shape, number conversion, level range, index range and repeat,
-    in that order; with no bad line, the level sizes overflow int64."""
-    seen = set()
-    for line in lines:
+def _edge_lines(body: str, sizes):
+    """The per-line path: check each edge line for shape, number
+    conversion, level range, index range and repeat, in that order and in
+    file order, and raise the first bad line's error; with no bad line,
+    the level sizes may still overflow int64.  Returns the edge table."""
+    rows, seen = [], set()
+    for line in _clean_lines(body):
         parts = line.split()
         if parts[0] != "e" or len(parts) != 5:
             raise ValueError(f"malformed edge line: {line!r}")
-        n, i, j = int(parts[1]), int(parts[2]), int(parts[3])
-        float(parts[4])
+        n, i, j, c = int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
         if not (0 <= n < len(sizes) - 1):
             raise ValueError(f"edge level {n} out of range")
         if not (0 <= i < sizes[n] and 0 <= j < sizes[n + 1]):
@@ -128,33 +185,48 @@ def _raise_first_edge_error(lines, sizes):
         if (n, i, j) in seen:
             raise ValueError(f"duplicate edge ({n},{i},{j})")
         seen.add((n, i, j))
-    raise ValueError("level size too large")
+        rows.append(("e", n, i, j, c))
+    if max(sizes) > np.iinfo(np.int64).max:
+        raise ValueError("level size too large")
+    return np.array(rows, dtype=_EDGE)
 
 
 def format_diagram(d: Diagram) -> str:
     sizes = d.level_sizes
-    out = ["bratteli v1",
-           f"levels {len(sizes)} : " + " ".join(str(s) for s in sizes)]
-    for n, i, j, c in d.edges():
-        out.append(f"e {n} {i} {j} " + FMT.format(c))
-    return "\n".join(out) + "\n"
+    out = ["bratteli v1\n", f"levels {len(sizes)} : {' '.join(map(str, sizes))}\n"]
+    for n, cm in enumerate(d.conductance):
+        rows, cols, vals = (a.tolist() for a in stored_entries(cm))
+        out.append("".join([f"e {n} {i} {j} {c:.12g}\n" for i, j, c in zip(rows, cols, vals)]))
+    return "".join(out)
 
 
 def parse_graph(text: str) -> GeneralGraph:
-    lines = list(_clean_lines(text))
+    """Graph from its file text; edge lines are read in bulk when they all
+    have four fields, else by the per-line path (see parse_diagram)."""
+    lines, data, pos = _split(text, 2)
     if not lines or lines[0] != "graph v1":
         raise ValueError("expected 'graph v1' header")
     if len(lines) < 2 or not lines[1].startswith("v "):
         raise ValueError("expected 'v <count>' line")
     count = int(lines[1].split()[1])
+    table = _table(data, pos, _GRAPH_EDGE)
+    if table is None or not (table["e"] == "e").all():
+        return GeneralGraph(count, _graph_edge_lines(data[pos:].decode()))
+    return GeneralGraph(count, zip(table["i"].tolist(), table["j"].tolist(),
+                                   table["c"].tolist()))
+
+
+def _graph_edge_lines(body: str) -> list:
+    """The per-line path of parse_graph: (i, j, c) per edge line, or the
+    first malformed line's error."""
     edges = []
-    for line in lines[2:]:
+    for line in _clean_lines(body):
         parts = line.split()
         if parts[0] != "e" or len(parts) not in (3, 4):
             raise ValueError(f"malformed edge line: {line!r}")
         c = float(parts[3]) if len(parts) == 4 else 1.0
         edges.append((int(parts[1]), int(parts[2]), c))
-    return GeneralGraph(count, edges)
+    return edges
 
 
 def format_graph(g: GeneralGraph) -> str:
@@ -165,29 +237,55 @@ def format_graph(g: GeneralGraph) -> str:
 
 
 def parse_function(text: str, d: Diagram) -> LevelFunction:
-    lines = list(_clean_lines(text))
+    """Level function from its file text; a repeated entry takes its last
+    value.  Entry lines are read in bulk, as in parse_diagram."""
+    lines, data, pos = _split(text, 1)
     if not lines or lines[0] != "fn v1":
         raise ValueError("expected 'fn v1' header")
-    f = LevelFunction.zeros(d)
-    for line in lines[1:]:
+    sizes = np.array(d.level_sizes, dtype=np.int64)
+    table = _table(data, pos, _ENTRY)
+    if table is None or not _entries_in_range(table, sizes):
+        table = _entry_lines(data[pos:].decode(), sizes)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    key = offsets[table["n"]] + table["i"]
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], table["v"][order]
+    last = np.ones(key.size, dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    flat = np.zeros(offsets[-1])
+    flat[key[last]] = vals[last]
+    return LevelFunction(np.split(flat, offsets[1:-1]))
+
+
+def _entries_in_range(table, sizes) -> bool:
+    n, i = table["n"], table["i"]
+    if ((n < 0) | (n >= sizes.size)).any():
+        return False
+    return not ((i < 0) | (i >= sizes[n])).any()
+
+
+def _entry_lines(body: str, sizes):
+    """The per-line path of parse_function: the entry table, or the first
+    malformed or out-of-range line's error."""
+    rows = []
+    for line in _clean_lines(body):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"malformed function line: {line!r}")
         n, i, v = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (0 <= n < len(f.values) and 0 <= i < f.values[n].shape[0]):
+        if not (0 <= n < sizes.size and 0 <= i < sizes[n]):
             raise ValueError(f"entry ({n},{i}) out of range")
-        f.values[n][i] = v
-    return f
+        rows.append((n, i, v))
+    return np.array(rows, dtype=_ENTRY)
 
 
 def format_function(f: LevelFunction, skip_zeros: bool = True) -> str:
-    out = ["fn v1"]
+    out = ["fn v1\n"]
     for n, v in enumerate(f.values):
-        for i, val in enumerate(v):
-            if skip_zeros and val == 0.0:
-                continue
-            out.append(f"{n} {i} " + FMT.format(val))
-    return "\n".join(out) + "\n"
+        idx = np.flatnonzero(v) if skip_zeros else np.arange(v.size)
+        out.append("".join([f"{n} {i} {x:.12g}\n"
+                            for i, x in zip(idx.tolist(), v[idx].tolist())]))
+    return "".join(out)
 
 
 def _parse_rows(spec: str) -> np.ndarray:

@@ -139,7 +139,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     rhs = _source_vectors(d, source)
     values, path, steps, fallback = _global_solve(d, ops, n + 1, rhs, prefix,
                                                   {n + 1: pins} if pins else {})
-    resid = _chain_residuals(d, ops, n + 1, rhs, values)[n]
+    resid = _chain_residuals(d, ops, n + 1, rhs, values, first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
                    "fallback": fallback}
     return values[n + 1], SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics)
@@ -221,28 +221,11 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
                              f"fixes levels 0..{fixed_levels - 1}")
     off = np.concatenate([[0], np.cumsum(sizes[: depth + 1])]).astype(int)
     nvar = int(off[-1])
-    rows, cols, vals, b_parts = [], [], [], []
-    row_base = 0
-    for n in range(depth):
-        r, c, v = stored_entries(d.conductance[n])
-        rows.append(r + row_base)
-        cols.append(c.astype(np.int64) + off[n + 1])
-        vals.append(v)
-        rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
-        cols.append(np.arange(sizes[n], dtype=np.int64) + off[n])
-        vals.append(-ops.degrees[n])
-        if n >= 1:
-            r, c, v = stored_entries(d.conductance[n - 1])
-            rows.append(c.astype(np.int64) + row_base)
-            cols.append(r + off[n - 1])
-            vals.append(v)
-        b_parts.append(-rhs[n])
-        row_base += sizes[n]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    b = np.concatenate(b_parts)
-    n_rows = row_base
+    # equations below level k hold only prefix values: start at the first
+    # one with an unknown, so the cost does not grow with the prefix
+    first = min(fixed_levels - 1, depth - 1)
+    rows, cols, vals, b = _stacked_equations(d, ops, rhs, off, first, depth)
+    n_rows = b.size
     fixed = np.zeros(nvar, dtype=bool)
     x_full = np.zeros(nvar)
     fixed[: off[fixed_levels]] = True
@@ -295,6 +278,32 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
     return values, path, steps, fallback
 
 
+def _stacked_equations(d: Diagram, ops: LevelOperators, rhs, off, first: int, depth: int):
+    """The recursion equations of levels first..depth-1 stacked as one
+    sparse system over f_0..f_depth (level n's unknowns start at off[n]):
+    (rows, cols, vals, b), rows numbered from level first's first equation."""
+    sizes = d.level_sizes
+    rows, cols, vals, b_parts = [], [], [], []
+    row_base = 0
+    for n in range(first, depth):
+        r, c, v = stored_entries(d.conductance[n])
+        rows.append(r + row_base)
+        cols.append(c.astype(np.int64) + off[n + 1])
+        vals.append(v)
+        rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
+        cols.append(np.arange(sizes[n], dtype=np.int64) + off[n])
+        vals.append(-ops.degrees[n])
+        if n >= 1:
+            r, c, v = stored_entries(d.conductance[n - 1])
+            rows.append(c.astype(np.int64) + row_base)
+            cols.append(r + off[n - 1])
+            vals.append(v)
+        b_parts.append(-rhs[n])
+        row_base += sizes[n]
+    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+            np.concatenate(b_parts))
+
+
 def solve_chain(d: Diagram, depth: Optional[int] = None,
                 source: Optional[Dict[VertexId, float]] = None,
                 seed_f1: Optional[np.ndarray] = None,
@@ -338,10 +347,12 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
                                               diagnostics=diagnostics)
 
 
-def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values) -> list:
-    """Per-level residuals of the recursion equations in normalized form."""
+def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
+                     first: int = 0) -> list:
+    """Residuals of the recursion equations of levels first..depth-1 in
+    normalized form."""
     out = []
-    for n in range(depth):
+    for n in range(first, depth):
         g = values[n].copy()
         if n > 0:
             g -= ops.p_fwd[n] @ values[n - 1]

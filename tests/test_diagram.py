@@ -18,6 +18,7 @@ from bharm import (
     validate,
 )
 from bharm.fileio import format_diagram, parse_diagram
+from bharm.operators import build_level_operators
 
 
 def ladder_graph(length, diagonals=False):
@@ -91,18 +92,34 @@ def _dense_with_zeros():
         "graph", "dense"])
 def test_every_level_is_read_only_canonical_csr(build):
     d = build()
+    ops = build_level_operators(d)
     for c, a in zip(d.conductance, d.incidence):
         for m in (c, a):
-            assert isinstance(m, sp.csr_matrix) and m.dtype == np.float64
-            ref = sp.csr_matrix(m.toarray())  # sorted, distinct, zeros dropped
-            assert np.array_equal(m.indptr, ref.indptr)
-            assert np.array_equal(m.indices, ref.indices)
-            assert np.array_equal(m.data, ref.data)
-            for arr in (m.data, m.indices, m.indptr):
-                with pytest.raises(ValueError):
-                    arr[:1] = 1
+            _assert_read_only_canonical(m)
         assert np.array_equal(a.indptr, c.indptr) and np.array_equal(a.indices, c.indices)
         assert np.all(a.data == 1.0)
+    for m in ops.p_back + ops.p_fwd[1:]:
+        _assert_read_only_canonical(m)
+
+
+def _assert_read_only_canonical(m):
+    # level matrices are assembled without scipy's constructor, so scipy's
+    # full format check must accept each one and leave its arrays as they are
+    assert isinstance(m, sp.csr_matrix) and m.dtype == np.float64
+    before = [arr.copy() for arr in (m.data, m.indices, m.indptr)]
+    m.check_format(full_check=True)
+    arrays = (m.data, m.indices, m.indptr)
+    for arr, old in zip(arrays, before):
+        assert arr.dtype == old.dtype and np.array_equal(arr, old)
+    assert m.has_canonical_format and all(type(s) is int for s in m.shape)
+    ref = sp.csr_matrix(m.toarray())  # sorted, distinct, zeros dropped
+    assert ref.shape == m.shape
+    assert np.array_equal(m.indptr, ref.indptr)
+    assert np.array_equal(m.indices, ref.indices)
+    assert np.array_equal(m.data, ref.data)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[:1] = 1
 
 
 def test_ladder_leveling_is_valid():

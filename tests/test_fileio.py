@@ -138,6 +138,232 @@ def test_first_bad_line_is_reported(edges, message):
     assert str(info.value) == message
 
 
+# Reader parity: each case's parse as it was before the readers read bodies
+# in bulk, when every body went through the per-line path.  The expected
+# value is the parsed result's repr, or the exact ValueError.
+D = "bratteli v1\nlevels 3 : 1 2 2\n"
+F = "fn v1\n"
+G = "graph v1\nv 4\n"
+
+DIAGRAM_PARITY = [
+    ('comments', '# top\nbratteli v1 # header\nlevels 3 : 1 2 2 # sizes\ne 0 0 0 1 # edge\n# only a comment\ne 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('blank-lines', '\n\nbratteli v1\n\n  \nlevels 3 : 1 2 2\n\ne 0 0 0 1\n\n\t\ne 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('tabs-and-runs', D + '  e\t0   0\t\t0  1.5  \ne 0 0 1 2\n\te 1 0 0 3\ne 1 1 1 4\t\n',
+     '((1, 2, 2), [(0, 0, 0, 1.5), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('crlf', (D + 'e 0 0 0 1\ne 0 0 1 2\ne 1 0 0 3 # c\ne 1 1 1 4\n').replace('\n', '\r\n'),
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('lone-cr-after-comment', D + 'e 0 0 0 1 # c\re 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('formfeed-break', D + 'e 0 0 0 1\x0ce 0 0 1 2\ne 1 0 0 3\x0ce 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('formfeed-after-comment', D + 'e 0 0 0 1 # c\x0ce 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('formfeed-splits-a-line', D + 'e 0 0 0 1\ne 0 0\x0c1 2\n',
+     ValueError("malformed edge line: 'e 0 0'")),
+    ('u2028-break', D + 'e 0 0 0 1\u2028e 0 0 1 2\u2028e 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('u2028-after-comment', D + 'e 0 0 0 1 # c\u2028e 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('nbsp-separator', D + 'e 0 0 0\xa01\ne 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('ee', D + 'e 0 0 0 1\nee 0 0 1 2\n',
+     ValueError("malformed edge line: 'ee 0 0 1 2'")),
+    ('eee', D + 'e 0 0 0 1\neee 0 0 1 2\n',
+     ValueError("malformed edge line: 'eee 0 0 1 2'")),
+    ('no-e', D + 'e 0 0 0 1\n0 0 1 2 5\n',
+     ValueError("malformed edge line: '0 0 1 2 5'")),
+    ('float-index', D + 'e 0 0 0 1\ne 0 0 1.0 2\n',
+     ValueError("invalid literal for int() with base 10: '1.0'")),
+    ('20-digit-index', D + 'e 0 0 0 1\ne 0 0 99999999999999999999 2\n',
+     ValueError('edge (0,0,99999999999999999999) out of range')),
+    ('20-digit-level', D + 'e 99999999999999999999 0 0 1\n',
+     ValueError('edge level 99999999999999999999 out of range')),
+    ('underscore-index-in-range', D + 'e 0 0 0 1\ne 0 0 0_1 2\ne 1 0 0 1_0\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 10.0), (1, 1, 1, 4.0)])'),
+    ('underscore-index-out-of-range', D + 'e 0 0 0 1\ne 0 0 1_000 2\n',
+     ValueError('edge (0,0,1000) out of range')),
+    ('plus-signs', D + 'e +0 +0 +0 +5\ne 0 0 1 2\ne 1 0 0 3\ne 1 1 +1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 5.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('minus-zero-index', D + 'e -0 0 0 1\ne 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('unicode-digit', D + 'e 0 0 0 1\ne 0 0 ١ 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('nan-and-1e400', D + 'e 0 0 0 nan\ne 0 0 1 1e400\ne 1 0 0 -inf\ne 1 1 1 1e-400\n',
+     '((1, 2, 2), [(0, 0, 0, nan), (0, 0, 1, inf), (1, 0, 0, -inf)])'),
+    ('hex-float', D + 'e 0 0 0 0x1p3\n',
+     ValueError("could not convert string to float: '0x1p3'")),
+    ('nul', D + 'e 0 0 0 1\x00\n',
+     ValueError("could not convert string to float: '1\\x00'")),
+    ('nul-after-e', D + 'e 0 0 0 1\ne\x00 0 0 1 2\n',
+     ValueError("malformed edge line: 'e\\x00 0 0 1 2'")),
+    ('unit-separator-and-nbsp-lines', D + 'e\x1f0 0 0 1\n\xa0\n\x1f\ne 0 0 1 2\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('six-fields', D + 'e 0 0 0 1\ne 0 0 1 2 3\n',
+     ValueError("malformed edge line: 'e 0 0 1 2 3'")),
+    ('four-fields', D + 'e 0 0 0 1\ne 0 0 1\n',
+     ValueError("malformed edge line: 'e 0 0 1'")),
+    ('duplicate', D + 'e 0 0 0 1\ne 1 0 0 3\ne 0 0 0 2\n',
+     ValueError('duplicate edge (0,0,0)')),
+    ('unsorted', D + 'e 1 1 1 4\ne 0 0 1 2\ne 1 0 0 3\ne 0 0 0 1\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('zero-conductance', D + 'e 0 0 0 1\ne 0 0 1 0\ne 1 0 0 3\ne 1 1 1 4\n',
+     '((1, 2, 2), [(0, 0, 0, 1.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
+    ('no-edges', 'bratteli v1\nlevels 1 : 1\n',
+     '((1,), [])'),
+    ('too-few-edge-lines', D + 'e 0 0 0 1\n',
+     ValueError('a level of 2 vertices needs at least as many edge lines; the file has 1')),
+    ('size-beyond-int64', 'bratteli v1\nlevels 2 : 1 99999999999999999999\ne 0 0 0 1\n',
+     ValueError('level size too large')),
+    ('bom', '\ufeffbratteli v1\nlevels 2 : 1 1\ne 0 0 0 1\n',
+     ValueError("expected 'bratteli v1' header")),
+]
+
+FUNCTION_PARITY = [
+    ('comments', '# top\nfn v1 # header\n1 0 2.5 # entry\n# only\n2 2 -1\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('blank-lines', '\n\nfn v1\n\n \n1 0 2.5\n\n\t\n2 2 -1\n\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('tabs-and-runs', F + '  1\t0   2.5  \n\t2 2\t\t-1\t\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('crlf', (F + '1 0 2.5 # c\n2 2 -1\n').replace('\n', '\r\n'),
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('lone-cr-after-comment', F + '1 0 2.5 # c\r2 2 -1\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('formfeed-break', F + '1 0 2.5\x0c2 2 -1\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('formfeed-after-comment', F + '1 0 2.5 # c\x0c2 2 -1\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('u2028-break', F + '1 0 2.5\u20282 2 -1\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('u2028-after-comment', F + '1 0 2.5 # c\u20282 2 -1\n',
+     '[[0.0], [2.5, 0.0], [0.0, 0.0, -1.0]]'),
+    ('e-prefix', F + 'e 1 0\n',
+     ValueError("invalid literal for int() with base 10: 'e'")),
+    ('float-index', F + '1 0 2.5\n2 1.0 3\n',
+     ValueError("invalid literal for int() with base 10: '1.0'")),
+    ('20-digit-index', F + '1 0 2.5\n2 99999999999999999999 3\n',
+     ValueError('entry (2,99999999999999999999) out of range')),
+    ('underscore-index-in-range', F + '1 0_1 2.5\n2 2 1_0\n',
+     '[[0.0], [0.0, 2.5], [0.0, 0.0, 10.0]]'),
+    ('underscore-index-out-of-range', F + '1 0 2.5\n2 1_000 3\n',
+     ValueError('entry (2,1000) out of range')),
+    ('plus-signs', F + '+1 +0 +5\n',
+     '[[0.0], [5.0, 0.0], [0.0, 0.0, 0.0]]'),
+    ('unicode-digit', F + '1 ١ 2.5\n',
+     '[[0.0], [0.0, 2.5], [0.0, 0.0, 0.0]]'),
+    ('nan-and-1e400', F + '1 0 nan\n1 1 1e400\n2 0 -inf\n2 1 1e-400\n',
+     '[[0.0], [nan, inf], [-inf, 0.0, 0.0]]'),
+    ('repeated-entry-last-wins', F + '1 0 2.5\n2 2 -1\n1 0 7\n1 0 8\n',
+     '[[0.0], [8.0, 0.0], [0.0, 0.0, -1.0]]'),
+    ('zero-entry-overwrites', F + '1 0 2.5\n1 0 0\n',
+     '[[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]]'),
+    ('two-fields', F + '1 0 2.5\n2 2\n',
+     ValueError("malformed function line: '2 2'")),
+    ('four-fields', F + '1 0 2.5\n2 2 1 1\n',
+     ValueError("malformed function line: '2 2 1 1'")),
+    ('level-out-of-range', F + '1 0 2.5\n3 0 1\n1 9 1\n',
+     ValueError('entry (3,0) out of range')),
+    ('index-out-of-range', F + '1 0 2.5\n1 2 1\n',
+     ValueError('entry (1,2) out of range')),
+    ('negative-index', F + '1 -1 2.5\n',
+     ValueError('entry (1,-1) out of range')),
+    ('bad-value', F + '1 0 x\n9 0 1\n',
+     ValueError("could not convert string to float: 'x'")),
+    ('no-entries', F,
+     '[[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]]'),
+    ('no-header', '1 0 2.5\n',
+     ValueError("expected 'fn v1' header")),
+]
+
+GRAPH_PARITY = [
+    ('comments', '# top\ngraph v1 # header\nv 4 # count\ne 0 1 2.5 # edge\n# only\ne 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('blank-lines', '\n\ngraph v1\n\n \nv 4\n\ne 0 1 2.5\n\n\t\ne 1 2 1\ne 2 3 0.5\n\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('tabs-and-runs', G + '  e\t0   1\t\t2.5  \n\te 1 2 1\ne 2 3 0.5\t\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('crlf', (G + 'e 0 1 2.5\ne 1 2 1 # c\ne 2 3 0.5\n').replace('\n', '\r\n'),
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('lone-cr-after-comment', G + 'e 0 1 2.5 # c\re 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('formfeed-break', G + 'e 0 1 2.5\x0ce 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('formfeed-after-comment', G + 'e 0 1 2.5 # c\x0ce 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('u2028-break', G + 'e 0 1 2.5\u2028e 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('u2028-after-comment', G + 'e 0 1 2.5 # c\u2028e 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('ee', G + 'e 0 1 2.5\nee 1 2 1\n',
+     ValueError("malformed edge line: 'ee 1 2 1'")),
+    ('nul-after-e', G + 'e 0 1 2.5\ne\x00 1 2 1\n',
+     ValueError("malformed edge line: 'e\\x00 1 2 1'")),
+    ('float-index', G + 'e 0 1 2.5\ne 1 2.0 1\n',
+     ValueError("invalid literal for int() with base 10: '2.0'")),
+    ('20-digit-index', G + 'e 0 1 2.5\ne 1 99999999999999999999 1\n',
+     ValueError('edge (1,99999999999999999999) outside vertex range')),
+    ('underscore-index-in-range', G + 'e 0 0_1 2.5\ne 1 2 1_0\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 10.0), (2, 3, 0.5)])'),
+    ('underscore-index-out-of-range', G + 'e 0 1 2.5\ne 1 1_000 1\n',
+     ValueError('edge (1,1000) outside vertex range')),
+    ('plus-signs', G + 'e +0 +1 +5\ne 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 5.0), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('unicode-digit', G + 'e 0 ١ 2.5\ne 1 2 1\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('nan-and-1e400', G + 'e 0 1 nan\ne 1 2 1e400\ne 2 3 0.5\n',
+     '(4, [(0, 1, nan), (1, 2, inf), (2, 3, 0.5)])'),
+    ('mixed-3-and-4-fields', G + 'e 0 1 2.5\ne 1 2\ne 2 3 0.5\n',
+     '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
+    ('all-3-fields', G + 'e 0 1\ne 1 2\ne 2 3\n',
+     '(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])'),
+    ('two-fields', G + 'e 0 1 2.5\ne 1\n',
+     ValueError("malformed edge line: 'e 1'")),
+    ('five-fields', G + 'e 0 1 2.5\ne 1 2 1 1\n',
+     ValueError("malformed edge line: 'e 1 2 1 1'")),
+    ('range-then-malformed', G + 'e 0 9 2.5\ne 1\n',
+     ValueError("malformed edge line: 'e 1'")),
+    ('out-of-range', G + 'e 0 1 2.5\ne 1 9 1\n',
+     ValueError('edge (1,9) outside vertex range')),
+    ('loop', G + 'e 0 1 2.5\ne 2 2 1\n',
+     ValueError('loop at vertex 2')),
+    ('nonpositive', G + 'e 0 1 2.5\ne 1 2 -1\n',
+     ValueError('edge (1,2) has nonpositive conductance')),
+    ('zero-conductance', G + 'e 0 1 0\n',
+     ValueError('edge (0,1) has nonpositive conductance')),
+    ('duplicate', G + 'e 0 1 2.5\ne 1 0 1\n',
+     ValueError('duplicate edge (1,0)')),
+    ('no-edges', G,
+     '(4, [])'),
+]
+
+
+def _parsed(kind, text):
+    if kind == "diagram":
+        d = parse_diagram(text)
+        return repr((d.level_sizes, list(d.edges())))
+    if kind == "function":
+        return repr([v.tolist() for v in parse_function(text, gen_pascal(2, 1.0)).values])
+    g = parse_graph(text)
+    return repr((g.num_vertices, g.edges))
+
+
+@pytest.mark.parametrize("kind, text, expected", [
+    pytest.param(kind, text, expected, id=f"{kind}-{name}")
+    for kind, table in (("diagram", DIAGRAM_PARITY), ("function", FUNCTION_PARITY),
+                        ("graph", GRAPH_PARITY))
+    for name, text, expected in table
+])
+def test_readers_match_the_per_line_parse(kind, text, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as info:
+            _parsed(kind, text)
+        assert str(info.value) == str(expected)
+    else:
+        assert _parsed(kind, text) == expected
+
+
 def _main_in_child(argv):
     """`bharm <argv>` in a fresh interpreter: (process, peak RSS in MB).
 
@@ -177,6 +403,17 @@ def test_validate_pascal600_file_in_linear_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid: 601 levels, 180901 vertices")
     assert rss_mb < 400
+
+
+def test_validate_pascal1000_file_reads_its_body_in_bulk(tmp_path):
+    # 1,001,000 edge lines (15.6 MB).  The bulk read peaked at 184 MB; one
+    # Python string per field, as str.split of the body made, at 460 MB
+    path = tmp_path / "pascal1000.bd"
+    path.write_text(format_diagram(gen_pascal(1000, 1.0)))
+    proc, rss_mb = _main_in_child(["validate", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid: 1001 levels, 501501 vertices")
+    assert rss_mb < 184 * 1.15
 
 
 def test_dimension_of_tree16_in_linear_memory():

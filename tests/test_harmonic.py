@@ -21,6 +21,7 @@ from bharm import (
     solve_dipole,
     solve_monopole,
 )
+from bharm import harmonic
 from bharm._matops import as_level
 from bharm.closedforms import (
     pascal_harmonic,
@@ -221,6 +222,33 @@ def test_extension_uses_the_whole_prefix(n):
     x, rep = extend_harmonic(d, shifted[: n + 1], pins={0: shifted[n + 1][0]})
     assert rep.consistent
     assert np.allclose(x, shifted[n + 1], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 199])
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_extension_stacks_only_the_equations_with_unknowns(n, pinned, monkeypatch):
+    # only level n's equations reach f_{n+1}; stacking every level from the
+    # root, as the solve once did, must give the same bits
+    d = gen_pascal(200, 1.0)
+    prefix = pascal_harmonic(200).values[: n + 1]
+    pins = {0: pascal_value(n + 1, 0)} if pinned else None
+    stack = harmonic._stacked_equations
+    rows = []
+
+    def recording(*args):
+        system = stack(*args)
+        rows.append(system[3].size)
+        return system
+
+    monkeypatch.setattr(harmonic, "_stacked_equations", recording)
+    x, rep = extend_harmonic(d, prefix, pins=pins)
+    assert rows == [d.level_sizes[n]]
+    monkeypatch.setattr(harmonic, "_stacked_equations",
+                        lambda d, ops, rhs, off, first, depth: stack(d, ops, rhs, off, 0, depth))
+    x_all, rep_all = extend_harmonic(d, prefix, pins=pins)
+    assert x.tobytes() == x_all.tobytes()
+    assert rep.residuals == rep_all.residuals and rep.diagnostics == rep_all.diagnostics
+    assert rep.diagnostics["path"] == ("lu" if pinned else "augmented-lu")
 
 
 @pytest.mark.parametrize("level, seed", [(0, None), (5, None), (7, None), (1, [1.0, -1.0])],
