@@ -19,8 +19,12 @@ def _csr(data, indices, indptr, shape):
     """Read-only canonical CSR matrix on arrays this module made canonical
     (float64 data, one index dtype).  It skips scipy's constructor, whose
     checks cost about 30 us a call, hundreds of times for a diagram of
-    many narrow levels; tests run check_format(full_check=True) on every
-    kind of level matrix, so that a scipy change that breaks this fails."""
+    many narrow levels, and relies on scipy's private instance layout
+    (`_shape` and the template's attributes).  That layout is pinned by
+    tests/test_diagram.py::test_every_level_is_read_only_canonical_csr,
+    which runs check_format(full_check=True) on every kind of level
+    matrix: a scipy version is supported only if that test passes on it
+    (so far checked on scipy 1.17 only)."""
     for a in (data, indices, indptr):
         a.flags.writeable = False
     m = sp.csr_matrix.__new__(sp.csr_matrix)

@@ -18,16 +18,18 @@ Function file:
 Numbers are written with 12 significant digits and a '.' decimal separator,
 one level at a time from Python lists.
 
-The three readers share one way of reading: after its own header checks,
-each reads the body in bulk, with one call of numpy's C tokenizer
-(np.loadtxt with a record dtype: comments after '#', fields split at
-whitespace, integers within int64) and then checks the columns as arrays.
-Only a body that the bulk read refuses, or whose columns fail a check,
-goes through the per-line path: str.splitlines, str.split, int() and
+The diagram and function readers share one way of reading: after its own
+header checks, each reads the body in bulk, with one call of numpy's C
+tokenizer (np.loadtxt with a record dtype: comments after '#', fields split
+at whitespace, integers within int64) and then checks the columns as
+arrays.  Only a body that the bulk read refuses, or whose columns fail a
+check, goes through the per-line path: str.splitlines, str.split, int() and
 float() on each line in file order.  That path takes what int() and float()
 take and the C tokenizer does not ('1_000', non-ASCII digits), and it
 raises the first bad line's error, so errors name the first bad line in
-file order whichever way the body was read.
+file order whichever way the body was read.  Graph files are read by the
+per-line path only: building the GeneralGraph, not tokenizing, is most of
+their cost.
 
 Reading a diagram file costs time and memory linear in the number of edges:
 each level is built straight from its edge lines.  A level larger than
@@ -62,7 +64,6 @@ FMT = "{:.12g}"
 # only at "\n" or "\r" and reads the others as spaces.
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _EDGE = [("e", "U2"), ("n", "i8"), ("i", "i8"), ("j", "i8"), ("c", "f8")]
-_GRAPH_EDGE = [("e", "U2"), ("i", "i8"), ("j", "i8"), ("c", "f8")]
 _ENTRY = [("n", "i8"), ("i", "i8"), ("v", "f8")]
 
 
@@ -201,32 +202,20 @@ def format_diagram(d: Diagram) -> str:
 
 
 def parse_graph(text: str) -> GeneralGraph:
-    """Graph from its file text; edge lines are read in bulk when they all
-    have four fields, else by the per-line path (see parse_diagram)."""
-    lines, data, pos = _split(text, 2)
+    lines = list(_clean_lines(text))
     if not lines or lines[0] != "graph v1":
         raise ValueError("expected 'graph v1' header")
     if len(lines) < 2 or not lines[1].startswith("v "):
         raise ValueError("expected 'v <count>' line")
     count = int(lines[1].split()[1])
-    table = _table(data, pos, _GRAPH_EDGE)
-    if table is None or not (table["e"] == "e").all():
-        return GeneralGraph(count, _graph_edge_lines(data[pos:].decode()))
-    return GeneralGraph(count, zip(table["i"].tolist(), table["j"].tolist(),
-                                   table["c"].tolist()))
-
-
-def _graph_edge_lines(body: str) -> list:
-    """The per-line path of parse_graph: (i, j, c) per edge line, or the
-    first malformed line's error."""
     edges = []
-    for line in _clean_lines(body):
+    for line in lines[2:]:
         parts = line.split()
         if parts[0] != "e" or len(parts) not in (3, 4):
             raise ValueError(f"malformed edge line: {line!r}")
         c = float(parts[3]) if len(parts) == 4 else 1.0
         edges.append((int(parts[1]), int(parts[2]), c))
-    return edges
+    return GeneralGraph(count, edges)
 
 
 def format_graph(g: GeneralGraph) -> str:
