@@ -163,13 +163,15 @@ def validate(d: Diagram) -> list:
                                  f"incidence entry {av[k].item()} is not 0 or 1"))
         elif bad.size:
             out.append(Violation("zero-one", n, "incidence", "entries outside {0,1}"))
-        # conductance support must match incidence exactly and be positive (not NaN) there
+        # conductance support must match incidence exactly and be positive and finite there
         for k in np.flatnonzero(values_at(a, cr, cc) == 0):
             out.append(Violation("support", n, f"edge ({cr[k]},{cc[k]})",
                                  f"conductance {cv[k].item()} on a non-edge"))
-        for k in np.flatnonzero(~(values_at(c, ar, ac) > 0)):
+        on_edges = values_at(c, ar, ac)
+        for k in np.flatnonzero(~((on_edges > 0) & (on_edges < np.inf))):
             out.append(Violation("positivity", n, f"edge ({ar[k]},{ac[k]})",
-                                 "c=0 on edge (c_xy > 0 required exactly on edges)"))
+                                 f"c={on_edges[k]:.12g} on edge (0 < c_xy < inf required "
+                                 "exactly on edges)"))
         for i in np.flatnonzero(row_sums(a) == 0):
             out.append(Violation("outgoing", n, f"vertex {int(i)}",
                                  "vertex without outgoing edge"))
@@ -365,8 +367,9 @@ class GeneralGraph:
                 raise ValueError(f"loop at vertex {i}")
             if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
                 raise ValueError(f"edge ({i},{j}) outside vertex range")
-            if c <= 0:
-                raise ValueError(f"edge ({i},{j}) has nonpositive conductance")
+            if not 0 < c < np.inf:
+                kind = "nonpositive" if c <= 0 else "non-finite"
+                raise ValueError(f"edge ({i},{j}) has {kind} conductance")
             if j in self.adj[i]:
                 raise ValueError(f"duplicate edge ({i},{j})")
             self.adj[i][j] = c

@@ -15,8 +15,14 @@ Function file:
     fn v1
     <n> <i> <value>          # unlisted entries are zero; the last repeat wins
 
-Numbers are written with 12 significant digits and a '.' decimal separator,
-one level at a time from Python lists.
+Numbers are written as Python's format(x, '.12g') writes them: correctly
+rounded to 12 significant digits, with a '.' decimal separator.  The three
+writers share one line writer, _lines, which formats the rows of a body in
+numpy, a fixed block of rows at a time, so its working memory does not grow
+with the diagram.  It rounds each number with one multiplication by a
+correctly rounded power of ten; a row whose rounding that cannot decide (a
+fraction within 5e-4 of one half), and 0, inf, nan and numbers beyond the
+table, are formatted by Python instead (see _float_words).
 
 The diagram and function readers share one way of reading: after its own
 header checks, each reads the body in bulk, with one call of numpy's C
@@ -192,13 +198,175 @@ def _edge_lines(body: str, sizes):
     return np.array(rows, dtype=_EDGE)
 
 
+# --- the line writer ---------------------------------------------------------
+#
+# A block of rows is laid out as a (rows, words) uint64 array of ASCII text,
+# each field in whole words; a byte that is no character is 0, and
+# np.compress drops those bytes, so a field needs no length and no padding.
+
+_BLOCK = 8192      # rows per pass of the writer
+# _POW10[k + 297] is 10**k correctly rounded, for k in [-297, 308]
+_POW10 = np.array([float(f"1e{k}") for k in range(-297, 309)])
+# text is little-endian whatever the host: character c of a word is its byte c
+_U64, _U32 = np.dtype("<u8"), np.dtype("<u4")
+_CHAR = np.uint64(8)    # bits of a character
+
+
+def _words(texts, width: int) -> np.ndarray:
+    """ASCII strings as a (len(texts), width) uint64 array, 0 past each end."""
+    return (np.array([t.encode() for t in texts], dtype=f"S{8 * width}")
+            .view(_U64).reshape(-1, width))
+
+
+def _digit_tables():
+    """Four-digit groups as uint32 (first character in the low byte), in three
+    runs of 10,000: zero padded, with leading zeros blanked, and blanked but
+    with 0 written as "0"; then each group's count of trailing zeros (4 for
+    0)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T    # of 0..9999
+    zero = digits == 0
+    blank = np.where(np.logical_and.accumulate(zero, axis=1), 0, digits + 48)
+    last = blank.copy()
+    last[0, 3] = 48
+    groups = np.concatenate([digits + 48, blank, last]).view(_U32).ravel()
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1).sum(axis=1)
+    return groups, trailing
+
+
+_GROUPS, _TRAILING = _digit_tables()
+_BELOW = np.array([(1 << (8 * b)) - 1 for b in range(9)], dtype=np.uint64)  # bytes < b
+# '.' at character q of word 0 or 1; q = 13: none
+_POINT = np.array([[ord(".") << 8 * (q % 8) if q < 13 and q // 8 == w else 0 for q in range(14)]
+                   for w in range(2)], dtype=np.uint64)
+# separator, sign and fixed notation's "0.000" before a mantissa: 5 * (x < 0) - e for e < 0
+_LEAD = _words([" " + sign + ("0." + "0" * (z - 1) if z else "")
+                for sign in ("", "-") for z in range(5)], 1).ravel()
+# exponent and newline after a mantissa: index 0 fixed notation, e + 299 for e in [-298, 309]
+_EXP = _words(["\0" * 7 + "\n"] + [f"e{e:+03d}".ljust(7, "\0") + "\n" for e in range(-298, 310)],
+              1).ravel()
+
+
+def _lines(head: str, prefix: str, parts) -> str:
+    """head, then the rows `prefix + " ".join(columns) + "\n"`.  parts yields
+    tuples of equal-length columns: nonnegative integer arrays, then one
+    float array written as format(x, '.12g') writes it.  The rows are
+    formatted _BLOCK at a time, a block gathering the parts' slices in
+    order."""
+    out, block, size = bytearray(head.encode()), [], 0
+    for cols in parts:
+        start, stop = 0, len(cols[-1])
+        while start < stop:
+            take = min(stop - start, _BLOCK - size)
+            block.append([c[start:start + take] for c in cols])
+            size += take
+            start += take
+            if size == _BLOCK:
+                out += _format_block(prefix, block).data
+                block, size = [], 0
+    if block:
+        out += _format_block(prefix, block).data
+    return out.decode("ascii")
+
+
+def _format_block(prefix: str, block) -> np.ndarray:
+    *ints, x = (np.concatenate(col) for col in zip(*block))
+    # an integer field is one word per 7 digits and its leading space
+    widths = [len(str(v.max())) // 8 + 1 for v in ints]
+    pre = (len(prefix) + 7) // 8
+    text = np.empty((x.size, pre + sum(widths) + 4), dtype=_U64)
+    if pre:
+        text[:, :pre] = _words([prefix], pre)
+    at = pre
+    for k, (v, width) in enumerate(zip(ints, widths)):
+        _int_words(v.astype(np.int64, copy=False), text[:, at:at + width].view(_U32), k > 0)
+        at += width
+    _float_words(x.astype(float, copy=False), text[:, at:])
+    chars = text.view(np.uint8).ravel()
+    return np.compress(chars != 0, chars)
+
+
+def _int_words(v, out, space: bool) -> None:
+    """Write the decimal digits of v >= 0 into the uint32 columns of out,
+    four digits a column, right-aligned with leading zeros blank, and a
+    space before them when `space` (the first character is then blank)."""
+    groups = []
+    for _ in range(out.shape[1] - 1):
+        v, low = np.divmod(v, 10000)
+        groups.append(low)
+    groups.append(v)
+    leading = np.ones(v.size, dtype=bool)    # every group so far is 0
+    for col, g in enumerate(reversed(groups)):
+        run = 20000 if col == out.shape[1] - 1 else 10000
+        out[:, col] = _GROUPS.take(g + np.where(leading, run, 0))
+        leading &= g == 0
+    if space:
+        out[:, 0] |= ord(" ")
+
+
+def _float_words(x, out) -> None:
+    """Write " " + format(v, '.12g') + "\n" for each v of x into the four
+    uint64 columns of out: separator, sign and leading "0.000"; a mantissa
+    of two words; exponent and newline.
+
+    e = floor(log10|x|) is corrected until y = |x| * 10**(11 - e), with
+    10**(11 - e) from _POW10, lies in [1e11, 1e12).  Two roundings put y
+    within 2.3e-4 of the exact product, so rint(y) is the correctly rounded
+    12-digit mantissa unless y's fraction is within 5e-4 of one half; a
+    mantissa of 1e12 carries to 1e11 with e + 1.  Those rows, 0, inf, nan
+    and any x with 11 - e outside the table are formatted by Python.  The
+    layout is Python's: fixed notation for -4 <= e < 12, else d.ddde+XX,
+    without trailing zeros or a bare point.
+    """
+    ax = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(ax))
+        ok = np.isfinite(e)
+        e = np.where(ok, e, 0).astype(np.int64)
+        y = ax * _POW10.take(308 - e, mode="clip")
+        step = (y >= 1e12).astype(np.int64) - (y < 1e11)
+        if step.any():
+            e += step
+            y = ax * _POW10.take(308 - e, mode="clip")
+        ok &= (e >= -297) & (e <= 308) & (np.abs(y - np.floor(y) - 0.5) >= 5e-4)
+        m = np.where(ok, np.rint(y), 1e11).astype(np.int64)
+    carry = m == 10**12
+    m[carry] = 10**11
+    e = np.where(ok, e + carry, 0)
+    high, low = np.divmod(m, 10**8)
+    mid, low = np.divmod(low, 10**4)
+    digits = np.zeros((x.size, 4), dtype=_U32)
+    for col, g in enumerate((high, mid, low)):
+        digits[:, col] = _GROUPS.take(g)
+    digits = digits.view(_U64)
+    last = 11 - (_TRAILING.take(low) + (low == 0) * (
+        _TRAILING.take(mid) + (mid == 0) * _TRAILING.take(high)))   # last digit kept
+    fixed = (e >= -4) & (e < 12)
+    point = np.where(fixed, np.maximum(e + 1, 0), 1)    # digits before the point
+    dot = np.where((point > 0) & (last >= point), point, 13)
+    # the digits after the point move one character on, behind the '.'
+    moved = (digits[:, 0] << _CHAR, (digits[:, 1] << _CHAR) | (digits[:, 0] >> 7 * _CHAR))
+    for w in range(2):
+        out[:, 1 + w] = ((digits[:, w] & _below(point, w))
+                         | (moved[w] & ~_below(point + 1, w) & _below(last + 2, w))
+                         | _POINT[w].take(dot))
+    out[:, 0] = _LEAD.take(5 * (x < 0) - np.where(fixed & (e < 0), e, 0))
+    out[:, 3] = _EXP.take(np.where(fixed, 0, e + 299))
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        out[rest] = _words([f" {v:.12g}\n" for v in x[rest].tolist()], 4)
+
+
+def _below(k, word: int):
+    """Masks of the characters before character k, within the given word."""
+    return _BELOW.take(k - 8 * word, mode="clip")
+
+
 def format_diagram(d: Diagram) -> str:
     sizes = d.level_sizes
-    out = ["bratteli v1\n", f"levels {len(sizes)} : {' '.join(map(str, sizes))}\n"]
-    for n, cm in enumerate(d.conductance):
-        rows, cols, vals = (a.tolist() for a in stored_entries(cm))
-        out.append("".join([f"e {n} {i} {j} {c:.12g}\n" for i, j, c in zip(rows, cols, vals)]))
-    return "".join(out)
+    head = f"bratteli v1\nlevels {len(sizes)} : {' '.join(map(str, sizes))}\n"
+    levels = ((np.full(rows.size, n), rows, cols, vals)
+              for n, (rows, cols, vals) in enumerate(map(stored_entries, d.conductance)))
+    return _lines(head, "e ", levels)
 
 
 def parse_graph(text: str) -> GeneralGraph:
@@ -219,10 +387,9 @@ def parse_graph(text: str) -> GeneralGraph:
 
 
 def format_graph(g: GeneralGraph) -> str:
-    out = ["graph v1", f"v {g.num_vertices}"]
-    for i, j, c in g.edges:
-        out.append(f"e {i} {j} " + FMT.format(c))
-    return "\n".join(out) + "\n"
+    i, j, c = zip(*g.edges) if g.edges else ((), (), ())
+    return _lines(f"graph v1\nv {g.num_vertices}\n", "e ",
+                  [(np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.array(c, dtype=float))])
 
 
 def parse_function(text: str, d: Diagram) -> LevelFunction:
@@ -269,12 +436,11 @@ def _entry_lines(body: str, sizes):
 
 
 def format_function(f: LevelFunction, skip_zeros: bool = True) -> str:
-    out = ["fn v1\n"]
-    for n, v in enumerate(f.values):
-        idx = np.flatnonzero(v) if skip_zeros else np.arange(v.size)
-        out.append("".join([f"{n} {i} {x:.12g}\n"
-                            for i, x in zip(idx.tolist(), v[idx].tolist())]))
-    return "".join(out)
+    def levels():
+        for n, v in enumerate(f.values):
+            i = np.flatnonzero(v) if skip_zeros else np.arange(v.size)
+            yield np.full(i.size, n), i, v[i]
+    return _lines("fn v1\n", "", levels())
 
 
 def _parse_rows(spec: str) -> np.ndarray:

@@ -448,18 +448,19 @@ class _Transitions:
 
 
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
-    """The walk's tables; a conductance that is not > 0 raises ValueError."""
+    """The walk's tables; a conductance that is not in (0, inf) raises ValueError."""
     sizes = d.level_sizes[:absorb_level + 1]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     n_int = int(offsets[absorb_level])
     owner, other, weight = [], [], []
     for n in range(absorb_level):
         rows, cols, vals = stored_entries(d.conductance[n])
-        bad = np.flatnonzero(~(vals > 0))
+        bad = np.flatnonzero(~((vals > 0) & (vals < np.inf)))
         if bad.size:
             k = bad[0]
             raise ValueError(f"level {n}, edge ({rows[k]},{cols[k]}): conductance "
-                             f"{vals[k].item()} is not positive; walks need c > 0")
+                             f"{vals[k].item()} is not positive and finite; walks need "
+                             "0 < c < inf")
         a, b = rows + offsets[n], cols + offsets[n + 1]
         owner.append(a)
         other.append(b)

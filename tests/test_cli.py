@@ -235,8 +235,8 @@ def test_walks_on_a_negative_conductance_are_exit_one(argv, tmp_path, capsys):
     assert main(argv[:1] + ["--diagram", str(diagram)] + argv[1:]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: level 0, edge (0,1): conductance -0.5 is not positive; "
-                   "walks need c > 0\n")
+    assert err == ("error: level 0, edge (0,1): conductance -0.5 is not positive and finite; "
+                   "walks need 0 < c < inf\n")
 
 
 def test_monte_carlo_poisson_from_a_vertex_without_edges_is_exit_one(tmp_path, capsys):
@@ -317,6 +317,43 @@ def test_apply_laplacian_masks_boundary(tmp_path, capsys):
     fn_file.write_text(format_function(pascal_harmonic(4)))
     assert main(["apply-laplacian", "--diagram", "pascal:4:1",
                  "--fn", str(fn_file), "--out", "-"]) == 0
+
+
+BAD_CONDUCTANCE_DIAGRAM = ("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 {}\n"
+                           "e 1 0 0 1\ne 1 1 1 1\n")
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_validate_names_a_conductance_outside_zero_to_infinity(value, tmp_path, capsys):
+    diagram = tmp_path / "bad.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(value))
+    assert main(["validate", str(diagram)]) == 1
+    out, err = capsys.readouterr()
+    assert out == (f"[positivity] level 0, edge (0,1): c={value} on edge "
+                   "(0 < c_xy < inf required exactly on edges)\n")
+    assert err == "error: 1 violation(s)\n"
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_walks_on_a_conductance_outside_zero_to_infinity_are_exit_one(value, tmp_path, capsys):
+    # an infinite conductance once capped every walk and printed estimates of 0
+    diagram = tmp_path / "bad.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(value))
+    assert main(["walk", "--diagram", str(diagram), "--start", "0,0", "--targets", "1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: level 0, edge (0,1): conductance {value} is not positive and "
+                   "finite; walks need 0 < c < inf\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_convert_of_a_non_finite_conductance_is_exit_one(value, tmp_path, capsys):
+    gfile = tmp_path / "g.graph"
+    gfile.write_text(f"graph v1\nv 4\ne 0 1 {value}\ne 1 2\ne 2 3\ne 3 0\n")
+    out = tmp_path / "d.bd"
+    assert main(["convert", "--graph", str(gfile), "--root", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: edge (0,1) has non-finite conductance\n"
+    assert not out.exists()
 
 
 def test_convert_graph_to_diagram(tmp_path, capsys):

@@ -421,13 +421,13 @@ EXPECTED = {
         "[incoming] level 1, vertex 1: vertex without incoming edge",
     ],
     "small-positivity": [
-        "[positivity] level 0, edge (0,0): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 0, edge (0,0): c=0 on edge (0 < c_xy < inf required exactly on edges)",
     ],
     "small-scattered": [
         "[support] level 1, edge (0,2): conductance -4.5 on a non-edge",
         "[support] level 1, edge (3,1): conductance 2.0 on a non-edge",
-        "[positivity] level 1, edge (0,0): c=0 on edge (c_xy > 0 required exactly on edges)",
-        "[positivity] level 1, edge (1,4): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 1, edge (0,0): c=0 on edge (0 < c_xy < inf required exactly on edges)",
+        "[positivity] level 1, edge (1,4): c=0 on edge (0 < c_xy < inf required exactly on edges)",
     ],
     "small-missing-edges": [
         "[outgoing] level 2, vertex 0: vertex without outgoing edge",
@@ -445,14 +445,14 @@ EXPECTED = {
         "[incoming] level 1, vertex 520: vertex without incoming edge",
     ],
     "big-positivity": [
-        "[positivity] level 0, edge (0,11): c=0 on edge (c_xy > 0 required exactly on edges)",
-        "[positivity] level 0, edge (0,599): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 0, edge (0,11): c=0 on edge (0 < c_xy < inf required exactly on edges)",
+        "[positivity] level 0, edge (0,599): c=0 on edge (0 < c_xy < inf required exactly on edges)",
     ],
     "big-scattered": [
         "[support] level 1, edge (0,2): conductance -4.5 on a non-edge",
         "[support] level 1, edge (599,1): conductance 2.0 on a non-edge",
-        "[positivity] level 1, edge (0,0): c=0 on edge (c_xy > 0 required exactly on edges)",
-        "[positivity] level 1, edge (1,699): c=0 on edge (c_xy > 0 required exactly on edges)",
+        "[positivity] level 1, edge (0,0): c=0 on edge (0 < c_xy < inf required exactly on edges)",
+        "[positivity] level 1, edge (1,699): c=0 on edge (0 < c_xy < inf required exactly on edges)",
     ],
     "big-explicit-zero": [
         "[support] level 0, edge (0,1): conductance 0.0 on a non-edge",
@@ -479,4 +479,5 @@ def test_non_positive_conductance_line_is_positivity_at_any_width(width, value):
     edges = "".join(f"e 0 0 {j} {value if j == 1 else 1}\n" for j in range(width))
     d = parse_diagram(f"bratteli v1\nlevels 2 : 1 {width}\n" + edges)
     assert [str(v) for v in validate(d)] == [
-        "[positivity] level 0, edge (0,1): c=0 on edge (c_xy > 0 required exactly on edges)"]
+        f"[positivity] level 0, edge (0,1): c={value} on edge (0 < c_xy < inf required "
+        "exactly on edges)"]

@@ -15,6 +15,8 @@ from bharm import (
     validate,
 )
 from bharm.fileio import (
+    _BLOCK,
+    _lines,
     format_diagram,
     format_function,
     format_graph,
@@ -119,6 +121,81 @@ def test_round_trip_reproduces_generator_levels(d):
     assert d2.level_sizes == d.level_sizes
     for a, b in zip(d.conductance + d.incidence, d2.conductance + d2.incidence):
         assert _same_level(a, b)
+
+
+def _adversarial_floats():
+    """Values where a 12-digit rounding is easy to get wrong: powers of ten
+    and their neighbours (ulps apart) at every exponent, mantissas next to
+    1e11 and 1e12 and next to a tie, exact decimal ties, subnormals, the
+    extremes, signed zeros, infinities and nan, short decimals, random
+    bit patterns; and all of them negated."""
+    rng = np.random.default_rng(14)
+    pows = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [pows]
+    up, down = pows, pows
+    for _ in range(6):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+        near += [up, down]
+    scale = 10.0 ** np.arange(-300, 298, 3).astype(float)
+    mantissas = np.array([999999999999.5, 999999999999.49, 999999999999.51, 99999999999.95,
+                          100000000000.5, 123456789012.5, 123456789012.4999, 999999999999.0])
+    edges = (mantissas[:, None] / 1e11 * scale[None, :]).ravel()
+    ties = (rng.integers(10**11, 10**12, 2000) + 0.5) * 10.0 ** rng.integers(-280, 280, 2000)
+    exact_ties = (rng.integers(10**11, 10**12, 2000) * 10 + 5).astype(float)    # < 2**53
+    bits = rng.integers(0, 2**63, 20000, dtype=np.int64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, 500, dtype=np.int64).view(np.float64)
+    special = np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.1, 0.5, 1.0, 1e-5, 1e-4, 9.99999999999e-5,
+                        99999999999.99, 999999999999.9, 1e16, 2.0**53])
+    decimals = rng.integers(0, 10**7, 5000) / 1000
+    x = np.concatenate(near + [edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0),
+                               ties, exact_ties, bits, subnormal, special, decimals])
+    return np.concatenate([x, -x])
+
+
+def test_line_writer_matches_python_format_byte_for_byte():
+    x = _adversarial_floats()
+    rng = np.random.default_rng(15)
+    n = rng.integers(0, 30, x.size)
+    i = rng.integers(0, 3, x.size) * 10 ** rng.integers(0, 18, x.size)   # 0 to 2e17
+    text = _lines("head\n", "e ", [(n[:5], i[:5], x[:5]), (n[5:5], i[5:5], x[5:5]),
+                                   (n[5:], i[5:], x[5:])])
+    assert text == "head\n" + "".join(f"e {a} {b} {v:.12g}\n"
+                                      for a, b, v in zip(n.tolist(), i.tolist(), x.tolist()))
+
+
+def test_function_writer_matches_per_entry_format_across_blocks():
+    # levels that are empty, cross a block boundary, and hold values that
+    # the fast path leaves to Python (ties, 0 with skip_zeros off, inf, nan)
+    rng = np.random.default_rng(16)
+    tail = np.array([0.5, 1234567890125.0, -0.0, np.inf, np.nan, 1e-320])
+    f = LevelFunction([np.zeros(3), rng.standard_normal(_BLOCK + 7) * 1e3, np.zeros(0),
+                       np.concatenate([rng.random(_BLOCK - 2), tail]), np.zeros(5)])
+    for skip in (True, False):
+        want = "fn v1\n" + "".join(
+            f"{n} {i} {v[i]:.12g}\n" for n, v in enumerate(f.values)
+            for i in (np.flatnonzero(v) if skip else range(v.size)))
+        assert format_function(f, skip_zeros=skip) == want
+
+
+def test_pascal300_diagram_round_trips_byte_for_byte():
+    # lambda^n reaches 1e52, so the values take every layout of the writer
+    d = gen_pascal(300, 1.5)
+    text = format_diagram(d)
+    want = [f"bratteli v1\nlevels 301 : {' '.join(map(str, d.level_sizes))}\n"]
+    for n, c in enumerate(d.conductance):
+        coo = c.tocoo()
+        want += [f"e {n} {i} {j} {v:.12g}\n"
+                 for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())]
+    assert text == "".join(want)
+    assert format_diagram(parse_diagram(text)) == text
+
+
+def test_graph_writer_matches_per_edge_format():
+    g = parse_graph("graph v1\nv 5\ne 0 1 2.5\ne 1 2\ne 2 3 1e-7\ne 3 4 123456789012345\n")
+    assert format_graph(g) == ("graph v1\nv 5\ne 0 1 2.5\ne 1 2 1\ne 2 3 1e-07\n"
+                               "e 3 4 1.23456789012e+14\n")
+    assert format_graph(parse_graph("graph v1\nv 1\n")) == "graph v1\nv 1\n"
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -313,7 +390,7 @@ GRAPH_PARITY = [
     ('unicode-digit', G + 'e 0 ١ 2.5\ne 1 2 1\ne 2 3 0.5\n',
      '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
     ('nan-and-1e400', G + 'e 0 1 nan\ne 1 2 1e400\ne 2 3 0.5\n',
-     '(4, [(0, 1, nan), (1, 2, inf), (2, 3, 0.5)])'),
+     ValueError('edge (0,1) has non-finite conductance')),
     ('mixed-3-and-4-fields', G + 'e 0 1 2.5\ne 1 2\ne 2 3 0.5\n',
      '(4, [(0, 1, 2.5), (1, 2, 1.0), (2, 3, 0.5)])'),
     ('all-3-fields', G + 'e 0 1\ne 1 2\ne 2 3\n',
@@ -334,6 +411,10 @@ GRAPH_PARITY = [
      ValueError('edge (0,1) has nonpositive conductance')),
     ('duplicate', G + 'e 0 1 2.5\ne 1 0 1\n',
      ValueError('duplicate edge (1,0)')),
+    ('inf-conductance', G + 'e 0 1 inf\n',
+     ValueError('edge (0,1) has non-finite conductance')),
+    ('minus-inf-conductance', G + 'e 0 1 -inf\n',
+     ValueError('edge (0,1) has nonpositive conductance')),
     ('no-edges', G,
      '(4, [])'),
 ]
@@ -414,6 +495,18 @@ def test_validate_pascal1000_file_reads_its_body_in_bulk(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid: 1001 levels, 501501 vertices")
     assert rss_mb < 184 * 1.15
+
+
+def test_gen_pascal1000_writes_its_body_in_blocks(tmp_path):
+    # 1,001,000 edge lines (32 MB).  Formatting in blocks of rows peaked at
+    # 151 MB, below the 154 MB of one f-string per edge; formatting all
+    # levels' columns at once peaked at 205 MB
+    out = tmp_path / "pascal1000.bd"
+    proc, rss_mb = _main_in_child(["gen", "pascal:1000:1.5", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 2 + 1001000
+    assert rss_mb < 151 * 1.15
 
 
 def test_dimension_of_tree16_in_linear_memory():
