@@ -2,8 +2,9 @@
 energy reporting, conversion, and the closed-form verification suite.
 
 Exit codes: 0 success, 1 domain error (message names the violated
-precondition), 2 usage error.  Numeric output uses 12 significant digits
-with '.' as the decimal separator; every file output gets a JSON run
+precondition), 2 usage error.  Numeric output is Python's format(x, '.12g'):
+12 significant digits, correctly rounded, with '.' as the decimal
+separator; every file output gets a JSON run
 manifest alongside it so reruns are byte-reproducible.
 """
 from __future__ import annotations

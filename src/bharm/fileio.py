@@ -17,12 +17,13 @@ Function file:
 
 Numbers are written as Python's format(x, '.12g') writes them: correctly
 rounded to 12 significant digits, with a '.' decimal separator.  The three
-writers share one line writer, _lines, which formats the rows of a body in
-numpy, a fixed block of rows at a time, so its working memory does not grow
-with the diagram.  It rounds each number with one multiplication by a
-correctly rounded power of ten; a row whose rounding that cannot decide (a
-fraction within 5e-4 of one half), and 0, inf, nan and numbers beyond the
-table, are formatted by Python instead (see _float_words).
+writers share one line writer, _lines.  It formats _BLOCK rows at a time in
+numpy and appends each block's bytes to the output, so the memory it needs
+beyond the text itself is fixed.  It rounds each number by one
+multiplication with a correctly rounded power of ten; the few rows that
+this rounding cannot decide (a fraction within 5e-4 of one half), and 0,
+inf, nan and numbers outside the table, are formatted by Python (see
+_float_words).
 
 The diagram and function readers share one way of reading: after its own
 header checks, each reads the body in bulk, with one call of numpy's C
@@ -42,8 +43,9 @@ each level is built straight from its edge lines.  A level larger than
 max(1, number of edge lines) is rejected before it is allocated: every vertex
 past the one-vertex root needs an incoming edge.  An edge line with
 conductance 0 is dropped (the pair is a non-edge); any other conductance
-makes an edge, so a negative one is reported by validate() as a positivity
-violation.
+makes an edge, so one that is negative, NaN or infinite is reported by
+validate() as a positivity violation.  A graph file's conductances must be
+positive and finite (GeneralGraph checks them).
 """
 from __future__ import annotations
 
@@ -204,7 +206,7 @@ def _edge_lines(body: str, sizes):
 # each field in whole words; a byte that is no character is 0, and
 # np.compress drops those bytes, so a field needs no length and no padding.
 
-_BLOCK = 8192      # rows per pass of the writer
+_BLOCK = 8192      # rows per pass of the writer; bounds its working memory to a few MB
 # _POW10[k + 297] is 10**k correctly rounded, for k in [-297, 308]
 _POW10 = np.array([float(f"1e{k}") for k in range(-297, 309)])
 # text is little-endian whatever the host: character c of a word is its byte c
@@ -270,7 +272,7 @@ def _lines(head: str, prefix: str, parts) -> str:
 
 def _format_block(prefix: str, block) -> np.ndarray:
     *ints, x = (np.concatenate(col) for col in zip(*block))
-    # an integer field is one word per 7 digits and its leading space
+    # an integer field holds its digits and a leading space, 8 characters a word
     widths = [len(str(v.max())) // 8 + 1 for v in ints]
     pre = (len(prefix) + 7) // 8
     text = np.empty((x.size, pre + sum(widths) + 4), dtype=_U64)

@@ -334,8 +334,8 @@ def test_validate_names_a_conductance_outside_zero_to_infinity(value, tmp_path, 
     assert err == "error: 1 violation(s)\n"
 
 
-@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
-def test_walks_on_a_conductance_outside_zero_to_infinity_are_exit_one(value, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_walks_on_a_non_finite_conductance_are_exit_one(value, tmp_path, capsys):
     # an infinite conductance once capped every walk and printed estimates of 0
     diagram = tmp_path / "bad.bd"
     diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(value))

@@ -474,7 +474,7 @@ def test_validation_battery(name):
 
 
 @pytest.mark.parametrize("width", [2, 600])
-@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_non_positive_conductance_line_is_positivity_at_any_width(width, value):
     edges = "".join(f"e 0 0 {j} {value if j == 1 else 1}\n" for j in range(width))
     d = parse_diagram(f"bratteli v1\nlevels 2 : 1 {width}\n" + edges)
