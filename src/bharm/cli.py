@@ -38,7 +38,7 @@ from .fileio import (
     parse_graph,
 )
 from .harmonic import harm_dimension, harmonicity_check, solve_chain, solve_dipole, solve_monopole
-from .operators import build_level_operators, laplacian_apply, markov_apply
+from .operators import build_level_operators, checked_conductances, laplacian_apply, markov_apply
 from .pathspace import (
     WalkConfig,
     green_exact,
@@ -46,10 +46,6 @@ from .pathspace import (
     poisson_kernel,
     simulate_walks,
 )
-
-
-class DomainError(Exception):
-    """Precondition violations surfaced to the user with exit code 1."""
 
 
 # input-file digests recorded per invocation for the run manifest
@@ -94,7 +90,7 @@ def _parse_vertex(spec: str) -> VertexId:
         n, i = spec.split(",")
         return VertexId(int(n), int(i))
     except ValueError as exc:
-        raise DomainError(f"bad vertex {spec!r}, expected 'level,index'") from exc
+        raise ValueError(f"bad vertex {spec!r}, expected 'level,index'") from exc
 
 
 def _parse_pins(pin_args) -> dict:
@@ -105,7 +101,7 @@ def _parse_pins(pin_args) -> dict:
             n, i = coord.split(",")
             pins.setdefault(int(n), {})[int(i)] = float(val)
         except ValueError as exc:
-            raise DomainError(f"bad pin {spec!r}, expected 'level,index=value'") from exc
+            raise ValueError(f"bad pin {spec!r}, expected 'level,index=value'") from exc
     return pins
 
 
@@ -115,7 +111,7 @@ def _diagram_arg(args):
             return parse_diagram(_read_text(args.diagram))
         return load_diagram(args.diagram)
     except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot load diagram {args.diagram!r}: {exc}") from exc
+        raise ValueError(f"cannot load diagram {args.diagram!r}: {exc}") from exc
 
 
 def _fn_arg(d, path):
@@ -136,7 +132,7 @@ def _cmd_validate(args) -> int:
     for v in violations:
         print(str(v))
     if violations:
-        raise DomainError(f"{len(violations)} violation(s)")
+        raise ValueError(f"{len(violations)} violation(s)")
     print(f"valid: {len(d.level_sizes)} levels, {d.total_vertices} vertices")
     return 0
 
@@ -145,7 +141,7 @@ def _cmd_harmonic(args) -> int:
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
     if depth > d.num_levels:
-        raise DomainError("requested depth exceeds the stored prefix")
+        raise ValueError("requested depth exceeds the stored prefix")
     pins = _parse_pins(args.pin)
     seed = None
     if args.seed_vector and args.seed_vector != "auto":
@@ -155,9 +151,10 @@ def _cmd_harmonic(args) -> int:
         # constraint's null space, sign-normalized (the plain minimum-norm
         # seed would be the zero function)
         import scipy.linalg
+        checked_conductances(d, 0, 1)  # as the recursion would, before C_0 is read
         basis = scipy.linalg.null_space(d.conductance[0].toarray())
         if basis.shape[1] == 0:
-            raise DomainError("root constraint admits only the zero seed")
+            raise ValueError("root constraint admits only the zero seed")
         seed = basis[:, 0]
         lead = seed[np.nonzero(np.abs(seed) > 1e-12)[0][0]]
         seed = seed / lead
@@ -176,7 +173,7 @@ def _cmd_harmonic(args) -> int:
 def _cmd_dimension(args) -> int:
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
-    res = harm_dimension(d, up_to_level=depth, tol=args.tol)
+    res = harm_dimension(d, up_to_level=depth)
     print(res.as_table())
     print(f"prefix dimension at level {depth}: {res.dimension}")
     return 0
@@ -186,13 +183,8 @@ def _cmd_pole(args, dipole: bool) -> int:
     d = _diagram_arg(args)
     x = _parse_vertex(args.vertex)
     depth = args.depth if args.depth is not None else d.num_levels
-    try:
-        if dipole:
-            f, report = solve_dipole(d, x, up_to_level=depth, tol=args.tol)
-        else:
-            f, report = solve_monopole(d, x, up_to_level=depth, tol=args.tol)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    solve = solve_dipole if dipole else solve_monopole
+    f, report = solve(d, x, up_to_level=depth, tol=args.tol)
     if not report.consistent:
         print("# inconsistent recursion; least-squares solution emitted", file=sys.stderr)
     _write_output(args.out, format_function(f), args,
@@ -206,10 +198,7 @@ def _cmd_green(args) -> int:
     d = _diagram_arg(args)
     boundary = args.boundary if args.boundary is not None else d.num_levels
     verts = [_parse_vertex(s) for s in args.vertices.split(";")] if args.vertices else None
-    try:
-        gs = green_exact(d, boundary, vertices=verts)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    gs = green_exact(d, boundary, vertices=verts)
     lines = ["x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples"]
     for i, x in enumerate(gs.vertices):
         for j, y in enumerate(gs.vertices):
@@ -232,10 +221,7 @@ def _cmd_walk(args) -> int:
     absorb = args.absorb if args.absorb is not None else d.num_levels
     cfg = WalkConfig(max_steps=args.max_steps, num_walks=args.walks,
                      seed=args.seed, absorb_level=absorb)
-    try:
-        est = simulate_walks(d, start, cfg, targets)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    est = simulate_walks(d, start, cfg, targets)
     lines = ["x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples"]
     for p in est.pairs:
         base = f"{start.level},{start.index},{p.target.level},{p.target.index}"
@@ -259,10 +245,7 @@ def _cmd_poisson(args) -> int:
     if args.method == "monte-carlo":
         cfg = WalkConfig(max_steps=args.max_steps, num_walks=args.walks,
                          seed=args.seed, absorb_level=level)
-    try:
-        res = poisson_kernel(d, fvals.values[level], level, method=args.method, cfg=cfg)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    res = poisson_kernel(d, fvals.values[level], level, method=args.method, cfg=cfg)
     if res.n_capped:
         print(f"# {res.n_capped} capped walk(s) excluded (bias note: see docs)",
               file=sys.stderr)
@@ -317,17 +300,13 @@ def _cmd_apply(args, which: str) -> int:
 
 def _cmd_convert(args) -> int:
     g = parse_graph(_read_text(args.graph))
-    try:
-        if args.ray:
-            ray = [int(v) for v in args.ray.split(",")]
-            res = extract_maximal_bratteli(g, ray)
-            d = res.diagram
-            note = {"maximal_within_ball": res.maximal_within_ball}
-        else:
-            d = diagram_from_graph(g, args.root)
-            note = {}
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    if args.ray:
+        res = extract_maximal_bratteli(g, [int(v) for v in args.ray.split(",")])
+        d = res.diagram
+        note = {"maximal_within_ball": res.maximal_within_ball}
+    else:
+        d = diagram_from_graph(g, args.root)
+        note = {}
     _write_output(args.out, format_diagram(d), args, note)
     return 0
 
@@ -422,7 +401,7 @@ def _cmd_verify(args) -> int:
         "greens": _verify_rows_greens,
     }
     if args.case not in cases:
-        raise DomainError(f"unknown case {args.case!r}; pick from {sorted(cases)}")
+        raise ValueError(f"unknown case {args.case!r}; pick from {sorted(cases)}")
     rows, tol = cases[args.case]()
     width = max(len(r[0]) for r in rows)
     ok = True
@@ -443,12 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="potential theory on level-graded networks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, diagram=True):
-        if diagram:
-            sp.add_argument("--diagram", required=True,
-                            help="diagram file or generator spec (tree:d:lam, ...)")
+    def add_common(sp, tol=False):
+        sp.add_argument("--diagram", required=True,
+                        help="diagram file or generator spec (tree:d:lam, ...)")
         sp.add_argument("--out", default=None, help="output file ('-' = stdout)")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9)
 
     sp = sub.add_parser("gen", help="emit a generated diagram")
     sp.add_argument("spec")
@@ -460,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("harmonic", help="run the harmonic level recursion")
-    add_common(sp)
+    add_common(sp, tol=True)
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--seed-vector", default="auto")
     sp.add_argument("--pin", action="append", help="level,index=value (repeatable)")
@@ -473,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, dip in (("monopole", False), ("dipole", True)):
         sp = sub.add_parser(name, help=f"solve the {name} recursion")
-        add_common(sp)
+        add_common(sp, tol=True)
         sp.add_argument("--vertex", required=True, help="level,index")
         sp.add_argument("--depth", type=int, default=None)
         sp.set_defaults(func=lambda a, dip=dip: _cmd_pole(a, dip))
@@ -539,9 +518,6 @@ def main(argv=None) -> int:
     _INPUT_HASHES.clear()
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         # RuntimeError: solver failures (singular systems); MemoryError: e.g. a
         # levels line whose sizes fit int64 but not memory, or a sparse factor

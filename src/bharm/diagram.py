@@ -78,9 +78,6 @@ class Diagram:
         """Truncation depth N; stored levels are 0..N."""
         return len(self.level_sizes) - 1
 
-    def size(self, n: int) -> int:
-        return self.level_sizes[n]
-
     @property
     def total_vertices(self) -> int:
         return int(sum(self.level_sizes))

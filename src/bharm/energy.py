@@ -15,7 +15,8 @@ import numpy as np
 from ._matops import col_sums, rmatvec, row_sums, stored_entries
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import LevelFunction, build_level_operators, laplacian_apply, markov_apply
+from .operators import (LevelFunction, build_level_operators, checked_conductances,
+                        laplacian_apply, markov_apply)
 from .pathspace import dipole_green
 
 
@@ -79,8 +80,10 @@ def _divergence_heuristic(terms: list, tail: int = 10, eps: float = 1e-6) -> boo
 
 def energy_norm(d: Diagram, f: LevelFunction) -> EnergyReport:
     """Edge-sum energy (1/2) sum_{x,y} c_xy (f(x)-f(y))^2 with per-level
-    partial sums, per-vertex currents, and the lower-bound ingredients."""
+    partial sums, per-vertex currents, and the lower-bound ingredients.
+    Raises ValueError on a conductance not in (0, inf)."""
     f.check_shape(d)
+    checked_conductances(d, 0, d.num_levels)
     incs = []
     for n in range(d.num_levels):
         incs.append(_edge_energy(d.conductance[n], f.values[n], f.values[n + 1]))

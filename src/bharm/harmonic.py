@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ._matops import rmatvec, stored_entries
 from .diagram import Diagram, VertexId
-from .operators import LevelFunction, LevelOperators, build_level_operators
+from .operators import LevelFunction, LevelOperators, build_level_operators, laplacian_entries
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -76,7 +76,6 @@ class HarmonicState:
     level: int
     sizes: tuple          # (|V_{n-1}|, |V_n|)
     basis: np.ndarray     # (|V_{n-1}|+|V_n|) x t, orthonormal columns
-    tol: float
 
     @property
     def pair_dimension(self) -> int:
@@ -127,7 +126,6 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     report carries the level-n residual in normalized form (inconsistent
     levels are reported, not raised) and the solve's diagnostics.
     """
-    ops = ops or build_level_operators(d)
     n = len(prefix) - 1
     if n >= d.num_levels:
         raise ValueError("prefix already reaches the stored depth")
@@ -137,9 +135,10 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
             raise ValueError(f"prefix level {k} has length {v.shape[0]}, "
                              f"expected {d.level_sizes[k]}")
     rhs = _source_vectors(d, source)
-    values, path, steps, fallback = _global_solve(d, ops, n + 1, rhs, prefix,
+    values, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix,
                                                   {n + 1: pins} if pins else {})
-    resid = _chain_residuals(d, ops, n + 1, rhs, values, first=n)[0]
+    resid = _chain_residuals(d, ops or build_level_operators(d), n + 1, rhs, values,
+                             first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
                    "fallback": fallback}
     return values[n + 1], SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics)
@@ -191,8 +190,8 @@ def _refine(lu, sol: np.ndarray, residual):
     return sol, steps
 
 
-def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
-                  prefix: Sequence[np.ndarray], pins: Dict[int, Dict[int, float]]):
+def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
+                  pins: Dict[int, Dict[int, float]]):
     """Global minimum-norm solution of the stacked constraint system.
 
     Unknowns f_0..f_depth, equations at levels 0..depth-1; the prefix
@@ -219,13 +218,13 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
         if lvl < fixed_levels:
             raise ValueError(f"pin on level {lvl}, but the prefix (f_0 and any seed) "
                              f"fixes levels 0..{fixed_levels - 1}")
-    off = np.concatenate([[0], np.cumsum(sizes[: depth + 1])]).astype(int)
-    nvar = int(off[-1])
     # equations below level k hold only prefix values: start at the first
     # one with an unknown, so the cost does not grow with the prefix
-    first = min(fixed_levels - 1, depth - 1)
-    rows, cols, vals, b = _stacked_equations(d, ops, rhs, off, first, depth)
-    n_rows = b.size
+    off, rows, cols, vals = laplacian_entries(d, min(fixed_levels - 1, depth - 1), depth)
+    # rows are numbered as vertices; the recursion's sign is -Delta f = -rhs
+    vals = -vals
+    b_adj = -np.concatenate(rhs[:depth])
+    n_rows, nvar = b_adj.size, int(off[-1])
     fixed = np.zeros(nvar, dtype=bool)
     x_full = np.zeros(nvar)
     fixed[: off[fixed_levels]] = True
@@ -238,7 +237,6 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
             x_full[off[lvl] + idx] = val
     keep = ~fixed[cols]
     fix_mask = fixed[cols]
-    b_adj = b.copy()
     np.add.at(b_adj, rows[fix_mask], -vals[fix_mask] * x_full[cols[fix_mask]])
     free_ids = np.nonzero(~fixed)[0]
     remap = np.full(nvar, -1, dtype=np.int64)
@@ -278,32 +276,6 @@ def _global_solve(d: Diagram, ops: LevelOperators, depth: int, rhs,
     return values, path, steps, fallback
 
 
-def _stacked_equations(d: Diagram, ops: LevelOperators, rhs, off, first: int, depth: int):
-    """The recursion equations of levels first..depth-1 stacked as one
-    sparse system over f_0..f_depth (level n's unknowns start at off[n]):
-    (rows, cols, vals, b), rows numbered from level first's first equation."""
-    sizes = d.level_sizes
-    rows, cols, vals, b_parts = [], [], [], []
-    row_base = 0
-    for n in range(first, depth):
-        r, c, v = stored_entries(d.conductance[n])
-        rows.append(r + row_base)
-        cols.append(c.astype(np.int64) + off[n + 1])
-        vals.append(v)
-        rows.append(np.arange(sizes[n], dtype=np.int64) + row_base)
-        cols.append(np.arange(sizes[n], dtype=np.int64) + off[n])
-        vals.append(-ops.degrees[n])
-        if n >= 1:
-            r, c, v = stored_entries(d.conductance[n - 1])
-            rows.append(c.astype(np.int64) + row_base)
-            cols.append(r + off[n - 1])
-            vals.append(v)
-        b_parts.append(-rhs[n])
-        row_base += sizes[n]
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-            np.concatenate(b_parts))
-
-
 def solve_chain(d: Diagram, depth: Optional[int] = None,
                 source: Optional[Dict[VertexId, float]] = None,
                 seed_f1: Optional[np.ndarray] = None,
@@ -328,7 +300,6 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     depth = d.num_levels if depth is None else depth
     if not 1 <= depth <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
-    ops = build_level_operators(d)
     rhs = _source_vectors(d, source)
     prefix = [np.zeros(1)]
     if seed_f1 is not None:
@@ -336,8 +307,8 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
         if seed_f1.shape[0] != d.level_sizes[1]:
             raise ValueError("seed vector length does not match level 1")
         prefix.append(seed_f1)
-    values, path, steps, fallback = _global_solve(d, ops, depth, rhs, prefix, pins or {})
-    residuals = _chain_residuals(d, ops, depth, rhs, values)
+    values, path, steps, fallback = _global_solve(d, depth, rhs, prefix, pins or {})
+    residuals = _chain_residuals(d, build_level_operators(d), depth, rhs, values)
     # pad to the stored depth so the result is a full LevelFunction
     for n in range(depth + 1, d.num_levels + 1):
         values.append(np.zeros(d.level_sizes[n]))
@@ -502,8 +473,7 @@ def _first_rank_deficient_level(d: Diagram, depth: int) -> Optional[int]:
     return None
 
 
-def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
-                   tol: float = DEFAULT_TOL) -> DimensionResult:
+def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionResult:
     """Dimension of the space of harmonic prefixes with f(o) = 0.
 
     The counts come from the ranks of the level matrices.  While C_n has
@@ -530,15 +500,15 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None,
             solution_set_dims=new_free, rank_drops=dict.fromkeys(new_free, 0),
             unique_extension=not any(new_free.values()), path="ranks",
             first_rank_deficient_level=None,
-            _compute_state=lambda: _propagate(d, n_max, tol)[-1])
-    per_level, sol_dims, drops, unique, state = _propagate(d, n_max, tol)
+            _compute_state=lambda: _propagate(d, n_max)[-1])
+    per_level, sol_dims, drops, unique, state = _propagate(d, n_max)
     return DimensionResult(
         dimension=per_level[n_max], per_level=per_level, solution_set_dims=sol_dims,
         rank_drops=drops, unique_extension=unique, path="propagation",
         first_rank_deficient_level=deficient, _compute_state=lambda: state)
 
 
-def _propagate(d: Diagram, n_max: int, tol: float):
+def _propagate(d: Diagram, n_max: int):
     """Prefix dimensions and the pair basis at n_max by propagating the
     admissible-pair subspace level by level (impose the constraint, project
     onto the column space, re-orthonormalize) while accounting for interior
@@ -596,5 +566,5 @@ def _propagate(d: Diagram, n_max: int, tol: float):
         cur = np.hstack([bot, kern])
         per_level[n + 1] = dim_p
     state = HarmonicState(level=n_max, sizes=(prev.shape[0], cur.shape[0]),
-                          basis=np.vstack([prev, cur]), tol=tol)
+                          basis=np.vstack([prev, cur]))
     return per_level, sol_dims, drops, unique, state

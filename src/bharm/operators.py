@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._matops import rmatvec, scale_rows, scale_rows_of_transpose
+from ._matops import rmatvec, scale_rows, scale_rows_of_transpose, stored_entries
 from .diagram import Diagram
 
 
@@ -52,9 +52,6 @@ class LevelFunction:
     def num_levels(self) -> int:
         return len(self.values) - 1
 
-    def level(self, n: int) -> np.ndarray:
-        return self.values[n]
-
     def at(self, vertex) -> float:
         return float(self.values[vertex.level][vertex.index])
 
@@ -74,10 +71,6 @@ class LevelFunction:
 
     def shift(self, t: float) -> "LevelFunction":
         return LevelFunction([a + t for a in self.values])
-
-    def max_abs(self, other: Optional["LevelFunction"] = None) -> float:
-        vals = self.values if other is None else (self - other).values
-        return max((np.abs(v).max() if v.size else 0.0) for v in vals)
 
     def level_extrema(self):
         """(max over V_n, min over V_n) per level, for max/min-principle checks."""
@@ -131,6 +124,70 @@ def build_level_operators(d: Diagram) -> LevelOperators:
         p_fwd.append(scale_rows_of_transpose(d.conductance[n - 1], 1.0 / degrees[n]))
     return LevelOperators(diagram=d, p_back=tuple(p_back), p_fwd=tuple(p_fwd),
                           degrees=tuple(degrees))
+
+
+def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
+    """The stored conductances of levels first..last-1, level by level in
+    row-major order; raises ValueError at the first that is not in (0, inf)."""
+    mats = d.conductance[first:last]
+    c = np.concatenate([m.data for m in mats]) if mats else np.zeros(0)
+    bad = np.flatnonzero(~((c > 0) & (c < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        for n, m in enumerate(mats, first):
+            if k < m.nnz:
+                rows, cols, vals = stored_entries(m)
+                raise ValueError(f"level {n}, edge ({rows[k]},{cols[k]}): conductance "
+                                 f"{vals[k].item()} is not positive and finite")
+            k -= m.nnz
+    return c
+
+
+def laplacian_entries(d: Diagram, first: int, last: int, boundary_columns: bool = True):
+    """Delta = c(I - P) on the vertices of levels 0..last, numbered level by
+    level, as (offsets, rows, cols, vals): offsets[n] is the number of level
+    n's first vertex (n = 0..last+1), and rows, cols, vals are the COO
+    entries of Delta's rows of levels first..last-1.  Within a level they
+    are its children block -C_n, its diagonal c(x), then its parents block
+    -C_{n-1}^T, each in the row-major order of its level matrix.  c(x)
+    counts every stored edge of x; without boundary_columns the entries in
+    level last's columns are left out (the Dirichlet matrix).  Each level
+    matrix read is read once, and a conductance not in (0, inf) raises
+    ValueError (see checked_conductances).
+    """
+    offsets = np.concatenate([[0], np.cumsum(d.level_sizes[:last + 1])]).astype(np.int64)
+    lo = max(first - 1, 0)
+    mats = d.conductance[lo:last]
+    c = checked_conductances(d, lo, last)
+    # edges u -> w of levels lo..last-1; level n's are starts[n - lo]:starts[n - lo + 1]
+    starts = np.concatenate([[0], np.cumsum([m.nnz for m in mats])])
+    u = np.repeat(np.arange(offsets[lo], offsets[last]),
+                  np.concatenate([np.diff(m.indptr) for m in mats]))
+    w = np.concatenate([m.indices for m in mats]) + np.repeat(offsets[lo + 1:last + 1],
+                                                               np.diff(starts))
+    # c(x) = col_sums(C_{n-1}) + row_sums(C_n), summed as Diagram.degree_vector sums
+    base, n_rows = offsets[first], int(offsets[last] - offsets[first])
+    up, down = starts[last - 1 - lo], starts[first - lo]
+    degrees = (np.bincount(w[:up] - base, c[:up], minlength=n_rows)
+               + np.bincount(u[down:] - base, c[down:], minlength=n_rows))
+    neg, diag = -c, np.arange(base, offsets[last])
+    rows, cols, vals = [], [], []
+    for n in range(first, last):
+        a, b = starts[n - lo], starts[n - lo + 1]
+        if boundary_columns or n + 1 < last:
+            rows.append(u[a:b])
+            cols.append(w[a:b])
+            vals.append(neg[a:b])
+        s = slice(offsets[n] - base, offsets[n + 1] - base)
+        rows.append(diag[s])
+        cols.append(diag[s])
+        vals.append(degrees[s])
+        if n > 0:
+            p = starts[n - 1 - lo]
+            rows.append(w[p:a])
+            cols.append(u[p:a])
+            vals.append(neg[p:a])
+    return offsets, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def laplacian_apply(ops: LevelOperators, f: LevelFunction):

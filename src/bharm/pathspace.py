@@ -28,10 +28,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._matops import dense_row, stored_entries
+from ._matops import dense_row
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import LevelFunction, build_level_operators, laplacian_apply
+from .operators import LevelFunction, build_level_operators, laplacian_apply, laplacian_entries
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,7 @@ class DirichletSystem:
     for the unpinned matrix, and one step of iterative refinement, which makes
     it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
     `diagnostics`: path, factorizations, solves and the largest max|b - A x|.
+    A conductance not in (0, inf) raises ValueError (see laplacian_entries).
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -56,22 +57,14 @@ class DirichletSystem:
             raise ValueError("boundary level must be within the stored prefix")
         self.diagram = d
         self.boundary_level = boundary_level
-        sizes = d.level_sizes[:boundary_level]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        offsets, rows, cols, vals = laplacian_entries(d, 0, boundary_level,
+                                                      boundary_columns=False)
+        self.offsets = offsets[:-1]
         self.n_interior = int(self.offsets[-1])
-        self.degrees = np.concatenate(
-            [d.degree_vector(n) for n in range(boundary_level)])
-        idx = np.arange(self.n_interior)
-        rows, cols, vals = [idx], [idx], [self.degrees]
-        for n in range(boundary_level - 1):
-            r, c, v = stored_entries(d.conductance[n])
-            r, c = r + self.offsets[n], c + self.offsets[n + 1]
-            rows += [r, c]
-            cols += [c, r]
-            vals += [-v, -v]
-        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        self.matrix = sp.csr_matrix(entries, shape=(self.n_interior, self.n_interior))
+        self.matrix = sp.csr_matrix((vals, (rows, cols)),
+                                    shape=(self.n_interior, self.n_interior))
         self.matrix.sum_duplicates()  # sorts the indices
+        self.degrees = self.matrix.diagonal()
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
@@ -449,32 +442,14 @@ class _Transitions:
 
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     """The walk's tables; a conductance that is not in (0, inf) raises ValueError."""
-    sizes = d.level_sizes[:absorb_level + 1]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    offsets, rows, cols, vals = laplacian_entries(d, 0, absorb_level)
     n_int = int(offsets[absorb_level])
-    owner, other, weight = [], [], []
-    for n in range(absorb_level):
-        rows, cols, vals = stored_entries(d.conductance[n])
-        bad = np.flatnonzero(~((vals > 0) & (vals < np.inf)))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"level {n}, edge ({rows[k]},{cols[k]}): conductance "
-                             f"{vals[k].item()} is not positive and finite; walks need "
-                             "0 < c < inf")
-        a, b = rows + offsets[n], cols + offsets[n + 1]
-        owner.append(a)
-        other.append(b)
-        weight.append(vals)
-        if n + 1 < absorb_level:
-            # vertices at the absorbing level never move again
-            owner.append(b)
-            other.append(a)
-            weight.append(vals)
-    # a stable sort puts each vertex's parents (level n - 1) before its children
-    order = np.argsort(np.concatenate(owner), kind="stable")
-    owner = np.concatenate(owner)[order]
-    other = np.concatenate(other)[order]
-    weight = np.concatenate(weight).astype(float)[order]
+    # the off-diagonal entries by owner, then by number: parents, then children;
+    # the keys are distinct, and the stable sort merges their sorted runs fastest
+    keep = rows != cols
+    owner, other = rows[keep], cols[keep]
+    order = np.argsort(owner * offsets[-1] + other, kind="stable")
+    owner, other, weight = owner[order], other[order], -vals[keep][order]
     degree = np.bincount(owner, minlength=n_int)
     first = np.cumsum(degree) - degree
     width = int(degree.max())
@@ -492,7 +467,8 @@ def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     cum = np.ascontiguousarray(cum.T)
     last = np.maximum(degree - 1, 0)[:, None]
     nbr = np.append(other, 0)[first[:, None] + np.minimum(np.arange(width + 1), last)]
-    return _Transitions(offsets=offsets, level=np.repeat(np.arange(absorb_level + 1), sizes),
+    return _Transitions(offsets=offsets,
+                        level=np.repeat(np.arange(absorb_level + 1), np.diff(offsets)),
                         degree=degree, cum=cum, nbr=nbr)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from bharm.cli import main
+from bharm.cli import _build_parser, main
 from bharm.fileio import format_function, load_diagram, parse_diagram, parse_function
 from bharm import gen_pascal, gen_binary_tree
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
@@ -235,8 +236,7 @@ def test_walks_on_a_negative_conductance_are_exit_one(argv, tmp_path, capsys):
     assert main(argv[:1] + ["--diagram", str(diagram)] + argv[1:]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: level 0, edge (0,1): conductance -0.5 is not positive and finite; "
-                   "walks need 0 < c < inf\n")
+    assert err == "error: level 0, edge (0,1): conductance -0.5 is not positive and finite\n"
 
 
 def test_monte_carlo_poisson_from_a_vertex_without_edges_is_exit_one(tmp_path, capsys):
@@ -342,8 +342,63 @@ def test_walks_on_a_non_finite_conductance_are_exit_one(value, tmp_path, capsys)
     assert main(["walk", "--diagram", str(diagram), "--start", "0,0", "--targets", "1,1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error: level 0, edge (0,1): conductance {value} is not positive and "
-                   "finite; walks need 0 < c < inf\n")
+    assert err == f"error: level 0, edge (0,1): conductance {value} is not positive and finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--vertices", "0,0;1,1"],
+    ["poisson", "--level", "2"],
+], ids=["green", "poisson"])
+def test_exact_solves_on_a_negative_conductance_are_exit_one(argv, tmp_path, capsys):
+    # green once ended in a ZeroDivisionError traceback
+    diagram = tmp_path / "neg.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(-0.5))
+    values = tmp_path / "in.fn"
+    values.write_text("fn v1\n2 0 1\n2 1 3\n")
+    if argv[0] == "poisson":
+        argv = argv + ["--values", str(values)]
+    assert main(argv[:1] + ["--diagram", str(diagram)] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: level 0, edge (0,1): conductance -0.5 is not positive and finite\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "-0.5", "nan"])
+def test_energy_of_a_conductance_outside_the_positive_reals_is_exit_one(value, tmp_path,
+                                                                          capsys):
+    # the report once exited 0 with an energy of inf, 0 or nan
+    diagram = tmp_path / "bad.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(value))
+    fn = tmp_path / "f.fn"
+    fn.write_text("fn v1\n1 0 1\n1 1 2\n2 0 1\n2 1 3\n")
+    assert main(["energy", "--diagram", str(diagram), "--fn", str(fn)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: level 0, edge (0,1): conductance {value} is not positive and finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic"],
+    ["monopole", "--vertex", "1,0"],
+    ["dipole", "--vertex", "1,0"],
+], ids=["harmonic", "monopole", "dipole"])
+def test_recursion_on_a_non_finite_conductance_is_exit_one(argv, tmp_path, capsys):
+    # harmonic's automatic seed once reported scipy's "array must not contain
+    # infs or NaNs" instead of the edge
+    diagram = tmp_path / "bad.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format("nan"))
+    assert main(argv[:1] + ["--diagram", str(diagram)] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: level 0, edge (0,1): conductance nan is not positive and finite\n"
+
+
+def test_only_the_recursion_commands_take_tol():
+    # --tol is the recursion's consistency tolerance; no other command reads one
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    takes = {name for name, p in sub.choices.items() if "--tol" in p._option_string_actions}
+    assert takes == {"harmonic", "monopole", "dipole"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -232,19 +232,21 @@ def test_extension_stacks_only_the_equations_with_unknowns(n, pinned, monkeypatc
     d = gen_pascal(200, 1.0)
     prefix = pascal_harmonic(200).values[: n + 1]
     pins = {0: pascal_value(n + 1, 0)} if pinned else None
-    stack = harmonic._stacked_equations
-    rows = []
+    entries = harmonic.laplacian_entries
+    stacked = []
 
-    def recording(*args):
-        system = stack(*args)
-        rows.append(system[3].size)
+    def recording(*args, **kwargs):
+        system = entries(*args, **kwargs)
+        stacked.append(np.unique(system[1]))
         return system
 
-    monkeypatch.setattr(harmonic, "_stacked_equations", recording)
+    monkeypatch.setattr(harmonic, "laplacian_entries", recording)
     x, rep = extend_harmonic(d, prefix, pins=pins)
-    assert rows == [d.level_sizes[n]]
-    monkeypatch.setattr(harmonic, "_stacked_equations",
-                        lambda d, ops, rhs, off, first, depth: stack(d, ops, rhs, off, 0, depth))
+    first = sum(d.level_sizes[:n])
+    assert len(stacked) == 1
+    assert stacked[0].tolist() == list(range(first, first + d.level_sizes[n]))
+    monkeypatch.setattr(harmonic, "laplacian_entries",
+                        lambda d, first, last: entries(d, 0, last))
     x_all, rep_all = extend_harmonic(d, prefix, pins=pins)
     assert x.tobytes() == x_all.tobytes()
     assert rep.residuals == rep_all.residuals and rep.diagnostics == rep_all.diagnostics
