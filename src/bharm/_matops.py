@@ -70,6 +70,19 @@ def stored_entries(m):
     return rows, m.indices, m.data
 
 
+def block_diagonal(mats):
+    """The matrices mats (at least one) as one block-diagonal CSR matrix,
+    and the row and column offsets of its blocks."""
+    row_off = np.concatenate([[0], np.cumsum([m.shape[0] for m in mats])])
+    col_off = np.concatenate([[0], np.cumsum([m.shape[1] for m in mats])])
+    nnz_off = np.concatenate([[0], np.cumsum([m.nnz for m in mats])])
+    indptr = np.concatenate([[0]] + [m.indptr[1:] + z for m, z in zip(mats, nnz_off)])
+    indices = np.concatenate([m.indices + c for m, c in zip(mats, col_off)])
+    data = np.concatenate([m.data for m in mats])
+    stacked = sp.csr_matrix((data, indices, indptr), shape=(row_off[-1], col_off[-1]))
+    return stacked, row_off, col_off
+
+
 def dense_row(m, i: int) -> np.ndarray:
     """Row i of m as a dense vector."""
     row = np.zeros(m.shape[1])

@@ -27,13 +27,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ._matops import rmatvec, stored_entries
+from ._matops import block_diagonal, rmatvec, stored_entries
 from .diagram import Diagram, VertexId
-from .operators import LevelFunction, LevelOperators, build_level_operators, laplacian_entries
+from .operators import (LevelFunction, LevelOperators, build_level_operators,
+                        checked_conductances, laplacian_entries)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
 DEFAULT_TOL = 1e-9
+_UNIT = np.finfo(float).eps / 2  # unit roundoff u
 
 
 @dataclass
@@ -382,8 +384,11 @@ class DimensionResult:
     path names the route that gave the counts: "ranks" when every C_n below
     the depth has full row rank, "propagation" otherwise.
     first_rank_deficient_level is the first n with rank C_n < |V_n| (None
-    on the rank route).  state, the pair basis at the depth, comes from the
-    propagation: on the rank route it is computed on first read, and kept.
+    on the rank route).  svd_levels counts the levels of the rank pass whose
+    rank took an SVD because the certificate left them undecided (see
+    harm_dimension); it is not printed.  state, the pair basis at the
+    depth, comes from the propagation: on the rank route it is computed on
+    first read, and kept.
     """
     dimension: int
     per_level: dict
@@ -392,6 +397,7 @@ class DimensionResult:
     unique_extension: bool
     path: str
     first_rank_deficient_level: Optional[int]
+    svd_levels: int
     _compute_state: Callable[[], HarmonicState] = field(repr=False, compare=False)
 
     @cached_property
@@ -464,13 +470,154 @@ def _level_rank(c) -> int:
     return int((s > RANK_RCOND * s.max()).sum()) if s.size else 0
 
 
-def _first_rank_deficient_level(d: Diagram, depth: int) -> Optional[int]:
-    """The first n < depth with rank C_n < |V_n|, or None."""
+def _gamma(q):
+    """Higham's gamma_q = q u / (1 - q u), which bounds the relative
+    rounding error of q floating-point operations."""
+    return q * _UNIT / (1 - q * _UNIT)
+
+
+def _certified_full_row_rank(d: Diagram, stop: int) -> np.ndarray:
+    """certified[n], n < stop: True only if C_n has full row rank by the
+    SVD's own test, that is sigma_m > RANK_RCOND sigma_1 for the singular
+    values _level_rank computes; False leaves level n undecided.  Every
+    C_n below stop must have |V_n| <= |V_{n+1}| and a stored entry.
+
+    One sparse factorization decides all levels.  Write C = C_n (m x k,
+    m <= k), u for the unit roundoff, eps = 2u, gamma_q = q u / (1 - q u),
+    and beta^2 = ||C||_1 ||C||_inf >= sigma_1^2 (raised by 1 + gamma_{m+k}
+    for the rounding of its sums).  Each level is first
+    scaled by a power of two, exactly, so that its largest entry lies in
+    [1, 2): the rank test does not depend on scale, and no product
+    overflows (an underflow errs by less than 2^-1000, far below
+    u beta^2 >= u).
+
+    Target.  A backward stable SVD returns the singular values of C + E
+    with ||E||_2 <= p eps ||C||_2, p a mildly growing function of the
+    shape; take p = m k, the order of the bound for Householder
+    bidiagonalisation (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 19.4).  By Weyl's inequality the SVD then calls C full
+    rank whenever sigma_m > t beta, t = RANK_RCOND + (1 + RANK_RCOND) m k
+    eps.  As sigma_m^2 = lambda_min(C C^T), it suffices to prove
+    lambda_min(C C^T) > tau = t^2 beta^2.
+
+    Test.  With the shift s = tau + sigma, G = fl(C C^T) - s I of all
+    levels, stacked block-diagonally, is factored once: P G P^T = L U by
+    SuperLU with the diagonal pivot always taken (perm_r == perm_c is
+    checked; a block-diagonal matrix gets no fill between blocks).  With
+    D = diag(U) > 0 on a level, M = (L D L^T + U^T D^-1 U) / 2 is positive
+    definite there.  If eta >= ||C C^T - s I - P^T M P||_2, then
+    lambda_min(C C^T) > s - eta, and the level is certified when
+    s - eta >= tau, that is when eta <= sigma less the rounding of s.
+    This is Rump's verification of positive definiteness (BIT 46, 2006),
+    with the factorization's error measured after the fact.
+
+    Residual.  eta adds four bounds, each per level block:
+      - forming C C^T: |fl(C C^T) - C C^T| <= gamma_w C C^T entrywise
+        (C >= 0; w the most entries in a row of C), so gamma_w beta^2;
+      - subtracting s: u max_i |G_ii|;
+      - the computed residual R = fl(P G P^T - fl(M)): (1 + u) ||R||;
+      - rounding in fl(M): |fl(M) - M| <= gamma_{l+2} (|L| D |L|^T +
+        |U|^T D^-1 |U|) / 2 (l the most terms of one inner product), and
+        both matrices are positive semidefinite, so their traces bound
+        their norms: gamma_{l+2} (sum d_j l_ij^2 + sum u_ij^2 / d_i) / 2.
+    Norms of R are bounded by sqrt(||R_n||_1 ||R_n||_inf).  The sums of
+    nonnegative terms behind eta are low by at most a factor 1 + gamma_q,
+    q the stored entries of L and U, by which eta is raised; that also
+    covers the few roundings of the final comparison.  Averaging the two
+    factorizations makes R small: if L U = P G P^T + F and E = U - D L^T,
+    then P G P^T - M = -(F + F^T) / 2 - E^T D^-1 E / 2, so the asymmetry
+    of U against D L^T cancels, and only the LU's own backward error F
+    remains, |F| <= gamma_l |L||U| (Higham, Thm 9.3), even where L has
+    large entries.
+
+    Shift.  sigma is set before the factorization as the size of the
+    factorization terms of eta when G is positive definite: (gamma_w + u)
+    beta^2 + 3 gamma_{m+1} ||C||_F^2.  gamma_{m+1} trace(G) with trace(G)
+    <= ||C||_F^2 bounds the rounding of a factorization of a positive
+    definite matrix (Demmel, LAPACK Working Note 14, 1989; Higham,
+    Thm 10.3), and it is counted three times: for F inside R, for the
+    rounding of fl(M) inside R, and for the rounding term.  sigma only
+    sets how close to singular a level can be and still be certified
+    (sigma_m / sigma_1 above about sqrt(sigma) / beta, near 1e-8 m); a
+    level with eta > sigma or a pivot <= 0 is left to the SVD.
+    An exactly zero pivot column, where SuperLU would leave the diagonal
+    or stop, leaves every level to the SVD.
+    """
+    stacked, row_off, col_off = block_diagonal(d.conductance[:stop])
+    m, k, offsets = np.diff(row_off), np.diff(col_off), row_off[:-1]
+    level = np.repeat(np.arange(stop), m)
+    rows, cols, vals = stored_entries(stacked)
+    _, exp = np.frexp(np.maximum.reduceat(vals, stacked.indptr[offsets]))
+    vals = np.ldexp(vals, (1 - exp)[level[rows]])
+    c = sp.csr_matrix((vals, cols, stacked.indptr), shape=stacked.shape)
+    w = np.maximum.reduceat(np.diff(c.indptr), offsets)
+    beta2 = (np.maximum.reduceat(np.bincount(cols, vals, minlength=col_off[-1]), col_off[:-1])
+             * np.maximum.reduceat(np.bincount(rows, vals, minlength=row_off[-1]), offsets)
+             * (1 + _gamma(m + k)))
+    t = RANK_RCOND + (1 + RANK_RCOND) * m * k * 2 * _UNIT
+    tau = t * t * beta2
+    sigma = (_gamma(w) + _UNIT) * beta2 + 3 * _gamma(m + 1) * np.bincount(
+        level[rows], vals * vals, minlength=stop)
+    shift = tau + sigma
+    g = (c @ c.T - sp.diags(shift[level])).tocsc()
+    undecided = np.zeros(stop, dtype=bool)
+    try:
+        lu = spla.splu(g, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, panel_size=1,
+                       relax=1, options={"SymmetricMode": True})
+    except RuntimeError:
+        return undecided
+    perm = lu.perm_c  # row a of g is row perm[a] of L and U
+    if not np.array_equal(lu.perm_r, perm):
+        return undecided
+    lower, upper = lu.L, lu.U
+    piv = upper.diagonal()
+    positive = np.minimum.reduceat(piv[perm] > 0, offsets)
+    size = perm.size
+    l_col = np.repeat(np.arange(size), np.diff(lower.indptr))
+    ld = sp.csc_matrix((lower.data * piv[l_col], lower.indices, lower.indptr), shape=g.shape)
+    du = sp.csc_matrix((upper.data / piv[upper.indices], upper.indices, upper.indptr),
+                       shape=g.shape)
+    gc = g.tocoo()
+    r = abs(sp.csr_matrix((gc.data, (perm[gc.row], perm[gc.col])), shape=g.shape)
+            - (ld @ lower.T + upper.T @ du) / 2).tocoo()  # P G P^T - M
+
+    def block_max(per_row):
+        return np.maximum.reduceat(per_row[perm], offsets)
+
+    norm_r = np.sqrt(block_max(np.bincount(r.row, r.data, minlength=size))
+                     * block_max(np.bincount(r.col, r.data, minlength=size)))
+    terms = block_max(np.maximum(np.bincount(lower.indices, minlength=size),
+                                 np.diff(upper.indptr)))
+    trace = np.add.reduceat((np.bincount(l_col, lower.data ** 2 * piv[l_col], minlength=size)
+                             + np.bincount(upper.indices, upper.data ** 2 / piv[upper.indices],
+                                           minlength=size))[perm], offsets) / 2
+    eta = ((_gamma(w) * beta2 + _UNIT * np.maximum.reduceat(np.abs(g.diagonal()), offsets)
+            + (1 + _UNIT) * norm_r + _gamma(terms + 2) * trace)
+           * (1 + _gamma(lower.nnz + upper.nnz)))
+    return positive & (eta + _UNIT * shift <= sigma)
+
+
+def _first_rank_deficient_level(d: Diagram, depth: int):
+    """(n, svd_levels): n is the first n < depth with rank C_n < |V_n|, or
+    None; svd_levels counts the levels up to it whose rank took an SVD
+    (_level_rank), those that _certified_full_row_rank leaves undecided.
+    The certificate runs on the levels before the first that has more
+    vertices than the next or no edge; the loop decides that one."""
+    sizes = d.level_sizes
+    stop = next((n for n in range(depth)
+                 if sizes[n] > sizes[n + 1] or d.conductance[n].nnz == 0), depth)
+    certified = _certified_full_row_rank(d, stop) if stop else []
+    svd_levels = 0
     for n in range(depth):
         c = d.conductance[n]
-        if c.shape[0] > c.shape[1] or _level_rank(c) < c.shape[0]:
-            return n
-    return None
+        if n < stop and certified[n]:
+            continue
+        if c.shape[0] > c.shape[1]:
+            return n, svd_levels
+        svd_levels += 1
+        if _level_rank(c) < c.shape[0]:
+            return n, svd_levels
+    return None, svd_levels
 
 
 def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionResult:
@@ -480,17 +627,29 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionRe
     full row rank, level n imposes no extendability condition on the
     prefix and adds nullity(C_n) free parameters, so when that holds at
     every level below the depth, per_level[k] = |V_k| - 1 follows from the
-    level sizes (path "ranks", see _level_rank).  The rank pass stops at
-    the first rank-deficient level; from there the counts come from the
-    propagation (path "propagation", see _propagate), which on the rank
-    route runs only when DimensionResult.state is read.  Both equal the
-    null-space dimension of the stacked constraint system (the brute-force
-    oracle) on every tested instance.
+    level sizes (path "ranks").  Full row rank is first certified for all
+    levels at once without an SVD (_certified_full_row_rank): one sparse
+    LDL^T of the block-diagonal sum of C_n C_n^T - s_n I proves
+    sigma_min(C_n)^2 > s_n - eta_n, where the shift s_n is derived from
+    RANK_RCOND, the SVD's own rounding and the rounding of forming C_n C_n^T,
+    and eta_n bounds the factorization's residual after the fact.  A
+    certified level is one the SVD's test would also call full rank.  Each
+    level the certificate leaves undecided (a zero row, rank deficiency, a
+    ratio sigma_min / sigma_max between RANK_RCOND and the certificate's
+    margin) takes the SVD of _level_rank, in level order, and
+    svd_levels counts those.  The rank pass stops at the first
+    rank-deficient level; from there the counts come from the propagation
+    (path "propagation", see _propagate), which on the rank route runs only
+    when DimensionResult.state is read.  Both equal the null-space
+    dimension of the stacked constraint system (the brute-force oracle) on
+    every tested instance.  A conductance not in (0, inf) below the depth
+    raises ValueError.
     """
     n_max = d.num_levels if up_to_level is None else up_to_level
     if not 1 <= n_max <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
-    deficient = _first_rank_deficient_level(d, n_max)
+    checked_conductances(d, 0, n_max)
+    deficient, svd_levels = _first_rank_deficient_level(d, n_max)
     if deficient is None:
         sizes = d.level_sizes
         new_free = {n: sizes[n + 1] - sizes[n] for n in range(1, n_max)}
@@ -499,13 +658,14 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionRe
             per_level={k: sizes[k] - 1 for k in range(1, n_max + 1)},
             solution_set_dims=new_free, rank_drops=dict.fromkeys(new_free, 0),
             unique_extension=not any(new_free.values()), path="ranks",
-            first_rank_deficient_level=None,
+            first_rank_deficient_level=None, svd_levels=svd_levels,
             _compute_state=lambda: _propagate(d, n_max)[-1])
     per_level, sol_dims, drops, unique, state = _propagate(d, n_max)
     return DimensionResult(
         dimension=per_level[n_max], per_level=per_level, solution_set_dims=sol_dims,
         rank_drops=drops, unique_extension=unique, path="propagation",
-        first_rank_deficient_level=deficient, _compute_state=lambda: state)
+        first_rank_deficient_level=deficient, svd_levels=svd_levels,
+        _compute_state=lambda: state)
 
 
 def _propagate(d: Diagram, n_max: int):

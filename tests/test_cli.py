@@ -2,9 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +393,58 @@ def test_recursion_on_a_non_finite_conductance_is_exit_one(argv, tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: level 0, edge (0,1): conductance nan is not positive and finite\n"
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_dimension_of_a_conductance_outside_the_positive_reals_is_exit_one(value, capsys,
+                                                                           tmp_path):
+    # dimension once exited 0 on -0.5 and reported scipy's "SVD did not
+    # converge" (nan) or "array must not contain infs or NaNs" (inf)
+    diagram = tmp_path / "bad.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(value))
+    assert main(["dimension", "--diagram", str(diagram)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: level 0, edge (0,1): conductance {value} is not positive and finite\n"
+
+
+@pytest.mark.parametrize("command", ["apply-laplacian", "apply-markov"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_apply_of_a_conductance_outside_the_positive_reals_is_exit_one(command, value,
+                                                                       tmp_path, capsys):
+    # both once exited 0 and wrote nan values, after numpy RuntimeWarnings on inf
+    diagram = tmp_path / "bad.bd"
+    diagram.write_text(BAD_CONDUCTANCE_DIAGRAM.format(value))
+    fn = tmp_path / "f.fn"
+    fn.write_text("fn v1\n1 0 1\n1 1 2\n2 0 1\n2 1 3\n")
+    out_file = tmp_path / "out.fn"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--diagram", str(diagram), "--fn", str(fn),
+                     "--out", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: level 0, edge (0,1): conductance {value} is not positive and finite\n"
+    assert not out_file.exists()
+
+
+def _stdout_under_blas_threads(argv, threads: int) -> bytes:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "bharm.cli", *argv], env=env,
+                          capture_output=True, check=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--diagram", "pascal:40:1"],
+    # the automatic seed is the first null vector from scipy.linalg.null_space
+    ["harmonic", "--diagram", "pascal:40:1"],
+], ids=["dimension", "harmonic-auto-seed"])
+def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    # one process at a time, each with at most two BLAS threads
+    one = _stdout_under_blas_threads(argv, 1)
+    assert one
+    assert _stdout_under_blas_threads(argv, 2) == one
 
 
 def test_only_the_recursion_commands_take_tol():

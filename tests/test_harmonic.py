@@ -10,6 +10,7 @@ from bharm import (
     VertexId,
     extend_harmonic,
     gen_binary_tree,
+    gen_binary_tree_radial,
     gen_bottleneck,
     gen_ladder,
     gen_pascal,
@@ -425,6 +426,89 @@ def test_level_rank_threshold_is_relative_to_the_whole_level():
 def test_dimension_route(spec, path, deficient):
     res = harm_dimension(parse_genspec(spec))
     assert (res.path, res.first_rank_deficient_level) == (path, deficient)
+
+
+def _with_second_level(c1):
+    """A root joined to both vertices of level 1, then C_1 = c1."""
+    c1 = np.asarray(c1, dtype=float)
+    return make_diagram([1, *c1.shape], [np.ones((1, c1.shape[0])), c1])
+
+
+def _singular_value_ratio(c) -> float:
+    s = np.linalg.svd(c.toarray(), compute_uv=False)
+    return s[-1] / s[0]
+
+
+def test_level_below_the_certificate_margin_takes_the_svd():
+    # sigma_min / sigma_max about 4e-10: above RANK_RCOND, so of full rank,
+    # but too close to singular for C C^T - s I to stay positive definite
+    d = _with_second_level([[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-9, 1.0]])
+    assert 1e-10 < _singular_value_ratio(d.conductance[1]) < 1e-8
+    assert list(harmonic._certified_full_row_rank(d, 2)) == [True, False]
+    res = harm_dimension(d)
+    assert (res.path, res.first_rank_deficient_level, res.svd_levels) == ("ranks", None, 1)
+    assert res.dimension == stacked_nullity(d, 2) == 2
+
+
+def test_level_just_below_the_rank_cutoff_stays_deficient():
+    d = _with_second_level([[1.0, 1.0], [1.0, 1.0 + 2e-12]])
+    assert 1e-13 < _singular_value_ratio(d.conductance[1]) < RANK_RCOND
+    res = harm_dimension(d)
+    assert (res.path, res.first_rank_deficient_level, res.svd_levels) == ("propagation", 1, 1)
+
+
+def _near_deficient(seed):
+    """Random levels with |V_n| <= |V_{n+1}|; in most, one row is a multiple
+    of another plus a perturbation of relative size 1e-17 to 1e-1, so the
+    ratio sigma_min / sigma_max spans RANK_RCOND and the certificate's
+    margin.  Each level is scaled by a random power of ten up to 1e+-100."""
+    rng = np.random.default_rng(seed)
+    sizes = [1]
+    for _ in range(rng.integers(1, 5)):
+        sizes.append(int(sizes[-1] + rng.integers(0, 5)))
+    mats = []
+    for m, k in zip(sizes, sizes[1:]):
+        c = rng.uniform(0.5, 2.0, (m, k)) * (rng.random((m, k)) < rng.uniform(0.3, 1.0))
+        c[np.arange(m), rng.integers(0, k, m)] = 1.0
+        if m >= 2 and rng.random() < 0.7:
+            i, j = rng.choice(m, 2, replace=False)
+            c[j] = c[i] * rng.uniform(0.5, 2.0) + 10.0 ** rng.uniform(-17, -1) * (
+                c[i] > 0) * rng.random(k)
+        mats.append(c * 10.0 ** rng.uniform(-100, 100))
+    return make_diagram(sizes, mats)
+
+
+def test_certificate_never_certifies_a_level_the_svd_calls_deficient():
+    diagrams = [gen_bottleneck(profile, seed)
+                for profile in ([1, 3, 3, 1, 3, 3], [1, 4, 4, 1, 4, 4], [1, 2, 4, 8, 8, 16],
+                                [1, 5, 9, 12, 12, 20])
+                for seed in range(6)]
+    diagrams += [gen_stationary(a, 6, lam) for lam in (0.5, 2.0)
+                 for a in ([[1, 1], [1, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 1]],
+                           [[1, 1, 1], [1, 0, 1], [1, 1, 0]], [[1, 1, 0], [1, 1, 0], [0, 1, 1]],
+                           [[1, 1, 0], [0, 1, 1], [1, 0, 1]])]
+    diagrams += [gen_binary_tree_radial(depth, lam, split)
+                 for depth, lam, split in ((10, 2.0, 3), (45, 0.5, 2), (300, 3.0, 2))]
+    diagrams += [_near_deficient(seed) for seed in range(60)]
+    decided = {True: 0, False: 0}
+    for d in diagrams:
+        sizes = d.level_sizes
+        stop = next((n for n in range(d.num_levels) if sizes[n] > sizes[n + 1]), d.num_levels)
+        certified = harmonic._certified_full_row_rank(d, stop) if stop else []
+        for n, ok in enumerate(certified):
+            full = _level_rank(d.conductance[n]) == sizes[n]
+            assert full or not ok, f"{sizes}, level {n}"
+            decided[ok] += full
+    # both outcomes occur on levels of full rank
+    assert decided[True] > 500 and decided[False] > 10
+
+
+@pytest.mark.parametrize("spec", ["tree:10:2", "tree:16:2", "pascal:130:1", "pascal:300:1.5",
+                                  "pascal:400:5", "ladder:60:0.3"])
+def test_certificate_decides_every_level_of_the_generated_families(spec):
+    # the well-conditioned levels take no SVD, at any scale of conductance
+    res = harm_dimension(parse_genspec(spec))
+    assert (res.path, res.svd_levels) == ("ranks", 0)
 
 
 def test_dimension_state_is_orthonormal():
