@@ -437,9 +437,12 @@ def _stdout_under_blas_threads(argv, threads: int) -> bytes:
 
 @pytest.mark.parametrize("argv", [
     ["dimension", "--diagram", "pascal:40:1"],
+    # rank-deficient at level 3: per-component SVDs, then the propagation's
+    # dense SVDs of up to 200 x 200
+    ["dimension", "--diagram", "bottleneck:1-30-200-200-30-200-200:7"],
     # the automatic seed is the first null vector from scipy.linalg.null_space
     ["harmonic", "--diagram", "pascal:40:1"],
-], ids=["dimension", "harmonic-auto-seed"])
+], ids=["dimension", "dimension-svd", "harmonic-auto-seed"])
 def test_output_does_not_depend_on_the_blas_thread_count(argv):
     # one process at a time, each with at most two BLAS threads
     one = _stdout_under_blas_threads(argv, 1)
