@@ -83,14 +83,6 @@ def block_diagonal(mats):
     return stacked, row_off, col_off
 
 
-def dense_row(m, i: int) -> np.ndarray:
-    """Row i of m as a dense vector."""
-    row = np.zeros(m.shape[1])
-    lo, hi = m.indptr[i], m.indptr[i + 1]
-    row[m.indices[lo:hi]] = m.data[lo:hi]
-    return row
-
-
 def values_at(m, rows, cols) -> np.ndarray:
     """m[rows[k], cols[k]] for each k, 0 where m stores nothing."""
     keys = np.append(stored_entries(m)[0] * m.shape[1] + m.indices, -1)
@@ -111,13 +103,3 @@ def row_sums(m) -> np.ndarray:
 def col_sums(m) -> np.ndarray:
     return np.bincount(m.indices, m.data, minlength=m.shape[1])
 
-
-def scale_rows(m, s: np.ndarray):
-    """diag(s) @ m."""
-    return _csr(m.data * np.repeat(s, np.diff(m.indptr)), m.indices, m.indptr, m.shape)
-
-
-def scale_rows_of_transpose(m, s: np.ndarray):
-    """diag(s) @ m.T."""
-    rows, cols, vals = stored_entries(m)
-    return level_matrix(m.shape[::-1], cols, rows, vals * s[cols])

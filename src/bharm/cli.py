@@ -287,7 +287,6 @@ def _cmd_energy(args) -> int:
 def _cmd_apply(args, which: str) -> int:
     d = _diagram_arg(args)
     f = _fn_arg(d, args.fn)
-    checked_conductances(d, 0, d.num_levels)
     ops = build_level_operators(d)
     out, mask = (laplacian_apply if which == "laplacian" else markov_apply)(ops, f)
     for n, ok in enumerate(mask):

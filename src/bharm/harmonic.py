@@ -27,10 +27,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ._matops import block_diagonal, rmatvec, stored_entries
+from ._matops import block_diagonal, stored_entries
 from .diagram import Diagram, VertexId
 from .operators import (LevelFunction, LevelOperators, build_level_operators,
-                        checked_conductances, laplacian_entries)
+                        checked_conductances, laplacian_apply, laplacian_entries)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -103,23 +103,16 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     residuals[n] = max |(Delta f)_n - rhs_n| for 0 <= n <= N-1; level N is
     truncation boundary and is not checked.
     """
-    f.check_shape(d)
+    lap, _ = laplacian_apply(build_level_operators(d), f)
     rhs = _source_vectors(d, source)
-    degs = [d.degree_vector(n) for n in range(d.num_levels + 1)]
-    residuals = []
-    for n in range(d.num_levels):
-        v = degs[n] * f.values[n] - d.conductance[n] @ f.values[n + 1]
-        if n > 0:
-            v -= rmatvec(d.conductance[n - 1], f.values[n - 1])
-        v -= rhs[n]
-        residuals.append(float(np.abs(v).max()) if v.size else 0.0)
+    residuals = [float(np.abs(lap.values[n] - rhs[n]).max(initial=0.0))
+                 for n in range(d.num_levels)]
     return SolveReport(residuals=residuals, tol=tol)
 
 
 def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
                     pins: Optional[Dict[int, float]] = None, tol: float = DEFAULT_TOL,
-                    source: Optional[Dict[VertexId, float]] = None,
-                    ops: Optional[LevelOperators] = None):
+                    source: Optional[Dict[VertexId, float]] = None):
     """Solve the next level of the recursion from a prefix f_0..f_n.
 
     Returns the minimum-norm least-squares f_{n+1}; pins fix the given
@@ -139,8 +132,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     rhs = _source_vectors(d, source)
     values, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix,
                                                   {n + 1: pins} if pins else {})
-    resid = _chain_residuals(d, ops or build_level_operators(d), n + 1, rhs, values,
-                             first=n)[0]
+    resid = _chain_residuals(d, build_level_operators(d), n + 1, rhs, values, first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
                    "fallback": fallback}
     return values[n + 1], SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics)
@@ -328,9 +320,9 @@ def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
     for n in range(first, depth):
         g = values[n].copy()
         if n > 0:
-            g -= ops.p_fwd[n] @ values[n - 1]
+            g -= ops.p_fwd(n, values[n - 1])
         g -= rhs[n] / ops.degrees[n]
-        r = ops.p_back[n] @ values[n + 1] - g
+        r = ops.p_back(n, values[n + 1]) - g
         out.append(float(np.abs(r).max()) if r.size else 0.0)
     return out
 

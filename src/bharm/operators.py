@@ -4,6 +4,7 @@ Functions on the vertex set are stored as one vector per level.  The Markov
 operator splits into back blocks P<-_n (level n+1 -> n, entries c_xz/c(x))
 and forward blocks P->_{n-1} (level n-1 -> n, entries c_yx/c(x)); the
 Laplacian acts as (Df)_n = D_n f_n - C_{n-1}^T f_{n-1} - C_n f_{n+1}.
+Both are applied off the diagram's level matrices C_n and the degrees c(x).
 
 Outputs at the last stored level are flagged invalid: without level N+1 the
 operators are not determined there.
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._matops import rmatvec, scale_rows, scale_rows_of_transpose, stored_entries
+from ._matops import rmatvec, stored_entries
 from .diagram import Diagram
 
 
@@ -80,18 +81,15 @@ class LevelFunction:
 
 @dataclass(frozen=True)
 class LevelOperators:
-    """Per-level blocks of P and the Laplacian for one diagram.
+    """P and the Laplacian of one diagram, applied off its level matrices.
 
-    p_back[n]: |V_n| x |V_{n+1}| block P<-_n, defined for 0 <= n < N.
-    p_fwd[n]:  |V_n| x |V_{n-1}| block P->_{n-1}, defined for 1 <= n <= N
-               (entry [n] lives at index n; index 0 is None).
     degrees[n]: total conductance c(x) per vertex (diagonal of D_n).
-    Row [P->_{n-1} | P<-_n] is stochastic for interior n; the last level's
-    blocks use truncated c and are flagged by interior_mask.
+    p_back(n, g) applies P<-_n for 0 <= n < N and p_fwd(n, g) applies
+    P->_{n-1} for 1 <= n <= N.  Row [P->_{n-1} | P<-_n] is stochastic for
+    interior n; the last level's rows use truncated c and are flagged by
+    interior_mask.  Only build_level_operators makes one, after its checks.
     """
     diagram: Diagram
-    p_back: tuple
-    p_fwd: tuple
     degrees: tuple
 
     @property
@@ -102,28 +100,39 @@ class LevelOperators:
         """Validity per level: the last stored level is truncation boundary."""
         return [n < self.num_levels for n in range(self.num_levels + 1)]
 
+    def p_back(self, n: int, g: np.ndarray) -> np.ndarray:
+        """P<-_n g: sum over x's children z of (c_xz / c(x)) g(z)."""
+        m = self.diagram.conductance[n]
+        rows, cols, c = stored_entries(m)
+        return np.bincount(rows, c * (1.0 / self.degrees[n])[rows] * g[cols],
+                           minlength=m.shape[0])
+
+    def p_fwd(self, n: int, g: np.ndarray) -> np.ndarray:
+        """P->_{n-1} g: sum over y's parents x of (c_xy / c(y)) g(x)."""
+        m = self.diagram.conductance[n - 1]
+        rows, cols, c = stored_entries(m)
+        return np.bincount(cols, c * (1.0 / self.degrees[n])[cols] * g[rows],
+                           minlength=m.shape[1])
+
+
+def isolated_vertex(n: int, x: int) -> ValueError:
+    """The error for vertex x of level n without edges."""
+    return ValueError(f"isolated vertex at level {n}, index {x} (c(x) = 0)")
+
 
 def build_level_operators(d: Diagram) -> LevelOperators:
-    """Assemble P<-, P->, and degree vectors from the conductance matrices.
-
-    Raises on isolated vertices (c(x) = 0), which cannot carry transition
-    probabilities.
+    """The degree vectors of d, after checking every conductance (see
+    checked_conductances) and that no vertex is isolated (c(x) = 0), which
+    could not carry transition probabilities; raises ValueError otherwise.
     """
+    checked_conductances(d, 0, d.num_levels)
     degrees = []
     for n in range(d.num_levels + 1):
         c = d.degree_vector(n)
         if (c <= 0).any():
-            x = int(np.nonzero(c <= 0)[0][0])
-            raise ValueError(f"isolated vertex at level {n}, index {x} (c(x) = 0)")
+            raise isolated_vertex(n, int(np.nonzero(c <= 0)[0][0]))
         degrees.append(c)
-    p_back = []
-    p_fwd = [None]
-    for n in range(d.num_levels):
-        p_back.append(scale_rows(d.conductance[n], 1.0 / degrees[n]))
-    for n in range(1, d.num_levels + 1):
-        p_fwd.append(scale_rows_of_transpose(d.conductance[n - 1], 1.0 / degrees[n]))
-    return LevelOperators(diagram=d, p_back=tuple(p_back), p_fwd=tuple(p_fwd),
-                          degrees=tuple(degrees))
+    return LevelOperators(diagram=d, degrees=tuple(degrees))
 
 
 def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
@@ -217,9 +226,9 @@ def markov_apply(ops: LevelOperators, f: LevelFunction):
     for n in range(d.num_levels + 1):
         v = np.zeros(d.level_sizes[n])
         if n > 0:
-            v += ops.p_fwd[n] @ f.values[n - 1]
+            v += ops.p_fwd(n, f.values[n - 1])
         if n < d.num_levels:
-            v += ops.p_back[n] @ f.values[n + 1]
+            v += ops.p_back(n, f.values[n + 1])
         out.append(v)
     return LevelFunction(out), ops.interior_mask()
 

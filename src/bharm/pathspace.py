@@ -21,6 +21,7 @@ counter, so a result depends only on the seed, never on the batching.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,10 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._matops import dense_row
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import LevelFunction, build_level_operators, laplacian_apply, laplacian_entries
+from .operators import (LevelFunction, build_level_operators, isolated_vertex, laplacian_apply,
+                        laplacian_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,8 @@ class DirichletSystem:
     for the unpinned matrix, and one step of iterative refinement, which makes
     it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
     `diagnostics`: path, factorizations, solves and the largest max|b - A x|.
-    A conductance not in (0, inf) raises ValueError (see laplacian_entries).
+    A conductance not in (0, inf) or an interior vertex without edges, whose
+    row of the matrix is zero, raises ValueError (see laplacian_entries).
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -65,6 +67,10 @@ class DirichletSystem:
                                     shape=(self.n_interior, self.n_interior))
         self.matrix.sum_duplicates()  # sorts the indices
         self.degrees = self.matrix.diagonal()
+        if not self.degrees.all():
+            k = int(np.flatnonzero(self.degrees == 0)[0])
+            n = int(np.searchsorted(self.offsets, k, side="right")) - 1
+            raise isolated_vertex(n, k - int(self.offsets[n]))
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
@@ -189,7 +195,7 @@ def _green_solve(sysm: DirichletSystem, ops, vertices: Sequence[VertexId]) -> Gr
         u = sysm.solve(source={y: 1.0})
         green[:, j] = [u.at(x) * degs[j] for x in vertices]
         # steps into the boundary level never return; u is 0 there
-        step[j] = _p_row_apply(sysm.diagram, ops, y, u) / u.at(y)
+        step[j] = _p_row_apply(ops, y, u) / u.at(y)
     gdiag = np.diag(green)
     if np.any(gdiag <= 0):
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
@@ -198,14 +204,21 @@ def _green_solve(sysm: DirichletSystem, ops, vertices: Sequence[VertexId]) -> Gr
                       diagnostics=dict(sysm.diagnostics))
 
 
-def _p_row_apply(d: Diagram, ops, v: VertexId, f: LevelFunction) -> float:
-    """(P f)(v): one step of the walk from v, read off v's transition rows."""
-    total = 0.0
-    if v.level > 0:
-        total += float(np.dot(dense_row(ops.p_fwd[v.level], v.index), f.values[v.level - 1]))
-    if v.level < d.num_levels:
-        total += float(np.dot(dense_row(ops.p_back[v.level], v.index), f.values[v.level + 1]))
-    return total
+def _p_row_apply(ops, v: VertexId, f: LevelFunction) -> float:
+    """(P f)(v): one step of the walk from v, read off v's stored column
+    (P->) and row (P<-) of the level matrices; the terms are summed exactly
+    rounded, so the value does not depend on how a dot product is split."""
+    n, x, d = v.level, v.index, ops.diagram
+    c = g = np.zeros(0)
+    if n > 0:
+        m = d.conductance[n - 1]
+        at = np.flatnonzero(m.indices == x)
+        c, g = m.data[at], f.values[n - 1][np.searchsorted(m.indptr, at, side="right") - 1]
+    if n < d.num_levels:
+        m = d.conductance[n]
+        at = slice(m.indptr[x], m.indptr[x + 1])
+        c, g = np.append(c, m.data[at]), np.append(g, f.values[n + 1][m.indices[at]])
+    return math.fsum(c * (1.0 / ops.degrees[n][x]) * g)
 
 
 @dataclass(frozen=True)
@@ -233,12 +246,12 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     ops = build_level_operators(d)
     hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
     f_hit = np.array([[h.at(x) for h in hits] for x in gs.vertices])
-    u_hit = np.array([_p_row_apply(d, ops, y, h) for y, h in zip(gs.vertices, hits)])
+    u_hit = np.array([_p_row_apply(ops, y, h) for y, h in zip(gs.vertices, hits)])
     gdiag = np.diag(gs.green)
     diag = np.abs(gdiag * (1.0 - u_hit) - 1.0).max()
     ratio_hit = np.abs(gs.green - f_hit * gdiag[None, :]).max()
     one_step_return = np.abs(u_hit - gs.return_prob).max()
-    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(d, ops, x, h))
+    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(ops, x, h))
                           for j, h in enumerate(hits) for i, x in enumerate(gs.vertices)
                           if i != j), default=0.0)
     cg = gs.degrees[:, None] * gs.green
@@ -763,7 +776,7 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     ops = build_level_operators(d)
     compat = []
     for n in range(n0, d.num_levels):
-        r = float(np.abs(ops.p_back[n] @ f.values[n + 1] - f.values[n]).max())
+        r = float(np.abs(ops.p_back(n, f.values[n + 1]) - f.values[n]).max())
         compat.append(r)
         if r > tol:
             raise ValueError(f"compatibility violated at level {n}: residual {r:.3e}")

@@ -241,6 +241,35 @@ def test_walks_on_a_negative_conductance_are_exit_one(argv, tmp_path, capsys):
     assert err == "error: level 0, edge (0,1): conductance -0.5 is not positive and finite\n"
 
 
+ISOLATED_VERTEX_DIAGRAM = ("bratteli v1\nlevels 4 : 1 2 2 2\ne 0 0 0 1\ne 0 0 1 1\n"
+                           "e 1 0 0 1\ne 2 0 0 1\ne 2 0 1 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["green"],
+    ["harmonic"],
+    ["monopole", "--vertex", "1,0"],
+    ["apply-laplacian", "--fn", "{values}"],
+    ["apply-markov", "--fn", "{values}"],
+    ["poisson", "--level", "3", "--values", "{boundary}", "--method", "exact-dirichlet"],
+], ids=["green", "harmonic", "monopole", "apply-laplacian", "apply-markov", "poisson"])
+def test_an_isolated_vertex_is_exit_one_naming_it(argv, tmp_path, capsys):
+    # vertex (2,1) has no edges; exact poisson once exited with scipy's
+    # "Factor is exactly singular"
+    files = {"diagram": tmp_path / "iso.bd", "values": tmp_path / "f.fn",
+             "boundary": tmp_path / "b.fn"}
+    files["diagram"].write_text(ISOLATED_VERTEX_DIAGRAM)
+    files["values"].write_text("fn v1\n0 0 1\n1 0 1\n1 1 2\n2 0 1\n2 1 2\n3 0 1\n3 1 2\n")
+    files["boundary"].write_text("fn v1\n3 0 1\n3 1 2\n")
+    argv = [a.format(**files) for a in argv]
+    assert main(argv[:1] + ["--diagram", str(files["diagram"])] + argv[1:]
+                + ["--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: isolated vertex at level 2, index 1 (c(x) = 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_monte_carlo_poisson_from_a_vertex_without_edges_is_exit_one(tmp_path, capsys):
     # vertex (2,1) has no edges; a walk started there cannot move
     diagram = tmp_path / "iso.bd"
@@ -428,26 +457,40 @@ def test_apply_of_a_conductance_outside_the_positive_reals_is_exit_one(command, 
     assert not out_file.exists()
 
 
-def _stdout_under_blas_threads(argv, threads: int) -> bytes:
+def _stdout_under_blas_threads(args, threads: int) -> bytes:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "bharm.cli", *argv], env=env,
-                          capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ["dimension", "--diagram", "pascal:40:1"],
+# U(x) sums a transition row as wide as the level, here 30,000 entries; a
+# BLAS dot product, split across threads above about 10k entries, once moved
+# the last digits of both values.  Printed at full precision.
+WIDE_LEVEL_RETURN_PROBABILITIES = """
+import numpy as np
+from bharm import VertexId, green_exact, make_diagram
+rng = np.random.default_rng(0)
+d = make_diagram([1, 30000, 1, 1], [rng.uniform(0.5, 2.0, (1, 30000)),
+                                    rng.uniform(0.5, 2.0, (30000, 1)),
+                                    rng.uniform(0.5, 2.0, (1, 1))])
+print(repr(green_exact(d, 3, [VertexId(0, 0), VertexId(2, 0)]).return_prob.tolist()))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "bharm.cli", "dimension", "--diagram", "pascal:40:1"],
     # rank-deficient at level 3: per-component SVDs, then the propagation's
     # dense SVDs of up to 200 x 200
-    ["dimension", "--diagram", "bottleneck:1-30-200-200-30-200-200:7"],
+    ["-m", "bharm.cli", "dimension", "--diagram", "bottleneck:1-30-200-200-30-200-200:7"],
     # the automatic seed is the first null vector from scipy.linalg.null_space
-    ["harmonic", "--diagram", "pascal:40:1"],
-], ids=["dimension", "dimension-svd", "harmonic-auto-seed"])
-def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    ["-m", "bharm.cli", "harmonic", "--diagram", "pascal:40:1"],
+    ["-c", WIDE_LEVEL_RETURN_PROBABILITIES],
+], ids=["dimension", "dimension-svd", "harmonic-auto-seed", "green-return-probability"])
+def test_output_does_not_depend_on_the_blas_thread_count(args):
     # one process at a time, each with at most two BLAS threads
-    one = _stdout_under_blas_threads(argv, 1)
+    one = _stdout_under_blas_threads(args, 1)
     assert one
-    assert _stdout_under_blas_threads(argv, 2) == one
+    assert _stdout_under_blas_threads(args, 2) == one
 
 
 def test_only_the_recursion_commands_take_tol():

@@ -18,7 +18,6 @@ from bharm import (
     validate,
 )
 from bharm.fileio import format_diagram, parse_diagram
-from bharm.operators import build_level_operators
 
 
 def ladder_graph(length, diagonals=False):
@@ -92,14 +91,11 @@ def _dense_with_zeros():
         "graph", "dense"])
 def test_every_level_is_read_only_canonical_csr(build):
     d = build()
-    ops = build_level_operators(d)
     for c, a in zip(d.conductance, d.incidence):
         for m in (c, a):
             _assert_read_only_canonical(m)
         assert np.array_equal(a.indptr, c.indptr) and np.array_equal(a.indices, c.indices)
         assert np.all(a.data == 1.0)
-    for m in ops.p_back + ops.p_fwd[1:]:
-        _assert_read_only_canonical(m)
 
 
 def _assert_read_only_canonical(m):

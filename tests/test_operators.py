@@ -14,12 +14,23 @@ from bharm import (
     spectral_bound_check,
 )
 from bharm.closedforms import pascal_harmonic
+from bharm.fileio import parse_diagram
 from bharm.operators import weighted_inner
 
 
 def rand_fn(d, seed):
     rng = np.random.default_rng(seed)
     return LevelFunction([rng.standard_normal(s) for s in d.level_sizes])
+
+
+def back_block(ops, n):
+    """P<-_n as a dense |V_n| x |V_{n+1}| matrix, applied to indicator functions."""
+    return np.column_stack([ops.p_back(n, e) for e in np.eye(ops.diagram.level_sizes[n + 1])])
+
+
+def fwd_block(ops, n):
+    """P->_{n-1} as a dense |V_n| x |V_{n-1}| matrix, applied to indicator functions."""
+    return np.column_stack([ops.p_fwd(n, e) for e in np.eye(ops.diagram.level_sizes[n - 1])])
 
 
 def test_pascal_back_blocks_bidiagonal_form():
@@ -30,7 +41,7 @@ def test_pascal_back_blocks_bidiagonal_form():
     lam = 2.0
     d = gen_pascal(4, lam)
     ops = build_level_operators(d)
-    pb = ops.p_back[2].toarray()
+    pb = back_block(ops, 2)
     edge = lam / (1 + 2 * lam)
     mid = lam / (2 + 2 * lam)
     expect = np.array([[edge, edge, 0, 0],
@@ -43,7 +54,7 @@ def test_tree_back_rows_two_equal_entries():
     lam = 2.0
     d = gen_binary_tree(3, lam)
     ops = build_level_operators(d)
-    pb = ops.p_back[1].toarray()
+    pb = back_block(ops, 1)
     degs = ops.degrees[1]
     for i in range(2):
         row = pb[i]
@@ -58,8 +69,8 @@ def test_stationary_all_ones_quarter_entries():
     ops = build_level_operators(d)
     # interior vertices have c(x) = 4 and all transition entries 1/4
     assert np.allclose(ops.degrees[2], 4.0)
-    assert np.allclose(ops.p_back[2].toarray(), 0.25)
-    assert np.allclose(ops.p_fwd[2].toarray(), 0.25)
+    assert np.allclose(back_block(ops, 2), 0.25)
+    assert np.allclose(fwd_block(ops, 2), 0.25)
 
 
 def test_isolated_vertex_rejected():
@@ -76,13 +87,22 @@ def test_isolated_vertex_rejected():
         build_level_operators(bad)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_conductance_outside_the_positive_reals_is_rejected(value):
+    d = parse_diagram("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 " + value
+                      + "\ne 1 0 0 1\ne 1 1 1 1\n")
+    with pytest.raises(ValueError, match=rf"^level 0, edge \(0,1\): conductance {value} "
+                                         "is not positive and finite$"):
+        build_level_operators(d)
+
+
 def test_row_stochasticity_interior():
     d = gen_pascal(6, 2.0)
     ops = build_level_operators(d)
     for n in range(1, d.num_levels):
-        total = ops.p_fwd[n].toarray().sum(axis=1) + ops.p_back[n].toarray().sum(axis=1)
+        total = fwd_block(ops, n).sum(axis=1) + back_block(ops, n).sum(axis=1)
         assert np.allclose(total, 1.0)
-    assert np.allclose(ops.p_back[0].toarray().sum(axis=1), 1.0)
+    assert np.allclose(back_block(ops, 0).sum(axis=1), 1.0)
 
 
 def test_laplacian_kills_constants_on_interior():

@@ -523,7 +523,7 @@ def compatible_family(d, top):
     vals = [None] * (d.num_levels + 1)
     vals[d.num_levels] = np.asarray(top, dtype=float)
     for n in range(d.num_levels - 1, -1, -1):
-        vals[n] = ops.p_back[n] @ vals[n + 1]
+        vals[n] = ops.p_back(n, vals[n + 1])
     return LevelFunction(vals)
 
 
