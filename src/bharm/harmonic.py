@@ -101,7 +101,8 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     """Residuals of Delta f = source at the root and all interior levels.
 
     residuals[n] = max |(Delta f)_n - rhs_n| for 0 <= n <= N-1; level N is
-    truncation boundary and is not checked.
+    truncation boundary and is not checked.  Raises ValueError where
+    build_level_operators does.
     """
     lap, _ = laplacian_apply(build_level_operators(d), f)
     rhs = _source_vectors(d, source)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bharm import (
     LevelFunction,
     VertexId,
     build_level_operators,
     gen_binary_tree,
+    gen_bottleneck,
     gen_pascal,
     gen_stationary,
     laplacian_apply,
@@ -94,6 +96,28 @@ def test_conductance_outside_the_positive_reals_is_rejected(value):
     with pytest.raises(ValueError, match=rf"^level 0, edge \(0,1\): conductance {value} "
                                          "is not positive and finite$"):
         build_level_operators(d)
+
+
+def test_transition_blocks_match_the_scaled_csr_products_bit_for_bit():
+    # reference: P<-_n and P->_{n-1} stored as scaled CSR copies of the level
+    # matrices, as the operators once were; applying them off C_n forms the
+    # same products and sums them in the same order
+    rng = np.random.default_rng(5)
+    shape = gen_bottleneck([1, 3, 20, 30, 7, 12], 5)
+    d = make_diagram(shape.level_sizes, [m.toarray() * rng.uniform(0.5, 2.0, m.shape)
+                                         for m in shape.conductance])
+    ops = build_level_operators(d)
+    for n in range(d.num_levels):
+        m = d.conductance[n]
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        back = sp.csr_matrix((m.data * (1.0 / ops.degrees[n])[rows], m.indices, m.indptr),
+                             shape=m.shape)
+        fwd = sp.csr_matrix((m.data * (1.0 / ops.degrees[n + 1])[m.indices],
+                             (m.indices, rows)), shape=m.shape[::-1])
+        g = rng.standard_normal(d.level_sizes[n + 1])
+        assert np.array_equal(ops.p_back(n, g), back @ g)
+        g = rng.standard_normal(d.level_sizes[n])
+        assert np.array_equal(ops.p_fwd(n + 1, g), fwd @ g)
 
 
 def test_row_stochasticity_interior():
