@@ -14,10 +14,12 @@ the boundary level; convergence is assessed empirically and never claimed as
 a proof of transience.
 
 Monte Carlo: `simulate_walks` and the Monte Carlo Poisson kernel share one
-batched engine.  It steps every running walk together over vectorized
-transition tables and draws each walk's numbers from a vectorized
-Philox4x64-10 that reproduces numpy's `Philox` stream for the walk's key and
-counter, so a result depends only on the seed, never on the batching.
+batched engine.  It steps the walks together in blocks, one per refill of
+draws, over vectorized transition tables whose absorbing rows hold a walk,
+and visits are counted once per block.  Each walk's numbers come from a
+vectorized Philox4x64-10 that reproduces numpy's `Philox` stream for the
+walk's key and counter, so a result depends only on the seed, never on the
+batching or the block boundaries.
 """
 from __future__ import annotations
 
@@ -441,10 +443,12 @@ class _Transitions:
 
     Vertices are numbered level by level (offsets[n] is level n's first
     number).  Column x of `cum` holds the cumulative transition
-    probabilities of interior vertex x over its neighbours (parents, then
-    children, in stored order), padded with +inf; row x of `nbr` holds those
+    probabilities of vertex x over its neighbours (parents, then children,
+    in stored order), padded with +inf; row x of `nbr` holds those
     neighbours, padded with the last one.  A draw u moves x to
-    nbr[x, #{entries of cum[:, x] below u}], the bisect_left position.
+    nbr[x, #{entries of cum[:, x] below u}], the bisect_left position.  A
+    vertex without edges, as every vertex of the absorbing level is, holds
+    the walk: its column of `cum` is all +inf and its row of `nbr` is x.
     """
     offsets: np.ndarray
     level: np.ndarray
@@ -456,20 +460,20 @@ class _Transitions:
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     """The walk's tables; a conductance that is not in (0, inf) raises ValueError."""
     offsets, rows, cols, vals = laplacian_entries(d, 0, absorb_level)
-    n_int = int(offsets[absorb_level])
+    n_all = int(offsets[-1])
     # the off-diagonal entries by owner, then by number: parents, then children;
     # the keys are distinct, and the stable sort merges their sorted runs fastest
     keep = rows != cols
     owner, other = rows[keep], cols[keep]
-    order = np.argsort(owner * offsets[-1] + other, kind="stable")
+    order = np.argsort(owner * n_all + other, kind="stable")
     owner, other, weight = owner[order], other[order], -vals[keep][order]
-    degree = np.bincount(owner, minlength=n_int)
+    degree = np.bincount(owner, minlength=n_all)
     first = np.cumsum(degree) - degree
     width = int(degree.max())
     col = np.arange(owner.size) - first[owner]
-    w = np.zeros((n_int, width))
+    w = np.zeros((n_all, width))
     w[owner, col] = weight
-    total = np.ones(n_int)
+    total = np.ones(n_all)
     for k in np.unique(degree[degree > 0]):
         # numpy's pairwise sum of each row, as w.sum() of that row alone gives
         rows = degree == k
@@ -480,9 +484,12 @@ def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     cum = np.ascontiguousarray(cum.T)
     last = np.maximum(degree - 1, 0)[:, None]
     nbr = np.append(other, 0)[first[:, None] + np.minimum(np.arange(width + 1), last)]
-    return _Transitions(offsets=offsets,
-                        level=np.repeat(np.arange(absorb_level + 1), np.diff(offsets)),
-                        degree=degree, cum=cum, nbr=nbr)
+    held = np.flatnonzero(degree == 0)
+    nbr[held] = held[:, None]
+    # levels in the smallest signed type that also holds -1, for the bookkeeping
+    level = np.repeat(np.arange(absorb_level + 1, dtype=np.min_scalar_type(-absorb_level - 1)),
+                      np.diff(offsets))
+    return _Transitions(offsets=offsets, level=level, degree=degree, cum=cum, nbr=nbr)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -549,50 +556,49 @@ def _philox_doubles(key: np.ndarray, walk: np.ndarray, first_block: int,
     return out.reshape(4, n_blocks, lanes)
 
 
-def _walk_lanes(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarray,
-                max_steps: int, carry=(), observe=None):
+def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarray,
+                 max_steps: int):
     """Run killed walks in lockstep, one lane each, until absorption or the cap.
 
     Lane i starts at vertex v[i] and takes step k with the k-th double of its
     substream (key[i], walk[i]) (see _philox_doubles), moving to the
     neighbour that bisect_left picks in its cumulative row; a draw at or
     above the row's last entry (possible only by rounding) takes the last
-    neighbour.  Draws are made only for lanes still running, in refills that
-    double up to _MAX_BLOCKS blocks (fewer when many lanes run).  After every
-    step, observe(v, *carry) sees the running lanes and may update the
-    per-lane `carry` arrays in place.  Returns (exit, final): exit[i] is lane
-    i's absorbing vertex, or -1 if it hit the cap; final holds the carry
-    values at absorption.
+    neighbour.  Draws are made in refills that double up to _MAX_BLOCKS
+    blocks (fewer when many lanes run), for the lanes still running when the
+    refill starts; the cap ends the last refill.  Each refill yields
+    (lane, path): path[s, j] is the vertex of lane lane[j] after the refill's
+    step s.  An absorbed lane is held at its absorbing vertex until the
+    refill ends, so a lane's last entry is its absorbing vertex, or a vertex
+    above the absorbing level if it hit the cap.
     """
     if not tr.degree[v].all():
         raise ValueError("a walk starts at a vertex without edges")
-    n_int = tr.degree.size
+    n_int = int(tr.offsets[-2])
+    stride = tr.nbr.shape[1]
+    nbr = tr.nbr.ravel()
     lane = np.arange(v.size)
-    exit_ = np.full(v.size, -1)
-    final = [np.zeros_like(c) for c in carry]
-    drawn, grow = 0, 1
-    for step in range(max_steps):
-        if step == drawn:
-            blocks = max(1, min(grow, _MAX_BLOCKS, _MAX_DRAWS // (4 * lane.size)))
-            buf = _philox_doubles(key[lane], walk[lane], step // 4 + 1, blocks)
-            row = np.arange(lane.size)
-            base, drawn, grow = step, step + 4 * blocks, 2 * grow
-        u = buf[(step - base) % 4, (step - base) // 4][row]
-        v = tr.nbr[v, (np.take(tr.cum, v, axis=1) < u).sum(axis=0)]
-        if observe is not None:
-            observe(v, *carry)
-        done = v >= n_int
-        if done.any():
-            ids = lane[done]
-            exit_[ids] = v[done]
-            for f, c in zip(final, carry):
-                f[ids] = c[done]
-            keep = ~done
-            lane, v, row = lane[keep], v[keep], row[keep]
-            carry = [c[keep] for c in carry]
-            if not lane.size:
-                break
-    return exit_, final
+    step, grow = 0, 1
+    while step < max_steps and lane.size:
+        blocks = max(1, min(grow, _MAX_BLOCKS, _MAX_DRAWS // (4 * lane.size)))
+        draws = _philox_doubles(key[lane], walk[lane], step // 4 + 1, blocks)
+        path = np.empty((min(4 * blocks, max_steps - step), lane.size), dtype=nbr.dtype)
+        cum = np.empty((tr.cum.shape[0], lane.size))
+        below = np.empty(cum.shape, dtype=bool)
+        at, count = np.empty((2, lane.size), dtype=nbr.dtype)
+        for s in range(path.shape[0]):
+            tr.cum.take(v, axis=1, out=cum)
+            np.less(cum, draws[s % 4, s // 4], out=below)
+            np.add.reduce(below, axis=0, out=count)
+            np.multiply(v, stride, out=at)
+            at += count
+            v = path[s]
+            nbr.take(at, out=v)
+        yield lane, path
+        running = v < n_int
+        lane, v = lane[running], v[running]
+        step += path.shape[0]
+        grow *= 2
 
 
 def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
@@ -602,37 +608,30 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
 
     Deterministic for a fixed seed: walk i draws from its own counter-based
     Philox substream (key seed mod 2**64, counter word i), and results are
-    reduced in walk-index order.
+    reduced in walk-index order.  A target listed twice is reported twice.
     """
     d.check_vertex(start)
     if not (start.level < cfg.absorb_level <= d.num_levels):
         raise ValueError("need start.level < absorb_level <= stored depth")
     tr = _transitions(d, cfg.absorb_level)
+    n_int = int(tr.offsets[-2])
     start_flat = int(tr.offsets[start.level]) + start.index
     targets = list(targets)
-    k = len(targets)
-    # visit-count column per vertex: a target's first position; k counts
-    # returns to a start that is not a target, k + 1 all other visits
-    col = np.full(tr.level.size, k + 1)
-    for j, t in enumerate(targets):
+    for t in targets:
         d.check_vertex(t)
         if t.level >= cfg.absorb_level:
             raise ValueError(f"target {t} is not interior to the absorbing level")
-        f = tr.offsets[t.level] + t.index
-        col[f] = min(col[f], j)
+    # visit-count column per vertex: one per distinct target (tcol[j] is
+    # target j's); k counts returns to a start that is not a target, k + 1
+    # all other visits, the absorbing ones included
+    uniq, tcol = np.unique(np.array([tr.offsets[t.level] + t.index for t in targets],
+                                    dtype=np.int64), return_inverse=True)
+    k = uniq.size
+    col = np.full(tr.level.size, k + 1)
+    col[uniq] = np.arange(k)
     initial = int(col[start_flat] < k)  # a start that is a target counts its first visit
     col[start_flat] = min(col[start_flat], k)
     ret = col[start_flat]
-
-    def observe(v, visits, deep, bad):
-        visits[np.arange(v.size), col[v]] += 1
-        # forward bookkeeping: bad is the deepest level so far at the last
-        # step that reached no new level (-1 before any such step); after
-        # it the walk first-visits bad + 1, bad + 2, ... on successive
-        # steps, so bad is the deepest level where that fails
-        lv = tr.level[v]
-        np.copyto(bad, deep, where=lv <= deep)
-        np.maximum(deep, lv, out=deep)
 
     reach_hits = np.zeros(k)
     visit_sum = np.zeros(k)
@@ -643,11 +642,25 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
         n = min(_LANES, cfg.num_walks - w0)
         visits = np.zeros((n, k + 2), dtype=np.int64)
         visits[:, ret] = initial
-        carry = (visits, np.full(n, start.level), np.full(n, -1))
-        exit_, (visits, _, bad) = _walk_lanes(
-            tr, np.full(n, start_flat), np.full(n, cfg.seed % 2 ** 64, dtype=np.uint64),
-            np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps, carry, observe)
-        absorbed = exit_ >= 0
+        # forward bookkeeping: bad is the deepest level so far at the last
+        # step that reached no new level (-1 before any such step); after
+        # it the walk first-visits bad + 1, bad + 2, ... on successive
+        # steps, so bad is the deepest level where that fails
+        deep, bad = np.full(n, start.level, tr.level.dtype), np.full(n, -1, tr.level.dtype)
+        last = np.empty(n, dtype=np.int64)
+        for lane, path in _walk_blocks(
+                tr, np.full(n, start_flat), np.full(n, cfg.seed % 2 ** 64, dtype=np.uint64),
+                np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps):
+            last[lane] = path[-1]
+            visits[lane] += np.bincount((col[path] + (k + 2) * np.arange(lane.size)).ravel(),
+                                        minlength=lane.size * (k + 2)).reshape(lane.size, k + 2)
+            lv = tr.level[path]
+            prior = np.maximum.accumulate(np.vstack([deep[lane], lv[:-1]]), axis=0)
+            # a held step is at the absorbing level, which a walk reaches only once
+            stalled = (lv <= prior) & (lv < cfg.absorb_level)
+            bad[lane] = np.maximum(bad[lane], np.where(stalled, prior, -1).max(axis=0))
+            deep[lane] = np.maximum(prior[-1], lv[-1])
+        absorbed = last >= n_int
         vis = visits[absorbed]
         reach_hits += (vis[:, :k] > 0).sum(axis=0)
         visit_sum += vis[:, :k].sum(axis=0)
@@ -661,7 +674,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     n_capped = cfg.num_walks - n_absorbed
     n = max(n_absorbed, 1)
     pairs = []
-    for j, t in enumerate(targets):
+    for t, j in zip(targets, tcol.tolist()):
         p = reach_hits[j] / n
         pse = float(np.sqrt(max(p * (1 - p), 0.0) / n))
         mean = visit_sum[j] / n
@@ -723,7 +736,7 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     if cfg is None:
         raise ValueError("monte-carlo mode needs a WalkConfig")
     tr = _transitions(d, target_level)
-    n_int, walks = tr.degree.size, cfg.num_walks
+    n_int, walks = int(tr.offsets[target_level]), cfg.num_walks
     vals, errs = np.zeros(n_int), np.zeros(n_int)
     capped = 0
     # lanes are (start vertex, walk) pairs; start x's walk w draws from the
@@ -732,15 +745,22 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     for x0 in range(0, n_int, per):
         xs = np.arange(x0, min(x0 + per, n_int))
         keys = np.uint64(cfg.seed % 2 ** 64) + np.uint64(7919) * xs.astype(np.uint64)
-        exit_, _ = _walk_lanes(tr, np.repeat(xs, walks), np.repeat(keys, walks),
-                               np.tile(np.arange(walks, dtype=np.uint64), xs.size),
-                               cfg.max_steps)
-        exit_ = exit_.reshape(xs.size, walks)
-        ok = exit_ >= 0
+        last = np.empty(xs.size * walks, dtype=np.int64)
+        for lane, path in _walk_blocks(tr, np.repeat(xs, walks), np.repeat(keys, walks),
+                                       np.tile(np.arange(walks, dtype=np.uint64), xs.size),
+                                       cfg.max_steps):
+            last[lane] = path[-1]
+        exit_ = last.reshape(xs.size, walks)
+        ok = exit_ >= n_int
         capped += int(ok.size - ok.sum())
         samples = f_n[np.where(ok, exit_ - tr.offsets[target_level], 0)]
-        for i, x in enumerate(xs):
-            arr = samples[i][ok[i]]
+        # a row reduction is the same pairwise sum as each row's own
+        full = ok.all(axis=1)
+        vals[xs[full]] = samples[full].mean(axis=1)
+        if walks > 1:
+            errs[xs[full]] = samples[full].std(axis=1, ddof=1) / np.sqrt(walks)
+        for i in np.flatnonzero(~full):
+            x, arr = xs[i], samples[i][ok[i]]
             if arr.size:
                 vals[x] = arr.mean()
                 errs[x] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0

@@ -160,8 +160,8 @@ def test_walk_and_monte_carlo_poisson_files_golden(name, tmp_path, capsys):
     """Output files, stderr and manifests of `walk` and Monte Carlo `poisson`
     stay byte-identical for fixed seeds: tree, Pascal, a stationary diagram
     of degree 10 and a file with irregular conductances (rows of up to 18
-    neighbours); root and non-root starts, a target equal to the start,
-    capped walks, walks of hundreds of steps, walk counts that are not
+    neighbours); root and non-root starts, a target equal to the start, a
+    target listed twice, capped walks, walks of hundreds of steps, walk counts that are not
     multiples of 4, and negative seeds and seeds of at least 2**63."""
     case = WALK_GOLDENS["cases"][name]
     files = {"diagram": tmp_path / "irregular.bd", "values": tmp_path / "in.fn"}
@@ -317,6 +317,23 @@ def test_walk_csv_deterministic(tmp_path):
     assert (tmp_path / "w.csv").read_bytes() == first
     header = first.decode().splitlines()[0]
     assert header == "x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples"
+
+
+@pytest.mark.parametrize("listed, once", [
+    ("1,0;1,0;2,1", "1,0;2,1"),
+    ("1,0;0,0;0,0", "1,0;0,0"),
+], ids=["target-twice", "start-twice"])
+def test_walk_repeats_the_rows_of_a_target_listed_twice(listed, once, capsys):
+    """As green --vertices repeats its rows, each listing of a target
+    prints that vertex's F and G rows."""
+    out = {}
+    for targets in (listed, once):
+        assert main(["walk", "--diagram", "tree:6:2", "--start", "0,0", "--targets", targets,
+                     "--walks", "2000", "--seed", "3"]) == 0
+        out[targets] = capsys.readouterr().out.splitlines()
+    rows = {t: out[once][1 + 2 * j:3 + 2 * j] for j, t in enumerate(once.split(";"))}
+    assert out[listed] == ([out[once][0]] + [r for t in listed.split(";") for r in rows[t]]
+                           + [out[once][-1]])
 
 
 def test_poisson_exact(tmp_path):

@@ -390,6 +390,36 @@ def test_transition_tables_match_per_vertex_cumsum():
     assert uneven > 0
 
 
+@pytest.mark.parametrize("absorb", [3, 5])
+def test_absorbing_rows_hold_the_walk(absorb):
+    """Every vertex of the absorbing level keeps a walk where it is, also
+    when the diagram goes on below it."""
+    tr = _transitions(IRREGULAR, absorb)
+    held = np.arange(tr.offsets[absorb], tr.offsets[absorb + 1])
+    assert held.size == IRREGULAR.level_sizes[absorb]
+    assert tr.cum.shape[1] == tr.nbr.shape[0] == tr.offsets[-1]
+    assert np.all(tr.cum[:, held] == np.inf)
+    assert np.array_equal(tr.nbr[held], np.repeat(held[:, None], tr.nbr.shape[1], axis=1))
+    assert np.all(tr.degree[held] == 0) and np.all(tr.degree[:held[0]] > 0)
+
+
+@pytest.mark.parametrize("start, targets, distinct", [
+    (VertexId(0, 0), [VertexId(1, 0), VertexId(1, 0), VertexId(2, 1)], [0, 0, 1]),
+    (VertexId(0, 0), [VertexId(1, 0), VertexId(0, 0), VertexId(0, 0)], [0, 1, 1]),
+    (VertexId(1, 1), [VertexId(2, 3), VertexId(1, 1), VertexId(2, 3), VertexId(1, 1)],
+     [0, 1, 0, 1]),
+], ids=["target-twice", "start-twice", "both-twice"])
+def test_a_target_listed_twice_is_estimated_each_time(start, targets, distinct):
+    d = gen_binary_tree(6, 2.0)
+    cfg = WalkConfig(max_steps=500, num_walks=2000, seed=3, absorb_level=6)
+    once = simulate_walks(d, start, cfg, list(dict.fromkeys(targets)))
+    twice = simulate_walks(d, start, cfg, targets)
+    assert twice.pairs == [once.pairs[j] for j in distinct]
+    assert (twice.return_prob, twice.forward_fraction) == (once.return_prob,
+                                                           once.forward_fraction)
+    assert all(p.visits > 0 for p in twice.pairs)
+
+
 @pytest.mark.parametrize("d, start, cfg, targets", [
     (gen_binary_tree(6, 2.0), VertexId(2, 1), WalkConfig(12, 203, -3, 6),
      [VertexId(2, 1), VertexId(1, 0), VertexId(3, 2)]),
@@ -428,18 +458,26 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
 
 
 def test_walk_results_do_not_depend_on_batching(monkeypatch):
-    cfg = WalkConfig(300, 103, 17, 8)
     targets = [VertexId(2, 1), VertexId(3, 3)]
 
     def run():
-        est = simulate_walks(TREE8, VertexId(1, 1), cfg, targets)
-        res = poisson_kernel(gen_pascal(6, 1.0), np.arange(7.0), 6, method="monte-carlo",
-                             cfg=WalkConfig(40, 11, 5, 6))
-        return est, [v.tolist() for v in res.values.values + res.stderr.values], res.n_capped
+        # caps of 11 and 41 steps end a refill inside a Philox block
+        ests = [simulate_walks(TREE8, VertexId(1, 1), WalkConfig(cap, 103, 17, 8), targets)
+                for cap in (300, 11)]
+        res = [poisson_kernel(gen_pascal(6, 1.0), np.arange(7.0), 6, method="monte-carlo",
+                              cfg=WalkConfig(cap, 11, 5, 6)) for cap in (40, 41)]
+        return ests, [([v.tolist() for v in r.values.values + r.stderr.values], r.n_capped)
+                      for r in res]
 
     whole = run()
+    assert whole[0][1].n_capped > 0 and whole[1][1][1] > 0
     monkeypatch.setattr(pathspace, "_LANES", 5)
     monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", 3)
+    assert run() == whole
+    # every refill one Philox block of 4 steps: visit counts and the forward
+    # bookkeeping carry across every block, and absorbed lanes are held
+    monkeypatch.setattr(pathspace, "_MAX_BLOCKS", 1)
+    monkeypatch.setattr(pathspace, "_MAX_DRAWS", 4)
     assert run() == whole
 
 
