@@ -614,7 +614,6 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     if not (start.level < cfg.absorb_level <= d.num_levels):
         raise ValueError("need start.level < absorb_level <= stored depth")
     tr = _transitions(d, cfg.absorb_level)
-    n_int = int(tr.offsets[-2])
     start_flat = int(tr.offsets[start.level]) + start.index
     targets = list(targets)
     for t in targets:
@@ -647,11 +646,9 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
         # it the walk first-visits bad + 1, bad + 2, ... on successive
         # steps, so bad is the deepest level where that fails
         deep, bad = np.full(n, start.level, tr.level.dtype), np.full(n, -1, tr.level.dtype)
-        last = np.empty(n, dtype=np.int64)
         for lane, path in _walk_blocks(
                 tr, np.full(n, start_flat), np.full(n, cfg.seed % 2 ** 64, dtype=np.uint64),
                 np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps):
-            last[lane] = path[-1]
             visits[lane] += np.bincount((col[path] + (k + 2) * np.arange(lane.size)).ravel(),
                                         minlength=lane.size * (k + 2)).reshape(lane.size, k + 2)
             lv = tr.level[path]
@@ -660,7 +657,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
             stalled = (lv <= prior) & (lv < cfg.absorb_level)
             bad[lane] = np.maximum(bad[lane], np.where(stalled, prior, -1).max(axis=0))
             deep[lane] = np.maximum(prior[-1], lv[-1])
-        absorbed = last >= n_int
+        absorbed = deep == cfg.absorb_level
         vis = visits[absorbed]
         reach_hits += (vis[:, :k] > 0).sum(axis=0)
         visit_sum += vis[:, :k].sum(axis=0)
