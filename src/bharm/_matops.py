@@ -47,28 +47,6 @@ def level_matrix(shape, rows, cols, vals, keep_zeros: bool = False):
     return _csr(vals[keep][order], cols[order].astype(idx), indptr, shape)
 
 
-def level_matrices(sizes, n, i, j, c):
-    """The level matrices of a diagram with level sizes `sizes` whose edges
-    (n, i, j) carry c, the edges distinct and sorted by (n, i, j): what
-    level_matrix gives level by level, zero values dropped, in one pass.
-    Each level owns its arrays: scipy copies a view of a larger array on
-    its first format check."""
-    if not c.all():
-        n, i, j, c = n[c != 0], i[c != 0], j[c != 0], c[c != 0]
-    sizes = np.asarray(sizes, dtype=np.int64)
-    first = np.concatenate([[0], np.cumsum(sizes[:-1])])  # each level's first row
-    ends = np.zeros(first[-1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(first[n] + i, minlength=first[-1]), out=ends[1:])
-    mats = []
-    for m in range(sizes.size - 1):
-        ptr = ends[first[m]:first[m + 1] + 1]
-        lo, hi = ptr[0], ptr[-1]
-        idx = np.int32 if max(sizes[m], sizes[m + 1], hi - lo) < 2 ** 31 else np.int64
-        mats.append(_csr(c[lo:hi].astype(float), j[lo:hi].astype(idx),
-                         (ptr - lo).astype(idx), sizes[m:m + 2]))
-    return mats
-
-
 def as_level(m, keep_zeros: bool = False):
     """A dense array or any scipy sparse matrix as a level matrix, duplicates
     summed (a level matrix is returned as it is).  A sparse input's stored

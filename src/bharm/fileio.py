@@ -54,7 +54,7 @@ import warnings
 
 import numpy as np
 
-from ._matops import level_matrices, stored_entries
+from ._matops import level_matrix, stored_entries
 from .diagram import (
     Diagram,
     GeneralGraph,
@@ -148,7 +148,10 @@ def parse_diagram(text: str) -> Diagram:
     if max(sizes) > max(n.size, 1):
         raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
                          f"edge lines; the file has {n.size}")
-    return make_diagram(sizes, level_matrices(sizes, n, i, j, c))
+    bounds = np.searchsorted(n, np.arange(len(sizes)))
+    mats = [level_matrix((sizes[m], sizes[m + 1]), i[lo:hi], j[lo:hi], c[lo:hi])
+            for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    return make_diagram(sizes, mats)
 
 
 def _edge_arrays(table, sizes):

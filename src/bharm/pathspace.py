@@ -751,13 +751,8 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         ok = exit_ >= n_int
         capped += int(ok.size - ok.sum())
         samples = f_n[np.where(ok, exit_ - tr.offsets[target_level], 0)]
-        # a row reduction is the same pairwise sum as each row's own
-        full = ok.all(axis=1)
-        vals[xs[full]] = samples[full].mean(axis=1)
-        if walks > 1:
-            errs[xs[full]] = samples[full].std(axis=1, ddof=1) / np.sqrt(walks)
-        for i in np.flatnonzero(~full):
-            x, arr = xs[i], samples[i][ok[i]]
+        for i, x in enumerate(xs):
+            arr = samples[i][ok[i]]
             if arr.size:
                 vals[x] = arr.mean()
                 errs[x] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0

@@ -14,7 +14,6 @@ from bharm import (
     gen_stationary,
     validate,
 )
-from bharm._matops import level_matrix
 from bharm.fileio import (
     _BLOCK,
     _lines,
@@ -122,25 +121,6 @@ def test_round_trip_reproduces_generator_levels(d):
     assert d2.level_sizes == d.level_sizes
     for a, b in zip(d.conductance + d.incidence, d2.conductance + d2.incidence):
         assert _same_level(a, b)
-
-
-@pytest.mark.parametrize("first", ["e 0 0 1 2.5", "e 0_0 0 1 2.5"], ids=["bulk", "per-line"])
-def test_parsed_levels_are_the_level_matrices_of_their_edges(first):
-    """All levels built in one pass hold the arrays and dtypes that
-    level_matrix gives each level's edges, zero conductances dropped (level
-    2 has only zeros); '0_0' sends the body through the per-line path."""
-    edges = [(1, 2, 0, "0"), (1, 0, 1, "1.25"), (2, 1, 0, "-0.0"), (1, 1, 1, "3"),
-             (0, 0, 0, "0.75"), (2, 0, 1, "0.0"), (1, 2, 1, "4.5"), (0, 0, 2, "0e0")]
-    text = "bratteli v1\nlevels 4 : 1 3 2 2\n" + first + "\n" + "".join(
-        f"e {n} {i} {j} {c}\n" for n, i, j, c in edges)
-    edges.append((0, 0, 1, "2.5"))
-    d = parse_diagram(text)
-    for n, m in enumerate(d.conductance):
-        rows, cols, vals = zip(*[(i, j, float(c)) for k, i, j, c in edges if k == n])
-        ref = level_matrix(m.shape, rows, cols, vals)
-        for a, b in zip((m.data, m.indices, m.indptr), (ref.data, ref.indices, ref.indptr)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert [m.nnz for m in d.conductance] == [2, 3, 0]
 
 
 def _adversarial_floats():
