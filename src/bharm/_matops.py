@@ -1,37 +1,58 @@
 """Per-level matrices: their one storage format and the operations on it.
 
-Every level matrix is a canonical scipy.sparse.csr_matrix (float64 data,
-sorted column indices, no duplicates, no stored zeros but those as_level
-keeps) whose arrays are read-only, so memory and time grow with the edges,
-not with |V_n| |V_{n+1}|.
-Only this module reads the CSR arrays; it works on them directly because
-scipy's per-call overhead dominates on narrow levels.
+Every level matrix is a LevelMatrix: a read-only canonical CSR matrix
+(float64 data, sorted column indices, no duplicates, no stored zeros but
+those as_level keeps), so memory and time grow with the edges, not with
+|V_n| |V_{n+1}|.  It is bharm's own type and needs numpy only: scipy is
+imported only where a caller hands in a scipy sparse matrix (as_level) and
+by the solvers that factor or decompose.
 """
 import numpy as np
-import scipy.sparse as sp
 
 
-# Attributes that scipy's constructor gives a CSR matrix besides its arrays.
-_CSR_ATTRS = vars(sp.csr_matrix((1, 1)))
+class LevelMatrix:
+    """Read-only canonical CSR matrix on arrays that this module made
+    canonical (float64 data, one index dtype for indices and indptr).
 
+    `m @ v` for a vector v is one np.bincount over the stored entries in
+    row-major order: it forms the same products and adds them in the same
+    order as scipy's CSR matrix-vector product, so the two agree bit for
+    bit.  The row of each stored entry is computed once, on first use.
+    """
+    __slots__ = ("data", "indices", "indptr", "shape", "_rows")
 
-def _csr(data, indices, indptr, shape):
-    """Read-only canonical CSR matrix on arrays this module made canonical
-    (float64 data, one index dtype).  It skips scipy's constructor, whose
-    checks cost about 30 us a call, hundreds of times for a diagram of
-    many narrow levels, and relies on scipy's private instance layout
-    (`_shape` and the template's attributes).  That layout is pinned by
-    tests/test_diagram.py::test_every_level_is_read_only_canonical_csr,
-    which runs check_format(full_check=True) on every kind of level
-    matrix: a scipy version is supported only if that test passes on it
-    (so far checked on scipy 1.17 only)."""
-    for a in (data, indices, indptr):
-        a.flags.writeable = False
-    m = sp.csr_matrix.__new__(sp.csr_matrix)
-    vars(m).update(_CSR_ATTRS, _shape=(int(shape[0]), int(shape[1])),
-                   data=data, indices=indices, indptr=indptr)
-    m.has_canonical_format = True
-    return m
+    def __init__(self, data, indices, indptr, shape):
+        for a in (data, indices, indptr):
+            a.flags.writeable = False
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._rows = None
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def rows(self) -> np.ndarray:
+        """Row index of each stored entry (read-only)."""
+        if self._rows is None:
+            rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+            rows.flags.writeable = False
+            self._rows = rows
+        return self._rows
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.asarray(v)
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"cannot multiply a {self.shape} level matrix "
+                             f"by a vector of shape {v.shape}")
+        # with no stored entries, bincount's sum would be integer zeros
+        return np.bincount(self.rows(), self.data * v.take(self.indices),
+                           minlength=self.shape[0]).astype(float, copy=False)
 
 
 def level_matrix(shape, rows, cols, vals, keep_zeros: bool = False):
@@ -44,7 +65,7 @@ def level_matrix(shape, rows, cols, vals, keep_zeros: bool = False):
     idx = np.int32 if max(*shape, rows.size) < 2 ** 31 else np.int64  # scipy's choice
     indptr = np.zeros(shape[0] + 1, dtype=idx)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return _csr(vals[keep][order], cols[order].astype(idx), indptr, shape)
+    return LevelMatrix(vals[keep][order], cols[order].astype(idx), indptr, shape)
 
 
 def as_level(m, keep_zeros: bool = False):
@@ -52,8 +73,13 @@ def as_level(m, keep_zeros: bool = False):
     summed (a level matrix is returned as it is).  A sparse input's stored
     zeros are kept only with keep_zeros, so that validate() can report them
     against a given incidence; the only branch on storage kind is here."""
-    if isinstance(m, sp.csr_matrix) and not m.data.flags.writeable:
+    if isinstance(m, LevelMatrix):
         return m
+    if not hasattr(m, "tocoo"):
+        a = np.asarray(m, dtype=float)
+        rows, cols = np.nonzero(a)
+        return level_matrix(a.shape, rows, cols, a[rows, cols])
+    import scipy.sparse as sp
     coo = sp.coo_matrix(m, dtype=float, copy=True)
     coo.sum_duplicates()
     return level_matrix(coo.shape, coo.row, coo.col, coo.data, keep_zeros)
@@ -61,17 +87,16 @@ def as_level(m, keep_zeros: bool = False):
 
 def incidence_of(m):
     """Ones on the structure of m, which it shares."""
-    return _csr(np.ones(m.nnz), m.indices, m.indptr, m.shape)
+    return LevelMatrix(np.ones(m.nnz), m.indices, m.indptr, m.shape)
 
 
 def stored_entries(m):
     """(rows, cols, values) of the stored entries in row-major order."""
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows, m.indices, m.data
+    return m.rows(), m.indices, m.data
 
 
 def block_diagonal(mats):
-    """The matrices mats (at least one) as one block-diagonal CSR matrix,
+    """The matrices mats (at least one) as one block-diagonal level matrix,
     and the row and column offsets of its blocks."""
     row_off = np.concatenate([[0], np.cumsum([m.shape[0] for m in mats])])
     col_off = np.concatenate([[0], np.cumsum([m.shape[1] for m in mats])])
@@ -79,13 +104,13 @@ def block_diagonal(mats):
     indptr = np.concatenate([[0]] + [m.indptr[1:] + z for m, z in zip(mats, nnz_off)])
     indices = np.concatenate([m.indices + c for m, c in zip(mats, col_off)])
     data = np.concatenate([m.data for m in mats])
-    stacked = sp.csr_matrix((data, indices, indptr), shape=(row_off[-1], col_off[-1]))
+    stacked = LevelMatrix(data, indices, indptr, (row_off[-1], col_off[-1]))
     return stacked, row_off, col_off
 
 
 def values_at(m, rows, cols) -> np.ndarray:
     """m[rows[k], cols[k]] for each k, 0 where m stores nothing."""
-    keys = np.append(stored_entries(m)[0] * m.shape[1] + m.indices, -1)
+    keys = np.append(m.rows() * m.shape[1] + m.indices, -1)
     want = np.asarray(rows, dtype=np.int64) * m.shape[1] + cols
     pos = np.searchsorted(keys[:-1], want)
     return np.where(keys[pos] == want, np.append(m.data, 0.0)[pos], 0.0)
@@ -93,13 +118,12 @@ def values_at(m, rows, cols) -> np.ndarray:
 
 def rmatvec(m, v: np.ndarray) -> np.ndarray:
     """m.T @ v."""
-    return np.bincount(m.indices, m.data * v[stored_entries(m)[0]], minlength=m.shape[1])
+    return np.bincount(m.indices, m.data * v[m.rows()], minlength=m.shape[1])
 
 
 def row_sums(m) -> np.ndarray:
-    return np.bincount(stored_entries(m)[0], m.data, minlength=m.shape[0])
+    return np.bincount(m.rows(), m.data, minlength=m.shape[0])
 
 
 def col_sums(m) -> np.ndarray:
     return np.bincount(m.indices, m.data, minlength=m.shape[1])
-

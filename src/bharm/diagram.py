@@ -65,7 +65,8 @@ class Diagram:
     """Finite prefix of an infinite weighted graded diagram.
 
     incidence[n] / conductance[n] have shape |V_n| x |V_{n+1}| and are
-    read-only canonical CSR matrices at every width (see _matops); a derived
+    LevelMatrix values at every width: read-only canonical CSR (see
+    _matops), with `nnz`, `toarray()` and `@` on a vector.  A derived
     incidence shares its conductance's structure.
     """
     level_sizes: tuple

@@ -50,6 +50,7 @@ positive and finite (GeneralGraph checks them).
 from __future__ import annotations
 
 import io
+import os
 import warnings
 
 import numpy as np
@@ -456,6 +457,9 @@ def _parse_rows(spec: str) -> np.ndarray:
     return np.array(rows)
 
 
+_GENERATORS = ("tree", "pascal", "stationary", "ladder", "bottleneck")
+
+
 def parse_genspec(spec: str) -> Diagram:
     """Generator shorthand: tree:<depth>:<lam>, pascal:<depth>:<lam>,
     stationary:<A-rows;semicolon-separated>:<depth>:<lam>,
@@ -481,11 +485,14 @@ def parse_genspec(spec: str) -> Diagram:
 
 
 def load_diagram(source: str) -> Diagram:
-    """Parse a generator shorthand, else read the path as a diagram file."""
+    """Parse a generator shorthand, else read the path as a diagram file.
+    A spec that names a generator but fails is reported as such unless a
+    file of that name exists."""
     if ":" in source and not source.endswith((".txt", ".bd", ".diagram")):
         try:
             return parse_genspec(source)
         except ValueError:
-            pass
+            if source.split(":")[0] in _GENERATORS and not os.path.exists(source):
+                raise
     with open(source, "r", encoding="utf-8") as fh:
         return parse_diagram(fh.read())

@@ -22,10 +22,6 @@ from functools import cached_property
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from ._matops import block_diagonal, stored_entries
 from .diagram import Diagram, VertexId
@@ -205,6 +201,8 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
     off its level.  Returns (values f_0..f_depth, path, refinement steps,
     fallback), where fallback is None, or why the path is lsqr.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     sizes = d.level_sizes
     fixed_levels = len(prefix)
     for lvl in pins:
@@ -407,12 +405,14 @@ class DimensionResult:
 
 
 def _orth(m: np.ndarray) -> np.ndarray:
+    import scipy.linalg
     if m.size == 0:
         return m.reshape(m.shape[0], 0)
     return scipy.linalg.orth(m, rcond=RANK_RCOND)
 
 
 def _nullspace(m: np.ndarray) -> np.ndarray:
+    import scipy.linalg
     if m.shape[0] == 0:
         return np.eye(m.shape[1])
     return scipy.linalg.null_space(m, rcond=RANK_RCOND)
@@ -439,6 +439,8 @@ def _level_rank(c) -> int:
     shape are stacked and take one batched SVD without U and V; a level of
     several components is never densified as a whole.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     m, k = c.shape
     rows, cols, vals = stored_entries(c)
     graph = sp.csr_matrix((np.ones(rows.size), (rows, cols + m)), shape=(m + k, m + k))
@@ -536,6 +538,8 @@ def _certified_full_row_rank(d: Diagram, stop: int) -> np.ndarray:
     An exactly zero pivot column, where SuperLU would leave the diagonal
     or stop, leaves every level to the SVD.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     stacked, row_off, col_off = block_diagonal(d.conductance[:stop])
     m, k, offsets = np.diff(row_off), np.diff(col_off), row_off[:-1]
     level = np.repeat(np.arange(stop), m)

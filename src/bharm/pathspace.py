@@ -28,8 +28,6 @@ from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
@@ -59,6 +57,7 @@ class DirichletSystem:
     def __init__(self, d: Diagram, boundary_level: int):
         if not (1 <= boundary_level <= d.num_levels):
             raise ValueError("boundary level must be within the stored prefix")
+        import scipy.sparse as sp
         self.diagram = d
         self.boundary_level = boundary_level
         offsets, rows, cols, vals = laplacian_entries(d, 0, boundary_level,
@@ -84,6 +83,7 @@ class DirichletSystem:
         return int(self.offsets[v.level] + v.index)
 
     def _solve_flat(self, matrix, b: np.ndarray) -> np.ndarray:
+        import scipy.sparse.linalg as spla
         report = self.diagnostics
         lu = self._lu if matrix is self.matrix else None
         if lu is None:

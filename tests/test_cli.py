@@ -612,3 +612,62 @@ def test_memory_error_is_exit_one_without_traceback(monkeypatch, tmp_path, capsy
     path.write_text("bratteli v1\nlevels 3 : 1 3000000000 3000000000\n")
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 22.4 GiB\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "tree:0:2"],
+    ["gen", "tree:3:-2"],
+    ["walk", "--diagram", "pascal:-1:1", "--start", "0,0"],
+], ids=["gen-depth", "gen-lambda", "diagram-depth"])
+def test_bad_generator_value_is_reported_as_such(args, capsys):
+    spec = args[1] if args[0] == "gen" else args[2]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load diagram {spec!r}: bad generator spec {spec!r}: ")
+    assert "No such file" not in err
+
+
+def test_missing_diagram_file_is_still_reported_as_missing(tmp_path, capsys):
+    missing = tmp_path / "none.txt"
+    assert main(["walk", "--diagram", str(missing), "--start", "0,0"]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+_NO_SCIPY_CHILD = """
+import json, sys
+from bharm.cli import main
+for args in json.loads(sys.argv[1]):
+    if main(args) != 0:
+        raise SystemExit(f"failed: {args}")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_subcommands_that_do_not_factor_never_import_scipy(tmp_path):
+    t = tmp_path
+    (t / "g.graph").write_text("graph v1\nv 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 1 4 1\n"
+                               "e 2 4 1\ne 2 5 1\n")
+    (t / "tree.fn").write_text(format_function(tree_symmetric_harmonic(5, 2.0)))
+    (t / "pascal.fn").write_text(format_function(pascal_harmonic(4)))
+    runs = [["gen", spec, "--out", str(t / f"d{k}.txt")] for k, spec in enumerate(
+        ["tree:5:2", "pascal:4:1", "stationary:1,1;1,0:4:2", "ladder:4", "bottleneck:1-3-4:7"])]
+    runs += [
+        ["validate", str(t / "d0.txt")],
+        ["convert", "--graph", str(t / "g.graph"), "--root", "0", "--out", str(t / "c.txt")],
+        ["walk", "--diagram", str(t / "d0.txt"), "--start", "0,0", "--walks", "200",
+         "--out", str(t / "w.txt")],
+        ["poisson", "--diagram", "tree:5:2", "--level", "5", "--values", str(t / "tree.fn"),
+         "--method", "monte-carlo", "--walks", "50", "--out", str(t / "p.fn")],
+        ["energy", "--diagram", "tree:5:2", "--fn", str(t / "tree.fn"), "--out", str(t / "e")],
+        ["apply-laplacian", "--diagram", "pascal:4:1", "--fn", str(t / "pascal.fn"),
+         "--out", str(t / "l.fn")],
+        ["apply-markov", "--diagram", "pascal:4:1", "--fn", str(t / "pascal.fn"),
+         "--out", str(t / "m.fn")],
+    ]
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -17,6 +17,7 @@ from bharm import (
     make_diagram,
     validate,
 )
+from bharm._matops import LevelMatrix
 from bharm.fileio import format_diagram, parse_diagram
 
 
@@ -77,6 +78,11 @@ def _dense_with_zeros():
     return make_diagram([1, 2, 3], [np.array([[1.0, 0.5]]), c1])
 
 
+def _sparse_with_duplicates():
+    c1 = sp.coo_matrix(([2.0, 1.0, 0.5, 3.0], ([1, 0, 1, 0], [2, 1, 2, 0])), shape=(2, 3))
+    return make_diagram([1, 2, 3], [sp.csr_matrix([[1.0, 0.5]]), c1])
+
+
 @pytest.mark.parametrize("build", [
     lambda: gen_binary_tree(10, 2.0),
     lambda: gen_pascal(520, 1.0),
@@ -87,8 +93,9 @@ def _dense_with_zeros():
     lambda: parse_diagram(format_diagram(gen_pascal(20, 1.5)) + "e 3 0 3 0\n"),
     lambda: diagram_from_graph(ladder_graph(6), root=0),
     _dense_with_zeros,
+    _sparse_with_duplicates,
 ], ids=["tree", "pascal", "stationary", "bottleneck", "ladder", "radial", "parse",
-        "graph", "dense"])
+        "graph", "dense", "sparse"])
 def test_every_level_is_read_only_canonical_csr(build):
     d = build()
     for c, a in zip(d.conductance, d.incidence):
@@ -99,21 +106,26 @@ def test_every_level_is_read_only_canonical_csr(build):
 
 
 def _assert_read_only_canonical(m):
-    # level matrices are assembled without scipy's constructor, so scipy's
-    # full format check must accept each one and leave its arrays as they are
-    assert isinstance(m, sp.csr_matrix) and m.dtype == np.float64
-    before = [arr.copy() for arr in (m.data, m.indices, m.indptr)]
-    m.check_format(full_check=True)
+    # scipy's full format check must accept a no-copy CSR wrapper of each
+    # level's arrays and leave them as they are
+    assert isinstance(m, LevelMatrix) and m.data.dtype == np.float64
+    assert m.indices.dtype == m.indptr.dtype
     arrays = (m.data, m.indices, m.indptr)
+    before = [arr.copy() for arr in arrays]
+    w = sp.csr_matrix(arrays, shape=m.shape, copy=False)
+    for ours, theirs in zip(arrays, (w.data, w.indices, w.indptr)):
+        assert np.shares_memory(ours, theirs)
+    w.check_format(full_check=True)
     for arr, old in zip(arrays, before):
         assert arr.dtype == old.dtype and np.array_equal(arr, old)
-    assert m.has_canonical_format and all(type(s) is int for s in m.shape)
+    assert w.has_canonical_format and all(type(s) is int for s in m.shape)
+    assert m.nnz == w.nnz and type(m.nnz) is int
     ref = sp.csr_matrix(m.toarray())  # sorted, distinct, zeros dropped
     assert ref.shape == m.shape
     assert np.array_equal(m.indptr, ref.indptr)
     assert np.array_equal(m.indices, ref.indices)
     assert np.array_equal(m.data, ref.data)
-    for arr in arrays:
+    for arr in arrays + (m.rows(),):
         with pytest.raises(ValueError):
             arr[:1] = 1
 

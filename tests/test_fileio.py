@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bharm import (
     LevelFunction,
@@ -184,7 +185,7 @@ def test_pascal300_diagram_round_trips_byte_for_byte():
     text = format_diagram(d)
     want = [f"bratteli v1\nlevels 301 : {' '.join(map(str, d.level_sizes))}\n"]
     for n, c in enumerate(d.conductance):
-        coo = c.tocoo()
+        coo = sp.csr_matrix((c.data, c.indices, c.indptr), shape=c.shape).tocoo()
         want += [f"e {n} {i} {j} {v:.12g}\n"
                  for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())]
     assert text == "".join(want)
