@@ -417,102 +417,83 @@ def _cmd_verify(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_COMMON = [_arg("--diagram", required=True,
+                help="diagram file or generator spec (tree:d:lam, ...)"),
+           _arg("--out", default=None, help="output file ('-' = stdout)")]
+_TOL = [_arg("--tol", type=float, default=1e-9)]
+_DEPTH = [_arg("--depth", type=int, default=None)]
+_FN = [_arg("--fn", required=True)]
+_WALKS = [_arg("--walks", type=int, default=10000), _arg("--max-steps", type=int, default=100000),
+          _arg("--seed", type=int, default=0)]
+
+# name -> (help, handler, arguments), in the order that `bharm -h` lists them
+_COMMANDS = {
+    "gen": ("emit a generated diagram", _cmd_gen, [_arg("spec"), _arg("--out", default=None)]),
+    "validate": ("check diagram invariants", _cmd_validate,
+                 [_arg("file", nargs="?", default="-")]),
+    "harmonic": ("run the harmonic level recursion", _cmd_harmonic,
+                 _COMMON + _TOL + _DEPTH + [
+                     _arg("--seed-vector", default="auto"),
+                     _arg("--pin", action="append", help="level,index=value (repeatable)")]),
+    "dimension": ("prefix dimension per level", _cmd_dimension, _COMMON + _DEPTH),
+    **{name: (f"solve the {name} recursion", lambda a, dip=dip: _cmd_pole(a, dip),
+              _COMMON + _TOL + [_arg("--vertex", required=True, help="level,index")] + _DEPTH)
+       for name, dip in (("monopole", False), ("dipole", True))},
+    "green": ("exact killed-chain G/F/U values", _cmd_green,
+              _COMMON + [_arg("--boundary", type=int, default=None),
+                         _arg("--vertices", default=None, help="'l,i;l,i;...'")]),
+    "walk": ("Monte Carlo walk estimates", _cmd_walk,
+             _COMMON + [_arg("--start", required=True), _arg("--targets", default=None)]
+             + _WALKS + [_arg("--absorb", type=int, default=None)]),
+    "poisson": ("harmonic extension of boundary data", _cmd_poisson,
+                _COMMON + [_arg("--level", type=int, required=True),
+                           _arg("--values", required=True, help="fn file with the boundary data"),
+                           _arg("--method", choices=["exact-dirichlet", "monte-carlo"],
+                                default="exact-dirichlet")] + _WALKS),
+    "energy": ("energy report for a function file", _cmd_energy,
+               _COMMON + _FN + [_arg("--format", choices=["csv", "pretty"], default="pretty")]),
+    **{f"apply-{op}": (f"{op} operator on a function file", lambda a, op=op: _cmd_apply(a, op),
+                       _COMMON + _FN)
+       for op in ("laplacian", "markov")},
+    "convert": ("general graph -> diagram", _cmd_convert,
+                [_arg("--graph", required=True), _arg("--root", type=int, default=0),
+                 _arg("--ray", default=None, help="comma-separated vertex ids"),
+                 _arg("--out", default=None)]),
+    "verify-paper": ("closed-form regression cases", _cmd_verify,
+                     [_arg("case", help="tree | pascal | stationary | bounds | greens")]),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names a subcommand, else the
+    parser of every subcommand (each add_argument costs a terminal size
+    lookup).  Usage and help text are the same either way: a subcommand's
+    parser does not depend on the others, and the top-level usage lists
+    every subcommand."""
     p = argparse.ArgumentParser(prog="bharm",
                                 description="potential theory on level-graded networks")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, tol=False):
-        sp.add_argument("--diagram", required=True,
-                        help="diagram file or generator spec (tree:d:lam, ...)")
-        sp.add_argument("--out", default=None, help="output file ('-' = stdout)")
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-9)
-
-    sp = sub.add_parser("gen", help="emit a generated diagram")
-    sp.add_argument("spec")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_gen)
-
-    sp = sub.add_parser("validate", help="check diagram invariants")
-    sp.add_argument("file", nargs="?", default="-")
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("harmonic", help="run the harmonic level recursion")
-    add_common(sp, tol=True)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--seed-vector", default="auto")
-    sp.add_argument("--pin", action="append", help="level,index=value (repeatable)")
-    sp.set_defaults(func=_cmd_harmonic)
-
-    sp = sub.add_parser("dimension", help="prefix dimension per level")
-    add_common(sp)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.set_defaults(func=_cmd_dimension)
-
-    for name, dip in (("monopole", False), ("dipole", True)):
-        sp = sub.add_parser(name, help=f"solve the {name} recursion")
-        add_common(sp, tol=True)
-        sp.add_argument("--vertex", required=True, help="level,index")
-        sp.add_argument("--depth", type=int, default=None)
-        sp.set_defaults(func=lambda a, dip=dip: _cmd_pole(a, dip))
-
-    sp = sub.add_parser("green", help="exact killed-chain G/F/U values")
-    add_common(sp)
-    sp.add_argument("--boundary", type=int, default=None)
-    sp.add_argument("--vertices", default=None, help="'l,i;l,i;...'")
-    sp.set_defaults(func=_cmd_green)
-
-    sp = sub.add_parser("walk", help="Monte Carlo walk estimates")
-    add_common(sp)
-    sp.add_argument("--start", required=True)
-    sp.add_argument("--targets", default=None)
-    sp.add_argument("--walks", type=int, default=10000)
-    sp.add_argument("--max-steps", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--absorb", type=int, default=None)
-    sp.set_defaults(func=_cmd_walk)
-
-    sp = sub.add_parser("poisson", help="harmonic extension of boundary data")
-    add_common(sp)
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--values", required=True, help="fn file with the boundary data")
-    sp.add_argument("--method", choices=["exact-dirichlet", "monte-carlo"],
-                    default="exact-dirichlet")
-    sp.add_argument("--walks", type=int, default=10000)
-    sp.add_argument("--max-steps", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_poisson)
-
-    sp = sub.add_parser("energy", help="energy report for a function file")
-    add_common(sp)
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--format", choices=["csv", "pretty"], default="pretty")
-    sp.set_defaults(func=_cmd_energy)
-
-    for name in ("apply-laplacian", "apply-markov"):
-        sp = sub.add_parser(name, help=f"{name.split('-')[1]} operator on a function file")
-        add_common(sp)
-        sp.add_argument("--fn", required=True)
-        sp.set_defaults(func=lambda a, w=name.split("-")[1]: _cmd_apply(a, w))
-
-    sp = sub.add_parser("convert", help="general graph -> diagram")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--root", type=int, default=0)
-    sp.add_argument("--ray", default=None, help="comma-separated vertex ids")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_convert)
-
-    sp = sub.add_parser("verify-paper", help="closed-form regression cases")
-    sp.add_argument("case", help="tree | pascal | stationary | bounds | greens")
-    sp.set_defaults(func=_cmd_verify)
-
+    if command in _COMMANDS:
+        # the usage a full parser derives from its choices
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, func, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in run manifests
     _INPUT_HASHES.clear()

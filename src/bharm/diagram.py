@@ -346,58 +346,121 @@ def extend_to(d: Diagram, depth: int) -> Diagram:
 class GeneralGraph:
     """Undirected locally finite graph with positive edge conductances.
 
-    No loops or multi-edges; connectivity is checked where operations
-    require it.
+    The edges are the int64 arrays i, j and the float array c, in the order
+    given (file order for a parsed graph).  The adjacency is CSR:
+    indices[indptr[v]:indptr[v + 1]] are v's neighbours in the order of v's
+    incident edges.  No loops or multi-edges; connectivity is checked where
+    operations require it.
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple]):
+        """edges: (i, j) or (i, j, c) tuples; c is 1 when left out."""
+        edges = [tuple(e) for e in edges]
+        self._build(num_vertices, [int(e[0]) for e in edges], [int(e[1]) for e in edges],
+                    [float(e[2]) if len(e) > 2 else 1.0 for e in edges])
+
+    @classmethod
+    def from_arrays(cls, num_vertices: int, i, j, c) -> "GeneralGraph":
+        """The graph with edges (i[k], j[k]) of conductance c[k]."""
+        g = cls.__new__(cls)
+        g._build(num_vertices, i, j, c)
+        return g
+
+    def _build(self, num_vertices, i, j, c) -> None:
+        """Check the edges and store them.  The first bad edge in order
+        raises, for the first of: a loop, an end outside the vertex range, a
+        conductance outside (0, inf), or a repeat of an earlier edge in
+        either orientation."""
         if num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        self.num_vertices = int(num_vertices)
-        self.adj: list = [dict() for _ in range(self.num_vertices)]
-        self.edges = []
-        for e in edges:
-            if len(e) == 2:
-                i, j, c = int(e[0]), int(e[1]), 1.0
-            else:
-                i, j, c = int(e[0]), int(e[1]), float(e[2])
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
-            if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
-                raise ValueError(f"edge ({i},{j}) outside vertex range")
-            if not 0 < c < np.inf:
-                kind = "nonpositive" if c <= 0 else "non-finite"
-                raise ValueError(f"edge ({i},{j}) has {kind} conductance")
-            if j in self.adj[i]:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            self.adj[i][j] = c
-            self.adj[j][i] = c
-            self.edges.append((i, j, c))
+        n = self.num_vertices = int(num_vertices)
+        ii, jj = _vertex_ids(i), _vertex_ids(j)
+        cc = np.array(c, dtype=float)
+        bad = (ii == jj) | (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n) | ~((cc > 0) & (cc < np.inf))
+        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+        order = np.lexsort((hi, lo))    # stable: a pair's edges stay in order
+        repeat = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        bad[order[1:][repeat]] = True
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(_edge_error(n, int(i[k]), int(j[k]), float(cc[k])))
+        m = ii.size
+        ends = np.concatenate([ii, jj])
+        order = np.lexsort((np.tile(np.arange(m), 2), ends))
+        self.indices = np.concatenate([jj, ii])[order]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=self.indptr[1:])
+        self.i, self.j, self.c = ii, jj, cc
+        for a in (self.i, self.j, self.c, self.indices, self.indptr):
+            a.flags.writeable = False
 
-    def neighbors(self, i: int) -> dict:
-        return self.adj[i]
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+    def _gather(self, vs: np.ndarray):
+        """The neighbours of the vertices vs, row after row in the order of
+        vs, and the bounds of the rows: row k is bounds[k]:bounds[k + 1]."""
+        lo = self.indptr[vs]
+        count = self.indptr[vs + 1] - lo
+        bounds = np.zeros(count.size + 1, dtype=np.int64)
+        np.cumsum(count, out=bounds[1:])
+        return self.indices[np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], count)], bounds
 
     def bfs_levels(self, root: int) -> list:
-        """Vertices grouped by graph distance from root; unreachable vertices
-        are omitted."""
-        dist = {root: 0}
-        order = [[root]]
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self.adj[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            if nxt:
-                order.append(nxt)
-            frontier = nxt
-        return order
+        """Vertices grouped by graph distance from root, as int64 arrays in
+        discovery order; unreachable vertices are omitted.
+
+        Level by level: the frontier's neighbours in frontier order, less
+        the vertices seen before, each at its first occurrence."""
+        if not 0 <= root < self.num_vertices:
+            raise ValueError(f"root {root} outside vertex range")
+        seen = np.zeros(self.num_vertices, dtype=bool)
+        seen[root] = True
+        levels = [np.array([root], dtype=np.int64)]
+        while True:
+            reached, _ = self._gather(levels[-1])
+            reached = reached[~seen[reached]]
+            if not reached.size:
+                return levels
+            _, first = np.unique(reached, return_index=True)
+            levels.append(reached[np.sort(first)])
+            seen[levels[-1]] = True
 
     def is_connected(self) -> bool:
-        seen = sum(len(lv) for lv in self.bfs_levels(0))
-        return seen == self.num_vertices
+        return sum(lv.size for lv in self.bfs_levels(0)) == self.num_vertices
+
+
+def _vertex_ids(values) -> np.ndarray:
+    """Vertex ids as int64; one that int64 cannot hold becomes -1, which is
+    outside the vertex range as the id itself is."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -2 ** 63 <= v < 2 ** 63 else -1 for v in values], dtype=np.int64)
+
+
+def _edge_error(n: int, i: int, j: int, c: float) -> str:
+    """The message for a bad edge (i, j, c) of a graph on n vertices."""
+    if i == j:
+        return f"loop at vertex {i}"
+    if not (0 <= i < n and 0 <= j < n):
+        return f"edge ({i},{j}) outside vertex range"
+    if not 0 < c < np.inf:
+        return f"edge ({i},{j}) has {'nonpositive' if c <= 0 else 'non-finite'} conductance"
+    return f"duplicate edge ({i},{j})"
+
+
+def _any_in_rows(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Whether each row bounds[k]:bounds[k + 1] of flags holds a True."""
+    total = np.concatenate([[0], np.cumsum(flags)])
+    return total[bounds[1:]] > total[bounds[:-1]]
+
+
+def _level_of(num_vertices: int, levels) -> np.ndarray:
+    """Each vertex's level among levels, -1 for a vertex in none."""
+    level = np.full(num_vertices, -1, dtype=np.int64)
+    level[np.concatenate(levels)] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+    return level
 
 
 @dataclass(frozen=True)
@@ -415,23 +478,22 @@ def check_bratteli_structure(g: GeneralGraph, root: int) -> LevelingResult:
     Yes requires: no edge joins two vertices at the same distance from the
     root, and every vertex not on the outermost stored sphere has degree >= 2
     (outermost vertices are truncation boundary, their outgoing edges may be
-    missing from the stored ball).
+    missing from the stored ball).  The witness of a no is the lowest vertex
+    of too small a degree, else the first edge inside a level.
     """
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
     levels = g.bfs_levels(root)
-    dist = {}
-    for n, lv in enumerate(levels):
-        for v in lv:
-            dist[v] = n
-    max_d = len(levels) - 1
-    for v in range(g.num_vertices):
-        if dist[v] < max_d and len(g.adj[v]) < 2:
-            return LevelingResult(False, witness=f"vertex {v} has degree {len(g.adj[v])}")
-    for i, j, _ in g.edges:
-        if dist[i] == dist[j]:
-            return LevelingResult(False, witness=f"intra-level edge ({i},{j}) at distance {dist[i]}")
-    return LevelingResult(True, levels=tuple(tuple(lv) for lv in levels))
+    if sum(lv.size for lv in levels) != g.num_vertices:
+        raise ValueError("graph is disconnected")
+    dist = _level_of(g.num_vertices, levels)
+    degree = np.diff(g.indptr)
+    low = np.flatnonzero((dist < len(levels) - 1) & (degree < 2))
+    if low.size:
+        return LevelingResult(False, witness=f"vertex {low[0]} has degree {degree[low[0]]}")
+    inside = np.flatnonzero(dist[g.i] == dist[g.j])
+    if inside.size:
+        i, j = g.i[inside[0]], g.j[inside[0]]
+        return LevelingResult(False, witness=f"intra-level edge ({i},{j}) at distance {dist[i]}")
+    return LevelingResult(True, levels=tuple(tuple(lv.tolist()) for lv in levels))
 
 
 def diagram_from_graph(g: GeneralGraph, root: int) -> Diagram:
@@ -439,30 +501,30 @@ def diagram_from_graph(g: GeneralGraph, root: int) -> Diagram:
     res = check_bratteli_structure(g, root)
     if not res.is_graded:
         raise ValueError(f"graph is not graded from root {root}: {res.witness}")
-    levels = [list(lv) for lv in res.levels]
-    return _diagram_from_levels(g, levels)
+    return _diagram_from_levels(g, [np.array(lv, dtype=np.int64) for lv in res.levels])
 
 
 def _diagram_from_levels(g: GeneralGraph, levels: list) -> Diagram:
-    """The subgraph of g induced on the given levels, keeping only edges
-    between consecutive levels."""
-    sizes = [len(lv) for lv in levels]
-    index = {}
-    for n, lv in enumerate(levels):
-        for k, v in enumerate(lv):
-            index[v] = (n, k)
-    entries = [([], [], []) for _ in range(len(sizes) - 1)]
-    for i, j, c in g.edges:
-        if i in index and j in index:
-            (ni, ki), (nj, kj) = index[i], index[j]
-            if ni == nj + 1:
-                (ni, ki), (nj, kj) = (nj, kj), (ni, ki)
-            if ni + 1 == nj:
-                rows, cols, vals = entries[ni]
-                rows.append(ki)
-                cols.append(kj)
-                vals.append(c)
-    mats = [level_matrix((sizes[n], sizes[n + 1]), *entries[n]) for n in range(len(sizes) - 1)]
+    """The subgraph of g induced on the given levels (int64 arrays, a
+    vertex's index in the diagram is its place in its level), keeping only
+    edges between consecutive levels."""
+    sizes = [lv.size for lv in levels]
+    level = _level_of(g.num_vertices, levels)
+    place = np.empty(g.num_vertices, dtype=np.int64)
+    for lv in levels:
+        place[lv] = np.arange(lv.size)
+    li, lj = level[g.i], level[g.j]
+    down = (li >= 0) & (lj == li + 1)
+    up = (lj >= 0) & (li == lj + 1)
+    keep = np.flatnonzero(down | up)
+    down = down[keep]
+    parent = np.where(down, g.i[keep], g.j[keep])
+    child = np.where(down, g.j[keep], g.i[keep])
+    order = np.argsort(level[parent], kind="stable")
+    parent, child, c = parent[order], child[order], g.c[keep][order]
+    bounds = np.searchsorted(level[parent], np.arange(len(sizes)))
+    mats = [level_matrix((sizes[n], sizes[n + 1]), place[parent[lo:hi]], place[child[lo:hi]],
+                         c[lo:hi]) for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
     return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
 
 
@@ -489,66 +551,62 @@ def extract_maximal_bratteli(g: GeneralGraph, ray: Sequence[int]) -> ExtractionR
     always kept (every candidate adjacent to it is dropped, so the kept set
     stays independent).  Childless non-ray vertices are pruned so the stored
     prefix validates; maximality is certified only within the stored ball.
+    Each level is a few masks over the gathered neighbours of its vertices.
     """
     ray = [int(v) for v in ray]
     if not ray:
         raise ValueError("ray must contain at least one vertex")
     if len(set(ray)) != len(ray):
         raise ValueError("ray is not self-avoiding")
-    for a, b in zip(ray, ray[1:]):
-        if b not in g.adj[a]:
-            raise ValueError(f"ray step ({a},{b}) is not an edge")
+    ids = _vertex_ids(ray)
+    inside = (ids >= 0) & (ids < g.num_vertices)
+    nbrs, bounds = g._gather(np.where(inside, ids, 0)[:-1])
+    step = _any_in_rows(nbrs == np.repeat(ids[1:], np.diff(bounds)), bounds)
+    bad = np.flatnonzero(~(step & inside[:-1] & inside[1:]))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"ray step ({ray[k]},{ray[k + 1]}) is not an edge")
 
     spheres = g.bfs_levels(ray[0])
-    dist = {}
-    for n, lv in enumerate(spheres):
-        for v in lv:
-            dist[v] = n
-
-    levels = [[ray[0]]]
-    used = {ray[0]}
+    dist = _level_of(g.num_vertices, spheres)
+    levels = [spheres[0]]
+    in_cand = np.zeros(g.num_vertices, dtype=bool)
     for n in range(1, len(spheres)):
-        prev = levels[-1]
-        cand = set()
-        for y in prev:
-            for z in g.adj[y]:
-                if z not in used and dist.get(z) == n:
-                    cand.add(z)
-        ray_v = ray[n] if n < len(ray) else None
-        if ray_v is not None and ray_v not in cand:
+        # a vertex at distance n is in no kept level yet
+        reached, _ = g._gather(levels[-1])
+        cand = np.unique(reached[dist[reached] == n])
+        in_cand[cand] = True
+        ray_v = ray[n] if n < len(ray) else -1
+        if ray_v >= 0 and not in_cand[ray_v]:
             raise ValueError(f"ray vertex {ray_v} unreachable at level {n}; ray not level-compatible")
-        keep = []
-        for z in sorted(cand):
-            if z == ray_v:
-                keep.append(z)
-                continue
-            if any(w in cand for w in g.adj[z]) or (ray_v is not None and ray_v in g.adj[z]):
-                continue
-            keep.append(z)
-        if not keep:
+        nbrs, bounds = g._gather(cand)
+        keep = cand[(cand == ray_v) | ~_any_in_rows(in_cand[nbrs], bounds)]
+        in_cand[cand] = False
+        if not keep.size:
             break
         levels.append(keep)
-        used.update(keep)
 
     # prune childless interior vertices (ray vertices always have the next
-    # ray vertex as a child while the ray lasts)
+    # ray vertex as a child while the ray lasts); no level empties, since
+    # each kept vertex of level n + 1 has a parent in level n
+    kept_at = _level_of(g.num_vertices, levels)
     for n in range(len(levels) - 2, 0, -1):
-        nxt = set(levels[n + 1])
-        levels[n] = [v for v in levels[n] if any(u in nxt for u in g.adj[v])]
-    levels = [lv for lv in levels if lv]
+        nbrs, bounds = g._gather(levels[n])
+        has_child = _any_in_rows(kept_at[nbrs] == n + 1, bounds)
+        kept_at[levels[n][~has_child]] = -1
+        levels[n] = levels[n][has_child]
 
-    kept_at = [set(lv) for lv in levels]
-    uncertified = []
-    for n in range(1, len(levels)):
-        omitted = [v for v in spheres[n] if v not in kept_at[n]] if n < len(spheres) else []
-        for v in omitted:
-            to_same = any(u in kept_at[n] for u in g.adj[v])
-            prev = kept_at[n - 1]
-            has_parent = any(u in prev for u in g.adj[v])
-            if not to_same and has_parent:
-                uncertified.append(v)
+    # an omitted sphere vertex is certified by an edge into its own kept
+    # level or by no edge into the level above
+    sphere = np.concatenate(spheres[1:len(levels)] or [np.empty(0, dtype=np.int64)])
+    at = np.repeat(np.arange(1, len(levels)), [lv.size for lv in spheres[1:len(levels)]])
+    omitted = kept_at[sphere] != at
+    sphere, at = sphere[omitted], at[omitted]
+    nbrs, bounds = g._gather(sphere)
+    nbr_at, own = kept_at[nbrs], np.repeat(at, np.diff(bounds))
+    uncertified = sphere[~_any_in_rows(nbr_at == own, bounds)
+                         & _any_in_rows(nbr_at == own - 1, bounds)]
     d = _diagram_from_levels(g, levels)
-    return ExtractionResult(diagram=d, kept=tuple(tuple(lv) for lv in levels),
-                            maximal_within_ball=not uncertified,
-                            uncertified=tuple(uncertified))
-
+    return ExtractionResult(diagram=d, kept=tuple(tuple(lv.tolist()) for lv in levels),
+                            maximal_within_ball=not uncertified.size,
+                            uncertified=tuple(uncertified.tolist()))

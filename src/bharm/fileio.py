@@ -25,18 +25,19 @@ this rounding cannot decide (a fraction within 5e-4 of one half), and 0,
 inf, nan and numbers outside the table, are formatted by Python (see
 _float_words).
 
-The diagram and function readers share one way of reading: after its own
-header checks, each reads the body in bulk, with one call of numpy's C
-tokenizer (np.loadtxt with a record dtype: comments after '#', fields split
-at whitespace, integers within int64) and then checks the columns as
-arrays.  Only a body that the bulk read refuses, or whose columns fail a
-check, goes through the per-line path: str.splitlines, str.split, int() and
-float() on each line in file order.  That path takes what int() and float()
-take and the C tokenizer does not ('1_000', non-ASCII digits), and it
-raises the first bad line's error, so errors name the first bad line in
-file order whichever way the body was read.  Graph files are read by the
-per-line path only: building the GeneralGraph, not tokenizing, is most of
-their cost.
+The diagram, graph and function readers share one way of reading: after
+its own header checks, each reads the body in bulk, with one call of
+numpy's C tokenizer (np.loadtxt with a record dtype: comments after '#',
+fields split at whitespace, integers within int64) and then checks the
+columns as arrays.  Only a body that the bulk read refuses, or whose
+columns fail a check, goes through the per-line path: str.splitlines,
+str.split, int() and float() on each line in file order.  That path takes
+what int() and float() take and the C tokenizer does not ('1_000',
+non-ASCII digits), and it raises the first bad line's error, so errors
+name the first bad line in file order whichever way the body was read.  A
+graph body is read in bulk only when every edge line has its conductance
+(a line 'e <i> <j>' sends it down the per-line path); its edges are
+checked by GeneralGraph, which reports the first bad edge in file order.
 
 Reading a diagram file costs time and memory linear in the number of edges:
 each level is built straight from its edge lines.  A level larger than
@@ -74,6 +75,7 @@ FMT = "{:.12g}"
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _EDGE = [("e", "U2"), ("n", "i8"), ("i", "i8"), ("j", "i8"), ("c", "f8")]
 _ENTRY = [("n", "i8"), ("i", "i8"), ("v", "f8")]
+_GRAPH_EDGE = [("e", "U2"), ("i", "i8"), ("j", "i8"), ("c", "f8")]
 
 
 def _clean_lines(text: str):
@@ -373,26 +375,37 @@ def format_diagram(d: Diagram) -> str:
 
 
 def parse_graph(text: str) -> GeneralGraph:
-    lines = list(_clean_lines(text))
+    """General graph from its file text.  The edge lines are read in bulk
+    by _table when each has all four fields; any other body goes through
+    the per-line path, which reports the first malformed line."""
+    lines, data, pos = _split(text, 2)
     if not lines or lines[0] != "graph v1":
         raise ValueError("expected 'graph v1' header")
     if len(lines) < 2 or not lines[1].startswith("v "):
         raise ValueError("expected 'v <count>' line")
     count = int(lines[1].split()[1])
-    edges = []
-    for line in lines[2:]:
+    table = _table(data, pos, _GRAPH_EDGE)
+    if table is not None and (table["e"] == "e").all():
+        return GeneralGraph.from_arrays(count, table["i"], table["j"], table["c"])
+    return GeneralGraph.from_arrays(count, *_graph_edge_lines(data[pos:].decode()))
+
+
+def _graph_edge_lines(body: str):
+    """The per-line path of parse_graph: the columns i, j, c as lists, or
+    the first malformed line's error."""
+    i, j, c = [], [], []
+    for line in _clean_lines(body):
         parts = line.split()
         if parts[0] != "e" or len(parts) not in (3, 4):
             raise ValueError(f"malformed edge line: {line!r}")
-        c = float(parts[3]) if len(parts) == 4 else 1.0
-        edges.append((int(parts[1]), int(parts[2]), c))
-    return GeneralGraph(count, edges)
+        c.append(float(parts[3]) if len(parts) == 4 else 1.0)
+        i.append(int(parts[1]))
+        j.append(int(parts[2]))
+    return i, j, c
 
 
 def format_graph(g: GeneralGraph) -> str:
-    i, j, c = zip(*g.edges) if g.edges else ((), (), ())
-    return _lines(f"graph v1\nv {g.num_vertices}\n", "e ",
-                  [(np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.array(c, dtype=float))])
+    return _lines(f"graph v1\nv {g.num_vertices}\n", "e ", [(g.i, g.j, g.c)])
 
 
 def parse_function(text: str, d: Diagram) -> LevelFunction:
@@ -457,13 +470,19 @@ def _parse_rows(spec: str) -> np.ndarray:
     return np.array(rows)
 
 
-_GENERATORS = ("tree", "pascal", "stationary", "ladder", "bottleneck")
+# generator -> the form of its spec
+_GENERATORS = {
+    "tree": "tree:<depth>:<lam>",
+    "pascal": "pascal:<depth>:<lam>",
+    "stationary": "stationary:<A-rows;semicolon-separated>:<depth>:<lam>",
+    "ladder": "ladder:<depth>[:<c>]",
+    "bottleneck": "bottleneck:<sizes-dash-separated>:<seed>",
+}
 
 
 def parse_genspec(spec: str) -> Diagram:
-    """Generator shorthand: tree:<depth>:<lam>, pascal:<depth>:<lam>,
-    stationary:<A-rows;semicolon-separated>:<depth>:<lam>,
-    ladder:<depth>[:<c>], bottleneck:<sizes-dash-separated>:<seed>."""
+    """Generator shorthand, one of the forms in _GENERATORS.  A known
+    generator with the wrong number of fields is told its form."""
     parts = spec.split(":")
     kind = parts[0]
     try:
@@ -480,7 +499,9 @@ def parse_genspec(spec: str) -> Diagram:
             profile = [int(s) for s in parts[1].split("-")]
             return gen_bottleneck(profile, int(parts[2]))
     except ValueError as exc:
-        raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
+        raise ValueError(f"bad value in {_GENERATORS[kind]}: {exc}") from exc
+    if kind in _GENERATORS:
+        raise ValueError(f"expected {_GENERATORS[kind]}")
     raise ValueError(f"unknown generator spec {spec!r}")
 
 

@@ -19,7 +19,9 @@ draws, over vectorized transition tables whose absorbing rows hold a walk,
 and visits are counted once per block.  Each walk's numbers come from a
 vectorized Philox4x64-10 that reproduces numpy's `Philox` stream for the
 walk's key and counter, so a result depends only on the seed, never on the
-batching or the block boundaries.
+batching or the block boundaries.  Its first two rounds depend on the walk
+or on the block alone and run on vectors; the other eight run on the
+(blocks x walks) grid.
 """
 from __future__ import annotations
 
@@ -506,19 +508,26 @@ _LANES = 1 << 15         # walks stepped together; bounds the engine's memory
 
 
 def _mulhi(x: np.ndarray, m) -> np.ndarray:
-    """High word of the 128-bit products x * m, from 32-bit limbs."""
+    """High word of the 128-bit products x * m, from 32-bit limbs.
+
+    With x = 2**32 hi + lo and m likewise, t = hi m_lo + (lo m_lo >> 32) +
+    (lo m_hi & 0xFFFFFFFF) is at most (2**32 - 1)**2 + 2 (2**32 - 1) =
+    2**64 - 1, so it cannot overflow, and the high word is
+    hi m_hi + (lo m_hi >> 32) + (t >> 32)."""
     _, m_lo, m_hi = m
     lo, hi = x & _LO32, x >> _S32
-    lh, hl = lo * m_hi, hi * m_lo
+    lh = lo * m_hi
     lo *= m_lo
     lo >>= _S32
-    lo += lh & _LO32
-    lo += hl & _LO32
-    lo >>= _S32
+    t = hi * m_lo
+    t += lo
+    np.bitwise_and(lh, _LO32, out=lo)
+    t += lo
+    t >>= _S32
     hi *= m_hi
-    hi += lh >> _S32
-    hi += hl >> _S32
-    hi += lo
+    hi += t
+    lh >>= _S32
+    hi += lh
     return hi
 
 
@@ -530,30 +539,49 @@ def _philox_doubles(key: np.ndarray, walk: np.ndarray, first_block: int,
     Generator(Philox(key=key[i], counter=[0, 0, walk[i], 0])).random():
     block c = 1, 2, ... is Philox4x64-10 of counter (c, 0, walk[i], 0) under
     key (key[i], 0), and each of its four words w gives (w >> 11) * 2**-53.
+
+    Round 1 multiplies only the block word c and the walk word, and round 2
+    only words that round 1 made of one of them, so both rounds run on
+    vectors of blocks and of lanes.  Rounds 3-10 run on the (blocks x
+    lanes) grid, which is built by broadcasting, at most _PHILOX_CHUNK
+    counters at a time.
     """
     lanes = key.size
-    total = n_blocks * lanes
-    out = np.empty((4, total))
-    for s in range(0, total, _PHILOX_CHUNK):
-        idx = np.arange(s, min(s + _PHILOX_CHUNK, total))
-        lane = idx % lanes
-        k = key[lane]
-        c0 = (idx // lanes + first_block).astype(np.uint64)
-        c2 = walk[lane]
-        c1 = c3 = np.zeros(idx.size, dtype=np.uint64)
-        for k0, k1 in _PHILOX_KEYS:
-            hi1 = _mulhi(c2, _PHILOX_M[1])
-            c2 *= _PHILOX_M[1][0]
-            hi0 = _mulhi(c0, _PHILOX_M[0])
-            c0 *= _PHILOX_M[0][0]
-            hi1 ^= c1
-            hi1 ^= k + k0
-            hi0 ^= c3
-            hi0 ^= k1
-            c0, c1, c2, c3 = hi1, c2, hi0, c0
-        for e, word in enumerate((c0, c1, c2, c3)):
-            np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[e, s:s + idx.size])
-    return out.reshape(4, n_blocks, lanes)
+    m0, m1 = _PHILOX_M[0][0], _PHILOX_M[1][0]
+    key0, key1 = _PHILOX_KEYS[1]     # round 2's key bumps; round 1 adds none
+    c = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
+    # round 1: words 0 and 1 depend on the lane only, words 2 and 3 on the block
+    lane0, lane1 = _mulhi(walk, _PHILOX_M[1]) ^ key, walk * m1
+    block2, block3 = _mulhi(c, _PHILOX_M[0]), c * m0
+    # round 2: word 0 is block0 ^ lane0x, 1 is block1, 2 is block3 ^ lane2x, 3 is lane3
+    block0, block1 = _mulhi(block2, _PHILOX_M[1]), block2 * m1
+    lane0x = lane1 ^ (key + key0)
+    lane2x, lane3 = _mulhi(lane0, _PHILOX_M[0]) ^ key1, lane0 * m0
+    out = np.empty((4, n_blocks, lanes))
+    width = max(1, min(lanes, _PHILOX_CHUNK))
+    height = max(1, _PHILOX_CHUNK // width)
+    for b in range(0, n_blocks, height):
+        rows = slice(b, b + height)
+        for i in range(0, lanes, width):
+            cols = slice(i, i + width)
+            k = key[cols]
+            c0 = block0[rows, None] ^ lane0x[cols]
+            c1 = block1[rows, None]
+            c2 = block3[rows, None] ^ lane2x[cols]
+            c3 = lane3[cols]
+            for k0, k1 in _PHILOX_KEYS[2:]:
+                hi1 = _mulhi(c2, _PHILOX_M[1])
+                c2 *= m1
+                hi0 = _mulhi(c0, _PHILOX_M[0])
+                c0 *= m0
+                hi1 ^= c1
+                hi1 ^= k + k0
+                hi0 ^= c3
+                hi0 ^= k1
+                c0, c1, c2, c3 = hi1, c2, hi0, c0
+            for e, word in enumerate((c0, c1, c2, c3)):
+                np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[e, rows, cols])
+    return out
 
 
 def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarray,

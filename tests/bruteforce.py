@@ -9,7 +9,7 @@ import bisect
 
 import numpy as np
 
-from bharm.diagram import Diagram, VertexId
+from bharm.diagram import Diagram, ExtensionRule, VertexId, make_diagram
 
 
 def flat_offsets(d: Diagram, upto: int):
@@ -139,3 +139,120 @@ def walk_path(tables, start: int, seed: int, walk: int, max_steps: int) -> list:
         v = nbrs[v][bisect.bisect_left(cum[v], u)]
         path.append(v)
     return path
+
+
+class DictGraph:
+    """A general graph as per-vertex dicts, edge by edge: the reference for
+    GeneralGraph's checks and for the conversions below."""
+
+    def __init__(self, num_vertices: int, edges):
+        if num_vertices < 1:
+            raise ValueError("graph needs at least one vertex")
+        self.num_vertices = int(num_vertices)
+        self.adj = [dict() for _ in range(self.num_vertices)]
+        self.edges = []
+        for e in edges:
+            i, j, c = int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0
+            if i == j:
+                raise ValueError(f"loop at vertex {i}")
+            if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
+                raise ValueError(f"edge ({i},{j}) outside vertex range")
+            if not 0 < c < np.inf:
+                kind = "nonpositive" if c <= 0 else "non-finite"
+                raise ValueError(f"edge ({i},{j}) has {kind} conductance")
+            if j in self.adj[i]:
+                raise ValueError(f"duplicate edge ({i},{j})")
+            self.adj[i][j] = c
+            self.adj[j][i] = c
+            self.edges.append((i, j, c))
+
+    def bfs_levels(self, root: int) -> list:
+        dist = {root: 0}
+        order = [[root]]
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in self.adj[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            if nxt:
+                order.append(nxt)
+            frontier = nxt
+        return order
+
+
+def ref_check_bratteli_structure(g: DictGraph, root: int):
+    """(levels, witness): BFS levels when graded, else the witness text."""
+    if sum(len(lv) for lv in g.bfs_levels(0)) != g.num_vertices:
+        raise ValueError("graph is disconnected")
+    levels = g.bfs_levels(root)
+    dist = {v: n for n, lv in enumerate(levels) for v in lv}
+    max_d = len(levels) - 1
+    for v in range(g.num_vertices):
+        if dist[v] < max_d and len(g.adj[v]) < 2:
+            return None, f"vertex {v} has degree {len(g.adj[v])}"
+    for i, j, _ in g.edges:
+        if dist[i] == dist[j]:
+            return None, f"intra-level edge ({i},{j}) at distance {dist[i]}"
+    return tuple(tuple(lv) for lv in levels), None
+
+
+def ref_diagram_from_levels(g: DictGraph, levels) -> Diagram:
+    """The edges of g between consecutive levels, as dense level matrices."""
+    sizes = [len(lv) for lv in levels]
+    index = {v: (n, k) for n, lv in enumerate(levels) for k, v in enumerate(lv)}
+    mats = [np.zeros((sizes[n], sizes[n + 1])) for n in range(len(sizes) - 1)]
+    for i, j, c in g.edges:
+        if i in index and j in index:
+            (ni, ki), (nj, kj) = index[i], index[j]
+            if ni == nj + 1:
+                (ni, ki), (nj, kj) = (nj, kj), (ni, ki)
+            if ni + 1 == nj:
+                mats[ni][ki, kj] = c
+    return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
+
+
+def ref_extract_maximal_bratteli(g: DictGraph, ray):
+    """(diagram, kept, uncertified) of the inductive sphere construction."""
+    ray = [int(v) for v in ray]
+    if not ray:
+        raise ValueError("ray must contain at least one vertex")
+    if len(set(ray)) != len(ray):
+        raise ValueError("ray is not self-avoiding")
+    for a, b in zip(ray, ray[1:]):
+        if b not in g.adj[a]:
+            raise ValueError(f"ray step ({a},{b}) is not an edge")
+    spheres = g.bfs_levels(ray[0])
+    dist = {v: n for n, lv in enumerate(spheres) for v in lv}
+    levels = [[ray[0]]]
+    used = {ray[0]}
+    for n in range(1, len(spheres)):
+        cand = {z for y in levels[-1] for z in g.adj[y] if z not in used and dist.get(z) == n}
+        ray_v = ray[n] if n < len(ray) else None
+        if ray_v is not None and ray_v not in cand:
+            raise ValueError(f"ray vertex {ray_v} unreachable at level {n}; "
+                             "ray not level-compatible")
+        keep = [z for z in sorted(cand) if z == ray_v or not (
+            any(w in cand for w in g.adj[z]) or (ray_v is not None and ray_v in g.adj[z]))]
+        if not keep:
+            break
+        levels.append(keep)
+        used.update(keep)
+    for n in range(len(levels) - 2, 0, -1):
+        nxt = set(levels[n + 1])
+        levels[n] = [v for v in levels[n] if any(u in nxt for u in g.adj[v])]
+    levels = [lv for lv in levels if lv]
+    kept_at = [set(lv) for lv in levels]
+    uncertified = []
+    for n in range(1, len(levels)):
+        for v in spheres[n]:
+            if v in kept_at[n]:
+                continue
+            to_same = any(u in kept_at[n] for u in g.adj[v])
+            has_parent = any(u in kept_at[n - 1] for u in g.adj[v])
+            if not to_same and has_parent:
+                uncertified.append(v)
+    return (ref_diagram_from_levels(g, levels), tuple(tuple(lv) for lv in levels),
+            tuple(uncertified))

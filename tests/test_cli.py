@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bharm import cli
 from bharm.cli import _build_parser, main
 from bharm.fileio import format_function, load_diagram, parse_diagram, parse_function
 from bharm import gen_pascal, gen_binary_tree
@@ -623,8 +624,41 @@ def test_bad_generator_value_is_reported_as_such(args, capsys):
     spec = args[1] if args[0] == "gen" else args[2]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot load diagram {spec!r}: bad generator spec {spec!r}: ")
+    form = f"{spec.split(':')[0]}:<depth>:<lam>"
+    assert err.startswith(f"error: cannot load diagram {spec!r}: bad value in {form}: ")
+    assert err.count(spec) == 1
     assert "No such file" not in err
+
+
+@pytest.mark.parametrize("spec, form", [
+    ("tree:3", "tree:<depth>:<lam>"),
+    ("pascal:3:1:1", "pascal:<depth>:<lam>"),
+    ("stationary:11;10:3", "stationary:<A-rows;semicolon-separated>:<depth>:<lam>"),
+    ("ladder:3:1:1", "ladder:<depth>[:<c>]"),
+    ("bottleneck:1-2", "bottleneck:<sizes-dash-separated>:<seed>"),
+])
+def test_generator_spec_with_the_wrong_fields_names_its_form(spec, form, capsys):
+    assert main(["gen", spec]) == 1
+    assert capsys.readouterr().err == f"error: cannot load diagram {spec!r}: expected {form}\n"
+
+
+def _parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys):
+    """main() builds only the invoked subcommand's parser; its help and
+    usage errors, from the subcommand's parser or the top level, are those
+    of the parser of every subcommand."""
+    for argv, code in (([command, "--help"], 0), ([command, "--no-such-option"], 2),
+                       ([command, "--out"], 2)):
+        one = _parse_outcome(_build_parser(command), argv, capsys)
+        assert one == _parse_outcome(_build_parser(), argv, capsys)
+        assert one[0] == code
 
 
 def test_missing_diagram_file_is_still_reported_as_missing(tmp_path, capsys):

@@ -19,6 +19,12 @@ from bharm import (
 )
 from bharm._matops import LevelMatrix
 from bharm.fileio import format_diagram, parse_diagram
+from bruteforce import (
+    DictGraph,
+    ref_check_bratteli_structure,
+    ref_diagram_from_levels,
+    ref_extract_maximal_bratteli,
+)
 
 
 def ladder_graph(length, diagonals=False):
@@ -192,8 +198,8 @@ def test_pascal_neighbor_counts():
     d = gen_pascal(3, 1.0)
     g = diagram_as_graph(d)
     off = np.concatenate([[0], np.cumsum(d.level_sizes)]).astype(int)
-    assert len(g.neighbors(off[2] + 1)) == 4   # interior vertex of level 2
-    assert len(g.neighbors(off[2] + 0)) == 3   # edge vertex of level 2
+    assert g.neighbors(off[2] + 1).size == 4   # interior vertex of level 2
+    assert g.neighbors(off[2] + 0).size == 3   # edge vertex of level 2
 
 
 def test_pascal_row_and_column_sums():
@@ -340,6 +346,196 @@ def test_extract_rejects_self_intersecting_ray():
     g = ladder_graph(4)
     with pytest.raises(ValueError):
         extract_maximal_bratteli(g, [0, 2, 0])
+
+
+# --- conversion parity against the dict-based reference -------------------------
+
+def seeded_grid(rows, cols, seed, decoys=False, extra=0, pendants=0):
+    """A rows x cols grid with shuffled labels, random conductances and the
+    edges in random order, plus: a decoy vertex beside each step of a
+    random monotone ray (joined to both ends of the step), `extra` random
+    diagonals and `pendants` degree-1 vertices.  Returns (edges, count,
+    corner, ray)."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(rows * cols)
+    at = lambda r, c: int(label[r * cols + c])
+    edges = [(at(r, c), at(r2, c2), float(rng.uniform(0.5, 2)))
+             for r in range(rows) for c in range(cols)
+             for r2, c2 in ((r + 1, c), (r, c + 1)) if r2 < rows and c2 < cols]
+    steps = rng.permutation([1] * (rows - 1) + [0] * (cols - 1))
+    path = [(0, 0)]
+    for down in steps:
+        r, c = path[-1]
+        path.append((r + 1, c) if down else (r, c + 1))
+    ray = [at(r, c) for r, c in path]
+    count = rows * cols
+    if decoys:
+        for k in range(len(ray) - 1):
+            edges += [(count, ray[k], 1.0), (count, ray[k + 1], 1.0)]
+            count += 1
+    for _ in range(extra):
+        r, c = int(rng.integers(rows - 1)), int(rng.integers(cols - 1))
+        edges.append((at(r, c), at(r + 1, c + 1), 1.0))
+    for _ in range(pendants):
+        edges.append((count, int(rng.integers(rows * cols)), 1.0))
+        count += 1
+    edges = [edges[k] if rng.random() < 0.5 else (edges[k][1], edges[k][0], edges[k][2])
+             for k in rng.permutation(len(edges))]
+    return edges, count, at(0, 0), ray
+
+
+def random_graph(n, m, seed):
+    """A connected random graph: a random tree plus m random extra edges."""
+    rng = np.random.default_rng(seed)
+    edges, seen = [], set()
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        edges.append((v, u, float(rng.integers(1, 4))))
+        seen.add((min(u, v), max(u, v)))
+    while len(edges) < n - 1 + m:
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        if u != v and (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            edges.append((u, v, 1.0))
+    order = rng.permutation(len(edges))
+    return [edges[k] for k in order]
+
+
+def converted_by_root(g, root):
+    res = check_bratteli_structure(g, root)
+    if not res.is_graded:
+        return res.witness
+    return res.levels, format_diagram(diagram_from_graph(g, root))
+
+
+def converted_by_reference(g, root):
+    levels, witness = ref_check_bratteli_structure(g, root)
+    if witness is not None:
+        return witness
+    return levels, format_diagram(ref_diagram_from_levels(g, levels))
+
+
+GRID_CASES = [dict(rows=r, cols=c, seed=s, **kw) for r, c, s, kw in [
+    (6, 4, 0, {}), (9, 7, 1, {}), (1, 5, 2, {}), (12, 3, 3, {}),
+    (7, 5, 4, dict(extra=1)), (8, 8, 5, dict(pendants=1)), (6, 9, 6, dict(extra=3, pendants=2)),
+]]
+
+
+@pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: "-".join(f"{v}" for v in c.values()))
+def test_root_conversion_matches_the_reference(case):
+    edges, count, corner, _ = seeded_grid(**case)
+    g, ref = GeneralGraph(count, edges), DictGraph(count, edges)
+    for root in (corner, 0, count - 1):
+        assert [lv.tolist() for lv in g.bfs_levels(root)] == ref.bfs_levels(root)
+        assert converted_by_root(g, root) == converted_by_reference(ref, root)
+    if case.get("extra") or case.get("pendants"):
+        assert isinstance(converted_by_root(g, corner), str)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_graph_conversion_matches_the_reference(seed):
+    edges = random_graph(40, seed * 3, seed)
+    g, ref = GeneralGraph(40, edges), DictGraph(40, edges)
+    for root in (0, 17, 39):
+        assert [lv.tolist() for lv in g.bfs_levels(root)] == ref.bfs_levels(root)
+        assert converted_by_root(g, root) == converted_by_reference(ref, root)
+
+
+def assert_same_extraction(g, ref, ray):
+    """The same diagram bytes, kept levels and uncertified vertices as the
+    reference, or the same error."""
+    try:
+        want = ref_extract_maximal_bratteli(ref, ray)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            extract_maximal_bratteli(g, ray)
+        assert str(info.value) == str(exc)
+        return False
+    res = extract_maximal_bratteli(g, ray)
+    assert res.maximal_within_ball == (not res.uncertified)
+    assert (format_diagram(res.diagram), res.kept, res.uncertified) == (
+        format_diagram(want[0]), want[1], want[2])
+    return True
+
+
+@pytest.mark.parametrize("case", [dict(rows=r, cols=c, seed=s, decoys=True, extra=e)
+                                  for r, c, s, e in [(5, 4, 0, 0), (9, 6, 1, 0), (7, 7, 2, 2),
+                                                     (12, 5, 3, 4), (1, 6, 4, 0)]],
+                         ids=lambda c: f"{c['rows']}x{c['cols']}-{c['seed']}-{c['extra']}")
+def test_ray_extraction_matches_the_reference(case):
+    edges, count, _, ray = seeded_grid(**case)
+    g, ref = GeneralGraph(count, edges), DictGraph(count, edges)
+    done = [assert_same_extraction(g, ref, r) for r in (ray, ray[:len(ray) // 2], ray[:1])]
+    assert done[2] and (done[0] or case["extra"])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_graph_extraction_matches_the_reference(seed):
+    """Geodesic rays are level-compatible; random walks mostly are not, and
+    both sides must then raise the same error."""
+    rng = np.random.default_rng(seed)
+    edges = random_graph(30, 10 + seed * 4, seed)
+    g, ref = GeneralGraph(30, edges), DictGraph(30, edges)
+    spheres = ref.bfs_levels(0)
+    ray = [int(rng.choice(spheres[-1]))]
+    while ray[-1] != 0:
+        ray.append(min(u for u in ref.adj[ray[-1]] if u in spheres[len(spheres) - 1 - len(ray)]))
+    walk = [0]
+    for _ in range(4):
+        walk.append(int(rng.choice(list(ref.adj[walk[-1]]))))
+    done = [assert_same_extraction(g, ref, r)
+            for r in (ray[::-1], walk, [0, 30], [5, 5], [], [int(rng.integers(30))])]
+    assert done[0] and done[-1]
+
+
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 1, -1.0), (2, 9)],                  # a loop before a bad conductance
+    [(0, 9, -1.0)],                                  # range before conductance
+    [(9, 9, 1.0)],                                   # loop before range
+    [(0, -1)],
+    [(0, 1), (1, 0, np.inf)],                        # conductance before repeat
+    [(0, 1), (1, 2, 0.0), (2, 2)],                   # the first bad edge in order
+    [(0, 1, np.nan)],
+    [(0, 1, -np.inf)],
+    [(0, 1), (1, 2), (2, 1, 3.0)],                   # a reversed repeat
+    [(0, 1), (1, 2), (0, 1), (3, 3)],
+    [(0, 1), (HUGE, HUGE)],
+    [(0, 1), (HUGE, HUGE + 1)],
+    [(0, 1), (1, 0), (HUGE, 2)],
+    [(0, 1), (HUGE, -HUGE)],
+    [(0, 1), (2, 3), (3, 2, 0.5)],
+])
+def test_graph_edge_errors_match_the_reference(edges):
+    with pytest.raises(ValueError) as want:
+        DictGraph(4, edges)
+    with pytest.raises(ValueError) as got:
+        GeneralGraph(4, edges)
+    assert str(got.value) == str(want.value)
+
+
+def test_graph_adjacency_lists_neighbours_in_edge_order():
+    edges = random_graph(25, 30, 7)
+    g, ref = GeneralGraph(25, edges), DictGraph(25, edges)
+    for v in range(25):
+        assert g.neighbors(v).tolist() == list(ref.adj[v])
+    assert [tuple(e) for e in zip(g.i.tolist(), g.j.tolist(), g.c.tolist())] == ref.edges
+
+
+def test_out_of_range_root_and_ray_are_errors():
+    g = ladder_graph(3)
+    with pytest.raises(ValueError, match="root 8 outside vertex range"):
+        diagram_from_graph(g, 8)
+    with pytest.raises(ValueError, match="root -1 outside vertex range"):
+        diagram_from_graph(g, -1)
+    with pytest.raises(ValueError, match=r"ray step \(0,8\) is not an edge"):
+        extract_maximal_bratteli(g, [0, 8])
+    with pytest.raises(ValueError, match=r"ray step \(-2,0\) is not an edge"):
+        extract_maximal_bratteli(g, [-2, 0])
+    with pytest.raises(ValueError, match="root 8 outside vertex range"):
+        extract_maximal_bratteli(g, [8])
 
 
 # --- extension rules -------------------------------------------------------------

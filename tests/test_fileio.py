@@ -15,6 +15,7 @@ from bharm import (
     gen_stationary,
     validate,
 )
+from bharm import fileio
 from bharm.fileio import (
     _BLOCK,
     _lines,
@@ -86,7 +87,7 @@ def test_graph_round_trip():
     g = GeneralGraph(4, [(0, 1, 2.0), (1, 2), (2, 3, 0.5)])
     g2 = parse_graph(format_graph(g))
     assert g2.num_vertices == 4
-    assert g2.adj[2][3] == 0.5
+    assert g2.c[(g2.i == 2) & (g2.j == 3)].tolist() == [0.5]
 
 
 def test_genspec_parsing():
@@ -398,6 +399,22 @@ GRAPH_PARITY = [
      '(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])'),
     ('two-fields', G + 'e 0 1 2.5\ne 1\n',
      ValueError("malformed edge line: 'e 1'")),
+    ('bad-edge-then-malformed', G + 'e 0 0 1\ne 1\n',
+     ValueError("malformed edge line: 'e 1'")),
+    ('loop-before-conductance', G + 'e 0 1 2.5\ne 2 2 -1\n',
+     ValueError('loop at vertex 2')),
+    ('range-before-conductance', G + 'e 0 9 -1\n',
+     ValueError('edge (0,9) outside vertex range')),
+    ('first-bad-edge-in-file-order', G + 'e 0 1 1\ne 1 2 -1\ne 3 3 1\ne 9 1 1\n',
+     ValueError('edge (1,2) has nonpositive conductance')),
+    ('conductance-before-duplicate', G + 'e 0 1 1\ne 1 0 inf\n',
+     ValueError('edge (1,0) has non-finite conductance')),
+    ('duplicate-before-loop', G + 'e 2 3 1\ne 3 2 1\ne 1 1 1\n',
+     ValueError('duplicate edge (3,2)')),
+    ('20-digit-loop', G + 'e 0 1 2.5\ne 99999999999999999999 99999999999999999999 1\n',
+     ValueError('loop at vertex 99999999999999999999')),
+    ('20-digit-ends', G + 'e 0 1 2.5\ne 99999999999999999999 99999999999999999998 1\n',
+     ValueError('edge (99999999999999999999,99999999999999999998) outside vertex range')),
     ('five-fields', G + 'e 0 1 2.5\ne 1 2 1 1\n',
      ValueError("malformed edge line: 'e 1 2 1 1'")),
     ('range-then-malformed', G + 'e 0 9 2.5\ne 1\n',
@@ -428,7 +445,7 @@ def _parsed(kind, text):
     if kind == "function":
         return repr([v.tolist() for v in parse_function(text, gen_pascal(2, 1.0)).values])
     g = parse_graph(text)
-    return repr((g.num_vertices, g.edges))
+    return repr((g.num_vertices, list(zip(g.i.tolist(), g.j.tolist(), g.c.tolist()))))
 
 
 @pytest.mark.parametrize("kind, text, expected", [
@@ -444,6 +461,22 @@ def test_readers_match_the_per_line_parse(kind, text, expected):
         assert str(info.value) == str(expected)
     else:
         assert _parsed(kind, text) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_bulk_read_matches_the_per_line_read(seed):
+    rng = np.random.default_rng(seed)
+    n = 50
+    pairs = {tuple(sorted(p)) for p in rng.integers(n, size=(120, 2)).tolist() if p[0] != p[1]}
+    rows = [f"e {i} {j} {c:.6g}" if rng.random() < 0.7 else f"\te  {j}\t{i}  {c!r}  # note"
+            for (i, j), c in zip(pairs, rng.uniform(0.1, 9, len(pairs)).tolist())]
+    text = f"graph v1\n# {seed}\nv {n}\n\n" + "\n".join(rows) + "\n"
+    lines, data, pos = fileio._split(text, 2)
+    assert fileio._table(data, pos, fileio._GRAPH_EDGE) is not None     # the bulk path
+    g = parse_graph(text)
+    i, j, c = fileio._graph_edge_lines(data[pos:].decode())
+    assert (g.i.tolist(), g.j.tolist(), g.c.tolist()) == (i, j, c)
+    assert g.num_vertices == n
 
 
 def _main_in_child(argv):

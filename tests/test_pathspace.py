@@ -372,6 +372,39 @@ def test_vectorized_philox_matches_numpy_philox(seed):
     assert np.array_equal(_philox_doubles(key, walks, 11, 2), u[:, 10:12])
 
 
+def _philox_reference(key: int, walk: int, first_block: int, n_blocks: int) -> np.ndarray:
+    # the counter as a uint64 array: given as a Python list, a word of 2**63
+    # or more gives numpy's Philox another stream
+    counter = np.array([0, 0, walk, 0], dtype=np.uint64)
+    draws = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(
+        4 * (first_block - 1 + n_blocks))
+    return draws[4 * (first_block - 1):].reshape(n_blocks, 4).T
+
+
+@pytest.mark.parametrize("lanes, first_block, n_blocks, chunk", [
+    (pathspace._PHILOX_CHUNK + 37, 1, 1, None),     # lanes past one chunk
+    (1, 1, 300, None),                              # one lane, many blocks
+    (1, 1, 300, 7),
+    (11, 3, 5, 3),                                  # chunks of parts of rows
+    (5, 2, 9, 7),
+    (4, 1000, 3, None),                             # a late first block
+])
+def test_vectorized_philox_matches_numpy_philox_in_every_shape(lanes, first_block, n_blocks,
+                                                               chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", chunk)
+    rng = np.random.default_rng(lanes + n_blocks)
+    # per-lane keys as Monte Carlo poisson makes them, and walk words past 2**63
+    seed = int(rng.integers(2 ** 63)) * 2 + 1
+    key = np.uint64(seed) + np.uint64(7919) * np.arange(lanes, dtype=np.uint64)
+    walks = np.arange(lanes, dtype=np.uint64) + np.uint64(2 ** 63 - lanes // 2)
+    u = _philox_doubles(key, walks, first_block, n_blocks)
+    assert u.shape == (4, n_blocks, lanes)
+    for i in sorted({0, lanes // 2, lanes - 1}):
+        want = _philox_reference(int(key[i]), int(walks[i]), first_block, n_blocks)
+        assert np.array_equal(u[:, :, i], want)
+
+
 def test_transition_tables_match_per_vertex_cumsum():
     """Each vertex's neighbours and np.cumsum(w) / w.sum() of its weights,
     built edge by edge."""
