@@ -198,8 +198,8 @@ def test_pascal_neighbor_counts():
     d = gen_pascal(3, 1.0)
     g = diagram_as_graph(d)
     off = np.concatenate([[0], np.cumsum(d.level_sizes)]).astype(int)
-    assert g.neighbors(off[2] + 1).size == 4   # interior vertex of level 2
-    assert g.neighbors(off[2] + 0).size == 3   # edge vertex of level 2
+    assert len(g.neighbors(off[2] + 1)) == 4   # interior vertex of level 2
+    assert len(g.neighbors(off[2] + 0)) == 3   # edge vertex of level 2
 
 
 def test_pascal_row_and_column_sums():
