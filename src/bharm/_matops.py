@@ -1,11 +1,13 @@
-"""Per-level matrices: their one storage format and the operations on it.
+"""Level matrices: their one storage format and the operations on it.
 
 Every level matrix is a LevelMatrix: a read-only canonical CSR matrix
 (float64 data, sorted column indices, no duplicates, no stored zeros but
 those as_level keeps), so memory and time grow with the edges, not with
-|V_n| |V_{n+1}|.  It is bharm's own type and needs numpy only: scipy is
-imported only where a caller hands in a scipy sparse matrix (as_level) and
-by the solvers that factor or decompose.
+|V_n| |V_{n+1}|.  A diagram stores all its levels C_0, ..., C_{N-1} once,
+in one EdgeTable, the LevelMatrix of their rows stacked in level order; its
+C_n is a view of the table's slice.  Both are bharm's own types and need
+numpy only: scipy is imported only where a caller hands in a scipy sparse
+matrix (as_level) and by the solvers that factor or decompose.
 """
 import numpy as np
 
@@ -55,6 +57,84 @@ class LevelMatrix:
                            minlength=self.shape[0]).astype(float, copy=False)
 
 
+def _window(a, lo: int, hi: int) -> np.ndarray:
+    """a[lo:hi] without a copy, as an array on a buffer rather than a view
+    of a: scipy copies a view of an array over twice its size before it
+    wraps it, and so would copy each level of a table."""
+    return np.frombuffer(memoryview(a)[lo:hi], dtype=a.dtype)
+
+
+class EdgeTable(LevelMatrix):
+    """The level matrices C_0, ..., C_{N-1} of a diagram with level sizes
+    `sizes`, stacked: row v is vertex v of levels 0..N-1, numbered level by
+    level (level n's first is offsets[n]; offsets[N + 1] counts all), and
+    an entry's column is its vertex's index in the next level.  The entries
+    run in (level, row, col) order; level n's are starts[n]:starts[n + 1],
+    and level(n) is C_n as a view of them.
+    """
+    __slots__ = ("sizes", "offsets", "starts")
+
+    def __init__(self, sizes, data, indices, indptr):
+        self.sizes = tuple(int(s) for s in sizes)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
+        self.offsets.flags.writeable = False
+        super().__init__(data, indices, indptr, (self.offsets[-2], max(self.sizes)))
+        self.starts = indptr[self.offsets[:-1]].astype(np.int64)
+
+    def level(self, n: int) -> LevelMatrix:
+        a, b = self.offsets[n], self.offsets[n + 1]
+        lo, hi = self.starts[n], self.starts[n + 1]
+        return LevelMatrix(_window(self.data, lo, hi), _window(self.indices, lo, hi),
+                           self.indptr[a:b + 1] - self.indptr[a], self.sizes[n:n + 2])
+
+    def rows(self) -> np.ndarray:
+        """The vertex of each entry's row, made anew on each call, so that
+        the table holds no per-entry array beside its data and indices."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def cols(self, first: int, last: int) -> np.ndarray:
+        """The vertex of each entry's column, for the entries of levels
+        first..last-1."""
+        return (self.indices[self.starts[first]:self.starts[last]]
+                + np.repeat(self.offsets[first + 1:last + 1], np.diff(self.starts[first:last + 1])))
+
+    def entries(self):
+        """(level, row, col, value) of every entry, row and col within their
+        levels."""
+        level = np.repeat(np.arange(len(self.sizes) - 1), np.diff(self.starts))
+        return level, self.rows() - self.offsets[level], self.indices, self.data
+
+
+def edge_table(sizes, level, rows, cols, vals) -> EdgeTable:
+    """The table with vals at (level, rows, cols), given in that order with
+    no repeats (rows and cols within their levels)."""
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    idx = np.int32 if max(offsets[-1], len(vals)) < 2 ** 31 else np.int64  # scipy's choice
+    indptr = np.zeros(offsets[-2] + 1, dtype=idx)
+    np.cumsum(np.bincount(offsets[level] + rows, minlength=offsets[-2]), out=indptr[1:])
+    return EdgeTable(sizes, np.asarray(vals, dtype=float), np.asarray(cols).astype(idx), indptr)
+
+
+def stacked_table(sizes, mats) -> EdgeTable:
+    """The table of the level matrices mats, with what they store."""
+    def stack(arrays):
+        return np.concatenate(list(arrays) + [np.zeros(0, dtype=np.int64)])
+    return edge_table(sizes, np.repeat(np.arange(len(mats)), [m.nnz for m in mats]),
+                      stack(m.rows() for m in mats), stack(m.indices for m in mats),
+                      stack(m.data for m in mats))
+
+
+def values_at(t: EdgeTable, s: EdgeTable) -> np.ndarray:
+    """t's value at the position of each entry of s (tables of the same
+    level sizes), 0 where t stores nothing."""
+    if t.indptr is s.indptr and t.indices is s.indices:
+        return t.data
+    keys = np.append(t.rows() * t.shape[1] + t.indices, -1)
+    want = s.rows() * t.shape[1] + s.indices
+    pos = np.searchsorted(keys[:-1], want)
+    return np.where(keys[pos] == want, np.append(t.data, 0.0)[pos], 0.0)
+
+
 def level_matrix(shape, rows, cols, vals, keep_zeros: bool = False):
     """Level matrix with vals at the distinct positions (rows, cols); zero
     values are dropped unless keep_zeros."""
@@ -85,45 +165,11 @@ def as_level(m, keep_zeros: bool = False):
     return level_matrix(coo.shape, coo.row, coo.col, coo.data, keep_zeros)
 
 
-def incidence_of(m):
-    """Ones on the structure of m, which it shares."""
-    return LevelMatrix(np.ones(m.nnz), m.indices, m.indptr, m.shape)
-
-
 def stored_entries(m):
     """(rows, cols, values) of the stored entries in row-major order."""
     return m.rows(), m.indices, m.data
 
 
-def block_diagonal(mats):
-    """The matrices mats (at least one) as one block-diagonal level matrix,
-    and the row and column offsets of its blocks."""
-    row_off = np.concatenate([[0], np.cumsum([m.shape[0] for m in mats])])
-    col_off = np.concatenate([[0], np.cumsum([m.shape[1] for m in mats])])
-    nnz_off = np.concatenate([[0], np.cumsum([m.nnz for m in mats])])
-    indptr = np.concatenate([[0]] + [m.indptr[1:] + z for m, z in zip(mats, nnz_off)])
-    indices = np.concatenate([m.indices + c for m, c in zip(mats, col_off)])
-    data = np.concatenate([m.data for m in mats])
-    stacked = LevelMatrix(data, indices, indptr, (row_off[-1], col_off[-1]))
-    return stacked, row_off, col_off
-
-
-def values_at(m, rows, cols) -> np.ndarray:
-    """m[rows[k], cols[k]] for each k, 0 where m stores nothing."""
-    keys = np.append(m.rows() * m.shape[1] + m.indices, -1)
-    want = np.asarray(rows, dtype=np.int64) * m.shape[1] + cols
-    pos = np.searchsorted(keys[:-1], want)
-    return np.where(keys[pos] == want, np.append(m.data, 0.0)[pos], 0.0)
-
-
 def rmatvec(m, v: np.ndarray) -> np.ndarray:
     """m.T @ v."""
     return np.bincount(m.indices, m.data * v[m.rows()], minlength=m.shape[1])
-
-
-def row_sums(m) -> np.ndarray:
-    return np.bincount(m.rows(), m.data, minlength=m.shape[0])
-
-
-def col_sums(m) -> np.ndarray:
-    return np.bincount(m.indices, m.data, minlength=m.shape[1])

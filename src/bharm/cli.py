@@ -41,6 +41,7 @@ from .harmonic import harm_dimension, harmonicity_check, solve_chain, solve_dipo
 from .operators import build_level_operators, checked_conductances, laplacian_apply, markov_apply
 from .pathspace import (
     WalkConfig,
+    check_target_level,
     green_exact,
     green_identity_report,
     poisson_kernel,
@@ -241,6 +242,7 @@ def _cmd_poisson(args) -> int:
     d = _diagram_arg(args)
     fvals = _fn_arg(d, args.values)
     level = args.level
+    check_target_level(d, level)
     cfg = None
     if args.method == "monte-carlo":
         cfg = WalkConfig(max_steps=args.max_steps, num_walks=args.walks,
@@ -421,10 +423,18 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+def tolerance(text: str) -> float:
+    """A --tol value: a finite float >= 0."""
+    value = float(text)
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, not {text!r}")
+    return value
+
+
 _COMMON = [_arg("--diagram", required=True,
                 help="diagram file or generator spec (tree:d:lam, ...)"),
            _arg("--out", default=None, help="output file ('-' = stdout)")]
-_TOL = [_arg("--tol", type=float, default=1e-9)]
+_TOL = [_arg("--tol", type=tolerance, default=1e-9)]
 _DEPTH = [_arg("--depth", type=int, default=None)]
 _FN = [_arg("--fn", required=True)]
 _WALKS = [_arg("--walks", type=int, default=10000), _arg("--max-steps", type=int, default=100000),

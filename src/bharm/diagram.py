@@ -4,25 +4,31 @@ conversion of general graphs to the graded form.
 A diagram stores a finite prefix of an infinite graded graph: levels
 V_0, ..., V_N with |V_0| = 1 (the root), a 0-1 incidence matrix A_n and a
 nonnegative conductance matrix C_n between consecutive levels, and no edges
-inside a level.  Values are immutable after construction and safe to share
-across threads; generators are pure functions of their arguments.
+inside a level.  All levels' conductances are stored once, in one edge table;
+validation, degrees and the generators work on the whole table at once.
+Values are immutable after construction and safe to share across threads;
+generators are pure functions of their arguments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ._matops import (
+    EdgeTable,
     as_level,
-    col_sums,
-    incidence_of,
+    edge_table,
     level_matrix,
-    row_sums,
-    stored_entries,
+    stacked_table,
     values_at,
 )
+
+# The most edges a generator makes; a larger spec is refused before anything
+# is allocated (generating and validating take about 40 bytes an edge).
+MAX_EDGES = 2 ** 24
 
 
 @dataclass(frozen=True, order=True)
@@ -64,15 +70,19 @@ class Violation:
 class Diagram:
     """Finite prefix of an infinite weighted graded diagram.
 
+    The conductances are stored once, in `table` (see _matops.EdgeTable).
     incidence[n] / conductance[n] have shape |V_n| x |V_{n+1}| and are
-    LevelMatrix values at every width: read-only canonical CSR (see
-    _matops), with `nnz`, `toarray()` and `@` on a vector.  A derived
-    incidence shares its conductance's structure.
+    LevelMatrix views (see _matops), made on first use: conductance[n] of
+    the table, incidence[n] of given_incidence, the incidence make_diagram
+    was given, or else of ones on the table's structure.
     """
-    level_sizes: tuple
-    incidence: tuple
-    conductance: tuple
+    table: EdgeTable
     extension: Optional[ExtensionRule] = None
+    given_incidence: Optional[EdgeTable] = None
+
+    @property
+    def level_sizes(self) -> tuple:
+        return self.table.sizes
 
     @property
     def num_levels(self) -> int:
@@ -83,18 +93,38 @@ class Diagram:
     def total_vertices(self) -> int:
         return int(sum(self.level_sizes))
 
+    @cached_property
+    def conductance(self) -> tuple:
+        return tuple(self.table.level(n) for n in range(self.num_levels))
+
+    @cached_property
+    def incidence_table(self) -> EdgeTable:
+        """All levels' incidence, stacked as the conductances are."""
+        t = self.table
+        return self.given_incidence or EdgeTable(t.sizes, np.ones(t.nnz), t.indices, t.indptr)
+
+    @cached_property
+    def incidence(self) -> tuple:
+        return tuple(self.incidence_table.level(n) for n in range(self.num_levels))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """c(x) of every vertex (read-only): its column sum plus its row sum
+        in the table, each in table order, so that level n's slice is the
+        column sums of C_{n-1} plus the row sums of C_n, bit for bit."""
+        t, total = self.table, self.total_vertices
+        c = (np.bincount(t.cols(0, self.num_levels), t.data, minlength=total)
+             + np.bincount(t.rows(), t.data, minlength=total)).astype(float, copy=False)
+        c.flags.writeable = False
+        return c
+
     def degree_vector(self, n: int) -> np.ndarray:
         """Total conductance c(x) for x in V_n from stored edges only.
 
         The root has no predecessor level, so c(o) uses outgoing edges; the
         last stored level has no successor edges, so its c is truncated.
         """
-        c = np.zeros(self.level_sizes[n])
-        if n > 0:
-            c += col_sums(self.conductance[n - 1])
-        if n < self.num_levels:
-            c += row_sums(self.conductance[n])
-        return c
+        return self.degrees[self.table.offsets[n]:self.table.offsets[n + 1]].copy()
 
     def check_vertex(self, v: VertexId) -> None:
         if not (0 <= v.level <= self.num_levels):
@@ -103,11 +133,8 @@ class Diagram:
             raise ValueError(f"vertex index {v.index} outside [0, {self.level_sizes[v.level]})")
 
     def edges(self) -> Iterable[tuple]:
-        """Yield (n, i, j, c) over all stored edges."""
-        for n, cm in enumerate(self.conductance):
-            rows, cols, vals = stored_entries(cm)
-            for i, j, c in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-                yield n, i, j, c
+        """(n, i, j, c) over all stored edges, in table order."""
+        return zip(*(a.tolist() for a in self.table.entries()))
 
 
 def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=None,
@@ -131,10 +158,8 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
                 raise ValueError(f"{name}[{n}] has shape {np.shape(m)}, "
                                  f"expected {(sizes[n], sizes[n + 1])}")
     mats = [as_level(cm, keep_zeros=incidence is not None) for cm in conductance]
-    incs = ([incidence_of(cm) for cm in mats] if incidence is None
-            else [as_level(a) for a in incidence])
-    return Diagram(level_sizes=sizes, incidence=tuple(incs),
-                   conductance=tuple(mats), extension=extension)
+    incs = None if incidence is None else stacked_table(sizes, [as_level(a) for a in incidence])
+    return Diagram(stacked_table(sizes, mats), extension, incs)
 
 
 # ---------------------------------------------------------------------------
@@ -144,44 +169,72 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
 def validate(d: Diagram) -> list:
     """Check all diagram invariants; returns a list of Violations (empty = valid).
 
-    Reports rather than throws: callers decide how strict to be.
+    Reports rather than throws: callers decide how strict to be.  One pass
+    over the conductance and incidence tables; the violations are sorted by
+    level matrix, then rule (zero-one, support, positivity, outgoing,
+    incoming), then entry or vertex.
     """
-    out = []
-    if d.level_sizes[0] != 1:
-        out.append(Violation("root", 0, "V_0", f"|V_0| = {d.level_sizes[0]}, expected 1"))
-    for n in range(d.num_levels):
-        a = d.incidence[n]
-        c = d.conductance[n]
-        ar, ac, av = stored_entries(a)
-        cr, cc, cv = stored_entries(c)
-        bad = np.flatnonzero((av != 0) & (av != 1))
-        if bad.size and max(a.shape) <= 4096:
-            k = bad[0]
-            out.append(Violation("zero-one", n, f"edge ({ar[k]},{ac[k]})",
-                                 f"incidence entry {av[k].item()} is not 0 or 1"))
-        elif bad.size:
-            out.append(Violation("zero-one", n, "incidence", "entries outside {0,1}"))
-        # conductance support must match incidence exactly and be positive and finite there
-        for k in np.flatnonzero(values_at(a, cr, cc) == 0):
-            out.append(Violation("support", n, f"edge ({cr[k]},{cc[k]})",
-                                 f"conductance {cv[k].item()} on a non-edge"))
-        on_edges = values_at(c, ar, ac)
-        for k in np.flatnonzero(~((on_edges > 0) & (on_edges < np.inf))):
-            out.append(Violation("positivity", n, f"edge ({ar[k]},{ac[k]})",
-                                 f"c={on_edges[k]:.12g} on edge (0 < c_xy < inf required "
-                                 "exactly on edges)"))
-        for i in np.flatnonzero(row_sums(a) == 0):
-            out.append(Violation("outgoing", n, f"vertex {int(i)}",
-                                 "vertex without outgoing edge"))
-        for j in np.flatnonzero(col_sums(a) == 0):
-            out.append(Violation("incoming", n + 1, f"vertex {int(j)}",
-                                 "vertex without incoming edge"))
-    return out
+    c, a = d.table, d.incidence_table
+    sizes, offsets = d.level_sizes, a.offsets
+    found = []  # (level matrix, rule, index, violation)
+    a_level, a_rows, a_cols, a_vals = a.entries()
+    bad = np.flatnonzero((a_vals != 0) & (a_vals != 1))
+    for k in bad[np.unique(a_level[bad], return_index=True)[1]]:  # each level's first
+        n = int(a_level[k])
+        if max(sizes[n], sizes[n + 1]) <= 4096:
+            v = Violation("zero-one", n, f"edge ({a_rows[k]},{a_cols[k]})",
+                          f"incidence entry {a_vals[k].item()} is not 0 or 1")
+        else:
+            v = Violation("zero-one", n, "incidence", "entries outside {0,1}")
+        found.append((n, 0, k, v))
+    # conductance support must match incidence exactly and be positive and finite there
+    c_level, c_rows, c_cols, c_vals = c.entries()
+    for k in np.flatnonzero(values_at(a, c) == 0):
+        n = int(c_level[k])
+        found.append((n, 1, k, Violation("support", n, f"edge ({c_rows[k]},{c_cols[k]})",
+                                         f"conductance {c_vals[k].item()} on a non-edge")))
+    on_edges = values_at(c, a)
+    for k in np.flatnonzero(~((on_edges > 0) & (on_edges < np.inf))):
+        n = int(a_level[k])
+        found.append((n, 2, k, Violation("positivity", n, f"edge ({a_rows[k]},{a_cols[k]})",
+                                         f"c={on_edges[k]:.12g} on edge (0 < c_xy < inf "
+                                         "required exactly on edges)")))
+    level = np.repeat(np.arange(len(sizes)), sizes)  # of each vertex
+    for v in np.flatnonzero(np.bincount(a.rows(), a.data, minlength=a.shape[0]) == 0):
+        n = int(level[v])
+        found.append((n, 3, v, Violation("outgoing", n, f"vertex {v - offsets[n]}",
+                                         "vertex without outgoing edge")))
+    in_sums = np.bincount(a.cols(0, d.num_levels), a.data, minlength=offsets[-1])
+    for v in np.flatnonzero(in_sums[1:] == 0) + 1:
+        n = int(level[v])
+        found.append((n - 1, 4, v, Violation("incoming", n, f"vertex {v - offsets[n]}",
+                                             "vertex without incoming edge")))
+    found.sort(key=lambda f: f[:3])
+    return [f[3] for f in found]
 
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+def _check_edges(count: int) -> None:
+    if count > MAX_EDGES:
+        raise ValueError(f"the spec needs more than MAX_EDGES = {MAX_EDGES} edges")
+
+
+def _powers(lam: float, depth: int) -> list:
+    """lam ** n for n < depth; ValueError unless lam and each power lie in
+    (0, inf)."""
+    if not 0 < lam < np.inf:
+        raise ValueError("lambda must be positive and finite")
+    try:
+        powers = [lam ** n for n in range(depth)]
+    except OverflowError:
+        powers = [np.inf]
+    if not (0 < min(powers) and max(powers) < np.inf):
+        raise ValueError(f"lambda^{depth - 1} is not a positive finite double")
+    return powers
+
 
 def gen_binary_tree(depth: int, lam: float) -> Diagram:
     """Binary tree with level-n edge conductance lam^n.
@@ -190,15 +243,13 @@ def gen_binary_tree(depth: int, lam: float) -> Diagram:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    sizes = [2 ** n for n in range(depth + 1)]
-    mats = []
-    for n in range(depth):
-        m, k = sizes[n], sizes[n + 1]
-        mats.append(level_matrix((m, k), np.repeat(np.arange(m), 2), np.arange(k),
-                                 np.full(k, lam ** n)))
-    return make_diagram(sizes, mats, extension=ExtensionRule("tree", lam))
+    _check_edges(2 ** (min(depth, 64) + 1) - 2)
+    powers = _powers(lam, depth)
+    per_level = 2 ** np.arange(1, depth + 1)  # entries of C_n, also |V_{n+1}|
+    level = np.repeat(np.arange(depth), per_level)
+    cols = np.arange(level.size) - (per_level - 2)[level]
+    table = edge_table([1, *per_level], level, cols // 2, cols, np.repeat(powers, per_level))
+    return Diagram(table, ExtensionRule("tree", lam))
 
 
 def gen_pascal(depth: int, lam: float) -> Diagram:
@@ -206,15 +257,14 @@ def gen_pascal(depth: int, lam: float) -> Diagram:
     C_n = lam^n * A_n."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    sizes = [n + 1 for n in range(depth + 1)]
-    mats = []
-    for n in range(depth):
-        rows = np.repeat(np.arange(n + 1), 2)
-        cols = rows + np.tile([0, 1], n + 1)
-        mats.append(level_matrix((n + 1, n + 2), rows, cols, np.full(rows.size, lam ** n)))
-    return make_diagram(sizes, mats, extension=ExtensionRule("pascal", lam))
+    _check_edges(depth * (depth + 1))
+    powers = _powers(lam, depth)
+    per_level = 2 * np.arange(1, depth + 1)
+    level = np.repeat(np.arange(depth), per_level)
+    k = np.arange(level.size) - level * (level + 1)  # C_n's entries start at n (n + 1)
+    table = edge_table(np.arange(1, depth + 2), level, k // 2, k // 2 + k % 2,
+                       np.repeat(powers, per_level))
+    return Diagram(table, ExtensionRule("pascal", lam))
 
 
 def gen_stationary(a, depth: int, lam: float, root_row: Optional[np.ndarray] = None) -> Diagram:
@@ -227,8 +277,6 @@ def gen_stationary(a, depth: int, lam: float, root_row: Optional[np.ndarray] = N
     a = np.asarray(a, dtype=float)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
     if ((a != 0) & (a != 1)).any():
@@ -244,8 +292,9 @@ def gen_stationary(a, depth: int, lam: float, root_row: Optional[np.ndarray] = N
         root_row = np.asarray(root_row, dtype=float).reshape(1, d)
         if (root_row <= 0).any():
             raise ValueError("root_row must be strictly positive")
+    _check_edges(d + (depth - 1) * int(a.sum()))
     sizes = [1] + [d] * depth
-    mats = [root_row] + [lam ** n * a for n in range(1, depth)]
+    mats = [root_row] + [p * a for p in _powers(lam, depth)[1:]]
     rule = ExtensionRule("stationary", lam, tuple(tuple(row) for row in a))
     return make_diagram(sizes, mats, extension=rule)
 
@@ -261,6 +310,7 @@ def gen_bottleneck(profile: Sequence[int], seed: int) -> Diagram:
         raise ValueError("profile must start with 1 (the root level)")
     if any(s < 1 for s in profile):
         raise ValueError("all level sizes must be >= 1")
+    _check_edges(sum(m * k for m, k in zip(profile, profile[1:])))  # pairs drawn
     rng = np.random.Generator(np.random.Philox(key=seed))
     mats = []
     for n in range(len(profile) - 1):
@@ -273,8 +323,7 @@ def gen_bottleneck(profile: Sequence[int], seed: int) -> Diagram:
         for j in range(k):
             if a[:, j].sum() == 0:
                 a[rng.integers(m), j] = 1.0
-        rows, cols = np.nonzero(a)
-        mats.append(level_matrix((m, k), rows, cols, a[rows, cols]))
+        mats.append(a)
     return make_diagram(profile, mats, extension=ExtensionRule("explicit"))
 
 
@@ -287,8 +336,9 @@ def gen_ladder(depth: int, c: float = 1.0) -> Diagram:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if c <= 0:
-        raise ValueError("conductance must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError("conductance must be positive and finite")
+    _check_edges(3 * depth - 1)
     sizes = [1] + [2] * depth
     mats = [c * np.ones((1, 2))]
     for _ in range(1, depth):
@@ -309,15 +359,14 @@ def gen_binary_tree_radial(depth: int, lam: float, split_depth: int) -> Diagram:
     """
     if not (1 <= split_depth <= depth):
         raise ValueError("need 1 <= split_depth <= depth")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    top = gen_binary_tree(split_depth, lam) if split_depth >= 1 else None
-    sizes = [2 ** n for n in range(split_depth + 1)]
-    mats = [top.conductance[n] for n in range(split_depth)]
+    top = gen_binary_tree(split_depth, lam)
     width = 2 ** split_depth
+    _check_edges(top.table.nnz + width * (depth - split_depth))
+    powers = _powers(lam, depth)
+    sizes = list(top.level_sizes) + [width] * (depth - split_depth)
+    mats = list(top.conductance)
     for m in range(split_depth, depth):
-        sizes.append(width)
-        lumped = (2.0 ** (m + 1 - split_depth)) * (lam ** m)
+        lumped = (2.0 ** (m + 1 - split_depth)) * powers[m]
         mats.append(level_matrix((width, width), np.arange(width), np.arange(width),
                                  np.full(width, lumped)))
     return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
@@ -426,9 +475,6 @@ class GeneralGraph:
             levels.append(reached[np.sort(first)])
             seen[levels[-1]] = True
 
-    def is_connected(self) -> bool:
-        return sum(lv.size for lv in self.bfs_levels(0)) == self.num_vertices
-
 
 def _vertex_ids(values) -> np.ndarray:
     """Vertex ids as int64; one that int64 cannot hold becomes -1, which is
@@ -511,8 +557,8 @@ def _diagram_from_levels(g: GeneralGraph, levels: list) -> Diagram:
     sizes = [lv.size for lv in levels]
     level = _level_of(g.num_vertices, levels)
     place = np.empty(g.num_vertices, dtype=np.int64)
-    for lv in levels:
-        place[lv] = np.arange(lv.size)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # of each vertex's level
+    place[np.concatenate(levels)] = np.arange(first.size) - first
     li, lj = level[g.i], level[g.j]
     down = (li >= 0) & (lj == li + 1)
     up = (lj >= 0) & (li == lj + 1)
@@ -520,12 +566,10 @@ def _diagram_from_levels(g: GeneralGraph, levels: list) -> Diagram:
     down = down[keep]
     parent = np.where(down, g.i[keep], g.j[keep])
     child = np.where(down, g.j[keep], g.i[keep])
-    order = np.argsort(level[parent], kind="stable")
-    parent, child, c = parent[order], child[order], g.c[keep][order]
-    bounds = np.searchsorted(level[parent], np.arange(len(sizes)))
-    mats = [level_matrix((sizes[n], sizes[n + 1]), place[parent[lo:hi]], place[child[lo:hi]],
-                         c[lo:hi]) for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
+    order = np.lexsort((place[child], place[parent], level[parent]))
+    parent, child = parent[order], child[order]
+    table = edge_table(sizes, level[parent], place[parent], place[child], g.c[keep][order])
+    return Diagram(table, ExtensionRule("explicit"))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ._matops import col_sums, rmatvec, row_sums, stored_entries
+from ._matops import stored_entries
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
 from .operators import (LevelFunction, build_level_operators, checked_conductances,
-                        laplacian_apply, markov_apply)
+                        isolated_vertex, laplacian_apply, markov_apply)
 from .pathspace import dipole_green
 
 
@@ -29,6 +29,19 @@ def _edge_energy(cm, f_top: np.ndarray, f_bot: np.ndarray) -> float:
     rows, cols, vals = stored_entries(cm)
     drops = f_top[rows] - f_bot[cols]
     return float(np.dot(vals, drops * drops))
+
+
+def _flows(d: Diagram, f: LevelFunction):
+    """(I_in, I_out) at every vertex, numbered as in the edge table: the
+    current into x from its parents and out of x to its children, each sum
+    taken in table order, as the level matrices' own products take it."""
+    t, flat = d.table, np.concatenate(f.values)
+    rows, cols, size = t.rows(), t.cols(0, d.num_levels), flat.size
+    i_in = (np.bincount(cols, t.data, minlength=size) * flat
+            - np.bincount(cols, t.data * flat[rows], minlength=size))
+    i_out = (np.bincount(rows, t.data * flat[cols], minlength=size)
+             - np.bincount(rows, t.data, minlength=size) * flat)
+    return i_in, i_out
 
 
 @dataclass
@@ -81,22 +94,20 @@ def _divergence_heuristic(terms: list, tail: int = 10, eps: float = 1e-6) -> boo
 def energy_norm(d: Diagram, f: LevelFunction) -> EnergyReport:
     """Edge-sum energy (1/2) sum_{x,y} c_xy (f(x)-f(y))^2 with per-level
     partial sums, per-vertex currents, and the lower-bound ingredients.
-    Raises ValueError on a conductance not in (0, inf)."""
+    Raises ValueError on a conductance not in (0, inf) and on a level
+    without edges (beta_n = 0 would divide the bound terms by zero)."""
     f.check_shape(d)
     checked_conductances(d, 0, d.num_levels)
     incs = []
     for n in range(d.num_levels):
         incs.append(_edge_energy(d.conductance[n], f.values[n], f.values[n + 1]))
     partial = np.cumsum(incs).tolist() if incs else []
-    currents: list = [np.zeros(0)]
-    level_currents = [0.0]
-    for n in range(1, d.num_levels + 1):
-        up = col_sums(d.conductance[n - 1])
-        i_n = up * f.values[n] - rmatvec(d.conductance[n - 1], f.values[n - 1])
-        currents.append(i_n)
-        level_currents.append(float(i_n.sum()))
+    currents = [np.zeros(0)] + np.split(_flows(d, f)[0], d.table.offsets[1:-1])[1:]
+    level_currents = [0.0] + [float(i_n.sum()) for i_n in currents[1:]]
     root_flux = level_currents[1] if d.num_levels >= 1 else 0.0
     beta = [float(d.degree_vector(n).max()) for n in range(d.num_levels + 1)]
+    if 0.0 in beta:  # an edgeless level: every vertex on it is isolated
+        raise isolated_vertex(beta.index(0.0), 0)
     bound_terms = [root_flux ** 2 / (beta[n] * d.level_sizes[n])
                    for n in range(d.num_levels + 1)]
     div_terms = [1.0 / (beta[n] * d.level_sizes[n]) for n in range(d.num_levels + 1)]
@@ -191,13 +202,9 @@ def current_balance(d: Diagram, f: LevelFunction) -> CurrentBalanceReport:
     """Kirchhoff check: incoming equals outgoing current at every interior
     vertex iff f is harmonic."""
     f.check_shape(d)
-    per_level = []
-    for n in range(1, d.num_levels):
-        up = col_sums(d.conductance[n - 1])
-        i_in = up * f.values[n] - rmatvec(d.conductance[n - 1], f.values[n - 1])
-        down = row_sums(d.conductance[n])
-        i_out = d.conductance[n] @ f.values[n + 1] - down * f.values[n]
-        per_level.append(float(np.abs(i_in - i_out).max()))
+    i_in, i_out = _flows(d, f)
+    gap, offsets = np.abs(i_in - i_out), d.table.offsets
+    per_level = [float(gap[offsets[n]:offsets[n + 1]].max()) for n in range(1, d.num_levels)]
     worst = max(per_level) if per_level else 0.0
     return CurrentBalanceReport(per_level=tuple(per_level), max_imbalance=worst)
 

@@ -40,12 +40,13 @@ graph body is read in bulk only when every edge line has its conductance
 checked by GeneralGraph, which reports the first bad edge in file order.
 
 Reading a diagram file costs time and memory linear in the number of edges:
-each level is built straight from its edge lines.  A level larger than
-max(1, number of edge lines) is rejected before it is allocated: every vertex
-past the one-vertex root needs an incoming edge.  An edge line with
-conductance 0 is dropped (the pair is a non-edge); any other conductance
-makes an edge, so one that is negative, NaN or infinite is reported by
-validate() as a positivity violation.  A graph file's conductances must be
+the edge lines, sorted once by (level, row, col), are the diagram's edge
+table (see diagram.py), and format_diagram writes that table as it is.  A
+level larger than max(1, number of edge lines) is rejected before it is
+allocated: every vertex past the one-vertex root needs an incoming edge.  An
+edge line with conductance 0 is dropped (the pair is a non-edge); any other
+conductance makes an edge, so one that is negative, NaN or infinite is
+reported by validate() as a positivity violation.  A graph file's conductances must be
 positive and finite (GeneralGraph checks them).
 """
 from __future__ import annotations
@@ -56,7 +57,7 @@ import warnings
 
 import numpy as np
 
-from ._matops import level_matrix, stored_entries
+from ._matops import edge_table
 from .diagram import (
     Diagram,
     GeneralGraph,
@@ -65,7 +66,6 @@ from .diagram import (
     gen_ladder,
     gen_pascal,
     gen_stationary,
-    make_diagram,
 )
 from .operators import LevelFunction
 
@@ -151,10 +151,10 @@ def parse_diagram(text: str) -> Diagram:
     if max(sizes) > max(n.size, 1):
         raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
                          f"edge lines; the file has {n.size}")
-    bounds = np.searchsorted(n, np.arange(len(sizes)))
-    mats = [level_matrix((sizes[m], sizes[m + 1]), i[lo:hi], j[lo:hi], c[lo:hi])
-            for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    return make_diagram(sizes, mats)
+    if sizes[0] != 1:
+        raise ValueError("level_sizes must start with the singleton root level")
+    edge = c != 0  # a line with conductance 0 is a non-edge
+    return Diagram(edge_table(sizes, n[edge], i[edge], j[edge], c[edge]))
 
 
 def _edge_arrays(table, sizes):
@@ -369,9 +369,7 @@ def _below(k, word: int):
 def format_diagram(d: Diagram) -> str:
     sizes = d.level_sizes
     head = f"bratteli v1\nlevels {len(sizes)} : {' '.join(map(str, sizes))}\n"
-    levels = ((np.full(rows.size, n), rows, cols, vals)
-              for n, (rows, cols, vals) in enumerate(map(stored_entries, d.conductance)))
-    return _lines(head, "e ", levels)
+    return _lines(head, "e ", [d.table.entries()])
 
 
 def parse_graph(text: str) -> GeneralGraph:

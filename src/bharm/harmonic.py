@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ._matops import block_diagonal, stored_entries
+from ._matops import stored_entries
 from .diagram import Diagram, VertexId
 from .operators import (LevelFunction, LevelOperators, build_level_operators,
                         checked_conductances, laplacian_apply, laplacian_entries)
@@ -540,16 +540,19 @@ def _certified_full_row_rank(d: Diagram, stop: int) -> np.ndarray:
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    stacked, row_off, col_off = block_diagonal(d.conductance[:stop])
-    m, k, offsets = np.diff(row_off), np.diff(col_off), row_off[:-1]
+    # C_0..C_{stop-1} block-diagonally, the columns numbered across levels
+    table = d.table
+    m, k = np.array(table.sizes[:stop]), np.array(table.sizes[1:stop + 1])
+    offsets, col_off = table.offsets[:stop], table.offsets[1:stop + 1] - 1
+    n_rows, nnz = int(table.offsets[stop]), int(table.starts[stop])
     level = np.repeat(np.arange(stop), m)
-    rows, cols, vals = stored_entries(stacked)
-    _, exp = np.frexp(np.maximum.reduceat(vals, stacked.indptr[offsets]))
+    rows, cols, vals = table.rows()[:nnz], table.cols(0, stop) - 1, table.data[:nnz]
+    _, exp = np.frexp(np.maximum.reduceat(vals, table.starts[:stop]))
     vals = np.ldexp(vals, (1 - exp)[level[rows]])
-    c = sp.csr_matrix((vals, cols, stacked.indptr), shape=stacked.shape)
+    c = sp.csr_matrix((vals, cols, table.indptr[:n_rows + 1]), shape=(n_rows, int(k.sum())))
     w = np.maximum.reduceat(np.diff(c.indptr), offsets)
-    beta2 = (np.maximum.reduceat(np.bincount(cols, vals, minlength=col_off[-1]), col_off[:-1])
-             * np.maximum.reduceat(np.bincount(rows, vals, minlength=row_off[-1]), offsets)
+    beta2 = (np.maximum.reduceat(np.bincount(cols, vals, minlength=k.sum()), col_off)
+             * np.maximum.reduceat(np.bincount(rows, vals, minlength=n_rows), offsets)
              * (1 + _gamma(m + k)))
     t = RANK_RCOND + (1 + RANK_RCOND) * m * k * 2 * _UNIT
     tau = t * t * beta2

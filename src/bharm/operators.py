@@ -126,29 +126,25 @@ def build_level_operators(d: Diagram) -> LevelOperators:
     could not carry transition probabilities; raises ValueError otherwise.
     """
     checked_conductances(d, 0, d.num_levels)
-    degrees = []
-    for n in range(d.num_levels + 1):
-        c = d.degree_vector(n)
-        if (c <= 0).any():
-            raise isolated_vertex(n, int(np.nonzero(c <= 0)[0][0]))
-        degrees.append(c)
-    return LevelOperators(diagram=d, degrees=tuple(degrees))
+    c, offsets = d.degrees, d.table.offsets
+    bad = np.flatnonzero(c <= 0)
+    if bad.size:
+        n = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise isolated_vertex(n, int(bad[0] - offsets[n]))
+    return LevelOperators(diagram=d, degrees=tuple(np.split(c, offsets[1:-1])))
 
 
 def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
-    """The stored conductances of levels first..last-1, level by level in
-    row-major order; raises ValueError at the first that is not in (0, inf)."""
-    mats = d.conductance[first:last]
-    c = np.concatenate([m.data for m in mats]) if mats else np.zeros(0)
+    """The stored conductances of levels first..last-1, a read-only slice of
+    the edge table; raises ValueError at the first that is not in (0, inf)."""
+    t = d.table
+    lo = t.starts[first]
+    c = t.data[lo:t.starts[last]]
     bad = np.flatnonzero(~((c > 0) & (c < np.inf)))
     if bad.size:
-        k = int(bad[0])
-        for n, m in enumerate(mats, first):
-            if k < m.nnz:
-                rows, cols, vals = stored_entries(m)
-                raise ValueError(f"level {n}, edge ({rows[k]},{cols[k]}): conductance "
-                                 f"{vals[k].item()} is not positive and finite")
-            k -= m.nnz
+        n, i, j, v = (a[lo + bad[0]] for a in t.entries())
+        raise ValueError(f"level {n}, edge ({i},{j}): conductance "
+                         f"{v.item()} is not positive and finite")
     return c
 
 
@@ -160,21 +156,20 @@ def laplacian_entries(d: Diagram, first: int, last: int, boundary_columns: bool 
     are its children block -C_n, its diagonal c(x), then its parents block
     -C_{n-1}^T, each in the row-major order of its level matrix.  c(x)
     counts every stored edge of x; without boundary_columns the entries in
-    level last's columns are left out (the Dirichlet matrix).  Each level
-    matrix read is read once, and a conductance not in (0, inf) raises
+    level last's columns are left out (the Dirichlet matrix).  The edges
+    are a slice of the edge table, and a conductance not in (0, inf) raises
     ValueError (see checked_conductances).
     """
-    offsets = np.concatenate([[0], np.cumsum(d.level_sizes[:last + 1])]).astype(np.int64)
+    t = d.table
+    offsets = t.offsets[:last + 2]
     lo = max(first - 1, 0)
-    mats = d.conductance[lo:last]
     c = checked_conductances(d, lo, last)
     # edges u -> w of levels lo..last-1; level n's are starts[n - lo]:starts[n - lo + 1]
-    starts = np.concatenate([[0], np.cumsum([m.nnz for m in mats])])
+    starts = t.starts[lo:last + 1] - t.starts[lo]
     u = np.repeat(np.arange(offsets[lo], offsets[last]),
-                  np.concatenate([np.diff(m.indptr) for m in mats]))
-    w = np.concatenate([m.indices for m in mats]) + np.repeat(offsets[lo + 1:last + 1],
-                                                               np.diff(starts))
-    # c(x) = col_sums(C_{n-1}) + row_sums(C_n), summed as Diagram.degree_vector sums
+                  np.diff(t.indptr[offsets[lo]:offsets[last] + 1]))
+    w = t.cols(lo, last)
+    # c(x) = in-sums + out-sums, summed as Diagram.degrees sums them
     base, n_rows = offsets[first], int(offsets[last] - offsets[first])
     up, down = starts[last - 1 - lo], starts[first - lo]
     degrees = (np.bincount(w[:up] - base, c[:up], minlength=n_rows)

@@ -739,6 +739,13 @@ class PoissonResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def check_target_level(d: Diagram, target_level: int) -> None:
+    """Raise ValueError unless target_level is a boundary level of d's
+    stored prefix, 1..N."""
+    if not (1 <= target_level <= d.num_levels):
+        raise ValueError("target level must be within the stored prefix")
+
+
 def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
                    method: str = "exact-dirichlet",
                    cfg: Optional[WalkConfig] = None) -> PoissonResult:
@@ -747,8 +754,7 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     The value at a boundary vertex is f_n exactly in both modes.
     """
     f_n = np.asarray(f_n, dtype=float).reshape(-1)
-    if not (1 <= target_level <= d.num_levels):
-        raise ValueError("target level must be within the stored prefix")
+    check_target_level(d, target_level)
     if f_n.shape[0] != d.level_sizes[target_level]:
         raise ValueError("boundary data has the wrong length")
     if method == "exact-dirichlet":

@@ -11,9 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
+import bharm.diagram
 from bharm import cli
 from bharm.cli import _build_parser, main
-from bharm.fileio import format_function, load_diagram, parse_diagram, parse_function
+from bharm.fileio import (_GENERATORS, format_function, load_diagram, parse_diagram,
+                          parse_function)
 from bharm import gen_pascal, gen_binary_tree
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 
@@ -705,3 +707,70 @@ def test_subcommands_that_do_not_factor_never_import_scipy(tmp_path):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("level", ["9", "0", "-1"])
+def test_poisson_level_outside_the_prefix_is_exit_one(level, tmp_path, capsys):
+    # --level 9 once indexed the boundary data first and ended in an IndexError
+    values = tmp_path / "f.fn"
+    values.write_text("fn v1\n1 0 1\n")
+    argv = ["poisson", "--diagram", "tree:4:2", "--level", level, "--values", str(values)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: target level must be within the stored prefix\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("command", ["harmonic", "monopole", "dipole"])
+def test_tol_takes_only_finite_values_at_least_zero(command, value, capsys):
+    # --tol nan once ended in a TypeError traceback, and --tol -1 was accepted
+    argv = [command, "--diagram", "tree:4:2", f"--tol={value}"]
+    if command != "harmonic":
+        argv += ["--vertex", "1,0"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err.startswith(f"usage: bharm {command} ")
+    assert err.splitlines()[-1].startswith(f"bharm {command}: error: argument --tol: ")
+
+
+def test_tol_zero_is_accepted(tmp_path):
+    assert main(["harmonic", "--diagram", "tree:3:2", "--tol", "0",
+                 "--out", str(tmp_path / "h.fn")]) == 0
+
+
+def test_energy_on_an_edgeless_level_is_exit_one(tmp_path, capsys):
+    # the bound terms once divided by beta_n = 0 (ZeroDivisionError)
+    diagram = tmp_path / "edgeless.bd"
+    diagram.write_text("bratteli v1\nlevels 2 : 1 1\n")
+    fn = tmp_path / "f.fn"
+    fn.write_text("fn v1\n1 0 1\n")
+    assert main(["energy", "--diagram", str(diagram), "--fn", str(fn)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: isolated vertex at level 0, index 0 (c(x) = 0)\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("tree:3:inf", "lambda must be positive and finite"),
+    ("pascal:3:nan", "lambda must be positive and finite"),
+    ("ladder:3:nan", "conductance must be positive and finite"),
+    ("stationary:11;10:3:inf", "lambda must be positive and finite"),
+    ("tree:3:1e300", "lambda^2 is not a positive finite double"),
+])
+def test_gen_of_a_non_finite_parameter_is_exit_one(spec, message, capsys):
+    # each once exited 0 and wrote a diagram that validate rejects, or a traceback
+    assert main(["gen", spec]) == 1
+    out, err = capsys.readouterr()
+    form = _GENERATORS[spec.split(":")[0]]
+    assert out == ""
+    assert err == f"error: cannot load diagram {spec!r}: bad value in {form}: {message}\n"
+
+
+def test_gen_over_the_edge_bound_is_exit_one(monkeypatch, capsys):
+    monkeypatch.setattr(bharm.diagram, "MAX_EDGES", 30)  # tree:4 has 30 edges, tree:5 62
+    assert main(["gen", "tree:4:2"]) == 0
+    capsys.readouterr()
+    assert main(["gen", "tree:5:2"]) == 1
+    assert capsys.readouterr().err == ("error: cannot load diagram 'tree:5:2': bad value in "
+                                       "tree:<depth>:<lam>: the spec needs more than "
+                                       "MAX_EDGES = 30 edges\n")

@@ -17,6 +17,7 @@ from bharm import (
     make_diagram,
     validate,
 )
+from bharm import diagram as diagram_module
 from bharm._matops import LevelMatrix
 from bharm.fileio import format_diagram, parse_diagram
 from bruteforce import (
@@ -136,6 +137,30 @@ def _assert_read_only_canonical(m):
             arr[:1] = 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gen_binary_tree(8, 2.0),
+    lambda: gen_pascal(30, 1.5),
+    lambda: parse_diagram(format_diagram(gen_pascal(20, 1.5)) + "e 3 0 3 2.5\n"),
+    lambda: diagram_from_graph(ladder_graph(6), root=0),
+    lambda: gen_stationary([[1, 1], [1, 0]], 5, 2.0),
+], ids=["tree", "pascal", "parse", "graph", "stationary"])
+def test_levels_are_views_of_the_one_edge_table(build):
+    d = build()
+    t = d.table
+    assert t.nnz == sum(c.nnz for c in d.conductance)
+    for n, (c, a) in enumerate(zip(d.conductance, d.incidence)):
+        lo, hi = t.starts[n], t.starts[n + 1]
+        for ours, whole in ((c.data, t.data), (c.indices, t.indices),
+                            (a.indices, t.indices)):
+            assert np.shares_memory(ours, whole)
+        assert np.array_equal(c.data, t.data[lo:hi])
+        assert np.array_equal(c.indices, t.indices[lo:hi])
+        assert np.array_equal(c.indptr, t.indptr[t.offsets[n]:t.offsets[n + 1] + 1] - lo)
+    # the degrees are one table-wide vector, sliced per level
+    assert np.array_equal(np.concatenate([d.degree_vector(n) for n in range(d.num_levels + 1)]),
+                          d.degrees)
+
+
 def test_ladder_leveling_is_valid():
     d = diagram_from_graph(ladder_graph(6), root=0)
     assert validate(d) == []
@@ -227,6 +252,56 @@ def test_stationary_all_ones_levels():
 def test_stationary_zero_column_rejected():
     with pytest.raises(ValueError):
         gen_stationary([[1, 0], [1, 0]], 3, 1.0)
+
+
+# --- generator arguments ---------------------------------------------------------
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("gen", [
+    lambda v: gen_binary_tree(3, v),
+    lambda v: gen_pascal(3, v),
+    lambda v: gen_stationary([[1, 1], [1, 0]], 3, v),
+    lambda v: gen_ladder(3, v),
+    lambda v: gen_binary_tree_radial(4, v, 2),
+], ids=["tree", "pascal", "stationary", "ladder", "radial"])
+def test_generators_take_only_positive_finite_parameters(gen, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        gen(value)
+
+
+@pytest.mark.parametrize("lam", [1e300, 1e-320])
+def test_generators_refuse_powers_of_lambda_outside_the_doubles(lam):
+    # 1e300 ** 2 raised OverflowError; 1e-320 ** 2 is 0, which dropped the edges
+    for gen in (gen_binary_tree, gen_pascal):
+        with pytest.raises(ValueError, match=r"lambda\^2 is not a positive finite double"):
+            gen(3, lam)
+    assert validate(gen_pascal(2, 1e-320)) == []
+
+
+@pytest.mark.parametrize("build, edges", [
+    (lambda depth: gen_binary_tree(depth, 2.0), lambda depth: 2 ** (depth + 1) - 2),
+    (lambda depth: gen_pascal(depth, 1.5), lambda depth: depth * (depth + 1)),
+    (lambda depth: gen_ladder(depth, 2.0), lambda depth: 3 * depth - 1),
+    (lambda depth: gen_stationary([[1, 1], [1, 0]], depth, 2.0), lambda depth: 3 * depth - 1),
+    # the bottleneck draws every pair of consecutive levels and keeps some
+    (lambda depth: gen_bottleneck([1] + [2] * depth, 3), lambda depth: 4 * depth - 2),
+], ids=["tree", "pascal", "ladder", "stationary", "bottleneck"])
+def test_generators_refuse_more_edges_than_the_bound(build, edges, monkeypatch):
+    # the count is taken from the spec before anything is allocated, so a
+    # small bound tests it without a large diagram
+    depth = 4
+    monkeypatch.setattr(diagram_module, "MAX_EDGES", edges(depth))
+    assert build(depth).table.nnz <= edges(depth)
+    with pytest.raises(ValueError, match="needs more than MAX_EDGES"):
+        build(depth + 1)
+
+
+def test_the_edge_bound_counts_the_edges_exactly():
+    for depth in (1, 2, 5):
+        assert gen_binary_tree(depth, 2.0).table.nnz == 2 ** (depth + 1) - 2
+        assert gen_pascal(depth, 1.5).table.nnz == depth * (depth + 1)
+        assert gen_ladder(depth, 2.0).table.nnz == 3 * depth - 1
+        assert gen_stationary([[1, 1], [1, 0]], depth, 2.0).table.nnz == 3 * depth - 1
 
 
 # --- bottleneck ---------------------------------------------------------------

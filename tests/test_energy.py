@@ -12,6 +12,7 @@ from bharm import (
     gen_binary_tree,
     gen_pascal,
     gen_stationary,
+    make_diagram,
     monopole_green,
     resistance_distance,
     solve_chain,
@@ -273,3 +274,10 @@ def test_stationary_criterion_hypotheses_enforced():
     d4 = gen_binary_tree(4, 2.0)
     with pytest.raises(ValueError, match="stationary"):
         stationary_energy_criterion(d4, [1.0, 1.0])
+
+
+def test_energy_norm_rejects_an_edgeless_level():
+    # beta_n = 0 once divided the bound terms by zero
+    d = make_diagram([1, 2, 2], [np.array([[1.0, 1.0]]), np.zeros((2, 2))])
+    with pytest.raises(ValueError, match=r"^isolated vertex at level 2, index 0 \(c\(x\) = 0\)$"):
+        energy_norm(d, LevelFunction.zeros(d))
