@@ -5,7 +5,9 @@ Every level matrix is a LevelMatrix: a read-only canonical CSR matrix
 those as_level keeps), so memory and time grow with the edges, not with
 |V_n| |V_{n+1}|.  A diagram stores all its levels C_0, ..., C_{N-1} once,
 in one EdgeTable, the LevelMatrix of their rows stacked in level order; its
-C_n is a view of the table's slice.  Both are bharm's own types and need
+C_n is a view of the table's slice, and every sum over the edges of a range
+of levels (P, the Laplacian, the recursion residuals, the degrees) is one
+EdgeTable.edge_sums.  Both are bharm's own types and need
 numpy only: scipy is imported only where a caller hands in a scipy sparse
 matrix (as_level) and by the solvers that factor or decompose.
 """
@@ -15,46 +17,30 @@ import numpy as np
 class LevelMatrix:
     """Read-only canonical CSR matrix on arrays that this module made
     canonical (float64 data, one index dtype for indices and indptr).
-
-    `m @ v` for a vector v is one np.bincount over the stored entries in
-    row-major order: it forms the same products and adds them in the same
-    order as scipy's CSR matrix-vector product, so the two agree bit for
-    bit.  The row of each stored entry is computed once, on first use.
     """
-    __slots__ = ("data", "indices", "indptr", "shape", "_rows")
+    __slots__ = ("data", "indices", "indptr", "shape")
 
     def __init__(self, data, indices, indptr, shape):
         for a in (data, indices, indptr):
             a.flags.writeable = False
         self.data, self.indices, self.indptr = data, indices, indptr
         self.shape = (int(shape[0]), int(shape[1]))
-        self._rows = None
 
     @property
     def nnz(self) -> int:
         return self.data.size
 
     def rows(self) -> np.ndarray:
-        """Row index of each stored entry (read-only)."""
-        if self._rows is None:
-            rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
-            rows.flags.writeable = False
-            self._rows = rows
-        return self._rows
+        """Row index of each stored entry (read-only), made anew on each
+        call, so that a matrix holds no per-entry array beside its own."""
+        rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[self.rows(), self.indices] = self.data
         return out
-
-    def __matmul__(self, v) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape != (self.shape[1],):
-            raise ValueError(f"cannot multiply a {self.shape} level matrix "
-                             f"by a vector of shape {v.shape}")
-        # with no stored entries, bincount's sum would be integer zeros
-        return np.bincount(self.rows(), self.data * v.take(self.indices),
-                           minlength=self.shape[0]).astype(float, copy=False)
 
 
 def _window(a, lo: int, hi: int) -> np.ndarray:
@@ -70,7 +56,8 @@ class EdgeTable(LevelMatrix):
     level (level n's first is offsets[n]; offsets[N + 1] counts all), and
     an entry's column is its vertex's index in the next level.  The entries
     run in (level, row, col) order; level n's are starts[n]:starts[n + 1],
-    and level(n) is C_n as a view of them.
+    and level(n) is C_n as a view of them.  edge_sums takes the sums over a
+    range of levels' entries for each row and each column vertex at once.
     """
     __slots__ = ("sizes", "offsets", "starts")
 
@@ -87,16 +74,34 @@ class EdgeTable(LevelMatrix):
         return LevelMatrix(_window(self.data, lo, hi), _window(self.indices, lo, hi),
                            self.indptr[a:b + 1] - self.indptr[a], self.sizes[n:n + 2])
 
-    def rows(self) -> np.ndarray:
-        """The vertex of each entry's row, made anew on each call, so that
-        the table holds no per-entry array beside its data and indices."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
-
     def cols(self, first: int, last: int) -> np.ndarray:
         """The vertex of each entry's column, for the entries of levels
         first..last-1."""
         return (self.indices[self.starts[first]:self.starts[last]]
                 + np.repeat(self.offsets[first + 1:last + 1], np.diff(self.starts[first:last + 1])))
+
+    def edge_sums(self, first: int, last: int, x=None, scale=None):
+        """(child, parent) sums over the entries of levels first..last-1,
+        with x and scale on the vertices of levels first..last and both
+        sums numbered as they are (from offsets[first]): child[v] sums
+        w x[col] over v's row and parent[u] sums w x[row] over u's column,
+        w the conductance times scale[v] or scale[u] (when given), x 1 when
+        left out.  Each is one np.bincount in table order, and a vertex's
+        entries lie in one level, so level n's sums are bit for bit scipy's
+        CSR products C_n x and C_n^T x (child is 0 on level last, parent on
+        level first)."""
+        base, lo, hi = self.offsets[first], self.starts[first], self.starts[last]
+        size = int(self.offsets[last + 1] - base)
+        rows = np.repeat(np.arange(self.offsets[last] - base),
+                         np.diff(self.indptr[base:self.offsets[last] + 1]))
+        cols = self.cols(first, last) - base
+        c = self.data[lo:hi]
+        down, up = (c, c) if scale is None else (c * scale.take(rows), c * scale.take(cols))
+        if x is not None:
+            down, up = down * x.take(cols), up * x.take(rows)
+        # with no entries, bincount's sums would be integer zeros
+        return (np.bincount(rows, down, minlength=size).astype(float, copy=False),
+                np.bincount(cols, up, minlength=size).astype(float, copy=False))
 
     def entries(self):
         """(level, row, col, value) of every entry, row and col within their
@@ -163,13 +168,3 @@ def as_level(m, keep_zeros: bool = False):
     coo = sp.coo_matrix(m, dtype=float, copy=True)
     coo.sum_duplicates()
     return level_matrix(coo.shape, coo.row, coo.col, coo.data, keep_zeros)
-
-
-def stored_entries(m):
-    """(rows, cols, values) of the stored entries in row-major order."""
-    return m.rows(), m.indices, m.data
-
-
-def rmatvec(m, v: np.ndarray) -> np.ndarray:
-    """m.T @ v."""
-    return np.bincount(m.indices, m.data * v[m.rows()], minlength=m.shape[1])

@@ -141,8 +141,8 @@ def _cmd_validate(args) -> int:
 def _cmd_harmonic(args) -> int:
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
-    if depth > d.num_levels:
-        raise ValueError("requested depth exceeds the stored prefix")
+    if not 1 <= depth <= d.num_levels:
+        raise ValueError(f"depth must lie in 1..{d.num_levels}")
     pins = _parse_pins(args.pin)
     seed = None
     if args.seed_vector and args.seed_vector != "auto":
@@ -152,8 +152,9 @@ def _cmd_harmonic(args) -> int:
         # constraint's null space, sign-normalized (the plain minimum-norm
         # seed would be the zero function)
         import scipy.linalg
-        checked_conductances(d, 0, 1)  # as the recursion would, before C_0 is read
-        basis = scipy.linalg.null_space(d.conductance[0].toarray())
+        c0 = np.zeros((1, d.level_sizes[1]))  # C_0, the table's first row, checked
+        c0[0, d.table.indices[:d.table.starts[1]]] = checked_conductances(d, 0, 1)
+        basis = scipy.linalg.null_space(c0)
         if basis.shape[1] == 0:
             raise ValueError("root constraint admits only the zero seed")
         seed = basis[:, 0]

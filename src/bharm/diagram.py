@@ -110,11 +110,10 @@ class Diagram:
     @cached_property
     def degrees(self) -> np.ndarray:
         """c(x) of every vertex (read-only): its column sum plus its row sum
-        in the table, each in table order, so that level n's slice is the
+        in the table (EdgeTable.edge_sums), so that level n's slice is the
         column sums of C_{n-1} plus the row sums of C_n, bit for bit."""
-        t, total = self.table, self.total_vertices
-        c = (np.bincount(t.cols(0, self.num_levels), t.data, minlength=total)
-             + np.bincount(t.rows(), t.data, minlength=total)).astype(float, copy=False)
+        out, into = self.table.edge_sums(0, self.num_levels)
+        c = into + out
         c.flags.writeable = False
         return c
 
@@ -200,11 +199,11 @@ def validate(d: Diagram) -> list:
                                          f"c={on_edges[k]:.12g} on edge (0 < c_xy < inf "
                                          "required exactly on edges)")))
     level = np.repeat(np.arange(len(sizes)), sizes)  # of each vertex
-    for v in np.flatnonzero(np.bincount(a.rows(), a.data, minlength=a.shape[0]) == 0):
+    out_sums, in_sums = a.edge_sums(0, d.num_levels)
+    for v in np.flatnonzero(out_sums[:offsets[-2]] == 0):
         n = int(level[v])
         found.append((n, 3, v, Violation("outgoing", n, f"vertex {v - offsets[n]}",
                                          "vertex without outgoing edge")))
-    in_sums = np.bincount(a.cols(0, d.num_levels), a.data, minlength=offsets[-1])
     for v in np.flatnonzero(in_sums[1:] == 0) + 1:
         n = int(level[v])
         found.append((n - 1, 4, v, Violation("incoming", n, f"vertex {v - offsets[n]}",

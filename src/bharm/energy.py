@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ._matops import stored_entries
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
 from .operators import (LevelFunction, build_level_operators, checked_conductances,
@@ -26,22 +25,18 @@ def _edge_energy(cm, f_top: np.ndarray, f_bot: np.ndarray) -> float:
     Computed from per-edge differences: the quadratic expansion cancels
     catastrophically when the differences are small against the values.
     """
-    rows, cols, vals = stored_entries(cm)
-    drops = f_top[rows] - f_bot[cols]
-    return float(np.dot(vals, drops * drops))
+    drops = f_top[cm.rows()] - f_bot[cm.indices]
+    return float(np.dot(cm.data, drops * drops))
 
 
 def _flows(d: Diagram, f: LevelFunction):
     """(I_in, I_out) at every vertex, numbered as in the edge table: the
-    current into x from its parents and out of x to its children, each sum
-    taken in table order, as the level matrices' own products take it."""
+    current into x from its parents and out of x to its children, from the
+    table's child and parent sums (EdgeTable.edge_sums)."""
     t, flat = d.table, np.concatenate(f.values)
-    rows, cols, size = t.rows(), t.cols(0, d.num_levels), flat.size
-    i_in = (np.bincount(cols, t.data, minlength=size) * flat
-            - np.bincount(cols, t.data * flat[rows], minlength=size))
-    i_out = (np.bincount(rows, t.data * flat[cols], minlength=size)
-             - np.bincount(rows, t.data, minlength=size) * flat)
-    return i_in, i_out
+    out_c, in_c = t.edge_sums(0, d.num_levels)
+    out_f, in_f = t.edge_sums(0, d.num_levels, flat)
+    return in_c * flat - in_f, out_f - out_c * flat
 
 
 @dataclass
@@ -223,10 +218,9 @@ def dissipation_check(d: Diagram, f: LevelFunction) -> DissipationReport:
     f.check_shape(d)
     diss = 0.0
     for n in range(d.num_levels):
-        rows, cols, vals = stored_entries(d.conductance[n])
-        drops = f.values[n][rows] - f.values[n + 1][cols]
-        currents = vals * drops
-        diss += float(np.sum(currents ** 2 / vals))
+        m = d.conductance[n]
+        currents = m.data * (f.values[n][m.rows()] - f.values[n + 1][m.indices])
+        diss += float(np.sum(currents ** 2 / m.data))
     energy = energy_norm(d, f).energy
     gap = abs(diss - energy) / max(abs(energy), 1.0)
     return DissipationReport(dissipation=float(diss), energy=energy, relative_gap=float(gap))

@@ -23,10 +23,9 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ._matops import stored_entries
 from .diagram import Diagram, VertexId
-from .operators import (LevelFunction, LevelOperators, build_level_operators,
-                        checked_conductances, laplacian_apply, laplacian_entries)
+from .operators import (LevelFunction, build_level_operators, checked_conductances,
+                        checked_degrees, laplacian_apply, laplacian_entries)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -129,7 +128,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     rhs = _source_vectors(d, source)
     values, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix,
                                                   {n + 1: pins} if pins else {})
-    resid = _chain_residuals(d, build_level_operators(d), n + 1, rhs, values, first=n)[0]
+    resid = _chain_residuals(d, n + 1, rhs, values, first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
                    "fallback": fallback}
     return values[n + 1], SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics)
@@ -197,9 +196,10 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
     Arioli, Duff & de Rijk, Numer. Math. 1989), and plain refinement.
     Overdetermined, or an LU that fails: "lsqr", LSQR from x0 = 0, which
     converges to the minimum-norm least-squares solution (Paige & Saunders,
-    ACM TOMS 1982).  Raises ValueError for a pin off levels k+1..depth or
-    off its level.  Returns (values f_0..f_depth, path, refinement steps,
-    fallback), where fallback is None, or why the path is lsqr.
+    ACM TOMS 1982).  Raises ValueError for a pin off levels k+1..depth,
+    off its level or not finite.  Returns (values f_0..f_depth, path,
+    refinement steps, fallback), where fallback is None, or why the path is
+    lsqr.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -226,6 +226,8 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
         for idx, val in coord_map.items():
             if not (0 <= idx < sizes[lvl]):
                 raise ValueError(f"pinned index {idx} outside level of size {sizes[lvl]}")
+            if not np.isfinite(val):
+                raise ValueError(f"pinned value {val} at ({lvl},{idx}) is not finite")
             fixed[off[lvl] + idx] = True
             x_full[off[lvl] + idx] = val
     keep = ~fixed[cols]
@@ -301,7 +303,7 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
             raise ValueError("seed vector length does not match level 1")
         prefix.append(seed_f1)
     values, path, steps, fallback = _global_solve(d, depth, rhs, prefix, pins or {})
-    residuals = _chain_residuals(d, build_level_operators(d), depth, rhs, values)
+    residuals = _chain_residuals(d, depth, rhs, values)
     # pad to the stored depth so the result is a full LevelFunction
     for n in range(depth + 1, d.num_levels + 1):
         values.append(np.zeros(d.level_sizes[n]))
@@ -311,19 +313,22 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
                                               diagnostics=diagnostics)
 
 
-def _chain_residuals(d: Diagram, ops: LevelOperators, depth: int, rhs, values,
-                     first: int = 0) -> list:
+def _chain_residuals(d: Diagram, depth: int, rhs, values, first: int = 0) -> list:
     """Residuals of the recursion equations of levels first..depth-1 in
-    normalized form."""
-    out = []
-    for n in range(first, depth):
-        g = values[n].copy()
-        if n > 0:
-            g -= ops.p_fwd(n, values[n - 1])
-        g -= rhs[n] / ops.degrees[n]
-        r = ops.p_back(n, values[n + 1]) - g
-        out.append(float(np.abs(r).max()) if r.size else 0.0)
-    return out
+    normalized form: per level, max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1}
+    - rhs_n / c_n)|.  P's two blocks are the child and parent sums of one
+    pass over the edge table's levels first-1..depth (EdgeTable.edge_sums).
+    Raises ValueError where build_level_operators does."""
+    build_level_operators(d)
+    t, lo = d.table, max(first - 1, 0)
+    base = t.offsets[lo]
+    c, f = d.degrees[base:t.offsets[depth + 1]], np.concatenate(values[lo:depth + 1])
+    back, fwd = t.edge_sums(lo, depth, f, 1.0 / c)
+    # the equations of levels first..depth-1 (fwd is 0 on level 0); level
+    # depth's entries would join level depth-1's maximum
+    eq = slice(t.offsets[first] - base, t.offsets[depth] - base)
+    r = np.abs(back[eq] - (f[eq] - fwd[eq] - np.concatenate(rhs[first:depth]) / c[eq]))
+    return np.maximum.reduceat(r, t.offsets[first:depth] - t.offsets[first]).tolist()
 
 
 def solve_monopole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
@@ -442,7 +447,7 @@ def _level_rank(c) -> int:
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     m, k = c.shape
-    rows, cols, vals = stored_entries(c)
+    rows, cols, vals = c.rows(), c.indices, c.data
     graph = sp.csr_matrix((np.ones(rows.size), (rows, cols + m)), shape=(m + k, m + k))
     n_comp, label = connected_components(graph, directed=False)
     row_pos, comp_rows = _index_within(label[:m], n_comp)
@@ -602,20 +607,20 @@ def _first_rank_deficient_level(d: Diagram, depth: int):
     None; svd_levels counts the levels up to it whose rank took an SVD
     (_level_rank), those that _certified_full_row_rank leaves undecided.
     The certificate runs on the levels before the first that has more
-    vertices than the next or no edge; the loop decides that one."""
-    sizes = d.level_sizes
+    vertices than the next or no edge; the loop decides that one.  A level
+    matrix is made only for a level that takes the SVD."""
+    sizes, starts = d.level_sizes, d.table.starts
     stop = next((n for n in range(depth)
-                 if sizes[n] > sizes[n + 1] or d.conductance[n].nnz == 0), depth)
+                 if sizes[n] > sizes[n + 1] or starts[n] == starts[n + 1]), depth)
     certified = _certified_full_row_rank(d, stop) if stop else []
     svd_levels = 0
     for n in range(depth):
-        c = d.conductance[n]
         if n < stop and certified[n]:
             continue
-        if c.shape[0] > c.shape[1]:
+        if sizes[n] > sizes[n + 1]:
             return n, svd_levels
         svd_levels += 1
-        if _level_rank(c) < c.shape[0]:
+        if _level_rank(d.table.level(n)) < sizes[n]:
             return n, svd_levels
     return None, svd_levels
 
@@ -642,13 +647,14 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionRe
     (path "propagation", see _propagate), which on the rank route runs only
     when DimensionResult.state is read.  Both equal the null-space
     dimension of the stacked constraint system (the brute-force oracle) on
-    every tested instance.  A conductance not in (0, inf) below the depth
-    raises ValueError.
+    every tested instance.  A conductance not in (0, inf) below the depth,
+    or a vertex without edges on levels 0..depth, raises ValueError.
     """
     n_max = d.num_levels if up_to_level is None else up_to_level
     if not 1 <= n_max <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
     checked_conductances(d, 0, n_max)
+    checked_degrees(d, n_max)
     deficient, svd_levels = _first_rank_deficient_level(d, n_max)
     if deficient is None:
         sizes = d.level_sizes

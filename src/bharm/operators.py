@@ -4,7 +4,8 @@ Functions on the vertex set are stored as one vector per level.  The Markov
 operator splits into back blocks P<-_n (level n+1 -> n, entries c_xz/c(x))
 and forward blocks P->_{n-1} (level n-1 -> n, entries c_yx/c(x)); the
 Laplacian acts as (Df)_n = D_n f_n - C_{n-1}^T f_{n-1} - C_n f_{n+1}.
-Both are applied off the diagram's level matrices C_n and the degrees c(x).
+Both are applied to all levels at once, as the child and parent sums of the
+diagram's edge table (_matops.EdgeTable.edge_sums) and the degrees c(x).
 
 Outputs at the last stored level are flagged invalid: without level N+1 the
 operators are not determined there.
@@ -16,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._matops import rmatvec, stored_entries
 from .diagram import Diagram
 
 
@@ -81,13 +81,12 @@ class LevelFunction:
 
 @dataclass(frozen=True)
 class LevelOperators:
-    """P and the Laplacian of one diagram, applied off its level matrices.
+    """The checked degrees of one diagram, for P and the Laplacian.
 
-    degrees[n]: total conductance c(x) per vertex (diagonal of D_n).
-    p_back(n, g) applies P<-_n for 0 <= n < N and p_fwd(n, g) applies
-    P->_{n-1} for 1 <= n <= N.  Row [P->_{n-1} | P<-_n] is stochastic for
-    interior n; the last level's rows use truncated c and are flagged by
-    interior_mask.  Only build_level_operators makes one, after its checks.
+    degrees[n]: total conductance c(x) per vertex (diagonal of D_n).  Row
+    [P->_{n-1} | P<-_n] of P is stochastic for interior n; the last level's
+    rows use truncated c and are flagged by interior_mask.  Only
+    build_level_operators makes one, after its checks.
     """
     diagram: Diagram
     degrees: tuple
@@ -99,20 +98,6 @@ class LevelOperators:
     def interior_mask(self) -> list:
         """Validity per level: the last stored level is truncation boundary."""
         return [n < self.num_levels for n in range(self.num_levels + 1)]
-
-    def p_back(self, n: int, g: np.ndarray) -> np.ndarray:
-        """P<-_n g: sum over x's children z of (c_xz / c(x)) g(z)."""
-        m = self.diagram.conductance[n]
-        rows, cols, c = stored_entries(m)
-        return np.bincount(rows, c * (1.0 / self.degrees[n])[rows] * g[cols],
-                           minlength=m.shape[0])
-
-    def p_fwd(self, n: int, g: np.ndarray) -> np.ndarray:
-        """P->_{n-1} g: sum over y's parents x of (c_xy / c(y)) g(x)."""
-        m = self.diagram.conductance[n - 1]
-        rows, cols, c = stored_entries(m)
-        return np.bincount(cols, c * (1.0 / self.degrees[n])[cols] * g[rows],
-                           minlength=m.shape[1])
 
 
 def isolated_vertex(n: int, x: int) -> ValueError:
@@ -126,12 +111,20 @@ def build_level_operators(d: Diagram) -> LevelOperators:
     could not carry transition probabilities; raises ValueError otherwise.
     """
     checked_conductances(d, 0, d.num_levels)
-    c, offsets = d.degrees, d.table.offsets
+    c = checked_degrees(d, d.num_levels)
+    return LevelOperators(diagram=d, degrees=tuple(np.split(c, d.table.offsets[1:-1])))
+
+
+def checked_degrees(d: Diagram, last: int) -> np.ndarray:
+    """c(x) of the vertices of levels 0..last, a read-only slice of
+    d.degrees; raises ValueError at the first isolated one (c(x) = 0)."""
+    offsets = d.table.offsets
+    c = d.degrees[:offsets[last + 1]]
     bad = np.flatnonzero(c <= 0)
     if bad.size:
         n = int(np.searchsorted(offsets, bad[0], side="right")) - 1
         raise isolated_vertex(n, int(bad[0] - offsets[n]))
-    return LevelOperators(diagram=d, degrees=tuple(np.split(c, offsets[1:-1])))
+    return c
 
 
 def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
@@ -169,11 +162,7 @@ def laplacian_entries(d: Diagram, first: int, last: int, boundary_columns: bool 
     u = np.repeat(np.arange(offsets[lo], offsets[last]),
                   np.diff(t.indptr[offsets[lo]:offsets[last] + 1]))
     w = t.cols(lo, last)
-    # c(x) = in-sums + out-sums, summed as Diagram.degrees sums them
-    base, n_rows = offsets[first], int(offsets[last] - offsets[first])
-    up, down = starts[last - 1 - lo], starts[first - lo]
-    degrees = (np.bincount(w[:up] - base, c[:up], minlength=n_rows)
-               + np.bincount(u[down:] - base, c[down:], minlength=n_rows))
+    base, degrees = offsets[first], d.degrees[offsets[first]:offsets[last]]
     neg, diag = -c, np.arange(base, offsets[last])
     rows, cols, vals = [], [], []
     for n in range(first, last):
@@ -202,14 +191,9 @@ def laplacian_apply(ops: LevelOperators, f: LevelFunction):
     """
     d = ops.diagram
     f.check_shape(d)
-    out = []
-    for n in range(d.num_levels + 1):
-        v = ops.degrees[n] * f.values[n]
-        if n > 0:
-            v = v - rmatvec(d.conductance[n - 1], f.values[n - 1])
-        if n < d.num_levels:
-            v = v - d.conductance[n] @ f.values[n + 1]
-        out.append(v)
+    flat = np.concatenate(f.values)
+    child, parent = d.table.edge_sums(0, d.num_levels, flat)
+    out = np.split(d.degrees * flat - parent - child, d.table.offsets[1:-1])
     return LevelFunction(out), ops.interior_mask()
 
 
@@ -217,15 +201,9 @@ def markov_apply(ops: LevelOperators, f: LevelFunction):
     """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, with the same validity mask."""
     d = ops.diagram
     f.check_shape(d)
-    out = []
-    for n in range(d.num_levels + 1):
-        v = np.zeros(d.level_sizes[n])
-        if n > 0:
-            v += ops.p_fwd(n, f.values[n - 1])
-        if n < d.num_levels:
-            v += ops.p_back(n, f.values[n + 1])
-        out.append(v)
-    return LevelFunction(out), ops.interior_mask()
+    child, parent = d.table.edge_sums(0, d.num_levels, np.concatenate(f.values),
+                                      1.0 / d.degrees)
+    return LevelFunction(np.split(parent + child, d.table.offsets[1:-1])), ops.interior_mask()
 
 
 def weighted_inner(ops: LevelOperators, u: LevelFunction, v: LevelFunction,

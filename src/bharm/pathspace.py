@@ -33,7 +33,7 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, isolated_vertex, laplacian_apply,
+from .operators import (LevelFunction, build_level_operators, checked_degrees, laplacian_apply,
                         laplacian_entries)
 
 
@@ -52,8 +52,10 @@ class DirichletSystem:
     for the unpinned matrix, and one step of iterative refinement, which makes
     it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
     `diagnostics`: path, factorizations, solves and the largest max|b - A x|.
-    A conductance not in (0, inf) or an interior vertex without edges, whose
-    row of the matrix is zero, raises ValueError (see laplacian_entries).
+    A conductance not in (0, inf), an interior vertex without edges, whose
+    row of the matrix is zero, or a level pair without edges above the
+    boundary, which makes the matrix singular, raises ValueError (see
+    laplacian_entries).
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -70,10 +72,8 @@ class DirichletSystem:
                                     shape=(self.n_interior, self.n_interior))
         self.matrix.sum_duplicates()  # sorts the indices
         self.degrees = self.matrix.diagonal()
-        if not self.degrees.all():
-            k = int(np.flatnonzero(self.degrees == 0)[0])
-            n = int(np.searchsorted(self.offsets, k, side="right")) - 1
-            raise isolated_vertex(n, k - int(self.offsets[n]))
+        checked_degrees(d, boundary_level - 1)  # a zero row
+        _check_crossable(d, 0, boundary_level)  # else the matrix is singular
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
@@ -115,9 +115,10 @@ class DirichletSystem:
             bvals = np.asarray(boundary_values, dtype=float).reshape(-1)
             if bvals.shape[0] != d.level_sizes[self.boundary_level]:
                 raise ValueError("boundary values have the wrong length")
-            if np.any(bvals != 0.0):
-                coupling = d.conductance[self.boundary_level - 1]
-                b[self.offsets[-2]:] += coupling @ bvals
+            if np.any(bvals != 0.0):  # C_{b-1} bvals, level b-1's child sums
+                k = d.level_sizes[self.boundary_level - 1]
+                b[-k:] += d.table.edge_sums(self.boundary_level - 1, self.boundary_level,
+                                            np.append(np.zeros(k), bvals))[0][:k]
         else:
             bvals = np.zeros(d.level_sizes[self.boundary_level])
         if pinned:
@@ -210,18 +211,17 @@ def _green_solve(sysm: DirichletSystem, ops, vertices: Sequence[VertexId]) -> Gr
 
 def _p_row_apply(ops, v: VertexId, f: LevelFunction) -> float:
     """(P f)(v): one step of the walk from v, read off v's stored column
-    (P->) and row (P<-) of the level matrices; the terms are summed exactly
+    (P->) and row (P<-) in the edge table; the terms are summed exactly
     rounded, so the value does not depend on how a dot product is split."""
-    n, x, d = v.level, v.index, ops.diagram
+    n, x, t = v.level, v.index, ops.diagram.table
     c = g = np.zeros(0)
     if n > 0:
-        m = d.conductance[n - 1]
-        at = np.flatnonzero(m.indices == x)
-        c, g = m.data[at], f.values[n - 1][np.searchsorted(m.indptr, at, side="right") - 1]
-    if n < d.num_levels:
-        m = d.conductance[n]
-        at = slice(m.indptr[x], m.indptr[x + 1])
-        c, g = np.append(c, m.data[at]), np.append(g, f.values[n + 1][m.indices[at]])
+        at = t.starts[n - 1] + np.flatnonzero(t.indices[t.starts[n - 1]:t.starts[n]] == x)
+        row = np.searchsorted(t.indptr, at, side="right") - 1
+        c, g = t.data[at], f.values[n - 1][row - t.offsets[n - 1]]
+    if n < ops.num_levels:
+        at = slice(t.indptr[t.offsets[n] + x], t.indptr[t.offsets[n] + x + 1])
+        c, g = np.append(c, t.data[at]), np.append(g, f.values[n + 1][t.indices[at]])
     return math.fsum(c * (1.0 / ops.degrees[n][x]) * g)
 
 
@@ -629,6 +629,16 @@ def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndar
         grow *= 2
 
 
+def _check_crossable(d: Diagram, top: int, absorb_level: int) -> None:
+    """Raise ValueError if some level pair between level top and the
+    absorbing level has no edge, which cuts level top off from it."""
+    starts = d.table.starts
+    for n in range(top, absorb_level):
+        if starts[n] == starts[n + 1]:
+            raise ValueError(f"level {n} has no edges to level {n + 1}: levels {top}..{n} "
+                             f"are cut off from the absorbing level {absorb_level}")
+
+
 def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
                    targets: Sequence[VertexId] = ()) -> WalkEstimates:
     """Simulate killed walks from `start` and estimate reach probabilities,
@@ -641,6 +651,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     d.check_vertex(start)
     if not (start.level < cfg.absorb_level <= d.num_levels):
         raise ValueError("need start.level < absorb_level <= stored depth")
+    _check_crossable(d, start.level, cfg.absorb_level)
     tr = _transitions(d, cfg.absorb_level)
     start_flat = int(tr.offsets[start.level]) + start.index
     targets = list(targets)
@@ -766,6 +777,7 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         raise ValueError(f"unknown method {method!r}")
     if cfg is None:
         raise ValueError("monte-carlo mode needs a WalkConfig")
+    _check_crossable(d, 0, target_level)
     tr = _transitions(d, target_level)
     n_int, walks = int(tr.offsets[target_level]), cfg.num_walks
     vals, errs = np.zeros(n_int), np.zeros(n_int)
@@ -819,11 +831,13 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     """
     f.check_shape(d)
     d.check_vertex(x)
-    ops = build_level_operators(d)
-    compat = []
-    for n in range(n0, d.num_levels):
-        r = float(np.abs(ops.p_back(n, f.values[n + 1]) - f.values[n]).max())
-        compat.append(r)
+    build_level_operators(d)  # for its checks
+    t, lo = d.table, min(max(n0, 0), d.num_levels)
+    base, flat = t.offsets[lo], np.concatenate(f.values[lo:])
+    # |P<-_n f_{n+1} - f_n| from the table's child sums; level N's is dropped
+    gap = np.abs(t.edge_sums(lo, d.num_levels, flat, 1.0 / d.degrees[base:])[0] - flat)
+    compat = np.maximum.reduceat(gap, t.offsets[lo:-1] - base).tolist()[:-1]
+    for n, r in enumerate(compat, start=lo):
         if r > tol:
             raise ValueError(f"compatibility violated at level {n}: residual {r:.3e}")
     first = max(x.level + 1, n0, 1)

@@ -6,6 +6,7 @@ library can be checked against an implementation that shares no code with
 it beyond the Diagram container.
 """
 import bisect
+import math
 
 import numpy as np
 
@@ -139,6 +140,101 @@ def walk_path(tables, start: int, seed: int, walk: int, max_steps: int) -> list:
         v = nbrs[v][bisect.bisect_left(cum[v], u)]
         path.append(v)
     return path
+
+
+def ref_degrees(d: Diagram, n: int) -> np.ndarray:
+    """c(x) on level n: the column sums of C_{n-1} plus the row sums of C_n."""
+    c = np.zeros(d.level_sizes[n])
+    if n > 0:
+        m = d.conductance[n - 1]
+        c = c + np.bincount(m.indices, m.data, minlength=m.shape[1])
+    if n < d.num_levels:
+        m = d.conductance[n]
+        c = c + np.bincount(m.rows(), m.data, minlength=m.shape[0])
+    return c
+
+
+def ref_p_back(d: Diagram, n: int, g) -> np.ndarray:
+    """P<-_n g off the level matrix C_n: sum over x's children z of
+    (c_xz / c(x)) g(z)."""
+    m = d.conductance[n]
+    rows, cols, c = m.rows(), m.indices, m.data
+    return np.bincount(rows, c * (1.0 / ref_degrees(d, n))[rows] * g[cols],
+                       minlength=m.shape[0])
+
+
+def ref_p_fwd(d: Diagram, n: int, g) -> np.ndarray:
+    """P->_{n-1} g off the level matrix C_{n-1}: sum over y's parents x of
+    (c_xy / c(y)) g(x)."""
+    m = d.conductance[n - 1]
+    rows, cols, c = m.rows(), m.indices, m.data
+    return np.bincount(cols, c * (1.0 / ref_degrees(d, n))[cols] * g[rows],
+                       minlength=m.shape[1])
+
+
+def ref_matvec(m, v) -> np.ndarray:
+    """m @ v for a level matrix m, in the order of scipy's CSR product."""
+    return np.bincount(m.rows(), m.data * v.take(m.indices),
+                       minlength=m.shape[0]).astype(float, copy=False)
+
+
+def ref_rmatvec(m, v) -> np.ndarray:
+    """m.T @ v for a level matrix m."""
+    return np.bincount(m.indices, m.data * v[m.rows()], minlength=m.shape[1])
+
+
+def ref_laplacian(d: Diagram, values) -> list:
+    """(Df)_n = D_n f_n - C_{n-1}^T f_{n-1} - C_n f_{n+1}, level by level."""
+    out = []
+    for n in range(d.num_levels + 1):
+        v = ref_degrees(d, n) * values[n]
+        if n > 0:
+            v = v - ref_rmatvec(d.conductance[n - 1], values[n - 1])
+        if n < d.num_levels:
+            v = v - ref_matvec(d.conductance[n], values[n + 1])
+        out.append(v)
+    return out
+
+
+def ref_markov(d: Diagram, values) -> list:
+    """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, level by level."""
+    out = []
+    for n in range(d.num_levels + 1):
+        v = np.zeros(d.level_sizes[n])
+        if n > 0:
+            v += ref_p_fwd(d, n, values[n - 1])
+        if n < d.num_levels:
+            v += ref_p_back(d, n, values[n + 1])
+        out.append(v)
+    return out
+
+
+def ref_chain_residuals(d: Diagram, depth: int, rhs, values, first: int = 0) -> list:
+    """max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1} - rhs_n / c_n)| for the
+    levels first..depth-1, level by level."""
+    out = []
+    for n in range(first, depth):
+        g = values[n].copy()
+        if n > 0:
+            g -= ref_p_fwd(d, n, values[n - 1])
+        g -= rhs[n] / ref_degrees(d, n)
+        r = ref_p_back(d, n, values[n + 1]) - g
+        out.append(float(np.abs(r).max()))
+    return out
+
+
+def ref_p_row(d: Diagram, v: VertexId, values) -> float:
+    """(P f)(v), summed exactly rounded from v's column of C_{n-1} and row
+    of C_n."""
+    n, x = v.level, v.index
+    inv, terms = 1.0 / ref_degrees(d, n)[x], []
+    if n > 0:
+        m = d.conductance[n - 1].toarray()
+        terms += [m[i, x] * inv * values[n - 1][i] for i in np.flatnonzero(m[:, x])]
+    if n < d.num_levels:
+        m = d.conductance[n].toarray()
+        terms += [m[x, j] * inv * values[n + 1][j] for j in np.flatnonzero(m[x])]
+    return math.fsum(terms)
 
 
 class DictGraph:

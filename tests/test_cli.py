@@ -774,3 +774,126 @@ def test_gen_over_the_edge_bound_is_exit_one(monkeypatch, capsys):
     assert capsys.readouterr().err == ("error: cannot load diagram 'tree:5:2': bad value in "
                                        "tree:<depth>:<lam>: the spec needs more than "
                                        "MAX_EDGES = 30 edges\n")
+
+
+def test_harmonic_on_a_one_level_file_is_exit_one(tmp_path, capsys):
+    # the default depth 0 once reached the seed, which read the missing C_0
+    # (IndexError); dimension prints the same message for that file
+    diagram = tmp_path / "one.bd"
+    diagram.write_text("bratteli v1\nlevels 1 : 1\n")
+    for command in ("harmonic", "dimension"):
+        assert main([command, "--diagram", str(diagram)]) == 1
+        assert capsys.readouterr() == ("", "error: depth must lie in 1..0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic"], ["monopole", "--vertex", "2,1"], ["dipole", "--vertex", "2,1"],
+    ["apply-laplacian", "--fn", "{fn}"], ["apply-markov", "--fn", "{fn}"],
+    ["poisson", "--level", "4", "--values", "{fn}"],
+], ids=lambda argv: argv[0])
+def test_edge_sums_make_no_level_views(argv, tmp_path, monkeypatch):
+    # P, Delta and the recursion residuals are taken on the edge table, so
+    # these commands never make the diagram's per-level matrices
+    fn = tmp_path / "f.fn"
+    fn.write_text(format_function(pascal_harmonic(6)))
+    loaded = []
+
+    def load(args):
+        loaded.append(diagram_arg(args))
+        return loaded[-1]
+
+    diagram_arg = cli._diagram_arg
+    monkeypatch.setattr(cli, "_diagram_arg", load)
+    argv = [a.format(fn=fn) for a in argv]
+    assert main(argv[:1] + ["--diagram", "pascal:6:1", "--out", str(tmp_path / "out")]
+                + argv[1:]) == 0
+    assert "conductance" not in loaded[0].__dict__
+
+
+_BATTERY_FILES = {
+    "one": "bratteli v1\nlevels 1 : 1\n",
+    "edgeless": "bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 1\n",  # no level-1 edges
+    "empty": "",
+    "one_fn": "fn v1\n0 0 1\n",
+    "edgeless_fn": "fn v1\n0 0 1\n2 0 1\n2 1 2\n",
+    "tree_fn": "fn v1\n3 0 1\n3 7 2\n",
+    "graph": "graph v1\nv 4\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n",
+}
+
+
+def _battery():
+    """(argv, exit code) for every subcommand on boundary values: a one-level,
+    an edgeless-level and an empty diagram file, 0, -1 and depth + 1 for each
+    level and count argument, vertex indices off their level, and nan and
+    +-inf where a float is taken.  tree:3:2 has depth 3.  (validate accepts
+    the one-level file, a valid diagram.)"""
+    cases = []
+    for name, level in (("one", 1), ("edgeless", 2), ("empty", 1)):
+        dg = ["--diagram", "{%s}" % name]
+        fn = "{%s_fn}" % ("one" if name == "empty" else name)
+        cases += [["harmonic", *dg], ["dimension", *dg], ["monopole", *dg, "--vertex", "0,0"],
+                  ["dipole", *dg, "--vertex", "1,0"], ["green", *dg],
+                  ["walk", *dg, "--start", "0,0", "--walks", "5"],
+                  ["poisson", *dg, "--level", str(level), "--values", fn],
+                  ["poisson", *dg, "--level", str(level), "--values", fn,
+                   "--method", "monte-carlo", "--walks", "5"],
+                  ["energy", *dg, "--fn", fn], ["apply-laplacian", *dg, "--fn", fn],
+                  ["apply-markov", *dg, "--fn", fn]]
+    cases += [["validate", "{edgeless}"], ["validate", "{empty}"]]
+    tree = ["--diagram", "tree:3:2"]
+    for v in ("0", "-1", "4"):
+        cases += [["harmonic", *tree, f"--depth={v}"], ["dimension", *tree, f"--depth={v}"],
+                  ["monopole", *tree, "--vertex", "1,0", f"--depth={v}"],
+                  ["dipole", *tree, "--vertex", "1,0", f"--depth={v}"],
+                  ["green", *tree, f"--boundary={v}"],
+                  ["walk", *tree, "--start", "0,0", f"--absorb={v}"],
+                  ["poisson", *tree, f"--level={v}", "--values", "{tree_fn}"],
+                  ["harmonic", *tree, "--pin", f"{v},0=1"]]
+    for v in ("0", "-1"):
+        mc = ["poisson", *tree, "--level", "3", "--values", "{tree_fn}", "--method",
+              "monte-carlo"]
+        cases += [["walk", *tree, "--start", "0,0", f"--walks={v}"],
+                  ["walk", *tree, "--start", "0,0", f"--max-steps={v}"],
+                  [*mc, f"--walks={v}"], [*mc, f"--max-steps={v}"],
+                  ["gen", f"tree:{v}:2"], ["gen", f"pascal:{v}:1"], ["verify-paper", v]]
+    for vertex in ("-1,0", "4,0", "1,-1", "1,2"):
+        cases += [["monopole", *tree, f"--vertex={vertex}"],
+                  ["dipole", *tree, f"--vertex={vertex}"],
+                  ["green", *tree, f"--vertices={vertex}"],
+                  ["walk", *tree, f"--start={vertex}"],
+                  ["walk", *tree, "--start", "0,0", f"--targets={vertex}"],
+                  ["harmonic", *tree, "--pin", f"{vertex}=1"]]
+    for root in ("-1", "4"):
+        cases += [["convert", "--graph", "{graph}", f"--root={root}"],
+                  ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]
+    for value in ("nan", "inf", "-inf"):
+        cases += [["harmonic", *tree, "--pin", f"1,0={value}"],
+                  ["harmonic", *tree, f"--tol={value}"], ["gen", f"tree:3:{value}"],
+                  ["gen", f"pascal:3:{value}"], ["gen", f"ladder:3:{value}"],
+                  ["gen", f"stationary:11;10:3:{value}"]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _battery(), ids=" ".join)
+def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp_path, capsys):
+    # a one-level harmonic once ended in an IndexError traceback, --pin 1,0=nan
+    # in a TypeError; walks across an edgeless level exited 0 with every walk
+    # capped, and dimension exited 0 on its isolated vertices
+    files = {}
+    for name, text in _BATTERY_FILES.items():
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    argv = [a.format(**files) for a in argv]
+    if argv[0] not in ("validate", "dimension", "verify-paper"):
+        argv += ["--out", str(tmp_path / "out")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"usage: bharm {argv[0]} ")
+    else:
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -511,6 +511,22 @@ def test_certificate_decides_every_level_of_the_generated_families(spec):
     assert (res.path, res.svd_levels) == ("ranks", 0)
 
 
+def test_certified_levels_make_no_level_views():
+    # the rank route reads each level's edge count from the edge table and
+    # makes a level matrix only for a level that takes the SVD
+    d = gen_pascal(130, 1.0)
+    assert harm_dimension(d).path == "ranks"
+    assert "conductance" not in d.__dict__
+
+
+def test_dimension_of_an_isolated_vertex_names_it():
+    d = parse_diagram("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 1\n"
+                      "e 1 0 0 1\ne 1 1 0 1\n")  # (2,1) has no edges
+    with pytest.raises(ValueError, match=r"^isolated vertex at level 2, index 1 \(c\(x\) = 0\)$"):
+        harm_dimension(d)
+    assert harm_dimension(d, up_to_level=1).dimension == 1
+
+
 def test_dimension_state_is_orthonormal():
     # the kernel block of each level is appended without re-orthonormalizing
     for d in (gen_pascal(5, 1.0), gen_binary_tree(6, 2.0),

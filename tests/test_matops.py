@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bharm._matops import LevelMatrix, level_matrix
+from bharm._matops import EdgeTable, LevelMatrix, level_matrix
 
 
 def _random_levels(seed):
@@ -27,20 +27,20 @@ def _random_levels(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_level_matrix_products_are_scipys_bit_for_bit(seed):
+    # a level's child and parent sums in an edge table are scipy's CSR
+    # products C v and C^T u
     rng = np.random.default_rng(100 + seed)
     for a, c in _random_levels(seed):
         ref = sp.csr_matrix((c.data, c.indices, c.indptr), shape=c.shape)
         assert np.array_equal(c.toarray(), a) and np.array_equal(c.toarray(), ref.toarray())
         assert c.nnz == ref.nnz == np.count_nonzero(a)
-        for v in (rng.standard_normal(c.shape[1]) * 10.0 ** rng.integers(-5, 6, c.shape[1]),
-                  np.ones(c.shape[1])):
-            got, want = c @ v, ref @ v
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
-
-
-def test_level_matrix_product_checks_the_vector_shape():
-    c = level_matrix((2, 3), [0, 1], [2, 0], [1.0, 2.0])
-    for v in (np.ones(2), np.ones(4), np.ones((3, 1))):
-        with pytest.raises(ValueError, match="cannot multiply"):
-            c @ v
+        m, k = c.shape
+        table = EdgeTable((m, k), c.data, c.indices, c.indptr)
+        for v, u in ((rng.standard_normal(k) * 10.0 ** rng.integers(-5, 6, k),
+                      rng.standard_normal(m) * 10.0 ** rng.integers(-5, 6, m)),
+                     (np.ones(k), np.ones(m))):
+            child = table.edge_sums(0, 1, np.append(np.zeros(m), v))[0][:m]
+            parent = table.edge_sums(0, 1, np.append(u, np.zeros(k)))[1][m:]
+            for got, want in ((child, ref @ v), (parent, ref.T @ u)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)

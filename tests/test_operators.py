@@ -7,7 +7,9 @@ from bharm import (
     VertexId,
     build_level_operators,
     gen_binary_tree,
+    gen_binary_tree_radial,
     gen_bottleneck,
+    gen_ladder,
     gen_pascal,
     gen_stationary,
     laplacian_apply,
@@ -15,9 +17,11 @@ from bharm import (
     markov_apply,
     spectral_bound_check,
 )
+from bharm import harmonic, pathspace
 from bharm.closedforms import pascal_harmonic
 from bharm.fileio import parse_diagram
 from bharm.operators import weighted_inner
+import bruteforce
 
 
 def rand_fn(d, seed):
@@ -25,14 +29,31 @@ def rand_fn(d, seed):
     return LevelFunction([rng.standard_normal(s) for s in d.level_sizes])
 
 
+def on_level(d, n, g):
+    """The function that is g on level n and 0 elsewhere."""
+    f = LevelFunction.zeros(d)
+    f.values[n] = np.asarray(g, dtype=float)
+    return f
+
+
+def p_back(ops, n, g):
+    """P<-_n g: level n of P applied to g on level n+1."""
+    return markov_apply(ops, on_level(ops.diagram, n + 1, g))[0].values[n]
+
+
+def p_fwd(ops, n, g):
+    """P->_{n-1} g: level n of P applied to g on level n-1."""
+    return markov_apply(ops, on_level(ops.diagram, n - 1, g))[0].values[n]
+
+
 def back_block(ops, n):
     """P<-_n as a dense |V_n| x |V_{n+1}| matrix, applied to indicator functions."""
-    return np.column_stack([ops.p_back(n, e) for e in np.eye(ops.diagram.level_sizes[n + 1])])
+    return np.column_stack([p_back(ops, n, e) for e in np.eye(ops.diagram.level_sizes[n + 1])])
 
 
 def fwd_block(ops, n):
     """P->_{n-1} as a dense |V_n| x |V_{n-1}| matrix, applied to indicator functions."""
-    return np.column_stack([ops.p_fwd(n, e) for e in np.eye(ops.diagram.level_sizes[n - 1])])
+    return np.column_stack([p_fwd(ops, n, e) for e in np.eye(ops.diagram.level_sizes[n - 1])])
 
 
 def test_pascal_back_blocks_bidiagonal_form():
@@ -100,8 +121,9 @@ def test_conductance_outside_the_positive_reals_is_rejected(value):
 
 def test_transition_blocks_match_the_scaled_csr_products_bit_for_bit():
     # reference: P<-_n and P->_{n-1} stored as scaled CSR copies of the level
-    # matrices, as the operators once were; applying them off C_n forms the
-    # same products and sums them in the same order
+    # matrices, as the operators once were; P applied to a function that is
+    # nonzero on one level forms the same products and sums them in the same
+    # order
     rng = np.random.default_rng(5)
     shape = gen_bottleneck([1, 3, 20, 30, 7, 12], 5)
     d = make_diagram(shape.level_sizes, [m.toarray() * rng.uniform(0.5, 2.0, m.shape)
@@ -115,9 +137,9 @@ def test_transition_blocks_match_the_scaled_csr_products_bit_for_bit():
         fwd = sp.csr_matrix((m.data * (1.0 / ops.degrees[n + 1])[m.indices],
                              (m.indices, rows)), shape=m.shape[::-1])
         g = rng.standard_normal(d.level_sizes[n + 1])
-        assert np.array_equal(ops.p_back(n, g), back @ g)
+        assert np.array_equal(p_back(ops, n, g), back @ g)
         g = rng.standard_normal(d.level_sizes[n])
-        assert np.array_equal(ops.p_fwd(n + 1, g), fwd @ g)
+        assert np.array_equal(p_fwd(ops, n + 1, g), fwd @ g)
 
 
 def test_row_stochasticity_interior():
@@ -234,3 +256,65 @@ def test_global_conductance_rescaling():
     for n in range(d.num_levels):
         assert np.allclose(pf.values[n], pf_s.values[n], rtol=1e-12)
         assert np.allclose(t * lf.values[n], lf_s.values[n], rtol=1e-12)
+
+
+def _parity_diagrams():
+    """Random diagrams with conductances e^-20..e^20, and every generator."""
+    rng = np.random.default_rng(22)
+    out = []
+    for seed in range(60):
+        sizes = [1] + rng.integers(1, 9, rng.integers(1, 7)).tolist()
+        shape = gen_bottleneck(sizes, seed)
+        out.append(make_diagram(sizes, [m.toarray() * np.exp(rng.uniform(-20, 20, m.shape))
+                                        for m in shape.conductance]))
+    return out + [gen_binary_tree(6, 2.0), gen_pascal(9, 1.5),
+                  gen_stationary([[1, 1], [1, 0]], 7, 2.0),
+                  gen_bottleneck([1, 3, 20, 30, 7, 12], 5), gen_ladder(6, 1.5),
+                  gen_binary_tree_radial(8, 2.0, 3)]
+
+
+@pytest.mark.parametrize("d", _parity_diagrams())
+def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
+    # P, Delta, the degrees, the recursion residuals of every (depth, first),
+    # the one-step read of P and the Dirichlet boundary coupling, against the
+    # level-by-level reference of tests/bruteforce.py, on values from 1e-8
+    # to 1e8
+    rng = np.random.default_rng(d.total_vertices)
+    ops = build_level_operators(d)
+    n_levels = d.num_levels
+    assert np.array_equal(d.degrees, np.concatenate(
+        [bruteforce.ref_degrees(d, n) for n in range(n_levels + 1)]))
+    for scale in (1e-8, 1.0, 1e8, None):
+        f = LevelFunction([rng.standard_normal(s) * (10.0 ** rng.integers(-8, 9, s)
+                                                     if scale is None else scale)
+                           for s in d.level_sizes])
+        for got, want in ((laplacian_apply(ops, f)[0], bruteforce.ref_laplacian(d, f.values)),
+                          (markov_apply(ops, f)[0], bruteforce.ref_markov(d, f.values))):
+            assert all(np.array_equal(a, b) for a, b in zip(got.values, want))
+        rhs = [rng.standard_normal(s) for s in d.level_sizes]
+        for depth in range(1, n_levels + 1):
+            for first in range(depth):
+                assert harmonic._chain_residuals(d, depth, rhs, f.values, first) \
+                    == bruteforce.ref_chain_residuals(d, depth, rhs, f.values, first)
+        for n, size in enumerate(d.level_sizes[:4]):
+            for x in range(min(size, 5)):
+                v = VertexId(n, x)
+                assert pathspace._p_row_apply(ops, v, f) == bruteforce.ref_p_row(d, v, f.values)
+        level = rng.integers(1, n_levels + 1)
+        sysm = pathspace.DirichletSystem(d, level)
+        b = np.zeros(sysm.n_interior)
+        b[sysm.offsets[-2]:] += bruteforce.ref_matvec(d.conductance[level - 1], f.values[level])
+        u = sysm.solve(boundary_values=f.values[level])
+        assert np.array_equal(np.concatenate(u.values[:level]),
+                              sysm._solve_flat(sysm.matrix, b))
+
+
+def test_compatibility_residuals_are_the_per_level_ones_bit_for_bit():
+    d = _parity_diagrams()[7]
+    rng = np.random.default_rng(3)
+    f = LevelFunction([rng.standard_normal(s) for s in d.level_sizes])
+    for n0 in range(d.num_levels + 1):
+        rep = pathspace.poisson_stabilization(d, f, VertexId(0, 0), n0=n0, tol=np.inf)
+        assert rep.compatibility_residuals == tuple(
+            float(np.abs(bruteforce.ref_p_back(d, n, f.values[n + 1]) - f.values[n]).max())
+            for n in range(n0, d.num_levels))
