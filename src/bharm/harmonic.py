@@ -57,7 +57,7 @@ class SolveReport:
 
     def first_inconsistent_level(self) -> Optional[int]:
         for n, r in enumerate(self.residuals):
-            if r > self.tol:
+            if not r <= self.tol:  # a nan residual is inconsistent too
                 return n
         return None
 

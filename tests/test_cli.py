@@ -810,6 +810,16 @@ def test_edge_sums_make_no_level_views(argv, tmp_path, monkeypatch):
     assert "conductance" not in loaded[0].__dict__
 
 
+def test_harmonic_of_a_nan_seed_reports_the_root_equation(tmp_path, capsys):
+    # a nan residual made the report inconsistent but named no level, and
+    # the CLI indexed the residuals with None (TypeError)
+    seed = tmp_path / "seed.fn"
+    seed.write_text("fn v1\n1 0 nan\n1 1 1\n")
+    assert main(["harmonic", "--diagram", "tree:3:2", "--seed-vector", str(seed),
+                 "--out", str(tmp_path / "h.fn")]) == 0
+    assert capsys.readouterr().err == "# inconsistent at level 0: residual nan\n"
+
+
 _BATTERY_FILES = {
     "one": "bratteli v1\nlevels 1 : 1\n",
     "edgeless": "bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 1\n",  # no level-1 edges
