@@ -2,14 +2,16 @@
 
 Every level matrix is a LevelMatrix: a read-only canonical CSR matrix
 (float64 data, sorted column indices, no duplicates, no stored zeros but
-those as_level keeps), so memory and time grow with the edges, not with
-|V_n| |V_{n+1}|.  A diagram stores all its levels C_0, ..., C_{N-1} once,
-in one EdgeTable, the LevelMatrix of their rows stacked in level order; its
-C_n is a view of the table's slice, and every sum over the edges of a range
-of levels (P, the Laplacian, the recursion residuals, the degrees) is one
-EdgeTable.edge_sums.  Both are bharm's own types and need
-numpy only: scipy is imported only where a caller hands in a scipy sparse
-matrix (as_level) and by the solvers that factor or decompose.
+those stacked_table keeps), so memory and time grow with the edges, not
+with |V_n| |V_{n+1}|.  A diagram stores all its levels C_0, ..., C_{N-1}
+once, in one EdgeTable, the LevelMatrix of their rows stacked in level
+order, and every table is made by edge_table from (level, row, col, value)
+triplets in table order; its C_n is a view of the table's slice, and every
+sum over the edges of a range of levels (P, the Laplacian, the recursion
+residuals, the degrees) is one EdgeTable.edge_sums.  Both are bharm's own
+types and need numpy only: scipy is imported only where a caller hands in
+a scipy sparse matrix (stacked_table) and by the solvers that factor or
+decompose.
 """
 import numpy as np
 
@@ -120,13 +122,30 @@ def edge_table(sizes, level, rows, cols, vals) -> EdgeTable:
     return EdgeTable(sizes, np.asarray(vals, dtype=float), np.asarray(cols).astype(idx), indptr)
 
 
-def stacked_table(sizes, mats) -> EdgeTable:
-    """The table of the level matrices mats, with what they store."""
-    def stack(arrays):
-        return np.concatenate(list(arrays) + [np.zeros(0, dtype=np.int64)])
-    return edge_table(sizes, np.repeat(np.arange(len(mats)), [m.nnz for m in mats]),
-                      stack(m.rows() for m in mats), stack(m.indices for m in mats),
-                      stack(m.data for m in mats))
+def stacked_table(sizes, mats, keep_zeros: bool = False) -> EdgeTable:
+    """The table of the level matrices mats: dense arrays, scipy sparse
+    matrices (duplicates summed; stored zeros kept only with keep_zeros, so
+    that validate() can report them) or LevelMatrix.  The only branch on
+    storage kind; each kind gives its entries in row-major order, so their
+    stack is in table order."""
+    parts = []
+    for m in mats:
+        if isinstance(m, LevelMatrix):
+            parts.append((m.rows(), m.indices, m.data))
+        elif hasattr(m, "tocoo"):
+            import scipy.sparse as sp
+            coo = sp.coo_matrix(m, dtype=float, copy=True)
+            coo.sum_duplicates()
+            keep = slice(None) if keep_zeros else coo.data != 0
+            parts.append((coo.row[keep], coo.col[keep], coo.data[keep]))
+        else:
+            a = np.asarray(m, dtype=float)
+            rows, cols = np.nonzero(a)
+            parts.append((rows, cols, a[rows, cols]))
+    rows, cols, vals = (np.concatenate([p[k] for p in parts] + [np.zeros(0, dtype=np.int64)])
+                        for k in range(3))
+    return edge_table(sizes, np.repeat(np.arange(len(mats)), [p[2].size for p in parts]),
+                      rows, cols, vals)
 
 
 def values_at(t: EdgeTable, s: EdgeTable) -> np.ndarray:
@@ -138,33 +157,3 @@ def values_at(t: EdgeTable, s: EdgeTable) -> np.ndarray:
     want = s.rows() * t.shape[1] + s.indices
     pos = np.searchsorted(keys[:-1], want)
     return np.where(keys[pos] == want, np.append(t.data, 0.0)[pos], 0.0)
-
-
-def level_matrix(shape, rows, cols, vals, keep_zeros: bool = False):
-    """Level matrix with vals at the distinct positions (rows, cols); zero
-    values are dropped unless keep_zeros."""
-    vals = np.asarray(vals, dtype=float)
-    keep = np.ones(vals.size, dtype=bool) if keep_zeros else vals != 0
-    rows, cols = np.asarray(rows, dtype=np.int64)[keep], np.asarray(cols)[keep]
-    order = np.lexsort((cols, rows))
-    idx = np.int32 if max(*shape, rows.size) < 2 ** 31 else np.int64  # scipy's choice
-    indptr = np.zeros(shape[0] + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return LevelMatrix(vals[keep][order], cols[order].astype(idx), indptr, shape)
-
-
-def as_level(m, keep_zeros: bool = False):
-    """A dense array or any scipy sparse matrix as a level matrix, duplicates
-    summed (a level matrix is returned as it is).  A sparse input's stored
-    zeros are kept only with keep_zeros, so that validate() can report them
-    against a given incidence; the only branch on storage kind is here."""
-    if isinstance(m, LevelMatrix):
-        return m
-    if not hasattr(m, "tocoo"):
-        a = np.asarray(m, dtype=float)
-        rows, cols = np.nonzero(a)
-        return level_matrix(a.shape, rows, cols, a[rows, cols])
-    import scipy.sparse as sp
-    coo = sp.coo_matrix(m, dtype=float, copy=True)
-    coo.sum_duplicates()
-    return level_matrix(coo.shape, coo.row, coo.col, coo.data, keep_zeros)

@@ -432,14 +432,23 @@ def tolerance(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """A count, level or depth argument: an integer >= 1 (upper bounds are
+    checked by the library, which knows the diagram)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
 _COMMON = [_arg("--diagram", required=True,
                 help="diagram file or generator spec (tree:d:lam, ...)"),
            _arg("--out", default=None, help="output file ('-' = stdout)")]
 _TOL = [_arg("--tol", type=tolerance, default=1e-9)]
-_DEPTH = [_arg("--depth", type=int, default=None)]
+_DEPTH = [_arg("--depth", type=count, default=None)]
 _FN = [_arg("--fn", required=True)]
-_WALKS = [_arg("--walks", type=int, default=10000), _arg("--max-steps", type=int, default=100000),
-          _arg("--seed", type=int, default=0)]
+_WALKS = [_arg("--walks", type=count, default=10000),
+          _arg("--max-steps", type=count, default=100000), _arg("--seed", type=int, default=0)]
 
 # name -> (help, handler, arguments), in the order that `bharm -h` lists them
 _COMMANDS = {
@@ -455,13 +464,13 @@ _COMMANDS = {
               _COMMON + _TOL + [_arg("--vertex", required=True, help="level,index")] + _DEPTH)
        for name, dip in (("monopole", False), ("dipole", True))},
     "green": ("exact killed-chain G/F/U values", _cmd_green,
-              _COMMON + [_arg("--boundary", type=int, default=None),
+              _COMMON + [_arg("--boundary", type=count, default=None),
                          _arg("--vertices", default=None, help="'l,i;l,i;...'")]),
     "walk": ("Monte Carlo walk estimates", _cmd_walk,
              _COMMON + [_arg("--start", required=True), _arg("--targets", default=None)]
-             + _WALKS + [_arg("--absorb", type=int, default=None)]),
+             + _WALKS + [_arg("--absorb", type=count, default=None)]),
     "poisson": ("harmonic extension of boundary data", _cmd_poisson,
-                _COMMON + [_arg("--level", type=int, required=True),
+                _COMMON + [_arg("--level", type=count, required=True),
                            _arg("--values", required=True, help="fn file with the boundary data"),
                            _arg("--method", choices=["exact-dirichlet", "monte-carlo"],
                                 default="exact-dirichlet")] + _WALKS),

@@ -17,14 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._matops import (
-    EdgeTable,
-    as_level,
-    edge_table,
-    level_matrix,
-    stacked_table,
-    values_at,
-)
+from ._matops import EdgeTable, edge_table, stacked_table, values_at
 
 # The most edges a generator makes; a larger spec is refused before anything
 # is allocated (generating and validating take about 40 bytes an edge).
@@ -156,9 +149,9 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
             if np.shape(m) != (sizes[n], sizes[n + 1]):
                 raise ValueError(f"{name}[{n}] has shape {np.shape(m)}, "
                                  f"expected {(sizes[n], sizes[n + 1])}")
-    mats = [as_level(cm, keep_zeros=incidence is not None) for cm in conductance]
-    incs = None if incidence is None else stacked_table(sizes, [as_level(a) for a in incidence])
-    return Diagram(stacked_table(sizes, mats), extension, incs)
+    incs = None if incidence is None else stacked_table(sizes, incidence)
+    return Diagram(stacked_table(sizes, conductance, keep_zeros=incidence is not None),
+                   extension, incs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +356,13 @@ def gen_binary_tree_radial(depth: int, lam: float, split_depth: int) -> Diagram:
     _check_edges(top.table.nnz + width * (depth - split_depth))
     powers = _powers(lam, depth)
     sizes = list(top.level_sizes) + [width] * (depth - split_depth)
-    mats = list(top.conductance)
-    for m in range(split_depth, depth):
-        lumped = (2.0 ** (m + 1 - split_depth)) * powers[m]
-        mats.append(level_matrix((width, width), np.arange(width), np.arange(width),
-                                 np.full(width, lumped)))
-    return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
+    level, rows, cols, vals = top.table.entries()
+    shells = np.repeat(np.arange(split_depth, depth), width)
+    lumped = [2.0 ** (m + 1 - split_depth) * powers[m] for m in range(split_depth, depth)]
+    shell = np.tile(np.arange(width), depth - split_depth)  # vertex k to the next shell's k
+    table = edge_table(sizes, np.append(level, shells), np.append(rows, shell),
+                       np.append(cols, shell), np.append(vals, np.repeat(lumped, width)))
+    return Diagram(table, ExtensionRule("explicit"))
 
 
 def extend_to(d: Diagram, depth: int) -> Diagram:

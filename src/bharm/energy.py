@@ -14,26 +14,31 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, checked_conductances,
-                        isolated_vertex, laplacian_apply, markov_apply)
+from .operators import (LevelFunction, build_level_operators, check_finite,
+                        checked_conductances, isolated_vertex, laplacian_apply, markov_apply)
 from .pathspace import dipole_green
 
 
-def _edge_energy(cm, f_top: np.ndarray, f_bot: np.ndarray) -> float:
-    """sum c_ij (f_top(i) - f_bot(j))^2 over one level of edges.
-
-    Computed from per-edge differences: the quadratic expansion cancels
-    catastrophically when the differences are small against the values.
-    """
-    drops = f_top[cm.rows()] - f_bot[cm.indices]
-    return float(np.dot(cm.data, drops * drops))
+def _drops(d: Diagram, flat: np.ndarray) -> np.ndarray:
+    """f(x) - f(y) on each edge x -> y in table order, for f = flat."""
+    t = d.table
+    return flat[t.rows()] - flat[t.cols(0, d.num_levels)]
 
 
-def _flows(d: Diagram, f: LevelFunction):
+def _increments(d: Diagram, flat: np.ndarray) -> list:
+    """sum c_xy (f(x) - f(y))^2 over each level's edges, one np.dot a level,
+    from per-edge differences: the quadratic expansion cancels
+    catastrophically when the differences are small against the values."""
+    t, drops = d.table, _drops(d, flat)
+    sq = drops * drops
+    return [float(np.dot(t.data[a:b], sq[a:b])) for a, b in zip(t.starts[:-1], t.starts[1:])]
+
+
+def _flows(d: Diagram, flat: np.ndarray):
     """(I_in, I_out) at every vertex, numbered as in the edge table: the
     current into x from its parents and out of x to its children, from the
     table's child and parent sums (EdgeTable.edge_sums)."""
-    t, flat = d.table, np.concatenate(f.values)
+    t = d.table
     out_c, in_c = t.edge_sums(0, d.num_levels)
     out_f, in_f = t.edge_sums(0, d.num_levels, flat)
     return in_c * flat - in_f, out_f - out_c * flat
@@ -89,18 +94,19 @@ def _divergence_heuristic(terms: list, tail: int = 10, eps: float = 1e-6) -> boo
 def energy_norm(d: Diagram, f: LevelFunction) -> EnergyReport:
     """Edge-sum energy (1/2) sum_{x,y} c_xy (f(x)-f(y))^2 with per-level
     partial sums, per-vertex currents, and the lower-bound ingredients.
-    Raises ValueError on a conductance not in (0, inf) and on a level
-    without edges (beta_n = 0 would divide the bound terms by zero)."""
+    Raises ValueError on a conductance not in (0, inf), on a value of f
+    that is not finite and on a level without edges (beta_n = 0 would
+    divide the bound terms by zero)."""
     f.check_shape(d)
     checked_conductances(d, 0, d.num_levels)
-    incs = []
-    for n in range(d.num_levels):
-        incs.append(_edge_energy(d.conductance[n], f.values[n], f.values[n + 1]))
+    flat = f.flat()
+    check_finite(d, flat)
+    incs = _increments(d, flat)
     partial = np.cumsum(incs).tolist() if incs else []
-    currents = [np.zeros(0)] + np.split(_flows(d, f)[0], d.table.offsets[1:-1])[1:]
+    currents = [np.zeros(0)] + LevelFunction.from_flat(d, _flows(d, flat)[0]).values[1:]
     level_currents = [0.0] + [float(i_n.sum()) for i_n in currents[1:]]
     root_flux = level_currents[1] if d.num_levels >= 1 else 0.0
-    beta = [float(d.degree_vector(n).max()) for n in range(d.num_levels + 1)]
+    beta = np.maximum.reduceat(d.degrees, d.table.offsets[:-1]).tolist()
     if 0.0 in beta:  # an edgeless level: every vertex on it is isolated
         raise isolated_vertex(beta.index(0.0), 0)
     bound_terms = [root_flux ** 2 / (beta[n] * d.level_sizes[n])
@@ -177,8 +183,7 @@ def energy_harmonic_formulas(d: Diagram, f: LevelFunction,
     via_laplacian = 0.0
     for n in range(d.num_levels):
         via_laplacian -= 0.5 * float(lf2.values[n].sum())
-    incs = [_edge_energy(d.conductance[n], f.values[n], f.values[n + 1])
-            for n in range(d.num_levels)]
+    incs = _increments(d, f.flat())
     boundary_half = 0.5 * incs[-1] if incs else 0.0
     edge_sum_interior = float(sum(incs[:-1])) + boundary_half
     return HarmonicEnergyValues(via_markov=via_markov, via_laplacian=via_laplacian,
@@ -197,9 +202,9 @@ def current_balance(d: Diagram, f: LevelFunction) -> CurrentBalanceReport:
     """Kirchhoff check: incoming equals outgoing current at every interior
     vertex iff f is harmonic."""
     f.check_shape(d)
-    i_in, i_out = _flows(d, f)
-    gap, offsets = np.abs(i_in - i_out), d.table.offsets
-    per_level = [float(gap[offsets[n]:offsets[n + 1]].max()) for n in range(1, d.num_levels)]
+    i_in, i_out = _flows(d, f.flat())
+    gap = np.abs(i_in - i_out)
+    per_level = np.maximum.reduceat(gap, d.table.offsets[:-1])[1:d.num_levels].tolist()
     worst = max(per_level) if per_level else 0.0
     return CurrentBalanceReport(per_level=tuple(per_level), max_imbalance=worst)
 
@@ -216,11 +221,12 @@ def dissipation_check(d: Diagram, f: LevelFunction) -> DissipationReport:
     """Compute the edge current I = du and verify sum I(e)^2 / c_e equals the
     energy norm (algebraic identity; checked to numerical precision)."""
     f.check_shape(d)
+    t = d.table
+    currents = t.data * _drops(d, f.flat())
+    terms = currents ** 2 / t.data
     diss = 0.0
-    for n in range(d.num_levels):
-        m = d.conductance[n]
-        currents = m.data * (f.values[n][m.rows()] - f.values[n + 1][m.indices])
-        diss += float(np.sum(currents ** 2 / m.data))
+    for a, b in zip(t.starts[:-1], t.starts[1:]):
+        diss += float(np.sum(terms[a:b]))
     energy = energy_norm(d, f).energy
     gap = abs(diss - energy) / max(abs(energy), 1.0)
     return DissipationReport(dissipation=float(diss), energy=energy, relative_gap=float(gap))

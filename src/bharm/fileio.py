@@ -416,15 +416,14 @@ def parse_function(text: str, d: Diagram) -> LevelFunction:
     table = _table(data, pos, _ENTRY)
     if table is None or not _entries_in_range(table, sizes):
         table = _entry_lines(data[pos:].decode(), sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    key = offsets[table["n"]] + table["i"]
+    key = d.table.offsets[table["n"]] + table["i"]
     order = np.argsort(key, kind="stable")
     key, vals = key[order], table["v"][order]
     last = np.ones(key.size, dtype=bool)
     last[:-1] = key[1:] != key[:-1]
-    flat = np.zeros(offsets[-1])
+    flat = np.zeros(d.total_vertices)
     flat[key[last]] = vals[last]
-    return LevelFunction(np.split(flat, offsets[1:-1]))
+    return LevelFunction.from_flat(d, flat)
 
 
 def _entries_in_range(table, sizes) -> bool:

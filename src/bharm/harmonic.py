@@ -82,12 +82,12 @@ class HarmonicState:
         return self.basis[: self.sizes[0]], self.basis[self.sizes[0]:]
 
 
-def _source_vectors(d: Diagram, source: Optional[Dict[VertexId, float]]):
-    rhs = [np.zeros(s) for s in d.level_sizes]
+def _source_vectors(d: Diagram, source: Optional[Dict[VertexId, float]]) -> LevelFunction:
+    rhs = LevelFunction.zeros(d)
     if source:
         for v, val in source.items():
             d.check_vertex(v)
-            rhs[v.level][v.index] += val
+            rhs.values[v.level][v.index] += val
     return rhs
 
 
@@ -101,7 +101,7 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     """
     lap, _ = laplacian_apply(build_level_operators(d), f)
     rhs = _source_vectors(d, source)
-    residuals = [float(np.abs(lap.values[n] - rhs[n]).max(initial=0.0))
+    residuals = [float(np.abs(lap.values[n] - rhs.values[n]).max(initial=0.0))
                  for n in range(d.num_levels)]
     return SolveReport(residuals=residuals, tol=tol)
 
@@ -125,13 +125,13 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
         if v.shape[0] != d.level_sizes[k]:
             raise ValueError(f"prefix level {k} has length {v.shape[0]}, "
                              f"expected {d.level_sizes[k]}")
-    rhs = _source_vectors(d, source)
-    values, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix,
-                                                  {n + 1: pins} if pins else {})
-    resid = _chain_residuals(d, n + 1, rhs, values, first=n)[0]
+    rhs = _source_vectors(d, source).flat()
+    x, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix, {n + 1: pins} if pins else {})
+    resid = _chain_residuals(d, n + 1, rhs, x, first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
                    "fallback": fallback}
-    return values[n + 1], SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics)
+    return (LevelFunction.from_flat(d, x, n + 2).values[n + 1],
+            SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics))
 
 
 def _exact_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -180,7 +180,7 @@ def _refine(lu, sol: np.ndarray, residual):
     return sol, steps
 
 
-def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
+def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.ndarray],
                   pins: Dict[int, Dict[int, float]]):
     """Global minimum-norm solution of the stacked constraint system.
 
@@ -197,9 +197,9 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
     Overdetermined, or an LU that fails: "lsqr", LSQR from x0 = 0, which
     converges to the minimum-norm least-squares solution (Paige & Saunders,
     ACM TOMS 1982).  Raises ValueError for a pin off levels k+1..depth,
-    off its level or not finite.  Returns (values f_0..f_depth, path,
-    refinement steps, fallback), where fallback is None, or why the path is
-    lsqr.
+    off its level or not finite.  Returns (x, path, refinement steps,
+    fallback), x = f_0..f_depth numbered as the vertices of d.table (as is
+    rhs), and fallback None, or why the path is lsqr.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -216,12 +216,12 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
     off, rows, cols, vals = laplacian_entries(d, min(fixed_levels - 1, depth - 1), depth)
     # rows are numbered as vertices; the recursion's sign is -Delta f = -rhs
     vals = -vals
-    b_adj = -np.concatenate(rhs[:depth])
+    b_adj = -rhs[:off[depth]]
     n_rows, nvar = b_adj.size, int(off[-1])
     fixed = np.zeros(nvar, dtype=bool)
     x_full = np.zeros(nvar)
     fixed[: off[fixed_levels]] = True
-    x_full[: off[fixed_levels]] = np.concatenate(prefix)
+    x_full[: off[fixed_levels]] = LevelFunction(prefix).flat()
     for lvl, coord_map in pins.items():
         for idx, val in coord_map.items():
             if not (0 <= idx < sizes[lvl]):
@@ -248,7 +248,8 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
     path, steps, fallback = "lu", 0, None
     try:
         if m > n_free:
-            raise RuntimeError(f"overdetermined ({m} equations, {n_free} unknowns)")
+            fallback = f"overdetermined ({m} equations, {n_free} unknowns)"
+            raise RuntimeError(fallback)
         if m == n_free:
             lu = spla.splu(a_free.tocsc())
             sol = lu.solve(b_live)
@@ -262,13 +263,12 @@ def _global_solve(d: Diagram, depth: int, rhs, prefix: Sequence[np.ndarray],
             rhs_k = np.concatenate([np.zeros(n_free), b_live])
             z, steps = _refine(lu, lu.solve(rhs_k), lambda z: rhs_k - k @ z)
             sol = z[:n_free]
-    except RuntimeError as exc:
-        path, steps, fallback = "lsqr", 0, str(exc)
+    except RuntimeError:  # SuperLU's message names its own source file
+        path, steps, fallback = "lsqr", 0, fallback or f"{path} factorization failed"
         sol = spla.lsqr(a_free, b_live, atol=1e-14, btol=1e-14,
                         iter_lim=8 * (m + n_free))[0]
     x_full[free_ids] = sol
-    values = [x_full[off[n]: off[n + 1]].copy() for n in range(depth + 1)]
-    return values, path, steps, fallback
+    return x_full, path, steps, fallback
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
@@ -295,39 +295,37 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     depth = d.num_levels if depth is None else depth
     if not 1 <= depth <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
-    rhs = _source_vectors(d, source)
+    rhs = _source_vectors(d, source).flat()
     prefix = [np.zeros(1)]
     if seed_f1 is not None:
         seed_f1 = np.asarray(seed_f1, dtype=float).reshape(-1)
         if seed_f1.shape[0] != d.level_sizes[1]:
             raise ValueError("seed vector length does not match level 1")
         prefix.append(seed_f1)
-    values, path, steps, fallback = _global_solve(d, depth, rhs, prefix, pins or {})
-    residuals = _chain_residuals(d, depth, rhs, values)
-    # pad to the stored depth so the result is a full LevelFunction
-    for n in range(depth + 1, d.num_levels + 1):
-        values.append(np.zeros(d.level_sizes[n]))
+    x, path, steps, fallback = _global_solve(d, depth, rhs, prefix, pins or {})
+    residuals = _chain_residuals(d, depth, rhs, x)
     diagnostics = {"path": path, "refine_steps": steps,
                    "final_residual": max(residuals), "fallback": fallback}
-    return LevelFunction(values), SolveReport(residuals=residuals, tol=tol,
-                                              diagnostics=diagnostics)
+    return LevelFunction.from_flat(d, x), SolveReport(residuals=residuals, tol=tol,
+                                                      diagnostics=diagnostics)
 
 
-def _chain_residuals(d: Diagram, depth: int, rhs, values, first: int = 0) -> list:
+def _chain_residuals(d: Diagram, depth: int, rhs, x, first: int = 0) -> list:
     """Residuals of the recursion equations of levels first..depth-1 in
     normalized form: per level, max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1}
-    - rhs_n / c_n)|.  P's two blocks are the child and parent sums of one
-    pass over the edge table's levels first-1..depth (EdgeTable.edge_sums).
-    Raises ValueError where build_level_operators does."""
+    - rhs_n / c_n)|, f = x (rhs and x numbered as the vertices of d.table).
+    P's two blocks are the child and parent sums of one pass over the edge
+    table's levels first-1..depth (EdgeTable.edge_sums).  Raises ValueError
+    where build_level_operators does."""
     build_level_operators(d)
     t, lo = d.table, max(first - 1, 0)
-    base = t.offsets[lo]
-    c, f = d.degrees[base:t.offsets[depth + 1]], np.concatenate(values[lo:depth + 1])
+    base, end = t.offsets[lo], t.offsets[depth + 1]
+    c, f = d.degrees[base:end], x[base:end]
     back, fwd = t.edge_sums(lo, depth, f, 1.0 / c)
     # the equations of levels first..depth-1 (fwd is 0 on level 0); level
     # depth's entries would join level depth-1's maximum
     eq = slice(t.offsets[first] - base, t.offsets[depth] - base)
-    r = np.abs(back[eq] - (f[eq] - fwd[eq] - np.concatenate(rhs[first:depth]) / c[eq]))
+    r = np.abs(back[eq] - (f[eq] - fwd[eq] - rhs[t.offsets[first]:t.offsets[depth]] / c[eq]))
     return np.maximum.reduceat(r, t.offsets[first:depth] - t.offsets[first]).tolist()
 
 
@@ -682,13 +680,15 @@ def _propagate(d: Diagram, n_max: int):
     Returns (per_level, solution_set_dims, rank_drops, unique_extension,
     state) as in DimensionResult.
 
-    Each C_n is decomposed by one SVD per level, which gives its rank, its
-    column space, its kernel and the minimum-norm particular solutions.  Only
-    the particular block of the new pair basis is re-orthonormalized: its
-    level-(n+1) half lies in the row space of C_n, so the orthonormal kernel
-    block (zero on level n) is orthogonal to it and is appended as is.
+    Each C_n is made dense once and decomposed by one SVD, which gives its
+    rank, its column space, its kernel and the minimum-norm particular
+    solutions.  Only the particular block of the new pair basis is
+    re-orthonormalized: its level-(n+1) half lies in the row space of C_n, so
+    the orthonormal kernel block (zero on level n) is orthogonal to it and is
+    appended as is.
     """
-    basis1 = _nullspace(d.conductance[0].toarray())
+    cn = d.table.level(0).toarray()
+    basis1 = _nullspace(cn)
     prev = np.zeros((1, basis1.shape[1]))
     cur = basis1
     dim_p = basis1.shape[1]
@@ -697,8 +697,7 @@ def _propagate(d: Diagram, n_max: int):
     drops = {}
     unique = True
     for n in range(1, n_max):
-        cn = d.conductance[n].toarray()
-        cprev = d.conductance[n - 1].toarray()
+        cprev, cn = cn, d.table.level(n).toarray()
         degs = d.degree_vector(n)
         g_map = degs[:, None] * cur - cprev.T @ prev
         u, s, vt = np.linalg.svd(cn, full_matrices=True)

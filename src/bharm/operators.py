@@ -21,10 +21,23 @@ from .diagram import Diagram
 
 
 class LevelFunction:
-    """A function V -> R stored as per-level vectors f_0, ..., f_N."""
+    """A function V -> R stored as per-level vectors f_0, ..., f_N; from_flat
+    and flat convert from and to the vertex numbering of d.table."""
 
     def __init__(self, values):
         self.values = [np.asarray(v, dtype=float).reshape(-1) for v in values]
+
+    @classmethod
+    def from_flat(cls, d: Diagram, flat, levels: Optional[int] = None) -> "LevelFunction":
+        """Levels 0..levels-1 (all when None) of flat, 0 past its end."""
+        offsets = d.table.offsets[:(d.num_levels + 1 if levels is None else levels) + 1]
+        out = np.zeros(offsets[-1])
+        out[:len(flat)] = flat[:offsets[-1]]
+        return cls(np.split(out, offsets[1:-1]))
+
+    def flat(self) -> np.ndarray:
+        """All levels' values in one new vector."""
+        return np.concatenate(self.values)
 
     @classmethod
     def zeros(cls, d: Diagram) -> "LevelFunction":
@@ -127,6 +140,17 @@ def checked_degrees(d: Diagram, last: int) -> np.ndarray:
     return c
 
 
+def check_finite(d: Diagram, values: np.ndarray, first: int = 0) -> None:
+    """Raise ValueError at the first of values that is not finite; they are
+    numbered as the vertices of d.table, from level first's first."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        offsets = d.table.offsets
+        v = offsets[first] + bad[0]
+        n = int(np.searchsorted(offsets, v, side="right")) - 1
+        raise ValueError(f"value {values[bad[0]]} at ({n},{v - offsets[n]}) is not finite")
+
+
 def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
     """The stored conductances of levels first..last-1, a read-only slice of
     the edge table; raises ValueError at the first that is not in (0, inf)."""
@@ -191,19 +215,17 @@ def laplacian_apply(ops: LevelOperators, f: LevelFunction):
     """
     d = ops.diagram
     f.check_shape(d)
-    flat = np.concatenate(f.values)
+    flat = f.flat()
     child, parent = d.table.edge_sums(0, d.num_levels, flat)
-    out = np.split(d.degrees * flat - parent - child, d.table.offsets[1:-1])
-    return LevelFunction(out), ops.interior_mask()
+    return LevelFunction.from_flat(d, d.degrees * flat - parent - child), ops.interior_mask()
 
 
 def markov_apply(ops: LevelOperators, f: LevelFunction):
     """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, with the same validity mask."""
     d = ops.diagram
     f.check_shape(d)
-    child, parent = d.table.edge_sums(0, d.num_levels, np.concatenate(f.values),
-                                      1.0 / d.degrees)
-    return LevelFunction(np.split(parent + child, d.table.offsets[1:-1])), ops.interior_mask()
+    child, parent = d.table.edge_sums(0, d.num_levels, f.flat(), 1.0 / d.degrees)
+    return LevelFunction.from_flat(d, parent + child), ops.interior_mask()
 
 
 def weighted_inner(ops: LevelOperators, u: LevelFunction, v: LevelFunction,

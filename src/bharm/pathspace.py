@@ -33,8 +33,8 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, checked_degrees, laplacian_apply,
-                        laplacian_entries)
+from .operators import (LevelFunction, build_level_operators, check_finite, checked_degrees,
+                        laplacian_apply, laplacian_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +106,30 @@ class DirichletSystem:
               pinned: Optional[Dict[VertexId, float]] = None) -> LevelFunction:
         """Solve the Dirichlet problem; output has the boundary values at the
         boundary level and zeros at any deeper stored levels."""
-        d = self.diagram
-        b = np.zeros(self.n_interior)
+        d, level, n = self.diagram, self.boundary_level, self.n_interior
+        u = np.zeros(d.table.offsets[level + 1])  # the interior, then the boundary
+        b = np.zeros(n)
         if source:
             for v, val in source.items():
                 b[self.flat(v)] += val
         if boundary_values is not None:
             bvals = np.asarray(boundary_values, dtype=float).reshape(-1)
-            if bvals.shape[0] != d.level_sizes[self.boundary_level]:
+            if bvals.shape[0] != d.level_sizes[level]:
                 raise ValueError("boundary values have the wrong length")
+            u[n:] = bvals
             if np.any(bvals != 0.0):  # C_{b-1} bvals, level b-1's child sums
-                k = d.level_sizes[self.boundary_level - 1]
-                b[-k:] += d.table.edge_sums(self.boundary_level - 1, self.boundary_level,
-                                            np.append(np.zeros(k), bvals))[0][:k]
-        else:
-            bvals = np.zeros(d.level_sizes[self.boundary_level])
+                k = d.level_sizes[level - 1]
+                b[-k:] += d.table.edge_sums(level - 1, level, u[n - k:])[0][:k]
         if pinned:
             pin_idx, pin_val = map(np.array, zip(*sorted(
                 (self.flat(v), val) for v, val in pinned.items())))
-            keep = np.setdiff1d(np.arange(self.n_interior), pin_idx)
+            keep = np.setdiff1d(np.arange(n), pin_idx)
             rows = self.matrix[keep]
-            u = np.zeros(self.n_interior)
             u[keep] = self._solve_flat(rows[:, keep], b[keep] - rows[:, pin_idx] @ pin_val)
             u[pin_idx] = pin_val
         else:
-            u = self._solve_flat(self.matrix, b)
-        values = [u[self.offsets[n]:self.offsets[n + 1]].copy()
-                  for n in range(self.boundary_level)]
-        values.append(bvals.copy())
-        for n in range(self.boundary_level + 1, d.num_levels + 1):
-            values.append(np.zeros(d.level_sizes[n]))
-        return LevelFunction(values)
+            u[:n] = self._solve_flat(self.matrix, b)
+        return LevelFunction.from_flat(d, u)
 
 
 def dirichlet_solve(d: Diagram, boundary_level: int,
@@ -762,12 +755,14 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
                    cfg: Optional[WalkConfig] = None) -> PoissonResult:
     """Harmonic function on levels 0..target_level with boundary data f_n.
 
-    The value at a boundary vertex is f_n exactly in both modes.
+    The value at a boundary vertex is f_n exactly in both modes.  A value
+    of f_n that is not finite raises ValueError.
     """
     f_n = np.asarray(f_n, dtype=float).reshape(-1)
     check_target_level(d, target_level)
     if f_n.shape[0] != d.level_sizes[target_level]:
         raise ValueError("boundary data has the wrong length")
+    check_finite(d, f_n, target_level)
     if method == "exact-dirichlet":
         sysm = DirichletSystem(d, target_level)
         u = sysm.solve(boundary_values=f_n)
@@ -780,7 +775,8 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     _check_crossable(d, 0, target_level)
     tr = _transitions(d, target_level)
     n_int, walks = int(tr.offsets[target_level]), cfg.num_walks
-    vals, errs = np.zeros(n_int), np.zeros(n_int)
+    vals, errs = np.zeros(n_int + f_n.size), np.zeros(n_int)
+    vals[n_int:] = f_n
     capped = 0
     # lanes are (start vertex, walk) pairs; start x's walk w draws from the
     # substream of key seed + 7919 x (mod 2**64) and counter word w
@@ -802,11 +798,8 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
             if arr.size:
                 vals[x] = arr.mean()
                 errs[x] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
-    vals = [vals[tr.offsets[n]:tr.offsets[n + 1]] for n in range(target_level)]
-    errs = [errs[tr.offsets[n]:tr.offsets[n + 1]] for n in range(target_level)]
-    vals.append(f_n.copy())
-    errs.append(np.zeros_like(f_n))
-    return PoissonResult(values=LevelFunction(vals), stderr=LevelFunction(errs),
+    return PoissonResult(values=LevelFunction.from_flat(d, vals, target_level + 1),
+                         stderr=LevelFunction.from_flat(d, errs, target_level + 1),
                          method=method, n_capped=capped)
 
 
@@ -833,7 +826,8 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     d.check_vertex(x)
     build_level_operators(d)  # for its checks
     t, lo = d.table, min(max(n0, 0), d.num_levels)
-    base, flat = t.offsets[lo], np.concatenate(f.values[lo:])
+    base = t.offsets[lo]
+    flat = f.flat()[base:]
     # |P<-_n f_{n+1} - f_n| from the table's child sums; level N's is dropped
     gap = np.abs(t.edge_sums(lo, d.num_levels, flat, 1.0 / d.degrees[base:])[0] - flat)
     compat = np.maximum.reduceat(gap, t.offsets[lo:-1] - base).tolist()[:-1]
@@ -858,9 +852,7 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     # harmonicity of the limit at x, evaluated on the deepest solve
     resid = float("nan")
     if last_solution is not None and x.level < levels[-1]:
-        fr = LevelFunction(list(last_solution.values)
-                           + [np.zeros(s) for s in d.level_sizes[levels[-1] + 1:]])
-        rep = harmonicity_check(d, fr)
+        rep = harmonicity_check(d, LevelFunction.from_flat(d, last_solution.flat()))
         resid = rep.residuals[x.level] if x.level < len(rep.residuals) else float("nan")
     return StabilizationReport(vertex=x, levels=tuple(levels), values=tuple(values),
                                stabilization_level=stab, harmonic_residual=resid,

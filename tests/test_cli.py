@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -147,7 +148,7 @@ def test_dimension_stdout_golden(spec, capsys):
     assert capsys.readouterr().out == DIMENSION_GOLDENS[spec]
 
 
-@pytest.mark.parametrize("depth", ["0", "50"])
+@pytest.mark.parametrize("depth", ["50"])
 def test_dimension_depth_outside_the_levels_is_exit_one(depth, capsys):
     assert main(["dimension", "--diagram", "tree:5:2", "--depth", depth]) == 1
     out, err = capsys.readouterr()
@@ -709,7 +710,7 @@ def test_subcommands_that_do_not_factor_never_import_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-@pytest.mark.parametrize("level", ["9", "0", "-1"])
+@pytest.mark.parametrize("level", ["9"])
 def test_poisson_level_outside_the_prefix_is_exit_one(level, tmp_path, capsys):
     # --level 9 once indexed the boundary data first and ended in an IndexError
     values = tmp_path / "f.fn"
@@ -732,6 +733,22 @@ def test_tol_takes_only_finite_values_at_least_zero(command, value, capsys):
     assert info.value.code == 2 and out == ""
     assert err.startswith(f"usage: bharm {command} ")
     assert err.splitlines()[-1].startswith(f"bharm {command}: error: argument --tol: ")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--depth"], ["harmonic", "--depth"], ["green", "--boundary"],
+    ["poisson", "--values", "f.fn", "--level"], ["walk", "--start", "0,0", "--absorb"],
+    ["walk", "--start", "0,0", "--walks"], ["walk", "--start", "0,0", "--max-steps"],
+], ids=lambda argv: argv[0] + argv[-1])
+def test_counts_below_one_are_usage_errors(argv, value, capsys):
+    # these reached the library, which refused them with exit 1
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--diagram", "tree:4:2", *argv[1:-1], f"{argv[-1]}={value}"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == (f"bharm {argv[0]}: error: argument {argv[-1]}: "
+                                    f"must be an integer >= 1, not '{value}'")
 
 
 def test_tol_zero_is_accepted(tmp_path):
@@ -789,11 +806,14 @@ def test_harmonic_on_a_one_level_file_is_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["harmonic"], ["monopole", "--vertex", "2,1"], ["dipole", "--vertex", "2,1"],
     ["apply-laplacian", "--fn", "{fn}"], ["apply-markov", "--fn", "{fn}"],
-    ["poisson", "--level", "4", "--values", "{fn}"],
-], ids=lambda argv: argv[0])
+    ["poisson", "--level", "4", "--values", "{fn}"], ["energy", "--fn", "{fn}"],
+    ["green", "--vertices", "0,0;2,1"], ["walk", "--start", "0,0", "--walks", "50"],
+    ["poisson", "--level", "4", "--values", "{fn}", "--method", "monte-carlo", "--walks", "5"],
+], ids=lambda argv: "-".join(argv[:1] + argv[6:7]))
 def test_edge_sums_make_no_level_views(argv, tmp_path, monkeypatch):
-    # P, Delta and the recursion residuals are taken on the edge table, so
-    # these commands never make the diagram's per-level matrices
+    # P, Delta, the recursion residuals, the walk tables and the energy are
+    # taken on the edge table, so these commands never make the diagram's
+    # per-level matrices (energy made all of them)
     fn = tmp_path / "f.fn"
     fn.write_text(format_function(pascal_harmonic(6)))
     loaded = []
@@ -827,6 +847,8 @@ _BATTERY_FILES = {
     "one_fn": "fn v1\n0 0 1\n",
     "edgeless_fn": "fn v1\n0 0 1\n2 0 1\n2 1 2\n",
     "tree_fn": "fn v1\n3 0 1\n3 7 2\n",
+    "nan_fn": "fn v1\n3 0 nan\n",
+    "inf_fn": "fn v1\n3 0 inf\n",
     "graph": "graph v1\nv 4\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n",
 }
 
@@ -835,8 +857,8 @@ def _battery():
     """(argv, exit code) for every subcommand on boundary values: a one-level,
     an edgeless-level and an empty diagram file, 0, -1 and depth + 1 for each
     level and count argument, vertex indices off their level, and nan and
-    +-inf where a float is taken.  tree:3:2 has depth 3.  (validate accepts
-    the one-level file, a valid diagram.)"""
+    +-inf where a float is taken or in a function file.  tree:3:2 has depth
+    3.  (validate accepts the one-level file, a valid diagram.)"""
     cases = []
     for name, level in (("one", 1), ("edgeless", 2), ("empty", 1)):
         dg = ["--diagram", "{%s}" % name]
@@ -881,14 +903,23 @@ def _battery():
                   ["harmonic", *tree, f"--tol={value}"], ["gen", f"tree:3:{value}"],
                   ["gen", f"pascal:3:{value}"], ["gen", f"ladder:3:{value}"],
                   ["gen", f"stationary:11;10:3:{value}"]]
+    for value in ("nan", "inf"):
+        poisson = ["poisson", *tree, "--level", "3", "--values", "{%s_fn}" % value]
+        cases += [poisson, [*poisson, "--method", "monte-carlo", "--walks", "5"],
+                  ["energy", *tree, "--fn", "{%s_fn}" % value]]
     return cases
+
+
+# a count, level or depth of 0 or -1 is a usage error (exit 2)
+_COUNT_BELOW_ONE = re.compile(r"--(walks|max-steps|depth|boundary|absorb|level)=(0|-1)$")
 
 
 @pytest.mark.parametrize("argv", _battery(), ids=" ".join)
 def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp_path, capsys):
     # a one-level harmonic once ended in an IndexError traceback, --pin 1,0=nan
     # in a TypeError; walks across an edgeless level exited 0 with every walk
-    # capped, and dimension exited 0 on its isolated vertices
+    # capped, and dimension exited 0 on its isolated vertices; poisson and
+    # energy exited 0 on nan boundary data and wrote nan
     files = {}
     for name, text in _BATTERY_FILES.items():
         files[name] = tmp_path / name
@@ -901,6 +932,8 @@ def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
+    if any(_COUNT_BELOW_ONE.match(a) for a in argv):
+        assert code == 2
     if code == 2:
         assert err.startswith(f"usage: bharm {argv[0]} ")
     else:

@@ -85,6 +85,28 @@ def test_energy_shift_scale_and_conductance_rescale():
     assert np.isclose(energy_norm(d_scaled, f).energy, 2.5 * base, rtol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_energy_norm_names_a_value_that_is_not_finite(value):
+    # a nan once gave nan energy with the bound reported as holding
+    d = gen_pascal(4, 1.0)
+    f = pascal_harmonic(4)
+    f.values[2][1] = value
+    with pytest.raises(ValueError, match=rf"^value {value} at \(2,1\) is not finite$"):
+        energy_norm(d, f)
+
+
+def test_energy_makes_no_level_views():
+    # the energies read per-edge differences off the edge table; they once
+    # made all the diagram's level matrices
+    d = gen_pascal(10, 1.0)
+    f = pascal_harmonic(10)
+    energy_norm(d, f)
+    energy_harmonic_formulas(d, f)
+    dissipation_check(d, f)
+    current_balance(d, f)
+    assert "conductance" not in d.__dict__
+
+
 # --- harmonic energy identities ----------------------------------------------
 
 def test_harmonic_formulas_agree_on_pascal():

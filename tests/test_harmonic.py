@@ -23,7 +23,7 @@ from bharm import (
     solve_monopole,
 )
 from bharm import harmonic
-from bharm._matops import as_level
+from bharm._matops import stacked_table
 from bharm.closedforms import (
     pascal_harmonic,
     pascal_pins,
@@ -114,7 +114,7 @@ def test_bottleneck_extension_inconsistent():
     _, rep = solve_chain(d, seed_f1=f1)
     assert not rep.consistent
     assert rep.diagnostics["path"] == "lsqr"
-    assert "singular" in rep.diagnostics["fallback"]
+    assert rep.diagnostics["fallback"] == "lu factorization failed"
     assert rep.diagnostics["final_residual"] == rep.max_residual
 
 
@@ -182,6 +182,24 @@ def test_overdetermined_chain_takes_the_reported_lsqr_path():
     assert np.allclose(f.values[2], h.values[2], atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, seed, path", [("ladder", [1.0, -1.0], "lu"),
+                                              ("pascal", None, "augmented-lu")])
+def test_a_failed_factorization_is_named_in_bharms_words(spec, seed, path, monkeypatch):
+    # SuperLU's RuntimeError text names its C source file and ends in a
+    # newline, and it once went into the fallback and the run manifest
+    import scipy.sparse.linalg as spla
+
+    def splu(*args, **kwargs):
+        raise RuntimeError("failed to factorize matrix at line 406 in file "
+                           "../scipy/sparse/linalg/_dsolve/SuperLU/SRC/dpanel_bmod.c\n")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    d = gen_ladder(6, 1.0) if spec == "ladder" else gen_pascal(4, 1.0)
+    _, rep = solve_chain(d, seed_f1=seed)
+    assert rep.diagnostics["path"] == "lsqr"
+    assert rep.diagnostics["fallback"] == f"{path} factorization failed"
+
+
 @pytest.mark.parametrize("case", ["pascal3-all-of-level-3-pinned", "bottleneck-seeded"])
 def test_lsqr_path_is_the_minimum_norm_least_squares_solution(case):
     # oracle: dense lstsq of the stacked system with the seed and the pins
@@ -195,7 +213,7 @@ def test_lsqr_path_is_the_minimum_norm_least_squares_solution(case):
         d = gen_bottleneck([1, 3, 1, 3], 2)
         seed = _bottleneck_seed(d)
         pins = {}
-        fallback = "Factor is exactly singular"
+        fallback = "lu factorization failed"
     f, rep = solve_chain(d, seed_f1=seed, pins=pins)
     assert rep.diagnostics["path"] == "lsqr"
     assert rep.diagnostics["fallback"].startswith(fallback)
@@ -413,7 +431,8 @@ def test_dimension_and_state_match_oracle(d):
 def test_level_rank_threshold_is_relative_to_the_whole_level():
     # the 1x1 component lies below RANK_RCOND times the level's largest
     # singular value, though not below its own
-    assert _level_rank(as_level(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1e-14]]))) == 1
+    level = stacked_table((2, 3), [np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1e-14]])]).level(0)
+    assert _level_rank(level) == 1
 
 
 @pytest.mark.parametrize("spec, path, deficient", [

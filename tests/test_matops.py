@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bharm._matops import EdgeTable, LevelMatrix, level_matrix
+from bharm._matops import EdgeTable, LevelMatrix, stacked_table
 
 
 def _random_levels(seed):
@@ -17,7 +17,8 @@ def _random_levels(seed):
             a[:, rng.random(k) < 0.2] = 0.0
             rows, cols = np.nonzero(a)
             order = rng.permutation(rows.size)
-            c = level_matrix((m, k), rows[order], cols[order], a[rows, cols][order])
+            coo = sp.coo_matrix((a[rows, cols][order], (rows[order], cols[order])), shape=(m, k))
+            c = stacked_table((m, k), [coo]).level(0)
             assert c.indices.dtype == np.int32
             wide = LevelMatrix(c.data, c.indices.astype(np.int64), c.indptr.astype(np.int64),
                                c.shape)

@@ -294,7 +294,8 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
         rhs = [rng.standard_normal(s) for s in d.level_sizes]
         for depth in range(1, n_levels + 1):
             for first in range(depth):
-                assert harmonic._chain_residuals(d, depth, rhs, f.values, first) \
+                assert harmonic._chain_residuals(d, depth, LevelFunction(rhs).flat(), f.flat(),
+                                                 first) \
                     == bruteforce.ref_chain_residuals(d, depth, rhs, f.values, first)
         for n, size in enumerate(d.level_sizes[:4]):
             for x in range(min(size, 5)):

@@ -570,6 +570,18 @@ def test_poisson_boundary_values_exact_in_both_modes():
     assert np.all(mc.stderr.values[6] == 0.0)
 
 
+@pytest.mark.parametrize("method", ["exact-dirichlet", "monte-carlo"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_poisson_names_boundary_data_that_is_not_finite(method, value):
+    # nan data once gave nan at every vertex, and inf a RuntimeWarning
+    d = gen_binary_tree(3, 2.0)
+    f3 = np.ones(8)
+    f3[5] = value
+    with pytest.raises(ValueError, match=rf"^value {value} at \(3,5\) is not finite$"):
+        poisson_kernel(d, f3, 3, method=method,
+                       cfg=WalkConfig(max_steps=100, num_walks=5, seed=1, absorb_level=3))
+
+
 def test_poisson_mc_three_sigma_agreement():
     d6 = gen_binary_tree(6, 2.0)
     f6 = tree_symmetric_harmonic(6, 2.0).values[6]
