@@ -6,6 +6,9 @@ precondition), 2 usage error.  Numeric output is Python's format(x, '.12g'):
 12 significant digits, correctly rounded, with '.' as the decimal
 separator; every file output gets a JSON run
 manifest alongside it so reruns are byte-reproducible.
+
+Each subcommand imports its solver module (harmonic, pathspace, energy or
+closedforms) when it runs, so `import bharm.cli` loads none of them.
 """
 from __future__ import annotations
 
@@ -18,16 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .closedforms import (
-    pascal_harmonic,
-    pascal_pins,
-    stationary_formula,
-    tree_path_value,
-    tree_pins,
-    tree_symmetric_harmonic,
-)
 from .diagram import VertexId, diagram_from_graph, extract_maximal_bratteli, validate
-from .energy import energy_lower_bound, energy_norm
 from .fileio import (
     FMT,
     format_diagram,
@@ -37,17 +31,7 @@ from .fileio import (
     parse_function,
     parse_graph,
 )
-from .harmonic import harm_dimension, harmonicity_check, solve_chain, solve_dipole, solve_monopole
 from .operators import build_level_operators, checked_conductances, laplacian_apply, markov_apply
-from .pathspace import (
-    WalkConfig,
-    check_target_level,
-    green_exact,
-    green_identity_report,
-    poisson_kernel,
-    simulate_walks,
-)
-
 
 # input-file digests recorded per invocation for the run manifest
 _INPUT_HASHES: dict = {}
@@ -139,6 +123,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
+    from .harmonic import solve_chain
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
     if not 1 <= depth <= d.num_levels:
@@ -173,6 +158,7 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
+    from .harmonic import harm_dimension
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
     res = harm_dimension(d, up_to_level=depth)
@@ -182,6 +168,7 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_pole(args, dipole: bool) -> int:
+    from .harmonic import solve_dipole, solve_monopole
     d = _diagram_arg(args)
     x = _parse_vertex(args.vertex)
     depth = args.depth if args.depth is not None else d.num_levels
@@ -197,6 +184,7 @@ def _cmd_pole(args, dipole: bool) -> int:
 
 
 def _cmd_green(args) -> int:
+    from .pathspace import green_exact
     d = _diagram_arg(args)
     boundary = args.boundary if args.boundary is not None else d.num_levels
     verts = [_parse_vertex(s) for s in args.vertices.split(";")] if args.vertices else None
@@ -217,6 +205,7 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from .pathspace import WalkConfig, simulate_walks
     d = _diagram_arg(args)
     start = _parse_vertex(args.start)
     targets = [_parse_vertex(s) for s in args.targets.split(";")] if args.targets else []
@@ -240,6 +229,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_poisson(args) -> int:
+    from .pathspace import WalkConfig, check_target_level, poisson_kernel
     d = _diagram_arg(args)
     fvals = _fn_arg(d, args.values)
     level = args.level
@@ -259,6 +249,7 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    from .energy import energy_lower_bound, energy_norm
     d = _diagram_arg(args)
     f = _fn_arg(d, args.fn)
     rep = energy_norm(d, f)
@@ -317,7 +308,9 @@ def _cmd_convert(args) -> int:
 # --- closed-form verification ---------------------------------------------
 
 def _verify_rows_pascal():
+    from .closedforms import pascal_harmonic, pascal_pins
     from .diagram import gen_pascal
+    from .harmonic import harmonicity_check, solve_chain
     d = gen_pascal(8, 1.0)
     f, _ = solve_chain(d, seed_f1=[1.0, -1.0], pins=pascal_pins(8))
     h = pascal_harmonic(8)
@@ -330,7 +323,9 @@ def _verify_rows_pascal():
 
 
 def _verify_rows_tree():
+    from .closedforms import tree_path_value, tree_pins, tree_symmetric_harmonic
     from .diagram import gen_binary_tree
+    from .harmonic import solve_chain
     lam = 2.0
     d = gen_binary_tree(8, lam)
     f, _ = solve_chain(d, seed_f1=[lam, -lam], pins=tree_pins(8, lam))
@@ -345,7 +340,9 @@ def _verify_rows_tree():
 
 
 def _verify_rows_stationary():
+    from .closedforms import stationary_formula
     from .diagram import gen_stationary
+    from .harmonic import harmonicity_check, solve_chain
     d = gen_stationary([[1, 1], [1, 0]], 8, 2.0)
     f1 = np.array([1.0, -1.0])
     f, _ = solve_chain(d, seed_f1=f1)
@@ -364,7 +361,9 @@ def _verify_rows_stationary():
 
 
 def _verify_rows_bounds():
+    from .closedforms import pascal_harmonic, tree_symmetric_harmonic
     from .diagram import gen_binary_tree, gen_pascal
+    from .energy import energy_lower_bound, energy_norm
     rows = []
     d = gen_pascal(10, 1.0)
     rep = energy_norm(d, pascal_harmonic(10))
@@ -381,6 +380,7 @@ def _verify_rows_bounds():
 
 def _verify_rows_greens():
     from .diagram import gen_binary_tree
+    from .pathspace import green_exact, green_identity_report
     d = gen_binary_tree(10, 2.0)
     verts = [VertexId(0, 0), VertexId(1, 0), VertexId(2, 1), VertexId(3, 4)]
     gs = green_exact(d, 10, vertices=verts)

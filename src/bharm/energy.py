@@ -16,7 +16,6 @@ from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
 from .operators import (LevelFunction, build_level_operators, check_finite,
                         checked_conductances, isolated_vertex, laplacian_apply, markov_apply)
-from .pathspace import dipole_green
 
 
 def _drops(d: Diagram, flat: np.ndarray) -> np.ndarray:
@@ -240,6 +239,7 @@ def resistance_distance(d: Diagram, x: VertexId, y: VertexId, boundary_level: in
     """
     if x == y:
         return 0.0
+    from .pathspace import dipole_green
     v = dipole_green(d, x, y, boundary_level)
     return energy_norm(d, v).energy
 

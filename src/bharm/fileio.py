@@ -172,11 +172,19 @@ def _edge_arrays(table, sizes):
         return None
     if ((i < 0) | (i >= size[n]) | (j < 0) | (j >= size[n + 1])).any():
         return None
-    order = np.lexsort((j, i, n))
-    n, i, j, c = n[order], i[order], j[order], c[order]
-    if ((n[1:] == n[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])).any():
-        return None
+    if not _increasing(n, i, j):  # a file bharm writes is in order and skips the sort
+        order = np.lexsort((j, i, n))
+        n, i, j, c = n[order], i[order], j[order], c[order]
+        if not _increasing(n, i, j):  # sorted keys that do not increase repeat
+            return None
     return n, i, j, c
+
+
+def _increasing(n, i, j) -> bool:
+    """Whether the keys (n, i, j) strictly increase, i.e. are sorted with
+    no repeat."""
+    return bool(((n[1:] > n[:-1]) | (n[1:] == n[:-1]) & (
+        (i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all())
 
 
 def _edge_lines(body: str, sizes):

@@ -212,19 +212,24 @@ def laplacian_apply(ops: LevelOperators, f: LevelFunction):
 
     Returns (LevelFunction, validity mask).  The root is fully determined
     (no predecessor level exists); level N is not and is masked out.
+    Raises ValueError at the first value of f that is not finite.
     """
     d = ops.diagram
     f.check_shape(d)
     flat = f.flat()
+    check_finite(d, flat)
     child, parent = d.table.edge_sums(0, d.num_levels, flat)
     return LevelFunction.from_flat(d, d.degrees * flat - parent - child), ops.interior_mask()
 
 
 def markov_apply(ops: LevelOperators, f: LevelFunction):
-    """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, with the same validity mask."""
+    """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, with the same validity mask
+    and the same check of f's values."""
     d = ops.diagram
     f.check_shape(d)
-    child, parent = d.table.edge_sums(0, d.num_levels, f.flat(), 1.0 / d.degrees)
+    flat = f.flat()
+    check_finite(d, flat)
+    child, parent = d.table.edge_sums(0, d.num_levels, flat, 1.0 / d.degrees)
     return LevelFunction.from_flat(d, parent + child), ops.interior_mask()
 
 

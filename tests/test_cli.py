@@ -670,44 +670,78 @@ def test_missing_diagram_file_is_still_reported_as_missing(tmp_path, capsys):
     assert "No such file or directory" in capsys.readouterr().err
 
 
-_NO_SCIPY_CHILD = """
+_LOADED_CHILD = """
 import json, sys
 from bharm.cli import main
 for args in json.loads(sys.argv[1]):
     if main(args) != 0:
         raise SystemExit(f"failed: {args}")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("bharm", "scipy"))))
 """
 
 
-def test_subcommands_that_do_not_factor_never_import_scipy(tmp_path):
+def _loaded_modules(tmp_path, kinds):
+    """The bharm and scipy modules loaded by one fresh process that imports
+    bharm.cli and runs the requests of each of `kinds` (keys of the table
+    below) in turn."""
     t = tmp_path
     (t / "g.graph").write_text("graph v1\nv 6\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 1 4 1\n"
                                "e 2 4 1\ne 2 5 1\n")
     (t / "tree.fn").write_text(format_function(tree_symmetric_harmonic(5, 2.0)))
     (t / "pascal.fn").write_text(format_function(pascal_harmonic(4)))
-    runs = [["gen", spec, "--out", str(t / f"d{k}.txt")] for k, spec in enumerate(
-        ["tree:5:2", "pascal:4:1", "stationary:1,1;1,0:4:2", "ladder:4", "bottleneck:1-3-4:7"])]
-    runs += [
-        ["validate", str(t / "d0.txt")],
-        ["convert", "--graph", str(t / "g.graph"), "--root", "0", "--out", str(t / "c.txt")],
-        ["walk", "--diagram", str(t / "d0.txt"), "--start", "0,0", "--walks", "200",
-         "--out", str(t / "w.txt")],
-        ["poisson", "--diagram", "tree:5:2", "--level", "5", "--values", str(t / "tree.fn"),
-         "--method", "monte-carlo", "--walks", "50", "--out", str(t / "p.fn")],
-        ["energy", "--diagram", "tree:5:2", "--fn", str(t / "tree.fn"), "--out", str(t / "e")],
-        ["apply-laplacian", "--diagram", "pascal:4:1", "--fn", str(t / "pascal.fn"),
-         "--out", str(t / "l.fn")],
-        ["apply-markov", "--diagram", "pascal:4:1", "--fn", str(t / "pascal.fn"),
-         "--out", str(t / "m.fn")],
-    ]
+    requests = {
+        "gen": [["gen", spec, "--out", str(t / f"d{k}.txt")] for k, spec in enumerate(
+            ["tree:5:2", "pascal:4:1", "stationary:1,1;1,0:4:2", "ladder:4",
+             "bottleneck:1-3-4:7"])],
+        "validate": [["gen", "tree:5:2", "--out", str(t / "v.txt")],
+                     ["validate", str(t / "v.txt")]],
+        "convert": [["convert", "--graph", str(t / "g.graph"), "--root", "0",
+                     "--out", str(t / "c.txt")]],
+        "walk": [["walk", "--diagram", "tree:5:2", "--start", "0,0", "--walks", "200",
+                  "--out", str(t / "w.txt")]],
+        "poisson": [["poisson", "--diagram", "tree:5:2", "--level", "5",
+                     "--values", str(t / "tree.fn"), "--method", "monte-carlo",
+                     "--walks", "50", "--out", str(t / "p.fn")]],
+        "energy": [["energy", "--diagram", "tree:5:2", "--fn", str(t / "tree.fn"),
+                    "--out", str(t / "e")]],
+        "apply": [["apply-laplacian", "--diagram", "pascal:4:1", "--fn", str(t / "pascal.fn"),
+                   "--out", str(t / "l.fn")],
+                  ["apply-markov", "--diagram", "pascal:4:1", "--fn", str(t / "pascal.fn"),
+                   "--out", str(t / "m.fn")]],
+    }
+    runs = [argv for kind in kinds for argv in requests[kind]]
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", _LOADED_CHILD, json.dumps(runs)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_subcommands_that_do_not_factor_never_import_scipy(tmp_path):
+    loaded = _loaded_modules(tmp_path, ["gen", "validate", "convert", "walk", "poisson",
+                                        "energy", "apply"])
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+_SOLVER_MODULES = {"bharm.harmonic", "bharm.pathspace", "bharm.energy", "bharm.closedforms"}
+
+
+def test_import_of_the_cli_loads_only_what_every_subcommand_needs(tmp_path):
+    assert _loaded_modules(tmp_path, []) == ["bharm", "bharm._matops", "bharm.cli",
+                                             "bharm.diagram", "bharm.fileio",
+                                             "bharm.operators"]
+
+
+def test_file_subcommands_load_no_solver_module(tmp_path):
+    loaded = _loaded_modules(tmp_path, ["gen", "validate", "convert", "apply"])
+    assert _SOLVER_MODULES.isdisjoint(loaded)
+
+
+def test_energy_loads_no_walk_or_green_module(tmp_path):
+    loaded = _loaded_modules(tmp_path, ["energy"])
+    assert "bharm.energy" in loaded and "bharm.pathspace" not in loaded
 
 
 @pytest.mark.parametrize("level", ["9"])
@@ -906,7 +940,9 @@ def _battery():
     for value in ("nan", "inf"):
         poisson = ["poisson", *tree, "--level", "3", "--values", "{%s_fn}" % value]
         cases += [poisson, [*poisson, "--method", "monte-carlo", "--walks", "5"],
-                  ["energy", *tree, "--fn", "{%s_fn}" % value]]
+                  ["energy", *tree, "--fn", "{%s_fn}" % value],
+                  ["apply-laplacian", *tree, "--fn", "{%s_fn}" % value],
+                  ["apply-markov", *tree, "--fn", "{%s_fn}" % value]]
     return cases
 
 
@@ -919,7 +955,8 @@ def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp
     # a one-level harmonic once ended in an IndexError traceback, --pin 1,0=nan
     # in a TypeError; walks across an edgeless level exited 0 with every walk
     # capped, and dimension exited 0 on its isolated vertices; poisson and
-    # energy exited 0 on nan boundary data and wrote nan
+    # energy exited 0 on nan boundary data and wrote nan, and apply-* spread
+    # a nan to its neighbours
     files = {}
     for name, text in _BATTERY_FILES.items():
         files[name] = tmp_path / name

@@ -49,6 +49,28 @@ def test_duplicate_edge_rejected():
         parse_diagram(text)
 
 
+@pytest.mark.parametrize("spec", ["pascal:12:1", "tree:6:2", "bottleneck:1-3-4-2:5"])
+def test_shuffled_edge_lines_give_the_sorted_files_table(spec):
+    # a body in (level, row, col) order skips the sort; any other order is sorted
+    head, *edges = format_diagram(fileio.load_diagram(spec)).rstrip("\n").split("\ne ")
+    shuffled = [edges[k] for k in np.random.default_rng(3).permutation(len(edges))]
+    sorted_table, table = (parse_diagram("\ne ".join([head, *body]) + "\n").table
+                           for body in (edges, shuffled))
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(table, field), getattr(sorted_table, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "e 0 0 0 1\ne 0 0 0 2\ne 0 0 1 1\n",   # in order apart from the repeat
+    "e 0 0 1 1\ne 0 0 0 2\ne 0 0 1 3\n",   # out of order
+    "e 0 0 0 1\ne 0 0 1 2\ne 0 0 1 3\n",   # the repeat is the last line
+])
+def test_repeated_edge_in_or_out_of_order_is_refused(body):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0,0,[01]\)$"):
+        parse_diagram("bratteli v1\nlevels 2 : 1 2\n" + body)
+
+
 def test_zero_size_level_rejected():
     with pytest.raises(ValueError):
         parse_diagram("bratteli v1\nlevels 2 : 1 0\n")

@@ -1,0 +1,60 @@
+import importlib
+
+import pytest
+
+import bharm
+
+# the names `bharm` exported when its __init__ imported every module
+PUBLIC = [
+    "CurrentBalanceReport", "Diagram", "DimensionResult", "DipoleMatrixResult",
+    "DirichletSystem", "DissipationReport", "EnergyReport", "ExtensionRule", "GeneralGraph",
+    "GreenSolve", "HarmonicState", "LevelFunction", "LevelOperators", "PoissonResult",
+    "SolveReport", "SpectralBoundReport", "StabilizationReport", "TransienceReport",
+    "VertexId", "Violation", "WalkConfig", "WalkEstimates", "build_level_operators",
+    "check_bratteli_structure", "current_balance", "diagram_from_graph", "dipole_green",
+    "dipole_matrix_M", "dirichlet_solve", "dissipation_check", "energy_harmonic_formulas",
+    "energy_lower_bound", "energy_norm", "extend_harmonic", "extend_to",
+    "extract_maximal_bratteli", "gen_binary_tree", "gen_binary_tree_radial",
+    "gen_bottleneck", "gen_ladder", "gen_pascal", "gen_stationary", "green_exact",
+    "green_identity_report", "harm_dimension", "harmonicity_check", "hitting_function",
+    "laplacian_apply", "make_diagram", "markov_apply", "monopole_green", "multipole",
+    "poisson_kernel", "poisson_stabilization", "resistance_distance", "simulate_walks",
+    "solve_chain", "solve_dipole", "solve_monopole", "spectral_bound_check",
+    "stationary_energy_criterion", "transience_report", "validate",
+]
+
+
+def test_all_lists_the_public_names():
+    assert len(PUBLIC) == 63
+    assert sorted(bharm.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_public_name_is_its_modules_object(name):
+    obj = getattr(bharm, name)
+    home = importlib.import_module(obj.__module__)
+    assert home.__name__.startswith("bharm.") and getattr(home, name) is obj
+    namespace = {}
+    exec(f"from bharm import {name}", namespace)
+    assert namespace[name] is obj
+
+
+def test_star_import_and_dir_give_every_public_name():
+    namespace = {}
+    exec("from bharm import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert set(PUBLIC) <= set(dir(bharm))
+    assert {"__version__", "__all__"} <= set(dir(bharm))
+
+
+def test_submodules_are_attributes_of_the_package():
+    for name in ("diagram", "energy", "harmonic", "operators", "pathspace"):
+        assert getattr(bharm, name) is importlib.import_module(f"bharm.{name}")
+
+
+def test_an_unknown_name_is_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="module 'bharm' has no attribute 'no_such_name'"):
+        bharm.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from bharm import no_such_name", {})
+    assert not hasattr(bharm, "no_such_name")
