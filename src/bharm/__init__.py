@@ -45,7 +45,7 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:  # a submodule, as `import bharm; bharm.harmonic` always gave
+    if name in _EXPORTS:  # a submodule: `import bharm` then `bharm.harmonic` works
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
