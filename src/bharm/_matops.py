@@ -1,17 +1,16 @@
 """Level matrices: their one storage format and the operations on it.
 
 Every level matrix is a LevelMatrix: a read-only canonical CSR matrix
-(float64 data, sorted column indices, no duplicates, no stored zeros but
-those stacked_table keeps), so memory and time grow with the edges, not
-with |V_n| |V_{n+1}|.  A diagram stores all its levels C_0, ..., C_{N-1}
-once, in one EdgeTable, the LevelMatrix of their rows stacked in level
-order, and every table is made by edge_table from (level, row, col, value)
-triplets in table order; its C_n is a view of the table's slice, and every
-sum over the edges of a range of levels (P, the Laplacian, the recursion
-residuals, the degrees) is one EdgeTable.edge_sums.  Both are bharm's own
-types and need numpy only: scipy is imported only where a caller hands in
-a scipy sparse matrix (stacked_table) and by the solvers that factor or
-decompose.
+(float64 data, sorted column indices, no duplicates, no stored zeros), so
+memory and time grow with the edges, not with |V_n| |V_{n+1}|.  A diagram
+stores all its levels C_0, ..., C_{N-1} once, in one EdgeTable, the
+LevelMatrix of their rows stacked in level order, and every table is made
+by edge_table from (level, row, col, value) triplets in table order; its
+C_n is a view of the table's slice, and every sum over the edges of a
+range of levels (P, the Laplacian, the recursion residuals, the degrees)
+is one EdgeTable.edge_sums.  Both are bharm's own types and need numpy
+only: scipy is imported only where a caller hands in a scipy sparse matrix
+(stacked_table) and by the solvers that factor or decompose.
 """
 import numpy as np
 
@@ -122,12 +121,11 @@ def edge_table(sizes, level, rows, cols, vals) -> EdgeTable:
     return EdgeTable(sizes, np.asarray(vals, dtype=float), np.asarray(cols).astype(idx), indptr)
 
 
-def stacked_table(sizes, mats, keep_zeros: bool = False) -> EdgeTable:
+def stacked_table(sizes, mats) -> EdgeTable:
     """The table of the level matrices mats: dense arrays, scipy sparse
-    matrices (duplicates summed; stored zeros kept only with keep_zeros, so
-    that validate() can report them) or LevelMatrix.  The only branch on
-    storage kind; each kind gives its entries in row-major order, so their
-    stack is in table order."""
+    matrices (duplicates summed, zeros dropped) or LevelMatrix.  The only
+    branch on storage kind; each kind gives its entries in row-major order,
+    so their stack is in table order."""
     parts = []
     for m in mats:
         if isinstance(m, LevelMatrix):
@@ -136,7 +134,7 @@ def stacked_table(sizes, mats, keep_zeros: bool = False) -> EdgeTable:
             import scipy.sparse as sp
             coo = sp.coo_matrix(m, dtype=float, copy=True)
             coo.sum_duplicates()
-            keep = slice(None) if keep_zeros else coo.data != 0
+            keep = coo.data != 0
             parts.append((coo.row[keep], coo.col[keep], coo.data[keep]))
         else:
             a = np.asarray(m, dtype=float)
@@ -147,13 +145,3 @@ def stacked_table(sizes, mats, keep_zeros: bool = False) -> EdgeTable:
     return edge_table(sizes, np.repeat(np.arange(len(mats)), [p[2].size for p in parts]),
                       rows, cols, vals)
 
-
-def values_at(t: EdgeTable, s: EdgeTable) -> np.ndarray:
-    """t's value at the position of each entry of s (tables of the same
-    level sizes), 0 where t stores nothing."""
-    if t.indptr is s.indptr and t.indices is s.indices:
-        return t.data
-    keys = np.append(t.rows() * t.shape[1] + t.indices, -1)
-    want = s.rows() * t.shape[1] + s.indices
-    pos = np.searchsorted(keys[:-1], want)
-    return np.where(keys[pos] == want, np.append(t.data, 0.0)[pos], 0.0)

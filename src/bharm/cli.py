@@ -83,10 +83,13 @@ def _parse_pins(pin_args) -> dict:
     for spec in pin_args or []:
         try:
             coord, val = spec.split("=")
-            n, i = coord.split(",")
-            pins.setdefault(int(n), {})[int(i)] = float(val)
+            n, i = map(int, coord.split(","))
+            val = float(val)
         except ValueError as exc:
             raise ValueError(f"bad pin {spec!r}, expected 'level,index=value'") from exc
+        if i in pins.setdefault(n, {}):
+            raise ValueError(f"vertex ({n},{i}) pinned twice")
+        pins[n][i] = val
     return pins
 
 

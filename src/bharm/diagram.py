@@ -2,10 +2,11 @@
 conversion of general graphs to the graded form.
 
 A diagram stores a finite prefix of an infinite graded graph: levels
-V_0, ..., V_N with |V_0| = 1 (the root), a 0-1 incidence matrix A_n and a
-nonnegative conductance matrix C_n between consecutive levels, and no edges
-inside a level.  All levels' conductances are stored once, in one edge table;
-validation, degrees and the generators work on the whole table at once.
+V_0, ..., V_N with |V_0| = 1 (the root), a conductance matrix C_n between
+consecutive levels, and no edges inside a level.  An edge is a stored
+conductance, so the 0-1 incidence matrix A_n is the support of C_n.  All
+levels' conductances are stored once, in one edge table; validation,
+degrees and the generators work on the whole table at once.
 Values are immutable after construction and safe to share across threads;
 generators are pure functions of their arguments.
 """
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._matops import EdgeTable, edge_table, stacked_table, values_at
+from ._matops import EdgeTable, edge_table, stacked_table
 
 # The most edges a generator makes; a larger spec is refused before anything
 # is allocated (generating and validating take about 40 bytes an edge).
@@ -66,12 +67,10 @@ class Diagram:
     The conductances are stored once, in `table` (see _matops.EdgeTable).
     incidence[n] / conductance[n] have shape |V_n| x |V_{n+1}| and are
     LevelMatrix views (see _matops), made on first use: conductance[n] of
-    the table, incidence[n] of given_incidence, the incidence make_diagram
-    was given, or else of ones on the table's structure.
+    the table, incidence[n] of ones on the table's structure.
     """
     table: EdgeTable
     extension: Optional[ExtensionRule] = None
-    given_incidence: Optional[EdgeTable] = None
 
     @property
     def level_sizes(self) -> tuple:
@@ -91,14 +90,10 @@ class Diagram:
         return tuple(self.table.level(n) for n in range(self.num_levels))
 
     @cached_property
-    def incidence_table(self) -> EdgeTable:
-        """All levels' incidence, stacked as the conductances are."""
-        t = self.table
-        return self.given_incidence or EdgeTable(t.sizes, np.ones(t.nnz), t.indices, t.indptr)
-
-    @cached_property
     def incidence(self) -> tuple:
-        return tuple(self.incidence_table.level(n) for n in range(self.num_levels))
+        t = self.table
+        ones = EdgeTable(t.sizes, np.ones(t.nnz), t.indices, t.indptr)
+        return tuple(ones.level(n) for n in range(self.num_levels))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -129,10 +124,9 @@ class Diagram:
         return zip(*(a.tolist() for a in self.table.entries()))
 
 
-def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=None,
-                 incidence: Sequence = None) -> Diagram:
-    """Construct a Diagram from dense or sparse conductance matrices,
-    deriving incidence unless it is given: every nonzero conductance is an edge.
+def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=None) -> Diagram:
+    """Construct a Diagram from dense or sparse conductance matrices: every
+    nonzero conductance is an edge.
 
     Shapes are checked eagerly; logical invariants are left to validate().
     """
@@ -143,15 +137,11 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
         raise ValueError("every level must have at least one vertex")
     if len(conductance) != len(sizes) - 1:
         raise ValueError("need one conductance matrix per consecutive level pair")
-    given = () if incidence is None else incidence
-    for name, ms in (("conductance", conductance), ("incidence", given)):
-        for n, m in enumerate(ms):
-            if np.shape(m) != (sizes[n], sizes[n + 1]):
-                raise ValueError(f"{name}[{n}] has shape {np.shape(m)}, "
-                                 f"expected {(sizes[n], sizes[n + 1])}")
-    incs = None if incidence is None else stacked_table(sizes, incidence)
-    return Diagram(stacked_table(sizes, conductance, keep_zeros=incidence is not None),
-                   extension, incs)
+    for n, m in enumerate(conductance):
+        if np.shape(m) != (sizes[n], sizes[n + 1]):
+            raise ValueError(f"conductance[{n}] has shape {np.shape(m)}, "
+                             f"expected {(sizes[n], sizes[n + 1])}")
+    return Diagram(stacked_table(sizes, conductance), extension)
 
 
 # ---------------------------------------------------------------------------
@@ -161,45 +151,31 @@ def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=No
 def validate(d: Diagram) -> list:
     """Check all diagram invariants; returns a list of Violations (empty = valid).
 
-    Reports rather than throws: callers decide how strict to be.  One pass
-    over the conductance and incidence tables; the violations are sorted by
-    level matrix, then rule (zero-one, support, positivity, outgoing,
-    incoming), then entry or vertex.
+    Reports rather than throws: callers decide how strict to be.  An edge is
+    a stored conductance, so there are three rules: every conductance lies in
+    (0, inf) (positivity), every vertex above level N has a child (outgoing)
+    and every vertex below the root has a parent (incoming).  One pass over
+    the edge table; the violations are sorted by level matrix, then rule in
+    that order, then entry or vertex.
     """
-    c, a = d.table, d.incidence_table
-    sizes, offsets = d.level_sizes, a.offsets
+    t = d.table
+    sizes, offsets = t.sizes, t.offsets
     found = []  # (level matrix, rule, index, violation)
-    a_level, a_rows, a_cols, a_vals = a.entries()
-    bad = np.flatnonzero((a_vals != 0) & (a_vals != 1))
-    for k in bad[np.unique(a_level[bad], return_index=True)[1]]:  # each level's first
-        n = int(a_level[k])
-        if max(sizes[n], sizes[n + 1]) <= 4096:
-            v = Violation("zero-one", n, f"edge ({a_rows[k]},{a_cols[k]})",
-                          f"incidence entry {a_vals[k].item()} is not 0 or 1")
-        else:
-            v = Violation("zero-one", n, "incidence", "entries outside {0,1}")
-        found.append((n, 0, k, v))
-    # conductance support must match incidence exactly and be positive and finite there
-    c_level, c_rows, c_cols, c_vals = c.entries()
-    for k in np.flatnonzero(values_at(a, c) == 0):
-        n = int(c_level[k])
-        found.append((n, 1, k, Violation("support", n, f"edge ({c_rows[k]},{c_cols[k]})",
-                                         f"conductance {c_vals[k].item()} on a non-edge")))
-    on_edges = values_at(c, a)
-    for k in np.flatnonzero(~((on_edges > 0) & (on_edges < np.inf))):
-        n = int(a_level[k])
-        found.append((n, 2, k, Violation("positivity", n, f"edge ({a_rows[k]},{a_cols[k]})",
-                                         f"c={on_edges[k]:.12g} on edge (0 < c_xy < inf "
+    level, rows, cols, vals = t.entries()
+    for k in np.flatnonzero(~((vals > 0) & (vals < np.inf))):
+        n = int(level[k])
+        found.append((n, 0, k, Violation("positivity", n, f"edge ({rows[k]},{cols[k]})",
+                                         f"c={vals[k]:.12g} on edge (0 < c_xy < inf "
                                          "required exactly on edges)")))
-    level = np.repeat(np.arange(len(sizes)), sizes)  # of each vertex
-    out_sums, in_sums = a.edge_sums(0, d.num_levels)
-    for v in np.flatnonzero(out_sums[:offsets[-2]] == 0):
-        n = int(level[v])
-        found.append((n, 3, v, Violation("outgoing", n, f"vertex {v - offsets[n]}",
+    vertex_level = np.repeat(np.arange(len(sizes)), sizes)
+    for v in np.flatnonzero(np.diff(t.indptr) == 0):
+        n = int(vertex_level[v])
+        found.append((n, 1, v, Violation("outgoing", n, f"vertex {v - offsets[n]}",
                                          "vertex without outgoing edge")))
-    for v in np.flatnonzero(in_sums[1:] == 0) + 1:
-        n = int(level[v])
-        found.append((n - 1, 4, v, Violation("incoming", n, f"vertex {v - offsets[n]}",
+    parents = np.bincount(t.cols(0, d.num_levels), minlength=offsets[-1])
+    for v in np.flatnonzero(parents[1:] == 0) + 1:
+        n = int(vertex_level[v])
+        found.append((n - 1, 2, v, Violation("incoming", n, f"vertex {v - offsets[n]}",
                                              "vertex without incoming edge")))
     found.sort(key=lambda f: f[:3])
     return [f[3] for f in found]

@@ -235,13 +235,16 @@ def resistance_distance(d: Diagram, x: VertexId, y: VertexId, boundary_level: in
     """Energy of the Green dipole between x and y; zero on equal input.
 
     Symmetric and a metric on the truncated network (effective resistance
-    with the boundary level grounded).
+    with the boundary level grounded).  The boundary level and both vertices
+    are checked first, as DirichletSystem checks them.
     """
+    from .pathspace import DirichletSystem
+    sysm = DirichletSystem(d, boundary_level)
+    for v in (x, y):
+        sysm.flat(v)  # raises on a vertex off the interior
     if x == y:
         return 0.0
-    from .pathspace import dipole_green
-    v = dipole_green(d, x, y, boundary_level)
-    return energy_norm(d, v).energy
+    return energy_norm(d, sysm.solve(source={x: 1.0, y: -1.0})).energy
 
 
 @dataclass(frozen=True)

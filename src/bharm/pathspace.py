@@ -180,17 +180,19 @@ def green_exact(d: Diagram, boundary_level: int,
             raise ValueError("interior too large to tabulate all pairs; pass `vertices`")
         vertices = [VertexId(n, i) for n in range(boundary_level)
                     for i in range(d.level_sizes[n])]
-    return _green_solve(sysm, build_level_operators(d), vertices)
-
-
-def _green_solve(sysm: DirichletSystem, ops, vertices: Sequence[VertexId]) -> GreenSolve:
-    """green_exact on a given system and the diagram's level operators."""
     vertices = tuple(vertices)
+    return _green_solve(sysm, build_level_operators(d), vertices,
+                        (sysm.solve(source={y: 1.0}) for y in vertices))
+
+
+def _green_solve(sysm: DirichletSystem, ops, vertices: tuple, columns) -> GreenSolve:
+    """green_exact on a given system and the diagram's level operators, from
+    the solutions of L u = e_y for the vertices y in order (an iterable, so
+    that a generator holds one column at a time)."""
     degs = np.array([sysm.degrees[sysm.flat(v)] for v in vertices])
     green = np.empty((len(vertices),) * 2)
     step = np.empty(len(vertices))
-    for j, y in enumerate(vertices):
-        u = sysm.solve(source={y: 1.0})
+    for j, (y, u) in enumerate(zip(vertices, columns)):
         green[:, j] = [u.at(x) * degs[j] for x in vertices]
         # steps into the boundary level never return; u is 0 there
         step[j] = _p_row_apply(ops, y, u) / u.at(y)
@@ -365,7 +367,7 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     lap1, lap2 = (laplacian_apply(ops, h)[0] for h in (h1, h2))
     m = np.array([[lap1.at(x1), lap2.at(x1)],
                   [lap1.at(x2), lap2.at(x2)]])
-    gs = _green_solve(sysm, ops, [x1, x2])
+    gs = _green_solve(sysm, ops, (x1, x2), cols)
     (c1, c2), (u1, u2) = gs.degrees, gs.return_prob
     f12, f21 = gs.reach_ratio[0, 1], gs.reach_ratio[1, 0]
     m_fact = np.diag([c1, c2]) @ np.array([[1.0 - u1, -f12], [-f21, 1.0 - u2]])
@@ -756,7 +758,8 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     """Harmonic function on levels 0..target_level with boundary data f_n.
 
     The value at a boundary vertex is f_n exactly in both modes.  A value
-    of f_n that is not finite raises ValueError.
+    of f_n that is not finite, or a Monte Carlo cfg whose absorb_level is
+    not target_level, raises ValueError.
     """
     f_n = np.asarray(f_n, dtype=float).reshape(-1)
     check_target_level(d, target_level)
@@ -772,6 +775,8 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         raise ValueError(f"unknown method {method!r}")
     if cfg is None:
         raise ValueError("monte-carlo mode needs a WalkConfig")
+    if cfg.absorb_level != target_level:
+        raise ValueError(f"absorb_level {cfg.absorb_level} is not the target level {target_level}")
     _check_crossable(d, 0, target_level)
     tr = _transitions(d, target_level)
     n_int, walks = int(tr.offsets[target_level]), cfg.num_walks

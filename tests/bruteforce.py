@@ -142,6 +142,28 @@ def walk_path(tables, start: int, seed: int, walk: int, max_steps: int) -> list:
     return path
 
 
+def ref_validate(d: Diagram) -> list:
+    """validate()'s lines, level matrix by level matrix: each stored entry
+    of C_n outside (0, inf) in row-major order, then each vertex of level n
+    without a child, then each vertex of level n + 1 without a parent."""
+    out = []
+    for n in range(d.num_levels):
+        m = d.conductance[n]
+        has_child, has_parent = [False] * m.shape[0], [False] * m.shape[1]
+        for i in range(m.shape[0]):
+            for k in range(m.indptr[i], m.indptr[i + 1]):
+                j, c = int(m.indices[k]), float(m.data[k])
+                has_child[i] = has_parent[j] = True
+                if not 0 < c < math.inf:
+                    out.append(f"[positivity] level {n}, edge ({i},{j}): c={c:.12g} on edge "
+                               "(0 < c_xy < inf required exactly on edges)")
+        out += [f"[outgoing] level {n}, vertex {i}: vertex without outgoing edge"
+                for i, ok in enumerate(has_child) if not ok]
+        out += [f"[incoming] level {n + 1}, vertex {j}: vertex without incoming edge"
+                for j, ok in enumerate(has_parent) if not ok]
+    return out
+
+
 def ref_degrees(d: Diagram, n: int) -> np.ndarray:
     """c(x) on level n: the column sums of C_{n-1} plus the row sums of C_n."""
     c = np.zeros(d.level_sizes[n])

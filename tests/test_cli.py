@@ -929,6 +929,7 @@ def _battery():
                   ["walk", *tree, f"--start={vertex}"],
                   ["walk", *tree, "--start", "0,0", f"--targets={vertex}"],
                   ["harmonic", *tree, "--pin", f"{vertex}=1"]]
+    cases += [["harmonic", *tree, "--pin", "2,0=1", "--pin", "2,0=2"]]
     for root in ("-1", "4"):
         cases += [["convert", "--graph", "{graph}", f"--root={root}"],
                   ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]

@@ -25,6 +25,7 @@ from bruteforce import (
     ref_check_bratteli_structure,
     ref_diagram_from_levels,
     ref_extract_maximal_bratteli,
+    ref_validate,
 )
 
 
@@ -173,14 +174,6 @@ def test_zero_column_reports_missing_incoming_edge():
                                  np.array([[1.0, 0.0], [1.0, 0.0]])])
     rules = {v.rule for v in validate(d)}
     assert "incoming" in rules
-
-
-def test_zero_conductance_on_edge_reported():
-    inc = [np.array([[1.0, 1.0]])]
-    cond = [np.array([[1.0, 0.0]])]
-    d = make_diagram([1, 2], cond, incidence=inc)
-    rules = {v.rule for v in validate(d)}
-    assert "positivity" in rules
 
 
 # --- binary tree -------------------------------------------------------------
@@ -643,70 +636,50 @@ def _zero_line(k):
                           for n, e in enumerate(edges)]
 
 
-def _wide(n, inc_vals=None, cond_vals=None, kind=np.array):
-    """Root joined to n vertices; inc_vals / cond_vals override entries."""
-    inc, cond = np.ones((1, n)), np.ones((1, n))
-    for j, v in (inc_vals or {}).items():
-        inc[0, j] = v
-    for j, v in (cond_vals or {}).items():
+def _wide(n, cond_vals, kind=np.array):
+    """Root joined to n vertices with conductance 1, but cond_vals."""
+    cond = np.ones((1, n))
+    for j, v in cond_vals.items():
         cond[0, j] = v
-    return make_diagram([1, n], [kind(cond)], incidence=[kind(inc)])
+    return make_diagram([1, n], [kind(cond)])
 
 
 def _scattered(kind):
     """A 4x5 (or 600x700) level whose violations are listed out of row-major order."""
     m, k = (4, 5) if kind is np.array else (600, 700)
-    a = np.zeros((m, k))
-    a[np.arange(k) % m, np.arange(k)] = 1
-    a[:, k - 1] = 1
-    c = a.copy()
-    c[m - 1, 1] = 2.0    # support, last row
-    c[0, 2] = -4.5       # support, first row
-    c[1, k - 1] = 0.0    # positivity
-    c[0, 0] = 0.0        # positivity, first
-    root = np.ones((1, m))
-    return make_diagram([1, m, k], [root, kind(c)], incidence=[root, kind(a)])
-
-
-def _explicit_zero():
-    """CSR conductance storing a 0 off the incidence support."""
-    c = sp.csr_matrix((np.array([1.0, 0.0] + [1.0] * 598),
-                       (np.zeros(600, dtype=int), np.arange(600))), shape=(1, 600))
-    a = sp.csr_matrix(np.where(np.arange(600) == 1, 0.0, 1.0)[None, :])
-    return make_diagram([1, 600], [c], incidence=[a])
+    c = np.zeros((m, k))
+    c[np.arange(k) % m, np.arange(k)] = 1
+    c[:, k - 1] = 1
+    c[1, k - 1] = -4.5   # positivity, last column
+    c[0, 0] = np.nan     # positivity, first
+    c[m - 1] = 0.0       # outgoing, and incoming at column m - 1
+    c[2, 2] = 0.0        # incoming
+    c[1, 1] = 0.0        # incoming
+    return make_diagram([1, m, k], [np.ones((1, m)), kind(c)])
 
 
 BATTERY = {
-    "small-zero-one": lambda: _wide(3, inc_vals={1: 2.0, 2: 0.5}),
-    "small-support": lambda: _wide(2, inc_vals={1: 0.0}, cond_vals={1: 3.5}),
-    "small-positivity": lambda: _wide(2, cond_vals={0: 0.0}),
+    "small-positivity": lambda: _wide(2, {0: -1.0}),
     "small-scattered": lambda: _scattered(np.array),
     "small-missing-edges": lambda: _tree_file(4, lambda e: e[:6] + e[8:9] + e[10:]),
     "small-zero-line": lambda: _tree_file(4, _zero_line(7)),
-    "big-zero-one": lambda: _wide(600, inc_vals={9: 0.5, 7: 2.0}, kind=sp.csr_matrix),
-    "huge-zero-one": lambda: _wide(5000, inc_vals={77: 2.0}, kind=sp.csr_matrix),
-    "big-support": lambda: _wide(600, inc_vals={3: 0.0, 520: 0.0}, kind=sp.csr_matrix),
-    "big-positivity": lambda: _wide(600, cond_vals={599: 0.0, 11: 0.0}, kind=sp.csr_matrix),
+    "big-positivity": lambda: _wide(600, {599: np.nan, 11: -np.inf, 300: np.inf},
+                                    kind=sp.csr_matrix),
     "big-scattered": lambda: _scattered(sp.csr_matrix),
-    "big-explicit-zero": _explicit_zero,
     "big-missing-edges": lambda: _tree_file(10, lambda e: e[:-700] + e[-698:-5] + e[-4:]),
     "big-zero-line": lambda: _tree_file(10, _zero_line(1500)),
 }
 
+_ON_EDGE = "on edge (0 < c_xy < inf required exactly on edges)"
 EXPECTED = {
-    "small-zero-one": ["[zero-one] level 0, edge (0,1): incidence entry 2.0 is not 0 or 1"],
-    "small-support": [
-        "[support] level 0, edge (0,1): conductance 3.5 on a non-edge",
-        "[incoming] level 1, vertex 1: vertex without incoming edge",
-    ],
-    "small-positivity": [
-        "[positivity] level 0, edge (0,0): c=0 on edge (0 < c_xy < inf required exactly on edges)",
-    ],
+    "small-positivity": [f"[positivity] level 0, edge (0,0): c=-1 {_ON_EDGE}"],
     "small-scattered": [
-        "[support] level 1, edge (0,2): conductance -4.5 on a non-edge",
-        "[support] level 1, edge (3,1): conductance 2.0 on a non-edge",
-        "[positivity] level 1, edge (0,0): c=0 on edge (0 < c_xy < inf required exactly on edges)",
-        "[positivity] level 1, edge (1,4): c=0 on edge (0 < c_xy < inf required exactly on edges)",
+        f"[positivity] level 1, edge (0,0): c=nan {_ON_EDGE}",
+        f"[positivity] level 1, edge (1,4): c=-4.5 {_ON_EDGE}",
+        "[outgoing] level 1, vertex 3: vertex without outgoing edge",
+        "[incoming] level 2, vertex 1: vertex without incoming edge",
+        "[incoming] level 2, vertex 2: vertex without incoming edge",
+        "[incoming] level 2, vertex 3: vertex without incoming edge",
     ],
     "small-missing-edges": [
         "[outgoing] level 2, vertex 0: vertex without outgoing edge",
@@ -715,27 +688,18 @@ EXPECTED = {
         "[incoming] level 3, vertex 3: vertex without incoming edge",
     ],
     "small-zero-line": ["[incoming] level 3, vertex 1: vertex without incoming edge"],
-    "big-zero-one": ["[zero-one] level 0, edge (0,7): incidence entry 2.0 is not 0 or 1"],
-    "huge-zero-one": ["[zero-one] level 0, incidence: entries outside {0,1}"],
-    "big-support": [
-        "[support] level 0, edge (0,3): conductance 1.0 on a non-edge",
-        "[support] level 0, edge (0,520): conductance 1.0 on a non-edge",
-        "[incoming] level 1, vertex 3: vertex without incoming edge",
-        "[incoming] level 1, vertex 520: vertex without incoming edge",
-    ],
     "big-positivity": [
-        "[positivity] level 0, edge (0,11): c=0 on edge (0 < c_xy < inf required exactly on edges)",
-        "[positivity] level 0, edge (0,599): c=0 on edge (0 < c_xy < inf required exactly on edges)",
+        f"[positivity] level 0, edge (0,11): c=-inf {_ON_EDGE}",
+        f"[positivity] level 0, edge (0,300): c=inf {_ON_EDGE}",
+        f"[positivity] level 0, edge (0,599): c=nan {_ON_EDGE}",
     ],
     "big-scattered": [
-        "[support] level 1, edge (0,2): conductance -4.5 on a non-edge",
-        "[support] level 1, edge (599,1): conductance 2.0 on a non-edge",
-        "[positivity] level 1, edge (0,0): c=0 on edge (0 < c_xy < inf required exactly on edges)",
-        "[positivity] level 1, edge (1,699): c=0 on edge (0 < c_xy < inf required exactly on edges)",
-    ],
-    "big-explicit-zero": [
-        "[support] level 0, edge (0,1): conductance 0.0 on a non-edge",
-        "[incoming] level 1, vertex 1: vertex without incoming edge",
+        f"[positivity] level 1, edge (0,0): c=nan {_ON_EDGE}",
+        f"[positivity] level 1, edge (1,699): c=-4.5 {_ON_EDGE}",
+        "[outgoing] level 1, vertex 599: vertex without outgoing edge",
+        "[incoming] level 2, vertex 1: vertex without incoming edge",
+        "[incoming] level 2, vertex 2: vertex without incoming edge",
+        "[incoming] level 2, vertex 599: vertex without incoming edge",
     ],
     "big-missing-edges": [
         "[outgoing] level 9, vertex 162: vertex without outgoing edge",
@@ -750,6 +714,71 @@ EXPECTED = {
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_validation_battery(name):
     assert [str(v) for v in validate(BATTERY[name]())] == EXPECTED[name]
+
+
+_BAD_VALUES = (-1.0, -0.5, np.nan, np.inf, -np.inf)
+
+
+def _broken_file(rng):
+    """A tree or Pascal file with about a tenth of its edge lines deleted and
+    a tenth set to a value outside (0, inf)."""
+    d = gen_binary_tree(6, 2.0) if rng.random() < 0.5 else gen_pascal(12, 1.5)
+    lines = format_diagram(d).splitlines()
+    edges = [e.rsplit(" ", 1)[0] + f" {rng.choice(_BAD_VALUES)}" if rng.random() < 0.1 else e
+             for e in lines[2:] if rng.random() >= 0.1]
+    return parse_diagram("\n".join(lines[:2] + edges) + "\n")
+
+
+def _broken_levels(rng, kind):
+    """make_diagram on random sparse levels, some of whose values lie
+    outside (0, inf) and some of whose rows and columns are empty."""
+    sizes = [1, *rng.integers(1, 8, size=4).tolist()]
+    mats = []
+    for m, k in zip(sizes, sizes[1:]):
+        c = np.where(rng.random((m, k)) < 0.6, rng.uniform(0.5, 3.0, (m, k)), 0.0)
+        c[rng.random((m, k)) < 0.1] = rng.choice(_BAD_VALUES)
+        mats.append(kind(c))
+    return make_diagram(sizes, mats)
+
+
+def _level_matrix(c):
+    s = sp.csr_matrix(c)
+    return LevelMatrix(s.data, s.indices, s.indptr, s.shape)
+
+
+def _broken_graph(rng):
+    """A layered graph (each vertex joined to a random parent, plus random
+    edges between consecutive layers) converted with BFS levels, drawn until
+    it is graded: a childless vertex above the last layer then has two
+    parents and is kept."""
+    sizes = [1, *rng.integers(2, 6, size=4).tolist()]
+    first = np.cumsum([0] + sizes)
+    edges = set()
+    for n in range(1, len(sizes)):
+        for v in range(first[n], first[n + 1]):
+            edges.add((int(rng.integers(first[n - 1], first[n])), v))
+        for _ in range(sizes[n]):
+            edges.add((int(rng.integers(first[n - 1], first[n])),
+                       int(rng.integers(first[n], first[n + 1]))))
+    g = GeneralGraph(int(first[-1]), [(i, j, rng.uniform(0.5, 2.0)) for i, j in sorted(edges)])
+    if not check_bratteli_structure(g, 0).is_graded:
+        return _broken_graph(rng)
+    return diagram_from_graph(g, 0)
+
+
+def test_validate_matches_the_per_entry_reference():
+    rng = np.random.default_rng(20261019)
+    builds = [lambda: _broken_file(rng), lambda: _broken_levels(rng, np.array),
+              lambda: _broken_levels(rng, sp.csr_matrix),
+              lambda: _broken_levels(rng, _level_matrix), lambda: _broken_graph(rng)]
+    rules = set()
+    for build in builds:
+        for _ in range(25):
+            d = build()
+            found = validate(d)
+            assert [str(v) for v in found] == ref_validate(d)
+            rules.update(v.rule for v in found)
+    assert rules == {"positivity", "outgoing", "incoming"}
 
 
 @pytest.mark.parametrize("width", [2, 600])

@@ -244,6 +244,18 @@ def test_resistance_distance_axioms():
     assert dxy <= dxz + dzy + 1e-9
 
 
+@pytest.mark.parametrize("x, y, level, message", [
+    (VertexId(99, 99), VertexId(99, 99), 77, "boundary level must be within the stored prefix"),
+    (VertexId(99, 99), VertexId(99, 99), 4, r"vertex level 99 outside stored levels 0\.\.4"),
+    (VertexId(1, 0), VertexId(2, 4), 4, r"vertex index 4 outside \[0, 4\)"),
+    (VertexId(4, 0), VertexId(4, 0), 4, r"vertex \(4,0\) is not interior to level 4"),
+])
+def test_resistance_distance_checks_its_arguments_first(x, y, level, message):
+    # equal vertices are checked too, before the x == y shortcut
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resistance_distance(gen_binary_tree(4, 2.0), x, y, level)
+
+
 @pytest.mark.parametrize("triple", [
     (VertexId(0, 0), VertexId(1, 0), VertexId(2, 2)),
     (VertexId(2, 0), VertexId(2, 3), VertexId(4, 9)),

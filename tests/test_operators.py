@@ -98,14 +98,12 @@ def test_stationary_all_ones_quarter_entries():
 
 def test_isolated_vertex_rejected():
     d = make_diagram([1, 2, 1], [np.array([[1.0, 1.0]]),
-                                 np.array([[1.0], [0.0]])],
-                     incidence=[np.array([[1.0, 1.0]]),
-                                np.array([[1.0], [0.0]])])
+                                 np.array([[1.0], [0.0]])])
     # vertex (1,1) has an incoming edge but the level-2 coupling misses it;
     # still fine: c>0. Build a genuinely isolated one instead.
     ops = build_level_operators(d)
     assert ops.degrees[1][1] == 1.0
-    bad = make_diagram([1, 1], [np.array([[0.0]])], incidence=[np.array([[0.0]])])
+    bad = make_diagram([1, 1], [np.array([[0.0]])])
     with pytest.raises(ValueError, match="isolated"):
         build_level_operators(bad)
 

@@ -293,6 +293,20 @@ def test_dipole_matrix_asymmetric_pair():
     assert rep.max_residual <= 1e-9
 
 
+def test_dipole_matrix_solves_each_green_column_once(monkeypatch):
+    # the pair-hitting functions and the Green solve share the two columns
+    solves = []
+    solve_flat = pathspace.DirichletSystem._solve_flat
+
+    def counted(self, matrix, b):
+        solves.append(b)
+        return solve_flat(self, matrix, b)
+
+    monkeypatch.setattr(pathspace.DirichletSystem, "_solve_flat", counted)
+    res = dipole_matrix_M(gen_binary_tree(10, 2.0), VertexId(2, 1), VertexId(3, 4), 10)
+    assert len(solves) == 2 and not res.degenerate
+
+
 # --- Monte Carlo -----------------------------------------------------------------
 
 def test_walks_deterministic_and_bounded():
@@ -580,6 +594,17 @@ def test_poisson_names_boundary_data_that_is_not_finite(method, value):
     with pytest.raises(ValueError, match=rf"^value {value} at \(3,5\) is not finite$"):
         poisson_kernel(d, f3, 3, method=method,
                        cfg=WalkConfig(max_steps=100, num_walks=5, seed=1, absorb_level=3))
+
+
+def test_poisson_mc_refuses_a_config_absorbing_off_the_target_level():
+    # walks are absorbed at the target level, so a config naming another is refused
+    d = gen_binary_tree(4, 2.0)
+    cfg = WalkConfig(max_steps=100, num_walks=5, seed=1, absorb_level=1)
+    with pytest.raises(ValueError, match="^absorb_level 1 is not the target level 3$"):
+        poisson_kernel(d, np.ones(8), 3, method="monte-carlo", cfg=cfg)
+    res = poisson_kernel(d, np.ones(8), 3, method="monte-carlo",
+                         cfg=dataclasses.replace(cfg, absorb_level=3))
+    assert np.all(res.values.flat() == 1.0)
 
 
 def test_poisson_mc_three_sigma_agreement():
