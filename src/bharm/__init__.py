@@ -29,7 +29,7 @@ _EXPORTS = {
         "solve_monopole",
     ),
     "operators": (
-        "LevelFunction", "LevelOperators", "SpectralBoundReport", "build_level_operators",
+        "LevelFunction", "SpectralBoundReport", "build_level_operators",
         "laplacian_apply", "markov_apply", "spectral_bound_check",
     ),
     "pathspace": (

@@ -123,9 +123,10 @@ def edge_table(sizes, level, rows, cols, vals) -> EdgeTable:
 
 def stacked_table(sizes, mats) -> EdgeTable:
     """The table of the level matrices mats: dense arrays, scipy sparse
-    matrices (duplicates summed, zeros dropped) or LevelMatrix.  The only
-    branch on storage kind; each kind gives its entries in row-major order,
-    so their stack is in table order."""
+    matrices (duplicates summed) or LevelMatrix, with every zero dropped
+    from their stack, whatever its kind.  The only branch on storage kind;
+    each kind gives its entries in row-major order, so their stack is in
+    table order."""
     parts = []
     for m in mats:
         if isinstance(m, LevelMatrix):
@@ -134,14 +135,14 @@ def stacked_table(sizes, mats) -> EdgeTable:
             import scipy.sparse as sp
             coo = sp.coo_matrix(m, dtype=float, copy=True)
             coo.sum_duplicates()
-            keep = coo.data != 0
-            parts.append((coo.row[keep], coo.col[keep], coo.data[keep]))
+            parts.append((coo.row, coo.col, coo.data))
         else:
             a = np.asarray(m, dtype=float)
             rows, cols = np.nonzero(a)
             parts.append((rows, cols, a[rows, cols]))
+    level = np.repeat(np.arange(len(mats)), [p[2].size for p in parts])
     rows, cols, vals = (np.concatenate([p[k] for p in parts] + [np.zeros(0, dtype=np.int64)])
                         for k in range(3))
-    return edge_table(sizes, np.repeat(np.arange(len(mats)), [p[2].size for p in parts]),
-                      rows, cols, vals)
+    keep = vals != 0
+    return edge_table(sizes, level[keep], rows[keep], cols[keep], vals[keep])
 

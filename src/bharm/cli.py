@@ -31,7 +31,7 @@ from .fileio import (
     parse_function,
     parse_graph,
 )
-from .operators import build_level_operators, checked_conductances, laplacian_apply, markov_apply
+from .operators import checked_conductances, laplacian_apply, markov_apply
 
 # input-file digests recorded per invocation for the run manifest
 _INPUT_HASHES: dict = {}
@@ -165,8 +165,9 @@ def _cmd_dimension(args) -> int:
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
     res = harm_dimension(d, up_to_level=depth)
-    print(res.as_table())
-    print(f"prefix dimension at level {depth}: {res.dimension}")
+    _write_output(args.out, f"{res.as_table()}\nprefix dimension at level {depth}: "
+                  f"{res.dimension}\n", args, {k: getattr(res, k) for k in (
+                      "path", "first_rank_deficient_level", "svd_levels")})
     return 0
 
 
@@ -284,13 +285,10 @@ def _cmd_energy(args) -> int:
 def _cmd_apply(args, which: str) -> int:
     d = _diagram_arg(args)
     f = _fn_arg(d, args.fn)
-    ops = build_level_operators(d)
-    out, mask = (laplacian_apply if which == "laplacian" else markov_apply)(ops, f)
-    for n, ok in enumerate(mask):
-        if not ok:
-            out.values[n][:] = 0.0
-            print(f"# level {n} omitted: not determined at the truncation boundary",
-                  file=sys.stderr)
+    out = (laplacian_apply if which == "laplacian" else markov_apply)(d, f)
+    out.values[-1][:] = 0.0
+    print(f"# level {d.num_levels} omitted: not determined at the truncation boundary",
+          file=sys.stderr)
     _write_output(args.out, format_function(out), args, {"operator": which})
     return 0
 

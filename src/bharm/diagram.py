@@ -65,9 +65,9 @@ class Diagram:
     """Finite prefix of an infinite weighted graded diagram.
 
     The conductances are stored once, in `table` (see _matops.EdgeTable).
-    incidence[n] / conductance[n] have shape |V_n| x |V_{n+1}| and are
-    LevelMatrix views (see _matops), made on first use: conductance[n] of
-    the table, incidence[n] of ones on the table's structure.
+    conductance[n] has shape |V_n| x |V_{n+1}| and is a LevelMatrix view of
+    the table (see _matops), made on first use; the incidence A_n is its
+    structure.
     """
     table: EdgeTable
     extension: Optional[ExtensionRule] = None
@@ -88,12 +88,6 @@ class Diagram:
     @cached_property
     def conductance(self) -> tuple:
         return tuple(self.table.level(n) for n in range(self.num_levels))
-
-    @cached_property
-    def incidence(self) -> tuple:
-        t = self.table
-        ones = EdgeTable(t.sizes, np.ones(t.nnz), t.indices, t.indptr)
-        return tuple(ones.level(n) for n in range(self.num_levels))
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, check_finite,
-                        checked_conductances, isolated_vertex, laplacian_apply, markov_apply)
+from .operators import (LevelFunction, check_finite, checked_conductances, isolated_vertex,
+                        laplacian_apply, markov_apply)
 
 
 def _drops(d: Diagram, flat: np.ndarray) -> np.ndarray:
@@ -102,7 +102,7 @@ def energy_norm(d: Diagram, f: LevelFunction) -> EnergyReport:
     check_finite(d, flat)
     incs = _increments(d, flat)
     partial = np.cumsum(incs).tolist() if incs else []
-    currents = [np.zeros(0)] + LevelFunction.from_flat(d, _flows(d, flat)[0]).values[1:]
+    currents = [np.zeros(0)] + list(LevelFunction.from_flat(d, _flows(d, flat)[0]).values[1:])
     level_currents = [0.0] + [float(i_n.sum()) for i_n in currents[1:]]
     root_flux = level_currents[1] if d.num_levels >= 1 else 0.0
     beta = np.maximum.reduceat(d.degrees, d.table.offsets[:-1]).tolist()
@@ -172,13 +172,11 @@ def energy_harmonic_formulas(d: Diagram, f: LevelFunction,
         raise ValueError(
             f"input is not harmonic (max residual {rep.max_residual:.3e}); "
             "use energy_norm for general functions")
-    ops = build_level_operators(d)
-    f2 = LevelFunction([v ** 2 for v in f.values])
-    pf2, _ = markov_apply(ops, f2)
-    via_markov = 0.5 * float(sum(
-        np.dot(ops.degrees[n], pf2.values[n] - f2.values[n])
-        for n in range(d.num_levels)))
-    lf2, _ = laplacian_apply(ops, f2)
+    f2 = LevelFunction.from_flat(d, f.flat() ** 2)
+    pf2 = markov_apply(d, f2)
+    via_markov = 0.5 * float(sum(np.dot(d.degree_vector(n), pf2.values[n] - f2.values[n])
+                                 for n in range(d.num_levels)))
+    lf2 = laplacian_apply(d, f2)
     via_laplacian = 0.0
     for n in range(d.num_levels):
         via_laplacian -= 0.5 * float(lf2.values[n].sum())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .operators import (LevelFunction, build_level_operators, checked_conductances,
-                        checked_degrees, laplacian_apply, laplacian_entries)
+                        checked_degrees, laplacian_apply, laplacian_entries, vertex_at)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -84,10 +84,9 @@ class HarmonicState:
 
 def _source_vectors(d: Diagram, source: Optional[Dict[VertexId, float]]) -> LevelFunction:
     rhs = LevelFunction.zeros(d)
-    if source:
-        for v, val in source.items():
-            d.check_vertex(v)
-            rhs.values[v.level][v.index] += val
+    for v, val in (source or {}).items():
+        d.check_vertex(v)
+        rhs.values[v.level][v.index] += val
     return rhs
 
 
@@ -97,9 +96,9 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
 
     residuals[n] = max |(Delta f)_n - rhs_n| for 0 <= n <= N-1; level N is
     truncation boundary and is not checked.  Raises ValueError where
-    build_level_operators does.
+    laplacian_apply does.
     """
-    lap, _ = laplacian_apply(build_level_operators(d), f)
+    lap = laplacian_apply(d, f)
     rhs = _source_vectors(d, source)
     residuals = [float(np.abs(lap.values[n] - rhs.values[n]).max(initial=0.0))
                  for n in range(d.num_levels)]
@@ -130,7 +129,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     resid = _chain_residuals(d, n + 1, rhs, x, first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
                    "fallback": fallback}
-    return (LevelFunction.from_flat(d, x, n + 2).values[n + 1],
+    return (x[d.table.offsets[n + 1]:d.table.offsets[n + 2]],
             SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics))
 
 
@@ -199,7 +198,8 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
     ACM TOMS 1982).  Raises ValueError for a pin off levels k+1..depth,
     off its level or not finite.  Returns (x, path, refinement steps,
     fallback), x = f_0..f_depth numbered as the vertices of d.table (as is
-    rhs), and fallback None, or why the path is lsqr.
+    rhs), and fallback None, or why the path is lsqr.  An LU solution that
+    overflows the doubles raises ValueError, naming its first such level.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -221,7 +221,7 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
     fixed = np.zeros(nvar, dtype=bool)
     x_full = np.zeros(nvar)
     fixed[: off[fixed_levels]] = True
-    x_full[: off[fixed_levels]] = LevelFunction(prefix).flat()
+    x_full[: off[fixed_levels]] = np.concatenate(prefix)
     for lvl, coord_map in pins.items():
         for idx, val in coord_map.items():
             if not (0 <= idx < sizes[lvl]):
@@ -246,13 +246,21 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
     b_live = b_adj[live_rows]
     m, n_free = a_free.shape
     path, steps, fallback = "lu", 0, None
+
+    def finite(sol):  # refinement would turn an overflow into warnings and nan
+        bad = np.flatnonzero(~np.isfinite(sol))
+        if bad.size and np.isfinite(b_live).all():  # a nan seed is reported, not refused
+            raise ValueError(f"the {path} solution leaves the doubles at level "
+                             f"{vertex_at(d, free_ids[bad[0]])[0]}")
+        return sol
+
     try:
         if m > n_free:
             fallback = f"overdetermined ({m} equations, {n_free} unknowns)"
             raise RuntimeError(fallback)
         if m == n_free:
             lu = spla.splu(a_free.tocsc())
-            sol = lu.solve(b_live)
+            sol = finite(lu.solve(b_live))
             if 0 < v_f.size <= 2_000_000:
                 sol, steps = _refine(lu, sol, lambda s: _exact_residual(
                     r_f, c_f, v_f, n_live, s, b_live))
@@ -261,7 +269,9 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
             k = sp.bmat([[sp.identity(n_free), a_free.T], [a_free, None]], format="csc")
             lu = spla.splu(k)
             rhs_k = np.concatenate([np.zeros(n_free), b_live])
-            z, steps = _refine(lu, lu.solve(rhs_k), lambda z: rhs_k - k @ z)
+            z = lu.solve(rhs_k)
+            finite(z[:n_free])
+            z, steps = _refine(lu, z, lambda z: rhs_k - k @ z)
             sol = z[:n_free]
     except RuntimeError:  # SuperLU's message names its own source file
         path, steps, fallback = "lsqr", 0, fallback or f"{path} factorization failed"
@@ -317,10 +327,9 @@ def _chain_residuals(d: Diagram, depth: int, rhs, x, first: int = 0) -> list:
     P's two blocks are the child and parent sums of one pass over the edge
     table's levels first-1..depth (EdgeTable.edge_sums).  Raises ValueError
     where build_level_operators does."""
-    build_level_operators(d)
     t, lo = d.table, max(first - 1, 0)
     base, end = t.offsets[lo], t.offsets[depth + 1]
-    c, f = d.degrees[base:end], x[base:end]
+    c, f = build_level_operators(d)[base:end], x[base:end]
     back, fwd = t.edge_sums(lo, depth, f, 1.0 / c)
     # the equations of levels first..depth-1 (fwd is 0 on level 0); level
     # depth's entries would join level depth-1's maximum

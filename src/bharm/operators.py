@@ -1,14 +1,15 @@
 """Level-blocked Laplacian and Markov operators.
 
-Functions on the vertex set are stored as one vector per level.  The Markov
-operator splits into back blocks P<-_n (level n+1 -> n, entries c_xz/c(x))
-and forward blocks P->_{n-1} (level n-1 -> n, entries c_yx/c(x)); the
-Laplacian acts as (Df)_n = D_n f_n - C_{n-1}^T f_{n-1} - C_n f_{n+1}.
-Both are applied to all levels at once, as the child and parent sums of the
-diagram's edge table (_matops.EdgeTable.edge_sums) and the degrees c(x).
+A function on the vertex set is one vector numbered as the vertices of the
+diagram's edge table, level by level.  The Markov operator splits into
+back blocks P<-_n (level n+1 -> n, entries c_xz/c(x)) and forward blocks
+P->_{n-1} (level n-1 -> n, entries c_yx/c(x)); the Laplacian acts as
+(Df)_n = D_n f_n - C_{n-1}^T f_{n-1} - C_n f_{n+1}.  Both are applied to all
+levels at once, as the child and parent sums of the diagram's edge table
+(_matops.EdgeTable.edge_sums) and the degrees c(x).
 
-Outputs at the last stored level are flagged invalid: without level N+1 the
-operators are not determined there.
+Their values at the last stored level N are not determined: without level
+N+1 the operators are truncated there.
 """
 from __future__ import annotations
 
@@ -21,31 +22,48 @@ from .diagram import Diagram
 
 
 class LevelFunction:
-    """A function V -> R stored as per-level vectors f_0, ..., f_N; from_flat
-    and flat convert from and to the vertex numbering of d.table."""
+    """A function V -> R on levels 0..N: one float64 vector (flat()) and
+    values[n], the read-write view of level n's part of it.  The levels are
+    the views, so a level can be written in place (values[n][:] = ...) but
+    not rebound."""
 
     def __init__(self, values):
-        self.values = [np.asarray(v, dtype=float).reshape(-1) for v in values]
+        """From the per-level vectors f_0, ..., f_N, copied into one vector."""
+        levels = [np.asarray(v, dtype=float).reshape(-1) for v in values]
+        self._view(np.concatenate(levels + [np.zeros(0)]),
+                   np.cumsum([0] + [v.size for v in levels]))
+
+    def _view(self, flat: np.ndarray, offsets) -> "LevelFunction":
+        self._flat, self._offsets = flat, offsets
+        self.values = tuple(flat[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
+        return self
+
+    def _like(self, flat: np.ndarray) -> "LevelFunction":
+        return LevelFunction.__new__(LevelFunction)._view(flat, self._offsets)
 
     @classmethod
     def from_flat(cls, d: Diagram, flat, levels: Optional[int] = None) -> "LevelFunction":
-        """Levels 0..levels-1 (all when None) of flat, 0 past its end."""
+        """Levels 0..levels-1 (all when None) of flat, numbered as the
+        vertices of d.table: a view of flat when it covers them, else a
+        copy with 0 past its end."""
         offsets = d.table.offsets[:(d.num_levels + 1 if levels is None else levels) + 1]
-        out = np.zeros(offsets[-1])
-        out[:len(flat)] = flat[:offsets[-1]]
-        return cls(np.split(out, offsets[1:-1]))
+        flat, size = np.asarray(flat, dtype=float), offsets[-1]
+        if flat.size < size:
+            flat = np.concatenate([flat, np.zeros(size - flat.size)])
+        return cls.__new__(cls)._view(flat[:size], offsets)
 
     def flat(self) -> np.ndarray:
-        """All levels' values in one new vector."""
-        return np.concatenate(self.values)
+        """All levels' values, the vector that values[n] view; a caller
+        that writes to it writes to the function."""
+        return self._flat
 
     @classmethod
     def zeros(cls, d: Diagram) -> "LevelFunction":
-        return cls([np.zeros(s) for s in d.level_sizes])
+        return cls.from_flat(d, np.zeros(d.total_vertices))
 
     @classmethod
     def constant(cls, d: Diagram, value: float) -> "LevelFunction":
-        return cls([np.full(s, float(value)) for s in d.level_sizes])
+        return cls.from_flat(d, np.full(d.total_vertices, float(value)))
 
     @classmethod
     def delta(cls, d: Diagram, vertex) -> "LevelFunction":
@@ -62,29 +80,25 @@ class LevelFunction:
             if v.shape[0] != d.level_sizes[n]:
                 raise ValueError(f"level {n} has length {v.shape[0]}, expected {d.level_sizes[n]}")
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.values) - 1
-
     def at(self, vertex) -> float:
         return float(self.values[vertex.level][vertex.index])
 
     def copy(self) -> "LevelFunction":
-        return LevelFunction([v.copy() for v in self.values])
+        return self._like(self._flat.copy())
 
     def __add__(self, other):
-        return LevelFunction([a + b for a, b in zip(self.values, other.values)])
+        return self._like(self._flat + other._flat)
 
     def __sub__(self, other):
-        return LevelFunction([a - b for a, b in zip(self.values, other.values)])
+        return self._like(self._flat - other._flat)
 
     def __mul__(self, t: float):
-        return LevelFunction([t * a for a in self.values])
+        return self._like(t * self._flat)
 
     __rmul__ = __mul__
 
     def shift(self, t: float) -> "LevelFunction":
-        return LevelFunction([a + t for a in self.values])
+        return self._like(self._flat + t)
 
     def level_extrema(self):
         """(max over V_n, min over V_n) per level, for max/min-principle checks."""
@@ -92,51 +106,34 @@ class LevelFunction:
                 [float(v.min()) for v in self.values])
 
 
-@dataclass(frozen=True)
-class LevelOperators:
-    """The checked degrees of one diagram, for P and the Laplacian.
-
-    degrees[n]: total conductance c(x) per vertex (diagonal of D_n).  Row
-    [P->_{n-1} | P<-_n] of P is stochastic for interior n; the last level's
-    rows use truncated c and are flagged by interior_mask.  Only
-    build_level_operators makes one, after its checks.
-    """
-    diagram: Diagram
-    degrees: tuple
-
-    @property
-    def num_levels(self) -> int:
-        return self.diagram.num_levels
-
-    def interior_mask(self) -> list:
-        """Validity per level: the last stored level is truncation boundary."""
-        return [n < self.num_levels for n in range(self.num_levels + 1)]
-
-
 def isolated_vertex(n: int, x: int) -> ValueError:
     """The error for vertex x of level n without edges."""
     return ValueError(f"isolated vertex at level {n}, index {x} (c(x) = 0)")
 
 
-def build_level_operators(d: Diagram) -> LevelOperators:
-    """The degree vectors of d, after checking every conductance (see
-    checked_conductances) and that no vertex is isolated (c(x) = 0), which
-    could not carry transition probabilities; raises ValueError otherwise.
-    """
+def build_level_operators(d: Diagram) -> np.ndarray:
+    """d.degrees, the c(x) of P and the Laplacian (read-only), after checking
+    every conductance (see checked_conductances) and that no vertex is
+    isolated (c(x) = 0), which could not carry transition probabilities;
+    raises ValueError otherwise.  P and the Laplacian run these checks."""
     checked_conductances(d, 0, d.num_levels)
-    c = checked_degrees(d, d.num_levels)
-    return LevelOperators(diagram=d, degrees=tuple(np.split(c, d.table.offsets[1:-1])))
+    return checked_degrees(d, d.num_levels)
+
+
+def vertex_at(d: Diagram, v: int) -> tuple:
+    """(level, index) of vertex v of d.table."""
+    offsets = d.table.offsets
+    n = int(np.searchsorted(offsets, v, side="right")) - 1
+    return n, int(v - offsets[n])
 
 
 def checked_degrees(d: Diagram, last: int) -> np.ndarray:
     """c(x) of the vertices of levels 0..last, a read-only slice of
     d.degrees; raises ValueError at the first isolated one (c(x) = 0)."""
-    offsets = d.table.offsets
-    c = d.degrees[:offsets[last + 1]]
+    c = d.degrees[:d.table.offsets[last + 1]]
     bad = np.flatnonzero(c <= 0)
     if bad.size:
-        n = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-        raise isolated_vertex(n, int(bad[0] - offsets[n]))
+        raise isolated_vertex(*vertex_at(d, bad[0]))
     return c
 
 
@@ -145,10 +142,8 @@ def check_finite(d: Diagram, values: np.ndarray, first: int = 0) -> None:
     numbered as the vertices of d.table, from level first's first."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        offsets = d.table.offsets
-        v = offsets[first] + bad[0]
-        n = int(np.searchsorted(offsets, v, side="right")) - 1
-        raise ValueError(f"value {values[bad[0]]} at ({n},{v - offsets[n]}) is not finite")
+        n, i = vertex_at(d, d.table.offsets[first] + bad[0])
+        raise ValueError(f"value {values[bad[0]]} at ({n},{i}) is not finite")
 
 
 def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
@@ -207,37 +202,38 @@ def laplacian_entries(d: Diagram, first: int, last: int, boundary_columns: bool 
     return offsets, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def laplacian_apply(ops: LevelOperators, f: LevelFunction):
+def laplacian_apply(d: Diagram, f: LevelFunction) -> LevelFunction:
     """(Df)_n = D_n f_n - C_{n-1}^T f_{n-1} - C_n f_{n+1}.
 
-    Returns (LevelFunction, validity mask).  The root is fully determined
-    (no predecessor level exists); level N is not and is masked out.
-    Raises ValueError at the first value of f that is not finite.
+    The root is fully determined (no predecessor level exists); level N is
+    not.  Raises ValueError where build_level_operators does, and at the
+    first value of f that is not finite.
     """
-    d = ops.diagram
+    c = build_level_operators(d)
     f.check_shape(d)
     flat = f.flat()
     check_finite(d, flat)
     child, parent = d.table.edge_sums(0, d.num_levels, flat)
-    return LevelFunction.from_flat(d, d.degrees * flat - parent - child), ops.interior_mask()
+    return LevelFunction.from_flat(d, c * flat - parent - child)
 
 
-def markov_apply(ops: LevelOperators, f: LevelFunction):
-    """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, with the same validity mask
-    and the same check of f's values."""
-    d = ops.diagram
+def markov_apply(d: Diagram, f: LevelFunction) -> LevelFunction:
+    """(Pf)_n = P->_{n-1} f_{n-1} + P<-_n f_{n+1}, with the same checks;
+    level N is not determined."""
+    c = build_level_operators(d)
     f.check_shape(d)
     flat = f.flat()
     check_finite(d, flat)
-    child, parent = d.table.edge_sums(0, d.num_levels, flat, 1.0 / d.degrees)
-    return LevelFunction.from_flat(d, parent + child), ops.interior_mask()
+    child, parent = d.table.edge_sums(0, d.num_levels, flat, 1.0 / c)
+    return LevelFunction.from_flat(d, parent + child)
 
 
-def weighted_inner(ops: LevelOperators, u: LevelFunction, v: LevelFunction,
+def weighted_inner(d: Diagram, u: LevelFunction, v: LevelFunction,
                    up_to_level: Optional[int] = None) -> float:
-    """<u, v>_{l2(c)} = sum c(x) u(x) v(x) over levels 0..up_to_level."""
-    last = ops.num_levels if up_to_level is None else up_to_level
-    return float(sum(np.dot(ops.degrees[n] * u.values[n], v.values[n])
+    """<u, v>_{l2(c)} = sum c(x) u(x) v(x) over levels 0..up_to_level, one
+    dot product a level."""
+    last = d.num_levels if up_to_level is None else up_to_level
+    return float(sum(np.dot(d.degree_vector(n) * u.values[n], v.values[n])
                      for n in range(last + 1)))
 
 
@@ -256,14 +252,13 @@ class SpectralBoundReport:
                    self.max_symmetry_violation)
 
 
-def spectral_bound_check(ops: LevelOperators, trials: int, seed: int) -> SpectralBoundReport:
+def spectral_bound_check(d: Diagram, trials: int, seed: int) -> SpectralBoundReport:
     """Sample finitely-supported u, v away from the truncation boundary and
     check -|u|^2 <= <u,Pu> <= |u|^2 and <u,Pv> = <Pu,v> in l2(c).
 
     Violations are normalized: bound violations by |u|^2, symmetry by
     |u| |v|.
     """
-    d = ops.diagram
     if d.num_levels < 2:
         raise ValueError("need at least two stored levels")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -273,17 +268,17 @@ def spectral_bound_check(ops: LevelOperators, trials: int, seed: int) -> Spectra
         u = LevelFunction.zeros(d)
         v = LevelFunction.zeros(d)
         for n in range(interior_last + 1):
-            u.values[n] = rng.standard_normal(d.level_sizes[n])
-            v.values[n] = rng.standard_normal(d.level_sizes[n])
-        pu, _ = markov_apply(ops, u)
-        pv, _ = markov_apply(ops, v)
-        nu = weighted_inner(ops, u, u, interior_last)
-        nv = weighted_inner(ops, v, v, interior_last)
-        upu = weighted_inner(ops, u, pu, interior_last)
+            u.values[n][:] = rng.standard_normal(d.level_sizes[n])
+            v.values[n][:] = rng.standard_normal(d.level_sizes[n])
+        pu = markov_apply(d, u)
+        pv = markov_apply(d, v)
+        nu = weighted_inner(d, u, u, interior_last)
+        nv = weighted_inner(d, v, v, interior_last)
+        upu = weighted_inner(d, u, pu, interior_last)
         up = max(up, (upu - nu) / nu)
         low = max(low, (-nu - upu) / nu)
-        upv = weighted_inner(ops, u, pv, interior_last)
-        puv = weighted_inner(ops, pu, v, interior_last)
+        upv = weighted_inner(d, u, pv, interior_last)
+        puv = weighted_inner(d, pu, v, interior_last)
         sym = max(sym, abs(upv - puv) / np.sqrt(nu * nv))
     return SpectralBoundReport(trials=trials, seed=seed, max_upper_violation=up,
                                max_lower_violation=low, max_symmetry_violation=sym)

@@ -181,21 +181,22 @@ def green_exact(d: Diagram, boundary_level: int,
         vertices = [VertexId(n, i) for n in range(boundary_level)
                     for i in range(d.level_sizes[n])]
     vertices = tuple(vertices)
-    return _green_solve(sysm, build_level_operators(d), vertices,
-                        (sysm.solve(source={y: 1.0}) for y in vertices))
+    build_level_operators(d)  # for its checks
+    return _green_solve(sysm, vertices, (sysm.solve(source={y: 1.0}) for y in vertices))
 
 
-def _green_solve(sysm: DirichletSystem, ops, vertices: tuple, columns) -> GreenSolve:
-    """green_exact on a given system and the diagram's level operators, from
-    the solutions of L u = e_y for the vertices y in order (an iterable, so
-    that a generator holds one column at a time)."""
-    degs = np.array([sysm.degrees[sysm.flat(v)] for v in vertices])
+def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
+    """green_exact on a given system, from the solutions of L u = e_y for the
+    vertices y in order (an iterable, so that a generator holds one column
+    at a time)."""
+    idx = np.array([sysm.flat(v) for v in vertices], dtype=np.int64)
+    degs = sysm.degrees[idx]
     green = np.empty((len(vertices),) * 2)
     step = np.empty(len(vertices))
     for j, (y, u) in enumerate(zip(vertices, columns)):
-        green[:, j] = [u.at(x) * degs[j] for x in vertices]
+        green[:, j] = u.flat()[idx] * degs[j]
         # steps into the boundary level never return; u is 0 there
-        step[j] = _p_row_apply(ops, y, u) / u.at(y)
+        step[j] = _p_row_apply(sysm.diagram, y, u) / u.at(y)
     gdiag = np.diag(green)
     if np.any(gdiag <= 0):
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
@@ -204,20 +205,19 @@ def _green_solve(sysm: DirichletSystem, ops, vertices: tuple, columns) -> GreenS
                       diagnostics=dict(sysm.diagnostics))
 
 
-def _p_row_apply(ops, v: VertexId, f: LevelFunction) -> float:
+def _p_row_apply(d: Diagram, v: VertexId, f: LevelFunction) -> float:
     """(P f)(v): one step of the walk from v, read off v's stored column
     (P->) and row (P<-) in the edge table; the terms are summed exactly
     rounded, so the value does not depend on how a dot product is split."""
-    n, x, t = v.level, v.index, ops.diagram.table
+    n, x, t = v.level, v.index, d.table
     c = g = np.zeros(0)
     if n > 0:
         at = t.starts[n - 1] + np.flatnonzero(t.indices[t.starts[n - 1]:t.starts[n]] == x)
-        row = np.searchsorted(t.indptr, at, side="right") - 1
-        c, g = t.data[at], f.values[n - 1][row - t.offsets[n - 1]]
-    if n < ops.num_levels:
+        c, g = t.data[at], f.flat()[np.searchsorted(t.indptr, at, side="right") - 1]
+    if n < d.num_levels:
         at = slice(t.indptr[t.offsets[n] + x], t.indptr[t.offsets[n] + x + 1])
-        c, g = np.append(c, t.data[at]), np.append(g, f.values[n + 1][t.indices[at]])
-    return math.fsum(c * (1.0 / ops.degrees[n][x]) * g)
+        c, g = np.append(c, t.data[at]), np.append(g, f.flat()[t.offsets[n + 1] + t.indices[at]])
+    return math.fsum(c * (1.0 / d.degrees[t.offsets[n] + x]) * g)
 
 
 @dataclass(frozen=True)
@@ -242,15 +242,16 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     """Check gs against the hitting route: for each vertex y, the Dirichlet
     problem harmonic off {y} with value 1 at y, solved with y pinned."""
     sysm = DirichletSystem(d, gs.boundary_level)
-    ops = build_level_operators(d)
+    build_level_operators(d)  # for its checks
     hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
-    f_hit = np.array([[h.at(x) for h in hits] for x in gs.vertices])
-    u_hit = np.array([_p_row_apply(ops, y, h) for y, h in zip(gs.vertices, hits)])
+    idx = np.array([sysm.flat(x) for x in gs.vertices], dtype=np.int64)
+    f_hit = np.array([h.flat()[idx] for h in hits]).T
+    u_hit = np.array([_p_row_apply(d, y, h) for y, h in zip(gs.vertices, hits)])
     gdiag = np.diag(gs.green)
     diag = np.abs(gdiag * (1.0 - u_hit) - 1.0).max()
     ratio_hit = np.abs(gs.green - f_hit * gdiag[None, :]).max()
     one_step_return = np.abs(u_hit - gs.return_prob).max()
-    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(ops, x, h))
+    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(d, x, h))
                           for j, h in enumerate(hits) for i, x in enumerate(gs.vertices)
                           if i != j), default=0.0)
     cg = gs.degrees[:, None] * gs.green
@@ -295,7 +296,7 @@ def hitting_function(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunct
     Harmonic off {x}, equal to 1 at x, zero at the boundary level.
     """
     u = dirichlet_solve(d, boundary_level, source={x: 1.0})
-    return LevelFunction([v / u.at(x) for v in u.values])
+    return LevelFunction.from_flat(d, u.flat() / u.at(x))
 
 
 def monopole_green(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunction:
@@ -357,17 +358,17 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     if x1 == x2:
         raise ValueError("poles must be distinct")
     sysm = DirichletSystem(d, boundary_level)
-    ops = build_level_operators(d)
+    build_level_operators(d)  # for its checks
     # pair-hitting functions from the Green columns: h_j = sum_i coef[i, j] w_i
     # with coef = W^-1, W[a, i] = w_i(x_a) a principal block of L^-1
     cols = [sysm.solve(source={x: 1.0}) for x in (x1, x2)]
     coef = np.linalg.inv([[w.at(x) for w in cols] for x in (x1, x2)])
-    h1, h2 = (LevelFunction([coef[0, j] * a + coef[1, j] * b
-                             for a, b in zip(*(w.values for w in cols))]) for j in (0, 1))
-    lap1, lap2 = (laplacian_apply(ops, h)[0] for h in (h1, h2))
+    w1, w2 = (w.flat() for w in cols)
+    h1, h2 = (LevelFunction.from_flat(d, coef[0, j] * w1 + coef[1, j] * w2) for j in (0, 1))
+    lap1, lap2 = (laplacian_apply(d, h) for h in (h1, h2))
     m = np.array([[lap1.at(x1), lap2.at(x1)],
                   [lap1.at(x2), lap2.at(x2)]])
-    gs = _green_solve(sysm, ops, (x1, x2), cols)
+    gs = _green_solve(sysm, (x1, x2), cols)
     (c1, c2), (u1, u2) = gs.degrees, gs.return_prob
     f12, f21 = gs.reach_ratio[0, 1], gs.reach_ratio[1, 0]
     m_fact = np.diag([c1, c2]) @ np.array([[1.0 - u1, -f12], [-f21, 1.0 - u2]])
@@ -378,8 +379,8 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     alpha = beta = vbar = resid = None
     if not degenerate:
         alpha, beta = (float(t) for t in np.linalg.solve(m, np.array([1.0, -1.0])))
-        vbar = LevelFunction([alpha * a + beta * b for a, b in zip(h1.values, h2.values)])
-        lap = laplacian_apply(ops, vbar)[0]
+        vbar = LevelFunction.from_flat(d, alpha * h1.flat() + beta * h2.flat())
+        lap = laplacian_apply(d, vbar)
         resid = max(abs(lap.at(x1) - 1.0), abs(lap.at(x2) + 1.0))
     return DipoleMatrixResult(matrix=m, matrix_factored=m_fact, det_closed_form=det_closed,
                               degenerate=degenerate, alpha=alpha, beta=beta, dipole=vbar,
@@ -768,8 +769,8 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     check_finite(d, f_n, target_level)
     if method == "exact-dirichlet":
         sysm = DirichletSystem(d, target_level)
-        u = sysm.solve(boundary_values=f_n)
-        return PoissonResult(values=LevelFunction(u.values[:target_level + 1]), stderr=None,
+        u = sysm.solve(boundary_values=f_n).flat()
+        return PoissonResult(values=LevelFunction.from_flat(d, u, target_level + 1), stderr=None,
                              method=method, diagnostics=sysm.diagnostics)
     if method != "monte-carlo":
         raise ValueError(f"unknown method {method!r}")
@@ -857,7 +858,7 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     # harmonicity of the limit at x, evaluated on the deepest solve
     resid = float("nan")
     if last_solution is not None and x.level < levels[-1]:
-        rep = harmonicity_check(d, LevelFunction.from_flat(d, last_solution.flat()))
+        rep = harmonicity_check(d, last_solution)
         resid = rep.residuals[x.level] if x.level < len(rep.residuals) else float("nan")
     return StabilizationReport(vertex=x, levels=tuple(levels), values=tuple(values),
                                stabilization_level=stab, harmonic_residual=resid,

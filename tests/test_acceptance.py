@@ -19,7 +19,6 @@ from bharm import (
     LevelFunction,
     VertexId,
     WalkConfig,
-    build_level_operators,
     current_balance,
     dipole_green,
     dipole_matrix_M,
@@ -404,25 +403,24 @@ def test_criterion_11_property_suites():
     rng_master = np.random.default_rng(0)
     for seed in range(5):
         for d in shapes_for(seed):
-            ops = build_level_operators(d)
             # Markov identities
-            ones, _ = markov_apply(ops, LevelFunction.constant(d, 1.0))
+            ones = markov_apply(d, LevelFunction.constant(d, 1.0))
             ok = ok and all(np.allclose(ones.values[n], 1.0)
                             for n in range(d.num_levels))
             f = LevelFunction([rng_master.standard_normal(s) for s in d.level_sizes])
-            pf, _ = markov_apply(ops, f)
-            pf2, _ = markov_apply(ops, LevelFunction([v ** 2 for v in f.values]))
+            pf = markov_apply(d, f)
+            pf2 = markov_apply(d, LevelFunction([v ** 2 for v in f.values]))
             ok = ok and all(np.all(pf2.values[n] >= pf.values[n] ** 2 - 1e-12)
                             for n in range(d.num_levels))
             # spectrum bounds and self-adjointness
-            rep = spectral_bound_check(ops, trials=40, seed=1000 + seed)
+            rep = spectral_bound_check(d, trials=40, seed=1000 + seed)
             ok = ok and rep.max_violation <= 1e-12
             # dissipation isometry
             ok = ok and dissipation_check(d, f).relative_gap <= 1e-12
             # harmonic prefix: fixed point of P, Kirchhoff balance, max/min
             h = random_harmonic(d, 300 + seed)
             if h is not None:
-                ph, _ = markov_apply(ops, h)
+                ph = markov_apply(d, h)
                 scale = max(np.abs(v).max() for v in h.values) or 1.0
                 ok = ok and all(np.abs(ph.values[n] - h.values[n]).max() <= 1e-9 * scale
                                 for n in range(d.num_levels))

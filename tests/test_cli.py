@@ -148,6 +148,18 @@ def test_dimension_stdout_golden(spec, capsys):
     assert capsys.readouterr().out == DIMENSION_GOLDENS[spec]
 
 
+def test_dimension_out_writes_the_table_and_its_route(tmp_path, capsys):
+    # --out was accepted and ignored: the table went to stdout, and no file
+    # or manifest was written
+    spec, out = "bottleneck:1-30-200-200-30-200-200:7", tmp_path / "dim.txt"
+    assert main(["dimension", "--diagram", spec, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == DIMENSION_GOLDENS[spec]
+    manifest = json.loads((tmp_path / "dim.txt.manifest.json").read_text())
+    assert {k: manifest[k] for k in ("path", "first_rank_deficient_level", "svd_levels")} \
+        == {"path": "propagation", "first_rank_deficient_level": 3, "svd_levels": 0}
+
+
 @pytest.mark.parametrize("depth", ["50"])
 def test_dimension_depth_outside_the_levels_is_exit_one(depth, capsys):
     assert main(["dimension", "--diagram", "tree:5:2", "--depth", depth]) == 1
@@ -929,7 +941,8 @@ def _battery():
                   ["walk", *tree, f"--start={vertex}"],
                   ["walk", *tree, "--start", "0,0", f"--targets={vertex}"],
                   ["harmonic", *tree, "--pin", f"{vertex}=1"]]
-    cases += [["harmonic", *tree, "--pin", "2,0=1", "--pin", "2,0=2"]]
+    cases += [["harmonic", *tree, "--pin", "2,0=1", "--pin", "2,0=2"],
+              ["harmonic", "--diagram", "ladder:600:1"]]
     for root in ("-1", "4"):
         cases += [["convert", "--graph", "{graph}", f"--root={root}"],
                   ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]
@@ -957,18 +970,22 @@ def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp
     # in a TypeError; walks across an edgeless level exited 0 with every walk
     # capped, and dimension exited 0 on its isolated vertices; poisson and
     # energy exited 0 on nan boundary data and wrote nan, and apply-* spread
-    # a nan to its neighbours
+    # a nan to its neighbours; harmonic on ladder:600:1, whose solution
+    # leaves the doubles, printed three RuntimeWarnings before its error
     files = {}
     for name, text in _BATTERY_FILES.items():
         files[name] = tmp_path / name
         files[name].write_text(text)
     argv = [a.format(**files) for a in argv]
-    if argv[0] not in ("validate", "dimension", "verify-paper"):
+    if argv[0] not in ("validate", "verify-paper"):
         argv += ["--out", str(tmp_path / "out")]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert not caught
     err = capsys.readouterr().err
     if any(_COUNT_BELOW_ONE.match(a) for a in argv):
         assert code == 2

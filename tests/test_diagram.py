@@ -106,11 +106,8 @@ def _sparse_with_duplicates():
         "graph", "dense", "sparse"])
 def test_every_level_is_read_only_canonical_csr(build):
     d = build()
-    for c, a in zip(d.conductance, d.incidence):
-        for m in (c, a):
-            _assert_read_only_canonical(m)
-        assert np.array_equal(a.indptr, c.indptr) and np.array_equal(a.indices, c.indices)
-        assert np.all(a.data == 1.0)
+    for c in d.conductance:
+        _assert_read_only_canonical(c)
 
 
 def _assert_read_only_canonical(m):
@@ -149,10 +146,9 @@ def test_levels_are_views_of_the_one_edge_table(build):
     d = build()
     t = d.table
     assert t.nnz == sum(c.nnz for c in d.conductance)
-    for n, (c, a) in enumerate(zip(d.conductance, d.incidence)):
+    for n, c in enumerate(d.conductance):
         lo, hi = t.starts[n], t.starts[n + 1]
-        for ours, whole in ((c.data, t.data), (c.indices, t.indices),
-                            (a.indices, t.indices)):
+        for ours, whole in ((c.data, t.data), (c.indices, t.indices)):
             assert np.shares_memory(ours, whole)
         assert np.array_equal(c.data, t.data[lo:hi])
         assert np.array_equal(c.indices, t.indices[lo:hi])
@@ -174,6 +170,31 @@ def test_zero_column_reports_missing_incoming_edge():
                                  np.array([[1.0, 0.0], [1.0, 0.0]])])
     rules = {v.rule for v in validate(d)}
     assert "incoming" in rules
+
+
+def _every_entry_stored(a, kind):
+    """The dense matrix a as `kind`, with each of its zeros a stored entry
+    where the kind can store one."""
+    if kind == "dense":
+        return a
+    rows, cols = a.shape
+    parts = (a.ravel(), np.tile(np.arange(cols), rows), np.arange(0, rows * cols + 1, cols))
+    if kind == "scipy":
+        return sp.csr_matrix(parts, shape=a.shape)
+    return LevelMatrix(*parts, a.shape)
+
+
+@pytest.mark.parametrize("kind", ["dense", "scipy", "level-matrix"])
+def test_a_zero_is_no_edge_whatever_the_input_kind(kind):
+    # a stored zero of a LevelMatrix level was an edge, reported as
+    # [positivity] ... c=0, while a dense or scipy level dropped it
+    levels = [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]])]
+    d = make_diagram([1, 2, 2], [_every_entry_stored(a, kind) for a in levels])
+    assert d.table.nnz == 2
+    assert [str(v) for v in validate(d)] == [
+        "[incoming] level 1, vertex 1: vertex without incoming edge",
+        "[outgoing] level 1, vertex 1: vertex without outgoing edge",
+        "[incoming] level 2, vertex 1: vertex without incoming edge"]
 
 
 # --- binary tree -------------------------------------------------------------
@@ -208,8 +229,8 @@ def test_tree_rejects_bad_lambda():
 
 def test_pascal_incidence_rows():
     d = gen_pascal(2, 1.0)
-    assert np.allclose(d.incidence[1].toarray(), [[1, 1, 0], [0, 1, 1]])
-    assert np.allclose(d.incidence[0].toarray(), [[1, 1]])
+    assert np.array_equal(d.conductance[1].toarray() > 0, [[1, 1, 0], [0, 1, 1]])
+    assert np.array_equal(d.conductance[0].toarray() > 0, [[1, 1]])
 
 
 def test_pascal_neighbor_counts():
@@ -222,8 +243,8 @@ def test_pascal_neighbor_counts():
 
 def test_pascal_row_and_column_sums():
     d = gen_pascal(6, 1.0)
-    for a in d.incidence:
-        a = a.toarray()
+    for c in d.conductance:
+        a = (c.toarray() > 0).astype(int)
         assert np.all(a.sum(axis=1) == 2)
         cols = a.sum(axis=0)
         assert cols[0] == 1 and cols[-1] == 1

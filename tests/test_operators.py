@@ -32,28 +32,56 @@ def rand_fn(d, seed):
 def on_level(d, n, g):
     """The function that is g on level n and 0 elsewhere."""
     f = LevelFunction.zeros(d)
-    f.values[n] = np.asarray(g, dtype=float)
+    f.values[n][:] = g
     return f
 
 
-def p_back(ops, n, g):
+def p_back(d, n, g):
     """P<-_n g: level n of P applied to g on level n+1."""
-    return markov_apply(ops, on_level(ops.diagram, n + 1, g))[0].values[n]
+    return markov_apply(d, on_level(d, n + 1, g)).values[n]
 
 
-def p_fwd(ops, n, g):
+def p_fwd(d, n, g):
     """P->_{n-1} g: level n of P applied to g on level n-1."""
-    return markov_apply(ops, on_level(ops.diagram, n - 1, g))[0].values[n]
+    return markov_apply(d, on_level(d, n - 1, g)).values[n]
 
 
-def back_block(ops, n):
+def back_block(d, n):
     """P<-_n as a dense |V_n| x |V_{n+1}| matrix, applied to indicator functions."""
-    return np.column_stack([p_back(ops, n, e) for e in np.eye(ops.diagram.level_sizes[n + 1])])
+    return np.column_stack([p_back(d, n, e) for e in np.eye(d.level_sizes[n + 1])])
 
 
-def fwd_block(ops, n):
+def fwd_block(d, n):
     """P->_{n-1} as a dense |V_n| x |V_{n-1}| matrix, applied to indicator functions."""
-    return np.column_stack([p_fwd(ops, n, e) for e in np.eye(ops.diagram.level_sizes[n - 1])])
+    return np.column_stack([p_fwd(d, n, e) for e in np.eye(d.level_sizes[n - 1])])
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: LevelFunction([np.arange(s, dtype=float) for s in d.level_sizes]),
+    lambda d: LevelFunction.from_flat(d, np.arange(d.total_vertices, dtype=float)),
+    LevelFunction.zeros,
+], ids=["levels", "from_flat", "zeros"])
+def test_levels_are_views_of_the_one_vector(make):
+    d = gen_pascal(4, 1.0)
+    f = make(d)
+    flat = f.flat()
+    assert flat.size == d.total_vertices
+    for n, v in enumerate(f.values):
+        assert np.shares_memory(v, flat)
+        v[:] = n + 0.5
+    assert np.array_equal(flat, np.repeat(np.arange(5) + 0.5, d.level_sizes))
+    with pytest.raises(TypeError):
+        f.values[1] = np.zeros(2)
+
+
+def test_from_flat_is_a_view_when_the_vector_covers_the_levels():
+    d = gen_pascal(4, 1.0)
+    x = np.arange(d.total_vertices + 3, dtype=float)
+    assert np.shares_memory(LevelFunction.from_flat(d, x).flat(), x)
+    # levels 0..2 of a vector that stops inside level 1, padded with zeros
+    short = LevelFunction.from_flat(d, x[:2], 3)
+    assert [v.tolist() for v in short.values] == [[0.0], [1.0, 0.0], [0.0, 0.0, 0.0]]
+    assert not np.shares_memory(short.flat(), x)
 
 
 def test_pascal_back_blocks_bidiagonal_form():
@@ -63,8 +91,7 @@ def test_pascal_back_blocks_bidiagonal_form():
     # inside
     lam = 2.0
     d = gen_pascal(4, lam)
-    ops = build_level_operators(d)
-    pb = back_block(ops, 2)
+    pb = back_block(d, 2)
     edge = lam / (1 + 2 * lam)
     mid = lam / (2 + 2 * lam)
     expect = np.array([[edge, edge, 0, 0],
@@ -76,9 +103,8 @@ def test_pascal_back_blocks_bidiagonal_form():
 def test_tree_back_rows_two_equal_entries():
     lam = 2.0
     d = gen_binary_tree(3, lam)
-    ops = build_level_operators(d)
-    pb = back_block(ops, 1)
-    degs = ops.degrees[1]
+    pb = back_block(d, 1)
+    degs = d.degree_vector(1)
     for i in range(2):
         row = pb[i]
         nz = row[row > 0]
@@ -89,11 +115,10 @@ def test_tree_back_rows_two_equal_entries():
 
 def test_stationary_all_ones_quarter_entries():
     d = gen_stationary([[1, 1], [1, 1]], 4, 1.0)
-    ops = build_level_operators(d)
     # interior vertices have c(x) = 4 and all transition entries 1/4
-    assert np.allclose(ops.degrees[2], 4.0)
-    assert np.allclose(back_block(ops, 2), 0.25)
-    assert np.allclose(fwd_block(ops, 2), 0.25)
+    assert np.allclose(d.degree_vector(2), 4.0)
+    assert np.allclose(back_block(d, 2), 0.25)
+    assert np.allclose(fwd_block(d, 2), 0.25)
 
 
 def test_isolated_vertex_rejected():
@@ -101,8 +126,8 @@ def test_isolated_vertex_rejected():
                                  np.array([[1.0], [0.0]])])
     # vertex (1,1) has an incoming edge but the level-2 coupling misses it;
     # still fine: c>0. Build a genuinely isolated one instead.
-    ops = build_level_operators(d)
-    assert ops.degrees[1][1] == 1.0
+    degrees = build_level_operators(d)
+    assert degrees[d.table.offsets[1] + 1] == 1.0
     bad = make_diagram([1, 1], [np.array([[0.0]])])
     with pytest.raises(ValueError, match="isolated"):
         build_level_operators(bad)
@@ -126,72 +151,64 @@ def test_transition_blocks_match_the_scaled_csr_products_bit_for_bit():
     shape = gen_bottleneck([1, 3, 20, 30, 7, 12], 5)
     d = make_diagram(shape.level_sizes, [m.toarray() * rng.uniform(0.5, 2.0, m.shape)
                                          for m in shape.conductance])
-    ops = build_level_operators(d)
     for n in range(d.num_levels):
         m = d.conductance[n]
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        back = sp.csr_matrix((m.data * (1.0 / ops.degrees[n])[rows], m.indices, m.indptr),
+        back = sp.csr_matrix((m.data * (1.0 / d.degree_vector(n))[rows], m.indices, m.indptr),
                              shape=m.shape)
-        fwd = sp.csr_matrix((m.data * (1.0 / ops.degrees[n + 1])[m.indices],
+        fwd = sp.csr_matrix((m.data * (1.0 / d.degree_vector(n + 1))[m.indices],
                              (m.indices, rows)), shape=m.shape[::-1])
         g = rng.standard_normal(d.level_sizes[n + 1])
-        assert np.array_equal(p_back(ops, n, g), back @ g)
+        assert np.array_equal(p_back(d, n, g), back @ g)
         g = rng.standard_normal(d.level_sizes[n])
-        assert np.array_equal(p_fwd(ops, n + 1, g), fwd @ g)
+        assert np.array_equal(p_fwd(d, n + 1, g), fwd @ g)
 
 
 def test_row_stochasticity_interior():
     d = gen_pascal(6, 2.0)
-    ops = build_level_operators(d)
     for n in range(1, d.num_levels):
-        total = fwd_block(ops, n).sum(axis=1) + back_block(ops, n).sum(axis=1)
+        total = fwd_block(d, n).sum(axis=1) + back_block(d, n).sum(axis=1)
         assert np.allclose(total, 1.0)
-    assert np.allclose(back_block(ops, 0).sum(axis=1), 1.0)
+    assert np.allclose(back_block(d, 0).sum(axis=1), 1.0)
 
 
 def test_laplacian_kills_constants_on_interior():
     d = gen_binary_tree(5, 2.0)
-    ops = build_level_operators(d)
-    out, mask = laplacian_apply(ops, LevelFunction.constant(d, 3.25))
-    assert mask == [True] * d.num_levels + [False]
+    out = laplacian_apply(d, LevelFunction.constant(d, 3.25))
     for n in range(d.num_levels):
         assert np.allclose(out.values[n], 0.0, atol=1e-12)
 
 
 def test_laplacian_annihilates_pascal_closed_form():
     d = gen_pascal(6, 1.0)
-    ops = build_level_operators(d)
-    out, mask = laplacian_apply(ops, pascal_harmonic(6))
+    out = laplacian_apply(d, pascal_harmonic(6))
     for n in range(d.num_levels):
         assert np.abs(out.values[n]).max() < 1e-12
 
 
 def test_laplacian_of_root_delta_on_unit_tree():
     d = gen_binary_tree(3, 1.0)
-    ops = build_level_operators(d)
-    out, _ = laplacian_apply(ops, LevelFunction.delta(d, VertexId(0, 0)))
+    out = laplacian_apply(d, LevelFunction.delta(d, VertexId(0, 0)))
     assert np.isclose(out.values[0][0], 2.0)
     assert np.allclose(out.values[1], -1.0)
 
 
 def test_markov_fixes_ones_and_harmonics():
     d = gen_pascal(6, 1.0)
-    ops = build_level_operators(d)
-    ones, mask = markov_apply(ops, LevelFunction.constant(d, 1.0))
+    ones = markov_apply(d, LevelFunction.constant(d, 1.0))
     for n in range(d.num_levels):
         assert np.allclose(ones.values[n], 1.0)
     h = pascal_harmonic(6)
-    ph, _ = markov_apply(ops, h)
+    ph = markov_apply(d, h)
     for n in range(d.num_levels):
         assert np.allclose(ph.values[n], h.values[n], atol=1e-12)
 
 
 def test_markov_jensen_inequality():
     d = gen_binary_tree(5, 0.7)
-    ops = build_level_operators(d)
     f = rand_fn(d, 11)
-    pf, _ = markov_apply(ops, f)
-    pf2, _ = markov_apply(ops, LevelFunction([v ** 2 for v in f.values]))
+    pf = markov_apply(d, f)
+    pf2 = markov_apply(d, LevelFunction([v ** 2 for v in f.values]))
     for n in range(d.num_levels):
         assert np.all(pf2.values[n] >= pf.values[n] ** 2 - 1e-12)
 
@@ -199,25 +216,23 @@ def test_markov_jensen_inequality():
 @pytest.mark.parametrize("seed", range(3))
 def test_laplacian_markov_identity(seed):
     d = gen_pascal(7, 1.5)
-    ops = build_level_operators(d)
     f = rand_fn(d, seed)
-    lf, _ = laplacian_apply(ops, f)
-    pf, _ = markov_apply(ops, f)
+    lf = laplacian_apply(d, f)
+    pf = markov_apply(d, f)
     for n in range(d.num_levels):
         lhs = lf.values[n]
-        rhs = ops.degrees[n] * (f.values[n] - pf.values[n])
+        rhs = d.degree_vector(n) * (f.values[n] - pf.values[n])
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_conductance_row_vector_is_left_fixed():
     # c* P = c* on rows whose full neighborhood is stored
     d = gen_binary_tree(5, 2.0)
-    ops = build_level_operators(d)
-    c = LevelFunction([ops.degrees[n].copy() for n in range(d.num_levels + 1)])
+    c = LevelFunction([d.degree_vector(n) for n in range(d.num_levels + 1)])
     # <c, P f> = <c, f> for f supported on interior levels
     f = LevelFunction.zeros(d)
     f.values[2][1] = 1.0
-    pf, _ = markov_apply(ops, f)
+    pf = markov_apply(d, f)
     lhs = sum(float(np.dot(c.values[n], pf.values[n])) for n in range(d.num_levels + 1))
     rhs = sum(float(np.dot(c.values[n], f.values[n])) for n in range(d.num_levels + 1))
     assert np.isclose(lhs, rhs, rtol=1e-12)
@@ -225,32 +240,28 @@ def test_conductance_row_vector_is_left_fixed():
 
 def test_spectral_bounds_on_pascal():
     d = gen_pascal(8, 1.0)
-    ops = build_level_operators(d)
-    rep = spectral_bound_check(ops, trials=1000, seed=7)
+    rep = spectral_bound_check(d, trials=1000, seed=7)
     assert rep.max_violation <= 1e-12
 
 
 def test_delta_vertex_quadratic_form_is_zero():
     # graded structure: P has zero diagonal, so <delta_x, P delta_x> = 0
     d = gen_binary_tree(4, 2.0)
-    ops = build_level_operators(d)
     u = LevelFunction.delta(d, VertexId(2, 1))
-    pu, _ = markov_apply(ops, u)
-    assert abs(weighted_inner(ops, u, pu, d.num_levels - 1)) < 1e-15
-    assert weighted_inner(ops, u, u, d.num_levels - 1) > 0
+    pu = markov_apply(d, u)
+    assert abs(weighted_inner(d, u, pu, d.num_levels - 1)) < 1e-15
+    assert weighted_inner(d, u, u, d.num_levels - 1) > 0
 
 
 def test_global_conductance_rescaling():
     d = gen_pascal(5, 1.0)
     t = 3.7
     scaled = make_diagram(d.level_sizes, [t * c.toarray() for c in d.conductance])
-    ops = build_level_operators(d)
-    ops_s = build_level_operators(scaled)
     f = rand_fn(d, 4)
-    pf, _ = markov_apply(ops, f)
-    pf_s, _ = markov_apply(ops_s, f)
-    lf, _ = laplacian_apply(ops, f)
-    lf_s, _ = laplacian_apply(ops_s, f)
+    pf = markov_apply(d, f)
+    pf_s = markov_apply(scaled, f)
+    lf = laplacian_apply(d, f)
+    lf_s = laplacian_apply(scaled, f)
     for n in range(d.num_levels):
         assert np.allclose(pf.values[n], pf_s.values[n], rtol=1e-12)
         assert np.allclose(t * lf.values[n], lf_s.values[n], rtol=1e-12)
@@ -278,7 +289,6 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
     # level-by-level reference of tests/bruteforce.py, on values from 1e-8
     # to 1e8
     rng = np.random.default_rng(d.total_vertices)
-    ops = build_level_operators(d)
     n_levels = d.num_levels
     assert np.array_equal(d.degrees, np.concatenate(
         [bruteforce.ref_degrees(d, n) for n in range(n_levels + 1)]))
@@ -286,8 +296,8 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
         f = LevelFunction([rng.standard_normal(s) * (10.0 ** rng.integers(-8, 9, s)
                                                      if scale is None else scale)
                            for s in d.level_sizes])
-        for got, want in ((laplacian_apply(ops, f)[0], bruteforce.ref_laplacian(d, f.values)),
-                          (markov_apply(ops, f)[0], bruteforce.ref_markov(d, f.values))):
+        for got, want in ((laplacian_apply(d, f), bruteforce.ref_laplacian(d, f.values)),
+                          (markov_apply(d, f), bruteforce.ref_markov(d, f.values))):
             assert all(np.array_equal(a, b) for a, b in zip(got.values, want))
         rhs = [rng.standard_normal(s) for s in d.level_sizes]
         for depth in range(1, n_levels + 1):
@@ -298,7 +308,7 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
         for n, size in enumerate(d.level_sizes[:4]):
             for x in range(min(size, 5)):
                 v = VertexId(n, x)
-                assert pathspace._p_row_apply(ops, v, f) == bruteforce.ref_p_row(d, v, f.values)
+                assert pathspace._p_row_apply(d, v, f) == bruteforce.ref_p_row(d, v, f.values)
         level = rng.integers(1, n_levels + 1)
         sysm = pathspace.DirichletSystem(d, level)
         b = np.zeros(sysm.n_interior)

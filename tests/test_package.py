@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -8,7 +10,7 @@ import bharm
 PUBLIC = [
     "CurrentBalanceReport", "Diagram", "DimensionResult", "DipoleMatrixResult",
     "DirichletSystem", "DissipationReport", "EnergyReport", "ExtensionRule", "GeneralGraph",
-    "GreenSolve", "HarmonicState", "LevelFunction", "LevelOperators", "PoissonResult",
+    "GreenSolve", "HarmonicState", "LevelFunction", "PoissonResult",
     "SolveReport", "SpectralBoundReport", "StabilizationReport", "TransienceReport",
     "VertexId", "Violation", "WalkConfig", "WalkEstimates", "build_level_operators",
     "check_bratteli_structure", "current_balance", "diagram_from_graph", "dipole_green",
@@ -25,7 +27,7 @@ PUBLIC = [
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 63
+    assert len(PUBLIC) == 62
     assert sorted(bharm.__all__) == PUBLIC
 
 
@@ -45,6 +47,20 @@ def test_star_import_and_dir_give_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
     assert set(PUBLIC) <= set(dir(bharm))
     assert {"__version__", "__all__"} <= set(dir(bharm))
+
+
+def test_every_function_the_benchmark_tracer_patches_exists():
+    # perfbench/layertrace.py patches these by name; a missing one fails
+    # `perfbench/run.py --trace 1` and the perfbench tests with AttributeError
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for _, module, attribute in layertrace.TARGETS:
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj)
 
 
 def test_submodules_are_attributes_of_the_package():

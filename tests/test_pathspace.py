@@ -30,7 +30,7 @@ from bharm import (
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 from bharm import pathspace
 from bharm.fileio import parse_diagram
-from bharm.operators import build_level_operators, markov_apply
+from bharm.operators import markov_apply
 from bharm.pathspace import _philox_doubles, _transitions
 from bruteforce import brute_green, flat_of, walk_path, walk_tables
 
@@ -629,13 +629,12 @@ def test_poisson_mc_three_sigma_agreement():
 def compatible_family(d, top):
     """f_N = top and f_n = P<-_n f_{n+1} below, each level of P applied to
     the function that is f_{n+1} on level n+1 and 0 elsewhere."""
-    ops = build_level_operators(d)
     vals = [None] * (d.num_levels + 1)
     vals[d.num_levels] = np.asarray(top, dtype=float)
     for n in range(d.num_levels - 1, -1, -1):
         f = LevelFunction.zeros(d)
-        f.values[n + 1] = vals[n + 1]
-        vals[n] = markov_apply(ops, f)[0].values[n]
+        f.values[n + 1][:] = vals[n + 1]
+        vals[n] = markov_apply(d, f).values[n]
     return LevelFunction(vals)
 
 
