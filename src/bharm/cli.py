@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .diagram import VertexId, diagram_from_graph, extract_maximal_bratteli, validate
 from .fileio import (
-    FMT,
+    _lines,
     format_diagram,
     format_function,
     load_diagram,
@@ -32,6 +32,10 @@ from .fileio import (
     parse_graph,
 )
 from .operators import checked_conductances, laplacian_apply, markov_apply
+
+FMT = "{:.12g}"  # a number in text for people; data files are written by _lines
+# the header of the green and walk tables
+_PAIRS_HEAD = "x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples\n"
 
 # input-file digests recorded per invocation for the run manifest
 _INPUT_HASHES: dict = {}
@@ -191,19 +195,18 @@ def _cmd_green(args) -> int:
     from .pathspace import green_exact
     d = _diagram_arg(args)
     boundary = args.boundary if args.boundary is not None else d.num_levels
-    verts = [_parse_vertex(s) for s in args.vertices.split(";")] if args.vertices else None
+    verts = None if args.vertices is None else [
+        _parse_vertex(s) for s in args.vertices.split(";")]
     gs = green_exact(d, boundary, vertices=verts)
-    lines = ["x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples"]
-    for i, x in enumerate(gs.vertices):
-        for j, y in enumerate(gs.vertices):
-            lines.append(f"{x.level},{x.index},{y.level},{y.index},G,"
-                         + FMT.format(gs.green[i, j]) + ",0,0")
-            lines.append(f"{x.level},{x.index},{y.level},{y.index},F,"
-                         + FMT.format(gs.reach_ratio[i, j]) + ",0,0")
-    for j, y in enumerate(gs.vertices):
-        lines.append(f"{y.level},{y.index},{y.level},{y.index},U,"
-                     + FMT.format(gs.return_prob[j]) + ",0,0")
-    _write_output(args.out, "\n".join(lines) + "\n", args,
+    level, index = np.array([(v.level, v.index) for v in gs.vertices]).T
+    k = level.size
+    ys = level.repeat(2), index.repeat(2), np.tile([b"G", b"F"], k)
+
+    def parts():  # per x, the G and F rows of every y in turn; then the U rows
+        for x, i, g, f in zip(level, index, gs.green, gs.reach_ratio):
+            yield np.full(2 * k, x), np.full(2 * k, i), *ys, np.stack([g, f], 1).ravel(), "0,0"
+        yield level, index, level, index, np.full(k, b"U"), gs.return_prob, "0,0"
+    _write_output(args.out, _lines(_PAIRS_HEAD, ",", parts()), args,
                   {"boundary_level": boundary, "solve_path": gs.diagnostics["path"]})
     return 0
 
@@ -217,18 +220,13 @@ def _cmd_walk(args) -> int:
     cfg = WalkConfig(max_steps=args.max_steps, num_walks=args.walks,
                      seed=args.seed, absorb_level=absorb)
     est = simulate_walks(d, start, cfg, targets)
-    lines = ["x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples"]
-    for p in est.pairs:
-        base = f"{start.level},{start.index},{p.target.level},{p.target.index}"
-        lines.append(f"{base},F," + FMT.format(p.reach) + ","
-                     + FMT.format(p.reach_stderr) + f",{est.n_absorbed}")
-        lines.append(f"{base},G," + FMT.format(p.visits) + ","
-                     + FMT.format(p.visits_stderr) + f",{est.n_absorbed}")
-    lines.append(f"{start.level},{start.index},{start.level},{start.index},U,"
-                 + FMT.format(est.return_prob) + "," + FMT.format(est.return_stderr)
-                 + f",{est.n_absorbed}")
-    _write_output(args.out, "\n".join(lines) + "\n", args,
-                  {"seed": args.seed, "n_capped": est.n_capped})
+    rows = [(p.target.level, p.target.index, q, value, stderr) for p in est.pairs
+            for q, value, stderr in ((b"F", p.reach, p.reach_stderr),
+                                     (b"G", p.visits, p.visits_stderr))]
+    rows.append((start.level, start.index, b"U", est.return_prob, est.return_stderr))
+    text = _lines(_PAIRS_HEAD, ",", [(f"{start.level},{start.index}", *zip(*rows),
+                                      str(est.n_absorbed))])
+    _write_output(args.out, text, args, {"seed": args.seed, "n_capped": est.n_capped})
     return 0
 
 
@@ -259,14 +257,11 @@ def _cmd_energy(args) -> int:
     rep = energy_norm(d, f)
     bound, holds = energy_lower_bound(rep)
     if args.format == "csv":
-        lines = ["level,increment,energy_partial,level_current,beta_times_size,bound_partial"]
-        for n in range(d.num_levels):
-            lines.append(",".join([str(n), FMT.format(rep.level_increments[n]),
-                                   FMT.format(rep.energy_partial[n]),
-                                   FMT.format(rep.level_currents[n + 1]),
-                                   FMT.format(rep.beta[n] * d.level_sizes[n]),
-                                   FMT.format(rep.bound_partial[n])]))
-        text = "\n".join(lines) + "\n"
+        columns = (np.arange(d.num_levels), rep.level_increments, rep.energy_partial,
+                   rep.level_currents[1:], [b * s for b, s in zip(rep.beta[:-1], d.level_sizes)],
+                   rep.bound_partial[:-1])
+        text = _lines("level,increment,energy_partial,level_current,beta_times_size,"
+                      "bound_partial\n", ",", [columns])
     else:
         rows = ["level  increment        energy<=level   I_n             bound<=level"]
         for n in range(d.num_levels):

@@ -16,14 +16,14 @@ Function file:
     <n> <i> <value>          # unlisted entries are zero; the last repeat wins
 
 Numbers are written as Python's format(x, '.12g') writes them: correctly
-rounded to 12 significant digits, with a '.' decimal separator.  The three
-writers share one line writer, _lines.  It formats _BLOCK rows at a time in
-numpy and appends each block's bytes to the output, so the memory it needs
-beyond the text itself is fixed.  It rounds each number by one
-multiplication with a correctly rounded power of ten; the few rows that
-this rounding cannot decide (a fraction within 5e-4 of one half), and 0,
-inf, nan and numbers outside the table, are formatted by Python (see
-_float_words).
+rounded to 12 significant digits, with a '.' decimal separator.  One line
+writer, _lines, writes the rows of these files and of the green, walk and
+energy csv tables.  It formats _BLOCK rows at a time in numpy and appends
+each block's bytes to the output, so the memory it needs beyond the text
+itself is fixed.  It rounds each number by one multiplication with a
+correctly rounded power of ten; the few rows that this rounding cannot
+decide (a fraction within 5e-4 of one half), and 0, inf, nan and numbers
+outside the table, are formatted by Python (see _float_words).
 
 The diagram, graph and function readers share one way of reading: after
 its own header checks, each reads the body in bulk, with one call of
@@ -69,7 +69,6 @@ from .diagram import (
 )
 from .operators import LevelFunction
 
-FMT = "{:.12g}"
 # str.splitlines' line breaks besides "\n"; numpy's tokenizer ends a line
 # only at "\n" or "\r" and reads the others as spaces.
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -214,8 +213,9 @@ def _edge_lines(body: str, sizes):
 # --- the line writer ---------------------------------------------------------
 #
 # A block of rows is laid out as a (rows, words) uint64 array of ASCII text,
-# each field in whole words; a byte that is no character is 0, and
-# np.compress drops those bytes, so a field needs no length and no padding.
+# each field in whole words after a blank for its separator; a byte that is
+# no character is 0, and bytes.translate drops those bytes, so a field needs
+# no length and no padding.  The last character of a row is its newline.
 
 _BLOCK = 8192      # rows per pass of the writer; bounds its working memory to a few MB
 # _POW10[k + 297] is 10**k correctly rounded, for k in [-297, 308]
@@ -251,57 +251,63 @@ _BELOW = np.array([(1 << (8 * b)) - 1 for b in range(9)], dtype=np.uint64)  # by
 # '.' at character q of word 0 or 1; q = 13: none
 _POINT = np.array([[ord(".") << 8 * (q % 8) if q < 13 and q // 8 == w else 0 for q in range(14)]
                    for w in range(2)], dtype=np.uint64)
-# separator, sign and fixed notation's "0.000" before a mantissa: 5 * (x < 0) - e for e < 0
-_LEAD = _words([" " + sign + ("0." + "0" * (z - 1) if z else "")
+# a blank, sign and fixed notation's "0.000" before a mantissa: 5 * (x < 0) - e for e < 0
+_LEAD = _words(["\0" + sign + ("0." + "0" * (z - 1) if z else "")
                 for sign in ("", "-") for z in range(5)], 1).ravel()
-# exponent and newline after a mantissa: index 0 fixed notation, e + 299 for e in [-298, 309]
-_EXP = _words(["\0" * 7 + "\n"] + [f"e{e:+03d}".ljust(7, "\0") + "\n" for e in range(-298, 310)],
-              1).ravel()
+# exponent after a mantissa: index 0 fixed notation, e + 299 for e in [-298, 309]
+_EXP = _words([""] + [f"e{e:+03d}" for e in range(-298, 310)], 1).ravel()
 
 
-def _lines(head: str, prefix: str, parts) -> str:
-    """head, then the rows `prefix + " ".join(columns) + "\n"`.  parts yields
-    tuples of equal-length columns: nonnegative integer arrays, then one
-    float array written as format(x, '.12g') writes it.  The rows are
-    formatted _BLOCK at a time, a block gathering the parts' slices in
-    order."""
+def _lines(head: str, sep: str, parts) -> str:
+    """head, then the rows `sep.join(fields) + "\n"`, sep one character.
+    parts yields tuples of equal-length columns (arrays or lists), a field
+    each: nonnegative integers; floats, written as format(x, '.12g') writes
+    them; byte strings of at most 6 characters; or a str, the same text on
+    every row and a str in every part.  The rows are formatted _BLOCK at a
+    time, a block gathering the parts' slices in order."""
     out, block, size = bytearray(head.encode()), [], 0
     for cols in parts:
-        start, stop = 0, len(cols[-1])
+        start, stop = 0, len(next(c for c in cols if not isinstance(c, str)))
         while start < stop:
             take = min(stop - start, _BLOCK - size)
-            block.append([c[start:start + take] for c in cols])
+            block.append([c if isinstance(c, str) else c[start:start + take] for c in cols])
             size += take
             start += take
             if size == _BLOCK:
-                out += _format_block(prefix, block).data
+                out += _format_block(sep, block, size)
                 block, size = [], 0
     if block:
-        out += _format_block(prefix, block).data
+        out += _format_block(sep, block, size)
     return out.decode("ascii")
 
 
-def _format_block(prefix: str, block) -> np.ndarray:
-    *ints, x = (np.concatenate(col) for col in zip(*block))
-    # an integer field holds its digits and a leading space, 8 characters a word
-    widths = [len(str(v.max())) // 8 + 1 for v in ints]
-    pre = (len(prefix) + 7) // 8
-    text = np.empty((x.size, pre + sum(widths) + 4), dtype=_U64)
-    if pre:
-        text[:, :pre] = _words([prefix], pre)
-    at = pre
-    for k, (v, width) in enumerate(zip(ints, widths)):
-        _int_words(v.astype(np.int64, copy=False), text[:, at:at + width].view(_U32), k > 0)
-        at += width
-    _float_words(x.astype(float, copy=False), text[:, at:])
-    chars = text.view(np.uint8).ravel()
-    return np.compress(chars != 0, chars)
+def _format_block(sep: str, block, rows: int) -> bytes:
+    cols = [c[0] if isinstance(c[0], str) else np.concatenate(c) for c in zip(*block)]
+    kinds = ["str" if isinstance(c, str) else c.dtype.kind for c in cols]
+    widths = [(len(c) + 1) // 8 + 1 if k == "str" else 4 if k == "f" else 1 if k == "S"
+              else len(str(c.max())) // 8 + 1 for c, k in zip(cols, kinds)]
+    ends = np.cumsum(widths)
+    # an integer's digits fill its field's last character: a row ending in one needs a word more
+    text = np.zeros((rows, ends[-1] + (kinds[-1] in ("i", "u"))), dtype=_U64)
+    for c, k, at, end in zip(cols, kinds, ends - widths, ends):
+        field = text[:, at:end]
+        if k == "str":
+            field[:] = _words(["\0" + c], end - at)
+        elif k == "S":
+            field[:, 0] = c.astype("S8").view(_U64) << _CHAR
+        elif k == "f":
+            _float_words(c, field)
+        else:
+            _int_words(c.astype(np.int64, copy=False), field.view(_U32))
+        if at:
+            field[:, 0] |= np.uint64(ord(sep))
+    text[:, -1] |= np.uint64(ord("\n") << 56)
+    return text.tobytes().translate(None, b"\0")
 
 
-def _int_words(v, out, space: bool) -> None:
+def _int_words(v, out) -> None:
     """Write the decimal digits of v >= 0 into the uint32 columns of out,
-    four digits a column, right-aligned with leading zeros blank, and a
-    space before them when `space` (the first character is then blank)."""
+    four digits a column, right-aligned with leading zeros blank."""
     groups = []
     for _ in range(out.shape[1] - 1):
         v, low = np.divmod(v, 10000)
@@ -312,14 +318,12 @@ def _int_words(v, out, space: bool) -> None:
         run = 20000 if col == out.shape[1] - 1 else 10000
         out[:, col] = _GROUPS.take(g + np.where(leading, run, 0))
         leading &= g == 0
-    if space:
-        out[:, 0] |= ord(" ")
 
 
 def _float_words(x, out) -> None:
-    """Write " " + format(v, '.12g') + "\n" for each v of x into the four
-    uint64 columns of out: separator, sign and leading "0.000"; a mantissa
-    of two words; exponent and newline.
+    """Write format(v, '.12g') for each v of x into the four uint64 columns
+    of out, after a blank character: sign and leading "0.000"; a mantissa
+    of two words; exponent.
 
     e = floor(log10|x|) is corrected until y = |x| * 10**(11 - e), with
     10**(11 - e) from _POW10, lies in [1e11, 1e12).  Two roundings put y
@@ -366,7 +370,7 @@ def _float_words(x, out) -> None:
     out[:, 3] = _EXP.take(np.where(fixed, 0, e + 299))
     rest = np.flatnonzero(~ok)
     if rest.size:
-        out[rest] = _words([f" {v:.12g}\n" for v in x[rest].tolist()], 4)
+        out[rest] = _words([f"\0{v:.12g}" for v in x[rest].tolist()], 4)
 
 
 def _below(k, word: int):
@@ -377,7 +381,7 @@ def _below(k, word: int):
 def format_diagram(d: Diagram) -> str:
     sizes = d.level_sizes
     head = f"bratteli v1\nlevels {len(sizes)} : {' '.join(map(str, sizes))}\n"
-    return _lines(head, "e ", [d.table.entries()])
+    return _lines(head, " ", [("e", *d.table.entries())])
 
 
 def parse_graph(text: str) -> GeneralGraph:
@@ -411,7 +415,7 @@ def _graph_edge_lines(body: str):
 
 
 def format_graph(g: GeneralGraph) -> str:
-    return _lines(f"graph v1\nv {g.num_vertices}\n", "e ", [(g.i, g.j, g.c)])
+    return _lines(f"graph v1\nv {g.num_vertices}\n", " ", [("e", g.i, g.j, g.c)])
 
 
 def parse_function(text: str, d: Diagram) -> LevelFunction:
@@ -456,12 +460,12 @@ def _entry_lines(body: str, sizes):
     return np.array(rows, dtype=_ENTRY)
 
 
-def format_function(f: LevelFunction, skip_zeros: bool = True) -> str:
+def format_function(f: LevelFunction) -> str:
     def levels():
         for n, v in enumerate(f.values):
-            i = np.flatnonzero(v) if skip_zeros else np.arange(v.size)
+            i = np.flatnonzero(v)
             yield np.full(i.size, n), i, v[i]
-    return _lines("fn v1\n", "", levels())
+    return _lines("fn v1\n", " ", levels())
 
 
 def _parse_rows(spec: str) -> np.ndarray:

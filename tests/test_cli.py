@@ -323,6 +323,16 @@ def test_green_csv_schema(capsys):
     assert any(",U," in ln for ln in lines[1:])
 
 
+@pytest.mark.parametrize("spec, digest", [
+    ("tree:6:2", "bd6bb99ecf2634bd"),
+    ("pascal:20:1", "2f706eb2547973ff"),
+])
+def test_all_pairs_green_table_is_pinned(spec, digest, capsys):
+    # no golden covers the all-pairs table; these are its sha256 prefixes at the parent
+    assert main(["green", "--diagram", spec]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
 def test_walk_csv_deterministic(tmp_path):
     args = ["walk", "--diagram", "tree:6:2", "--start", "0,0",
             "--targets", "1,0;2,1", "--walks", "500", "--seed", "7",
@@ -942,7 +952,7 @@ def _battery():
                   ["walk", *tree, "--start", "0,0", f"--targets={vertex}"],
                   ["harmonic", *tree, "--pin", f"{vertex}=1"]]
     cases += [["harmonic", *tree, "--pin", "2,0=1", "--pin", "2,0=2"],
-              ["harmonic", "--diagram", "ladder:600:1"]]
+              ["harmonic", "--diagram", "ladder:600:1"], ["green", *tree, "--vertices="]]
     for root in ("-1", "4"):
         cases += [["convert", "--graph", "{graph}", f"--root={root}"],
                   ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]

@@ -182,24 +182,39 @@ def test_line_writer_matches_python_format_byte_for_byte():
     rng = np.random.default_rng(15)
     n = rng.integers(0, 30, x.size)
     i = rng.integers(0, 3, x.size) * 10 ** rng.integers(0, 18, x.size)   # 0 to 2e17
-    text = _lines("head\n", "e ", [(n[:5], i[:5], x[:5]), (n[5:5], i[5:5], x[5:5]),
-                                   (n[5:], i[5:], x[5:])])
+    text = _lines("head\n", " ", [("e", n[:5], i[:5], x[:5]), ("e", n[5:5], i[5:5], x[5:5]),
+                                  ("e", n[5:], i[5:], x[5:])])
     assert text == "head\n" + "".join(f"e {a} {b} {v:.12g}\n"
                                       for a, b, v in zip(n.tolist(), i.tolist(), x.tolist()))
 
 
+def test_line_writer_matches_a_joined_reference_in_every_field_layout():
+    # a text field, a byte-string column, floats that are not last, an
+    # integer last (its row needs a word for the newline), an empty part and
+    # a block boundary inside a part
+    rng = np.random.default_rng(17)
+    x, y = rng.permutation(_adversarial_floats()).reshape(2, -1)[:, :3 * _BLOCK]
+    x[:5] = [np.nan, -np.inf, -0.0, 1e-320, -1234567890125.0]    # formatted by Python
+    k = rng.integers(0, 10**12, x.size)
+    q = rng.choice(np.array([b"G", b"F", b"U", b"abcdef"]), x.size)
+    cut = [0, 5, 5, _BLOCK + 9, x.size]
+    parts = [("0,x", q[a:b], x[a:b], y[a:b], k[a:b]) for a, b in zip(cut, cut[1:])]
+    text = _lines("h\n", ",", parts)
+    assert text == "h\n" + "".join(
+        ",".join(["0,x", s.decode(), f"{u:.12g}", f"{v:.12g}", str(m)]) + "\n"
+        for s, u, v, m in zip(q.tolist(), x.tolist(), y.tolist(), k.tolist()))
+
+
 def test_function_writer_matches_per_entry_format_across_blocks():
     # levels that are empty, cross a block boundary, and hold values that
-    # the fast path leaves to Python (ties, 0 with skip_zeros off, inf, nan)
+    # the fast path leaves to Python (ties, inf, nan)
     rng = np.random.default_rng(16)
     tail = np.array([0.5, 1234567890125.0, -0.0, np.inf, np.nan, 1e-320])
     f = LevelFunction([np.zeros(3), rng.standard_normal(_BLOCK + 7) * 1e3, np.zeros(0),
                        np.concatenate([rng.random(_BLOCK - 2), tail]), np.zeros(5)])
-    for skip in (True, False):
-        want = "fn v1\n" + "".join(
-            f"{n} {i} {v[i]:.12g}\n" for n, v in enumerate(f.values)
-            for i in (np.flatnonzero(v) if skip else range(v.size)))
-        assert format_function(f, skip_zeros=skip) == want
+    want = "fn v1\n" + "".join(f"{n} {i} {v[i]:.12g}\n" for n, v in enumerate(f.values)
+                               for i in np.flatnonzero(v))
+    assert format_function(f) == want
 
 
 def test_pascal300_diagram_round_trips_byte_for_byte():
