@@ -229,12 +229,12 @@ def gen_pascal(depth: int, lam: float) -> Diagram:
     return Diagram(table, ExtensionRule("pascal", lam))
 
 
-def gen_stationary(a, depth: int, lam: float, root_row: Optional[np.ndarray] = None) -> Diagram:
+def gen_stationary(a, depth: int, lam: float) -> Diagram:
     """Repeating diagram: C_n = lam^n * A for n >= 1.
 
     The repeating structure leaves level 0 unspecified; by convention the
-    root connects to every V_1 vertex with unit conductance (configurable
-    via root_row).
+    root connects to every V_1 vertex with unit conductance (C_0 is a row
+    of ones).
     """
     a = np.asarray(a, dtype=float)
     if depth < 1:
@@ -248,15 +248,9 @@ def gen_stationary(a, depth: int, lam: float, root_row: Optional[np.ndarray] = N
     if (a.sum(axis=0) == 0).any():
         raise ValueError("A has a zero column (unreachable vertex)")
     d = a.shape[0]
-    if root_row is None:
-        root_row = np.ones((1, d))
-    else:
-        root_row = np.asarray(root_row, dtype=float).reshape(1, d)
-        if (root_row <= 0).any():
-            raise ValueError("root_row must be strictly positive")
     _check_edges(d + (depth - 1) * int(a.sum()))
     sizes = [1] + [d] * depth
-    mats = [root_row] + [p * a for p in _powers(lam, depth)[1:]]
+    mats = [np.ones((1, d))] + [p * a for p in _powers(lam, depth)[1:]]
     rule = ExtensionRule("stationary", lam, tuple(tuple(row) for row in a))
     return make_diagram(sizes, mats, extension=rule)
 

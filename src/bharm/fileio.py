@@ -25,19 +25,21 @@ correctly rounded power of ten; the few rows that this rounding cannot
 decide (a fraction within 5e-4 of one half), and 0, inf, nan and numbers
 outside the table, are formatted by Python (see _float_words).
 
-The diagram, graph and function readers share one way of reading: after
-its own header checks, each reads the body in bulk, with one call of
-numpy's C tokenizer (np.loadtxt with a record dtype: comments after '#',
-fields split at whitespace, integers within int64) and then checks the
-columns as arrays.  Only a body that the bulk read refuses, or whose
-columns fail a check, goes through the per-line path: str.splitlines,
-str.split, int() and float() on each line in file order.  That path takes
-what int() and float() take and the C tokenizer does not ('1_000',
-non-ASCII digits), and it raises the first bad line's error, so errors
-name the first bad line in file order whichever way the body was read.  A
-graph body is read in bulk only when every edge line has its conductance
-(a line 'e <i> <j>' sends it down the per-line path); its edges are
-checked by GeneralGraph, which reports the first bad edge in file order.
+The diagram, graph and function readers share one body reader, _body.
+It reads the body in bulk, with one call of numpy's C tokenizer (np.loadtxt
+with a record dtype: comments after '#', fields split at whitespace,
+integers within int64).  A body that the bulk read refuses goes through
+the one per-line tokenizer: str.splitlines, str.split, then int() and
+float() from left to right, on each line in file order.  It takes what
+int() and float() take and the C tokenizer does not ('1_000', non-ASCII
+digits), and it stops at the first line with the wrong fields or a field
+that they refuse.  Either way each reader checks its rules once, on the
+columns, so a body that the bulk read takes is not read again when a row
+breaks a rule.  Errors name the first bad line in file order: the first
+row that breaks a rule, else the tokenizer's error.  A graph body is read
+in bulk only when every edge line has its conductance; its tokenizer
+error comes first, and its edges are checked by GeneralGraph, which
+reports the first bad edge in file order.
 
 Reading a diagram file costs time and memory linear in the number of edges:
 the edge lines, sorted once by (level, row, col), are the diagram's edge
@@ -61,6 +63,7 @@ from ._matops import edge_table
 from .diagram import (
     Diagram,
     GeneralGraph,
+    _vertex_ids,
     gen_binary_tree,
     gen_bottleneck,
     gen_ladder,
@@ -124,10 +127,47 @@ def _table(data: bytes, pos: int, dtype):
             return None
 
 
+def _body(data: bytes, pos: int, dtype, what: str, optional: int = 0):
+    """The body's columns, one for each field of dtype but the marker 'e',
+    and the error of its first bad line, or None.  A body that _table reads,
+    with every marker 'e', gives _table's columns.  Any other body goes
+    through the one per-line tokenizer: str.split, then int() and float()
+    from left to right, on each line in file order, into tuples.  It takes
+    what numpy's tokenizer does not ('1_000', non-ASCII digits, integers
+    beyond int64), and stops at the first line with the wrong fields (the
+    last `optional` may be left out, and are 1) or a field that int() or
+    float() refuses, with the lines before it and that line's error."""
+    table = _table(data, pos, dtype)
+    marked = dtype[0][0] == "e"
+    fields = dtype[1:] if marked else dtype
+    if table is not None and (not marked or (table["e"] == "e").all()):
+        return [table[name] for name, _ in fields], None
+    kinds = [int if kind == "i8" else float for _, kind in fields]
+    width, rows, error = len(fields), [], None
+    for line in _clean_lines(data[pos:].decode()):
+        parts = line.split()
+        marker = parts.pop(0) if marked else "e"
+        if marker != "e" or not 0 <= width - len(parts) <= optional:
+            error = ValueError(f"malformed {what} line: {line!r}")
+            break
+        parts += ["1"] * (width - len(parts))
+        try:
+            rows.append([kind(p) for kind, p in zip(kinds, parts)])
+        except ValueError as exc:
+            error = exc
+            break
+    return list(zip(*rows)) or [()] * width, error
+
+
+def _ints(col) -> np.ndarray:
+    """An integer column as int64: one read in bulk as it is, and a tuple of
+    the tokenizer's ints through _vertex_ids, which makes an int beyond
+    int64 -1, out of range as the int itself is."""
+    return col if isinstance(col, np.ndarray) else _vertex_ids(col)
+
+
 def parse_diagram(text: str) -> Diagram:
-    """Diagram from its file text.  The edge lines are read in bulk by
-    _table; a body it refuses, or one with a bad edge, goes through the
-    per-line path, which reports the first bad line in file order."""
+    """Diagram from its file text; _edges reads and checks the edge lines."""
     lines, data, pos = _split(text, 2)
     if not lines or lines[0] != "bratteli v1":
         raise ValueError("expected 'bratteli v1' header")
@@ -142,11 +182,7 @@ def parse_diagram(text: str) -> Diagram:
         raise ValueError(f"levels line announces {k} sizes but lists {len(sizes)}")
     if any(s <= 0 for s in sizes):
         raise ValueError("degenerate level of size 0")
-    table = _table(data, pos, _EDGE)
-    edges = None if table is None else _edge_arrays(table, sizes)
-    if edges is None:
-        edges = _edge_arrays(_edge_lines(data[pos:].decode(), sizes), sizes)
-    n, i, j, c = edges
+    n, i, j, c = _edges(data, pos, sizes)
     if max(sizes) > max(n.size, 1):
         raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
                          f"edge lines; the file has {n.size}")
@@ -156,26 +192,37 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(edge_table(sizes, n[edge], i[edge], j[edge], c[edge]))
 
 
-def _edge_arrays(table, sizes):
-    """Edge columns (n, i, j, c) sorted by (n, i, j), or None when a line
-    is not an edge line, is out of range or repeats an edge, or the level
-    sizes overflow int64."""
-    if not (table["e"] == "e").all():
-        return None
-    try:
-        size = np.array(sizes, dtype=np.int64)
-    except OverflowError:
-        return None
-    n, i, j, c = table["n"], table["i"], table["j"], table["c"]
-    if ((n < 0) | (n >= len(sizes) - 1)).any():
-        return None
-    if ((i < 0) | (i >= size[n]) | (j < 0) | (j >= size[n + 1])).any():
-        return None
+def _edges(data: bytes, pos: int, sizes):
+    """The edge lines' columns n, i, j, c, sorted by (n, i, j).  Raises for
+    the first line in file order that breaks a rule (level range, index range,
+    a repeat, in that order; one in range only of a level beyond int64 reports
+    that level's size), else for _body's error, else for such a level size."""
+    cols, error = _body(data, pos, _EDGE, "edge")
+    n, i, j = map(_ints, cols[:3])
+    c = np.asarray(cols[3], dtype=float)
+    # a size beyond int64 as int64's largest; a 0 when there is no level, for take to clip to
+    size = np.array([min(s, 2 ** 63 - 1) for s in sizes] or [0])
+    level = (n < 0) | (n >= len(sizes) - 1)
+    out = (level | (i < 0) | (i >= size.take(n, mode="clip"))
+           | (j < 0) | (j >= size.take(n + 1, mode="clip")))
+    bad = out
     if not _increasing(n, i, j):  # a file bharm writes is in order and skips the sort
         order = np.lexsort((j, i, n))
         n, i, j, c = n[order], i[order], j[order], c[order]
-        if not _increasing(n, i, j):  # sorted keys that do not increase repeat
-            return None
+        bad = out.copy()    # a repeat: a key equal to the one before it in sorted order
+        bad[order[1:][(n[1:] == n[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])]] = True
+    if bad.any():
+        r = int(np.argmax(bad))
+        nr, ir, jr = (int(col[r]) for col in cols[:3])
+        if out[r] and not level[r] and 0 <= ir < sizes[nr] and 0 <= jr < sizes[nr + 1]:
+            raise ValueError("level size too large")  # out of range only of the capped size
+        key = f"({nr},{ir},{jr})"
+        raise ValueError(f"edge level {nr} out of range" if level[r] else
+                         f"edge {key} out of range" if out[r] else f"duplicate edge {key}")
+    if error is not None:
+        raise error
+    if max(sizes) >= 2 ** 63:
+        raise ValueError("level size too large")
     return n, i, j, c
 
 
@@ -184,30 +231,6 @@ def _increasing(n, i, j) -> bool:
     no repeat."""
     return bool(((n[1:] > n[:-1]) | (n[1:] == n[:-1]) & (
         (i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all())
-
-
-def _edge_lines(body: str, sizes):
-    """The per-line path: check each edge line for shape, number
-    conversion, level range, index range and repeat, in that order and in
-    file order, and raise the first bad line's error; with no bad line,
-    the level sizes may still overflow int64.  Returns the edge table."""
-    rows, seen = [], set()
-    for line in _clean_lines(body):
-        parts = line.split()
-        if parts[0] != "e" or len(parts) != 5:
-            raise ValueError(f"malformed edge line: {line!r}")
-        n, i, j, c = int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
-        if not (0 <= n < len(sizes) - 1):
-            raise ValueError(f"edge level {n} out of range")
-        if not (0 <= i < sizes[n] and 0 <= j < sizes[n + 1]):
-            raise ValueError(f"edge ({n},{i},{j}) out of range")
-        if (n, i, j) in seen:
-            raise ValueError(f"duplicate edge ({n},{i},{j})")
-        seen.add((n, i, j))
-        rows.append(("e", n, i, j, c))
-    if max(sizes) > np.iinfo(np.int64).max:
-        raise ValueError("level size too large")
-    return np.array(rows, dtype=_EDGE)
 
 
 # --- the line writer ---------------------------------------------------------
@@ -385,33 +408,18 @@ def format_diagram(d: Diagram) -> str:
 
 
 def parse_graph(text: str) -> GeneralGraph:
-    """General graph from its file text.  The edge lines are read in bulk
-    by _table when each has all four fields; any other body goes through
-    the per-line path, which reports the first malformed line."""
+    """General graph from its file text.  A line that _body's tokenizer
+    refuses is reported before the edges, which GeneralGraph checks."""
     lines, data, pos = _split(text, 2)
     if not lines or lines[0] != "graph v1":
         raise ValueError("expected 'graph v1' header")
     if len(lines) < 2 or not lines[1].startswith("v "):
         raise ValueError("expected 'v <count>' line")
     count = int(lines[1].split()[1])
-    table = _table(data, pos, _GRAPH_EDGE)
-    if table is not None and (table["e"] == "e").all():
-        return GeneralGraph.from_arrays(count, table["i"], table["j"], table["c"])
-    return GeneralGraph.from_arrays(count, *_graph_edge_lines(data[pos:].decode()))
-
-
-def _graph_edge_lines(body: str):
-    """The per-line path of parse_graph: the columns i, j, c as lists, or
-    the first malformed line's error."""
-    i, j, c = [], [], []
-    for line in _clean_lines(body):
-        parts = line.split()
-        if parts[0] != "e" or len(parts) not in (3, 4):
-            raise ValueError(f"malformed edge line: {line!r}")
-        c.append(float(parts[3]) if len(parts) == 4 else 1.0)
-        i.append(int(parts[1]))
-        j.append(int(parts[2]))
-    return i, j, c
+    cols, error = _body(data, pos, _GRAPH_EDGE, "edge", optional=1)
+    if error is not None:
+        raise error
+    return GeneralGraph.from_arrays(count, *cols)
 
 
 def format_graph(g: GeneralGraph) -> str:
@@ -420,44 +428,27 @@ def format_graph(g: GeneralGraph) -> str:
 
 def parse_function(text: str, d: Diagram) -> LevelFunction:
     """Level function from its file text; a repeated entry takes its last
-    value.  Entry lines are read in bulk, as in parse_diagram."""
+    value.  _body's columns are range-checked as in parse_diagram."""
     lines, data, pos = _split(text, 1)
     if not lines or lines[0] != "fn v1":
         raise ValueError("expected 'fn v1' header")
-    sizes = np.array(d.level_sizes, dtype=np.int64)
-    table = _table(data, pos, _ENTRY)
-    if table is None or not _entries_in_range(table, sizes):
-        table = _entry_lines(data[pos:].decode(), sizes)
-    key = d.table.offsets[table["n"]] + table["i"]
+    cols, error = _body(data, pos, _ENTRY, "function")
+    n, i = map(_ints, cols[:2])
+    sizes = np.array(d.level_sizes)
+    bad = (n < 0) | (n >= sizes.size) | (i < 0) | (i >= sizes.take(n, mode="clip"))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError(f"entry ({cols[0][r]},{cols[1][r]}) out of range")
+    if error is not None:
+        raise error
+    key = d.table.offsets[n] + i
     order = np.argsort(key, kind="stable")
-    key, vals = key[order], table["v"][order]
+    key, vals = key[order], np.asarray(cols[2], dtype=float)[order]
     last = np.ones(key.size, dtype=bool)
     last[:-1] = key[1:] != key[:-1]
     flat = np.zeros(d.total_vertices)
     flat[key[last]] = vals[last]
     return LevelFunction.from_flat(d, flat)
-
-
-def _entries_in_range(table, sizes) -> bool:
-    n, i = table["n"], table["i"]
-    if ((n < 0) | (n >= sizes.size)).any():
-        return False
-    return not ((i < 0) | (i >= sizes[n])).any()
-
-
-def _entry_lines(body: str, sizes):
-    """The per-line path of parse_function: the entry table, or the first
-    malformed or out-of-range line's error."""
-    rows = []
-    for line in _clean_lines(body):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed function line: {line!r}")
-        n, i, v = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (0 <= n < sizes.size and 0 <= i < sizes[n]):
-            raise ValueError(f"entry ({n},{i}) out of range")
-        rows.append((n, i, v))
-    return np.array(rows, dtype=_ENTRY)
 
 
 def format_function(f: LevelFunction) -> str:

@@ -31,6 +31,10 @@ from .operators import (LevelFunction, build_level_operators, checked_conductanc
 RANK_RCOND = 1e-12
 DEFAULT_TOL = 1e-9
 _UNIT = np.finfo(float).eps / 2  # unit roundoff u
+# The square lu path refines with exactly rounded residuals only up to this
+# many stored entries (_exact_residual is a Python loop over them); a larger
+# system keeps its first solve, with refine_steps 0.
+_EXACT_REFINE_ENTRIES = 2_000_000
 
 
 @dataclass
@@ -261,7 +265,7 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
         if m == n_free:
             lu = spla.splu(a_free.tocsc())
             sol = finite(lu.solve(b_live))
-            if 0 < v_f.size <= 2_000_000:
+            if 0 < v_f.size <= _EXACT_REFINE_ENTRIES:
                 sol, steps = _refine(lu, sol, lambda s: _exact_residual(
                     r_f, c_f, v_f, n_live, s, b_live))
         else:

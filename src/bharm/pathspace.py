@@ -133,12 +133,10 @@ class DirichletSystem:
 
 
 def dirichlet_solve(d: Diagram, boundary_level: int,
-                    boundary_values: Optional[np.ndarray] = None,
-                    source: Optional[Dict[VertexId, float]] = None,
-                    pinned: Optional[Dict[VertexId, float]] = None) -> LevelFunction:
-    """One-shot Dirichlet solve; see DirichletSystem for the conventions."""
-    return DirichletSystem(d, boundary_level).solve(
-        source=source, boundary_values=boundary_values, pinned=pinned)
+                    source: Dict[VertexId, float]) -> LevelFunction:
+    """One-shot Dirichlet solve with zero boundary values; see DirichletSystem
+    for the conventions."""
+    return DirichletSystem(d, boundary_level).solve(source=source)
 
 
 # ---------------------------------------------------------------------------

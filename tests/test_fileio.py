@@ -237,7 +237,18 @@ def test_graph_writer_matches_per_edge_format():
     assert format_graph(parse_graph("graph v1\nv 1\n")) == "graph v1\nv 1\n"
 
 
-@pytest.mark.parametrize("edges, message", [
+# Each reader test runs on both reading paths: on the text as it is (the bulk
+# read takes every well-formed body) and with _table refusing every body, so
+# that the per-line tokenizer reads it.  The first path keeps the test's id.
+READ_PATHS = [("", True), ("-per-line", False)]
+
+
+def _read_path(monkeypatch, bulk):
+    if not bulk:
+        monkeypatch.setattr(fileio, "_table", lambda data, pos, dtype: None)
+
+
+FIRST_BAD_LINES = [
     ("e 0 0 5 1\ne 0 0\n", "edge (0,0,5) out of range"),
     ("e 0 0\ne 0 0 5 1\n", "malformed edge line: 'e 0 0'"),
     ("e 0 0 0 1\ne 0 0 0 1\ne 7 0 x 1\n", "duplicate edge (0,0,0)"),
@@ -247,8 +258,15 @@ def test_graph_writer_matches_per_edge_format():
     ("e 0 0 9 y\n", "could not convert string to float: 'y'"),
     ("e 0 0 0 1\ne 0 0 1 1\ne 1 0 0 1\ne 1 1 0 1\ne 99999999999999999999 0 0 1\n",
      "edge level 99999999999999999999 out of range"),
+]
+
+
+@pytest.mark.parametrize("edges, message, bulk", [
+    pytest.param(edges, message, bulk, id=f"{edges}-{message}{suffix}")
+    for suffix, bulk in READ_PATHS for edges, message in FIRST_BAD_LINES
 ])
-def test_first_bad_line_is_reported(edges, message):
+def test_first_bad_line_is_reported(edges, message, bulk, monkeypatch):
+    _read_path(monkeypatch, bulk)
     with pytest.raises(ValueError) as info:
         parse_diagram("bratteli v1\nlevels 3 : 1 2 2\n" + edges)
     assert str(info.value) == message
@@ -328,9 +346,24 @@ DIAGRAM_PARITY = [
      '((1, 2, 2), [(0, 0, 0, 1.0), (1, 0, 0, 3.0), (1, 1, 1, 4.0)])'),
     ('no-edges', 'bratteli v1\nlevels 1 : 1\n',
      '((1,), [])'),
+    ('no-levels-with-an-edge', 'bratteli v1\nlevels 0 :\ne 0 0 0 1\n',
+     ValueError('edge level 0 out of range')),
     ('too-few-edge-lines', D + 'e 0 0 0 1\n',
      ValueError('a level of 2 vertices needs at least as many edge lines; the file has 1')),
     ('size-beyond-int64', 'bratteli v1\nlevels 2 : 1 99999999999999999999\ne 0 0 0 1\n',
+     ValueError('level size too large')),
+    # The rules run on int64 columns, where a level size beyond int64 is
+    # capped: a row with an index at or beyond the cap, in range of the true
+    # size, reports the level size.
+    ('index-beyond-int64-on-a-level-beyond-int64',
+     'bratteli v1\nlevels 2 : 1 99999999999999999999\ne 0 0 99999999999999999998 1\n',
+     ValueError('level size too large')),
+    ('int64-max-index-on-a-level-beyond-int64',
+     'bratteli v1\nlevels 2 : 1 99999999999999999999\ne 0 0 9223372036854775807 1\n',
+     ValueError('level size too large')),
+    # Two bad lines: such a row is reported before the later one.
+    ('index-beyond-int64-on-a-level-beyond-int64-then-a-bad-line',
+     'bratteli v1\nlevels 2 : 1 99999999999999999999\ne 0 0 99999999999999999998 1\ne 0 1 0 1\n',
      ValueError('level size too large')),
     ('bom', '\ufeffbratteli v1\nlevels 2 : 1 1\ne 0 0 0 1\n',
      ValueError("expected 'bratteli v1' header")),
@@ -454,6 +487,10 @@ GRAPH_PARITY = [
      ValueError('edge (99999999999999999999,99999999999999999998) outside vertex range')),
     ('five-fields', G + 'e 0 1 2.5\ne 1 2 1 1\n',
      ValueError("malformed edge line: 'e 1 2 1 1'")),
+    # Two bad fields: the per-line parse converted the conductance first and
+    # reported 'y'; the one tokenizer converts from left to right.
+    ('bad-index-and-conductance', G + 'e x 1 y\n',
+     ValueError("invalid literal for int() with base 10: 'x'")),
     ('range-then-malformed', G + 'e 0 9 2.5\ne 1\n',
      ValueError("malformed edge line: 'e 1'")),
     ('out-of-range', G + 'e 0 1 2.5\ne 1 9 1\n',
@@ -485,13 +522,15 @@ def _parsed(kind, text):
     return repr((g.num_vertices, list(zip(g.i.tolist(), g.j.tolist(), g.c.tolist()))))
 
 
-@pytest.mark.parametrize("kind, text, expected", [
-    pytest.param(kind, text, expected, id=f"{kind}-{name}")
+@pytest.mark.parametrize("kind, text, expected, bulk", [
+    pytest.param(kind, text, expected, bulk, id=f"{kind}-{name}{suffix}")
+    for suffix, bulk in READ_PATHS
     for kind, table in (("diagram", DIAGRAM_PARITY), ("function", FUNCTION_PARITY),
                         ("graph", GRAPH_PARITY))
     for name, text, expected in table
 ])
-def test_readers_match_the_per_line_parse(kind, text, expected):
+def test_readers_match_the_per_line_parse(kind, text, expected, bulk, monkeypatch):
+    _read_path(monkeypatch, bulk)
     if isinstance(expected, ValueError):
         with pytest.raises(ValueError) as info:
             _parsed(kind, text)
@@ -501,7 +540,7 @@ def test_readers_match_the_per_line_parse(kind, text, expected):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_graph_bulk_read_matches_the_per_line_read(seed):
+def test_graph_bulk_read_matches_the_per_line_read(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     n = 50
     pairs = {tuple(sorted(p)) for p in rng.integers(n, size=(120, 2)).tolist() if p[0] != p[1]}
@@ -511,9 +550,10 @@ def test_graph_bulk_read_matches_the_per_line_read(seed):
     lines, data, pos = fileio._split(text, 2)
     assert fileio._table(data, pos, fileio._GRAPH_EDGE) is not None     # the bulk path
     g = parse_graph(text)
-    i, j, c = fileio._graph_edge_lines(data[pos:].decode())
-    assert (g.i.tolist(), g.j.tolist(), g.c.tolist()) == (i, j, c)
-    assert g.num_vertices == n
+    _read_path(monkeypatch, bulk=False)
+    h = parse_graph(text)
+    assert (g.i.tolist(), g.j.tolist(), g.c.tolist()) == (h.i.tolist(), h.j.tolist(), h.c.tolist())
+    assert g.num_vertices == h.num_vertices == n
 
 
 def _main_in_child(argv):

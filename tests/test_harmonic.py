@@ -182,6 +182,29 @@ def test_overdetermined_chain_takes_the_reported_lsqr_path():
     assert np.allclose(f.values[2], h.values[2], atol=1e-12)
 
 
+@pytest.mark.parametrize("depth", [20, 40])
+def test_square_lu_refines_up_to_the_exact_residual_cap(depth, monkeypatch):
+    # one pin a level leaves the stacked Pascal system square: the lu path
+    d = gen_pascal(depth, 1.0)
+    pins = {n: {0: 1.0} for n in range(1, depth + 1)}
+    stored, exact = [], harmonic._exact_residual
+
+    def recording(rows, cols, vals, *args):
+        stored.append(vals.size)
+        return exact(rows, cols, vals, *args)
+
+    monkeypatch.setattr(harmonic, "_exact_residual", recording)
+    f, rep = solve_chain(d, pins=pins)
+    assert rep.diagnostics["path"] == "lu" and rep.diagnostics["refine_steps"] >= 1
+    monkeypatch.setattr(harmonic, "_EXACT_REFINE_ENTRIES", stored[0])
+    at_cap, rep_at_cap = solve_chain(d, pins=pins)
+    assert at_cap.flat().tobytes() == f.flat().tobytes()
+    assert rep_at_cap.diagnostics == rep.diagnostics
+    monkeypatch.setattr(harmonic, "_EXACT_REFINE_ENTRIES", stored[0] - 1)
+    _, rep_above = solve_chain(d, pins=pins)
+    assert rep_above.diagnostics["path"] == "lu" and rep_above.diagnostics["refine_steps"] == 0
+
+
 @pytest.mark.parametrize("spec, seed, path", [("ladder", [1.0, -1.0], "lu"),
                                               ("pascal", None, "augmented-lu")])
 def test_a_failed_factorization_is_named_in_bharms_words(spec, seed, path, monkeypatch):
