@@ -6,11 +6,12 @@ memory and time grow with the edges, not with |V_n| |V_{n+1}|.  A diagram
 stores all its levels C_0, ..., C_{N-1} once, in one EdgeTable, the
 LevelMatrix of their rows stacked in level order, and every table is made
 by edge_table from (level, row, col, value) triplets in table order; its
-C_n is a view of the table's slice, and every sum over the edges of a
-range of levels (P, the Laplacian, the recursion residuals, the degrees)
-is one EdgeTable.edge_sums.  Both are bharm's own types and need numpy
-only: scipy is imported only where a caller hands in a scipy sparse matrix
-(stacked_table) and by the solvers that factor or decompose.
+C_n is level(n), a view of the table's slice, and all levels' triplets are
+entries().  Every sum over the edges of a range of levels (P, the
+Laplacian, the recursion residuals, the degrees) is one edge_sums.  Both
+types are bharm's own and need numpy only: scipy is imported only where a
+caller hands in a scipy sparse matrix (stacked_table) and by the solvers
+that factor or decompose.
 """
 import numpy as np
 

@@ -64,10 +64,9 @@ class Violation:
 class Diagram:
     """Finite prefix of an infinite weighted graded diagram.
 
-    The conductances are stored once, in `table` (see _matops.EdgeTable).
-    conductance[n] has shape |V_n| x |V_{n+1}| and is a LevelMatrix view of
-    the table (see _matops), made on first use; the incidence A_n is its
-    structure.
+    The conductances are stored once, in `table` (see _matops.EdgeTable):
+    table.level(n) is C_n, of shape |V_n| x |V_{n+1}|, as a LevelMatrix
+    view of the table, and the incidence A_n is its structure.
     """
     table: EdgeTable
     extension: Optional[ExtensionRule] = None
@@ -86,36 +85,22 @@ class Diagram:
         return int(sum(self.level_sizes))
 
     @cached_property
-    def conductance(self) -> tuple:
-        return tuple(self.table.level(n) for n in range(self.num_levels))
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        """c(x) of every vertex (read-only): its column sum plus its row sum
-        in the table (EdgeTable.edge_sums), so that level n's slice is the
-        column sums of C_{n-1} plus the row sums of C_n, bit for bit."""
+        """c(x) of every vertex (read-only), from stored edges only: its
+        column sum plus its row sum in the table (EdgeTable.edge_sums), so
+        that level n's slice is the column sums of C_{n-1} plus the row sums
+        of C_n, bit for bit.  The root has no parents and the last stored
+        level no children there, so its c is truncated."""
         out, into = self.table.edge_sums(0, self.num_levels)
         c = into + out
         c.flags.writeable = False
         return c
-
-    def degree_vector(self, n: int) -> np.ndarray:
-        """Total conductance c(x) for x in V_n from stored edges only.
-
-        The root has no predecessor level, so c(o) uses outgoing edges; the
-        last stored level has no successor edges, so its c is truncated.
-        """
-        return self.degrees[self.table.offsets[n]:self.table.offsets[n + 1]].copy()
 
     def check_vertex(self, v: VertexId) -> None:
         if not (0 <= v.level <= self.num_levels):
             raise ValueError(f"vertex level {v.level} outside stored levels 0..{self.num_levels}")
         if not (0 <= v.index < self.level_sizes[v.level]):
             raise ValueError(f"vertex index {v.index} outside [0, {self.level_sizes[v.level]})")
-
-    def edges(self) -> Iterable[tuple]:
-        """(n, i, j, c) over all stored edges, in table order."""
-        return zip(*(a.tolist() for a in self.table.entries()))
 
 
 def make_diagram(level_sizes: Sequence[int], conductance: Sequence, extension=None) -> Diagram:

@@ -174,7 +174,8 @@ def energy_harmonic_formulas(d: Diagram, f: LevelFunction,
             "use energy_norm for general functions")
     f2 = LevelFunction.from_flat(d, f.flat() ** 2)
     pf2 = markov_apply(d, f2)
-    via_markov = 0.5 * float(sum(np.dot(d.degree_vector(n), pf2.values[n] - f2.values[n])
+    c, offsets = d.degrees, d.table.offsets
+    via_markov = 0.5 * float(sum(np.dot(c[offsets[n]:offsets[n + 1]], pf2.values[n] - f2.values[n])
                                  for n in range(d.num_levels)))
     lf2 = laplacian_apply(d, f2)
     via_laplacian = 0.0

@@ -183,10 +183,10 @@ def parse_diagram(text: str) -> Diagram:
     if any(s <= 0 for s in sizes):
         raise ValueError("degenerate level of size 0")
     n, i, j, c = _edges(data, pos, sizes)
-    if max(sizes) > max(n.size, 1):
+    if max(sizes, default=1) > max(n.size, 1):
         raise ValueError(f"a level of {max(sizes)} vertices needs at least as many "
                          f"edge lines; the file has {n.size}")
-    if sizes[0] != 1:
+    if sizes[:1] != [1]:  # also a levels line that lists no level
         raise ValueError("level_sizes must start with the singleton root level")
     edge = c != 0  # a line with conductance 0 is a non-edge
     return Diagram(edge_table(sizes, n[edge], i[edge], j[edge], c[edge]))
@@ -221,7 +221,7 @@ def _edges(data: bytes, pos: int, sizes):
                          f"edge {key} out of range" if out[r] else f"duplicate edge {key}")
     if error is not None:
         raise error
-    if max(sizes) >= 2 ** 63:
+    if max(sizes, default=0) >= 2 ** 63:
         raise ValueError("level size too large")
     return n, i, j, c
 
@@ -452,11 +452,10 @@ def parse_function(text: str, d: Diagram) -> LevelFunction:
 
 
 def format_function(f: LevelFunction) -> str:
-    def levels():
-        for n, v in enumerate(f.values):
-            i = np.flatnonzero(v)
-            yield np.full(i.size, n), i, v[i]
-    return _lines("fn v1\n", " ", levels())
+    flat = f.flat()
+    k = np.flatnonzero(flat)
+    n = np.searchsorted(f.offsets, k, side="right") - 1
+    return _lines("fn v1\n", " ", [(n, k - f.offsets[n], flat[k])])
 
 
 def _parse_rows(spec: str) -> np.ndarray:

@@ -86,11 +86,12 @@ class HarmonicState:
         return self.basis[: self.sizes[0]], self.basis[self.sizes[0]:]
 
 
-def _source_vectors(d: Diagram, source: Optional[Dict[VertexId, float]]) -> LevelFunction:
-    rhs = LevelFunction.zeros(d)
+def _source_vectors(d: Diagram, source: Optional[Dict[VertexId, float]]) -> np.ndarray:
+    """The right-hand side, numbered as the vertices of d.table."""
+    rhs = np.zeros(d.total_vertices)
     for v, val in (source or {}).items():
         d.check_vertex(v)
-        rhs.values[v.level][v.index] += val
+        rhs[d.table.offsets[v.level] + v.index] += val
     return rhs
 
 
@@ -102,10 +103,9 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     truncation boundary and is not checked.  Raises ValueError where
     laplacian_apply does.
     """
-    lap = laplacian_apply(d, f)
-    rhs = _source_vectors(d, source)
-    residuals = [float(np.abs(lap.values[n] - rhs.values[n]).max(initial=0.0))
-                 for n in range(d.num_levels)]
+    gap = np.abs(laplacian_apply(d, f).flat() - _source_vectors(d, source))
+    offsets = d.table.offsets  # the levels are not empty, so reduceat's maxima are theirs
+    residuals = np.maximum.reduceat(gap[:offsets[-2]], offsets[:-2]).tolist()
     return SolveReport(residuals=residuals, tol=tol)
 
 
@@ -128,7 +128,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
         if v.shape[0] != d.level_sizes[k]:
             raise ValueError(f"prefix level {k} has length {v.shape[0]}, "
                              f"expected {d.level_sizes[k]}")
-    rhs = _source_vectors(d, source).flat()
+    rhs = _source_vectors(d, source)
     x, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix, {n + 1: pins} if pins else {})
     resid = _chain_residuals(d, n + 1, rhs, x, first=n)[0]
     diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
@@ -309,7 +309,7 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     depth = d.num_levels if depth is None else depth
     if not 1 <= depth <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
-    rhs = _source_vectors(d, source).flat()
+    rhs = _source_vectors(d, source)
     prefix = [np.zeros(1)]
     if seed_f1 is not None:
         seed_f1 = np.asarray(seed_f1, dtype=float).reshape(-1)
@@ -711,7 +711,7 @@ def _propagate(d: Diagram, n_max: int):
     unique = True
     for n in range(1, n_max):
         cprev, cn = cn, d.table.level(n).toarray()
-        degs = d.degree_vector(n)
+        degs = d.degrees[d.table.offsets[n]:d.table.offsets[n + 1]]
         g_map = degs[:, None] * cur - cprev.T @ prev
         u, s, vt = np.linalg.svd(cn, full_matrices=True)
         rank_cn = int((s > RANK_RCOND * s[0]).sum()) if s.size else 0

@@ -23,9 +23,9 @@ from .diagram import Diagram
 
 class LevelFunction:
     """A function V -> R on levels 0..N: one float64 vector (flat()) and
-    values[n], the read-write view of level n's part of it.  The levels are
-    the views, so a level can be written in place (values[n][:] = ...) but
-    not rebound."""
+    values[n], the read-write view of level n's part of it, which starts at
+    offsets[n].  The levels are the views, so a level can be written in
+    place (values[n][:] = ...) but not rebound."""
 
     def __init__(self, values):
         """From the per-level vectors f_0, ..., f_N, copied into one vector."""
@@ -34,12 +34,12 @@ class LevelFunction:
                    np.cumsum([0] + [v.size for v in levels]))
 
     def _view(self, flat: np.ndarray, offsets) -> "LevelFunction":
-        self._flat, self._offsets = flat, offsets
+        self._flat, self.offsets = flat, offsets
         self.values = tuple(flat[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
         return self
 
     def _like(self, flat: np.ndarray) -> "LevelFunction":
-        return LevelFunction.__new__(LevelFunction)._view(flat, self._offsets)
+        return LevelFunction.__new__(LevelFunction)._view(flat, self.offsets)
 
     @classmethod
     def from_flat(cls, d: Diagram, flat, levels: Optional[int] = None) -> "LevelFunction":
@@ -233,7 +233,8 @@ def weighted_inner(d: Diagram, u: LevelFunction, v: LevelFunction,
     """<u, v>_{l2(c)} = sum c(x) u(x) v(x) over levels 0..up_to_level, one
     dot product a level."""
     last = d.num_levels if up_to_level is None else up_to_level
-    return float(sum(np.dot(d.degree_vector(n) * u.values[n], v.values[n])
+    c, offsets = d.degrees, d.table.offsets
+    return float(sum(np.dot(c[offsets[n]:offsets[n + 1]] * u.values[n], v.values[n])
                      for n in range(last + 1)))
 
 

@@ -71,8 +71,7 @@ class DirichletSystem:
         self.matrix = sp.csr_matrix((vals, (rows, cols)),
                                     shape=(self.n_interior, self.n_interior))
         self.matrix.sum_duplicates()  # sorts the indices
-        self.degrees = self.matrix.diagonal()
-        checked_degrees(d, boundary_level - 1)  # a zero row
+        self.degrees = checked_degrees(d, boundary_level - 1)  # its diagonal; 0 is a zero row
         _check_crossable(d, 0, boundary_level)  # else the matrix is singular
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,

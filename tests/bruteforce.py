@@ -13,6 +13,11 @@ import numpy as np
 from bharm.diagram import Diagram, ExtensionRule, VertexId, make_diagram
 
 
+def level_matrices(d: Diagram) -> list:
+    """C_0, ..., C_{N-1}, the level views of d's edge table."""
+    return [d.table.level(n) for n in range(d.num_levels)]
+
+
 def flat_offsets(d: Diagram, upto: int):
     sizes = d.level_sizes[: upto + 1]
     off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
@@ -26,7 +31,7 @@ def dense_adjacency(d: Diagram, upto: int = None) -> np.ndarray:
     n = off[-1]
     a = np.zeros((n, n))
     for lvl in range(upto):
-        cm = d.conductance[lvl].toarray()
+        cm = d.table.level(lvl).toarray()
         for i in range(cm.shape[0]):
             for j in range(cm.shape[1]):
                 if cm[i, j] > 0:
@@ -44,7 +49,7 @@ def brute_energy(d: Diagram, f) -> float:
     """Plain loop over edges: sum c (f(x)-f(y))^2."""
     total = 0.0
     for lvl in range(d.num_levels):
-        cm = d.conductance[lvl].toarray()
+        cm = d.table.level(lvl).toarray()
         for i in range(cm.shape[0]):
             for j in range(cm.shape[1]):
                 if cm[i, j] > 0:
@@ -58,13 +63,13 @@ def stacked_constraint_matrix(d: Diagram, upto: int) -> np.ndarray:
     sizes = d.level_sizes
     nvar = int(sum(sizes[1: upto + 1]))
     off = np.concatenate([[0], np.cumsum(sizes[1: upto + 1])]).astype(int)
-    cms = [c.toarray() for c in d.conductance]
+    cms = [c.toarray() for c in level_matrices(d)]
     blocks = []
     root = np.zeros((1, nvar))
     root[0, off[0]: off[1]] = cms[0][0]
     blocks.append(root)
     for n in range(1, upto):
-        degs = d.degree_vector(n)
+        degs = ref_degrees(d, n)
         blk = np.zeros((sizes[n], nvar))
         if n >= 2:
             blk[:, off[n - 2]: off[n - 1]] += cms[n - 1].T
@@ -116,7 +121,7 @@ def walk_tables(d: Diagram, absorb: int):
     nbrs = [[] for _ in range(off[-1])]
     wts = [[] for _ in range(off[-1])]
     for lvl in range(absorb):
-        cm = d.conductance[lvl].toarray()
+        cm = d.table.level(lvl).toarray()
         for i, j in zip(*np.nonzero(cm)):
             a, b = off[lvl] + i, off[lvl + 1] + j
             nbrs[a].append(b)
@@ -148,7 +153,7 @@ def ref_validate(d: Diagram) -> list:
     without a child, then each vertex of level n + 1 without a parent."""
     out = []
     for n in range(d.num_levels):
-        m = d.conductance[n]
+        m = d.table.level(n)
         has_child, has_parent = [False] * m.shape[0], [False] * m.shape[1]
         for i in range(m.shape[0]):
             for k in range(m.indptr[i], m.indptr[i + 1]):
@@ -168,10 +173,10 @@ def ref_degrees(d: Diagram, n: int) -> np.ndarray:
     """c(x) on level n: the column sums of C_{n-1} plus the row sums of C_n."""
     c = np.zeros(d.level_sizes[n])
     if n > 0:
-        m = d.conductance[n - 1]
+        m = d.table.level(n - 1)
         c = c + np.bincount(m.indices, m.data, minlength=m.shape[1])
     if n < d.num_levels:
-        m = d.conductance[n]
+        m = d.table.level(n)
         c = c + np.bincount(m.rows(), m.data, minlength=m.shape[0])
     return c
 
@@ -179,7 +184,7 @@ def ref_degrees(d: Diagram, n: int) -> np.ndarray:
 def ref_p_back(d: Diagram, n: int, g) -> np.ndarray:
     """P<-_n g off the level matrix C_n: sum over x's children z of
     (c_xz / c(x)) g(z)."""
-    m = d.conductance[n]
+    m = d.table.level(n)
     rows, cols, c = m.rows(), m.indices, m.data
     return np.bincount(rows, c * (1.0 / ref_degrees(d, n))[rows] * g[cols],
                        minlength=m.shape[0])
@@ -188,7 +193,7 @@ def ref_p_back(d: Diagram, n: int, g) -> np.ndarray:
 def ref_p_fwd(d: Diagram, n: int, g) -> np.ndarray:
     """P->_{n-1} g off the level matrix C_{n-1}: sum over y's parents x of
     (c_xy / c(y)) g(x)."""
-    m = d.conductance[n - 1]
+    m = d.table.level(n - 1)
     rows, cols, c = m.rows(), m.indices, m.data
     return np.bincount(cols, c * (1.0 / ref_degrees(d, n))[cols] * g[rows],
                        minlength=m.shape[1])
@@ -211,9 +216,9 @@ def ref_laplacian(d: Diagram, values) -> list:
     for n in range(d.num_levels + 1):
         v = ref_degrees(d, n) * values[n]
         if n > 0:
-            v = v - ref_rmatvec(d.conductance[n - 1], values[n - 1])
+            v = v - ref_rmatvec(d.table.level(n - 1), values[n - 1])
         if n < d.num_levels:
-            v = v - ref_matvec(d.conductance[n], values[n + 1])
+            v = v - ref_matvec(d.table.level(n), values[n + 1])
         out.append(v)
     return out
 
@@ -251,10 +256,10 @@ def ref_p_row(d: Diagram, v: VertexId, values) -> float:
     n, x = v.level, v.index
     inv, terms = 1.0 / ref_degrees(d, n)[x], []
     if n > 0:
-        m = d.conductance[n - 1].toarray()
+        m = d.table.level(n - 1).toarray()
         terms += [m[i, x] * inv * values[n - 1][i] for i in np.flatnonzero(m[:, x])]
     if n < d.num_levels:
-        m = d.conductance[n].toarray()
+        m = d.table.level(n).toarray()
         terms += [m[x, j] * inv * values[n + 1][j] for j in np.flatnonzero(m[x])]
     return math.fsum(terms)
 

@@ -386,7 +386,7 @@ def shapes_for(seed: int):
 
 def random_harmonic(d, seed):
     rng = np.random.default_rng(seed)
-    c0 = d.conductance[0].toarray().reshape(-1)
+    c0 = d.table.level(0).toarray().reshape(-1)
     f1 = rng.standard_normal(d.level_sizes[1])
     f1 -= c0 * (c0 @ f1) / (c0 @ c0)
     if np.abs(f1).max() < 1e-9:

@@ -22,7 +22,9 @@ from bharm._matops import LevelMatrix
 from bharm.fileio import format_diagram, parse_diagram
 from bruteforce import (
     DictGraph,
+    level_matrices,
     ref_check_bratteli_structure,
+    ref_degrees,
     ref_diagram_from_levels,
     ref_extract_maximal_bratteli,
     ref_validate,
@@ -60,7 +62,8 @@ def z2_ball(radius):
 
 def diagram_as_graph(d):
     off = np.concatenate([[0], np.cumsum(d.level_sizes)]).astype(int)
-    edges = [(off[n] + i, off[n + 1] + j, c) for n, i, j, c in d.edges()]
+    edges = [(off[n] + i, off[n + 1] + j, c)
+             for n, i, j, c in zip(*(a.tolist() for a in d.table.entries()))]
     return GeneralGraph(int(off[-1]), edges)
 
 
@@ -106,7 +109,7 @@ def _sparse_with_duplicates():
         "graph", "dense", "sparse"])
 def test_every_level_is_read_only_canonical_csr(build):
     d = build()
-    for c in d.conductance:
+    for c in level_matrices(d):
         _assert_read_only_canonical(c)
 
 
@@ -145,16 +148,17 @@ def _assert_read_only_canonical(m):
 def test_levels_are_views_of_the_one_edge_table(build):
     d = build()
     t = d.table
-    assert t.nnz == sum(c.nnz for c in d.conductance)
-    for n, c in enumerate(d.conductance):
+    assert t.nnz == sum(c.nnz for c in level_matrices(d))
+    for n, c in enumerate(level_matrices(d)):
         lo, hi = t.starts[n], t.starts[n + 1]
         for ours, whole in ((c.data, t.data), (c.indices, t.indices)):
             assert np.shares_memory(ours, whole)
         assert np.array_equal(c.data, t.data[lo:hi])
         assert np.array_equal(c.indices, t.indices[lo:hi])
         assert np.array_equal(c.indptr, t.indptr[t.offsets[n]:t.offsets[n + 1] + 1] - lo)
-    # the degrees are one table-wide vector, sliced per level
-    assert np.array_equal(np.concatenate([d.degree_vector(n) for n in range(d.num_levels + 1)]),
+    # the degrees are one read-only table-wide vector, level n's the sums of C_{n-1} and C_n
+    assert not d.degrees.flags.writeable
+    assert np.array_equal(np.concatenate([ref_degrees(d, n) for n in range(d.num_levels + 1)]),
                           d.degrees)
 
 
@@ -202,19 +206,19 @@ def test_a_zero_is_no_edge_whatever_the_input_kind(kind):
 def test_tree_depth2_shapes_and_conductances():
     d = gen_binary_tree(2, 2.0)
     assert d.level_sizes == (1, 2, 4)
-    assert np.allclose(d.conductance[0].toarray(), [[1.0, 1.0]])
-    assert np.allclose(d.conductance[1].toarray(),
+    assert np.allclose(d.table.level(0).toarray(), [[1.0, 1.0]])
+    assert np.allclose(d.table.level(1).toarray(),
                        [[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 2.0]])
 
 
 def test_tree_depth1_unit():
     d = gen_binary_tree(1, 1.0)
-    assert np.allclose(d.conductance[0].toarray(), [[1.0, 1.0]])
+    assert np.allclose(d.table.level(0).toarray(), [[1.0, 1.0]])
 
 
 def test_tree_level2_edges_scale_with_lambda_squared():
     d = gen_binary_tree(3, 0.5)
-    vals = d.conductance[2].toarray()
+    vals = d.table.level(2).toarray()
     assert np.allclose(vals[vals > 0], 0.25)
 
 
@@ -229,8 +233,8 @@ def test_tree_rejects_bad_lambda():
 
 def test_pascal_incidence_rows():
     d = gen_pascal(2, 1.0)
-    assert np.array_equal(d.conductance[1].toarray() > 0, [[1, 1, 0], [0, 1, 1]])
-    assert np.array_equal(d.conductance[0].toarray() > 0, [[1, 1]])
+    assert np.array_equal(d.table.level(1).toarray() > 0, [[1, 1, 0], [0, 1, 1]])
+    assert np.array_equal(d.table.level(0).toarray() > 0, [[1, 1]])
 
 
 def test_pascal_neighbor_counts():
@@ -243,7 +247,7 @@ def test_pascal_neighbor_counts():
 
 def test_pascal_row_and_column_sums():
     d = gen_pascal(6, 1.0)
-    for c in d.conductance:
+    for c in level_matrices(d):
         a = (c.toarray() > 0).astype(int)
         assert np.all(a.sum(axis=1) == 2)
         cols = a.sum(axis=0)
@@ -255,12 +259,12 @@ def test_pascal_row_and_column_sums():
 
 def test_stationary_conductance_powers():
     d = gen_stationary([[1, 1], [1, 0]], 3, 2.0)
-    assert np.allclose(d.conductance[2].toarray(), [[4.0, 4.0], [4.0, 0.0]])
+    assert np.allclose(d.table.level(2).toarray(), [[4.0, 4.0], [4.0, 0.0]])
 
 
 def test_stationary_all_ones_levels():
     d = gen_stationary([[1, 1], [1, 1]], 2, 1.0)
-    assert np.allclose(d.conductance[1].toarray(), np.ones((2, 2)))
+    assert np.allclose(d.table.level(1).toarray(), np.ones((2, 2)))
 
 
 def test_stationary_zero_column_rejected():
@@ -325,7 +329,7 @@ def test_bottleneck_profile_and_determinism():
     d2 = gen_bottleneck([1, 3, 3, 1, 3], 123)
     assert d1.level_sizes == (1, 3, 3, 1, 3)
     assert d1.level_sizes[3] == 1
-    for a, b in zip(d1.conductance, d2.conductance):
+    for a, b in zip(level_matrices(d1), level_matrices(d2)):
         assert np.array_equal(a.toarray(), b.toarray())
 
 
@@ -633,7 +637,7 @@ def test_extend_to_regenerates_deeper_prefix():
     d = gen_binary_tree(3, 2.0)
     d2 = extend_to(d, 6)
     assert d2.num_levels == 6
-    assert np.allclose(d2.conductance[2].toarray(), d.conductance[2].toarray())
+    assert np.allclose(d2.table.level(2).toarray(), d.table.level(2).toarray())
 
 
 def test_extend_without_rule_rejected():

@@ -24,7 +24,7 @@ from bharm.closedforms import (
     tree_energy_series,
     tree_symmetric_harmonic,
 )
-from bruteforce import brute_energy
+from bruteforce import brute_energy, level_matrices
 
 
 def test_constant_function_zero_energy_and_currents():
@@ -81,7 +81,7 @@ def test_energy_shift_scale_and_conductance_rescale():
     assert np.isclose(base, shifted, rtol=1e-9)
     scaled_f = energy_norm(d, 3.0 * f).energy
     assert np.isclose(scaled_f, 9.0 * base, rtol=1e-12)
-    d_scaled = make_diagram(d.level_sizes, [2.5 * c.toarray() for c in d.conductance])
+    d_scaled = make_diagram(d.level_sizes, [2.5 * c.toarray() for c in level_matrices(d)])
     assert np.isclose(energy_norm(d_scaled, f).energy, 2.5 * base, rtol=1e-12)
 
 

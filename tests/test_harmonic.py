@@ -34,7 +34,7 @@ from bharm.closedforms import (
 )
 from bharm.fileio import parse_diagram, parse_genspec
 from bharm.harmonic import RANK_RCOND, _level_rank
-from bruteforce import stacked_constraint_matrix, stacked_nullity
+from bruteforce import level_matrices, ref_degrees, stacked_constraint_matrix, stacked_nullity
 
 
 # --- harmonicity check ---------------------------------------------------------
@@ -56,7 +56,7 @@ def test_delta_residual_equals_total_conductance():
     d = gen_pascal(6, 1.0)
     x = VertexId(3, 1)
     rep = harmonicity_check(d, LevelFunction.delta(d, x))
-    assert np.isclose(rep.residuals[x.level], d.degree_vector(3)[1])
+    assert np.isclose(rep.residuals[x.level], d.degrees[d.table.offsets[3] + 1])
 
 
 def test_source_aware_check():
@@ -91,7 +91,7 @@ def test_tree_extension_one_free_parameter_per_parent():
 
 def _bottleneck_seed(d):
     """A random level-1 seed on the root equation of d."""
-    c0 = d.conductance[0].toarray()[0]
+    c0 = d.table.level(0).toarray()[0]
     f1 = np.random.default_rng(0).standard_normal(c0.size)
     return f1 - c0 * (c0 @ f1) / (c0 @ c0)
 
@@ -101,14 +101,14 @@ def test_bottleneck_extension_inconsistent():
     d = gen_bottleneck([1, 3, 1, 3], 2)
     f1 = _bottleneck_seed(d)
     # brute force: the 3x1 system C_1 f_2 = D_1 f_1 has no exact solution
-    c1 = d.conductance[1].toarray().reshape(-1)
-    rhs = d.degree_vector(1) * f1
+    c1 = d.table.level(1).toarray().reshape(-1)
+    rhs = ref_degrees(d, 1) * f1
     best = np.linalg.lstsq(c1.reshape(-1, 1), rhs, rcond=None)[0]
     brute_resid = np.abs(c1 * best[0] - rhs).max()
     assert brute_resid > 1e-6
     _, rep = extend_harmonic(d, [np.zeros(1), f1])
     assert not rep.consistent
-    assert rep.residuals[0] > 1e-6 / d.degree_vector(1).max()
+    assert rep.residuals[0] > 1e-6 / ref_degrees(d, 1).max()
     # the seeded chain is square and singular: the LU fails, LSQR is
     # returned and the report says why
     _, rep = solve_chain(d, seed_f1=f1)
@@ -323,7 +323,7 @@ def test_seed_off_the_root_equation_keeps_the_global_solve():
 
 def test_scaling_leaves_solution_sets_invariant():
     d = gen_pascal(7, 1.0)
-    scaled = make_diagram(d.level_sizes, [5.0 * c.toarray() for c in d.conductance])
+    scaled = make_diagram(d.level_sizes, [5.0 * c.toarray() for c in level_matrices(d)])
     f1, _ = solve_chain(d, seed_f1=[2.0, -2.0])
     f2, _ = solve_chain(scaled, seed_f1=[2.0, -2.0])
     for a, b in zip(f1.values, f2.values):
@@ -405,7 +405,7 @@ def test_stationary_dimension_unique_extension():
 def _random_conductances(d, seed):
     """Same edges as d, conductances drawn uniformly from [0.5, 2)."""
     rng = np.random.default_rng(seed)
-    mats = [c.toarray() * rng.uniform(0.5, 2.0, c.shape) for c in d.conductance]
+    mats = [c.toarray() * rng.uniform(0.5, 2.0, c.shape) for c in level_matrices(d)]
     return make_diagram(d.level_sizes, mats)
 
 
@@ -434,7 +434,7 @@ def _mixed_components():
 ], ids=["tree6-random", "pascal8-random", "bottleneck-b-random", "stationary",
         "irregular-file", "mixed-components"])
 def test_dimension_and_state_match_oracle(d):
-    for n, c in enumerate(d.conductance):
+    for n, c in enumerate(level_matrices(d)):
         s = np.linalg.svd(c.toarray(), compute_uv=False)
         assert _level_rank(c) == (s > RANK_RCOND * s[0]).sum(), f"C_{n}"
     res = harm_dimension(d)
@@ -485,7 +485,7 @@ def test_level_below_the_certificate_margin_takes_the_svd():
     # sigma_min / sigma_max about 4e-10: above RANK_RCOND, so of full rank,
     # but too close to singular for C C^T - s I to stay positive definite
     d = _with_second_level([[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-9, 1.0]])
-    assert 1e-10 < _singular_value_ratio(d.conductance[1]) < 1e-8
+    assert 1e-10 < _singular_value_ratio(d.table.level(1)) < 1e-8
     assert list(harmonic._certified_full_row_rank(d, 2)) == [True, False]
     res = harm_dimension(d)
     assert (res.path, res.first_rank_deficient_level, res.svd_levels) == ("ranks", None, 1)
@@ -494,7 +494,7 @@ def test_level_below_the_certificate_margin_takes_the_svd():
 
 def test_level_just_below_the_rank_cutoff_stays_deficient():
     d = _with_second_level([[1.0, 1.0], [1.0, 1.0 + 2e-12]])
-    assert 1e-13 < _singular_value_ratio(d.conductance[1]) < RANK_RCOND
+    assert 1e-13 < _singular_value_ratio(d.table.level(1)) < RANK_RCOND
     res = harm_dimension(d)
     assert (res.path, res.first_rank_deficient_level, res.svd_levels) == ("propagation", 1, 1)
 
@@ -538,7 +538,7 @@ def test_certificate_never_certifies_a_level_the_svd_calls_deficient():
         stop = next((n for n in range(d.num_levels) if sizes[n] > sizes[n + 1]), d.num_levels)
         certified = harmonic._certified_full_row_rank(d, stop) if stop else []
         for n, ok in enumerate(certified):
-            full = _level_rank(d.conductance[n]) == sizes[n]
+            full = _level_rank(d.table.level(n)) == sizes[n]
             assert full or not ok, f"{sizes}, level {n}"
             decided[ok] += full
     # both outcomes occur on levels of full rank
@@ -551,6 +551,29 @@ def test_certificate_decides_every_level_of_the_generated_families(spec):
     # the well-conditioned levels take no SVD, at any scale of conductance
     res = harm_dimension(parse_genspec(spec))
     assert (res.path, res.svd_levels) == ("ranks", 0)
+
+
+def test_a_factorization_residual_above_the_shift_leaves_the_level_to_the_svd(monkeypatch):
+    # U's off-diagonal entries scaled by 1 + 1e-12 keep every pivot, so only
+    # the residual bound eta can refuse a level; the root's 1 x 1 block has
+    # no off-diagonal entry
+    import types
+
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+
+    def perturbed(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        upper = lu.U
+        off = upper.indices != np.repeat(np.arange(upper.shape[1]), np.diff(upper.indptr))
+        upper.data[off] *= 1 + 1e-12
+        return types.SimpleNamespace(L=lu.L, U=upper, perm_c=lu.perm_c, perm_r=lu.perm_r)
+
+    d = gen_pascal(20, 1.0)
+    assert harm_dimension(d).svd_levels == 0
+    monkeypatch.setattr(spla, "splu", perturbed)
+    res = harm_dimension(d)
+    assert (res.path, res.svd_levels, res.dimension) == ("ranks", 19, 20)
 
 
 def test_certified_levels_make_no_level_views():
@@ -585,7 +608,7 @@ def test_root_monopole_satisfies_source_equation():
     d = gen_binary_tree(8, lam)
     w, rep = solve_monopole(d, VertexId(0, 0))
     assert rep.consistent
-    c0 = d.conductance[0].toarray()[0]
+    c0 = d.table.level(0).toarray()[0]
     # Delta w(o) = 1 with w(o) = 0: sum c_oy (w(o) - w(y)) = 1
     assert np.isclose(-float(c0 @ w.values[1]), 1.0)
     chk = harmonicity_check(d, w, source={VertexId(0, 0): 1.0})

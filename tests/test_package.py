@@ -1,6 +1,8 @@
 import importlib
+import importlib.metadata
 import importlib.util
 import pathlib
+import tomllib
 
 import pytest
 
@@ -74,3 +76,20 @@ def test_an_unknown_name_is_an_attribute_error_that_names_it():
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from bharm import no_such_name", {})
     assert not hasattr(bharm, "no_such_name")
+
+
+def _floor(spec: str) -> tuple:
+    """The version of a '>=X.Y' requirement, as a tuple of ints."""
+    spec = spec.replace(" ", "")
+    assert spec.startswith(">=") and "," not in spec, spec
+    return tuple(int(part) for part in spec[2:].split("."))
+
+
+def test_the_python_floor_is_one_the_dependencies_install_on():
+    # pip installs neither numpy nor scipy below their own Requires-Python,
+    # so a lower floor of bharm's names a Python it cannot run on
+    path = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    ours = _floor(tomllib.loads(path.read_text())["project"]["requires-python"])
+    for dist in ("numpy", "scipy"):
+        theirs = _floor(importlib.metadata.metadata(dist)["Requires-Python"])
+        assert ours >= theirs, f"requires-python {ours} is below {dist}'s {theirs}"
