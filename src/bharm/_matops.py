@@ -7,8 +7,9 @@ stores all its levels C_0, ..., C_{N-1} once, in one EdgeTable, the
 LevelMatrix of their rows stacked in level order, and every table is made
 by edge_table from (level, row, col, value) triplets in table order; its
 C_n is level(n), a view of the table's slice, and all levels' triplets are
-entries().  Every sum over the edges of a range of levels (P, the
-Laplacian, the recursion residuals, the degrees) is one edge_sums.  Both
+entries(); an entry's two vertices are its tail and head.  Every sum over
+the edges of a range of levels (P, the Laplacian, the recursion residuals,
+the degrees) is one edge_sums on slices of tail and head.  Both
 types are bharm's own and need numpy only: scipy is imported only where a
 caller hands in a scipy sparse matrix (stacked_table) and by the solvers
 that factor or decompose.
@@ -34,7 +35,7 @@ class LevelMatrix:
 
     def rows(self) -> np.ndarray:
         """Row index of each stored entry (read-only), made anew on each
-        call, so that a matrix holds no per-entry array beside its own."""
+        call, so that a level view holds no per-entry array beside its own."""
         rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
         rows.flags.writeable = False
         return rows
@@ -58,29 +59,29 @@ class EdgeTable(LevelMatrix):
     level (level n's first is offsets[n]; offsets[N + 1] counts all), and
     an entry's column is its vertex's index in the next level.  The entries
     run in (level, row, col) order; level n's are starts[n]:starts[n + 1],
-    and level(n) is C_n as a view of them.  edge_sums takes the sums over a
-    range of levels' entries for each row and each column vertex at once.
+    and level(n) is C_n as a view of them.  Entry k of level n joins vertex
+    tail[k] of level n to vertex head[k] of level n + 1 (read-only, in the
+    index dtype).  edge_sums takes the sums over a range of levels' entries
+    for each row and each column vertex at once.
     """
-    __slots__ = ("sizes", "offsets", "starts")
+    __slots__ = ("sizes", "offsets", "starts", "tail", "head")
 
     def __init__(self, sizes, data, indices, indptr):
         self.sizes = tuple(int(s) for s in sizes)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
-        self.offsets.flags.writeable = False
         super().__init__(data, indices, indptr, (self.offsets[-2], max(self.sizes)))
         self.starts = indptr[self.offsets[:-1]].astype(np.int64)
+        idx = indices.dtype
+        self.tail = np.repeat(np.arange(self.shape[0], dtype=idx), np.diff(indptr))
+        self.head = indices + np.repeat(self.offsets[1:-1].astype(idx), np.diff(self.starts))
+        for a in (self.offsets, self.tail, self.head):
+            a.flags.writeable = False
 
     def level(self, n: int) -> LevelMatrix:
         a, b = self.offsets[n], self.offsets[n + 1]
         lo, hi = self.starts[n], self.starts[n + 1]
         return LevelMatrix(_window(self.data, lo, hi), _window(self.indices, lo, hi),
                            self.indptr[a:b + 1] - self.indptr[a], self.sizes[n:n + 2])
-
-    def cols(self, first: int, last: int) -> np.ndarray:
-        """The vertex of each entry's column, for the entries of levels
-        first..last-1."""
-        return (self.indices[self.starts[first]:self.starts[last]]
-                + np.repeat(self.offsets[first + 1:last + 1], np.diff(self.starts[first:last + 1])))
 
     def edge_sums(self, first: int, last: int, x=None, scale=None):
         """(child, parent) sums over the entries of levels first..last-1,
@@ -94,9 +95,7 @@ class EdgeTable(LevelMatrix):
         level first)."""
         base, lo, hi = self.offsets[first], self.starts[first], self.starts[last]
         size = int(self.offsets[last + 1] - base)
-        rows = np.repeat(np.arange(self.offsets[last] - base),
-                         np.diff(self.indptr[base:self.offsets[last] + 1]))
-        cols = self.cols(first, last) - base
+        rows, cols = self.tail[lo:hi] - base, self.head[lo:hi] - base
         c = self.data[lo:hi]
         down, up = (c, c) if scale is None else (c * scale.take(rows), c * scale.take(cols))
         if x is not None:
@@ -109,7 +108,7 @@ class EdgeTable(LevelMatrix):
         """(level, row, col, value) of every entry, row and col within their
         levels."""
         level = np.repeat(np.arange(len(self.sizes) - 1), np.diff(self.starts))
-        return level, self.rows() - self.offsets[level], self.indices, self.data
+        return level, self.tail - self.offsets[level], self.indices, self.data
 
 
 def edge_table(sizes, level, rows, cols, vals) -> EdgeTable:

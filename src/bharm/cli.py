@@ -82,6 +82,13 @@ def _parse_vertex(spec: str) -> VertexId:
         raise ValueError(f"bad vertex {spec!r}, expected 'level,index'") from exc
 
 
+def _parse_ray(spec: str) -> list:
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad ray {spec!r}, expected comma-separated vertex ids") from exc
+
+
 def _parse_pins(pin_args) -> dict:
     pins: dict = {}
     for spec in pin_args or []:
@@ -290,8 +297,8 @@ def _cmd_apply(args, which: str) -> int:
 
 def _cmd_convert(args) -> int:
     g = parse_graph(_read_text(args.graph))
-    if args.ray:
-        res = extract_maximal_bratteli(g, [int(v) for v in args.ray.split(",")])
+    if args.ray is not None:
+        res = extract_maximal_bratteli(g, _parse_ray(args.ray))
         d = res.diagram
         note = {"maximal_within_ball": res.maximal_within_ball}
     else:

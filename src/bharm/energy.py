@@ -20,8 +20,7 @@ from .operators import (LevelFunction, check_finite, checked_conductances, isola
 
 def _drops(d: Diagram, flat: np.ndarray) -> np.ndarray:
     """f(x) - f(y) on each edge x -> y in table order, for f = flat."""
-    t = d.table
-    return flat[t.rows()] - flat[t.cols(0, d.num_levels)]
+    return flat[d.table.tail] - flat[d.table.head]
 
 
 def _increments(d: Diagram, flat: np.ndarray) -> list:

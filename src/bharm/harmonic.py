@@ -342,16 +342,23 @@ def _chain_residuals(d: Diagram, depth: int, rhs, x, first: int = 0) -> list:
     return np.maximum.reduceat(r, t.offsets[first:depth] - t.offsets[first]).tolist()
 
 
+def _pole_depth(d: Diagram, x: VertexId, up_to_level: Optional[int]) -> int:
+    """The solve depth of a pole x, d.num_levels unless up_to_level is
+    given; raises ValueError unless x is a vertex of d above that depth."""
+    d.check_vertex(x)
+    n = d.num_levels if up_to_level is None else up_to_level
+    if x.level >= n:
+        raise ValueError("pole must lie strictly above the solve depth")
+    return n
+
+
 def solve_monopole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
                    pins=None, tol: float = DEFAULT_TOL):
     """Recursion solution of Delta w = delta_x with w(o) = 0.
 
     Inconsistent levels are reported in the SolveReport, not raised.
     """
-    d.check_vertex(x)
-    n = d.num_levels if up_to_level is None else up_to_level
-    if x.level >= n:
-        raise ValueError("pole must lie strictly above the solve depth")
+    n = _pole_depth(d, x, up_to_level)
     return solve_chain(d, depth=n, source={x: 1.0}, pins=pins, tol=tol)
 
 
@@ -363,13 +370,10 @@ def solve_dipole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
     Delta v = delta_x - delta_o is implemented exactly (see module docs for
     the sign convention).
     """
-    d.check_vertex(x)
     o = VertexId(0, 0)
     if x == o:
         raise ValueError("dipole pole must differ from the root")
-    n = d.num_levels if up_to_level is None else up_to_level
-    if x.level >= n:
-        raise ValueError("pole must lie strictly above the solve depth")
+    n = _pole_depth(d, x, up_to_level)
     return solve_chain(d, depth=n, source={x: 1.0, o: -1.0}, pins=pins, tol=tol)
 
 
@@ -562,7 +566,7 @@ def _certified_full_row_rank(d: Diagram, stop: int) -> np.ndarray:
     offsets, col_off = table.offsets[:stop], table.offsets[1:stop + 1] - 1
     n_rows, nnz = int(table.offsets[stop]), int(table.starts[stop])
     level = np.repeat(np.arange(stop), m)
-    rows, cols, vals = table.rows()[:nnz], table.cols(0, stop) - 1, table.data[:nnz]
+    rows, cols, vals = table.tail[:nnz], table.head[:nnz] - 1, table.data[:nnz]
     _, exp = np.frexp(np.maximum.reduceat(vals, table.starts[:stop]))
     vals = np.ldexp(vals, (1 - exp)[level[rows]])
     c = sp.csr_matrix((vals, cols, table.indptr[:n_rows + 1]), shape=(n_rows, int(k.sum())))

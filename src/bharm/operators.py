@@ -178,9 +178,7 @@ def laplacian_entries(d: Diagram, first: int, last: int, boundary_columns: bool 
     c = checked_conductances(d, lo, last)
     # edges u -> w of levels lo..last-1; level n's are starts[n - lo]:starts[n - lo + 1]
     starts = t.starts[lo:last + 1] - t.starts[lo]
-    u = np.repeat(np.arange(offsets[lo], offsets[last]),
-                  np.diff(t.indptr[offsets[lo]:offsets[last] + 1]))
-    w = t.cols(lo, last)
+    u, w = t.tail[t.starts[lo]:t.starts[last]], t.head[t.starts[lo]:t.starts[last]]
     base, degrees = offsets[first], d.degrees[offsets[first]:offsets[last]]
     neg, diag = -c, np.arange(base, offsets[last])
     rows, cols, vals = [], [], []

@@ -206,15 +206,13 @@ def _p_row_apply(d: Diagram, v: VertexId, f: LevelFunction) -> float:
     """(P f)(v): one step of the walk from v, read off v's stored column
     (P->) and row (P<-) in the edge table; the terms are summed exactly
     rounded, so the value does not depend on how a dot product is split."""
-    n, x, t = v.level, v.index, d.table
-    c = g = np.zeros(0)
-    if n > 0:
-        at = t.starts[n - 1] + np.flatnonzero(t.indices[t.starts[n - 1]:t.starts[n]] == x)
-        c, g = t.data[at], f.flat()[np.searchsorted(t.indptr, at, side="right") - 1]
-    if n < d.num_levels:
-        at = slice(t.indptr[t.offsets[n] + x], t.indptr[t.offsets[n] + x + 1])
-        c, g = np.append(c, t.data[at]), np.append(g, f.flat()[t.offsets[n + 1] + t.indices[at]])
-    return math.fsum(c * (1.0 / d.degrees[t.offsets[n] + x]) * g)
+    t = d.table
+    x = t.offsets[v.level] + v.index
+    at = slice(t.starts[max(v.level - 1, 0)], t.starts[min(v.level + 1, d.num_levels)])
+    tail, head = t.tail[at], t.head[at]
+    ends = (tail == x) | (head == x)
+    g = f.flat()[np.where(tail == x, head, tail)[ends]]
+    return math.fsum(t.data[at][ends] * (1.0 / d.degrees[x]) * g)
 
 
 @dataclass(frozen=True)

@@ -575,6 +575,19 @@ def test_convert_with_ray(tmp_path, capsys):
     assert d.level_sizes == (1, 1, 1)
 
 
+@pytest.mark.parametrize("ray", ["", "0,1,x", "0,,3"])
+def test_convert_refuses_a_bad_ray_in_bharms_words(ray, tmp_path, capsys):
+    # an empty ray was ignored and the graph converted from --root (exit 0);
+    # a non-integer one printed int()'s "invalid literal for int()"
+    gfile = tmp_path / "g.graph"
+    gfile.write_text("graph v1\nv 4\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n")
+    out = tmp_path / "d.bratteli"
+    assert main(["convert", "--graph", str(gfile), f"--ray={ray}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad ray {ray!r}, expected comma-separated vertex ids\n")
+    assert not out.exists()
+
+
 def test_verify_cases(capsys):
     assert main(["verify-paper", "pascal"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -956,6 +969,8 @@ def _battery():
     for root in ("-1", "4"):
         cases += [["convert", "--graph", "{graph}", f"--root={root}"],
                   ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]
+    cases += [["convert", "--graph", "{graph}", "--ray="],
+              ["convert", "--graph", "{graph}", "--ray", "0,x"]]
     for value in ("nan", "inf", "-inf"):
         cases += [["harmonic", *tree, "--pin", f"1,0={value}"],
                   ["harmonic", *tree, f"--tol={value}"], ["gen", f"tree:3:{value}"],

@@ -642,6 +642,22 @@ def test_dipole_equals_monopole_difference_in_the_source_sense():
     assert chk.consistent
 
 
+@pytest.mark.parametrize("solve", [solve_monopole, solve_dipole])
+def test_poles_are_checked_in_one_place_with_the_same_messages(solve):
+    d = gen_binary_tree(4, 2.0)
+    for x, depth in ((VertexId(2, 0), 2), (VertexId(4, 0), None), (VertexId(3, 1), 1)):
+        with pytest.raises(ValueError, match="^pole must lie strictly above the solve depth$"):
+            solve(d, x, up_to_level=depth)
+    with pytest.raises(ValueError, match=r"^vertex index 4 outside \[0, 4\)$"):
+        solve(d, VertexId(2, 4))
+    with pytest.raises(ValueError, match=r"^vertex level 5 outside stored levels 0\.\.4$"):
+        solve(d, VertexId(5, 0))
+    if solve is solve_dipole:
+        for depth in (None, 0):
+            with pytest.raises(ValueError, match="^dipole pole must differ from the root$"):
+                solve(d, VertexId(0, 0), up_to_level=depth)
+
+
 def test_source_sums_over_interior():
     d = gen_binary_tree(8, 2.0)
     x = VertexId(3, 2)

@@ -318,6 +318,22 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
                               sysm._solve_flat(sysm.matrix, b))
 
 
+@pytest.mark.parametrize("d", _parity_diagrams())
+def test_the_edge_table_keeps_each_entrys_two_vertices(d):
+    # tail and head are the level views' rows and columns, numbered as the
+    # table's vertices, read-only and in the table's index dtype
+    t = d.table
+    mats = bruteforce.level_matrices(d)
+    assert np.array_equal(t.tail, np.concatenate(
+        [m.rows() + t.offsets[n] for n, m in enumerate(mats)]))
+    assert np.array_equal(t.head, np.concatenate(
+        [m.indices + t.offsets[n + 1] for n, m in enumerate(mats)]))
+    for a in (t.tail, t.head):
+        assert a.dtype == t.indices.dtype and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = 0
+
+
 def test_compatibility_residuals_are_the_per_level_ones_bit_for_bit():
     d = _parity_diagrams()[7]
     rng = np.random.default_rng(3)
