@@ -35,7 +35,7 @@ _EXPORTS = {
     "pathspace": (
         "DipoleMatrixResult", "DirichletSystem", "GreenSolve", "PoissonResult",
         "StabilizationReport", "TransienceReport", "WalkConfig", "WalkEstimates",
-        "dipole_green", "dipole_matrix_M", "dirichlet_solve", "green_exact",
+        "dipole_green", "dipole_matrix_M", "green_exact",
         "green_identity_report", "hitting_function", "monopole_green", "multipole",
         "poisson_kernel", "poisson_stabilization", "simulate_walks", "transience_report",
     ),

@@ -74,6 +74,12 @@ def _write_output(path: str, text: str, args, extra: dict) -> None:
         fh.write("\n")
 
 
+def _solve_keys(diagnostics: dict, *keys) -> dict:
+    """A solve's manifest entries: its path and the named diagnostics (all if none is)."""
+    return {"solve_path": diagnostics["path"],
+            **{k: diagnostics[k] for k in keys or diagnostics if k != "path"}}
+
+
 def _parse_vertex(spec: str) -> VertexId:
     try:
         n, i = spec.split(",")
@@ -166,8 +172,7 @@ def _cmd_harmonic(args) -> int:
               + FMT.format(report.residuals[lvl]), file=sys.stderr)
     _write_output(args.out, format_function(f), args,
                   {"tol": args.tol, "max_residual": report.max_residual,
-                   "solve_path": report.diagnostics["path"],
-                   "fallback": report.diagnostics["fallback"]})
+                   **_solve_keys(report.diagnostics, "fallback", "refine_steps")})
     return 0
 
 
@@ -193,8 +198,7 @@ def _cmd_pole(args, dipole: bool) -> int:
         print("# inconsistent recursion; least-squares solution emitted", file=sys.stderr)
     _write_output(args.out, format_function(f), args,
                   {"pole": str(x), "max_residual": report.max_residual,
-                   "solve_path": report.diagnostics["path"],
-                   "fallback": report.diagnostics["fallback"]})
+                   **_solve_keys(report.diagnostics, "fallback", "refine_steps")})
     return 0
 
 
@@ -214,7 +218,7 @@ def _cmd_green(args) -> int:
             yield np.full(2 * k, x), np.full(2 * k, i), *ys, np.stack([g, f], 1).ravel(), "0,0"
         yield level, index, level, index, np.full(k, b"U"), gs.return_prob, "0,0"
     _write_output(args.out, _lines(_PAIRS_HEAD, ",", parts()), args,
-                  {"boundary_level": boundary, "solve_path": gs.diagnostics["path"]})
+                  {"boundary_level": boundary, **_solve_keys(gs.diagnostics)})
     return 0
 
 
@@ -251,7 +255,7 @@ def _cmd_poisson(args) -> int:
     if res.n_capped:
         print(f"# {res.n_capped} capped walk(s) excluded (bias note: see docs)",
               file=sys.stderr)
-    path = {"solve_path": res.diagnostics["path"]} if res.diagnostics else {}
+    path = _solve_keys(res.diagnostics) if res.diagnostics else {}
     _write_output(args.out, format_function(res.values), args,
                   {"method": args.method, "level": level, **path})
     return 0

@@ -140,11 +140,11 @@ def validate(d: Diagram) -> list:
     t = d.table
     sizes, offsets = t.sizes, t.offsets
     found = []  # (level matrix, rule, index, violation)
-    level, rows, cols, vals = t.entries()
-    for k in np.flatnonzero(~((vals > 0) & (vals < np.inf))):
-        n = int(level[k])
-        found.append((n, 0, k, Violation("positivity", n, f"edge ({rows[k]},{cols[k]})",
-                                         f"c={vals[k]:.12g} on edge (0 < c_xy < inf "
+    for k in np.flatnonzero(~((t.data > 0) & (t.data < np.inf))):  # levels and rows for these only
+        n = int(np.searchsorted(t.starts, k, side="right")) - 1
+        found.append((n, 0, k, Violation("positivity", n,
+                                         f"edge ({t.tail[k] - offsets[n]},{t.indices[k]})",
+                                         f"c={t.data[k]:.12g} on edge (0 < c_xy < inf "
                                          "required exactly on edges)")))
     vertex_level = np.repeat(np.arange(len(sizes)), sizes)
     for v in np.flatnonzero(np.diff(t.indptr) == 0):

@@ -237,10 +237,8 @@ def resistance_distance(d: Diagram, x: VertexId, y: VertexId, boundary_level: in
     are checked first, as DirichletSystem checks them.
     """
     from .pathspace import DirichletSystem
-    sysm = DirichletSystem(d, boundary_level)
-    for v in (x, y):
-        sysm.flat(v)  # raises on a vertex off the interior
-    if x == y:
+    sysm = DirichletSystem.of(d, boundary_level)
+    if sysm.flat(x) == sysm.flat(y):  # each raises on a vertex off the interior
         return 0.0
     return energy_norm(d, sysm.solve(source={x: 1.0, y: -1.0})).energy
 

@@ -26,6 +26,7 @@ or on the block alone and run on vectors; the other eight run on the
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,18 +52,18 @@ class DirichletSystem:
     one-column supernode panels (a small SuperLU workspace on trees), cached
     for the unpinned matrix, and one step of iterative refinement, which makes
     it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
-    `diagnostics`: path, factorizations, solves and the largest max|b - A x|.
-    A conductance not in (0, inf), an interior vertex without edges, whose
-    row of the matrix is zero, or a level pair without edges above the
-    boundary, which makes the matrix singular, raises ValueError (see
-    laplacian_entries).
+    `diagnostics`: path, factorizations, solves and the largest max|b - A x|
+    over all calls that share the system (see `of`).  A conductance not in
+    (0, inf), an interior vertex without edges, whose row of the matrix is
+    zero, or a level pair without edges above the boundary, which makes the
+    matrix singular, raises ValueError (see laplacian_entries).
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
         if not (1 <= boundary_level <= d.num_levels):
             raise ValueError("boundary level must be within the stored prefix")
         import scipy.sparse as sp
-        self.diagram = d
+        self.diagram = weakref.proxy(d)  # d keeps the system (see `of`), not back
         self.boundary_level = boundary_level
         offsets, rows, cols, vals = laplacian_entries(d, 0, boundary_level,
                                                       boundary_columns=False)
@@ -76,6 +77,18 @@ class DirichletSystem:
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
+
+    @classmethod
+    def of(cls, d: Diagram, boundary_level: int) -> "DirichletSystem":
+        """d's system for the boundary level.  d keeps the last one built, as
+        it keeps `degrees`, and one LU at a time; its table is read-only, so
+        the system cannot go stale."""
+        sysm = d.__dict__.get("_dirichlet")
+        if sysm is None or sysm.boundary_level != boundary_level:
+            d.__dict__.pop("_dirichlet", None)
+            del sysm  # the old LU is freed before the new one is made
+            sysm = d.__dict__["_dirichlet"] = cls(d, boundary_level)
+        return sysm
 
     def flat(self, v: VertexId) -> int:
         self.diagram.check_vertex(v)
@@ -131,13 +144,6 @@ class DirichletSystem:
         return LevelFunction.from_flat(d, u)
 
 
-def dirichlet_solve(d: Diagram, boundary_level: int,
-                    source: Dict[VertexId, float]) -> LevelFunction:
-    """One-shot Dirichlet solve with zero boundary values; see DirichletSystem
-    for the conventions."""
-    return DirichletSystem(d, boundary_level).solve(source=source)
-
-
 # ---------------------------------------------------------------------------
 # Exact killed-chain quantities
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ class GreenSolve:
     green[i, j] = expected visits to vertices[j] started at vertices[i];
     reach_ratio[i, j] = green[i, j] / green[j, j] = F(vertices[i], vertices[j]);
     return_prob[j] = one-step return probability at vertices[j], read off the
-    ratio column; diagnostics is the DirichletSystem's solve record.
+    ratio column; diagnostics is a snapshot of the DirichletSystem's counts.
     """
     boundary_level: int
     vertices: tuple
@@ -171,7 +177,7 @@ def green_exact(d: Diagram, boundary_level: int,
     against independent pinned hitting solves.  Guarded against singular
     systems even though a killed irreducible chain cannot produce one.
     """
-    sysm = DirichletSystem(d, boundary_level)
+    sysm = DirichletSystem.of(d, boundary_level)
     if vertices is None:
         if sysm.n_interior > 4096:
             raise ValueError("interior too large to tabulate all pairs; pass `vertices`")
@@ -236,7 +242,7 @@ class GreenIdentityReport:
 def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     """Check gs against the hitting route: for each vertex y, the Dirichlet
     problem harmonic off {y} with value 1 at y, solved with y pinned."""
-    sysm = DirichletSystem(d, gs.boundary_level)
+    sysm = DirichletSystem.of(d, gs.boundary_level)
     build_level_operators(d)  # for its checks
     hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
     idx = np.array([sysm.flat(x) for x in gs.vertices], dtype=np.int64)
@@ -290,20 +296,20 @@ def hitting_function(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunct
 
     Harmonic off {x}, equal to 1 at x, zero at the boundary level.
     """
-    u = dirichlet_solve(d, boundary_level, source={x: 1.0})
+    u = DirichletSystem.of(d, boundary_level).solve(source={x: 1.0})
     return LevelFunction.from_flat(d, u.flat() / u.at(x))
 
 
 def monopole_green(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunction:
     """w_x(a) = G(a, x)/c(x), the Dirichlet solution of Delta w = delta_x."""
-    return dirichlet_solve(d, boundary_level, source={x: 1.0})
+    return DirichletSystem.of(d, boundary_level).solve(source={x: 1.0})
 
 
 def dipole_green(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int) -> LevelFunction:
     """v(a) = G(a,x1)/c(x1) - G(a,x2)/c(x2): Delta v = delta_x1 - delta_x2."""
     if x1 == x2:
         raise ValueError("dipole poles must be distinct")
-    return dirichlet_solve(d, boundary_level, source={x1: 1.0, x2: -1.0})
+    return DirichletSystem.of(d, boundary_level).solve(source={x1: 1.0, x2: -1.0})
 
 
 def multipole(d: Diagram, x0: VertexId, poles: Sequence[Tuple[VertexId, float]],
@@ -314,15 +320,10 @@ def multipole(d: Diagram, x0: VertexId, poles: Sequence[Tuple[VertexId, float]],
         raise ValueError("pole weights must be nonnegative")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"pole weights sum to {sum(weights)}, expected 1")
-    seen = {x0}
-    for v, _ in poles:
-        if v in seen:
-            raise ValueError("pole vertices must be distinct")
-        seen.add(v)
-    source = {x0: 1.0}
-    for v, a in poles:
-        source[v] = source.get(v, 0.0) - a
-    return dirichlet_solve(d, boundary_level, source=source)
+    if len({x0, *(v for v, _ in poles)}) <= len(poles):
+        raise ValueError("pole vertices must be distinct")
+    source = {x0: 1.0, **{v: -a for (v, _), a in zip(poles, weights)}}
+    return DirichletSystem.of(d, boundary_level).solve(source=source)
 
 
 @dataclass
@@ -352,7 +353,7 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     pair-hitting functions; degenerate pairs get the flag and no coefficients."""
     if x1 == x2:
         raise ValueError("poles must be distinct")
-    sysm = DirichletSystem(d, boundary_level)
+    sysm = DirichletSystem.of(d, boundary_level)
     build_level_operators(d)  # for its checks
     # pair-hitting functions from the Green columns: h_j = sum_i coef[i, j] w_i
     # with coef = W^-1, W[a, i] = w_i(x_a) a principal block of L^-1
@@ -729,10 +730,10 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
 class PoissonResult:
     """Harmonic extension of boundary data at one level.
 
-    Exact mode solves the Dirichlet problem and keeps its DirichletSystem
-    diagnostics; Monte Carlo mode estimates E_x[f_n at the first visit to
-    V_n] per vertex with standard errors (stderr is None in exact mode).
-    Capped walks are excluded and counted.
+    Exact mode solves the Dirichlet problem and keeps a snapshot of its
+    DirichletSystem's diagnostics; Monte Carlo mode estimates E_x[f_n at the
+    first visit to V_n] per vertex with standard errors (stderr is None in
+    exact mode).  Capped walks are excluded and counted.
     """
     values: LevelFunction
     stderr: Optional[LevelFunction]
@@ -763,10 +764,10 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         raise ValueError("boundary data has the wrong length")
     check_finite(d, f_n, target_level)
     if method == "exact-dirichlet":
-        sysm = DirichletSystem(d, target_level)
+        sysm = DirichletSystem.of(d, target_level)
         u = sysm.solve(boundary_values=f_n).flat()
         return PoissonResult(values=LevelFunction.from_flat(d, u, target_level + 1), stderr=None,
-                             method=method, diagnostics=sysm.diagnostics)
+                             method=method, diagnostics=dict(sysm.diagnostics))
     if method != "monte-carlo":
         raise ValueError(f"unknown method {method!r}")
     if cfg is None:
@@ -837,23 +838,16 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
             raise ValueError(f"compatibility violated at level {n}: residual {r:.3e}")
     first = max(x.level + 1, n0, 1)
     levels = list(range(first, d.num_levels + 1))
-    values = []
-    last_solution = None
-    for n in levels:
-        res = poisson_kernel(d, f.values[n], n)
-        values.append(res.values.at(x) if x.level < n else float(f.values[x.level][x.index]))
-        last_solution = res.values
-    stab = None
-    if values:
-        target = values[-1]
-        for idx, lv in enumerate(levels):
-            if all(abs(v - target) <= tol for v in values[idx:]):
-                stab = lv
-                break
+    values, solution = [], None
+    for n in levels:  # each n > x.level, so x is interior to every solve
+        solution = poisson_kernel(d, f.values[n], n).values
+        values.append(solution.at(x))
+    stab = next((lv for i, lv in enumerate(levels)
+                 if all(abs(v - values[-1]) <= tol for v in values[i:])), None)
     # harmonicity of the limit at x, evaluated on the deepest solve
     resid = float("nan")
-    if last_solution is not None and x.level < levels[-1]:
-        rep = harmonicity_check(d, last_solution)
+    if solution is not None:
+        rep = harmonicity_check(d, solution)
         resid = rep.residuals[x.level] if x.level < len(rep.residuals) else float("nan")
     return StabilizationReport(vertex=x, levels=tuple(levels), values=tuple(values),
                                stabilization_level=stab, harmonic_residual=resid,

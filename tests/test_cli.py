@@ -207,6 +207,14 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# manifest keys added after the goldens were taken: the recursion's
+# refinement steps, and the Dirichlet system's counts and largest residual
+ADDED_MANIFEST_KEYS = {"harmonic": ("refine_steps",), "monopole": ("refine_steps",),
+                       "dipole": ("refine_steps",),
+                       "green": ("factorizations", "solves", "max_residual"),
+                       "poisson": ("factorizations", "solves", "max_residual")}
+
+
 @pytest.mark.parametrize("name", sorted(OUTPUT_GOLDENS["cases"]))
 def test_solver_and_operator_outputs_golden(name, tmp_path, capsys):
     """stdout, stderr, output files and manifests of harmonic, monopole,
@@ -214,7 +222,8 @@ def test_solver_and_operator_outputs_golden(name, tmp_path, capsys):
     byte-identical on pascal:40 (lambda 1 and 1.5), a stationary diagram with
     lambda 1.7, a ladder and a file with random weights.  Only max_residual
     may move, and only at rounding level: residual sums may run in another
-    order, but the solve path, fallback and consistency may not change."""
+    order, but the solve path, fallback and consistency may not change.  The
+    manifests hold the added keys as well, and nothing else."""
     case = OUTPUT_GOLDENS["cases"][name]
     files = {"diagram": tmp_path / "irregular.bd", "values": tmp_path / "in.fn",
              "out": tmp_path / "out"}
@@ -233,6 +242,9 @@ def test_solver_and_operator_outputs_golden(name, tmp_path, capsys):
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     manifest = {k: v for k, v in manifest.items() if k not in ("command", "input_sha256_16")}
     expected = dict(case["manifest"])
+    added = {k: manifest.pop(k) for k in ADDED_MANIFEST_KEYS.get(case["argv"][0], ())}
+    assert all(isinstance(v, int) and v >= 0 for k, v in added.items() if k != "max_residual")
+    assert added.get("factorizations", 1) == 1
     if "max_residual" in expected:
         got, want = manifest.pop("max_residual"), expected.pop("max_residual")
         assert math.isclose(got, want, rel_tol=1.0, abs_tol=1e-14)
@@ -500,10 +512,14 @@ def test_apply_of_a_conductance_outside_the_positive_reals_is_exit_one(command, 
     assert not out_file.exists()
 
 
-def _stdout_under_blas_threads(args, threads: int) -> bytes:
+def _outputs_under_blas_threads(args, threads: int, cwd: pathlib.Path) -> dict:
+    """stdout, and each file that the run writes in cwd: an output and its
+    manifest."""
+    cwd.mkdir()
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
-    return proc.stdout
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True,
+                          cwd=cwd)
+    return {"stdout": proc.stdout, **{p.name: p.read_bytes() for p in cwd.iterdir()}}
 
 
 # U(x) sums a transition row as wide as the level, here 30,000 entries; a
@@ -521,19 +537,25 @@ print(repr(green_exact(d, 3, [VertexId(0, 0), VertexId(2, 0)]).return_prob.tolis
 
 
 @pytest.mark.parametrize("args", [
-    ["-m", "bharm.cli", "dimension", "--diagram", "pascal:40:1"],
+    ["-m", "bharm.cli", "dimension", "--diagram", "pascal:40:1", "--out", "out"],
     # rank-deficient at level 3: per-component SVDs, then the propagation's
     # dense SVDs of up to 200 x 200
-    ["-m", "bharm.cli", "dimension", "--diagram", "bottleneck:1-30-200-200-30-200-200:7"],
+    ["-m", "bharm.cli", "dimension", "--diagram", "bottleneck:1-30-200-200-30-200-200:7",
+     "--out", "out"],
     # the automatic seed is the first null vector from scipy.linalg.null_space
-    ["-m", "bharm.cli", "harmonic", "--diagram", "pascal:40:1"],
+    ["-m", "bharm.cli", "harmonic", "--diagram", "pascal:40:1", "--out", "out"],
+    # the manifest holds the Dirichlet system's counts and largest residual
+    ["-m", "bharm.cli", "green", "--diagram", "pascal:40:1", "--vertices", "0,0;20,10;39,5",
+     "--out", "out"],
     ["-c", WIDE_LEVEL_RETURN_PROBABILITIES],
-], ids=["dimension", "dimension-svd", "harmonic-auto-seed", "green-return-probability"])
-def test_output_does_not_depend_on_the_blas_thread_count(args):
-    # one process at a time, each with at most two BLAS threads
-    one = _stdout_under_blas_threads(args, 1)
-    assert one
-    assert _stdout_under_blas_threads(args, 2) == one
+], ids=["dimension", "dimension-svd", "harmonic-auto-seed", "green-manifest",
+        "green-return-probability"])
+def test_output_does_not_depend_on_the_blas_thread_count(args, tmp_path):
+    # one process at a time, each with at most two BLAS threads; the output
+    # files and their manifests are compared too
+    one = _outputs_under_blas_threads(args, 1, tmp_path / "one")
+    assert one["stdout"] or {"out", "out.manifest.json"} <= one.keys()
+    assert _outputs_under_blas_threads(args, 2, tmp_path / "two") == one
 
 
 def test_only_the_recursion_commands_take_tol():

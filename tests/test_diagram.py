@@ -18,7 +18,7 @@ from bharm import (
     validate,
 )
 from bharm import diagram as diagram_module
-from bharm._matops import LevelMatrix
+from bharm._matops import EdgeTable, LevelMatrix
 from bharm.fileio import format_diagram, parse_diagram
 from bruteforce import (
     DictGraph,
@@ -804,6 +804,16 @@ def test_validate_matches_the_per_entry_reference():
             assert [str(v) for v in found] == ref_validate(d)
             rules.update(v.rule for v in found)
     assert rules == {"positivity", "outgoing", "incoming"}
+
+
+def test_validate_of_a_valid_diagram_builds_no_per_edge_triplets(monkeypatch):
+    # a positivity violation is named from the table's own arrays, so a valid
+    # diagram never pays for int64 levels and rows of every edge
+    def entries(self):
+        raise AssertionError("validate built the triplets")
+    monkeypatch.setattr(EdgeTable, "entries", entries)
+    for d in (gen_pascal(30, 1.5), gen_binary_tree(8, 2.0), gen_ladder(6, 1.5)):
+        assert validate(d) == []
 
 
 @pytest.mark.parametrize("width", [2, 600])

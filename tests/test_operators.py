@@ -319,6 +319,24 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
 
 
 @pytest.mark.parametrize("d", _parity_diagrams())
+def test_the_kept_dirichlet_system_solves_as_a_fresh_one_bit_for_bit(d):
+    # three library calls per boundary level share the diagram's system
+    rng = np.random.default_rng(d.total_vertices)
+    for level in range(1, d.num_levels + 1):
+        fresh = pathspace.DirichletSystem(d, level)
+        x = VertexId(level - 1, int(rng.integers(d.level_sizes[level - 1])))
+        f = rng.standard_normal(d.level_sizes[level])
+        w = fresh.solve(source={x: 1.0}).flat()
+        assert np.array_equal(pathspace.monopole_green(d, x, level).flat(), w)
+        assert np.array_equal(pathspace.hitting_function(d, x, level).flat(),
+                              w / w[fresh.flat(x)])
+        assert np.array_equal(pathspace.poisson_kernel(d, f, level).values.flat(),
+                              fresh.solve(boundary_values=f).flat()[:d.table.offsets[level + 1]])
+        kept = pathspace.DirichletSystem.of(d, level).diagnostics
+        assert (kept["factorizations"], kept["solves"]) == (1, 3)
+
+
+@pytest.mark.parametrize("d", _parity_diagrams())
 def test_the_edge_table_keeps_each_entrys_two_vertices(d):
     # tail and head are the level views' rows and columns, numbered as the
     # table's vertices, read-only and in the table's index dtype

@@ -16,7 +16,7 @@ PUBLIC = [
     "SolveReport", "SpectralBoundReport", "StabilizationReport", "TransienceReport",
     "VertexId", "Violation", "WalkConfig", "WalkEstimates", "build_level_operators",
     "check_bratteli_structure", "current_balance", "diagram_from_graph", "dipole_green",
-    "dipole_matrix_M", "dirichlet_solve", "dissipation_check", "energy_harmonic_formulas",
+    "dipole_matrix_M", "dissipation_check", "energy_harmonic_formulas",
     "energy_lower_bound", "energy_norm", "extend_harmonic", "extend_to",
     "extract_maximal_bratteli", "gen_binary_tree", "gen_binary_tree_radial",
     "gen_bottleneck", "gen_ladder", "gen_pascal", "gen_stationary", "green_exact",
@@ -29,7 +29,7 @@ PUBLIC = [
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 62
+    assert len(PUBLIC) == 61
     assert sorted(bharm.__all__) == PUBLIC
 
 

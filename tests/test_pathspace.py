@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from bharm import (
     transience_report,
 )
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
+from bharm.energy import resistance_distance
 from bharm import pathspace
 from bharm.fileio import parse_diagram
 from bharm.operators import markov_apply
@@ -79,22 +82,10 @@ def test_identity_report_detects_a_perturbed_green_function():
     assert green_identity_report(TREE8, bad).max_violation > 1e-9
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """The list that gets one entry per spla.splu call."""
-    calls = []
-    splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    return calls
-
-
 def test_green_exact_factors_once(splu_calls):
+    # a fresh diagram: the counts run across the calls that share its system
     verts = [VertexId(0, 0), VertexId(1, 1), VertexId(3, 2), VertexId(5, 20), VertexId(7, 100)]
-    gs = green_exact(TREE8, 8, vertices=verts)
+    gs = green_exact(gen_binary_tree(8, 2.0), 8, vertices=verts)
     assert len(splu_calls) == 1
     assert gs.diagnostics["path"] == "direct"
     assert (gs.diagnostics["factorizations"], gs.diagnostics["solves"]) == (1, 5)
@@ -102,7 +93,7 @@ def test_green_exact_factors_once(splu_calls):
 
 
 def test_poisson_diagnostics_name_the_direct_path():
-    res = poisson_kernel(TREE8, np.ones(256), 8)
+    res = poisson_kernel(gen_binary_tree(8, 2.0), np.ones(256), 8)
     diag = res.diagnostics
     assert (diag["path"], diag["factorizations"], diag["solves"]) == ("direct", 1, 1)
     assert diag["max_residual"] <= 1e-12
@@ -126,6 +117,50 @@ def test_green_above_the_old_cg_size_is_one_direct_factorization():
         u += lu.solve(np.asarray(b - a @ u, dtype=float))
     ref = float(u[sysm.flat(x)] / u[sysm.flat(y)])
     assert abs(gs.reach_ratio[1, 2] - ref) <= 1e-10 * ref
+
+
+def test_every_dirichlet_solve_on_one_diagram_and_level_shares_one_factorization(splu_calls):
+    # the pinned solves of green_identity_report factor their own smaller
+    # matrices, so that the check stays independent of the Green columns
+    d, level = gen_binary_tree(8, 2.0), 8
+    x, y, z = VertexId(2, 1), VertexId(5, 17), VertexId(7, 100)
+    for v in (x, y, z):
+        monopole_green(d, v, level)
+    hitting_function(d, x, level)
+    dipole_green(d, x, y, level)
+    multipole(d, x, [(y, 0.25), (z, 0.75)], level)
+    gs = green_exact(d, level, vertices=[x, y, z])
+    assert green_identity_report(d, gs).ratio_vs_hit <= 1e-12
+    dipole_matrix_M(d, x, y, level)
+    poisson_kernel(d, np.ones(d.level_sizes[level]), level)
+    resistance_distance(d, x, z, level)
+    n = d.table.offsets[level]
+    assert splu_calls.count((n, n)) == 1
+    assert len(splu_calls) == 1 + len(gs.vertices)
+
+
+def test_results_hold_a_snapshot_of_the_shared_counts():
+    d = gen_binary_tree(6, 2.0)
+    first = poisson_kernel(d, np.ones(64), 6).diagnostics
+    gs = green_exact(d, 6, vertices=[VertexId(1, 0), VertexId(4, 3)])
+    assert (first["factorizations"], first["solves"]) == (1, 1)
+    assert (gs.diagnostics["factorizations"], gs.diagnostics["solves"]) == (1, 3)
+
+
+def test_a_kept_system_does_not_keep_its_diagram_alive():
+    # the diagram holds its system, and the system only a weak proxy of the
+    # diagram, so the LU goes with the last reference and not at a later
+    # collection
+    gc.disable()
+    try:
+        d = gen_binary_tree(8, 2.0)
+        monopole_green(d, VertexId(3, 2), 8)
+        kept, ref = weakref.ref(pathspace.DirichletSystem.of(d, 8)), weakref.ref(d)
+        assert kept().diagnostics["solves"] == 1
+        del d
+        assert ref() is None and kept() is None
+    finally:
+        gc.enable()
 
 
 def test_dipole_matrix_factors_once(splu_calls):
@@ -268,6 +303,9 @@ def test_multipole_reductions():
     assert rep.max_residual <= 1e-9
     with pytest.raises(ValueError):
         multipole(TREE8, x0, [(VertexId(2, 2), 0.7)], 8)
+    for poles in ([(x0, 1.0)], [(VertexId(2, 2), 0.5), (VertexId(2, 2), 0.5)]):
+        with pytest.raises(ValueError, match="pole vertices must be distinct"):
+            multipole(TREE8, x0, poles, 8)
 
 
 def test_dipole_matrix_checks():
