@@ -45,6 +45,17 @@ class LevelMatrix:
         out[self.rows(), self.indices] = self.data
         return out
 
+    def masked(self, keep: np.ndarray) -> "LevelMatrix":
+        """The matrix of the entries where keep is True, in their order."""
+        kept = np.zeros(self.nnz + 1, dtype=self.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        return LevelMatrix(self.data[keep], self.indices[keep], kept[self.indptr], self.shape)
+
+
+def index_dtype(*sizes) -> type:
+    """scipy's index dtype for a matrix of these dimensions and entry count."""
+    return np.int32 if max(sizes) < 2 ** 31 else np.int64
+
 
 def _window(a, lo: int, hi: int) -> np.ndarray:
     """a[lo:hi] without a copy, as an array on a buffer rather than a view
@@ -115,7 +126,7 @@ def edge_table(sizes, level, rows, cols, vals) -> EdgeTable:
     """The table with vals at (level, rows, cols), given in that order with
     no repeats (rows and cols within their levels)."""
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    idx = np.int32 if max(offsets[-1], len(vals)) < 2 ** 31 else np.int64  # scipy's choice
+    idx = index_dtype(offsets[-1], len(vals))
     indptr = np.zeros(offsets[-2] + 1, dtype=idx)
     np.cumsum(np.bincount(offsets[level] + rows, minlength=offsets[-2]), out=indptr[1:])
     return EdgeTable(sizes, np.asarray(vals, dtype=float), np.asarray(cols).astype(idx), indptr)

@@ -189,7 +189,9 @@ def parse_diagram(text: str) -> Diagram:
     if sizes[:1] != [1]:  # also a levels line that lists no level
         raise ValueError("level_sizes must start with the singleton root level")
     edge = c != 0  # a line with conductance 0 is a non-edge
-    return Diagram(edge_table(sizes, n[edge], i[edge], j[edge], c[edge]))
+    if not edge.all():
+        n, i, j, c = n[edge], i[edge], j[edge], c[edge]
+    return Diagram(edge_table(sizes, n, i, j, np.ascontiguousarray(c)))  # no view of the records
 
 
 def _edges(data: bytes, pos: int, sizes):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .operators import (LevelFunction, build_level_operators, checked_conductances,
-                        checked_degrees, laplacian_apply, laplacian_entries, vertex_at)
+                        checked_degrees, laplacian, laplacian_apply, vertex_at)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -137,9 +137,8 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
             SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics))
 
 
-def _exact_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                    n_rows: int, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exactly rounded residual b - A x via two-product splitting and fsum.
+def _exact_residual(m, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exactly rounded residual b - m x, m CSR, via two-product splitting and fsum.
 
     Each product a*x is decomposed into an exact hi+lo pair (Dekker split,
     no FMA needed); fsum of all pairs per row then returns the correctly
@@ -147,8 +146,7 @@ def _exact_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     rounding floor on ill-conditioned stacked systems.
     """
     from math import fsum
-    a = vals
-    xx = x[cols]
+    a, xx = m.data, x[m.indices]
     p = a * xx
     split = 134217729.0  # 2^27 + 1
     a_big = a * split
@@ -158,15 +156,10 @@ def _exact_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     x_hi = x_big - (x_big - xx)
     x_lo = xx - x_hi
     err = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
-    buckets: list = [[] for _ in range(n_rows)]
-    for r, hi, lo in zip(rows.tolist(), p.tolist(), err.tolist()):
-        bucket = buckets[r]
-        bucket.append(hi)
-        bucket.append(lo)
-    out = np.empty(n_rows)
-    for r in range(n_rows):
-        out[r] = fsum([b[r]] + [-t for t in buckets[r]])
-    return out
+    # row r's terms are those of its entries, indptr[r]:indptr[r + 1]
+    terms = (-np.stack([p, err], axis=1)).reshape(-1).tolist()
+    ends = (2 * m.indptr).tolist()
+    return np.array([fsum([b[r], *terms[ends[r]:ends[r + 1]]]) for r in range(b.size)])
 
 
 def _refine(lu, sol: np.ndarray, residual):
@@ -217,11 +210,11 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
                              f"fixes levels 0..{fixed_levels - 1}")
     # equations below level k hold only prefix values: start at the first
     # one with an unknown, so the cost does not grow with the prefix
-    off, rows, cols, vals = laplacian_entries(d, min(fixed_levels - 1, depth - 1), depth)
+    lap = laplacian(d, min(fixed_levels - 1, depth - 1), depth)
     # rows are numbered as vertices; the recursion's sign is -Delta f = -rhs
-    vals = -vals
+    off = d.table.offsets
     b_adj = -rhs[:off[depth]]
-    n_rows, nvar = b_adj.size, int(off[-1])
+    nvar = lap.shape[1]
     fixed = np.zeros(nvar, dtype=bool)
     x_full = np.zeros(nvar)
     fixed[: off[fixed_levels]] = True
@@ -234,20 +227,19 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
                 raise ValueError(f"pinned value {val} at ({lvl},{idx}) is not finite")
             fixed[off[lvl] + idx] = True
             x_full[off[lvl] + idx] = val
-    keep = ~fixed[cols]
+    rows, cols = lap.rows(), lap.indices
     fix_mask = fixed[cols]
-    np.add.at(b_adj, rows[fix_mask], -vals[fix_mask] * x_full[cols[fix_mask]])
+    # a row's fixed terms are summed children, c(x), parents: the outputs' bits rest on it
+    for part in (cols > rows, cols == rows, cols < rows):
+        at = fix_mask & part
+        np.add.at(b_adj, rows[at], lap.data[at] * x_full[cols[at]])
     free_ids = np.nonzero(~fixed)[0]
-    remap = np.full(nvar, -1, dtype=np.int64)
-    remap[free_ids] = np.arange(free_ids.size)
-    r_f, c_f, v_f = rows[keep], remap[cols[keep]], vals[keep]
-    live_rows = np.zeros(n_rows, dtype=bool)
-    live_rows[r_f] = True
-    row_remap = np.cumsum(live_rows) - 1
-    r_f = row_remap[r_f]
-    n_live = int(live_rows.sum())
-    a_free = sp.csr_matrix((v_f, (r_f, c_f)), shape=(n_live, free_ids.size))
-    b_live = b_adj[live_rows]
+    remap = np.cumsum(~fixed) - 1  # a free vertex's number among the unknowns
+    free = lap.masked(~fix_mask)
+    indptr = np.unique(free.indptr)  # the live rows' bounds, as the other rows are empty
+    a_free = sp.csr_matrix((-free.data, remap[free.indices], indptr),
+                           shape=(indptr.size - 1, free_ids.size))
+    b_live = b_adj[np.diff(free.indptr) > 0]
     m, n_free = a_free.shape
     path, steps, fallback = "lu", 0, None
 
@@ -265,9 +257,8 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
         if m == n_free:
             lu = spla.splu(a_free.tocsc())
             sol = finite(lu.solve(b_live))
-            if 0 < v_f.size <= _EXACT_REFINE_ENTRIES:
-                sol, steps = _refine(lu, sol, lambda s: _exact_residual(
-                    r_f, c_f, v_f, n_live, s, b_live))
+            if 0 < a_free.nnz <= _EXACT_REFINE_ENTRIES:
+                sol, steps = _refine(lu, sol, lambda s: _exact_residual(a_free, s, b_live))
         else:
             path = "augmented-lu"
             k = sp.bmat([[sp.identity(n_free), a_free.T], [a_free, None]], format="csc")

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._matops import LevelMatrix, index_dtype
 from .diagram import Diagram
 
 
@@ -160,44 +161,39 @@ def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
     return c
 
 
-def laplacian_entries(d: Diagram, first: int, last: int, boundary_columns: bool = True):
-    """Delta = c(I - P) on the vertices of levels 0..last, numbered level by
-    level, as (offsets, rows, cols, vals): offsets[n] is the number of level
-    n's first vertex (n = 0..last+1), and rows, cols, vals are the COO
-    entries of Delta's rows of levels first..last-1.  Within a level they
-    are its children block -C_n, its diagonal c(x), then its parents block
-    -C_{n-1}^T, each in the row-major order of its level matrix.  c(x)
-    counts every stored edge of x; without boundary_columns the entries in
-    level last's columns are left out (the Dirichlet matrix).  The edges
-    are a slice of the edge table, and a conductance not in (0, inf) raises
-    ValueError (see checked_conductances).
-    """
+def laplacian(d: Diagram, first: int, last: int) -> LevelMatrix:
+    """Delta = c(I - P)'s rows of levels first..last-1 as one LevelMatrix of
+    shape (offsets[last], offsets[last + 1]), numbered as the vertices of
+    d.table (the other rows are empty).  A row holds its parents (-c), its
+    c(x) from d.degrees, then its children (-c), so its columns increase;
+    the edges up to the parents are grouped by head, the one transposition.
+    A conductance of levels max(first - 1, 0)..last-1 not in (0, inf)
+    raises ValueError (see checked_conductances)."""
     t = d.table
-    offsets = t.offsets[:last + 2]
     lo = max(first - 1, 0)
-    c = checked_conductances(d, lo, last)
-    # edges u -> w of levels lo..last-1; level n's are starts[n - lo]:starts[n - lo + 1]
-    starts = t.starts[lo:last + 1] - t.starts[lo]
-    u, w = t.tail[t.starts[lo]:t.starts[last]], t.head[t.starts[lo]:t.starts[last]]
-    base, degrees = offsets[first], d.degrees[offsets[first]:offsets[last]]
-    neg, diag = -c, np.arange(base, offsets[last])
-    rows, cols, vals = [], [], []
-    for n in range(first, last):
-        a, b = starts[n - lo], starts[n - lo + 1]
-        if boundary_columns or n + 1 < last:
-            rows.append(u[a:b])
-            cols.append(w[a:b])
-            vals.append(neg[a:b])
-        s = slice(offsets[n] - base, offsets[n + 1] - base)
-        rows.append(diag[s])
-        cols.append(diag[s])
-        vals.append(degrees[s])
-        if n > 0:
-            p = starts[n - 1 - lo]
-            rows.append(w[p:a])
-            cols.append(u[p:a])
-            vals.append(neg[p:a])
-    return offsets, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    checked_conductances(d, lo, last)
+    base, n_rows = t.offsets[first], t.offsets[last]
+    degrees = d.degrees[base:n_rows]
+    up, down = slice(t.starts[lo], t.starts[last - 1]), slice(t.starts[first], t.starts[last])
+    by_head = np.argsort(t.head[up], kind="stable")
+    parents = np.bincount(t.head[up] - base, minlength=n_rows - base)
+    children = np.diff(t.indptr[base:n_rows + 1])
+    idx = index_dtype(t.offsets[last + 1], by_head.size + n_rows + down.stop - down.start)
+    indptr = np.zeros(n_rows + 1, dtype=idx)
+    np.cumsum(parents + 1 + children, out=indptr[base + 1:])
+    diag = indptr[base:-1] + parents
+    # edge k of a row's run of edges goes k slots past the run's first slot
+    at_up = np.repeat(indptr[base:-1] - np.cumsum(parents) + parents, parents)
+    at_up += np.arange(by_head.size)
+    at_down = np.repeat(diag + 1 - t.indptr[base:n_rows], children)
+    at_down += np.arange(down.start, down.stop)
+    # in place and in the index dtype: a fresh large array costs its page faults
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=idx)
+    data[at_up], indices[at_up] = t.data[up][by_head], t.tail[up][by_head]
+    data[at_down], indices[at_down] = t.data[down], t.head[down]
+    np.negative(data, out=data)
+    data[diag], indices[diag] = degrees, np.arange(base, n_rows, dtype=idx)
+    return LevelMatrix(data, indices, indptr, (n_rows, t.offsets[last + 1]))
 
 
 def laplacian_apply(d: Diagram, f: LevelFunction) -> LevelFunction:

@@ -35,7 +35,7 @@ import numpy as np
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
 from .operators import (LevelFunction, build_level_operators, check_finite, checked_degrees,
-                        laplacian_apply, laplacian_entries)
+                        laplacian, laplacian_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ class DirichletSystem:
     over all calls that share the system (see `of`).  A conductance not in
     (0, inf), an interior vertex without edges, whose row of the matrix is
     zero, or a level pair without edges above the boundary, which makes the
-    matrix singular, raises ValueError (see laplacian_entries).
+    matrix singular, raises ValueError (see operators.laplacian).
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -65,13 +65,11 @@ class DirichletSystem:
         import scipy.sparse as sp
         self.diagram = weakref.proxy(d)  # d keeps the system (see `of`), not back
         self.boundary_level = boundary_level
-        offsets, rows, cols, vals = laplacian_entries(d, 0, boundary_level,
-                                                      boundary_columns=False)
-        self.offsets = offsets[:-1]
-        self.n_interior = int(self.offsets[-1])
-        self.matrix = sp.csr_matrix((vals, (rows, cols)),
-                                    shape=(self.n_interior, self.n_interior))
-        self.matrix.sum_duplicates()  # sorts the indices
+        self.offsets = d.table.offsets[:boundary_level + 1]
+        self.n_interior = n = int(self.offsets[-1])
+        lap = laplacian(d, 0, boundary_level)
+        lap = lap.masked(lap.indices < n)  # the boundary level's columns go
+        self.matrix = sp.csr_matrix((lap.data, lap.indices, lap.indptr), shape=(n, n))
         self.degrees = checked_degrees(d, boundary_level - 1)  # its diagonal; 0 is a zero row
         _check_crossable(d, 0, boundary_level)  # else the matrix is singular
         self._lu = None
@@ -185,21 +183,25 @@ def green_exact(d: Diagram, boundary_level: int,
                     for i in range(d.level_sizes[n])]
     vertices = tuple(vertices)
     build_level_operators(d)  # for its checks
-    return _green_solve(sysm, vertices, (sysm.solve(source={y: 1.0}) for y in vertices))
+    # L u = e_y on the interior, one y at a time, and u = 0 on the boundary level
+    units = (np.eye(1, sysm.n_interior, sysm.flat(y))[0] for y in vertices)
+    pad = np.zeros(d.table.offsets[boundary_level + 1] - sysm.n_interior)
+    return _green_solve(sysm, vertices, (np.append(sysm._solve_flat(sysm.matrix, e), pad)
+                                         for e in units))
 
 
 def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
     """green_exact on a given system, from the solutions of L u = e_y for the
-    vertices y in order (an iterable, so that a generator holds one column
-    at a time)."""
+    vertices y in order, flat through the boundary level (an iterable, so
+    that a generator holds one column at a time)."""
     idx = np.array([sysm.flat(v) for v in vertices], dtype=np.int64)
     degs = sysm.degrees[idx]
     green = np.empty((len(vertices),) * 2)
     step = np.empty(len(vertices))
     for j, (y, u) in enumerate(zip(vertices, columns)):
-        green[:, j] = u.flat()[idx] * degs[j]
+        green[:, j] = u[idx] * degs[j]
         # steps into the boundary level never return; u is 0 there
-        step[j] = _p_row_apply(sysm.diagram, y, u) / u.at(y)
+        step[j] = _p_row_apply(sysm.diagram, y, u) / u[idx[j]]
     gdiag = np.diag(green)
     if np.any(gdiag <= 0):
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
@@ -208,16 +210,16 @@ def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
                       diagnostics=dict(sysm.diagnostics))
 
 
-def _p_row_apply(d: Diagram, v: VertexId, f: LevelFunction) -> float:
-    """(P f)(v): one step of the walk from v, read off v's stored column
-    (P->) and row (P<-) in the edge table; the terms are summed exactly
-    rounded, so the value does not depend on how a dot product is split."""
+def _p_row_apply(d: Diagram, v: VertexId, f: np.ndarray) -> float:
+    """(P f)(v) of a flat f: one step of the walk from v, read off v's stored
+    column (P->) and row (P<-) in the edge table; the terms are summed
+    exactly rounded, so the value does not depend on how a dot product is split."""
     t = d.table
     x = t.offsets[v.level] + v.index
     at = slice(t.starts[max(v.level - 1, 0)], t.starts[min(v.level + 1, d.num_levels)])
     tail, head = t.tail[at], t.head[at]
     ends = (tail == x) | (head == x)
-    g = f.flat()[np.where(tail == x, head, tail)[ends]]
+    g = f[np.where(tail == x, head, tail)[ends]]
     return math.fsum(t.data[at][ends] * (1.0 / d.degrees[x]) * g)
 
 
@@ -247,12 +249,12 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
     idx = np.array([sysm.flat(x) for x in gs.vertices], dtype=np.int64)
     f_hit = np.array([h.flat()[idx] for h in hits]).T
-    u_hit = np.array([_p_row_apply(d, y, h) for y, h in zip(gs.vertices, hits)])
+    u_hit = np.array([_p_row_apply(d, y, h.flat()) for y, h in zip(gs.vertices, hits)])
     gdiag = np.diag(gs.green)
     diag = np.abs(gdiag * (1.0 - u_hit) - 1.0).max()
     ratio_hit = np.abs(gs.green - f_hit * gdiag[None, :]).max()
     one_step_return = np.abs(u_hit - gs.return_prob).max()
-    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(d, x, h))
+    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(d, x, h.flat()))
                           for j, h in enumerate(hits) for i, x in enumerate(gs.vertices)
                           if i != j), default=0.0)
     cg = gs.degrees[:, None] * gs.green
@@ -364,7 +366,7 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     lap1, lap2 = (laplacian_apply(d, h) for h in (h1, h2))
     m = np.array([[lap1.at(x1), lap2.at(x1)],
                   [lap1.at(x2), lap2.at(x2)]])
-    gs = _green_solve(sysm, (x1, x2), cols)
+    gs = _green_solve(sysm, (x1, x2), (w1, w2))
     (c1, c2), (u1, u2) = gs.degrees, gs.return_prob
     f12, f21 = gs.reach_ratio[0, 1], gs.reach_ratio[1, 0]
     m_fact = np.diag([c1, c2]) @ np.array([[1.0 - u1, -f12], [-f21, 1.0 - u2]])
@@ -453,14 +455,11 @@ class _Transitions:
 
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     """The walk's tables; a conductance that is not in (0, inf) raises ValueError."""
-    offsets, rows, cols, vals = laplacian_entries(d, 0, absorb_level)
-    n_all = int(offsets[-1])
-    # the off-diagonal entries by owner, then by number: parents, then children;
-    # the keys are distinct, and the stable sort merges their sorted runs fastest
-    keep = rows != cols
-    owner, other = rows[keep], cols[keep]
-    order = np.argsort(owner * n_all + other, kind="stable")
-    owner, other, weight = owner[order], other[order], -vals[keep][order]
+    lap = laplacian(d, 0, absorb_level)
+    offsets, n_all = d.table.offsets[:absorb_level + 2], lap.shape[1]
+    # each vertex's row off the diagonal, its neighbours: parents, then children
+    lap = lap.masked(lap.indices != lap.rows())
+    owner, other, weight = lap.rows(), lap.indices, -lap.data
     degree = np.bincount(owner, minlength=n_all)
     first = np.cumsum(degree) - degree
     width = int(degree.max())

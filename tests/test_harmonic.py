@@ -189,9 +189,9 @@ def test_square_lu_refines_up_to_the_exact_residual_cap(depth, monkeypatch):
     pins = {n: {0: 1.0} for n in range(1, depth + 1)}
     stored, exact = [], harmonic._exact_residual
 
-    def recording(rows, cols, vals, *args):
-        stored.append(vals.size)
-        return exact(rows, cols, vals, *args)
+    def recording(m, *args):
+        stored.append(m.nnz)
+        return exact(m, *args)
 
     monkeypatch.setattr(harmonic, "_exact_residual", recording)
     f, rep = solve_chain(d, pins=pins)
@@ -274,21 +274,20 @@ def test_extension_stacks_only_the_equations_with_unknowns(n, pinned, monkeypatc
     d = gen_pascal(200, 1.0)
     prefix = pascal_harmonic(200).values[: n + 1]
     pins = {0: pascal_value(n + 1, 0)} if pinned else None
-    entries = harmonic.laplacian_entries
+    laplacian = harmonic.laplacian
     stacked = []
 
     def recording(*args, **kwargs):
-        system = entries(*args, **kwargs)
-        stacked.append(np.unique(system[1]))
+        system = laplacian(*args, **kwargs)
+        stacked.append(np.unique(system.rows()))
         return system
 
-    monkeypatch.setattr(harmonic, "laplacian_entries", recording)
+    monkeypatch.setattr(harmonic, "laplacian", recording)
     x, rep = extend_harmonic(d, prefix, pins=pins)
     first = sum(d.level_sizes[:n])
     assert len(stacked) == 1
     assert stacked[0].tolist() == list(range(first, first + d.level_sizes[n]))
-    monkeypatch.setattr(harmonic, "laplacian_entries",
-                        lambda d, first, last: entries(d, 0, last))
+    monkeypatch.setattr(harmonic, "laplacian", lambda d, first, last: laplacian(d, 0, last))
     x_all, rep_all = extend_harmonic(d, prefix, pins=pins)
     assert x.tobytes() == x_all.tobytes()
     assert rep.residuals == rep_all.residuals and rep.diagnostics == rep_all.diagnostics

@@ -1,11 +1,16 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from bharm import (
+    GeneralGraph,
     LevelFunction,
     VertexId,
     build_level_operators,
+    diagram_from_graph,
     gen_binary_tree,
     gen_binary_tree_radial,
     gen_bottleneck,
@@ -17,7 +22,7 @@ from bharm import (
     markov_apply,
     spectral_bound_check,
 )
-from bharm import harmonic, pathspace
+from bharm import harmonic, operators, pathspace
 from bharm.closedforms import pascal_harmonic
 from bharm.fileio import parse_diagram
 from bharm.operators import weighted_inner
@@ -308,7 +313,7 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
         for n, size in enumerate(d.level_sizes[:4]):
             for x in range(min(size, 5)):
                 v = VertexId(n, x)
-                assert pathspace._p_row_apply(d, v, f) == bruteforce.ref_p_row(d, v, f.values)
+                assert pathspace._p_row_apply(d, v, f.flat()) == bruteforce.ref_p_row(d, v, f.values)
         level = rng.integers(1, n_levels + 1)
         sysm = pathspace.DirichletSystem(d, level)
         b = np.zeros(sysm.n_interior)
@@ -361,3 +366,56 @@ def test_compatibility_residuals_are_the_per_level_ones_bit_for_bit():
         assert rep.compatibility_residuals == tuple(
             float(np.abs(bruteforce.ref_p_back(d, n, f.values[n + 1]) - f.values[n]).max())
             for n in range(n0, d.num_levels))
+
+
+def _laplacian_diagrams():
+    """The walk goldens' irregular diagram, four generators, and a graph
+    whose edges are listed against the levels' order, so that its parents'
+    edges are not grouped by child in table order."""
+    goldens = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
+    g = GeneralGraph(8, [(7, 5, 0.25), (6, 4, 2.5), (1, 0, 1.5), (3, 1, 0.5), (2, 0, 2.0),
+                         (3, 2, 1.25), (6, 5, 1.0), (5, 2, 0.75), (4, 1, 3.0), (7, 3, 4.0)])
+    converted = diagram_from_graph(g, 0)
+    assert np.any(np.diff(converted.table.head) < 0)
+    return [parse_diagram(goldens["diagram"]), gen_pascal(12, 1.5), gen_binary_tree(6, 2.0),
+            gen_ladder(8, 1.5), gen_stationary([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 6, 1.7),
+            converted]
+
+
+@pytest.mark.parametrize("d", _laplacian_diagrams())
+def test_laplacian_rows_are_the_dense_adjacency_in_canonical_csr(d):
+    # off the diagonal -A of tests/bruteforce.py, on it the degrees; each
+    # row's columns increase, and only levels first..last-1 have rows
+    adjacency, off = bruteforce.dense_adjacency(d), d.table.offsets
+    for last in range(1, d.num_levels + 1):
+        for first in range(last):
+            lap = operators.laplacian(d, first, last)
+            assert lap.shape == (off[last], off[last + 1])
+            assert lap.data.dtype == float and lap.indices.dtype == lap.indptr.dtype
+            rows = lap.rows()
+            assert np.array_equal(np.unique(rows), np.arange(off[first], off[last]))
+            assert np.all((np.diff(lap.indices) > 0) | (np.diff(rows) > 0))
+            dense = lap.toarray()
+            diag = np.arange(off[first], off[last])
+            assert np.array_equal(dense[diag, diag], d.degrees[diag])
+            dense[diag, diag] = 0.0
+            assert np.array_equal(dense[off[first]:], -adjacency[off[first]:off[last],
+                                                                 :off[last + 1]])
+
+
+@pytest.mark.parametrize("d", _laplacian_diagrams())
+def test_dirichlet_matrix_is_the_scipy_coo_to_csr_of_the_table_entries(d):
+    # the interior's edges both ways and the degrees, summed by scipy
+    level, i, j, c = d.table.entries()
+    off = d.table.offsets
+    for b in range(1, d.num_levels + 1):
+        n = off[b]
+        inner = level + 1 < b
+        u, w, c_in = off[level[inner]] + i[inner], off[level[inner] + 1] + j[inner], c[inner]
+        oracle = sp.coo_matrix((np.concatenate([-c_in, -c_in, d.degrees[:n]]),
+                                (np.concatenate([u, w, np.arange(n)]),
+                                 np.concatenate([w, u, np.arange(n)]))), shape=(n, n)).tocsr()
+        oracle.sum_duplicates()
+        got = pathspace.DirichletSystem(d, b).matrix
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, a), getattr(oracle, a)), a
