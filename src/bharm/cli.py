@@ -74,10 +74,10 @@ def _write_output(path: str, text: str, args, extra: dict) -> None:
         fh.write("\n")
 
 
-def _solve_keys(diagnostics: dict, *keys) -> dict:
-    """A solve's manifest entries: its path and the named diagnostics (all if none is)."""
+def _solve_keys(diagnostics: dict) -> dict:
+    """A solve's manifest entries: its path and its other diagnostics."""
     return {"solve_path": diagnostics["path"],
-            **{k: diagnostics[k] for k in keys or diagnostics if k != "path"}}
+            **{k: v for k, v in diagnostics.items() if k != "path"}}
 
 
 def _parse_vertex(spec: str) -> VertexId:
@@ -171,8 +171,7 @@ def _cmd_harmonic(args) -> int:
         print(f"# inconsistent at level {lvl}: residual "
               + FMT.format(report.residuals[lvl]), file=sys.stderr)
     _write_output(args.out, format_function(f), args,
-                  {"tol": args.tol, "max_residual": report.max_residual,
-                   **_solve_keys(report.diagnostics, "fallback", "refine_steps")})
+                  {"tol": args.tol, **_solve_keys(report.diagnostics)})
     return 0
 
 
@@ -197,8 +196,7 @@ def _cmd_pole(args, dipole: bool) -> int:
     if not report.consistent:
         print("# inconsistent recursion; least-squares solution emitted", file=sys.stderr)
     _write_output(args.out, format_function(f), args,
-                  {"pole": str(x), "max_residual": report.max_residual,
-                   **_solve_keys(report.diagnostics, "fallback", "refine_steps")})
+                  {"pole": str(x), **_solve_keys(report.diagnostics)})
     return 0
 
 

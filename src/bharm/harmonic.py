@@ -131,7 +131,7 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
     rhs = _source_vectors(d, source)
     x, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix, {n + 1: pins} if pins else {})
     resid = _chain_residuals(d, n + 1, rhs, x, first=n)[0]
-    diagnostics = {"path": path, "refine_steps": steps, "final_residual": resid,
+    diagnostics = {"path": path, "refine_steps": steps, "max_residual": resid,
                    "fallback": fallback}
     return (x[d.table.offsets[n + 1]:d.table.offsets[n + 2]],
             SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics))
@@ -293,7 +293,7 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
 
     Returns (LevelFunction, SolveReport) with one residual per level
     (root equation first).  The report's diagnostics hold the path ("lu",
-    "augmented-lu" or "lsqr"), refine_steps, final_residual (the largest
+    "augmented-lu" or "lsqr"), refine_steps, max_residual (the largest
     residual of the returned solution) and fallback (None, or why the path
     is lsqr).
     """
@@ -310,7 +310,7 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     x, path, steps, fallback = _global_solve(d, depth, rhs, prefix, pins or {})
     residuals = _chain_residuals(d, depth, rhs, x)
     diagnostics = {"path": path, "refine_steps": steps,
-                   "final_residual": max(residuals), "fallback": fallback}
+                   "max_residual": max(residuals), "fallback": fallback}
     return LevelFunction.from_flat(d, x), SolveReport(residuals=residuals, tol=tol,
                                                       diagnostics=diagnostics)
 

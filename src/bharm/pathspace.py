@@ -184,16 +184,13 @@ def green_exact(d: Diagram, boundary_level: int,
     vertices = tuple(vertices)
     build_level_operators(d)  # for its checks
     # L u = e_y on the interior, one y at a time, and u = 0 on the boundary level
-    units = (np.eye(1, sysm.n_interior, sysm.flat(y))[0] for y in vertices)
-    pad = np.zeros(d.table.offsets[boundary_level + 1] - sysm.n_interior)
-    return _green_solve(sysm, vertices, (np.append(sysm._solve_flat(sysm.matrix, e), pad)
-                                         for e in units))
+    return _green_solve(sysm, vertices, (sysm.solve(source={y: 1.0}).flat() for y in vertices))
 
 
 def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
     """green_exact on a given system, from the solutions of L u = e_y for the
-    vertices y in order, flat through the boundary level (an iterable, so
-    that a generator holds one column at a time)."""
+    vertices y in order, flat from the root through at least the boundary
+    level (an iterable, so that a generator holds one column at a time)."""
     idx = np.array([sysm.flat(v) for v in vertices], dtype=np.int64)
     degs = sysm.degrees[idx]
     green = np.empty((len(vertices),) * 2)
@@ -459,26 +456,21 @@ def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     offsets, n_all = d.table.offsets[:absorb_level + 2], lap.shape[1]
     # each vertex's row off the diagonal, its neighbours: parents, then children
     lap = lap.masked(lap.indices != lap.rows())
-    owner, other, weight = lap.rows(), lap.indices, -lap.data
-    degree = np.bincount(owner, minlength=n_all)
-    first = np.cumsum(degree) - degree
+    degree = np.zeros(n_all, dtype=np.int64)
+    degree[:lap.shape[0]] = np.diff(lap.indptr)
     width = int(degree.max())
-    col = np.arange(owner.size) - first[owner]
-    w = np.zeros((n_all, width))
-    w[owner, col] = weight
-    total = np.ones(n_all)
+    # one row per neighbour slot, so a step gathers whole rows; a vertex
+    # without edges keeps +inf and itself
+    cum = np.full((width, n_all), np.inf)
+    nbr = np.repeat(np.arange(n_all, dtype=np.int64), width + 1).reshape(n_all, width + 1)
     for k in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == k)
+        at = lap.indptr[rows][:, None] + np.arange(k)
+        w = -lap.data[at]
         # numpy's pairwise sum of each row, as w.sum() of that row alone gives
-        rows = degree == k
-        total[rows] = w[rows, :k].sum(axis=1)
-    cum = np.cumsum(w, axis=1) / total[:, None]
-    cum[np.arange(width) >= degree[:, None]] = np.inf
-    # one row per neighbour slot, so a step gathers whole rows
-    cum = np.ascontiguousarray(cum.T)
-    last = np.maximum(degree - 1, 0)[:, None]
-    nbr = np.append(other, 0)[first[:, None] + np.minimum(np.arange(width + 1), last)]
-    held = np.flatnonzero(degree == 0)
-    nbr[held] = held[:, None]
+        cum[:k, rows] = (np.cumsum(w, axis=1) / w.sum(axis=1)[:, None]).T
+        nbr[rows, :k] = lap.indices[at]
+        nbr[rows, k:] = nbr[rows, k - 1:k]
     # levels in the smallest signed type that also holds -1, for the bookkeeping
     level = np.repeat(np.arange(absorb_level + 1, dtype=np.min_scalar_type(-absorb_level - 1)),
                       np.diff(offsets))
@@ -779,17 +771,20 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     vals, errs = np.zeros(n_int + f_n.size), np.zeros(n_int)
     vals[n_int:] = f_n
     capped = 0
-    # lanes are (start vertex, walk) pairs; start x's walk w draws from the
-    # substream of key seed + 7919 x (mod 2**64) and counter word w
+    # lanes are (start vertex, walk) pairs, at most _LANES stepped together;
+    # start x's walk w draws from the substream of key seed + 7919 x (mod
+    # 2**64) and counter word w
     per = max(1, _LANES // walks)
     for x0 in range(0, n_int, per):
         xs = np.arange(x0, min(x0 + per, n_int))
         keys = np.uint64(cfg.seed % 2 ** 64) + np.uint64(7919) * xs.astype(np.uint64)
-        last = np.empty(xs.size * walks, dtype=np.int64)
-        for lane, path in _walk_blocks(tr, np.repeat(xs, walks), np.repeat(keys, walks),
-                                       np.tile(np.arange(walks, dtype=np.uint64), xs.size),
-                                       cfg.max_steps):
-            last[lane] = path[-1]
+        v, key = np.repeat(xs, walks), np.repeat(keys, walks)
+        walk = np.tile(np.arange(walks, dtype=np.uint64), xs.size)
+        last = np.empty(v.size, dtype=np.int64)
+        for l0 in range(0, v.size, _LANES):
+            at = slice(l0, l0 + _LANES)
+            for lane, path in _walk_blocks(tr, v[at], key[at], walk[at], cfg.max_steps):
+                last[at][lane] = path[-1]
         exit_ = last.reshape(xs.size, walks)
         ok = exit_ >= n_int
         capped += int(ok.size - ok.sum())

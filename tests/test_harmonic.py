@@ -115,7 +115,7 @@ def test_bottleneck_extension_inconsistent():
     assert not rep.consistent
     assert rep.diagnostics["path"] == "lsqr"
     assert rep.diagnostics["fallback"] == "lu factorization failed"
-    assert rep.diagnostics["final_residual"] == rep.max_residual
+    assert rep.diagnostics["max_residual"] == rep.max_residual
 
 
 # --- chained recursion ------------------------------------------------------------

@@ -2,10 +2,12 @@ import dataclasses
 import gc
 import json
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bharm import (
@@ -16,11 +18,13 @@ from bharm import (
     dipole_matrix_M,
     gen_binary_tree,
     gen_binary_tree_radial,
+    gen_bottleneck,
     gen_pascal,
     green_exact,
     green_identity_report,
     harmonicity_check,
     hitting_function,
+    make_diagram,
     monopole_green,
     multipole,
     poisson_kernel,
@@ -44,6 +48,20 @@ WALK_GOLDENS = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").
 # sums differ from their last cumulative sums
 IRREGULAR = parse_diagram(WALK_GOLDENS["diagram"])
 VERTS = [VertexId(0, 0), VertexId(1, 0), VertexId(2, 1), VertexId(3, 5)]
+
+
+def _reweighted(d, seed):
+    """d with each conductance times its own uniform draw from [0.1, 10)."""
+    rng = np.random.default_rng(seed)
+    return make_diagram(d.level_sizes, [d.table.level(n).toarray() * rng.uniform(0.1, 10.0, (
+        d.level_sizes[n], d.level_sizes[n + 1])) for n in range(d.num_levels)])
+
+
+def _broom(width):
+    """Levels 1, 1, width, width: the level-1 vertex joins every vertex of
+    level 2, and each of those has one child."""
+    return make_diagram([1, 1, width, width], [np.ones((1, 1)), np.ones((1, width)),
+                                               sp.identity(width, format="csr")])
 
 
 # --- exact killed-chain quantities -------------------------------------------
@@ -457,10 +475,16 @@ def test_vectorized_philox_matches_numpy_philox_in_every_shape(lanes, first_bloc
         assert np.array_equal(u[:, :, i], want)
 
 
-def test_transition_tables_match_per_vertex_cumsum():
+@pytest.mark.parametrize("d", [
+    IRREGULAR,
+    # 30 degree classes, of rows of up to 80 weights
+    _reweighted(gen_bottleneck([1, 30, 60, 5, 80, 40], 3), 7),
+    # one row of 301 weights, the others of 1 or 2
+    _reweighted(_broom(300), 11),
+], ids=["irregular", "bottleneck-random-weights", "broom300-random-weights"])
+def test_transition_tables_match_per_vertex_cumsum(d):
     """Each vertex's neighbours and np.cumsum(w) / w.sum() of its weights,
     built edge by edge."""
-    d = IRREGULAR
     tr = _transitions(d, d.num_levels)
     _, nbrs, cum = walk_tables(d, d.num_levels)
     uneven = 0
@@ -473,6 +497,21 @@ def test_transition_tables_match_per_vertex_cumsum():
         assert np.all(tr.cum[k:, x] == np.inf)
         uneven += int(row[-1] != 1.0)
     assert uneven > 0
+
+
+def test_transition_tables_take_no_more_memory_than_they_keep():
+    """On a broom of width 2,000, whose one wide row sets the width of every
+    vertex's slots, building the tables allocates little beyond them: no
+    dense weight matrix and no transposed copy of the same size."""
+    d = _broom(2000)
+    tracemalloc.start()
+    try:
+        tr = _transitions(d, d.num_levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.cum.shape == (2001, 4002)
+    assert peak <= 1.1 * (tr.cum.nbytes + tr.nbr.nbytes)
 
 
 @pytest.mark.parametrize("absorb", [3, 5])
@@ -556,9 +595,19 @@ def test_walk_results_do_not_depend_on_batching(monkeypatch):
 
     whole = run()
     assert whole[0][1].n_capped > 0 and whole[1][1][1] > 0
+    lanes = []
+    walk_blocks = pathspace._walk_blocks
+
+    def counted(tr, v, *args):
+        lanes.append(v.size)
+        return walk_blocks(tr, v, *args)
+    monkeypatch.setattr(pathspace, "_walk_blocks", counted)
+    # fewer lanes than one start's 11 Monte Carlo walks: they go 5, 5 and 1,
+    # for each of the 21 starts above level 6 in each of the two runs
     monkeypatch.setattr(pathspace, "_LANES", 5)
     monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", 3)
     assert run() == whole
+    assert max(lanes) == 5 and lanes.count(1) == 2 * 21
     # every refill one Philox block of 4 steps: visit counts and the forward
     # bookkeeping carry across every block, and absorbed lanes are held
     monkeypatch.setattr(pathspace, "_MAX_BLOCKS", 1)
