@@ -8,11 +8,10 @@ LevelMatrix of their rows stacked in level order, and every table is made
 by edge_table from (level, row, col, value) triplets in table order; its
 C_n is level(n), a view of the table's slice, and all levels' triplets are
 entries(); an entry's two vertices are its tail and head.  Every sum over
-the edges of a range of levels (P, the Laplacian, the recursion residuals,
-the degrees) is one edge_sums on slices of tail and head.  Both
-types are bharm's own and need numpy only: scipy is imported only where a
-caller hands in a scipy sparse matrix (stacked_table) and by the solvers
-that factor or decompose.
+the edges of a range of levels (P, the Laplacian, the degrees) is one
+edge_sums on slices of tail and head.  Both types are bharm's own and
+need numpy only: scipy is imported only where a caller hands in a scipy
+sparse matrix (stacked_table) and by the solvers that factor or decompose.
 """
 import numpy as np
 

@@ -128,13 +128,10 @@ def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
         if v.shape[0] != d.level_sizes[k]:
             raise ValueError(f"prefix level {k} has length {v.shape[0]}, "
                              f"expected {d.level_sizes[k]}")
-    rhs = _source_vectors(d, source)
-    x, path, steps, fallback = _global_solve(d, n + 1, rhs, prefix, {n + 1: pins} if pins else {})
-    resid = _chain_residuals(d, n + 1, rhs, x, first=n)[0]
-    diagnostics = {"path": path, "refine_steps": steps, "max_residual": resid,
-                   "fallback": fallback}
-    return (x[d.table.offsets[n + 1]:d.table.offsets[n + 2]],
-            SolveReport(residuals=[resid], tol=tol, diagnostics=diagnostics))
+    # below level n the equations hold no unknown: the cost does not grow with n
+    x, report = _global_solve(d, n, n + 1, _source_vectors(d, source), prefix,
+                              {n + 1: pins} if pins else {}, tol)
+    return x[d.table.offsets[n + 1]:d.table.offsets[n + 2]], report
 
 
 def _exact_residual(m, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,27 +173,28 @@ def _refine(lu, sol: np.ndarray, residual):
     return sol, steps
 
 
-def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.ndarray],
-                  pins: Dict[int, Dict[int, float]]):
+def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
+                  prefix: Sequence[np.ndarray], pins: Dict[int, Dict[int, float]], tol: float):
     """Global minimum-norm solution of the stacked constraint system.
 
-    Unknowns f_0..f_depth, equations at levels 0..depth-1; the prefix
-    f_0..f_k and the pins (level -> {index: value}, on levels k+1..depth)
-    are eliminated and equations left without unknowns dropped.  The shape
-    of the free system A x = b picks the path.  Square: "lu", a sparse LU
-    and iterative refinement with exactly rounded residuals (the stacked
-    map can be ill-conditioned even though each level is benign, so plain
-    double refinement stalls well above the target accuracy).
-    Underdetermined: "augmented-lu", one sparse LU of the augmented system
-    [[I, A^T], [A, 0]], whose x block is the minimum-norm solution (Bjorck;
-    Arioli, Duff & de Rijk, Numer. Math. 1989), and plain refinement.
-    Overdetermined, or an LU that fails: "lsqr", LSQR from x0 = 0, which
-    converges to the minimum-norm least-squares solution (Paige & Saunders,
-    ACM TOMS 1982).  Raises ValueError for a pin off levels k+1..depth,
-    off its level or not finite.  Returns (x, path, refinement steps,
-    fallback), x = f_0..f_depth numbered as the vertices of d.table (as is
-    rhs), and fallback None, or why the path is lsqr.  An LU solution that
-    overflows the doubles raises ValueError, naming its first such level.
+    Unknowns f_0..f_depth, equations Delta's rows of levels first..depth-1
+    (operators.laplacian); the prefix f_0..f_k and the pins (level ->
+    {index: value}, on levels k+1..depth) are eliminated and equations left
+    without unknowns dropped.  The shape of the free system A x = b picks
+    the path.  Square: "lu", a sparse LU and iterative refinement with
+    exactly rounded residuals (the stacked map can be ill-conditioned even
+    though each level is benign, so plain double refinement stalls well
+    above the target accuracy).  Underdetermined: "augmented-lu", one sparse
+    LU of the augmented system [[I, A^T], [A, 0]], whose x block is the
+    minimum-norm solution (Bjorck; Arioli, Duff & de Rijk, Numer. Math.
+    1989), and plain refinement.  Overdetermined, structurally rank deficient
+    (a maximum transversal of A leaves an equation unmatched: Duff, ACM TOMS
+    1981) or an LU that fails: "lsqr", LSQR from x0 = 0, which converges to
+    the minimum-norm least-squares solution (Paige & Saunders, ACM TOMS
+    1982).  Raises ValueError for a pin off levels k+1..depth, off its level
+    or not finite, and for an LU solution that leaves the doubles.  Returns
+    x, f_0..f_depth numbered as the vertices of d.table (as is rhs), and the
+    SolveReport of the rows, as in solve_chain.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -208,9 +206,7 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
         if lvl < fixed_levels:
             raise ValueError(f"pin on level {lvl}, but the prefix (f_0 and any seed) "
                              f"fixes levels 0..{fixed_levels - 1}")
-    # equations below level k hold only prefix values: start at the first
-    # one with an unknown, so the cost does not grow with the prefix
-    lap = laplacian(d, min(fixed_levels - 1, depth - 1), depth)
+    lap = laplacian(d, first, depth)
     # rows are numbered as vertices; the recursion's sign is -Delta f = -rhs
     off = d.table.offsets
     b_adj = -rhs[:off[depth]]
@@ -254,6 +250,10 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
         if m > n_free:
             fallback = f"overdetermined ({m} equations, {n_free} unknowns)"
             raise RuntimeError(fallback)
+        # SuperLU fails on a structurally singular system after OpenBLAS printed to stdout
+        if m and (rank := sp.csgraph.structural_rank(a_free)) < m:
+            fallback = f"structurally rank deficient ({rank} of {m} equations)"
+            raise RuntimeError(fallback)
         if m == n_free:
             lu = spla.splu(a_free.tocsc())
             sol = finite(lu.solve(b_live))
@@ -273,7 +273,29 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
         sol = spla.lsqr(a_free, b_live, atol=1e-14, btol=1e-14,
                         iter_lim=8 * (m + n_free))[0]
     x_full[free_ids] = sol
-    return x_full, path, steps, fallback
+    build_level_operators(d)  # the checks of every stored level
+    residuals = _level_residuals(lap, x_full, rhs, off[first:depth + 1])
+    return x_full, SolveReport(residuals=residuals, tol=tol, diagnostics={
+        "path": path, "refine_steps": steps, "max_residual": max(residuals),
+        "fallback": fallback})
+
+
+def _level_residuals(lap, x: np.ndarray, rhs: np.ndarray, bounds) -> list:
+    """max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1} - rhs_n / c_n)|, f = x,
+    per level from bounds[n] to bounds[n + 1]: the normalized residuals of
+    the equations that are Delta's rows lap (operators.laplacian).  P's
+    blocks are a row's terms (c_xy / c(x)) f(y) left and right of its
+    diagonal c(x), one np.bincount bin per row and side, in table order."""
+    rows, cols = lap.rows(), lap.indices
+    side = np.sign(cols - rows) + 1  # 0: a parent, 1: the diagonal, 2: a child
+    c = lap.data[side == 1]  # of every row from the first with entries
+    base = lap.shape[0] - c.size
+    terms = -lap.data * (1.0 / c).take(rows - base) * x.take(cols)
+    fwd, _, back = np.bincount(3 * (rows - base) + side, terms,
+                               minlength=3 * c.size).reshape(-1, 3).T
+    eq = slice(bounds[0] - base, bounds[-1] - base)
+    r = np.abs(back[eq] - (x[bounds[0]:bounds[-1]] - fwd[eq] - rhs[bounds[0]:bounds[-1]] / c[eq]))
+    return np.maximum.reduceat(r, bounds[:-1] - bounds[0]).tolist()
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
@@ -288,14 +310,14 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     given and the pinned coordinates fixed (pins maps level -> {index:
     value} on the levels the seed leaves free); see _global_solve for the
     lu, augmented-lu and lsqr paths.  A given seed is verified against the
-    root equation, not enforced: its residual is reported, but no solve can
-    change it.
+    root equation, not enforced: that row has no unknown, so no solve can
+    change its residual, which is reported.
 
-    Returns (LevelFunction, SolveReport) with one residual per level
-    (root equation first).  The report's diagnostics hold the path ("lu",
-    "augmented-lu" or "lsqr"), refine_steps, max_residual (the largest
-    residual of the returned solution) and fallback (None, or why the path
-    is lsqr).
+    Returns (LevelFunction, SolveReport) with one residual per level (root
+    equation first), read off the rows solved.  The report's diagnostics
+    hold the path ("lu", "augmented-lu" or "lsqr"), refine_steps,
+    max_residual (the largest residual of the returned solution) and
+    fallback (None, or why the path is lsqr).
     """
     depth = d.num_levels if depth is None else depth
     if not 1 <= depth <= d.num_levels:
@@ -307,30 +329,8 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
         if seed_f1.shape[0] != d.level_sizes[1]:
             raise ValueError("seed vector length does not match level 1")
         prefix.append(seed_f1)
-    x, path, steps, fallback = _global_solve(d, depth, rhs, prefix, pins or {})
-    residuals = _chain_residuals(d, depth, rhs, x)
-    diagnostics = {"path": path, "refine_steps": steps,
-                   "max_residual": max(residuals), "fallback": fallback}
-    return LevelFunction.from_flat(d, x), SolveReport(residuals=residuals, tol=tol,
-                                                      diagnostics=diagnostics)
-
-
-def _chain_residuals(d: Diagram, depth: int, rhs, x, first: int = 0) -> list:
-    """Residuals of the recursion equations of levels first..depth-1 in
-    normalized form: per level, max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1}
-    - rhs_n / c_n)|, f = x (rhs and x numbered as the vertices of d.table).
-    P's two blocks are the child and parent sums of one pass over the edge
-    table's levels first-1..depth (EdgeTable.edge_sums).  Raises ValueError
-    where build_level_operators does."""
-    t, lo = d.table, max(first - 1, 0)
-    base, end = t.offsets[lo], t.offsets[depth + 1]
-    c, f = build_level_operators(d)[base:end], x[base:end]
-    back, fwd = t.edge_sums(lo, depth, f, 1.0 / c)
-    # the equations of levels first..depth-1 (fwd is 0 on level 0); level
-    # depth's entries would join level depth-1's maximum
-    eq = slice(t.offsets[first] - base, t.offsets[depth] - base)
-    r = np.abs(back[eq] - (f[eq] - fwd[eq] - rhs[t.offsets[first]:t.offsets[depth]] / c[eq]))
-    return np.maximum.reduceat(r, t.offsets[first:depth] - t.offsets[first]).tolist()
+    x, report = _global_solve(d, 0, depth, rhs, prefix, pins or {}, tol)
+    return LevelFunction.from_flat(d, x), report
 
 
 def _pole_depth(d: Diagram, x: VertexId, up_to_level: Optional[int]) -> int:
@@ -344,18 +344,18 @@ def _pole_depth(d: Diagram, x: VertexId, up_to_level: Optional[int]) -> int:
 
 
 def solve_monopole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
-                   pins=None, tol: float = DEFAULT_TOL):
-    """Recursion solution of Delta w = delta_x with w(o) = 0.
+                   tol: float = DEFAULT_TOL):
+    """Unseeded, unpinned recursion solution of Delta w = delta_x with w(o) = 0.
 
     Inconsistent levels are reported in the SolveReport, not raised.
     """
     n = _pole_depth(d, x, up_to_level)
-    return solve_chain(d, depth=n, source={x: 1.0}, pins=pins, tol=tol)
+    return solve_chain(d, depth=n, source={x: 1.0}, tol=tol)
 
 
 def solve_dipole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
-                 pins=None, tol: float = DEFAULT_TOL):
-    """Recursion solution of Delta v = delta_x - delta_o with v(o) = 0.
+                 tol: float = DEFAULT_TOL):
+    """Unseeded, unpinned recursion solution of Delta v = delta_x - delta_o, v(o) = 0.
 
     The root equation this induces is sum_y c_oy v_1(y) = +1: the definition
     Delta v = delta_x - delta_o is implemented exactly (see module docs for
@@ -365,7 +365,7 @@ def solve_dipole(d: Diagram, x: VertexId, up_to_level: Optional[int] = None,
     if x == o:
         raise ValueError("dipole pole must differ from the root")
     n = _pole_depth(d, x, up_to_level)
-    return solve_chain(d, depth=n, source={x: 1.0, o: -1.0}, pins=pins, tol=tol)
+    return solve_chain(d, depth=n, source={x: 1.0, o: -1.0}, tol=tol)
 
 
 # ---------------------------------------------------------------------------

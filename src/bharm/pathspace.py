@@ -195,10 +195,10 @@ def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
     degs = sysm.degrees[idx]
     green = np.empty((len(vertices),) * 2)
     step = np.empty(len(vertices))
-    for j, (y, u) in enumerate(zip(vertices, columns)):
+    for j, u in enumerate(columns):
         green[:, j] = u[idx] * degs[j]
         # steps into the boundary level never return; u is 0 there
-        step[j] = _p_row_apply(sysm.diagram, y, u) / u[idx[j]]
+        step[j] = _p_row_apply(sysm, idx[j], u) / u[idx[j]]
     gdiag = np.diag(green)
     if np.any(gdiag <= 0):
         raise RuntimeError("singular killed-chain system: nonpositive diagonal Green value")
@@ -207,17 +207,16 @@ def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
                       diagnostics=dict(sysm.diagnostics))
 
 
-def _p_row_apply(d: Diagram, v: VertexId, f: np.ndarray) -> float:
-    """(P f)(v) of a flat f: one step of the walk from v, read off v's stored
-    column (P->) and row (P<-) in the edge table; the terms are summed
-    exactly rounded, so the value does not depend on how a dot product is split."""
-    t = d.table
-    x = t.offsets[v.level] + v.index
-    at = slice(t.starts[max(v.level - 1, 0)], t.starts[min(v.level + 1, d.num_levels)])
-    tail, head = t.tail[at], t.head[at]
-    ends = (tail == x) | (head == x)
-    g = f[np.where(tail == x, head, tail)[ends]]
-    return math.fsum(t.data[at][ends] * (1.0 / d.degrees[x]) * g)
+def _p_row_apply(sysm: DirichletSystem, x: int, f: np.ndarray) -> float:
+    """(P f)(x), one step of the walk from x (numbered as in sysm's matrix),
+    read off x's row, whose entries off the diagonal are -c_xy on x's
+    interior neighbours: f must be 0 on the boundary level.  Summed exactly
+    rounded, so the value does not depend on how a dot product is split."""
+    m = sysm.matrix
+    at = slice(m.indptr[x], m.indptr[x + 1])
+    cols = m.indices[at]
+    off = cols != x
+    return math.fsum(-m.data[at][off] * (1.0 / sysm.degrees[x]) * f[cols[off]])
 
 
 @dataclass(frozen=True)
@@ -246,13 +245,13 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
     idx = np.array([sysm.flat(x) for x in gs.vertices], dtype=np.int64)
     f_hit = np.array([h.flat()[idx] for h in hits]).T
-    u_hit = np.array([_p_row_apply(d, y, h.flat()) for y, h in zip(gs.vertices, hits)])
+    u_hit = np.array([_p_row_apply(sysm, y, h.flat()) for y, h in zip(idx, hits)])
     gdiag = np.diag(gs.green)
     diag = np.abs(gdiag * (1.0 - u_hit) - 1.0).max()
     ratio_hit = np.abs(gs.green - f_hit * gdiag[None, :]).max()
     one_step_return = np.abs(u_hit - gs.return_prob).max()
-    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(d, x, h.flat()))
-                          for j, h in enumerate(hits) for i, x in enumerate(gs.vertices)
+    one_step_reach = max((abs(gs.reach_ratio[i, j] - _p_row_apply(sysm, x, h.flat()))
+                          for j, h in enumerate(hits) for i, x in enumerate(idx)
                           if i != j), default=0.0)
     cg = gs.degrees[:, None] * gs.green
     rev_g = np.abs(cg - cg.T).max()

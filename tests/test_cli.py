@@ -17,7 +17,7 @@ from bharm import cli
 from bharm.cli import _build_parser, main
 from bharm.fileio import (_GENERATORS, format_function, load_diagram, parse_diagram,
                           parse_function)
-from bharm import gen_pascal, gen_binary_tree
+from bharm import LevelFunction, gen_binary_tree, gen_pascal
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 
 
@@ -94,6 +94,25 @@ def test_harmonic_returns_the_global_solve_when_it_misses_tol(spec, bound, tmp_p
     manifest = json.loads((tmp_path / "h.fn.manifest.json").read_text())
     assert manifest["max_residual"] <= bound
     assert manifest["fallback"] is None
+
+
+def test_a_structurally_singular_solve_prints_nothing_from_c(tmp_path, capfd):
+    # the seed and the pins leave 180 equations, of which a maximum
+    # transversal matches 177; SuperLU, tried on them, made OpenBLAS write
+    # "** On entry to DGEMV ..." three times to file descriptor 1 before it
+    # failed, so the capture is of file descriptors, not of sys.stdout
+    spec = "bottleneck:1-30-60-60-30-60:7"
+    seed = LevelFunction.zeros(load_diagram(spec))
+    seed.values[1][:] = np.random.default_rng(2).standard_normal(30)
+    (tmp_path / "s.fn").write_text(format_function(seed))
+    out_file = tmp_path / "h.fn"
+    assert main(["harmonic", "--diagram", spec, "--pin", "4,14=1.72", "--pin", "4,10=-0.065",
+                 "--pin", "3,12=0.054", "--seed-vector", str(tmp_path / "s.fn"),
+                 "--out", str(out_file)]) == 0
+    assert capfd.readouterr() == ("", "# inconsistent at level 0: residual 0.0755702718278\n")
+    manifest = json.loads((tmp_path / "h.fn.manifest.json").read_text())
+    assert manifest["solve_path"] == "lsqr"
+    assert manifest["fallback"] == "structurally rank deficient (177 of 180 equations)"
 
 
 @pytest.mark.parametrize("argv, message", [

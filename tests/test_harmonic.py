@@ -34,7 +34,8 @@ from bharm.closedforms import (
 )
 from bharm.fileio import parse_diagram, parse_genspec
 from bharm.harmonic import RANK_RCOND, _level_rank
-from bruteforce import level_matrices, ref_degrees, stacked_constraint_matrix, stacked_nullity
+from bruteforce import (level_matrices, ref_chain_residuals, ref_degrees,
+                        stacked_constraint_matrix, stacked_nullity)
 
 
 # --- harmonicity check ---------------------------------------------------------
@@ -109,12 +110,13 @@ def test_bottleneck_extension_inconsistent():
     _, rep = extend_harmonic(d, [np.zeros(1), f1])
     assert not rep.consistent
     assert rep.residuals[0] > 1e-6 / ref_degrees(d, 1).max()
-    # the seeded chain is square and singular: the LU fails, LSQR is
-    # returned and the report says why
+    # the seeded chain is square and structurally singular: a maximum
+    # transversal matches 2 of its 4 equations, so LSQR is returned with no
+    # LU tried, and the report says why
     _, rep = solve_chain(d, seed_f1=f1)
     assert not rep.consistent
     assert rep.diagnostics["path"] == "lsqr"
-    assert rep.diagnostics["fallback"] == "lu factorization failed"
+    assert rep.diagnostics["fallback"] == "structurally rank deficient (2 of 4 equations)"
     assert rep.diagnostics["max_residual"] == rep.max_residual
 
 
@@ -236,7 +238,7 @@ def test_lsqr_path_is_the_minimum_norm_least_squares_solution(case):
         d = gen_bottleneck([1, 3, 1, 3], 2)
         seed = _bottleneck_seed(d)
         pins = {}
-        fallback = "lu factorization failed"
+        fallback = "structurally rank deficient"
     f, rep = solve_chain(d, seed_f1=seed, pins=pins)
     assert rep.diagnostics["path"] == "lsqr"
     assert rep.diagnostics["fallback"].startswith(fallback)
@@ -292,6 +294,41 @@ def test_extension_stacks_only_the_equations_with_unknowns(n, pinned, monkeypatc
     assert x.tobytes() == x_all.tobytes()
     assert rep.residuals == rep_all.residuals and rep.diagnostics == rep_all.diagnostics
     assert rep.diagnostics["path"] == ("lu" if pinned else "augmented-lu")
+
+
+def _random_weights(d, seed):
+    rng = np.random.default_rng(seed)
+    return make_diagram(d.level_sizes, [m.toarray() * rng.uniform(0.2, 5.0, m.shape)
+                                        for m in level_matrices(d)])
+
+
+@pytest.mark.parametrize("d", [_random_weights(gen_pascal(8, 1.0), 1),
+                               _random_weights(gen_bottleneck([1, 3, 6, 6, 2, 5, 7], 4), 2),
+                               parse_genspec("ladder:20:1.5"),
+                               gen_stationary([[1, 1], [1, 0]], 10, 2.0)],
+                         ids=["pascal", "bottleneck", "ladder", "stationary"])
+def test_reported_residuals_are_the_returned_solutions_bit_for_bit(d):
+    # the residuals a solve reads off its own stacked rows are those of the
+    # level-by-level reference on the solution it returns
+    rng = np.random.default_rng(d.total_vertices)
+    sizes, depth = d.level_sizes, d.num_levels
+    x, o = VertexId(2, sizes[2] - 1), VertexId(0, 0)
+    seed = rng.standard_normal(sizes[1])
+    pins = {2: {0: 0.5}, depth: {sizes[depth] - 1: -1.5}}
+    cases = [({}, {}), ({"seed_f1": seed}, {}), ({"pins": pins}, {}),
+             ({"seed_f1": seed, "pins": pins}, {}), ({}, {x: 1.0}), ({}, {x: 1.0, o: -1.0})]
+    for kwargs, source in cases:
+        rhs = [np.zeros(s) for s in sizes]
+        for v, val in source.items():
+            rhs[v.level][v.index] += val
+        f, rep = solve_chain(d, source=source, **kwargs)
+        assert rep.residuals == ref_chain_residuals(d, depth, rhs, f.values)
+        assert rep.diagnostics["max_residual"] == max(rep.residuals)
+        for n in range(depth):
+            nxt, rep = extend_harmonic(d, f.values[: n + 1], source=source)
+            values = [*f.values[: n + 1], nxt, *(np.zeros(s) for s in sizes[n + 2:])]
+            assert rep.residuals == ref_chain_residuals(d, n + 1, rhs, values, n)
+            assert rep.diagnostics["max_residual"] == rep.residuals[0]
 
 
 @pytest.mark.parametrize("level, seed", [(0, None), (5, None), (7, None), (1, [1.0, -1.0])],

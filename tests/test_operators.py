@@ -289,12 +289,14 @@ def _parity_diagrams():
 
 @pytest.mark.parametrize("d", _parity_diagrams())
 def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
-    # P, Delta, the degrees, the recursion residuals of every (depth, first),
-    # the one-step read of P and the Dirichlet boundary coupling, against the
+    # P, Delta, the degrees, the recursion residuals of every (depth, first)
+    # read off Delta's rows, the one-step read of P off every interior row of
+    # every Dirichlet system and the Dirichlet boundary coupling, against the
     # level-by-level reference of tests/bruteforce.py, on values from 1e-8
     # to 1e8
     rng = np.random.default_rng(d.total_vertices)
     n_levels = d.num_levels
+    systems = [pathspace.DirichletSystem(d, b) for b in range(1, n_levels + 1)]
     assert np.array_equal(d.degrees, np.concatenate(
         [bruteforce.ref_degrees(d, n) for n in range(n_levels + 1)]))
     for scale in (1e-8, 1.0, 1e8, None):
@@ -307,13 +309,16 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
         rhs = [rng.standard_normal(s) for s in d.level_sizes]
         for depth in range(1, n_levels + 1):
             for first in range(depth):
-                assert harmonic._chain_residuals(d, depth, LevelFunction(rhs).flat(), f.flat(),
-                                                 first) \
+                assert harmonic._level_residuals(
+                    operators.laplacian(d, first, depth), f.flat(), LevelFunction(rhs).flat(),
+                    d.table.offsets[first:depth + 1]) \
                     == bruteforce.ref_chain_residuals(d, depth, rhs, f.values, first)
-        for n, size in enumerate(d.level_sizes[:4]):
-            for x in range(min(size, 5)):
-                v = VertexId(n, x)
-                assert pathspace._p_row_apply(d, v, f.flat()) == bruteforce.ref_p_row(d, v, f.values)
+        for sysm in systems:
+            b = sysm.boundary_level  # every caller's f is 0 from there down
+            g = LevelFunction(f.values[:b] + tuple(np.zeros(s) for s in d.level_sizes[b:]))
+            for v in (VertexId(n, x) for n in range(b) for x in range(d.level_sizes[n])):
+                assert pathspace._p_row_apply(sysm, sysm.flat(v), g.flat()) \
+                    == bruteforce.ref_p_row(d, v, g.values)
         level = rng.integers(1, n_levels + 1)
         sysm = pathspace.DirichletSystem(d, level)
         b = np.zeros(sysm.n_interior)
