@@ -235,7 +235,8 @@ def _cmd_walk(args) -> int:
     rows.append((start.level, start.index, b"U", est.return_prob, est.return_stderr))
     text = _lines(_PAIRS_HEAD, ",", [(f"{start.level},{start.index}", *zip(*rows),
                                       str(est.n_absorbed))])
-    _write_output(args.out, text, args, {"seed": args.seed, "n_capped": est.n_capped})
+    _write_output(args.out, text, args,
+                  {"seed": args.seed, "n_capped": est.n_capped, **est.diagnostics})
     return 0
 
 
@@ -253,9 +254,9 @@ def _cmd_poisson(args) -> int:
     if res.n_capped:
         print(f"# {res.n_capped} capped walk(s) excluded (bias note: see docs)",
               file=sys.stderr)
-    path = _solve_keys(res.diagnostics) if res.diagnostics else {}
+    keys = _solve_keys(res.diagnostics) if cfg is None else res.diagnostics
     _write_output(args.out, format_function(res.values), args,
-                  {"method": args.method, "level": level, **path})
+                  {"method": args.method, "level": level, **keys})
     return 0
 
 

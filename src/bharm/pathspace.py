@@ -16,17 +16,22 @@ a proof of transience.
 Monte Carlo: `simulate_walks` and the Monte Carlo Poisson kernel share one
 batched engine.  It steps the walks together in blocks, one per refill of
 draws, over vectorized transition tables whose absorbing rows hold a walk,
-and visits are counted once per block.  Each walk's numbers come from a
-vectorized Philox4x64-10 that reproduces numpy's `Philox` stream for the
-walk's key and counter, so a result depends only on the seed, never on the
-batching or the block boundaries.  Its first two rounds depend on the walk
-or on the block alone and run on vectors; the other eight run on the
-(blocks x walks) grid.
+and visits are counted once per block.  A refill's draws are bounded over
+all walks, so few are made for walks that absorb early in it.  Each walk's
+numbers come from a vectorized Philox4x64-10 that reproduces numpy's
+`Philox` stream for the walk's key and counter, so a result depends only on
+the seed, never on the batching or the block boundaries.  Its first two
+rounds depend on the walk or on the block alone and run on vectors; the
+other eight run on the (blocks x walks) grid.  The last few walks of a run
+finish one at a time, each from numpy's own Philox at its counter, since
+numpy's per-call overhead would dominate a lockstep step of so few.  The
+engine counts the steps the walks take and the draws and refills it makes.
 """
 from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -415,7 +420,9 @@ class WalkEstimates:
     estimates and counted in n_capped; conditioning on completion slightly
     underweights long excursions (bias note in `notes`).
     forward_fraction[m] is the fraction of completed walks whose first
-    visits progressed level by level from level m on.
+    visits progressed level by level from level m on.  diagnostics holds
+    the engine's counts: `steps` taken over all walks, which depends only on
+    the inputs and the seed, and the `draws` and `refills` made.
     """
     start: VertexId
     config: WalkConfig
@@ -427,6 +434,7 @@ class WalkEstimates:
     forward_fraction: Dict[int, float]
     notes: str = ("estimates condition on walks that reached the absorbing level "
                   "within the step cap; capped walks are reported, not resampled")
+    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -483,9 +491,22 @@ _PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
 _PHILOX_KEYS = tuple((np.uint64(r * 0x9E3779B97F4A7C15 % 2 ** 64),
                       np.uint64(r * 0xBB67AE8584CAA73B % 2 ** 64)) for r in range(10))
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_PHILOX_CHUNK = 1 << 13  # counters per pass, so that the temporaries stay in cache
+# Counters per pass of rounds 3-10.  Passes of 2**13 were slower than
+# passes of 2**15 on a 2-core Xeon: 25.7 against 23.5 ms for 19,250 walks x
+# 8 blocks, 5.05 against 4.07 ms for 1,000 x 32; per-call overhead, not
+# cache misses, decides.
+_PHILOX_CHUNK = 1 << 15
 _MAX_BLOCKS = 32         # Philox blocks per refill: 128 draws per walk
-_MAX_DRAWS = 1 << 20     # draws per refill over all walks: an 8 MB buffer
+# Draws per refill over all walks (a 1 MB buffer).  A walk absorbed early in
+# a refill is held to its end, so smaller refills draw and step less for
+# walks that have ended: for 350 walks from each of pascal:10's 55 starts,
+# 853,700 draws for 641,882 steps at 2**17, against 945,024 at 2**20.  In a
+# sweep of 2**16 to 2**20, 2**18 and up were slower on that case.
+_MAX_DRAWS = 1 << 17
+# Walks still running after a refill, at or below which each finishes on
+# its own: a lockstep step costs about 6 numpy calls whatever the lanes,
+# so for a few lanes a Python step per lane is cheaper.
+_SCALAR_LANES = 24
 _LANES = 1 << 15         # walks stepped together; bounds the engine's memory
 
 
@@ -567,20 +588,28 @@ def _philox_doubles(key: np.ndarray, walk: np.ndarray, first_block: int,
 
 
 def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarray,
-                 max_steps: int):
-    """Run killed walks in lockstep, one lane each, until absorption or the cap.
+                 max_steps: int, counts: Dict[str, int]):
+    """Run killed walks, one lane each, until absorption or the cap.
 
     Lane i starts at vertex v[i] and takes step k with the k-th double of its
     substream (key[i], walk[i]) (see _philox_doubles), moving to the
     neighbour that bisect_left picks in its cumulative row; a draw at or
     above the row's last entry (possible only by rounding) takes the last
-    neighbour.  Draws are made in refills that double up to _MAX_BLOCKS
-    blocks (fewer when many lanes run), for the lanes still running when the
-    refill starts; the cap ends the last refill.  Each refill yields
-    (lane, path): path[s, j] is the vertex of lane lane[j] after the refill's
-    step s.  An absorbed lane is held at its absorbing vertex until the
-    refill ends, so a lane's last entry is its absorbing vertex, or a vertex
-    above the absorbing level if it hit the cap.
+    neighbour.  The lanes run in lockstep, one block of steps per refill of
+    draws for the lanes still running when it starts.  A refill doubles up
+    to _MAX_BLOCKS blocks, fewer when many lanes run, so that it makes at
+    most about _MAX_DRAWS draws; the cap ends the last refill.  Each refill
+    yields (lane, path): path[s, j] is the vertex of lane lane[j] after the
+    refill's step s.  An absorbed lane is held at its absorbing vertex until
+    the refill ends, so a lane's last entry is its absorbing vertex, or a
+    vertex above the absorbing level if it hit the cap.
+
+    Once a refill leaves at most _SCALAR_LANES lanes running, each of them
+    finishes on its own, from its own numpy Philox generator set to the
+    same substream and by bisect_left on its vertex's row, and yields its
+    own path, which ends where the walk does.  Adds to counts the steps the
+    walks take, the draws made and the refills (a lockstep refill or one
+    lane's batch of draws).
     """
     if not tr.degree[v].all():
         raise ValueError("a walk starts at a vertex without edges")
@@ -606,9 +635,40 @@ def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndar
             nbr.take(at, out=v)
         yield lane, path
         running = v < n_int
+        # a walk absorbed in this refill took one step onto the absorbing level
+        counts["steps"] += int(np.count_nonzero(path < n_int) + lane.size
+                               - np.count_nonzero(running))
+        counts["draws"] += draws.size
+        counts["refills"] += 1
         lane, v = lane[running], v[running]
         step += path.shape[0]
         grow *= 2
+        if lane.size <= _SCALAR_LANES:
+            break
+    if step >= max_steps:
+        return
+    # a refill ends on a block boundary unless the cap ended it, so each
+    # lane left has used blocks 1..step // 4 of its substream
+    rows = {}
+    for i, x in zip(lane.tolist(), v.tolist()):
+        rng = np.random.Generator(np.random.Philox(
+            key=int(key[i]), counter=np.array([step // 4, 0, walk[i], 0], dtype=np.uint64)))
+        own = []
+        while len(own) < max_steps - step and x < n_int:
+            draws = rng.random(min(4 * _MAX_BLOCKS, max_steps - step - len(own)))
+            counts["draws"] += draws.size
+            counts["refills"] += 1
+            for u in draws.tolist():
+                row = rows.get(x)
+                if row is None:
+                    k = int(tr.degree[x])
+                    row = rows[x] = (tr.cum[:k, x].tolist(), tr.nbr[x, :k + 1].tolist())
+                x = row[1][bisect_left(row[0], u)]
+                own.append(x)
+                if x >= n_int:
+                    break
+        counts["steps"] += len(own)
+        yield np.array([i]), np.array(own, dtype=nbr.dtype)[:, None]
 
 
 def _check_crossable(d: Diagram, top: int, absorb_level: int) -> None:
@@ -658,6 +718,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     visit_sq = np.zeros(k)
     returns = 0
     done = []
+    counts = dict(steps=0, draws=0, refills=0)
     for w0 in range(0, cfg.num_walks, _LANES):
         n = min(_LANES, cfg.num_walks - w0)
         visits = np.zeros((n, k + 2), dtype=np.int64)
@@ -669,7 +730,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
         deep, bad = np.full(n, start.level, tr.level.dtype), np.full(n, -1, tr.level.dtype)
         for lane, path in _walk_blocks(
                 tr, np.full(n, start_flat), np.full(n, cfg.seed % 2 ** 64, dtype=np.uint64),
-                np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps):
+                np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps, counts):
             visits[lane] += np.bincount((col[path] + (k + 2) * np.arange(lane.size)).ravel(),
                                         minlength=lane.size * (k + 2)).reshape(lane.size, k + 2)
             lv = tr.level[path]
@@ -709,7 +770,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
         fwd[m] = float((done < m).sum() / n) if n_absorbed else 0.0
     return WalkEstimates(start=start, config=cfg, pairs=pairs, return_prob=float(rp),
                          return_stderr=rse, n_absorbed=n_absorbed, n_capped=n_capped,
-                         forward_fraction=fwd)
+                         forward_fraction=fwd, diagnostics=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +784,8 @@ class PoissonResult:
     Exact mode solves the Dirichlet problem and keeps a snapshot of its
     DirichletSystem's diagnostics; Monte Carlo mode estimates E_x[f_n at the
     first visit to V_n] per vertex with standard errors (stderr is None in
-    exact mode).  Capped walks are excluded and counted.
+    exact mode), and its diagnostics are the walk engine's counts (see
+    WalkEstimates).  Capped walks are excluded and counted.
     """
     values: LevelFunction
     stderr: Optional[LevelFunction]
@@ -769,7 +831,7 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     n_int, walks = int(tr.offsets[target_level]), cfg.num_walks
     vals, errs = np.zeros(n_int + f_n.size), np.zeros(n_int)
     vals[n_int:] = f_n
-    capped = 0
+    capped, counts = 0, dict(steps=0, draws=0, refills=0)
     # lanes are (start vertex, walk) pairs, at most _LANES stepped together;
     # start x's walk w draws from the substream of key seed + 7919 x (mod
     # 2**64) and counter word w
@@ -782,20 +844,28 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
         last = np.empty(v.size, dtype=np.int64)
         for l0 in range(0, v.size, _LANES):
             at = slice(l0, l0 + _LANES)
-            for lane, path in _walk_blocks(tr, v[at], key[at], walk[at], cfg.max_steps):
+            for lane, path in _walk_blocks(tr, v[at], key[at], walk[at], cfg.max_steps,
+                                           counts):
                 last[at][lane] = path[-1]
         exit_ = last.reshape(xs.size, walks)
         ok = exit_ >= n_int
         capped += int(ok.size - ok.sum())
         samples = f_n[np.where(ok, exit_ - tr.offsets[target_level], 0)]
-        for i, x in enumerate(xs):
+        # the starts without a capped walk reduce row by row in one call,
+        # with the same bits as each row's own mean and std
+        full = ok.all(axis=1)
+        rows = samples[full]
+        vals[xs[full]] = rows.mean(axis=1)
+        if walks > 1:
+            errs[xs[full]] = rows.std(axis=1, ddof=1) / np.sqrt(walks)
+        for i in np.flatnonzero(~full):
             arr = samples[i][ok[i]]
             if arr.size:
-                vals[x] = arr.mean()
-                errs[x] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+                vals[xs[i]] = arr.mean()
+                errs[xs[i]] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
     return PoissonResult(values=LevelFunction.from_flat(d, vals, target_level + 1),
                          stderr=LevelFunction.from_flat(d, errs, target_level + 1),
-                         method=method, n_capped=capped)
+                         method=method, n_capped=capped, diagnostics=counts)
 
 
 @dataclass

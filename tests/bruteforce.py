@@ -136,9 +136,12 @@ def walk_tables(d: Diagram, absorb: int):
 def walk_path(tables, start: int, seed: int, walk: int, max_steps: int) -> list:
     """One killed walk, drawing from its own
     Generator(Philox(key=seed mod 2**64, counter=[0, 0, walk, 0])): the
-    vertices after each step, up to absorption or the step cap."""
+    vertices after each step, up to absorption or the step cap.  The counter
+    is a uint64 array: as a Python list, a walk word of 2**63 or more would
+    give numpy's Philox another stream."""
     off, nbrs, cum = tables
-    rng = np.random.Generator(np.random.Philox(key=seed % 2 ** 64, counter=[0, 0, walk, 0]))
+    rng = np.random.Generator(np.random.Philox(
+        key=seed % 2 ** 64, counter=np.array([0, 0, walk, 0], dtype=np.uint64)))
     path, v = [], start
     while len(path) < max_steps and v < off[-2]:
         u = rng.random()

@@ -188,6 +188,8 @@ def test_dimension_depth_outside_the_levels_is_exit_one(depth, capsys):
 
 
 WALK_GOLDENS = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
+# manifest keys added after the walk goldens were taken: the walk engine's counts
+WALK_ADDED_MANIFEST_KEYS = ("steps", "draws", "refills")
 
 
 @pytest.mark.parametrize("name", sorted(WALK_GOLDENS["cases"]))
@@ -197,7 +199,8 @@ def test_walk_and_monte_carlo_poisson_files_golden(name, tmp_path, capsys):
     of degree 10 and a file with irregular conductances (rows of up to 18
     neighbours); root and non-root starts, a target equal to the start, a
     target listed twice, capped walks, walks of hundreds of steps, walk counts that are not
-    multiples of 4, and negative seeds and seeds of at least 2**63."""
+    multiples of 4, and negative seeds and seeds of at least 2**63.  The
+    manifests hold the walk engine's counts as well, and nothing else."""
     case = WALK_GOLDENS["cases"][name]
     files = {"diagram": tmp_path / "irregular.bd", "values": tmp_path / "in.fn"}
     files["diagram"].write_text(WALK_GOLDENS["diagram"])
@@ -209,8 +212,11 @@ def test_walk_and_monte_carlo_poisson_files_golden(name, tmp_path, capsys):
     assert out.read_text() == case["out"]
     assert capsys.readouterr().err == case["stderr"]
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
-    assert {k: v for k, v in manifest.items()
-            if k not in ("command", "input_sha256_16")} == case["manifest"]
+    manifest = {k: v for k, v in manifest.items() if k not in ("command", "input_sha256_16")}
+    added = {k: manifest.pop(k) for k in WALK_ADDED_MANIFEST_KEYS}
+    assert all(isinstance(v, int) for v in added.values())
+    assert added["draws"] >= added["steps"] > 0 and added["refills"] > 0
+    assert manifest == case["manifest"]
 
 
 OUTPUT_GOLDENS = json.loads((pathlib.Path(__file__).parent / "output_goldens.json").read_text())

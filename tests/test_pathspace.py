@@ -558,9 +558,10 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
     level = np.repeat(np.arange(cfg.absorb_level + 1), d.level_sizes[:cfg.absorb_level + 1])
     s = off[start.level] + start.index
     tflat = [off[t.level] + t.index for t in targets]
-    visits, returned, bad = [], [], []
+    visits, returned, bad, steps = [], [], [], 0
     for w in range(cfg.num_walks):
         path = walk_path(tables, s, cfg.seed, w, cfg.max_steps)
+        steps += len(path)
         if path[-1] < off[-2]:
             continue  # capped
         visits.append([path[:-1].count(f) + (f == s) for f in tflat])
@@ -573,6 +574,8 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
     n = len(visits)
     assert (est.n_absorbed, est.n_capped) == (n, cfg.num_walks - n)
     assert 0 < n
+    assert est.diagnostics["steps"] == steps
+    assert est.diagnostics["draws"] >= steps and est.diagnostics["refills"] > 0
     for j, (p, t) in enumerate(zip(est.pairs, targets)):
         reach = 1.0 if t == start else sum(v[j] > 0 for v in visits) / n
         assert (p.reach, p.visits) == (reach, sum(v[j] for v in visits) / n)
@@ -581,19 +584,23 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
                                     for m in range(start.level, cfg.absorb_level)}
 
 
-def test_walk_results_do_not_depend_on_batching(monkeypatch):
+def _batching_cases():
+    """Walk and Monte Carlo Poisson results, and their engine counts, on
+    cases whose caps of 11 and 41 steps end a refill inside a Philox block.
+    The steps taken depend only on the inputs and the seed; the draws and
+    refills made are returned apart, as they depend on the batching."""
     targets = [VertexId(2, 1), VertexId(3, 3)]
+    ests = [simulate_walks(TREE8, VertexId(1, 1), WalkConfig(cap, 103, 17, 8), targets)
+            for cap in (300, 11)]
+    res = [poisson_kernel(gen_pascal(6, 1.0), np.arange(7.0), 6, method="monte-carlo",
+                          cfg=WalkConfig(cap, 11, 5, 6)) for cap in (40, 41)]
+    made = [(r.diagnostics.pop("draws"), r.diagnostics.pop("refills")) for r in ests + res]
+    return (ests, [([v.tolist() for v in r.values.values + r.stderr.values], r.n_capped,
+                    r.diagnostics) for r in res]), made
 
-    def run():
-        # caps of 11 and 41 steps end a refill inside a Philox block
-        ests = [simulate_walks(TREE8, VertexId(1, 1), WalkConfig(cap, 103, 17, 8), targets)
-                for cap in (300, 11)]
-        res = [poisson_kernel(gen_pascal(6, 1.0), np.arange(7.0), 6, method="monte-carlo",
-                              cfg=WalkConfig(cap, 11, 5, 6)) for cap in (40, 41)]
-        return ests, [([v.tolist() for v in r.values.values + r.stderr.values], r.n_capped)
-                      for r in res]
 
-    whole = run()
+def test_walk_results_do_not_depend_on_batching(monkeypatch):
+    whole, _ = _batching_cases()
     assert whole[0][1].n_capped > 0 and whole[1][1][1] > 0
     lanes = []
     walk_blocks = pathspace._walk_blocks
@@ -606,13 +613,92 @@ def test_walk_results_do_not_depend_on_batching(monkeypatch):
     # for each of the 21 starts above level 6 in each of the two runs
     monkeypatch.setattr(pathspace, "_LANES", 5)
     monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", 3)
-    assert run() == whole
+    assert _batching_cases()[0] == whole
     assert max(lanes) == 5 and lanes.count(1) == 2 * 21
     # every refill one Philox block of 4 steps: visit counts and the forward
     # bookkeeping carry across every block, and absorbed lanes are held
     monkeypatch.setattr(pathspace, "_MAX_BLOCKS", 1)
     monkeypatch.setattr(pathspace, "_MAX_DRAWS", 4)
-    assert run() == whole
+    assert _batching_cases()[0] == whole
+
+
+@pytest.mark.parametrize("lanes", [None, 5], ids=["all-lanes", "5-lane-batches"])
+def test_walk_results_do_not_depend_on_the_scalar_finish(lanes, monkeypatch):
+    """The same results with the scalar finish off (threshold 0) and with
+    every lane finishing on its own after the first refill."""
+    whole, _ = _batching_cases()
+    if lanes is not None:
+        monkeypatch.setattr(pathspace, "_LANES", lanes)
+    monkeypatch.setattr(pathspace, "_SCALAR_LANES", 0)
+    lockstep, lockstep_made = _batching_cases()
+    monkeypatch.setattr(pathspace, "_SCALAR_LANES", 10 ** 6)
+    scalar, scalar_made = _batching_cases()
+    assert lockstep == scalar == whole
+    # each lane that finishes on its own makes at least one batch of draws
+    assert all(s[1] > w[1] for s, w in zip(scalar_made, lockstep_made))
+
+
+def _lane_paths(tr, v, key, walk, max_steps):
+    """Each lane's own path as _walk_blocks steps it, without the steps for
+    which a lane absorbed inside a refill is held; and the engine's counts."""
+    counts = dict(steps=0, draws=0, refills=0)
+    paths = [[] for _ in range(v.size)]
+    for lane, path in pathspace._walk_blocks(tr, v, key, walk, max_steps, counts):
+        for j, i in enumerate(lane.tolist()):
+            paths[i] += path[:, j].tolist()
+    n_int = tr.offsets[-2]
+    paths = [p[:next((s + 1 for s, x in enumerate(p) if x >= n_int), len(p))] for p in paths]
+    assert counts["steps"] == sum(map(len, paths)) and counts["draws"] >= counts["steps"]
+    return paths, counts
+
+
+@pytest.mark.parametrize("threshold", [0, 24, 10 ** 6], ids=["off", "default", "every-lane"])
+def test_scalar_finish_follows_substreams_with_walk_words_past_2_63(threshold, monkeypatch):
+    """Walk words of 2**63 and more, with Monte Carlo Poisson's keys: each
+    lane's path is the per-walk reference's, whichever lanes finish on
+    their own."""
+    monkeypatch.setattr(pathspace, "_SCALAR_LANES", threshold)
+    absorb, lanes, cap = 5, 40, 37  # a cap inside a Philox block
+    tr = _transitions(IRREGULAR, absorb)
+    tables = walk_tables(IRREGULAR, absorb)
+    v = np.arange(lanes) % int(tr.offsets[absorb])
+    key = np.uint64(2 ** 64 - 3) + np.uint64(7919) * v.astype(np.uint64)
+    walk = np.uint64(2 ** 63 - lanes // 2) + np.arange(lanes, dtype=np.uint64)
+    paths, counts = _lane_paths(tr, v, key, walk, cap)
+    for i in range(lanes):
+        assert paths[i] == walk_path(tables, int(v[i]), int(key[i]), int(walk[i]), cap)
+    assert any(len(p) == cap for p in paths) and any(len(p) < 8 for p in paths)
+
+
+@pytest.mark.parametrize("d, level, cfg", [
+    (gen_pascal(5, 1.0), 5, WalkConfig(80, 1000, 4, 5)),
+    (gen_pascal(5, 1.0), 5, WalkConfig(9, 2, 4, 5)),
+    (gen_binary_tree(6, 2.0), 6, WalkConfig(5000, 999, -2, 6)),
+], ids=["pascal5-capped", "pascal5-capped-2-walks", "tree6-uncapped"])
+def test_monte_carlo_poisson_reduces_each_start_as_its_own_row(d, level, cfg):
+    """The starts without a capped walk reduce in one call; their means and
+    standard errors have the bits of each start's own arr.mean() and
+    arr.std(ddof=1), as do those of the starts with a capped walk.  A capped
+    case has starts of both kinds."""
+    f = np.cos(np.arange(d.level_sizes[level]) + 0.5)
+    res = poisson_kernel(d, f, level, method="monte-carlo", cfg=cfg)
+    tr = _transitions(d, level)
+    n_int = int(tr.offsets[level])
+    x = np.repeat(np.arange(n_int), cfg.num_walks)
+    key = np.uint64(cfg.seed % 2 ** 64) + np.uint64(7919) * x.astype(np.uint64)
+    walk = np.tile(np.arange(cfg.num_walks, dtype=np.uint64), n_int)
+    paths, _ = _lane_paths(tr, x, key, walk, cfg.max_steps)
+    full = capped = 0
+    for x0 in range(n_int):
+        ends = [p[-1] for p in paths[x0 * cfg.num_walks:(x0 + 1) * cfg.num_walks]]
+        arr = np.array([f[e - n_int] for e in ends if e >= n_int])
+        full += arr.size == cfg.num_walks
+        capped += cfg.num_walks - arr.size
+        assert res.values.flat()[x0] == (arr.mean() if arr.size else 0.0)
+        assert res.stderr.flat()[x0] == (
+            arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0)
+    assert res.n_capped == capped
+    assert 0 < full < n_int if cfg.max_steps < 100 else full == n_int
 
 
 @pytest.mark.parametrize("d, level, cfg, some_capped", [
