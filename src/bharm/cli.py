@@ -31,7 +31,7 @@ from .fileio import (
     parse_function,
     parse_graph,
 )
-from .operators import checked_conductances, laplacian_apply, markov_apply
+from .operators import laplacian_apply, markov_apply
 
 FMT = "{:.12g}"  # a number in text for people; data files are written by _lines
 # the header of the green and walk tables
@@ -143,7 +143,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
-    from .harmonic import solve_chain
+    from .harmonic import auto_seed, solve_chain
     d = _diagram_arg(args)
     depth = args.depth if args.depth is not None else d.num_levels
     if not 1 <= depth <= d.num_levels:
@@ -153,18 +153,7 @@ def _cmd_harmonic(args) -> int:
     if args.seed_vector and args.seed_vector != "auto":
         seed = _fn_arg(d, args.seed_vector).values[1]
     elif 1 not in pins:
-        # deterministic nonzero seed: first basis vector of the root
-        # constraint's null space, sign-normalized (the plain minimum-norm
-        # seed would be the zero function)
-        import scipy.linalg
-        c0 = np.zeros((1, d.level_sizes[1]))  # C_0, the table's first row, checked
-        c0[0, d.table.indices[:d.table.starts[1]]] = checked_conductances(d, 0, 1)
-        basis = scipy.linalg.null_space(c0)
-        if basis.shape[1] == 0:
-            raise ValueError("root constraint admits only the zero seed")
-        seed = basis[:, 0]
-        lead = seed[np.nonzero(np.abs(seed) > 1e-12)[0][0]]
-        seed = seed / lead
+        seed = auto_seed(d)
     f, report = solve_chain(d, depth=depth, seed_f1=seed, pins=pins, tol=args.tol)
     if not report.consistent:
         lvl = report.first_inconsistent_level()

@@ -92,7 +92,8 @@ class Diagram:
         of C_n, bit for bit.  The root has no parents and the last stored
         level no children there, so its c is truncated."""
         out, into = self.table.edge_sums(0, self.num_levels)
-        c = into + out
+        with np.errstate(over="ignore"):  # operators.checked_degrees refuses an infinite c(x)
+            c = into + out
         c.flags.writeable = False
         return c
 

@@ -12,8 +12,9 @@ minimum-norm solution with the seed and the pins fixed.  The shape of the
 stacked system picks one of three paths: a sparse LU of the square system,
 a sparse LU of the augmented system when it is underdetermined, and LSQR
 when it is overdetermined or the LU fails.  extend_harmonic takes the same
-solve with the whole prefix fixed.  Inconsistent levels are reported, not
-thrown.
+solve with the whole prefix fixed.  free_matrix and fixed_rhs move fixed
+values to the right-hand side, here and in pathspace's Dirichlet systems.
+Inconsistent levels are reported, not thrown.
 """
 from __future__ import annotations
 
@@ -173,6 +174,53 @@ def _refine(lu, sol: np.ndarray, residual):
     return sol, steps
 
 
+def free_matrix(lap, fixed: np.ndarray):
+    """The equations of Delta's rows lap (operators.laplacian) on the
+    columns where `fixed` is False, the free ones, numbered in order: a
+    scipy CSR matrix of the live rows (those left with an unknown; the
+    others go), and the mask of them among lap's rows."""
+    import scipy.sparse as sp
+    free, n_free = lap.masked(~fixed[lap.indices]), np.count_nonzero(~fixed)
+    live, indices = np.diff(free.indptr) > 0, free.indices
+    if fixed[:n_free].any():  # else the free columns come first and keep their numbers
+        indices = (np.cumsum(~fixed, dtype=indices.dtype) - 1)[indices]
+    indptr = np.append(free.indptr[:-1][live], free.nnz)
+    return sp.csr_matrix((free.data, indices, indptr), shape=(indptr.size - 1, n_free)), live
+
+
+def fixed_rhs(d: Diagram, lap, fixed: np.ndarray, source: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """source less the terms of lap's rows in the columns where `fixed` is
+    True, at `values`: the right-hand side of free_matrix's equations, on
+    all of lap's rows.  source is numbered as lap's rows, values as its
+    columns.  A row's terms go in as children, c(x), parents, each in table
+    order: the outputs' bits rest on it.  Raises ValueError at a finite
+    value whose terms take a row with an unknown out of the doubles,
+    naming the largest term of the first such row; a value or a source
+    that is not finite is left to the solve."""
+    source = source[:lap.shape[0]]
+    if not values.any():  # a zero value's terms change no b but a zero's sign
+        return source
+    at = np.flatnonzero(fixed[lap.indices])
+    rows, cols, b = lap.rows(), lap.indices, source.copy()
+    r, c = rows[at], cols[at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = lap.data[at] * values[c]
+        for part in (c > r, c == r, c < r):
+            np.subtract.at(b, r[part], terms[part])
+    blown = ~np.isfinite(b) & np.isfinite(source)
+    if blown.any():  # in a row with an unknown, and from finite values only?
+        blown &= np.bincount(rows, minlength=b.size) > np.bincount(r, minlength=b.size)
+        blown[r[~np.isfinite(values[c])]] = False
+    if blown.any():
+        at = np.flatnonzero(r == np.argmax(blown))
+        v = c[at[np.argmax(np.abs(terms[at]))]]
+        n, i = vertex_at(d, v)
+        raise ValueError(f"value {values[v]} at ({n},{i}) times the conductances "
+                         f"leaves the doubles")
+    return b
+
+
 def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
                   prefix: Sequence[np.ndarray], pins: Dict[int, Dict[int, float]], tol: float):
     """Global minimum-norm solution of the stacked constraint system.
@@ -192,9 +240,9 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
     1981) or an LU that fails: "lsqr", LSQR from x0 = 0, which converges to
     the minimum-norm least-squares solution (Paige & Saunders, ACM TOMS
     1982).  Raises ValueError for a pin off levels k+1..depth, off its level
-    or not finite, and for an LU solution that leaves the doubles.  Returns
-    x, f_0..f_depth numbered as the vertices of d.table (as is rhs), and the
-    SolveReport of the rows, as in solve_chain.
+    or not finite, where fixed_rhs does, and for an LU solution that leaves
+    the doubles.  Returns x, f_0..f_depth numbered as the vertices of
+    d.table (as is rhs), and the SolveReport of the rows, as in solve_chain.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -207,13 +255,9 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
             raise ValueError(f"pin on level {lvl}, but the prefix (f_0 and any seed) "
                              f"fixes levels 0..{fixed_levels - 1}")
     lap = laplacian(d, first, depth)
-    # rows are numbered as vertices; the recursion's sign is -Delta f = -rhs
     off = d.table.offsets
-    b_adj = -rhs[:off[depth]]
-    nvar = lap.shape[1]
-    fixed = np.zeros(nvar, dtype=bool)
-    x_full = np.zeros(nvar)
-    fixed[: off[fixed_levels]] = True
+    fixed = np.arange(lap.shape[1]) < off[fixed_levels]
+    x_full = np.zeros(lap.shape[1])
     x_full[: off[fixed_levels]] = np.concatenate(prefix)
     for lvl, coord_map in pins.items():
         for idx, val in coord_map.items():
@@ -223,19 +267,9 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
                 raise ValueError(f"pinned value {val} at ({lvl},{idx}) is not finite")
             fixed[off[lvl] + idx] = True
             x_full[off[lvl] + idx] = val
-    rows, cols = lap.rows(), lap.indices
-    fix_mask = fixed[cols]
-    # a row's fixed terms are summed children, c(x), parents: the outputs' bits rest on it
-    for part in (cols > rows, cols == rows, cols < rows):
-        at = fix_mask & part
-        np.add.at(b_adj, rows[at], lap.data[at] * x_full[cols[at]])
-    free_ids = np.nonzero(~fixed)[0]
-    remap = np.cumsum(~fixed) - 1  # a free vertex's number among the unknowns
-    free = lap.masked(~fix_mask)
-    indptr = np.unique(free.indptr)  # the live rows' bounds, as the other rows are empty
-    a_free = sp.csr_matrix((-free.data, remap[free.indices], indptr),
-                           shape=(indptr.size - 1, free_ids.size))
-    b_live = b_adj[np.diff(free.indptr) > 0]
+    build_level_operators(d)  # the checks of every stored level, c(x) among them
+    a_free, live = free_matrix(lap, fixed)
+    b_live = fixed_rhs(d, lap, fixed, rhs, x_full)[live]
     m, n_free = a_free.shape
     path, steps, fallback = "lu", 0, None
 
@@ -243,7 +277,7 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
         bad = np.flatnonzero(~np.isfinite(sol))
         if bad.size and np.isfinite(b_live).all():  # a nan seed is reported, not refused
             raise ValueError(f"the {path} solution leaves the doubles at level "
-                             f"{vertex_at(d, free_ids[bad[0]])[0]}")
+                             f"{vertex_at(d, np.flatnonzero(~fixed)[bad[0]])[0]}")
         return sol
 
     try:
@@ -272,8 +306,7 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
         path, steps, fallback = "lsqr", 0, fallback or f"{path} factorization failed"
         sol = spla.lsqr(a_free, b_live, atol=1e-14, btol=1e-14,
                         iter_lim=8 * (m + n_free))[0]
-    x_full[free_ids] = sol
-    build_level_operators(d)  # the checks of every stored level
+    x_full[~fixed] = sol
     residuals = _level_residuals(lap, x_full, rhs, off[first:depth + 1])
     return x_full, SolveReport(residuals=residuals, tol=tol, diagnostics={
         "path": path, "refine_steps": steps, "max_residual": max(residuals),
@@ -331,6 +364,22 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
         prefix.append(seed_f1)
     x, report = _global_solve(d, 0, depth, rhs, prefix, pins or {}, tol)
     return LevelFunction.from_flat(d, x), report
+
+
+def auto_seed(d: Diagram) -> np.ndarray:
+    """A deterministic nonzero f_1 for solve_chain (the minimum-norm seed
+    would give the zero function): the first basis vector of the root
+    equation's null space, from the SVD of C_0 that _propagate starts from,
+    scaled so that its first entry above 1e-12 in magnitude is 1.  Raises
+    ValueError at a conductance of C_0 not in (0, inf), and when C_0 admits
+    only the zero seed."""
+    c0 = np.zeros((1, d.level_sizes[1]))  # C_0, the table's first row, checked
+    c0[0, d.table.indices[:d.table.starts[1]]] = checked_conductances(d, 0, 1)
+    basis = _nullspace(c0)
+    if basis.shape[1] == 0:
+        raise ValueError("root constraint admits only the zero seed")
+    seed = basis[:, 0]
+    return seed / seed[np.nonzero(np.abs(seed) > 1e-12)[0][0]]
 
 
 def _pole_depth(d: Diagram, x: VertexId, up_to_level: Optional[int]) -> int:

@@ -130,11 +130,17 @@ def vertex_at(d: Diagram, v: int) -> tuple:
 
 def checked_degrees(d: Diagram, last: int) -> np.ndarray:
     """c(x) of the vertices of levels 0..last, a read-only slice of
-    d.degrees; raises ValueError at the first isolated one (c(x) = 0)."""
+    d.degrees; raises ValueError at the first that is isolated (c(x) = 0)
+    or where c(x) or 1/c(x) is not a finite normal double."""
     c = d.degrees[:d.table.offsets[last + 1]]
-    bad = np.flatnonzero(c <= 0)
+    tiny = np.finfo(float).tiny
+    bad = np.flatnonzero(~((c >= tiny) & (c <= 1.0 / tiny)))
     if bad.size:
-        raise isolated_vertex(*vertex_at(d, bad[0]))
+        n, x = vertex_at(d, bad[0])
+        if c[bad[0]] <= 0:
+            raise isolated_vertex(n, x)
+        raise ValueError(f"vertex at level {n}, index {x}: c(x) = {c[bad[0]]} "
+                         f"or 1/c(x) is not a finite normal double")
     return c
 
 

@@ -4,6 +4,9 @@ solves, monopoles and dipoles from the Green's function, the two-pole
 coefficient matrix, and the Poisson-kernel representation of harmonic
 functions.
 
+A DirichletSystem takes out its boundary values and pins as the recursion
+takes out its fixed values, by harmonic's free_matrix and fixed_rhs.
+
 Reach and return probabilities come from the Green's function: with L u = e_y,
 u / u(y) is harmonic off y, 1 at y and 0 on the boundary level, so it is the
 hitting function F(., y).  `green_identity_report` checks it by pinned solves.
@@ -38,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagram import Diagram, VertexId
-from .harmonic import DEFAULT_TOL, harmonicity_check
+from .harmonic import DEFAULT_TOL, fixed_rhs, free_matrix, harmonicity_check
 from .operators import (LevelFunction, build_level_operators, check_finite, checked_degrees,
                         laplacian, laplacian_apply)
 
@@ -61,22 +64,23 @@ class DirichletSystem:
     over all calls that share the system (see `of`).  A conductance not in
     (0, inf), an interior vertex without edges, whose row of the matrix is
     zero, or a level pair without edges above the boundary, which makes the
-    matrix singular, raises ValueError (see operators.laplacian).
+    matrix singular, raises ValueError (see operators.laplacian), as does
+    every other check of build_level_operators.
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
         if not (1 <= boundary_level <= d.num_levels):
             raise ValueError("boundary level must be within the stored prefix")
-        import scipy.sparse as sp
         self.diagram = weakref.proxy(d)  # d keeps the system (see `of`), not back
         self.boundary_level = boundary_level
         self.offsets = d.table.offsets[:boundary_level + 1]
         self.n_interior = n = int(self.offsets[-1])
         lap = laplacian(d, 0, boundary_level)
-        lap = lap.masked(lap.indices < n)  # the boundary level's columns go
-        self.matrix = sp.csr_matrix((lap.data, lap.indices, lap.indptr), shape=(n, n))
+        # the boundary level's columns go
+        self.matrix = free_matrix(lap, np.arange(lap.shape[1]) >= n)[0]
         self.degrees = checked_degrees(d, boundary_level - 1)  # its diagonal; 0 is a zero row
         _check_crossable(d, 0, boundary_level)  # else the matrix is singular
+        build_level_operators(d)  # the checks of every stored level
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
@@ -99,16 +103,14 @@ class DirichletSystem:
             raise ValueError(f"vertex {v} is not interior to level {self.boundary_level}")
         return int(self.offsets[v.level] + v.index)
 
-    def _solve_flat(self, matrix, b: np.ndarray) -> np.ndarray:
+    def _factor(self, matrix):
         import scipy.sparse.linalg as spla
+        self.diagnostics["factorizations"] += 1
+        # symmetric, so the CSR matrix's transpose is its CSC form, no copy
+        return spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
+
+    def _solve_flat(self, matrix, lu, b: np.ndarray) -> np.ndarray:
         report = self.diagnostics
-        lu = self._lu if matrix is self.matrix else None
-        if lu is None:
-            # symmetric, so the CSR matrix's transpose is its CSC form, no copy
-            lu = spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
-            report["factorizations"] += 1
-            if matrix is self.matrix:
-                self._lu = lu
         x = lu.solve(b)
         x += lu.solve(b - matrix @ x)
         report["solves"] += 1
@@ -132,18 +134,20 @@ class DirichletSystem:
             if bvals.shape[0] != d.level_sizes[level]:
                 raise ValueError("boundary values have the wrong length")
             u[n:] = bvals
-            if np.any(bvals != 0.0):  # C_{b-1} bvals, level b-1's child sums
-                k = d.level_sizes[level - 1]
-                b[-k:] += d.table.edge_sums(level - 1, level, u[n - k:])[0][:k]
         if pinned:
-            pin_idx, pin_val = map(np.array, zip(*sorted(
-                (self.flat(v), val) for v, val in pinned.items())))
-            keep = np.setdiff1d(np.arange(n), pin_idx)
-            rows = self.matrix[keep]
-            u[keep] = self._solve_flat(rows[:, keep], b[keep] - rows[:, pin_idx] @ pin_val)
-            u[pin_idx] = pin_val
+            at, fixed = [self.flat(v) for v in pinned], np.arange(u.size) >= n
+            u[at], fixed[at] = list(pinned.values()), True
+            lap = laplacian(d, 0, level)
+            lap = lap.masked(~fixed[lap.rows()])  # a pinned vertex's equation goes
+            matrix, live = free_matrix(lap, fixed)
+            b = fixed_rhs(d, lap, fixed, b, u)[live]
+            u[~fixed] = self._solve_flat(matrix, self._factor(matrix), b)
         else:
-            u[:n] = self._solve_flat(self.matrix, b)
+            if u.any():  # the boundary values' terms, in level b-1's equations
+                b = fixed_rhs(d, laplacian(d, level - 1, level), np.arange(u.size) >= n, b, u)
+            if self._lu is None:
+                self._lu = self._factor(self.matrix)
+            u[:n] = self._solve_flat(self.matrix, self._lu, b)
         return LevelFunction.from_flat(d, u)
 
 
@@ -187,7 +191,6 @@ def green_exact(d: Diagram, boundary_level: int,
         vertices = [VertexId(n, i) for n in range(boundary_level)
                     for i in range(d.level_sizes[n])]
     vertices = tuple(vertices)
-    build_level_operators(d)  # for its checks
     # L u = e_y on the interior, one y at a time, and u = 0 on the boundary level
     return _green_solve(sysm, vertices, (sysm.solve(source={y: 1.0}).flat() for y in vertices))
 
@@ -246,7 +249,6 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
     """Check gs against the hitting route: for each vertex y, the Dirichlet
     problem harmonic off {y} with value 1 at y, solved with y pinned."""
     sysm = DirichletSystem.of(d, gs.boundary_level)
-    build_level_operators(d)  # for its checks
     hits = [sysm.solve(pinned={y: 1.0}) for y in gs.vertices]
     idx = np.array([sysm.flat(x) for x in gs.vertices], dtype=np.int64)
     f_hit = np.array([h.flat()[idx] for h in hits]).T
@@ -357,7 +359,6 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     if x1 == x2:
         raise ValueError("poles must be distinct")
     sysm = DirichletSystem.of(d, boundary_level)
-    build_level_operators(d)  # for its checks
     # pair-hitting functions from the Green columns: h_j = sum_i coef[i, j] w_i
     # with coef = W^-1, W[a, i] = w_i(x_a) a principal block of L^-1
     cols = [sysm.solve(source={x: 1.0}) for x in (x1, x2)]

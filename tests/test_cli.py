@@ -649,6 +649,24 @@ def test_verify_cases(capsys):
     assert "FAIL" in out
 
 
+# the identities' violations are rounding-level numbers, so these bytes move
+# with any change to the bits of a pinned Dirichlet solve, which no output
+# golden covers
+VERIFY_GREENS_STDOUT = (
+    "G(x,x)(1-U(x,x)) = 1     expected                  0  computed  2.22044604925e-16  [diagonal identity] ok\n"
+    "G(x,y) = F(x,y)G(y,y)    expected                  0  computed  1.11022302463e-16  [reach/visit identity] ok\n"
+    "U one-step               expected                  0  computed  5.55111512313e-17  [return decomposition] ok\n"
+    "F one-step               expected                  0  computed  1.11022302463e-16  [reach decomposition] ok\n"
+    "c(x)G(x,y) = c(y)G(y,x)  expected                  0  computed   4.4408920985e-16  [reversibility (G)] ok\n"
+    "PASS\n"
+)
+
+
+def test_verify_greens_prints_the_same_bytes(capsys):
+    assert main(["verify-paper", "greens"]) == 0
+    assert capsys.readouterr().out == VERIFY_GREENS_STDOUT
+
+
 def test_domain_error_exit_one(capsys):
     assert main(["monopole", "--diagram", "tree:4:2", "--vertex", "9,9",
                  "--out", "-"]) == 1
@@ -1013,6 +1031,11 @@ def _battery():
                   ["harmonic", *tree, "--pin", f"{vertex}=1"]]
     cases += [["harmonic", *tree, "--pin", "2,0=1", "--pin", "2,0=2"],
               ["harmonic", "--diagram", "ladder:600:1"], ["green", *tree, "--vertices="]]
+    # c(x) = 2e-320 has no finite reciprocal, c(x) = 2e308 overflows, and
+    # the pinned vertex's own term c(x) f(x) = 3e308 overflows
+    cases += [["harmonic", "--diagram", "ladder:3:1e-320"],
+              ["green", "--diagram", "ladder:3:1e-320"], ["harmonic", "--diagram", "ladder:3:1e308"],
+              ["harmonic", "--diagram", "pascal:4:1", "--pin", "1,0=1e308"]]
     for root in ("-1", "4"):
         cases += [["convert", "--graph", "{graph}", f"--root={root}"],
                   ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]
@@ -1043,7 +1066,9 @@ def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp
     # capped, and dimension exited 0 on its isolated vertices; poisson and
     # energy exited 0 on nan boundary data and wrote nan, and apply-* spread
     # a nan to its neighbours; harmonic on ladder:600:1, whose solution
-    # leaves the doubles, printed three RuntimeWarnings before its error
+    # leaves the doubles, printed three RuntimeWarnings before its error;
+    # a subnormal c(x) or a pin whose terms overflow gave warnings and a nan
+    # residual, and green printed SuperLU's "Factor is exactly singular"
     files = {}
     for name, text in _BATTERY_FILES.items():
         files[name] = tmp_path / name

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,26 @@ def test_seed_vector_violating_root_equation_is_reported():
     d = gen_pascal(6, 1.0)
     _, rep = solve_chain(d, seed_f1=[1.0, 1.0])  # sum must vanish
     assert rep.residuals[0] > 0.5
+
+
+@pytest.mark.parametrize("seed, named", [([1.0, 1e308], "(1,1)"), ([1e308, 1.0], "(1,0)")])
+def test_a_fixed_value_whose_terms_overflow_is_named(seed, named):
+    # c(x) f(x) = 5e308 takes the equation of (1,1) or (1,0), the first with
+    # an unknown to leave the doubles; its largest term is named, not f_0's,
+    # which comes first in the row
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")
+        solve_chain(gen_pascal(4, 2.0), seed_f1=seed)
+    assert str(err.value) == f"value 1e+308 at {named} times the conductances leaves the doubles"
+
+
+def test_an_overflow_only_in_the_root_equation_is_reported():
+    # the root row has no unknown, so its sum 2e308 is no error: its residual
+    # is reported, as for any seed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = solve_chain(gen_pascal(4, 2.0), depth=1, seed_f1=[1e308, 1e308])
+    assert rep.residuals == [1e308] and not rep.consistent
 
 
 def test_seed_off_the_root_equation_keeps_the_global_solve():

@@ -354,9 +354,9 @@ def test_dipole_matrix_solves_each_green_column_once(monkeypatch):
     solves = []
     solve_flat = pathspace.DirichletSystem._solve_flat
 
-    def counted(self, matrix, b):
+    def counted(self, matrix, lu, b):
         solves.append(b)
-        return solve_flat(self, matrix, b)
+        return solve_flat(self, matrix, lu, b)
 
     monkeypatch.setattr(pathspace.DirichletSystem, "_solve_flat", counted)
     res = dipole_matrix_M(gen_binary_tree(10, 2.0), VertexId(2, 1), VertexId(3, 4), 10)
