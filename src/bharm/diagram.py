@@ -92,7 +92,7 @@ class Diagram:
         of C_n, bit for bit.  The root has no parents and the last stored
         level no children there, so its c is truncated."""
         out, into = self.table.edge_sums(0, self.num_levels)
-        with np.errstate(over="ignore"):  # operators.checked_degrees refuses an infinite c(x)
+        with np.errstate(over="ignore"):  # build_level_operators refuses an infinite c(x)
             c = into + out
         c.flags.writeable = False
         return c

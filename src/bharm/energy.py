@@ -14,8 +14,8 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import (LevelFunction, check_finite, checked_conductances, isolated_vertex,
-                        laplacian_apply, markov_apply)
+from .operators import (LevelFunction, build_level_operators, check_finite, laplacian_apply,
+                        markov_apply)
 
 
 def _drops(d: Diagram, flat: np.ndarray) -> np.ndarray:
@@ -92,11 +92,10 @@ def _divergence_heuristic(terms: list, tail: int = 10, eps: float = 1e-6) -> boo
 def energy_norm(d: Diagram, f: LevelFunction) -> EnergyReport:
     """Edge-sum energy (1/2) sum_{x,y} c_xy (f(x)-f(y))^2 with per-level
     partial sums, per-vertex currents, and the lower-bound ingredients.
-    Raises ValueError on a conductance not in (0, inf), on a value of f
-    that is not finite and on a level without edges (beta_n = 0 would
-    divide the bound terms by zero)."""
+    Raises ValueError where build_level_operators does, so no beta_n is 0,
+    and on a value of f that is not finite."""
     f.check_shape(d)
-    checked_conductances(d, 0, d.num_levels)
+    c = build_level_operators(d)
     flat = f.flat()
     check_finite(d, flat)
     incs = _increments(d, flat)
@@ -104,9 +103,7 @@ def energy_norm(d: Diagram, f: LevelFunction) -> EnergyReport:
     currents = [np.zeros(0)] + list(LevelFunction.from_flat(d, _flows(d, flat)[0]).values[1:])
     level_currents = [0.0] + [float(i_n.sum()) for i_n in currents[1:]]
     root_flux = level_currents[1] if d.num_levels >= 1 else 0.0
-    beta = np.maximum.reduceat(d.degrees, d.table.offsets[:-1]).tolist()
-    if 0.0 in beta:  # an edgeless level: every vertex on it is isolated
-        raise isolated_vertex(beta.index(0.0), 0)
+    beta = np.maximum.reduceat(c, d.table.offsets[:-1]).tolist()
     bound_terms = [root_flux ** 2 / (beta[n] * d.level_sizes[n])
                    for n in range(d.num_levels + 1)]
     div_terms = [1.0 / (beta[n] * d.level_sizes[n]) for n in range(d.num_levels + 1)]

@@ -25,8 +25,8 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .diagram import Diagram, VertexId
-from .operators import (LevelFunction, build_level_operators, checked_conductances,
-                        checked_degrees, laplacian, laplacian_apply, vertex_at)
+from .operators import (LevelFunction, build_level_operators, laplacian, laplacian_apply,
+                        vertex_at)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -267,7 +267,6 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
                 raise ValueError(f"pinned value {val} at ({lvl},{idx}) is not finite")
             fixed[off[lvl] + idx] = True
             x_full[off[lvl] + idx] = val
-    build_level_operators(d)  # the checks of every stored level, c(x) among them
     a_free, live = free_matrix(lap, fixed)
     b_live = fixed_rhs(d, lap, fixed, rhs, x_full)[live]
     m, n_free = a_free.shape
@@ -371,10 +370,11 @@ def auto_seed(d: Diagram) -> np.ndarray:
     would give the zero function): the first basis vector of the root
     equation's null space, from the SVD of C_0 that _propagate starts from,
     scaled so that its first entry above 1e-12 in magnitude is 1.  Raises
-    ValueError at a conductance of C_0 not in (0, inf), and when C_0 admits
-    only the zero seed."""
-    c0 = np.zeros((1, d.level_sizes[1]))  # C_0, the table's first row, checked
-    c0[0, d.table.indices[:d.table.starts[1]]] = checked_conductances(d, 0, 1)
+    ValueError where build_level_operators does, and when C_0 admits only
+    the zero seed."""
+    build_level_operators(d)
+    c0 = np.zeros((1, d.level_sizes[1]))  # C_0, the table's first row
+    c0[0, d.table.indices[:d.table.starts[1]]] = d.table.data[:d.table.starts[1]]
     basis = _nullspace(c0)
     if basis.shape[1] == 0:
         raise ValueError("root constraint admits only the zero seed")
@@ -702,14 +702,13 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionRe
     (path "propagation", see _propagate), which on the rank route runs only
     when DimensionResult.state is read.  Both equal the null-space
     dimension of the stacked constraint system (the brute-force oracle) on
-    every tested instance.  A conductance not in (0, inf) below the depth,
-    or a vertex without edges on levels 0..depth, raises ValueError.
+    every tested instance.  Raises ValueError where build_level_operators
+    does, on every stored level whatever the depth.
     """
     n_max = d.num_levels if up_to_level is None else up_to_level
     if not 1 <= n_max <= d.num_levels:
         raise ValueError(f"depth must lie in 1..{d.num_levels}")
-    checked_conductances(d, 0, n_max)
-    checked_degrees(d, n_max)
+    build_level_operators(d)
     deficient, svd_levels = _first_rank_deficient_level(d, n_max)
     if deficient is None:
         sizes = d.level_sizes

@@ -107,20 +107,6 @@ class LevelFunction:
                 [float(v.min()) for v in self.values])
 
 
-def isolated_vertex(n: int, x: int) -> ValueError:
-    """The error for vertex x of level n without edges."""
-    return ValueError(f"isolated vertex at level {n}, index {x} (c(x) = 0)")
-
-
-def build_level_operators(d: Diagram) -> np.ndarray:
-    """d.degrees, the c(x) of P and the Laplacian (read-only), after checking
-    every conductance (see checked_conductances) and that no vertex is
-    isolated (c(x) = 0), which could not carry transition probabilities;
-    raises ValueError otherwise.  P and the Laplacian run these checks."""
-    checked_conductances(d, 0, d.num_levels)
-    return checked_degrees(d, d.num_levels)
-
-
 def vertex_at(d: Diagram, v: int) -> tuple:
     """(level, index) of vertex v of d.table."""
     offsets = d.table.offsets
@@ -128,17 +114,27 @@ def vertex_at(d: Diagram, v: int) -> tuple:
     return n, int(v - offsets[n])
 
 
-def checked_degrees(d: Diagram, last: int) -> np.ndarray:
-    """c(x) of the vertices of levels 0..last, a read-only slice of
-    d.degrees; raises ValueError at the first that is isolated (c(x) = 0)
-    or where c(x) or 1/c(x) is not a finite normal double."""
-    c = d.degrees[:d.table.offsets[last + 1]]
+def build_level_operators(d: Diagram) -> np.ndarray:
+    """d.degrees, the c(x) of P and the Laplacian (read-only), after the one
+    check of d's numbers, on every stored level: first each conductance,
+    which must lie in (0, inf), then each c(x), which must be a finite
+    normal double with a finite normal reciprocal; c(x) = 0 is a vertex
+    without edges, which could not carry transition probabilities.  Raises
+    ValueError at the first fault, in level and row order.  laplacian runs
+    it, so every reader of Delta's rows does."""
+    t = d.table
+    bad = np.flatnonzero(~((t.data > 0) & (t.data < np.inf)))
+    if bad.size:
+        n, i, j, v = (a[bad[0]] for a in t.entries())
+        raise ValueError(f"level {n}, edge ({i},{j}): conductance "
+                         f"{v.item()} is not positive and finite")
+    c = d.degrees
     tiny = np.finfo(float).tiny
     bad = np.flatnonzero(~((c >= tiny) & (c <= 1.0 / tiny)))
     if bad.size:
         n, x = vertex_at(d, bad[0])
-        if c[bad[0]] <= 0:
-            raise isolated_vertex(n, x)
+        if c[bad[0]] == 0:
+            raise ValueError(f"isolated vertex at level {n}, index {x} (c(x) = 0)")
         raise ValueError(f"vertex at level {n}, index {x}: c(x) = {c[bad[0]]} "
                          f"or 1/c(x) is not a finite normal double")
     return c
@@ -153,33 +149,18 @@ def check_finite(d: Diagram, values: np.ndarray, first: int = 0) -> None:
         raise ValueError(f"value {values[bad[0]]} at ({n},{i}) is not finite")
 
 
-def checked_conductances(d: Diagram, first: int, last: int) -> np.ndarray:
-    """The stored conductances of levels first..last-1, a read-only slice of
-    the edge table; raises ValueError at the first that is not in (0, inf)."""
-    t = d.table
-    lo = t.starts[first]
-    c = t.data[lo:t.starts[last]]
-    bad = np.flatnonzero(~((c > 0) & (c < np.inf)))
-    if bad.size:
-        n, i, j, v = (a[lo + bad[0]] for a in t.entries())
-        raise ValueError(f"level {n}, edge ({i},{j}): conductance "
-                         f"{v.item()} is not positive and finite")
-    return c
-
-
 def laplacian(d: Diagram, first: int, last: int) -> LevelMatrix:
     """Delta = c(I - P)'s rows of levels first..last-1 as one LevelMatrix of
     shape (offsets[last], offsets[last + 1]), numbered as the vertices of
     d.table (the other rows are empty).  A row holds its parents (-c), its
     c(x) from d.degrees, then its children (-c), so its columns increase;
     the edges up to the parents are grouped by head, the one transposition.
-    A conductance of levels max(first - 1, 0)..last-1 not in (0, inf)
-    raises ValueError (see checked_conductances)."""
+    Raises ValueError where build_level_operators does, on every stored
+    level whatever the range."""
+    c = build_level_operators(d)
     t = d.table
     lo = max(first - 1, 0)
-    checked_conductances(d, lo, last)
     base, n_rows = t.offsets[first], t.offsets[last]
-    degrees = d.degrees[base:n_rows]
     up, down = slice(t.starts[lo], t.starts[last - 1]), slice(t.starts[first], t.starts[last])
     by_head = np.argsort(t.head[up], kind="stable")
     parents = np.bincount(t.head[up] - base, minlength=n_rows - base)
@@ -198,7 +179,7 @@ def laplacian(d: Diagram, first: int, last: int) -> LevelMatrix:
     data[at_up], indices[at_up] = t.data[up][by_head], t.tail[up][by_head]
     data[at_down], indices[at_down] = t.data[down], t.head[down]
     np.negative(data, out=data)
-    data[diag], indices[diag] = degrees, np.arange(base, n_rows, dtype=idx)
+    data[diag], indices[diag] = c[base:n_rows], np.arange(base, n_rows, dtype=idx)
     return LevelMatrix(data, indices, indptr, (n_rows, t.offsets[last + 1]))
 
 

@@ -29,6 +29,9 @@ other eight run on the (blocks x walks) grid.  The last few walks of a run
 finish one at a time, each from numpy's own Philox at its counter, since
 numpy's per-call overhead would dominate a lockstep step of so few.  The
 engine counts the steps the walks take and the draws and refills it makes.
+Its transition tables are the rows of operators.laplacian, so the walks
+check a diagram's numbers as the exact solves do: every conductance and
+every c(x), on every stored level (operators.build_level_operators).
 """
 from __future__ import annotations
 
@@ -42,8 +45,8 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, fixed_rhs, free_matrix, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, check_finite, checked_degrees,
-                        laplacian, laplacian_apply)
+from .operators import (LevelFunction, build_level_operators, check_finite, laplacian,
+                        laplacian_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +64,10 @@ class DirichletSystem:
     for the unpinned matrix, and one step of iterative refinement, which makes
     it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
     `diagnostics`: path, factorizations, solves and the largest max|b - A x|
-    over all calls that share the system (see `of`).  A conductance not in
-    (0, inf), an interior vertex without edges, whose row of the matrix is
-    zero, or a level pair without edges above the boundary, which makes the
-    matrix singular, raises ValueError (see operators.laplacian), as does
-    every other check of build_level_operators.
+    over all calls that share the system (see `of`).  Raises ValueError
+    where operators.build_level_operators does, on every stored level (see
+    operators.laplacian), and at a level pair without edges above the
+    boundary, which makes the matrix singular.
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -78,9 +80,8 @@ class DirichletSystem:
         lap = laplacian(d, 0, boundary_level)
         # the boundary level's columns go
         self.matrix = free_matrix(lap, np.arange(lap.shape[1]) >= n)[0]
-        self.degrees = checked_degrees(d, boundary_level - 1)  # its diagonal; 0 is a zero row
+        self.degrees = d.degrees[:n]  # its diagonal
         _check_crossable(d, 0, boundary_level)  # else the matrix is singular
-        build_level_operators(d)  # the checks of every stored level
         self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
@@ -402,6 +403,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.max_steps < 1 or self.num_walks < 1:
             raise ValueError("max_steps and num_walks must be >= 1")
+        if self.num_walks >= 2 ** 63:  # lanes are int64; a walk's number is a counter word
+            raise ValueError(f"num_walks must be below 2**63, not {self.num_walks}")
 
 
 @dataclass
@@ -448,7 +451,7 @@ class _Transitions:
     in stored order), padded with +inf; row x of `nbr` holds those
     neighbours, padded with the last one.  A draw u moves x to
     nbr[x, #{entries of cum[:, x] below u}], the bisect_left position.  A
-    vertex without edges, as every vertex of the absorbing level is, holds
+    vertex of the absorbing level, which has no row of Delta here, holds
     the walk: its column of `cum` is all +inf and its row of `nbr` is x.
     """
     offsets: np.ndarray
@@ -459,7 +462,7 @@ class _Transitions:
 
 
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
-    """The walk's tables; a conductance that is not in (0, inf) raises ValueError."""
+    """The walk's tables; raises ValueError where operators.laplacian does."""
     lap = laplacian(d, 0, absorb_level)
     offsets, n_all = d.table.offsets[:absorb_level + 2], lap.shape[1]
     # each vertex's row off the diagonal, its neighbours: parents, then children
@@ -467,8 +470,8 @@ def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     degree = np.zeros(n_all, dtype=np.int64)
     degree[:lap.shape[0]] = np.diff(lap.indptr)
     width = int(degree.max())
-    # one row per neighbour slot, so a step gathers whole rows; a vertex
-    # without edges keeps +inf and itself
+    # one row per neighbour slot, so a step gathers whole rows; a vertex of
+    # the absorbing level keeps +inf and itself
     cum = np.full((width, n_all), np.inf)
     nbr = np.repeat(np.arange(n_all, dtype=np.int64), width + 1).reshape(n_all, width + 1)
     for k in np.unique(degree[degree > 0]):
@@ -610,10 +613,10 @@ def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndar
     same substream and by bisect_left on its vertex's row, and yields its
     own path, which ends where the walk does.  Adds to counts the steps the
     walks take, the draws made and the refills (a lockstep refill or one
-    lane's batch of draws).
+    lane's batch of draws).  Every vertex above the absorbing level has a
+    neighbour: the tables come from operators.laplacian, which refuses a
+    vertex without edges.
     """
-    if not tr.degree[v].all():
-        raise ValueError("a walk starts at a vertex without edges")
     n_int = int(tr.offsets[-2])
     stride = tr.nbr.shape[1]
     nbr = tr.nbr.ravel()
@@ -890,12 +893,12 @@ def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
     """
     f.check_shape(d)
     d.check_vertex(x)
-    build_level_operators(d)  # for its checks
+    c = build_level_operators(d)
     t, lo = d.table, min(max(n0, 0), d.num_levels)
     base = t.offsets[lo]
     flat = f.flat()[base:]
     # |P<-_n f_{n+1} - f_n| from the table's child sums; level N's is dropped
-    gap = np.abs(t.edge_sums(lo, d.num_levels, flat, 1.0 / d.degrees[base:])[0] - flat)
+    gap = np.abs(t.edge_sums(lo, d.num_levels, flat, 1.0 / c[base:])[0] - flat)
     compat = np.maximum.reduceat(gap, t.offsets[lo:-1] - base).tolist()[:-1]
     for n, r in enumerate(compat, start=lo):
         if r > tol:

@@ -305,10 +305,17 @@ ISOLATED_VERTEX_DIAGRAM = ("bratteli v1\nlevels 4 : 1 2 2 2\ne 0 0 0 1\ne 0 0 1 
     ["apply-laplacian", "--fn", "{values}"],
     ["apply-markov", "--fn", "{values}"],
     ["poisson", "--level", "3", "--values", "{boundary}", "--method", "exact-dirichlet"],
-], ids=["green", "harmonic", "monopole", "apply-laplacian", "apply-markov", "poisson"])
+    ["poisson", "--level", "3", "--values", "{boundary}", "--method", "monte-carlo",
+     "--walks", "5"],
+    ["walk", "--start", "0,0", "--walks", "5"],
+    ["dimension"],
+    ["energy", "--fn", "{values}"],
+], ids=["green", "harmonic", "monopole", "apply-laplacian", "apply-markov", "poisson",
+        "poisson-monte-carlo", "walk", "dimension", "energy"])
 def test_an_isolated_vertex_is_exit_one_naming_it(argv, tmp_path, capsys):
     # vertex (2,1) has no edges; exact poisson once exited with scipy's
-    # "Factor is exactly singular"
+    # "Factor is exactly singular", Monte Carlo poisson named only a walk
+    # started there, and walk, dimension and energy exited 0
     files = {"diagram": tmp_path / "iso.bd", "values": tmp_path / "f.fn",
              "boundary": tmp_path / "b.fn"}
     files["diagram"].write_text(ISOLATED_VERTEX_DIAGRAM)
@@ -323,16 +330,46 @@ def test_an_isolated_vertex_is_exit_one_naming_it(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_monte_carlo_poisson_from_a_vertex_without_edges_is_exit_one(tmp_path, capsys):
-    # vertex (2,1) has no edges; a walk started there cannot move
-    diagram = tmp_path / "iso.bd"
-    diagram.write_text("bratteli v1\nlevels 4 : 1 2 2 2\ne 0 0 0 1\ne 0 0 1 1\n"
-                       "e 1 0 0 1\ne 1 1 0 1\ne 2 0 0 1\ne 2 0 1 1\n")
-    values = tmp_path / "f.fn"
-    values.write_text("fn v1\n3 0 1\n3 1 2\n")
-    assert main(["poisson", "--diagram", str(diagram), "--level", "3", "--values", str(values),
-                 "--method", "monte-carlo", "--walks", "5", "--out", "-"]) == 1
-    assert capsys.readouterr().err == "error: a walk starts at a vertex without edges\n"
+# two 3-level files, each with one fault on its last level: a negative
+# conductance into it, and an isolated vertex (2,1) on it
+_LAST_LEVEL_FAULTS = {
+    "negative": ("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 1\ne 1 0 0 1\n"
+                 "e 1 1 1 -0.5\n",
+                 "error: level 1, edge (1,1): conductance -0.5 is not positive and finite\n"),
+    "isolated": ("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 1\ne 1 0 0 1\n"
+                 "e 1 1 0 1\n",
+                 "error: isolated vertex at level 2, index 1 (c(x) = 0)\n"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_LAST_LEVEL_FAULTS))
+@pytest.mark.parametrize("argv", [
+    ["harmonic", "--depth", "1"],
+    ["monopole", "--vertex", "0,0", "--depth", "1"],
+    ["dipole", "--vertex", "1,0", "--depth", "2"],  # a dipole's pole is off the root
+    ["dimension", "--depth", "1"],
+    ["green", "--boundary", "1"],
+    ["walk", "--start", "0,0", "--absorb", "1", "--walks", "5"],
+    ["poisson", "--level", "1", "--values", "{fn}", "--method", "exact-dirichlet"],
+    ["poisson", "--level", "1", "--values", "{fn}", "--method", "monte-carlo", "--walks", "5"],
+    ["energy", "--fn", "{fn}"],
+    ["apply-laplacian", "--fn", "{fn}"],
+    ["apply-markov", "--fn", "{fn}"],
+], ids=["harmonic", "monopole", "dipole", "dimension", "green", "walk", "poisson",
+        "poisson-monte-carlo", "energy", "apply-laplacian", "apply-markov"])
+def test_every_reader_of_the_numbers_checks_every_stored_level(argv, fault, tmp_path, capsys):
+    # one check of a diagram's numbers, whatever the command and however
+    # few levels it reads: walk, Monte Carlo poisson and dimension once
+    # checked only the levels they read, and energy no c(x)
+    text, message = _LAST_LEVEL_FAULTS[fault]
+    diagram, fn = tmp_path / "d.bd", tmp_path / "f.fn"
+    diagram.write_text(text)
+    fn.write_text("fn v1\n0 0 1\n1 0 1\n1 1 2\n2 0 1\n2 1 2\n")
+    argv = [a.format(fn=fn) for a in argv]
+    assert main(argv[:1] + ["--diagram", str(diagram), "--out", str(tmp_path / "out")]
+                + argv[1:]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_monopole_dipole_outputs(tmp_path):
@@ -981,6 +1018,7 @@ _BATTERY_FILES = {
     "one_fn": "fn v1\n0 0 1\n",
     "edgeless_fn": "fn v1\n0 0 1\n2 0 1\n2 1 2\n",
     "tree_fn": "fn v1\n3 0 1\n3 7 2\n",
+    "ladder_fn": "fn v1\n3 0 1\n3 1 2\n",
     "nan_fn": "fn v1\n3 0 nan\n",
     "inf_fn": "fn v1\n3 0 inf\n",
     "graph": "graph v1\nv 4\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n",
@@ -990,7 +1028,8 @@ _BATTERY_FILES = {
 def _battery():
     """(argv, exit code) for every subcommand on boundary values: a one-level,
     an edgeless-level and an empty diagram file, 0, -1 and depth + 1 for each
-    level and count argument, vertex indices off their level, and nan and
+    level and count argument, 2**63 and 2**64 walks, vertex indices off
+    their level, c(x) out of the normal doubles, and nan and
     +-inf where a float is taken or in a function file.  tree:3:2 has depth
     3.  (validate accepts the one-level file, a valid diagram.)"""
     cases = []
@@ -1015,13 +1054,15 @@ def _battery():
                   ["walk", *tree, "--start", "0,0", f"--absorb={v}"],
                   ["poisson", *tree, f"--level={v}", "--values", "{tree_fn}"],
                   ["harmonic", *tree, "--pin", f"{v},0=1"]]
+    mc = ["poisson", *tree, "--level", "3", "--values", "{tree_fn}", "--method", "monte-carlo"]
     for v in ("0", "-1"):
-        mc = ["poisson", *tree, "--level", "3", "--values", "{tree_fn}", "--method",
-              "monte-carlo"]
         cases += [["walk", *tree, "--start", "0,0", f"--walks={v}"],
                   ["walk", *tree, "--start", "0,0", f"--max-steps={v}"],
                   [*mc, f"--walks={v}"], [*mc, f"--max-steps={v}"],
                   ["gen", f"tree:{v}:2"], ["gen", f"pascal:{v}:1"], ["verify-paper", v]]
+    for v in (2 ** 63, 2 ** 64):  # walks are numbered in int64
+        cases += [["walk", *tree, "--start", "0,0", f"--walks={v}", "--max-steps=1"],
+                  [*mc, f"--walks={v}"]]
     for vertex in ("-1,0", "4,0", "1,-1", "1,2"):
         cases += [["monopole", *tree, f"--vertex={vertex}"],
                   ["dipole", *tree, f"--vertex={vertex}"],
@@ -1036,6 +1077,10 @@ def _battery():
     cases += [["harmonic", "--diagram", "ladder:3:1e-320"],
               ["green", "--diagram", "ladder:3:1e-320"], ["harmonic", "--diagram", "ladder:3:1e308"],
               ["harmonic", "--diagram", "pascal:4:1", "--pin", "1,0=1e308"]]
+    for ladder in ("ladder:3:1e308", "ladder:3:1e-320"):
+        cases += [["walk", "--diagram", ladder, "--start", "0,0", "--walks", "5"],
+                  ["poisson", "--diagram", ladder, "--level", "3", "--values", "{ladder_fn}",
+                   "--method", "monte-carlo", "--walks", "5"]]
     for root in ("-1", "4"):
         cases += [["convert", "--graph", "{graph}", f"--root={root}"],
                   ["convert", "--graph", "{graph}", "--ray", f"0,{root}"]]
@@ -1068,7 +1113,10 @@ def test_boundary_values_are_exit_one_or_usage_errors_never_tracebacks(argv, tmp
     # a nan to its neighbours; harmonic on ladder:600:1, whose solution
     # leaves the doubles, printed three RuntimeWarnings before its error;
     # a subnormal c(x) or a pin whose terms overflow gave warnings and a nan
-    # residual, and green printed SuperLU's "Factor is exactly singular"
+    # residual, and green printed SuperLU's "Factor is exactly singular";
+    # the walks exited 0 on a subnormal or overflowed c(x), after warnings
+    # for the overflow; 2**63 walks ended Monte Carlo poisson in an
+    # OverflowError traceback, and walk did not end
     files = {}
     for name, text in _BATTERY_FILES.items():
         files[name] = tmp_path / name

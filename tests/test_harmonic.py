@@ -644,9 +644,10 @@ def test_certified_levels_make_no_level_views():
 def test_dimension_of_an_isolated_vertex_names_it():
     d = parse_diagram("bratteli v1\nlevels 3 : 1 2 2\ne 0 0 0 1\ne 0 0 1 1\n"
                       "e 1 0 0 1\ne 1 1 0 1\n")  # (2,1) has no edges
-    with pytest.raises(ValueError, match=r"^isolated vertex at level 2, index 1 \(c\(x\) = 0\)$"):
-        harm_dimension(d)
-    assert harm_dimension(d, up_to_level=1).dimension == 1
+    for depth in (None, 1):  # every stored level is checked, whatever the depth
+        with pytest.raises(ValueError,
+                           match=r"^isolated vertex at level 2, index 1 \(c\(x\) = 0\)$"):
+            harm_dimension(d, up_to_level=depth)
 
 
 def test_dimension_state_is_orthonormal():
