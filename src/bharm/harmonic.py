@@ -306,28 +306,25 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
         sol = spla.lsqr(a_free, b_live, atol=1e-14, btol=1e-14,
                         iter_lim=8 * (m + n_free))[0]
     x_full[~fixed] = sol
-    residuals = _level_residuals(lap, x_full, rhs, off[first:depth + 1])
+    residuals = _level_residuals(d, x_full, rhs, first, depth)
     return x_full, SolveReport(residuals=residuals, tol=tol, diagnostics={
         "path": path, "refine_steps": steps, "max_residual": max(residuals),
         "fallback": fallback})
 
 
-def _level_residuals(lap, x: np.ndarray, rhs: np.ndarray, bounds) -> list:
+def _level_residuals(d: Diagram, x: np.ndarray, rhs: np.ndarray, first: int, depth: int) -> list:
     """max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1} - rhs_n / c_n)|, f = x,
-    per level from bounds[n] to bounds[n + 1]: the normalized residuals of
-    the equations that are Delta's rows lap (operators.laplacian).  P's
-    blocks are a row's terms (c_xy / c(x)) f(y) left and right of its
-    diagonal c(x), one np.bincount bin per row and side, in table order."""
-    rows, cols = lap.rows(), lap.indices
-    side = np.sign(cols - rows) + 1  # 0: a parent, 1: the diagonal, 2: a child
-    c = lap.data[side == 1]  # of every row from the first with entries
-    base = lap.shape[0] - c.size
-    terms = -lap.data * (1.0 / c).take(rows - base) * x.take(cols)
-    fwd, _, back = np.bincount(3 * (rows - base) + side, terms,
-                               minlength=3 * c.size).reshape(-1, 3).T
-    eq = slice(bounds[0] - base, bounds[-1] - base)
-    r = np.abs(back[eq] - (x[bounds[0]:bounds[-1]] - fwd[eq] - rhs[bounds[0]:bounds[-1]] / c[eq]))
-    return np.maximum.reduceat(r, bounds[:-1] - bounds[0]).tolist()
+    per level n of first..depth-1: the normalized residuals of Delta's rows
+    of those levels.  P<- f and P-> f are the child and parent sums of the
+    table's entries of levels max(first-1, 0)..depth-1 (EdgeTable.edge_sums)
+    with scale 1/c(x).  x and rhs are numbered as the table's vertices."""
+    off, lo = d.table.offsets, max(first - 1, 0)
+    at = slice(off[lo], off[depth + 1])
+    x, rhs, c = x[at], rhs[at], d.degrees[at]
+    child, parent = d.table.edge_sums(lo, depth, x, 1.0 / c)
+    eq = slice(off[first] - at.start, off[depth] - at.start)
+    r = np.abs(child[eq] - (x[eq] - parent[eq] - rhs[eq] / c[eq]))
+    return np.maximum.reduceat(r, off[first:depth] - off[first]).tolist()
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
@@ -346,7 +343,7 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     change its residual, which is reported.
 
     Returns (LevelFunction, SolveReport) with one residual per level (root
-    equation first), read off the rows solved.  The report's diagnostics
+    equation first), summed on the edge table.  The report's diagnostics
     hold the path ("lu", "augmented-lu" or "lsqr"), refine_steps,
     max_residual (the largest residual of the returned solution) and
     fallback (None, or why the path is lsqr).

@@ -156,7 +156,8 @@ def laplacian(d: Diagram, first: int, last: int) -> LevelMatrix:
     c(x) from d.degrees, then its children (-c), so its columns increase;
     the edges up to the parents are grouped by head, the one transposition.
     Raises ValueError where build_level_operators does, on every stored
-    level whatever the range."""
+    level whatever the range.  Built once per system that factors or steps
+    them; a sum of P over edges is EdgeTable.edge_sums."""
     c = build_level_operators(d)
     t = d.table
     lo = max(first - 1, 0)

@@ -5,7 +5,8 @@ coefficient matrix, and the Poisson-kernel representation of harmonic
 functions.
 
 A DirichletSystem takes out its boundary values and pins as the recursion
-takes out its fixed values, by harmonic's free_matrix and fixed_rhs.
+takes out its fixed values, by harmonic's free_matrix and fixed_rhs, on the
+rows of Delta that it built once and factored (operators.laplacian).
 
 Reach and return probabilities come from the Green's function: with L u = e_y,
 u / u(y) is harmonic off y, 1 at y and 0 on the boundary level, so it is the
@@ -62,7 +63,9 @@ class DirichletSystem:
     sparse LU ordered by minimum degree on A + A^T (A is symmetric) with
     one-column supernode panels (a small SuperLU workspace on trees), cached
     for the unpinned matrix, and one step of iterative refinement, which makes
-    it componentwise backward stable (Skeel, Math. Comp. 35, 1980).
+    it componentwise backward stable (Skeel, Math. Comp. 35, 1980).  `lap`
+    keeps the interior's rows of Delta (operators.laplacian), built once:
+    boundary values' terms are read off them and a pinned solve masks them.
     `diagnostics`: path, factorizations, solves and the largest max|b - A x|
     over all calls that share the system (see `of`).  Raises ValueError
     where operators.build_level_operators does, on every stored level (see
@@ -77,9 +80,9 @@ class DirichletSystem:
         self.boundary_level = boundary_level
         self.offsets = d.table.offsets[:boundary_level + 1]
         self.n_interior = n = int(self.offsets[-1])
-        lap = laplacian(d, 0, boundary_level)
+        self.lap = laplacian(d, 0, boundary_level)
         # the boundary level's columns go
-        self.matrix = free_matrix(lap, np.arange(lap.shape[1]) >= n)[0]
+        self.matrix = free_matrix(self.lap, np.arange(self.lap.shape[1]) >= n)[0]
         self.degrees = d.degrees[:n]  # its diagonal
         _check_crossable(d, 0, boundary_level)  # else the matrix is singular
         self._lu = None
@@ -138,14 +141,13 @@ class DirichletSystem:
         if pinned:
             at, fixed = [self.flat(v) for v in pinned], np.arange(u.size) >= n
             u[at], fixed[at] = list(pinned.values()), True
-            lap = laplacian(d, 0, level)
-            lap = lap.masked(~fixed[lap.rows()])  # a pinned vertex's equation goes
+            lap = self.lap.masked(~fixed[self.lap.rows()])  # a pinned vertex's equation goes
             matrix, live = free_matrix(lap, fixed)
             b = fixed_rhs(d, lap, fixed, b, u)[live]
             u[~fixed] = self._solve_flat(matrix, self._factor(matrix), b)
         else:
             if u.any():  # the boundary values' terms, in level b-1's equations
-                b = fixed_rhs(d, laplacian(d, level - 1, level), np.arange(u.size) >= n, b, u)
+                b = fixed_rhs(d, self.lap, np.arange(u.size) >= n, b, u)
             if self._lu is None:
                 self._lu = self._factor(self.matrix)
             u[:n] = self._solve_flat(self.matrix, self._lu, b)
@@ -836,20 +838,19 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     vals, errs = np.zeros(n_int + f_n.size), np.zeros(n_int)
     vals[n_int:] = f_n
     capped, counts = 0, dict(steps=0, draws=0, refills=0)
-    # lanes are (start vertex, walk) pairs, at most _LANES stepped together;
-    # start x's walk w draws from the substream of key seed + 7919 x (mod
-    # 2**64) and counter word w
+    # lanes are (start vertex, walk) pairs, at most _LANES stepped together
+    # and made a slice at a time; start x's walk w draws from the substream
+    # of key seed + 7919 x (mod 2**64) and counter word w
     per = max(1, _LANES // walks)
     for x0 in range(0, n_int, per):
         xs = np.arange(x0, min(x0 + per, n_int))
         keys = np.uint64(cfg.seed % 2 ** 64) + np.uint64(7919) * xs.astype(np.uint64)
-        v, key = np.repeat(xs, walks), np.repeat(keys, walks)
-        walk = np.tile(np.arange(walks, dtype=np.uint64), xs.size)
-        last = np.empty(v.size, dtype=np.int64)
-        for l0 in range(0, v.size, _LANES):
-            at = slice(l0, l0 + _LANES)
-            for lane, path in _walk_blocks(tr, v[at], key[at], walk[at], cfg.max_steps,
-                                           counts):
+        last = np.empty(xs.size * walks, dtype=np.int64)
+        for l0 in range(0, last.size, _LANES):
+            at = slice(l0, min(l0 + _LANES, last.size))
+            i, walk = np.divmod(np.arange(at.start, at.stop), walks)
+            for lane, path in _walk_blocks(tr, xs[i], keys[i], walk.astype(np.uint64),
+                                           cfg.max_steps, counts):
                 last[at][lane] = path[-1]
         exit_ = last.reshape(xs.size, walks)
         ok = exit_ >= n_int

@@ -290,7 +290,7 @@ def _parity_diagrams():
 @pytest.mark.parametrize("d", _parity_diagrams())
 def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
     # P, Delta, the degrees, the recursion residuals of every (depth, first)
-    # read off Delta's rows, the one-step read of P off every interior row of
+    # from the edge table's sums, the one-step read of P off every interior row of
     # every Dirichlet system and the Dirichlet boundary coupling, against the
     # level-by-level reference of tests/bruteforce.py, on values from 1e-8
     # to 1e8
@@ -309,9 +309,8 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
         rhs = [rng.standard_normal(s) for s in d.level_sizes]
         for depth in range(1, n_levels + 1):
             for first in range(depth):
-                assert harmonic._level_residuals(
-                    operators.laplacian(d, first, depth), f.flat(), LevelFunction(rhs).flat(),
-                    d.table.offsets[first:depth + 1]) \
+                assert harmonic._level_residuals(d, f.flat(), LevelFunction(rhs).flat(),
+                                                 first, depth) \
                     == bruteforce.ref_chain_residuals(d, depth, rhs, f.values, first)
         for sysm in systems:
             b = sysm.boundary_level  # every caller's f is 0 from there down
@@ -424,3 +423,30 @@ def test_dirichlet_matrix_is_the_scipy_coo_to_csr_of_the_table_entries(d):
         got = pathspace.DirichletSystem(d, b).matrix
         for a in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, a), getattr(oracle, a)), a
+
+
+def test_the_rows_of_delta_are_built_once_per_system(monkeypatch):
+    # a Dirichlet system builds its rows when it is made and solves with a
+    # source, with boundary values and with a pin on them; each recursion
+    # solve builds the rows it stacks once, and sums P on the edge table
+    calls = []
+    build = operators.laplacian
+
+    def counting(d, first, last):
+        calls.append((first, last))
+        return build(d, first, last)
+
+    for module in (operators, harmonic, pathspace):
+        monkeypatch.setattr(module, "laplacian", counting)
+    d = gen_pascal(6, 1.0)
+    sysm = pathspace.DirichletSystem.of(d, 4)
+    sysm.solve(source={VertexId(1, 0): 1.0})
+    sysm.solve(boundary_values=np.arange(1.0, 6.0))
+    sysm.solve(pinned={VertexId(2, 1): 0.5})
+    assert calls == [(0, 4)]
+    calls.clear()
+    harmonic.solve_chain(d, 4, seed_f1=np.ones(2))
+    assert calls == [(0, 4)]
+    calls.clear()
+    harmonic.extend_harmonic(d, pascal_harmonic(6).values[:4])
+    assert calls == [(3, 4)]

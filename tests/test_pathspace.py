@@ -514,6 +514,24 @@ def test_transition_tables_take_no_more_memory_than_they_keep():
     assert peak <= 1.1 * (tr.cum.nbytes + tr.nbr.nbytes)
 
 
+def test_monte_carlo_poisson_makes_its_lanes_a_slice_at_a_time():
+    """A start's walks are made _LANES at a time, so the memory that grows
+    with the walks is the samples' rows (each start's mean and std need its
+    whole row), not a start, key and walk number per walk as well."""
+    d = gen_pascal(2, 1.0)
+
+    def peak(walks):
+        cfg = WalkConfig(max_steps=100, num_walks=walks, seed=5, absorb_level=2)
+        tracemalloc.start()
+        try:
+            poisson_kernel(d, np.array([1.0, 2.0, 3.0]), 2, "monte-carlo", cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(2 ** 19) - peak(2 ** 17)) / (2 ** 19 - 2 ** 17) <= 40
+
+
 @pytest.mark.parametrize("absorb", [3, 5])
 def test_absorbing_rows_hold_the_walk(absorb):
     """Every vertex of the absorbing level keeps a walk where it is, also
