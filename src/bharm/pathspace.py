@@ -24,9 +24,10 @@ and visits are counted once per block.  A refill's draws are bounded over
 all walks, so few are made for walks that absorb early in it.  Each walk's
 numbers come from a vectorized Philox4x64-10 that reproduces numpy's
 `Philox` stream for the walk's key and counter, so a result depends only on
-the seed, never on the batching or the block boundaries.  Its first two
-rounds depend on the walk or on the block alone and run on vectors; the
-other eight run on the (blocks x walks) grid.  The last few walks of a run
+the seed, never on the batching or the block boundaries.  A refill's draws
+are one (steps x walks) grid in step order, within the draw budget; the
+first two Philox rounds depend on the walk or on the block alone and run
+on vectors, the other eight on the whole grid.  The last few walks of a run
 finish one at a time, each from numpy's own Philox at its counter, since
 numpy's per-call overhead would dominate a lockstep step of so few.  The
 engine counts the steps the walks take and the draws and refills it makes.
@@ -46,8 +47,8 @@ import numpy as np
 
 from .diagram import Diagram, VertexId
 from .harmonic import DEFAULT_TOL, fixed_rhs, free_matrix, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, check_finite, laplacian,
-                        laplacian_apply)
+from .operators import (LevelFunction, LevelMatrix, build_level_operators, check_finite,
+                        laplacian, laplacian_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,8 @@ class DirichletSystem:
     for the unpinned matrix, and one step of iterative refinement, which makes
     it componentwise backward stable (Skeel, Math. Comp. 35, 1980).  `lap`
     keeps the interior's rows of Delta (operators.laplacian), built once:
-    boundary values' terms are read off them and a pinned solve masks them.
+    boundary values' terms are read off level b-1's, the only rows with a
+    boundary column, and a pinned solve masks them.
     `diagnostics`: path, factorizations, solves and the largest max|b - A x|
     over all calls that share the system (see `of`).  Raises ValueError
     where operators.build_level_operators does, on every stored level (see
@@ -147,7 +149,11 @@ class DirichletSystem:
             u[~fixed] = self._solve_flat(matrix, self._factor(matrix), b)
         else:
             if u.any():  # the boundary values' terms, in level b-1's equations
-                b = fixed_rhs(d, self.lap, np.arange(u.size) >= n, b, u)
+                lap, lo = self.lap, int(self.offsets[-2])
+                at = slice(lap.indptr[lo], None)
+                last = LevelMatrix(lap.data[at], lap.indices[at], lap.indptr[lo:] - lap.indptr[lo],
+                                   (n - lo, lap.shape[1]))
+                b[lo:] = fixed_rhs(d, last, np.arange(u.size) >= n, b[lo:], u)
             if self._lu is None:
                 self._lu = self._factor(self.matrix)
             u[:n] = self._solve_flat(self.matrix, self._lu, b)
@@ -497,17 +503,16 @@ _PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
 _PHILOX_KEYS = tuple((np.uint64(r * 0x9E3779B97F4A7C15 % 2 ** 64),
                       np.uint64(r * 0xBB67AE8584CAA73B % 2 ** 64)) for r in range(10))
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# Counters per pass of rounds 3-10.  Passes of 2**13 were slower than
-# passes of 2**15 on a 2-core Xeon: 25.7 against 23.5 ms for 19,250 walks x
-# 8 blocks, 5.05 against 4.07 ms for 1,000 x 32; per-call overhead, not
-# cache misses, decides.
-_PHILOX_CHUNK = 1 << 15
 _MAX_BLOCKS = 32         # Philox blocks per refill: 128 draws per walk
-# Draws per refill over all walks (a 1 MB buffer).  A walk absorbed early in
-# a refill is held to its end, so smaller refills draw and step less for
-# walks that have ended: for 350 walks from each of pascal:10's 55 starts,
-# 853,700 draws for 641,882 steps at 2**17, against 945,024 at 2**20.  In a
-# sweep of 2**16 to 2**20, 2**18 and up were slower on that case.
+# Draws per refill over all walks (a 1 MB buffer), so Philox computes at
+# most 2**15 counters in one pass.  A walk absorbed early in a refill is
+# held to its end, so smaller refills draw and step less for walks that
+# have ended: for 350 walks from each of pascal:10's 55 starts, 853,700
+# draws for 641,882 steps at 2**17, against 945,024 at 2**20.  In a sweep
+# of 2**16 to 2**20, 2**18 and up were slower on that case.  Passes of
+# 2**13 counters were slower than passes of 2**15 on a 2-core Xeon: 25.7
+# against 23.5 ms for 19,250 walks x 8 blocks, 5.05 against 4.07 ms for
+# 1,000 x 32; per-call overhead, not cache misses, decides.
 _MAX_DRAWS = 1 << 17
 # Walks still running after a refill, at or below which each finishes on
 # its own: a lockstep step costs about 6 numpy calls whatever the lanes,
@@ -544,18 +549,17 @@ def _philox_doubles(key: np.ndarray, walk: np.ndarray, first_block: int,
                     n_blocks: int) -> np.ndarray:
     """Uniform doubles of many walks' substreams at once.
 
-    Returns u with u[e, b, i] equal to draw 4 * (first_block - 1 + b) + e of
-    Generator(Philox(key=key[i], counter=[0, 0, walk[i], 0])).random():
-    block c = 1, 2, ... is Philox4x64-10 of counter (c, 0, walk[i], 0) under
-    key (key[i], 0), and each of its four words w gives (w >> 11) * 2**-53.
+    Returns u with u[s, i] equal to draw 4 * (first_block - 1) + s of
+    Generator(Philox(key=key[i], counter=[0, 0, walk[i], 0])).random(), for
+    s < 4 * n_blocks: the draws in step order.  Block c = 1, 2, ... is
+    Philox4x64-10 of counter (c, 0, walk[i], 0) under key (key[i], 0), and
+    each of its four words w gives (w >> 11) * 2**-53.
 
     Round 1 multiplies only the block word c and the walk word, and round 2
     only words that round 1 made of one of them, so both rounds run on
-    vectors of blocks and of lanes.  Rounds 3-10 run on the (blocks x
-    lanes) grid, which is built by broadcasting, at most _PHILOX_CHUNK
-    counters at a time.
+    vectors of blocks and of lanes.  Rounds 3-10 run on the whole (blocks x
+    lanes) grid, which is built by broadcasting.
     """
-    lanes = key.size
     m0, m1 = _PHILOX_M[0][0], _PHILOX_M[1][0]
     key0, key1 = _PHILOX_KEYS[1]     # round 2's key bumps; round 1 adds none
     c = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
@@ -566,31 +570,21 @@ def _philox_doubles(key: np.ndarray, walk: np.ndarray, first_block: int,
     block0, block1 = _mulhi(block2, _PHILOX_M[1]), block2 * m1
     lane0x = lane1 ^ (key + key0)
     lane2x, lane3 = _mulhi(lane0, _PHILOX_M[0]) ^ key1, lane0 * m0
-    out = np.empty((4, n_blocks, lanes))
-    width = max(1, min(lanes, _PHILOX_CHUNK))
-    height = max(1, _PHILOX_CHUNK // width)
-    for b in range(0, n_blocks, height):
-        rows = slice(b, b + height)
-        for i in range(0, lanes, width):
-            cols = slice(i, i + width)
-            k = key[cols]
-            c0 = block0[rows, None] ^ lane0x[cols]
-            c1 = block1[rows, None]
-            c2 = block3[rows, None] ^ lane2x[cols]
-            c3 = lane3[cols]
-            for k0, k1 in _PHILOX_KEYS[2:]:
-                hi1 = _mulhi(c2, _PHILOX_M[1])
-                c2 *= m1
-                hi0 = _mulhi(c0, _PHILOX_M[0])
-                c0 *= m0
-                hi1 ^= c1
-                hi1 ^= k + k0
-                hi0 ^= c3
-                hi0 ^= k1
-                c0, c1, c2, c3 = hi1, c2, hi0, c0
-            for e, word in enumerate((c0, c1, c2, c3)):
-                np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[e, rows, cols])
-    return out
+    c0, c1, c2, c3 = block0[:, None] ^ lane0x, block1[:, None], block3[:, None] ^ lane2x, lane3
+    for k0, k1 in _PHILOX_KEYS[2:]:
+        hi1 = _mulhi(c2, _PHILOX_M[1])
+        c2 *= m1
+        hi0 = _mulhi(c0, _PHILOX_M[0])
+        c0 *= m0
+        hi1 ^= c1
+        hi1 ^= key + k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, c2, hi0, c0
+    out = np.empty((n_blocks, 4, key.size))
+    for e, word in enumerate((c0, c1, c2, c3)):
+        np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[:, e])
+    return out.reshape(4 * n_blocks, key.size)
 
 
 def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndarray,
@@ -604,9 +598,10 @@ def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndar
     neighbour.  The lanes run in lockstep, one block of steps per refill of
     draws for the lanes still running when it starts.  A refill doubles up
     to _MAX_BLOCKS blocks, fewer when many lanes run, so that it makes at
-    most about _MAX_DRAWS draws; the cap ends the last refill.  Each refill
-    yields (lane, path): path[s, j] is the vertex of lane lane[j] after the
-    refill's step s.  An absorbed lane is held at its absorbing vertex until
+    most about _MAX_DRAWS draws; the cap ends the last refill.  Its draws
+    are one (steps x lanes) grid, whose row s the lanes' step s reads.
+    Each refill yields (lane, path): path[s, j] is the vertex of lane
+    lane[j] after the refill's step s.  An absorbed lane is held at its absorbing vertex until
     the refill ends, so a lane's last entry is its absorbing vertex, or a
     vertex above the absorbing level if it hit the cap.
 
@@ -633,7 +628,7 @@ def _walk_blocks(tr: _Transitions, v: np.ndarray, key: np.ndarray, walk: np.ndar
         at, count = np.empty((2, lane.size), dtype=nbr.dtype)
         for s in range(path.shape[0]):
             tr.cum.take(v, axis=1, out=cum)
-            np.less(cum, draws[s % 4, s // 4], out=below)
+            np.less(cum, draws[s], out=below)
             np.add.reduce(below, axis=0, out=count)
             np.multiply(v, stride, out=at)
             at += count
@@ -739,12 +734,12 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
                 np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps, counts):
             visits[lane] += np.bincount((col[path] + (k + 2) * np.arange(lane.size)).ravel(),
                                         minlength=lane.size * (k + 2)).reshape(lane.size, k + 2)
-            lv = tr.level[path]
-            prior = np.maximum.accumulate(np.vstack([deep[lane], lv[:-1]]), axis=0)
-            # a held step is at the absorbing level, which a walk reaches only once
-            stalled = (lv <= prior) & (lv < cfg.absorb_level)
-            bad[lane] = np.maximum(bad[lane], np.where(stalled, prior, -1).max(axis=0))
-            deep[lane] = np.maximum(prior[-1], lv[-1])
+            # the deepest level after each step; a step keeps it unless it
+            # goes deeper, and a held step is at the absorbing level
+            deep_s = np.maximum.accumulate(np.vstack([deep[lane], tr.level[path]]), axis=0)
+            stalled = (deep_s[1:] == deep_s[:-1]) & (deep_s[1:] < cfg.absorb_level)
+            bad[lane] = np.maximum(bad[lane], np.where(stalled, deep_s[1:], -1).max(axis=0))
+            deep[lane] = deep_s[-1]
         absorbed = deep == cfg.absorb_level
         vis = visits[absorbed]
         reach_hits += (vis[:, :k] > 0).sum(axis=0)

@@ -3,14 +3,23 @@
 Everything here recomputes quantities from the raw edge data with plain
 dense numpy, deliberately avoiding the package's own solver paths, so the
 library can be checked against an implementation that shares no code with
-it beyond the Diagram container.
+it beyond the Diagram container.  `broom` builds the one-wide-row diagram
+that the walk-table and cost tests share.
 """
 import bisect
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from bharm.diagram import Diagram, ExtensionRule, VertexId, make_diagram
+
+
+def broom(width) -> Diagram:
+    """Levels 1, 1, width, width: the level-1 vertex joins every vertex of
+    level 2, and each of those has one child."""
+    return make_diagram([1, 1, width, width], [np.ones((1, 1)), np.ones((1, width)),
+                                               sp.identity(width, format="csr")])
 
 
 def level_matrices(d: Diagram) -> list:

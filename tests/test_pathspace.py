@@ -7,7 +7,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bharm import (
@@ -39,7 +38,7 @@ from bharm import pathspace
 from bharm.fileio import parse_diagram
 from bharm.operators import markov_apply
 from bharm.pathspace import _philox_doubles, _transitions
-from bruteforce import brute_green, flat_of, walk_path, walk_tables
+from bruteforce import broom, brute_green, flat_of, walk_path, walk_tables
 
 
 TREE8 = gen_binary_tree(8, 2.0)
@@ -55,13 +54,6 @@ def _reweighted(d, seed):
     rng = np.random.default_rng(seed)
     return make_diagram(d.level_sizes, [d.table.level(n).toarray() * rng.uniform(0.1, 10.0, (
         d.level_sizes[n], d.level_sizes[n + 1])) for n in range(d.num_levels)])
-
-
-def _broom(width):
-    """Levels 1, 1, width, width: the level-1 vertex joins every vertex of
-    level 2, and each of those has one child."""
-    return make_diagram([1, 1, width, width], [np.ones((1, 1)), np.ones((1, width)),
-                                               sp.identity(width, format="csr")])
 
 
 # --- exact killed-chain quantities -------------------------------------------
@@ -437,9 +429,9 @@ def test_vectorized_philox_matches_numpy_philox(seed):
     for i, w in enumerate(walks.tolist()):
         ref = np.random.Generator(np.random.Philox(key=seed % 2 ** 64,
                                                    counter=[0, 0, w, 0])).random(160)
-        assert np.array_equal(u[:, :, i].T.reshape(-1), ref)
+        assert np.array_equal(u[:, i], ref)
     # a refill that starts at a later block continues the same streams
-    assert np.array_equal(_philox_doubles(key, walks, 11, 2), u[:, 10:12])
+    assert np.array_equal(_philox_doubles(key, walks, 11, 2), u[40:48])
 
 
 def _philox_reference(key: int, walk: int, first_block: int, n_blocks: int) -> np.ndarray:
@@ -448,31 +440,51 @@ def _philox_reference(key: int, walk: int, first_block: int, n_blocks: int) -> n
     counter = np.array([0, 0, walk, 0], dtype=np.uint64)
     draws = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(
         4 * (first_block - 1 + n_blocks))
-    return draws[4 * (first_block - 1):].reshape(n_blocks, 4).T
+    return draws[4 * (first_block - 1):]
 
 
-@pytest.mark.parametrize("lanes, first_block, n_blocks, chunk", [
-    (pathspace._PHILOX_CHUNK + 37, 1, 1, None),     # lanes past one chunk
-    (1, 1, 300, None),                              # one lane, many blocks
-    (1, 1, 300, 7),
-    (11, 3, 5, 3),                                  # chunks of parts of rows
-    (5, 2, 9, 7),
-    (4, 1000, 3, None),                             # a late first block
+@pytest.mark.parametrize("lanes, first_block, n_blocks", [
+    (2 ** 15 + 37, 1, 1),         # more lanes than the engine steps together
+    (1, 1, 300),                  # one lane, many blocks
+    (11, 3, 5),
+    (5, 2, 9),
+    (4, 1000, 3),                 # a late first block
 ])
-def test_vectorized_philox_matches_numpy_philox_in_every_shape(lanes, first_block, n_blocks,
-                                                               chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", chunk)
+def test_vectorized_philox_matches_numpy_philox_in_every_shape(lanes, first_block, n_blocks):
     rng = np.random.default_rng(lanes + n_blocks)
     # per-lane keys as Monte Carlo poisson makes them, and walk words past 2**63
     seed = int(rng.integers(2 ** 63)) * 2 + 1
     key = np.uint64(seed) + np.uint64(7919) * np.arange(lanes, dtype=np.uint64)
     walks = np.arange(lanes, dtype=np.uint64) + np.uint64(2 ** 63 - lanes // 2)
     u = _philox_doubles(key, walks, first_block, n_blocks)
-    assert u.shape == (4, n_blocks, lanes)
+    assert u.shape == (4 * n_blocks, lanes)
     for i in sorted({0, lanes // 2, lanes - 1}):
         want = _philox_reference(int(key[i]), int(walks[i]), first_block, n_blocks)
-        assert np.array_equal(u[:, :, i], want)
+        assert np.array_equal(u[:, i], want)
+
+
+def test_every_refill_is_one_grid_within_the_draw_budget(monkeypatch):
+    """Philox computes each refill's grid in one pass, so the engine never
+    asks for more than _MAX_DRAWS draws, _MAX_DRAWS // 4 counters, at once:
+    walks on Pascal, tree walks of more lanes than the budget lets go 32
+    blocks deep, and Monte Carlo Poisson's (start, walk) lanes."""
+    grids = []
+
+    def recorded(key, walk, first_block, n_blocks):
+        u = _philox_doubles(key, walk, first_block, n_blocks)
+        assert u.shape == (4 * n_blocks, key.size)
+        grids.append((n_blocks, key.size))
+        return u
+    monkeypatch.setattr(pathspace, "_philox_doubles", recorded)
+    simulate_walks(gen_pascal(12, 1.0), VertexId(0, 0), WalkConfig(2000, 300, 7, 12))
+    simulate_walks(gen_binary_tree(10, 2.0), VertexId(0, 0), WalkConfig(2000, 20000, 7, 10))
+    poisson_kernel(gen_pascal(6, 1.0), np.arange(7.0), 6, method="monte-carlo",
+                   cfg=WalkConfig(2000, 200, 5, 6))
+    budget = pathspace._MAX_DRAWS // 4
+    assert max(blocks * lanes for blocks, lanes in grids) <= budget
+    # a refill of more than 1,024 lanes that the budget, not the doubling, cuts short
+    assert any(lanes > 1024 and 1 < blocks == budget // lanes < pathspace._MAX_BLOCKS
+               for blocks, lanes in grids)
 
 
 @pytest.mark.parametrize("d", [
@@ -480,7 +492,7 @@ def test_vectorized_philox_matches_numpy_philox_in_every_shape(lanes, first_bloc
     # 30 degree classes, of rows of up to 80 weights
     _reweighted(gen_bottleneck([1, 30, 60, 5, 80, 40], 3), 7),
     # one row of 301 weights, the others of 1 or 2
-    _reweighted(_broom(300), 11),
+    _reweighted(broom(300), 11),
 ], ids=["irregular", "bottleneck-random-weights", "broom300-random-weights"])
 def test_transition_tables_match_per_vertex_cumsum(d):
     """Each vertex's neighbours and np.cumsum(w) / w.sum() of its weights,
@@ -503,7 +515,7 @@ def test_transition_tables_take_no_more_memory_than_they_keep():
     """On a broom of width 2,000, whose one wide row sets the width of every
     vertex's slots, building the tables allocates little beyond them: no
     dense weight matrix and no transposed copy of the same size."""
-    d = _broom(2000)
+    d = broom(2000)
     tracemalloc.start()
     try:
         tr = _transitions(d, d.num_levels)
@@ -630,7 +642,6 @@ def test_walk_results_do_not_depend_on_batching(monkeypatch):
     # fewer lanes than one start's 11 Monte Carlo walks: they go 5, 5 and 1,
     # for each of the 21 starts above level 6 in each of the two runs
     monkeypatch.setattr(pathspace, "_LANES", 5)
-    monkeypatch.setattr(pathspace, "_PHILOX_CHUNK", 3)
     assert _batching_cases()[0] == whole
     assert max(lanes) == 5 and lanes.count(1) == 2 * 21
     # every refill one Philox block of 4 steps: visit counts and the forward
