@@ -37,8 +37,9 @@ FMT = "{:.12g}"  # a number in text for people; data files are written by _lines
 # the header of the green and walk tables
 _PAIRS_HEAD = "x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples\n"
 
-# input-file digests recorded per invocation for the run manifest
-_INPUT_HASHES: dict = {}
+# the input files read by one invocation, hashed only when a run manifest
+# records them; main lets them go when it returns
+_INPUT_TEXTS: dict = {}
 
 
 def _read_text(path: str) -> str:
@@ -46,7 +47,7 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    _INPUT_HASHES[path] = _hash(text)
+    _INPUT_TEXTS[path] = text
     return text
 
 
@@ -65,7 +66,7 @@ def _write_output(path: str, text: str, args, extra: dict) -> None:
         "tool": "bharm",
         "version": __version__,
         "command": args.argv,
-        "input_sha256_16": dict(_INPUT_HASHES),
+        "input_sha256_16": {p: _hash(t) for p, t in _INPUT_TEXTS.items()},
         "output_sha256_16": _hash(text),
     }
     manifest.update(extra)
@@ -511,7 +512,6 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in run manifests
-    _INPUT_HASHES.clear()
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
@@ -521,6 +521,8 @@ def main(argv=None) -> int:
             return 0
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        _INPUT_TEXTS.clear()
 
 
 if __name__ == "__main__":

@@ -258,13 +258,11 @@ def gen_bottleneck(profile: Sequence[int], seed: int) -> Diagram:
     for n in range(len(profile) - 1):
         m, k = profile[n], profile[n + 1]
         a = (rng.random((m, k)) < 0.5).astype(float)
-        # repair empty rows/columns deterministically
-        for i in range(m):
-            if a[i].sum() == 0:
-                a[i, rng.integers(k)] = 1.0
-        for j in range(k):
-            if a[:, j].sum() == 0:
-                a[rng.integers(m), j] = 1.0
+        # repair empty rows, then the columns left empty, in order, one draw each
+        for i in np.flatnonzero(a.sum(axis=1) == 0):
+            a[i, rng.integers(k)] = 1.0
+        for j in np.flatnonzero(a.sum(axis=0) == 0):
+            a[rng.integers(m), j] = 1.0
         mats.append(a)
     return make_diagram(profile, mats, extension=ExtensionRule("explicit"))
 

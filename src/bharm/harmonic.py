@@ -8,13 +8,11 @@ The level recursion is
 where rhs is a point-source vector (empty for harmonic functions, delta_x
 for a monopole at x, delta_x - delta_o for a dipole).  solve_chain stacks
 these equations for all levels and returns one representative: the global
-minimum-norm solution with the seed and the pins fixed.  The shape of the
-stacked system picks one of three paths: a sparse LU of the square system,
-a sparse LU of the augmented system when it is underdetermined, and LSQR
-when it is overdetermined or the LU fails.  extend_harmonic takes the same
-solve with the whole prefix fixed.  free_matrix and fixed_rhs move fixed
-values to the right-hand side, here and in pathspace's Dirichlet systems.
-Inconsistent levels are reported, not thrown.
+minimum-norm solution with the seed and the pins fixed.  extend_harmonic
+takes the same solve with the whole prefix fixed.  Here and in pathspace's
+Dirichlet systems, free_matrix and fixed_rhs move fixed values to the
+right-hand side and a FactoredSystem factors, solves and refines, by the
+caller's settings and rule.  Inconsistent levels are reported, not thrown.
 """
 from __future__ import annotations
 
@@ -160,18 +158,84 @@ def _exact_residual(m, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([fsum([b[r], *terms[ends[r]:ends[r + 1]]]) for r in range(b.size)])
 
 
-def _refine(lu, sol: np.ndarray, residual):
-    """Iterative refinement sol += lu.solve(residual(sol)), stopped when the
-    step falls to rounding level or stops shrinking.  Returns (sol, steps)."""
-    prev = np.inf
-    for steps in range(1, 31):
-        step = lu.solve(residual(sol))
-        norm = float(np.abs(step).max())
-        sol = sol + step
-        if norm <= 1e-15 * max(1.0, float(np.abs(sol).max())) or norm >= prev:
-            break
-        prev = norm
-    return sol, steps
+class FactoredSystem:
+    """A x = b for a free matrix A (free_matrix's), factored once by
+    spla.splu with the caller's settings and solved on flat vectors by the
+    caller's rule, which with the settings fixes the bits.  counts (the
+    caller's dict, which holds factorizations and solves, or a new one)
+    counts them and gets the path.  Rule "one-step", the Dirichlet systems':
+    a symmetric A factored as A^T, its CSC form; path "direct"; one plain
+    refinement step a solve, which makes it componentwise backward stable
+    (Skeel, Math. Comp. 35, 1980); and max_residual, the largest
+    max|b - A x|.  Rule "exact", the recursion's, by shape, counting
+    refine_steps and fallback (None, or why lsqr).  Square, "lu": refined
+    on exactly rounded residuals up to _EXACT_REFINE_ENTRIES entries.
+    Underdetermined, "augmented-lu": an LU of [[I, A^T], [A, 0]], plainly
+    refined, whose x block is the minimum-norm solution (Bjorck; Arioli,
+    Duff & de Rijk, Numer. Math. 1989).  Overdetermined, structurally rank
+    deficient (Duff, ACM TOMS 1981) or an LU that fails, "lsqr": LSQR from
+    x0 = 0, the minimum-norm least-squares solution (Paige & Saunders, ACM
+    TOMS 1982), and its itn and istop.
+    """
+
+    def __init__(self, a, rule: str, counts: Optional[dict] = None, **settings):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        self.a, self.rule, self.lu = a, rule, None
+        self.counts = counts = {"factorizations": 0, "solves": 0} if counts is None else counts
+        (m, n), exact = a.shape, rule == "exact"
+        path, fallback = ("lu" if exact else "direct") if m == n else "augmented-lu", None
+        if exact and m > n:
+            fallback = f"overdetermined ({m} equations, {n} unknowns)"
+        # SuperLU fails on a structurally singular system after OpenBLAS printed to stdout
+        elif exact and m and (rank := sp.csgraph.structural_rank(a)) < m:
+            fallback = f"structurally rank deficient ({rank} of {m} equations)"
+        else:
+            if m < n:
+                self.k = sp.bmat([[sp.identity(n), a.T], [a, None]], format="csc")
+            else:  # a symmetric A's transpose is its CSC form, without a copy
+                self.k = a.tocsc() if exact else a.T
+            try:
+                self.lu = spla.splu(self.k, **settings)
+                counts["factorizations"] += 1
+            except RuntimeError:  # SuperLU's message names its own source file
+                if not exact:
+                    raise
+                fallback = f"{path} factorization failed"
+        counts["path"] = "lsqr" if fallback else path
+        if exact:
+            counts.update(fallback=fallback, refine_steps=0)
+
+    def solve(self, b: np.ndarray, check: Optional[Callable] = None) -> np.ndarray:
+        """x for A x = b; check(x), when given, sees the first solution
+        before any refinement, which would turn an overflow into nan."""
+        import scipy.sparse.linalg as spla
+        a, lu, counts, (m, n) = self.a, self.lu, self.counts, self.a.shape
+        counts["solves"] += 1
+        if lu is None:
+            x, counts["istop"], counts["itn"] = spla.lsqr(a, b, atol=1e-14, btol=1e-14,
+                                                          iter_lim=8 * (m + n))[:3]
+            return x
+        rhs = b if m == n else np.concatenate([np.zeros(n), b])
+        x, steps, prev = lu.solve(rhs), 0, np.inf
+        if check:
+            check(x[:n])
+        if self.rule == "one-step":
+            x += lu.solve(b - a @ x)
+            counts["max_residual"] = max(counts["max_residual"],
+                                         float(np.abs(b - a @ x).max(initial=0.0)))
+            return x
+        # until the step falls to rounding level or stops shrinking; above
+        # _EXACT_REFINE_ENTRIES the square path keeps its first solve
+        for steps in range(1, 31 if m < n or 0 < a.nnz <= _EXACT_REFINE_ENTRIES else 1):
+            step = lu.solve(rhs - self.k @ x if m < n else _exact_residual(a, x, b))
+            norm = float(np.abs(step).max())
+            x = x + step
+            if norm <= 1e-15 * max(1.0, float(np.abs(x).max())) or norm >= prev:
+                break
+            prev = norm
+        counts["refine_steps"] += steps
+        return x[:n]
 
 
 def free_matrix(lap, fixed: np.ndarray):
@@ -189,28 +253,28 @@ def free_matrix(lap, fixed: np.ndarray):
 
 
 def fixed_rhs(d: Diagram, lap, fixed: np.ndarray, source: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
+              values: np.ndarray, live: np.ndarray) -> np.ndarray:
     """source less the terms of lap's rows in the columns where `fixed` is
     True, at `values`: the right-hand side of free_matrix's equations, on
     all of lap's rows.  source is numbered as lap's rows, values as its
-    columns.  A row's terms go in as children, c(x), parents, each in table
-    order: the outputs' bits rest on it.  Raises ValueError at a finite
-    value whose terms take a row with an unknown out of the doubles,
-    naming the largest term of the first such row; a value or a source
-    that is not finite is left to the solve."""
+    columns; live marks the rows with an unknown (free_matrix's mask).  A
+    row's terms go in as children, c(x), parents, each in table order: the
+    outputs' bits rest on it.  Raises ValueError at a finite value whose
+    terms take a live row out of the doubles, naming the largest term of
+    the first such row; a value or a source that is not finite is left to
+    the solve."""
     source = source[:lap.shape[0]]
     if not values.any():  # a zero value's terms change no b but a zero's sign
         return source
     at = np.flatnonzero(fixed[lap.indices])
-    rows, cols, b = lap.rows(), lap.indices, source.copy()
-    r, c = rows[at], cols[at]
+    r, c, b = lap.rows()[at], lap.indices[at], source.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         terms = lap.data[at] * values[c]
         for part in (c > r, c == r, c < r):
             np.subtract.at(b, r[part], terms[part])
     blown = ~np.isfinite(b) & np.isfinite(source)
     if blown.any():  # in a row with an unknown, and from finite values only?
-        blown &= np.bincount(rows, minlength=b.size) > np.bincount(r, minlength=b.size)
+        blown &= live
         blown[r[~np.isfinite(values[c])]] = False
     if blown.any():
         at = np.flatnonzero(r == np.argmax(blown))
@@ -228,24 +292,13 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
     Unknowns f_0..f_depth, equations Delta's rows of levels first..depth-1
     (operators.laplacian); the prefix f_0..f_k and the pins (level ->
     {index: value}, on levels k+1..depth) are eliminated and equations left
-    without unknowns dropped.  The shape of the free system A x = b picks
-    the path.  Square: "lu", a sparse LU and iterative refinement with
-    exactly rounded residuals (the stacked map can be ill-conditioned even
-    though each level is benign, so plain double refinement stalls well
-    above the target accuracy).  Underdetermined: "augmented-lu", one sparse
-    LU of the augmented system [[I, A^T], [A, 0]], whose x block is the
-    minimum-norm solution (Bjorck; Arioli, Duff & de Rijk, Numer. Math.
-    1989), and plain refinement.  Overdetermined, structurally rank deficient
-    (a maximum transversal of A leaves an equation unmatched: Duff, ACM TOMS
-    1981) or an LU that fails: "lsqr", LSQR from x0 = 0, which converges to
-    the minimum-norm least-squares solution (Paige & Saunders, ACM TOMS
-    1982).  Raises ValueError for a pin off levels k+1..depth, off its level
-    or not finite, where fixed_rhs does, and for an LU solution that leaves
-    the doubles.  Returns x, f_0..f_depth numbered as the vertices of
-    d.table (as is rhs), and the SolveReport of the rows, as in solve_chain.
+    without unknowns dropped; a FactoredSystem under the "exact" rule, with
+    SuperLU's default COLAMD ordering, solves the rest.  Raises ValueError
+    for a pin off levels k+1..depth, off its level or not finite, where
+    fixed_rhs does, and for an LU solution that leaves the doubles.  Returns
+    x, f_0..f_depth numbered as the vertices of d.table (as is rhs), and the
+    SolveReport of the rows, as in solve_chain.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     sizes = d.level_sizes
     fixed_levels = len(prefix)
     for lvl in pins:
@@ -268,48 +321,22 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
             fixed[off[lvl] + idx] = True
             x_full[off[lvl] + idx] = val
     a_free, live = free_matrix(lap, fixed)
-    b_live = fixed_rhs(d, lap, fixed, rhs, x_full)[live]
-    m, n_free = a_free.shape
-    path, steps, fallback = "lu", 0, None
+    b_live = fixed_rhs(d, lap, fixed, rhs, x_full, live)[live]
+    system = FactoredSystem(a_free, "exact")
+    counts = system.counts
 
-    def finite(sol):  # refinement would turn an overflow into warnings and nan
+    def finite(sol):
         bad = np.flatnonzero(~np.isfinite(sol))
         if bad.size and np.isfinite(b_live).all():  # a nan seed is reported, not refused
-            raise ValueError(f"the {path} solution leaves the doubles at level "
+            raise ValueError(f"the {counts['path']} solution leaves the doubles at level "
                              f"{vertex_at(d, np.flatnonzero(~fixed)[bad[0]])[0]}")
-        return sol
 
-    try:
-        if m > n_free:
-            fallback = f"overdetermined ({m} equations, {n_free} unknowns)"
-            raise RuntimeError(fallback)
-        # SuperLU fails on a structurally singular system after OpenBLAS printed to stdout
-        if m and (rank := sp.csgraph.structural_rank(a_free)) < m:
-            fallback = f"structurally rank deficient ({rank} of {m} equations)"
-            raise RuntimeError(fallback)
-        if m == n_free:
-            lu = spla.splu(a_free.tocsc())
-            sol = finite(lu.solve(b_live))
-            if 0 < a_free.nnz <= _EXACT_REFINE_ENTRIES:
-                sol, steps = _refine(lu, sol, lambda s: _exact_residual(a_free, s, b_live))
-        else:
-            path = "augmented-lu"
-            k = sp.bmat([[sp.identity(n_free), a_free.T], [a_free, None]], format="csc")
-            lu = spla.splu(k)
-            rhs_k = np.concatenate([np.zeros(n_free), b_live])
-            z = lu.solve(rhs_k)
-            finite(z[:n_free])
-            z, steps = _refine(lu, z, lambda z: rhs_k - k @ z)
-            sol = z[:n_free]
-    except RuntimeError:  # SuperLU's message names its own source file
-        path, steps, fallback = "lsqr", 0, fallback or f"{path} factorization failed"
-        sol = spla.lsqr(a_free, b_live, atol=1e-14, btol=1e-14,
-                        iter_lim=8 * (m + n_free))[0]
-    x_full[~fixed] = sol
+    x_full[~fixed] = system.solve(b_live, finite)
     residuals = _level_residuals(d, x_full, rhs, first, depth)
+    lsqr = {k: counts[k] for k in ("itn", "istop") if k in counts}
     return x_full, SolveReport(residuals=residuals, tol=tol, diagnostics={
-        "path": path, "refine_steps": steps, "max_residual": max(residuals),
-        "fallback": fallback})
+        "path": counts["path"], "refine_steps": counts["refine_steps"],
+        "max_residual": max(residuals), "fallback": counts["fallback"], **lsqr})
 
 
 def _level_residuals(d: Diagram, x: np.ndarray, rhs: np.ndarray, first: int, depth: int) -> list:
@@ -337,16 +364,15 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
     Returns the global minimum-norm (least-squares) solution of the stacked
     constraint system on f_1..f_depth, with f_0 = 0, f_1 = seed_f1 when
     given and the pinned coordinates fixed (pins maps level -> {index:
-    value} on the levels the seed leaves free); see _global_solve for the
-    lu, augmented-lu and lsqr paths.  A given seed is verified against the
-    root equation, not enforced: that row has no unknown, so no solve can
-    change its residual, which is reported.
+    value} on the levels the seed leaves free).  A given seed is verified
+    against the root equation, not enforced: that row has no unknown, so no
+    solve can change its residual, which is reported.
 
     Returns (LevelFunction, SolveReport) with one residual per level (root
     equation first), summed on the edge table.  The report's diagnostics
-    hold the path ("lu", "augmented-lu" or "lsqr"), refine_steps,
-    max_residual (the largest residual of the returned solution) and
-    fallback (None, or why the path is lsqr).
+    hold FactoredSystem's path ("lu", "augmented-lu" or "lsqr"),
+    refine_steps and fallback, LSQR's itn and istop on its path, and
+    max_residual, the largest residual of the returned solution.
     """
     depth = d.num_levels if depth is None else depth
     if not 1 <= depth <= d.num_levels:

@@ -5,8 +5,9 @@ coefficient matrix, and the Poisson-kernel representation of harmonic
 functions.
 
 A DirichletSystem takes out its boundary values and pins as the recursion
-takes out its fixed values, by harmonic's free_matrix and fixed_rhs, on the
-rows of Delta that it built once and factored (operators.laplacian).
+takes out its fixed values, by harmonic's free_matrix and fixed_rhs, and
+solves by harmonic's FactoredSystem, as the recursion does, on the rows of
+Delta that it built once (operators.laplacian).
 
 Reach and return probabilities come from the Green's function: with L u = e_y,
 u / u(y) is harmonic off y, 1 at y and 0 on the boundary level, so it is the
@@ -41,12 +42,13 @@ import math
 import weakref
 from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagram import Diagram, VertexId
-from .harmonic import DEFAULT_TOL, fixed_rhs, free_matrix, harmonicity_check
+from .harmonic import DEFAULT_TOL, FactoredSystem, fixed_rhs, free_matrix, harmonicity_check
 from .operators import (LevelFunction, LevelMatrix, build_level_operators, check_finite,
                         laplacian, laplacian_apply)
 
@@ -55,24 +57,23 @@ from .operators import (LevelFunction, LevelMatrix, build_level_operators, check
 # Dirichlet systems on the truncated network
 # ---------------------------------------------------------------------------
 
+# SuperLU's settings for them: minimum degree on A + A^T (A is symmetric)
+# and one-column supernode panels
+_DIRICHLET = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}
+
 class DirichletSystem:
     """Conductance Laplacian on levels 0..boundary_level-1 with absorbing
     boundary at `boundary_level`; reusable factorized solver.
 
     Solves Delta u = source on the interior with u = boundary_values on the
-    boundary level and optional pinned interior vertices, all by one path: a
-    sparse LU ordered by minimum degree on A + A^T (A is symmetric) with
-    one-column supernode panels (a small SuperLU workspace on trees), cached
-    for the unpinned matrix, and one step of iterative refinement, which makes
-    it componentwise backward stable (Skeel, Math. Comp. 35, 1980).  `lap`
-    keeps the interior's rows of Delta (operators.laplacian), built once:
-    boundary values' terms are read off level b-1's, the only rows with a
-    boundary column, and a pinned solve masks them.
-    `diagnostics`: path, factorizations, solves and the largest max|b - A x|
-    over all calls that share the system (see `of`).  Raises ValueError
-    where operators.build_level_operators does, on every stored level (see
-    operators.laplacian), and at a level pair without edges above the
-    boundary, which makes the matrix singular.
+    boundary level and optional pinned interior vertices, by a
+    FactoredSystem under the "one-step" rule (a small SuperLU workspace on
+    trees), kept for the unpinned matrix.  It keeps Delta's interior rows
+    (operators.laplacian) once, on the interior's columns, as `matrix`, and
+    level b-1's terms in the boundary columns as `boundary`.  `diagnostics`
+    counts over all calls that share the system (see `of`).  Raises
+    ValueError where operators.build_level_operators does, on every stored
+    level, and at a level pair without edges above the boundary.
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
@@ -82,12 +83,15 @@ class DirichletSystem:
         self.boundary_level = boundary_level
         self.offsets = d.table.offsets[:boundary_level + 1]
         self.n_interior = n = int(self.offsets[-1])
-        self.lap = laplacian(d, 0, boundary_level)
-        # the boundary level's columns go
-        self.matrix = free_matrix(self.lap, np.arange(self.lap.shape[1]) >= n)[0]
+        lap = laplacian(d, 0, boundary_level)
+        outside = np.arange(lap.shape[1]) >= n  # the boundary level's columns
+        self.matrix = free_matrix(lap, outside)[0]
+        lap = lap.masked(outside[lap.indices])  # children of level b-1's rows alone
+        lo = int(self.offsets[-2])
+        self.boundary = LevelMatrix(lap.data, lap.indices, lap.indptr[lo:].copy(),
+                                    (n - lo, lap.shape[1]))
         self.degrees = d.degrees[:n]  # its diagonal
         _check_crossable(d, 0, boundary_level)  # else the matrix is singular
-        self._lu = None
         self.diagnostics = {"path": "direct", "factorizations": 0, "solves": 0,
                             "max_residual": 0.0}
 
@@ -109,20 +113,18 @@ class DirichletSystem:
             raise ValueError(f"vertex {v} is not interior to level {self.boundary_level}")
         return int(self.offsets[v.level] + v.index)
 
-    def _factor(self, matrix):
-        import scipy.sparse.linalg as spla
-        self.diagnostics["factorizations"] += 1
-        # symmetric, so the CSR matrix's transpose is its CSC form, no copy
-        return spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
+    @cached_property
+    def _unpinned(self) -> FactoredSystem:  # the kept one, factored on first use
+        return FactoredSystem(self.matrix, "one-step", self.diagnostics, **_DIRICHLET)
 
-    def _solve_flat(self, matrix, lu, b: np.ndarray) -> np.ndarray:
-        report = self.diagnostics
-        x = lu.solve(b)
-        x += lu.solve(b - matrix @ x)
-        report["solves"] += 1
-        report["max_residual"] = max(report["max_residual"],
-                                     float(np.abs(b - matrix @ x).max(initial=0.0)))
-        return x
+    def columns(self, at: Sequence[int]):
+        """Generates the interior's u for L u = e_y, y each interior vertex
+        of `at` (flat numbers) in turn, from one right-hand side."""
+        b = np.zeros(self.n_interior)
+        for y in at:
+            b[y] = 1.0
+            yield self._unpinned.solve(b)
+            b[y] = 0.0
 
     def solve(self, source: Optional[Dict[VertexId, float]] = None,
               boundary_values: Optional[np.ndarray] = None,
@@ -140,23 +142,23 @@ class DirichletSystem:
             if bvals.shape[0] != d.level_sizes[level]:
                 raise ValueError("boundary values have the wrong length")
             u[n:] = bvals
+        fixed = np.arange(u.size) >= n
         if pinned:
-            at, fixed = [self.flat(v) for v in pinned], np.arange(u.size) >= n
+            at = [self.flat(v) for v in pinned]
             u[at], fixed[at] = list(pinned.values()), True
-            lap = self.lap.masked(~fixed[self.lap.rows()])  # a pinned vertex's equation goes
-            matrix, live = free_matrix(lap, fixed)
-            b = fixed_rhs(d, lap, fixed, b, u)[live]
-            u[~fixed] = self._solve_flat(matrix, self._factor(matrix), b)
+        lo = int(self.offsets[-2])
+        # a row's fixed children come before its fixed parents, and level
+        # b-1's children are the boundary's
+        b[lo:] = fixed_rhs(d, self.boundary, fixed, b[lo:], u, ~fixed[lo:n])
+        if pinned:
+            m = self.matrix
+            rows = LevelMatrix(m.data, m.indices, m.indptr, m.shape)
+            rows = rows.masked(~fixed[rows.rows()])  # a pinned vertex's equation goes
+            matrix, live = free_matrix(rows, fixed[:n])
+            system = FactoredSystem(matrix, "one-step", self.diagnostics, **_DIRICHLET)
+            u[~fixed] = system.solve(fixed_rhs(d, rows, fixed, b, u, live)[live])
         else:
-            if u.any():  # the boundary values' terms, in level b-1's equations
-                lap, lo = self.lap, int(self.offsets[-2])
-                at = slice(lap.indptr[lo], None)
-                last = LevelMatrix(lap.data[at], lap.indices[at], lap.indptr[lo:] - lap.indptr[lo],
-                                   (n - lo, lap.shape[1]))
-                b[lo:] = fixed_rhs(d, last, np.arange(u.size) >= n, b[lo:], u)
-            if self._lu is None:
-                self._lu = self._factor(self.matrix)
-            u[:n] = self._solve_flat(self.matrix, self._lu, b)
+            u[:n] = self._unpinned.solve(b)
         return LevelFunction.from_flat(d, u)
 
 
@@ -200,15 +202,15 @@ def green_exact(d: Diagram, boundary_level: int,
         vertices = [VertexId(n, i) for n in range(boundary_level)
                     for i in range(d.level_sizes[n])]
     vertices = tuple(vertices)
-    # L u = e_y on the interior, one y at a time, and u = 0 on the boundary level
-    return _green_solve(sysm, vertices, (sysm.solve(source={y: 1.0}).flat() for y in vertices))
-
-
-def _green_solve(sysm: DirichletSystem, vertices: tuple, columns) -> GreenSolve:
-    """green_exact on a given system, from the solutions of L u = e_y for the
-    vertices y in order, flat from the root through at least the boundary
-    level (an iterable, so that a generator holds one column at a time)."""
     idx = np.array([sysm.flat(v) for v in vertices], dtype=np.int64)
+    # L u = e_y on the interior, one y at a time, and u = 0 on the boundary level
+    return _green_solve(sysm, vertices, idx, sysm.columns(idx))
+
+
+def _green_solve(sysm: DirichletSystem, vertices: tuple, idx: np.ndarray, columns) -> GreenSolve:
+    """green_exact on a given system, from the interior solutions of
+    L u = e_y for the vertices y in order, whose flat numbers are idx (an
+    iterable, so that a generator holds one column at a time)."""
     degs = sysm.degrees[idx]
     green = np.empty((len(vertices),) * 2)
     step = np.empty(len(vertices))
@@ -370,14 +372,14 @@ def dipole_matrix_M(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int,
     sysm = DirichletSystem.of(d, boundary_level)
     # pair-hitting functions from the Green columns: h_j = sum_i coef[i, j] w_i
     # with coef = W^-1, W[a, i] = w_i(x_a) a principal block of L^-1
-    cols = [sysm.solve(source={x: 1.0}) for x in (x1, x2)]
-    coef = np.linalg.inv([[w.at(x) for w in cols] for x in (x1, x2)])
-    w1, w2 = (w.flat() for w in cols)
+    idx = np.array([sysm.flat(x) for x in (x1, x2)], dtype=np.int64)
+    w1, w2 = sysm.columns(idx)
+    coef = np.linalg.inv([[w[i] for w in (w1, w2)] for i in idx])
     h1, h2 = (LevelFunction.from_flat(d, coef[0, j] * w1 + coef[1, j] * w2) for j in (0, 1))
     lap1, lap2 = (laplacian_apply(d, h) for h in (h1, h2))
     m = np.array([[lap1.at(x1), lap2.at(x1)],
                   [lap1.at(x2), lap2.at(x2)]])
-    gs = _green_solve(sysm, (x1, x2), (w1, w2))
+    gs = _green_solve(sysm, (x1, x2), idx, (w1, w2))
     (c1, c2), (u1, u2) = gs.degrees, gs.return_prob
     f12, f21 = gs.reach_ratio[0, 1], gs.reach_ratio[1, 0]
     m_fact = np.diag([c1, c2]) @ np.array([[1.0 - u1, -f12], [-f21, 1.0 - u2]])

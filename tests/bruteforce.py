@@ -3,14 +3,17 @@
 Everything here recomputes quantities from the raw edge data with plain
 dense numpy, deliberately avoiding the package's own solver paths, so the
 library can be checked against an implementation that shares no code with
-it beyond the Diagram container.  `broom` builds the one-wide-row diagram
-that the walk-table and cost tests share.
+it beyond the Diagram container.  The replays write out the exact solves'
+factorizations and refinement rules, on systems they build themselves.
+`broom` builds the one-wide-row diagram that the walk-table and cost tests
+share.
 """
 import bisect
 import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bharm.diagram import Diagram, ExtensionRule, VertexId, make_diagram
 
@@ -274,6 +277,93 @@ def ref_p_row(d: Diagram, v: VertexId, values) -> float:
         m = d.table.level(n).toarray()
         terms += [m[x, j] * inv * values[n + 1][j] for j in np.flatnonzero(m[x])]
     return math.fsum(terms)
+
+
+# --- replay of the solves' arithmetic -------------------------------------------
+# The exact solves' bits rest on each caller's SuperLU settings and
+# refinement rule, so these write them out step by step, on systems built
+# from dense arrays: the Dirichlet solves and the recursion.
+
+def ref_delta_rows(d: Diagram, first: int, last: int) -> np.ndarray:
+    """Delta's rows of levels first..last-1 (the others 0) on the vertices of
+    levels 0..last, entry by entry: -c to each neighbour, c(x) on the
+    diagonal."""
+    off = flat_offsets(d, last)
+    a = np.zeros((off[last], off[last + 1]))
+    for n in range(max(first - 1, 0), last):
+        cm = d.table.level(n).toarray()
+        for i, j in zip(*np.nonzero(cm)):
+            u, v = off[n] + i, off[n + 1] + j
+            if n >= first:
+                a[u, v] = -cm[i, j]
+            if first <= n + 1 < last:
+                a[v, u] = -cm[i, j]
+    for n in range(first, last):
+        a[range(off[n], off[n + 1]), range(off[n], off[n + 1])] = ref_degrees(d, n)
+    return a
+
+
+def ref_fixed_system(a, fixed, values, source, dropped=()):
+    """The free system of rows a with the columns where `fixed` is True set
+    to values: the scipy CSR matrix of the rows left with an unknown on the
+    free columns, less the rows `dropped`, and its right-hand side, source
+    less each row's fixed terms a[r, c] values[c], children (c > r), c(x),
+    then parents, each in column order; source as it is when every value is
+    0."""
+    b = np.array(source[:a.shape[0]], dtype=float)
+    for r in range(a.shape[0]) if np.any(values) else ():
+        cols = [int(c) for c in np.flatnonzero(a[r] * fixed)]
+        for c in sorted(cols, key=lambda c: (c < r, c == r, c)):
+            b[r] -= a[r, c] * values[c]
+    live = (a[:, ~fixed] != 0).any(axis=1)
+    live[list(dropped)] = False
+    return sp.csr_matrix(a[live][:, ~fixed]), b[live]
+
+
+def replay_dirichlet(a, b) -> np.ndarray:
+    """A Dirichlet solve: SuperLU ordered by minimum degree on A + A^T with
+    one-column supernode panels, on A^T (A is symmetric, its CSC form), and
+    one plain refinement step."""
+    lu = spla.splu(a.T, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
+    x = lu.solve(b)
+    return x + lu.solve(b - a @ x)
+
+
+def exact_residual(a, x, b) -> np.ndarray:
+    """b - a x, each row rounded once from rational arithmetic."""
+    from fractions import Fraction
+    return np.array([float(Fraction(b[r]) - sum(
+        Fraction(a.data[k]) * Fraction(x[a.indices[k]]) for k in range(a.indptr[r], a.indptr[r + 1])))
+        for r in range(a.shape[0])])
+
+
+def replay_recursion(a, b):
+    """(x, path, refinement steps) of the recursion's solve of a x = b.
+    Overdetermined or structurally rank deficient: LSQR from 0.  Square:
+    SuperLU with its default ordering, refined on exactly rounded residuals.
+    Underdetermined: the x block of SuperLU's solution of [[I, A^T], [A, 0]]
+    [x, y] = [0, b], refined on plain ones.  Refinement stops once a step
+    falls below 1e-15 max(1, max|x|), or is no smaller than the one before,
+    or after 30 steps."""
+    m, n = a.shape
+    if m > n or (m and sp.csgraph.structural_rank(a) < m):
+        return spla.lsqr(a, b, atol=1e-14, btol=1e-14, iter_lim=8 * (m + n))[0], "lsqr", 0
+    if m == n:
+        path, lu, rhs = "lu", spla.splu(a.tocsc()), b
+        residual = lambda x: exact_residual(a, x, b)  # noqa: E731
+    else:
+        k = sp.bmat([[sp.identity(n), a.T], [a, None]], format="csc")
+        path, lu, rhs = "augmented-lu", spla.splu(k), np.concatenate([np.zeros(n), b])
+        residual = lambda z: rhs - k @ z  # noqa: E731
+    x, prev = lu.solve(rhs), np.inf
+    for steps in range(1, 31):
+        step = lu.solve(residual(x))
+        norm = float(np.abs(step).max())
+        x = x + step
+        if norm <= 1e-15 * max(1.0, float(np.abs(x).max())) or norm >= prev:
+            break
+        prev = norm
+    return x[:n], path, steps
 
 
 class DictGraph:

@@ -143,6 +143,25 @@ def test_manifest_written_and_reproducible(tmp_path, monkeypatch):
     assert out_file.read_bytes() == first
 
 
+def test_inputs_are_hashed_only_for_a_manifest(tmp_path, monkeypatch, capsys):
+    # validate and runs that write to stdout hash nothing, a manifest hashes
+    # the inputs read up to it, and main lets the texts go when it returns
+    path = tmp_path / "d.bd"
+    path.write_text(cli.format_diagram(gen_pascal(30, 1.0)))
+    hashed, digest = [], cli._hash
+    monkeypatch.setattr(cli, "_hash", lambda text: hashed.append(len(text)) or digest(text))
+    assert main(["validate", str(path)]) == 0
+    assert main(["green", "--diagram", str(path), "--vertices", "3,1"]) == 0
+    assert main(["green", "--diagram", str(path), "--vertices", "99,1"]) == 1
+    assert hashed == [] and cli._INPUT_TEXTS == {}
+    out = tmp_path / "g.csv"
+    assert main(["green", "--diagram", str(path), "--vertices", "3,1", "--out", str(out)]) == 0
+    assert hashed == [len(path.read_text()), len(out.read_text())] and cli._INPUT_TEXTS == {}
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["input_sha256_16"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()[:16]}
+
+
 def test_manifest_records_the_argv_given_to_main(tmp_path):
     out_file = tmp_path / "h.fn"
     argv = ["harmonic", "--diagram", "pascal:8:1", "--out", str(out_file)]

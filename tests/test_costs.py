@@ -4,9 +4,10 @@ work it did, compared exactly on small fixed requests run through the CLI.
 Clocks drift with the host, so a regression in how much work is done is
 caught by its counts instead: walk steps, draws and refills, capped walks,
 the Dirichlet solves' factorizations and solves, the recursion's path,
-refinement steps and fallback, and `dimension`'s route.  Each count depends
-only on the request.  Floats such as `max_residual` are left out.  A change
-that moves a count updates `cost_goldens.json` and says why.
+refinement steps and fallback (and LSQR's iterations and stop reason on
+its path), and `dimension`'s route.  Each count depends only on the
+request.  Floats such as `max_residual` are left out.  A change that moves
+a count updates `cost_goldens.json` and says why.
 """
 import json
 import math
@@ -32,6 +33,8 @@ COUNTED = {"walk": ("steps", "draws", "refills", "n_capped"),
            "monopole": ("solve_path", "refine_steps", "fallback"),
            "dipole": ("solve_path", "refine_steps", "fallback"),
            "dimension": ("path", "first_rank_deficient_level", "svd_levels")}
+# and on the recursion's lsqr path, LSQR's iterations and stop reason
+LSQR_COUNTED = ("itn", "istop")
 
 
 def _inputs(tmp_path):
@@ -63,6 +66,8 @@ def run_case(argv, tmp_path, capsys) -> dict:
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     kind = argv[0] if argv[0] != "poisson" else f"poisson-{manifest['method']}"
     counts = {k: manifest[k] for k in COUNTED[kind]}
+    if manifest.get("solve_path") == "lsqr":
+        counts.update((k, manifest[k]) for k in LSQR_COUNTED)
     if kind == "poisson-monte-carlo":
         capped = re.search(r"^# (\d+) capped walk", err, re.M)
         counts["n_capped"] = int(capped.group(1)) if capped else 0

@@ -35,6 +35,7 @@ from bharm.closedforms import (
 )
 from bharm.fileio import parse_diagram, parse_genspec
 from bharm.harmonic import RANK_RCOND, _level_rank
+import bruteforce
 from bruteforce import (level_matrices, ref_chain_residuals, ref_degrees,
                         stacked_constraint_matrix, stacked_nullity)
 
@@ -764,3 +765,37 @@ def test_max_min_principle_monotone_sequences(f, d):
         assert b > a
     for a, b in zip(minima, minima[1:]):
         assert b < a
+
+
+def _replay_diagrams():
+    golden = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
+    return [gen_binary_tree(5, 2.0), gen_pascal(6, 1.5), parse_diagram(golden["diagram"])]
+
+
+@pytest.mark.parametrize("d", _replay_diagrams(), ids=["tree", "pascal", "irregular"])
+@pytest.mark.parametrize("path", ["lu", "augmented-lu", "lsqr"])
+def test_the_recursion_replays_its_arithmetic(d, path):
+    # a seed, a source, a pin on level 3 and pins on the last level, all of
+    # many scales, so that level 2's equations take fixed terms of parents
+    # and of children; all of the last level but |V_1| + 1 vertices, spread
+    # so that each level-1 vertex keeps one below it, leaves the stacked
+    # system square, one pin underdetermined, all of it overdetermined
+    depth, off, sizes = d.num_levels, d.table.offsets, d.level_sizes
+    seed = np.cos(np.arange(sizes[1])) * 10.0 ** np.arange(sizes[1])
+    free = range(0, sizes[depth], sizes[depth] // (sizes[1] + 1))[:sizes[1] + 1]
+    last = {"lu": [i for i in range(sizes[depth]) if i not in free], "augmented-lu": [1],
+            "lsqr": range(sizes[depth])}[path]
+    pins = {3: {0: 1e6 / 7}, depth: {i: np.sin(1.0 + i) * 10.0 ** (i % 5 - 2) for i in last}}
+    f, rep = solve_chain(d, source={VertexId(2, 1): 1.0}, seed_f1=seed, pins=pins)
+    fixed, values = np.arange(off[depth + 1]) < off[2], np.zeros(off[depth + 1])
+    values[off[1]:off[2]] = seed
+    for n, at in pins.items():
+        fixed[off[n] + np.array(list(at))], values[off[n] + np.array(list(at))] = True, list(
+            at.values())
+    rhs = np.zeros(off[depth])
+    rhs[off[2] + 1] = 1.0
+    a, b = bruteforce.ref_fixed_system(bruteforce.ref_delta_rows(d, 0, depth), fixed, values, rhs)
+    values[~fixed], want_path, steps = bruteforce.replay_recursion(a, b)
+    assert (rep.diagnostics["path"], want_path) == (path, path)
+    assert rep.diagnostics["refine_steps"] == steps
+    assert np.array_equal(f.flat()[:values.size], values)

@@ -38,6 +38,7 @@ from bharm import pathspace
 from bharm.fileio import parse_diagram
 from bharm.operators import markov_apply
 from bharm.pathspace import _philox_doubles, _transitions
+import bruteforce
 from bruteforce import broom, brute_green, flat_of, walk_path, walk_tables
 
 
@@ -127,6 +128,26 @@ def test_green_above_the_old_cg_size_is_one_direct_factorization():
         u += lu.solve(np.asarray(b - a @ u, dtype=float))
     ref = float(u[sysm.flat(x)] / u[sysm.flat(y)])
     assert abs(gs.reach_ratio[1, 2] - ref) <= 1e-10 * ref
+
+
+def test_a_dirichlet_system_keeps_the_interior_rows_of_delta_once():
+    # on tree:16:2: the rows on the interior's columns (196,603 entries) and
+    # level 15's entries in the boundary columns (65,536), 3,538,888 bytes
+    # in all; the rows with the boundary columns (262,139 entries, 3.25 MiB)
+    # are not kept beside them, and the other arrays are the diagram's
+    d = gen_binary_tree(16, 2.0)
+    sysm = pathspace.DirichletSystem(d, 16)
+    held = {k: v for k, v in vars(sysm).items() if hasattr(v, "nbytes") or hasattr(v, "indptr")}
+    assert sorted(held) == ["boundary", "degrees", "matrix", "offsets"]
+    assert np.shares_memory(sysm.degrees, d.degrees)
+    assert np.shares_memory(sysm.offsets, d.table.offsets)
+    assert (sysm.matrix.nnz, sysm.boundary.nnz) == (196_603, 65_536)
+    assert sum(a.nbytes for m in (sysm.matrix, sysm.boundary)
+               for a in (m.data, m.indices, m.indptr)) == 3_538_888
+    # the boundary block is level 15's rows' children, in table order
+    _, _, j, c = (a[d.table.starts[15]:] for a in d.table.entries())
+    assert np.array_equal(sysm.boundary.indices, d.table.offsets[16] + j)
+    assert np.array_equal(sysm.boundary.data, -c)
 
 
 def test_every_dirichlet_solve_on_one_diagram_and_level_shares_one_factorization(splu_calls):
@@ -344,13 +365,13 @@ def test_dipole_matrix_asymmetric_pair():
 def test_dipole_matrix_solves_each_green_column_once(monkeypatch):
     # the pair-hitting functions and the Green solve share the two columns
     solves = []
-    solve_flat = pathspace.DirichletSystem._solve_flat
+    solve = pathspace.FactoredSystem.solve
 
-    def counted(self, matrix, lu, b):
+    def counted(self, b, *args):
         solves.append(b)
-        return solve_flat(self, matrix, lu, b)
+        return solve(self, b, *args)
 
-    monkeypatch.setattr(pathspace.DirichletSystem, "_solve_flat", counted)
+    monkeypatch.setattr(pathspace.FactoredSystem, "solve", counted)
     res = dipole_matrix_M(gen_binary_tree(10, 2.0), VertexId(2, 1), VertexId(3, 4), 10)
     assert len(solves) == 2 and not res.degenerate
 
@@ -875,3 +896,45 @@ def test_harmonic_family_stabilizes_at_level_plus_one():
                 for n in range(x.level + 1, 10)]
         assert max(abs(v - h.at(x)) for v in vals) <= 1e-10
 
+
+
+def _replay_diagrams():
+    golden = json.loads((pathlib.Path(__file__).parent / "walk_goldens.json").read_text())
+    return [gen_binary_tree(5, 2.0), gen_pascal(6, 1.5), parse_diagram(golden["diagram"])]
+
+
+@pytest.mark.parametrize("d", _replay_diagrams(), ids=["tree", "pascal", "irregular"])
+def test_the_dirichlet_solves_replay_their_arithmetic(d):
+    # green_exact, exact poisson_kernel and a pinned solve with a source and
+    # boundary values, against bruteforce's replay of a Dirichlet solve
+    for level in (d.num_levels, d.num_levels - 1):
+        delta, n = bruteforce.ref_delta_rows(d, 0, level), d.table.offsets[level]
+        fixed = np.arange(delta.shape[1]) >= n
+        vertices = [VertexId(k, k % d.level_sizes[k]) for k in range(level)]
+        gs = green_exact(d, level, vertices)
+        at = [flat_of(d, v, d.table.offsets) for v in vertices]
+        a, _ = bruteforce.ref_fixed_system(delta, fixed, np.zeros(delta.shape[1]), np.zeros(n))
+        cols = [bruteforce.replay_dirichlet(a, np.eye(n)[y]) for y in at]
+        green = np.array([u[at] * d.degrees[y] for u, y in zip(cols, at)]).T
+        steps = [bruteforce.ref_p_row(d, v, LevelFunction.from_flat(d, u).values) / u[y]
+                 for v, u, y in zip(vertices, cols, at)]
+        assert np.array_equal(gs.green, green)
+        assert np.array_equal(gs.reach_ratio, green / np.diag(green)[None, :])
+        assert np.array_equal(gs.return_prob, steps)
+        f = np.sin(1.0 + 0.37 * np.arange(d.level_sizes[level])) * 10.0 ** (
+            np.arange(d.level_sizes[level]) % 5 - 2)
+        u = np.concatenate([np.zeros(n), f])
+        a, b = bruteforce.ref_fixed_system(delta, fixed, u, np.zeros(n))
+        assert np.array_equal(poisson_kernel(d, f, level).values.flat(),
+                              np.concatenate([bruteforce.replay_dirichlet(a, b), f]))
+        # level b-2's pin is a parent of level b-1 rows with boundary terms
+        pins = {VertexId(level - 1, 0): 0.75, VertexId(level - 2, 1): 1e6 / 7, VertexId(1, 1): -2.0}
+        pinned = [flat_of(d, v, d.table.offsets) for v in pins]
+        fixed[pinned], u[pinned] = True, list(pins.values())
+        source = np.zeros(n)
+        source[at[-1]] = 1.0
+        a, b = bruteforce.ref_fixed_system(delta, fixed, u, source, dropped=pinned)
+        u[~fixed] = bruteforce.replay_dirichlet(a, b)
+        got = pathspace.DirichletSystem(d, level).solve(
+            source={vertices[-1]: 1.0}, boundary_values=f, pinned=pins)
+        assert np.array_equal(got.flat()[:u.size], u)
