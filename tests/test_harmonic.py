@@ -790,8 +790,8 @@ def test_the_recursion_replays_its_arithmetic(d, path):
     fixed, values = np.arange(off[depth + 1]) < off[2], np.zeros(off[depth + 1])
     values[off[1]:off[2]] = seed
     for n, at in pins.items():
-        fixed[off[n] + np.array(list(at))], values[off[n] + np.array(list(at))] = True, list(
-            at.values())
+        cols = off[n] + np.array(list(at))
+        fixed[cols], values[cols] = True, list(at.values())
     rhs = np.zeros(off[depth])
     rhs[off[2] + 1] = 1.0
     a, b = bruteforce.ref_fixed_system(bruteforce.ref_delta_rows(d, 0, depth), fixed, values, rhs)
