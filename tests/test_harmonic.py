@@ -446,6 +446,48 @@ def test_bottleneck_dimension_zero_past_first_inconsistent_level():
         assert dim == stacked_nullity(d, k), f"level {k}"
 
 
+# conductances from 1e-6 to 5.6e5; the exact nullity of the stacked system
+# at depth 5 is 0, and its smallest singular value ratio is 9.9e-12
+_WIDE_SPREAD_FILE = """bratteli v1
+levels 6 : 1 1 1 5 5 1
+e 0 0 0 4.6e-05
+e 1 0 0 6.682143
+e 2 0 0 563858.200261
+e 2 0 1 3842.842539
+e 2 0 2 227041.321332
+e 2 0 3 0.534034
+e 2 0 4 4.2e-05
+e 3 0 0 0.670349
+e 3 0 2 0.280362
+e 3 1 2 111585.465658
+e 3 1 4 0.188045
+e 3 2 0 9079.617683
+e 3 2 1 21.467952
+e 3 3 0 0.071073
+e 3 3 1 0.086002
+e 3 3 2 8033.084717
+e 3 3 3 0.0001
+e 3 3 4 0.005158
+e 3 4 0 933.801438
+e 3 4 1 228.069287
+e 3 4 3 0.021777
+e 4 0 0 2266.722171
+e 4 1 0 0.180311
+e 4 2 0 0.018558
+e 4 3 0 1e-06
+e 4 4 0 0.002889
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: _propagate decides the rank drop "
+                   "at level 4 per level and counts 1 free parameter at depth 5, where the "
+                   "stacked system has none")
+def test_propagation_counts_the_stacked_nullity_at_a_wide_conductance_spread():
+    d = parse_diagram(_WIDE_SPREAD_FILE)
+    assert [stacked_nullity(d, k) for k in range(1, 6)] == [0, 0, 4, 4, 0]
+    assert harm_dimension(d).per_level == {1: 0, 2: 0, 3: 4, 4: 4, 5: 0}
+
+
 def test_dimension_monotonicity_bookkeeping():
     d = gen_pascal(6, 1.0)
     res = harm_dimension(d)
