@@ -13,20 +13,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "diagram": (
         "Diagram", "ExtensionRule", "GeneralGraph", "VertexId", "Violation",
-        "check_bratteli_structure", "diagram_from_graph", "extend_to",
-        "extract_maximal_bratteli", "gen_binary_tree", "gen_binary_tree_radial",
-        "gen_bottleneck", "gen_ladder", "gen_pascal", "gen_stationary", "make_diagram",
-        "validate",
+        "check_bratteli_structure", "diagram_from_graph", "extract_maximal_bratteli",
+        "gen_binary_tree", "gen_binary_tree_radial", "gen_bottleneck", "gen_ladder",
+        "gen_pascal", "gen_stationary", "make_diagram", "validate",
     ),
     "energy": (
         "CurrentBalanceReport", "DissipationReport", "EnergyReport", "current_balance",
-        "dissipation_check", "energy_harmonic_formulas", "energy_lower_bound",
-        "energy_norm", "resistance_distance", "stationary_energy_criterion",
+        "dissipation_check", "energy_lower_bound", "energy_norm", "resistance_distance",
+        "stationary_energy_criterion",
     ),
     "harmonic": (
-        "DimensionResult", "HarmonicState", "SolveReport", "extend_harmonic",
-        "harm_dimension", "harmonicity_check", "solve_chain", "solve_dipole",
-        "solve_monopole",
+        "DimensionResult", "SolveReport", "harm_dimension", "harmonicity_check",
+        "solve_chain", "solve_dipole", "solve_monopole",
     ),
     "operators": (
         "LevelFunction", "SpectralBoundReport", "build_level_operators",
@@ -34,10 +32,9 @@ _EXPORTS = {
     ),
     "pathspace": (
         "DipoleMatrixResult", "DirichletSystem", "GreenSolve", "PoissonResult",
-        "StabilizationReport", "TransienceReport", "WalkConfig", "WalkEstimates",
-        "dipole_green", "dipole_matrix_M", "green_exact",
-        "green_identity_report", "hitting_function", "monopole_green", "multipole",
-        "poisson_kernel", "poisson_stabilization", "simulate_walks", "transience_report",
+        "TransienceReport", "WalkConfig", "WalkEstimates", "dipole_green",
+        "dipole_matrix_M", "green_exact", "green_identity_report", "monopole_green",
+        "poisson_kernel", "simulate_walks", "transience_report",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,7 +8,7 @@ LevelMatrix of their rows stacked in level order, and every table is made
 by edge_table from (level, row, col, value) triplets in table order; its
 C_n is level(n), a view of the table's slice, and all levels' triplets are
 entries(); an entry's two vertices are its tail and head.  Every sum over
-the edges of a range of levels (P, the Laplacian, the degrees) is one
+the edges of levels 0..last-1 (P, the Laplacian, the degrees) is one
 edge_sums on slices of tail and head.  Both types are bharm's own and
 need numpy only: scipy is imported only where a caller hands in a scipy
 sparse matrix (stacked_table) and by the solvers that factor or decompose.
@@ -71,8 +71,8 @@ class EdgeTable(LevelMatrix):
     run in (level, row, col) order; level n's are starts[n]:starts[n + 1],
     and level(n) is C_n as a view of them.  Entry k of level n joins vertex
     tail[k] of level n to vertex head[k] of level n + 1 (read-only, in the
-    index dtype).  edge_sums takes the sums over a range of levels' entries
-    for each row and each column vertex at once.
+    index dtype).  edge_sums takes the sums over the entries of levels
+    0..last-1 for each row and each column vertex at once.
     """
     __slots__ = ("sizes", "offsets", "starts", "tail", "head")
 
@@ -93,20 +93,18 @@ class EdgeTable(LevelMatrix):
         return LevelMatrix(_window(self.data, lo, hi), _window(self.indices, lo, hi),
                            self.indptr[a:b + 1] - self.indptr[a], self.sizes[n:n + 2])
 
-    def edge_sums(self, first: int, last: int, x=None, scale=None):
-        """(child, parent) sums over the entries of levels first..last-1,
-        with x and scale on the vertices of levels first..last and both
-        sums numbered as they are (from offsets[first]): child[v] sums
-        w x[col] over v's row and parent[u] sums w x[row] over u's column,
-        w the conductance times scale[v] or scale[u] (when given), x 1 when
-        left out.  Each is one np.bincount in table order, and a vertex's
-        entries lie in one level, so level n's sums are bit for bit scipy's
-        CSR products C_n x and C_n^T x (child is 0 on level last, parent on
-        level first)."""
-        base, lo, hi = self.offsets[first], self.starts[first], self.starts[last]
-        size = int(self.offsets[last + 1] - base)
-        rows, cols = self.tail[lo:hi] - base, self.head[lo:hi] - base
-        c = self.data[lo:hi]
+    def edge_sums(self, last: int, x=None, scale=None):
+        """(child, parent) sums over the entries of levels 0..last-1, with x
+        and scale on the vertices of levels 0..last and both sums numbered
+        as they are: child[v] sums w x[col] over v's row and parent[u] sums
+        w x[row] over u's column, w the conductance times scale[v] or
+        scale[u] (when given), x 1 when left out.  Each is one np.bincount
+        in table order, and a vertex's entries lie in one level, so level
+        n's sums are bit for bit scipy's CSR products C_n x and C_n^T x
+        (child is 0 on level last, parent on the root)."""
+        hi = self.starts[last]
+        size = int(self.offsets[last + 1])
+        rows, cols, c = self.tail[:hi], self.head[:hi], self.data[:hi]
         down, up = (c, c) if scale is None else (c * scale.take(rows), c * scale.take(cols))
         if x is not None:
             down, up = down * x.take(cols), up * x.take(rows)

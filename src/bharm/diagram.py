@@ -37,15 +37,14 @@ class VertexId:
 
 @dataclass(frozen=True)
 class ExtensionRule:
-    """How the stored prefix continues past level N.
-
-    kind is one of "tree", "pascal", "stationary", "explicit"; stationary
-    rules carry the repeating 0-1 matrix.  "explicit" means no rule is known
-    and the prefix cannot be extended lazily.
+    """How the stored prefix continues past level N: kind "stationary", set
+    by gen_stationary, with lam and the repeating 0-1 matrix, which
+    closedforms.stationary_formula and energy.stationary_energy_criterion
+    read.  A diagram without a known rule has extension None.
     """
     kind: str
     lam: float = 1.0
-    matrix: Optional[tuple] = None  # stationary only: rows of A as tuples
+    matrix: Optional[tuple] = None  # rows of A as tuples
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class Diagram:
         that level n's slice is the column sums of C_{n-1} plus the row sums
         of C_n, bit for bit.  The root has no parents and the last stored
         level no children there, so its c is truncated."""
-        out, into = self.table.edge_sums(0, self.num_levels)
+        out, into = self.table.edge_sums(self.num_levels)
         with np.errstate(over="ignore"):  # build_level_operators refuses an infinite c(x)
             c = into + out
         c.flags.writeable = False
@@ -197,7 +196,7 @@ def gen_binary_tree(depth: int, lam: float) -> Diagram:
     level = np.repeat(np.arange(depth), per_level)
     cols = np.arange(level.size) - (per_level - 2)[level]
     table = edge_table([1, *per_level], level, cols // 2, cols, np.repeat(powers, per_level))
-    return Diagram(table, ExtensionRule("tree", lam))
+    return Diagram(table)
 
 
 def gen_pascal(depth: int, lam: float) -> Diagram:
@@ -212,7 +211,7 @@ def gen_pascal(depth: int, lam: float) -> Diagram:
     k = np.arange(level.size) - level * (level + 1)  # C_n's entries start at n (n + 1)
     table = edge_table(np.arange(1, depth + 2), level, k // 2, k // 2 + k % 2,
                        np.repeat(powers, per_level))
-    return Diagram(table, ExtensionRule("pascal", lam))
+    return Diagram(table)
 
 
 def gen_stationary(a, depth: int, lam: float) -> Diagram:
@@ -264,7 +263,7 @@ def gen_bottleneck(profile: Sequence[int], seed: int) -> Diagram:
         for j in np.flatnonzero(a.sum(axis=0) == 0):
             a[rng.integers(m), j] = 1.0
         mats.append(a)
-    return make_diagram(profile, mats, extension=ExtensionRule("explicit"))
+    return make_diagram(profile, mats)
 
 
 def gen_ladder(depth: int, c: float = 1.0) -> Diagram:
@@ -283,7 +282,7 @@ def gen_ladder(depth: int, c: float = 1.0) -> Diagram:
     mats = [c * np.ones((1, 2))]
     for _ in range(1, depth):
         mats.append(c * np.array([[1.0, 0.0], [1.0, 1.0]]))
-    return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
+    return make_diagram(sizes, mats)
 
 
 def gen_binary_tree_radial(depth: int, lam: float, split_depth: int) -> Diagram:
@@ -310,23 +309,7 @@ def gen_binary_tree_radial(depth: int, lam: float, split_depth: int) -> Diagram:
     shell = np.tile(np.arange(width), depth - split_depth)  # vertex k to the next shell's k
     table = edge_table(sizes, np.append(level, shells), np.append(rows, shell),
                        np.append(cols, shell), np.append(vals, np.repeat(lumped, width)))
-    return Diagram(table, ExtensionRule("explicit"))
-
-
-def extend_to(d: Diagram, depth: int) -> Diagram:
-    """Regenerate a deeper prefix using the diagram's extension rule."""
-    if depth <= d.num_levels:
-        return d
-    rule = d.extension
-    if rule is None or rule.kind == "explicit":
-        raise ValueError("diagram has no extension rule; cannot extend the stored prefix")
-    if rule.kind == "tree":
-        return gen_binary_tree(depth, rule.lam)
-    if rule.kind == "pascal":
-        return gen_pascal(depth, rule.lam)
-    if rule.kind == "stationary":
-        return gen_stationary(np.array(rule.matrix), depth, rule.lam)
-    raise ValueError(f"unknown extension rule {rule.kind!r}")
+    return Diagram(table)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +493,7 @@ def _diagram_from_levels(g: GeneralGraph, levels: list) -> Diagram:
     order = np.lexsort((place[child], place[parent], level[parent]))
     parent, child = parent[order], child[order]
     table = edge_table(sizes, level[parent], place[parent], place[child], g.c[keep][order])
-    return Diagram(table, ExtensionRule("explicit"))
+    return Diagram(table)
 
 
 @dataclass(frozen=True)

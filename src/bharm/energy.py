@@ -1,6 +1,5 @@
-"""Energy norms, currents, the harmonic energy identities, the per-level
-lower bound for harmonic functions, resistance distance, and the dissipation
-isometry.
+"""Energy norms, currents, the per-level lower bound for harmonic
+functions, resistance distance, and the dissipation isometry.
 
 All sums run over the stored prefix in a fixed order (level by level), so
 results are bit-stable across runs.
@@ -13,9 +12,7 @@ from typing import Tuple
 import numpy as np
 
 from .diagram import Diagram, VertexId
-from .harmonic import DEFAULT_TOL, harmonicity_check
-from .operators import (LevelFunction, build_level_operators, check_finite, laplacian_apply,
-                        markov_apply)
+from .operators import LevelFunction, build_level_operators, check_finite
 
 
 def _drops(d: Diagram, flat: np.ndarray) -> np.ndarray:
@@ -37,8 +34,8 @@ def _flows(d: Diagram, flat: np.ndarray):
     current into x from its parents and out of x to its children, from the
     table's child and parent sums (EdgeTable.edge_sums)."""
     t = d.table
-    out_c, in_c = t.edge_sums(0, d.num_levels)
-    out_f, in_f = t.edge_sums(0, d.num_levels, flat)
+    out_c, in_c = t.edge_sums(d.num_levels)
+    out_f, in_f = t.edge_sums(d.num_levels, flat)
     return in_c * flat - in_f, out_f - out_c * flat
 
 
@@ -138,51 +135,6 @@ def energy_lower_bound(report: EnergyReport) -> Tuple[float, bool]:
             holds = False
     bound = report.bound_partial[last - 1] if last else 0.0
     return bound, holds
-
-
-@dataclass(frozen=True)
-class HarmonicEnergyValues:
-    """The two interior-sum energy formulas for harmonic functions and the
-    matching restricted edge sum.
-
-    Both formulas sum over interior vertices only; boundary_correction is
-    the half-weight of the interior-to-boundary edges, reported separately
-    so the identity stays exact on a truncated prefix.
-    """
-    via_markov: float        # (1/2) sum c(x) ((P f^2)(x) - f^2(x))
-    via_laplacian: float     # -(1/2) sum (Delta f^2)(x)
-    edge_sum_interior: float
-    boundary_correction: float
-
-
-def energy_harmonic_formulas(d: Diagram, f: LevelFunction,
-                             tol: float = DEFAULT_TOL) -> HarmonicEnergyValues:
-    """Evaluate the two alternative energy formulas on the interior.
-
-    Requires f harmonic on the interior (checked); both formulas then agree
-    with the edge sum that gives full weight to interior-interior edges and
-    half weight to interior-boundary edges.
-    """
-    rep = harmonicity_check(d, f, tol=tol)
-    if not rep.consistent:
-        raise ValueError(
-            f"input is not harmonic (max residual {rep.max_residual:.3e}); "
-            "use energy_norm for general functions")
-    f2 = LevelFunction.from_flat(d, f.flat() ** 2)
-    pf2 = markov_apply(d, f2)
-    c, offsets = d.degrees, d.table.offsets
-    via_markov = 0.5 * float(sum(np.dot(c[offsets[n]:offsets[n + 1]], pf2.values[n] - f2.values[n])
-                                 for n in range(d.num_levels)))
-    lf2 = laplacian_apply(d, f2)
-    via_laplacian = 0.0
-    for n in range(d.num_levels):
-        via_laplacian -= 0.5 * float(lf2.values[n].sum())
-    incs = _increments(d, f.flat())
-    boundary_half = 0.5 * incs[-1] if incs else 0.0
-    edge_sum_interior = float(sum(incs[:-1])) + boundary_half
-    return HarmonicEnergyValues(via_markov=via_markov, via_laplacian=via_laplacian,
-                                edge_sum_interior=edge_sum_interior,
-                                boundary_correction=boundary_half)
 
 
 @dataclass(frozen=True)

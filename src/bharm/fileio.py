@@ -424,10 +424,6 @@ def parse_graph(text: str) -> GeneralGraph:
     return GeneralGraph.from_arrays(count, *cols)
 
 
-def format_graph(g: GeneralGraph) -> str:
-    return _lines(f"graph v1\nv {g.num_vertices}\n", " ", [("e", g.i, g.j, g.c)])
-
-
 def parse_function(text: str, d: Diagram) -> LevelFunction:
     """Level function from its file text; a repeated entry takes its last
     value.  _body's columns are range-checked as in parse_diagram."""

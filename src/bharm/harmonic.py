@@ -8,16 +8,14 @@ The level recursion is
 where rhs is a point-source vector (empty for harmonic functions, delta_x
 for a monopole at x, delta_x - delta_o for a dipole).  solve_chain stacks
 these equations for all levels and returns one representative: the global
-minimum-norm solution with the seed and the pins fixed.  extend_harmonic
-takes the same solve with the whole prefix fixed.  Here and in pathspace's
-Dirichlet systems, free_matrix and fixed_rhs move fixed values to the
+minimum-norm solution with the seed and the pins fixed.  Here and in
+pathspace's Dirichlet systems, free_matrix and fixed_rhs move fixed values to the
 right-hand side and a FactoredSystem factors, solves and refines, by the
 caller's settings and rule.  Inconsistent levels are reported, not thrown.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -42,7 +40,7 @@ class SolveReport:
 
     residuals[n] is the max-norm constraint violation at level n; consistent
     is true iff every residual is within the tolerance.  diagnostics says
-    how solve_chain or extend_harmonic got its solution (see solve_chain).
+    how solve_chain got its solution.
     The dimension of each level's solution set is
     harm_dimension(d).solution_set_dims.
     """
@@ -63,26 +61,6 @@ class SolveReport:
             if not r <= self.tol:  # a nan residual is inconsistent too
                 return n
         return None
-
-
-@dataclass(frozen=True)
-class HarmonicState:
-    """Orthonormal basis of the admissible stacked pairs (f_{n-1}, f_n).
-
-    Every element, extended by any admissible next level, satisfies all
-    constraints below level n.  The basis columns are kept orthonormal for
-    conditioning; split gives the two level blocks.
-    """
-    level: int
-    sizes: tuple          # (|V_{n-1}|, |V_n|)
-    basis: np.ndarray     # (|V_{n-1}|+|V_n|) x t, orthonormal columns
-
-    @property
-    def pair_dimension(self) -> int:
-        return self.basis.shape[1]
-
-    def split(self):
-        return self.basis[: self.sizes[0]], self.basis[self.sizes[0]:]
 
 
 def _source_vectors(d: Diagram, source: Optional[Dict[VertexId, float]]) -> np.ndarray:
@@ -106,31 +84,6 @@ def harmonicity_check(d: Diagram, f: LevelFunction, tol: float = DEFAULT_TOL,
     offsets = d.table.offsets  # the levels are not empty, so reduceat's maxima are theirs
     residuals = np.maximum.reduceat(gap[:offsets[-2]], offsets[:-2]).tolist()
     return SolveReport(residuals=residuals, tol=tol)
-
-
-def extend_harmonic(d: Diagram, prefix: Sequence[np.ndarray],
-                    pins: Optional[Dict[int, float]] = None, tol: float = DEFAULT_TOL,
-                    source: Optional[Dict[VertexId, float]] = None):
-    """Solve the next level of the recursion from a prefix f_0..f_n.
-
-    Returns the minimum-norm least-squares f_{n+1}; pins fix the given
-    coordinates of f_{n+1} and minimum norm is taken on the rest.  This is
-    the global solve with depth n + 1 and the whole prefix fixed.  The
-    report carries the level-n residual in normalized form (inconsistent
-    levels are reported, not raised) and the solve's diagnostics.
-    """
-    n = len(prefix) - 1
-    if n >= d.num_levels:
-        raise ValueError("prefix already reaches the stored depth")
-    prefix = [np.asarray(v, dtype=float).reshape(-1) for v in prefix]
-    for k, v in enumerate(prefix):
-        if v.shape[0] != d.level_sizes[k]:
-            raise ValueError(f"prefix level {k} has length {v.shape[0]}, "
-                             f"expected {d.level_sizes[k]}")
-    # below level n the equations hold no unknown: the cost does not grow with n
-    x, report = _global_solve(d, n, n + 1, _source_vectors(d, source), prefix,
-                              {n + 1: pins} if pins else {}, tol)
-    return x[d.table.offsets[n + 1]:d.table.offsets[n + 2]], report
 
 
 def _exact_residual(m, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,11 +238,11 @@ def fixed_rhs(d: Diagram, lap, fixed: np.ndarray, source: np.ndarray,
     return b
 
 
-def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
-                  prefix: Sequence[np.ndarray], pins: Dict[int, Dict[int, float]], tol: float):
+def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.ndarray],
+                  pins: Dict[int, Dict[int, float]], tol: float):
     """Global minimum-norm solution of the stacked constraint system.
 
-    Unknowns f_0..f_depth, equations Delta's rows of levels first..depth-1
+    Unknowns f_0..f_depth, equations Delta's rows of levels 0..depth-1
     (operators.laplacian); the prefix f_0..f_k and the pins (level ->
     {index: value}, on levels k+1..depth) are eliminated and equations left
     without unknowns dropped; a FactoredSystem under the "exact" rule, with
@@ -307,7 +260,7 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
         if lvl < fixed_levels:
             raise ValueError(f"pin on level {lvl}, but the prefix (f_0 and any seed) "
                              f"fixes levels 0..{fixed_levels - 1}")
-    lap = laplacian(d, first, depth)
+    lap = laplacian(d, depth)
     off = d.table.offsets
     fixed = np.arange(lap.shape[1]) < off[fixed_levels]
     x_full = np.zeros(lap.shape[1])
@@ -332,26 +285,25 @@ def _global_solve(d: Diagram, first: int, depth: int, rhs: np.ndarray,
                              f"{vertex_at(d, np.flatnonzero(~fixed)[bad[0]])[0]}")
 
     x_full[~fixed] = system.solve(b_live, finite)
-    residuals = _level_residuals(d, x_full, rhs, first, depth)
+    residuals = _level_residuals(d, x_full, rhs, depth)
     lsqr = {k: counts[k] for k in ("itn", "istop") if k in counts}
     return x_full, SolveReport(residuals=residuals, tol=tol, diagnostics={
         "path": counts["path"], "refine_steps": counts["refine_steps"],
         "max_residual": max(residuals), "fallback": counts["fallback"], **lsqr})
 
 
-def _level_residuals(d: Diagram, x: np.ndarray, rhs: np.ndarray, first: int, depth: int) -> list:
+def _level_residuals(d: Diagram, x: np.ndarray, rhs: np.ndarray, depth: int) -> list:
     """max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1} - rhs_n / c_n)|, f = x,
-    per level n of first..depth-1: the normalized residuals of Delta's rows
-    of those levels.  P<- f and P-> f are the child and parent sums of the
-    table's entries of levels max(first-1, 0)..depth-1 (EdgeTable.edge_sums)
-    with scale 1/c(x).  x and rhs are numbered as the table's vertices."""
-    off, lo = d.table.offsets, max(first - 1, 0)
-    at = slice(off[lo], off[depth + 1])
-    x, rhs, c = x[at], rhs[at], d.degrees[at]
-    child, parent = d.table.edge_sums(lo, depth, x, 1.0 / c)
-    eq = slice(off[first] - at.start, off[depth] - at.start)
+    per level n of 0..depth-1: the normalized residuals of Delta's rows of
+    those levels.  P<- f and P-> f are the child and parent sums of the
+    table's entries of levels 0..depth-1 (EdgeTable.edge_sums) with scale
+    1/c(x).  x and rhs are numbered as the table's vertices."""
+    off = d.table.offsets
+    x, rhs, c = (a[:off[depth + 1]] for a in (x, rhs, d.degrees))
+    child, parent = d.table.edge_sums(depth, x, 1.0 / c)
+    eq = slice(0, off[depth])
     r = np.abs(child[eq] - (x[eq] - parent[eq] - rhs[eq] / c[eq]))
-    return np.maximum.reduceat(r, off[first:depth] - off[first]).tolist()
+    return np.maximum.reduceat(r, off[:depth]).tolist()
 
 
 def solve_chain(d: Diagram, depth: Optional[int] = None,
@@ -384,7 +336,7 @@ def solve_chain(d: Diagram, depth: Optional[int] = None,
         if seed_f1.shape[0] != d.level_sizes[1]:
             raise ValueError("seed vector length does not match level 1")
         prefix.append(seed_f1)
-    x, report = _global_solve(d, 0, depth, rhs, prefix, pins or {}, tol)
+    x, report = _global_solve(d, depth, rhs, prefix, pins or {}, tol)
     return LevelFunction.from_flat(d, x), report
 
 
@@ -460,9 +412,7 @@ class DimensionResult:
     first_rank_deficient_level is the first n with rank C_n < |V_n| (None
     on the rank route).  svd_levels counts the levels of the rank pass whose
     rank took an SVD because the certificate left them undecided (see
-    harm_dimension); it is not printed.  state, the pair basis at the
-    depth, comes from the propagation: on the rank route it is computed on
-    first read, and kept.
+    harm_dimension); it is not printed.
     """
     dimension: int
     per_level: dict
@@ -472,11 +422,6 @@ class DimensionResult:
     path: str
     first_rank_deficient_level: Optional[int]
     svd_levels: int
-    _compute_state: Callable[[], HarmonicState] = field(repr=False, compare=False)
-
-    @cached_property
-    def state(self) -> HarmonicState:
-        return self._compute_state()
 
     def as_table(self) -> str:
         lines = ["level  prefix_dim  new_free  rank_drop"]
@@ -722,11 +667,14 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionRe
     margin) takes the SVD of _level_rank, in level order, and
     svd_levels counts those.  The rank pass stops at the first
     rank-deficient level; from there the counts come from the propagation
-    (path "propagation", see _propagate), which on the rank route runs only
-    when DimensionResult.state is read.  Both equal the null-space
+    (path "propagation", see _propagate).  Both equal the null-space
     dimension of the stacked constraint system (the brute-force oracle) on
-    every tested instance.  Raises ValueError where build_level_operators
-    does, on every stored level whatever the depth.
+    the generator families and on the tested files, but not on every
+    diagram: on a file whose conductances span 1e-6 to 5.6e5 the
+    propagation, which decides each level's rank drop on its own scale,
+    counts 1 at depth 5 where the stacked nullity is 0.  Raises ValueError
+    where build_level_operators does, on every stored level whatever the
+    depth.
     """
     n_max = d.num_levels if up_to_level is None else up_to_level
     if not 1 <= n_max <= d.num_levels:
@@ -741,23 +689,21 @@ def harm_dimension(d: Diagram, up_to_level: Optional[int] = None) -> DimensionRe
             per_level={k: sizes[k] - 1 for k in range(1, n_max + 1)},
             solution_set_dims=new_free, rank_drops=dict.fromkeys(new_free, 0),
             unique_extension=not any(new_free.values()), path="ranks",
-            first_rank_deficient_level=None, svd_levels=svd_levels,
-            _compute_state=lambda: _propagate(d, n_max)[-1])
-    per_level, sol_dims, drops, unique, state = _propagate(d, n_max)
+            first_rank_deficient_level=None, svd_levels=svd_levels)
+    per_level, sol_dims, drops, unique = _propagate(d, n_max)
     return DimensionResult(
         dimension=per_level[n_max], per_level=per_level, solution_set_dims=sol_dims,
         rank_drops=drops, unique_extension=unique, path="propagation",
-        first_rank_deficient_level=deficient, svd_levels=svd_levels,
-        _compute_state=lambda: state)
+        first_rank_deficient_level=deficient, svd_levels=svd_levels)
 
 
 def _propagate(d: Diagram, n_max: int):
-    """Prefix dimensions and the pair basis at n_max by propagating the
-    admissible-pair subspace level by level (impose the constraint, project
-    onto the column space, re-orthonormalize) while accounting for interior
-    degrees of freedom already forgotten by the pair representation.
-    Returns (per_level, solution_set_dims, rank_drops, unique_extension,
-    state) as in DimensionResult.
+    """Prefix dimensions through n_max by propagating an orthonormal basis
+    of the admissible pairs (f_{n-1}, f_n) level by level (impose the
+    constraint, project onto the column space, re-orthonormalize) while
+    accounting for interior degrees of freedom already forgotten by the
+    pair representation.  Returns (per_level, solution_set_dims,
+    rank_drops, unique_extension) as in DimensionResult.
 
     Each C_n is made dense once and decomposed by one SVD, which gives its
     rank, its column space, its kernel and the minimum-norm particular
@@ -809,6 +755,4 @@ def _propagate(d: Diagram, n_max: int):
         prev = np.hstack([top, np.zeros((cur.shape[0], kern.shape[1]))])
         cur = np.hstack([bot, kern])
         per_level[n + 1] = dim_p
-    state = HarmonicState(level=n_max, sizes=(prev.shape[0], cur.shape[0]),
-                          basis=np.vstack([prev, cur]))
-    return per_level, sol_dims, drops, unique, state
+    return per_level, sol_dims, drops, unique

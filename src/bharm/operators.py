@@ -149,38 +149,37 @@ def check_finite(d: Diagram, values: np.ndarray, first: int = 0) -> None:
         raise ValueError(f"value {values[bad[0]]} at ({n},{i}) is not finite")
 
 
-def laplacian(d: Diagram, first: int, last: int) -> LevelMatrix:
-    """Delta = c(I - P)'s rows of levels first..last-1 as one LevelMatrix of
+def laplacian(d: Diagram, last: int) -> LevelMatrix:
+    """Delta = c(I - P)'s rows of levels 0..last-1 as one LevelMatrix of
     shape (offsets[last], offsets[last + 1]), numbered as the vertices of
-    d.table (the other rows are empty).  A row holds its parents (-c), its
-    c(x) from d.degrees, then its children (-c), so its columns increase;
-    the edges up to the parents are grouped by head, the one transposition.
-    Raises ValueError where build_level_operators does, on every stored
-    level whatever the range.  Built once per system that factors or steps
-    them; a sum of P over edges is EdgeTable.edge_sums."""
+    d.table.  A row holds its parents (-c), its c(x) from d.degrees, then
+    its children (-c), so its columns increase; the edges up to the parents
+    are grouped by head, the one transposition.  Raises ValueError where
+    build_level_operators does, on every stored level whatever last is.
+    Built once per system that factors or steps them; a sum of P over edges
+    is EdgeTable.edge_sums."""
     c = build_level_operators(d)
     t = d.table
-    lo = max(first - 1, 0)
-    base, n_rows = t.offsets[first], t.offsets[last]
-    up, down = slice(t.starts[lo], t.starts[last - 1]), slice(t.starts[first], t.starts[last])
+    n_rows = t.offsets[last]
+    up, down = slice(0, t.starts[last - 1]), slice(0, t.starts[last])
     by_head = np.argsort(t.head[up], kind="stable")
-    parents = np.bincount(t.head[up] - base, minlength=n_rows - base)
-    children = np.diff(t.indptr[base:n_rows + 1])
-    idx = index_dtype(t.offsets[last + 1], by_head.size + n_rows + down.stop - down.start)
+    parents = np.bincount(t.head[up], minlength=n_rows)
+    children = np.diff(t.indptr[:n_rows + 1])
+    idx = index_dtype(t.offsets[last + 1], by_head.size + n_rows + down.stop)
     indptr = np.zeros(n_rows + 1, dtype=idx)
-    np.cumsum(parents + 1 + children, out=indptr[base + 1:])
-    diag = indptr[base:-1] + parents
+    np.cumsum(parents + 1 + children, out=indptr[1:])
+    diag = indptr[:-1] + parents
     # edge k of a row's run of edges goes k slots past the run's first slot
-    at_up = np.repeat(indptr[base:-1] - np.cumsum(parents) + parents, parents)
+    at_up = np.repeat(indptr[:-1] - np.cumsum(parents) + parents, parents)
     at_up += np.arange(by_head.size)
-    at_down = np.repeat(diag + 1 - t.indptr[base:n_rows], children)
-    at_down += np.arange(down.start, down.stop)
+    at_down = np.repeat(diag + 1 - t.indptr[:n_rows], children)
+    at_down += np.arange(down.stop)
     # in place and in the index dtype: a fresh large array costs its page faults
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=idx)
     data[at_up], indices[at_up] = t.data[up][by_head], t.tail[up][by_head]
     data[at_down], indices[at_down] = t.data[down], t.head[down]
     np.negative(data, out=data)
-    data[diag], indices[diag] = c[base:n_rows], np.arange(base, n_rows, dtype=idx)
+    data[diag], indices[diag] = c[:n_rows], np.arange(n_rows, dtype=idx)
     return LevelMatrix(data, indices, indptr, (n_rows, t.offsets[last + 1]))
 
 
@@ -195,7 +194,7 @@ def laplacian_apply(d: Diagram, f: LevelFunction) -> LevelFunction:
     f.check_shape(d)
     flat = f.flat()
     check_finite(d, flat)
-    child, parent = d.table.edge_sums(0, d.num_levels, flat)
+    child, parent = d.table.edge_sums(d.num_levels, flat)
     return LevelFunction.from_flat(d, c * flat - parent - child)
 
 
@@ -206,7 +205,7 @@ def markov_apply(d: Diagram, f: LevelFunction) -> LevelFunction:
     f.check_shape(d)
     flat = f.flat()
     check_finite(d, flat)
-    child, parent = d.table.edge_sums(0, d.num_levels, flat, 1.0 / c)
+    child, parent = d.table.edge_sums(d.num_levels, flat, 1.0 / c)
     return LevelFunction.from_flat(d, parent + child)
 
 
@@ -240,8 +239,10 @@ def spectral_bound_check(d: Diagram, trials: int, seed: int) -> SpectralBoundRep
     check -|u|^2 <= <u,Pu> <= |u|^2 and <u,Pv> = <Pu,v> in l2(c).
 
     Violations are normalized: bound violations by |u|^2, symmetry by
-    |u| |v|.
+    |u| |v|.  Raises ValueError for trials < 1, which would check nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, not {trials}")
     if d.num_levels < 2:
         raise ValueError("need at least two stored levels")
     rng = np.random.Generator(np.random.Philox(key=seed))

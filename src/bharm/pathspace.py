@@ -43,14 +43,13 @@ import weakref
 from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .diagram import Diagram, VertexId
-from .harmonic import DEFAULT_TOL, FactoredSystem, fixed_rhs, free_matrix, harmonicity_check
-from .operators import (LevelFunction, LevelMatrix, build_level_operators, check_finite,
-                        laplacian, laplacian_apply)
+from .harmonic import DEFAULT_TOL, FactoredSystem, fixed_rhs, free_matrix
+from .operators import LevelFunction, LevelMatrix, check_finite, laplacian, laplacian_apply
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ class DirichletSystem:
         self.boundary_level = boundary_level
         self.offsets = d.table.offsets[:boundary_level + 1]
         self.n_interior = n = int(self.offsets[-1])
-        lap = laplacian(d, 0, boundary_level)
+        lap = laplacian(d, boundary_level)
         outside = np.arange(lap.shape[1]) >= n  # the boundary level's columns
         self.matrix = free_matrix(lap, outside)[0]
         lap = lap.masked(outside[lap.indices])  # children of level b-1's rows alone
@@ -304,17 +303,8 @@ def transience_report(d: Diagram, x: VertexId, boundary_levels: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Monopoles, dipoles, multipoles via the Green's function
+# Monopoles and dipoles via the Green's function
 # ---------------------------------------------------------------------------
-
-def hitting_function(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunction:
-    """h_x(a) = F(a, x) of the killed chain, via the Green ratio G(a,x)/G(x,x).
-
-    Harmonic off {x}, equal to 1 at x, zero at the boundary level.
-    """
-    u = DirichletSystem.of(d, boundary_level).solve(source={x: 1.0})
-    return LevelFunction.from_flat(d, u.flat() / u.at(x))
-
 
 def monopole_green(d: Diagram, x: VertexId, boundary_level: int) -> LevelFunction:
     """w_x(a) = G(a, x)/c(x), the Dirichlet solution of Delta w = delta_x."""
@@ -326,20 +316,6 @@ def dipole_green(d: Diagram, x1: VertexId, x2: VertexId, boundary_level: int) ->
     if x1 == x2:
         raise ValueError("dipole poles must be distinct")
     return DirichletSystem.of(d, boundary_level).solve(source={x1: 1.0, x2: -1.0})
-
-
-def multipole(d: Diagram, x0: VertexId, poles: Sequence[Tuple[VertexId, float]],
-              boundary_level: int) -> LevelFunction:
-    """v = w_{x0} - sum_i alpha_i w_{x_i} with alpha_i >= 0 summing to 1."""
-    weights = [float(a) for _, a in poles]
-    if any(a < 0 for a in weights):
-        raise ValueError("pole weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"pole weights sum to {sum(weights)}, expected 1")
-    if len({x0, *(v for v, _ in poles)}) <= len(poles):
-        raise ValueError("pole vertices must be distinct")
-    source = {x0: 1.0, **{v: -a for (v, _), a in zip(poles, weights)}}
-    return DirichletSystem.of(d, boundary_level).solve(source=source)
 
 
 @dataclass
@@ -473,7 +449,7 @@ class _Transitions:
 
 def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
     """The walk's tables; raises ValueError where operators.laplacian does."""
-    lap = laplacian(d, 0, absorb_level)
+    lap = laplacian(d, absorb_level)
     offsets, n_all = d.table.offsets[:absorb_level + 2], lap.shape[1]
     # each vertex's row off the diagonal, its neighbours: parents, then children
     lap = lap.masked(lap.indices != lap.rows())
@@ -868,52 +844,3 @@ def poisson_kernel(d: Diagram, f_n: np.ndarray, target_level: int,
     return PoissonResult(values=LevelFunction.from_flat(d, vals, target_level + 1),
                          stderr=LevelFunction.from_flat(d, errs, target_level + 1),
                          method=method, n_capped=capped, diagnostics=counts)
-
-
-@dataclass
-class StabilizationReport:
-    """Pointwise behavior of h_n(x) over increasing boundary levels for a
-    compatible family (P<-_n f_{n+1} = f_n past n0)."""
-    vertex: VertexId
-    levels: tuple
-    values: tuple
-    stabilization_level: Optional[int]
-    harmonic_residual: float
-    compatibility_residuals: tuple
-
-
-def poisson_stabilization(d: Diagram, f: LevelFunction, x: VertexId,
-                          n0: int = 1, tol: float = DEFAULT_TOL) -> StabilizationReport:
-    """Track h_n(x) for n past x's level and report where it stabilizes.
-
-    Raises on the first level >= n0 violating the compatibility hypothesis
-    P<-_n f_{n+1} = f_n.
-    """
-    f.check_shape(d)
-    d.check_vertex(x)
-    c = build_level_operators(d)
-    t, lo = d.table, min(max(n0, 0), d.num_levels)
-    base = t.offsets[lo]
-    flat = f.flat()[base:]
-    # |P<-_n f_{n+1} - f_n| from the table's child sums; level N's is dropped
-    gap = np.abs(t.edge_sums(lo, d.num_levels, flat, 1.0 / c[base:])[0] - flat)
-    compat = np.maximum.reduceat(gap, t.offsets[lo:-1] - base).tolist()[:-1]
-    for n, r in enumerate(compat, start=lo):
-        if r > tol:
-            raise ValueError(f"compatibility violated at level {n}: residual {r:.3e}")
-    first = max(x.level + 1, n0, 1)
-    levels = list(range(first, d.num_levels + 1))
-    values, solution = [], None
-    for n in levels:  # each n > x.level, so x is interior to every solve
-        solution = poisson_kernel(d, f.values[n], n).values
-        values.append(solution.at(x))
-    stab = next((lv for i, lv in enumerate(levels)
-                 if all(abs(v - values[-1]) <= tol for v in values[i:])), None)
-    # harmonicity of the limit at x, evaluated on the deepest solve
-    resid = float("nan")
-    if solution is not None:
-        rep = harmonicity_check(d, solution)
-        resid = rep.residuals[x.level] if x.level < len(rep.residuals) else float("nan")
-    return StabilizationReport(vertex=x, levels=tuple(levels), values=tuple(values),
-                               stabilization_level=stab, harmonic_residual=resid,
-                               compatibility_residuals=tuple(compat))

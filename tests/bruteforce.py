@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bharm.diagram import Diagram, ExtensionRule, VertexId, make_diagram
+from bharm.diagram import Diagram, VertexId, make_diagram
 
 
 def broom(width) -> Diagram:
@@ -251,11 +251,11 @@ def ref_markov(d: Diagram, values) -> list:
     return out
 
 
-def ref_chain_residuals(d: Diagram, depth: int, rhs, values, first: int = 0) -> list:
+def ref_chain_residuals(d: Diagram, depth: int, rhs, values) -> list:
     """max |P<-_n f_{n+1} - (f_n - P->_{n-1} f_{n-1} - rhs_n / c_n)| for the
-    levels first..depth-1, level by level."""
+    levels 0..depth-1, level by level."""
     out = []
-    for n in range(first, depth):
+    for n in range(depth):
         g = values[n].copy()
         if n > 0:
             g -= ref_p_fwd(d, n, values[n - 1])
@@ -284,21 +284,19 @@ def ref_p_row(d: Diagram, v: VertexId, values) -> float:
 # refinement rule, so these write them out step by step, on systems built
 # from dense arrays: the Dirichlet solves and the recursion.
 
-def ref_delta_rows(d: Diagram, first: int, last: int) -> np.ndarray:
-    """Delta's rows of levels first..last-1 (the others 0) on the vertices of
-    levels 0..last, entry by entry: -c to each neighbour, c(x) on the
-    diagonal."""
+def ref_delta_rows(d: Diagram, last: int) -> np.ndarray:
+    """Delta's rows of levels 0..last-1 on the vertices of levels 0..last,
+    entry by entry: -c to each neighbour, c(x) on the diagonal."""
     off = flat_offsets(d, last)
     a = np.zeros((off[last], off[last + 1]))
-    for n in range(max(first - 1, 0), last):
+    for n in range(last):
         cm = d.table.level(n).toarray()
         for i, j in zip(*np.nonzero(cm)):
             u, v = off[n] + i, off[n + 1] + j
-            if n >= first:
-                a[u, v] = -cm[i, j]
-            if first <= n + 1 < last:
+            a[u, v] = -cm[i, j]
+            if n + 1 < last:
                 a[v, u] = -cm[i, j]
-    for n in range(first, last):
+    for n in range(last):
         a[range(off[n], off[n + 1]), range(off[n], off[n + 1])] = ref_degrees(d, n)
     return a
 
@@ -436,7 +434,7 @@ def ref_diagram_from_levels(g: DictGraph, levels) -> Diagram:
                 (ni, ki), (nj, kj) = (nj, kj), (ni, ki)
             if ni + 1 == nj:
                 mats[ni][ki, kj] = c
-    return make_diagram(sizes, mats, extension=ExtensionRule("explicit"))
+    return make_diagram(sizes, mats)
 
 
 def ref_extract_maximal_bratteli(g: DictGraph, ray):

@@ -8,7 +8,6 @@ from bharm import (
     GeneralGraph,
     check_bratteli_structure,
     diagram_from_graph,
-    extend_to,
     extract_maximal_bratteli,
     gen_binary_tree,
     gen_binary_tree_radial,
@@ -655,21 +654,6 @@ def test_out_of_range_root_and_ray_are_errors():
         extract_maximal_bratteli(g, [-2, 0])
     with pytest.raises(ValueError, match="root 8 outside vertex range"):
         extract_maximal_bratteli(g, [8])
-
-
-# --- extension rules -------------------------------------------------------------
-
-def test_extend_to_regenerates_deeper_prefix():
-    d = gen_binary_tree(3, 2.0)
-    d2 = extend_to(d, 6)
-    assert d2.num_levels == 6
-    assert np.allclose(d2.table.level(2).toarray(), d.table.level(2).toarray())
-
-
-def test_extend_without_rule_rejected():
-    d = gen_bottleneck([1, 2, 2], 3)
-    with pytest.raises(ValueError):
-        extend_to(d, 5)
 
 
 # --- validation battery ---------------------------------------------------

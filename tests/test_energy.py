@@ -6,7 +6,6 @@ from bharm import (
     VertexId,
     current_balance,
     dissipation_check,
-    energy_harmonic_formulas,
     energy_lower_bound,
     energy_norm,
     gen_binary_tree,
@@ -15,7 +14,6 @@ from bharm import (
     make_diagram,
     monopole_green,
     resistance_distance,
-    solve_chain,
     stationary_energy_criterion,
 )
 from bharm.closedforms import (
@@ -101,37 +99,9 @@ def test_energy_makes_no_level_views():
     d = gen_pascal(10, 1.0)
     f = pascal_harmonic(10)
     energy_norm(d, f)
-    energy_harmonic_formulas(d, f)
     dissipation_check(d, f)
     current_balance(d, f)
     assert "conductance" not in d.__dict__
-
-
-# --- harmonic energy identities ----------------------------------------------
-
-def test_harmonic_formulas_agree_on_pascal():
-    d = gen_pascal(10, 1.0)
-    vals = energy_harmonic_formulas(d, pascal_harmonic(10))
-    assert abs(vals.via_markov - vals.edge_sum_interior) <= 1e-9
-    assert abs(vals.via_laplacian - vals.edge_sum_interior) <= 1e-9
-
-
-def test_harmonic_formulas_on_constant_and_stationary():
-    d = gen_binary_tree(6, 2.0)
-    vals = energy_harmonic_formulas(d, LevelFunction.constant(d, 2.0))
-    assert vals.via_markov == pytest.approx(0.0, abs=1e-12)
-    ds = gen_stationary([[1, 1], [1, 0]], 8, 2.0)
-    f, _ = solve_chain(ds, seed_f1=[1.0, -1.0])
-    vals = energy_harmonic_formulas(ds, f)
-    assert abs(vals.via_markov - vals.edge_sum_interior) <= 1e-6 * max(1, vals.edge_sum_interior)
-    assert abs(vals.via_laplacian - vals.edge_sum_interior) <= 1e-6 * max(1, vals.edge_sum_interior)
-
-
-def test_harmonic_formulas_reject_nonharmonic_input():
-    d = gen_pascal(6, 1.0)
-    f = LevelFunction.delta(d, VertexId(2, 1))
-    with pytest.raises(ValueError, match="energy_norm"):
-        energy_harmonic_formulas(d, f)
 
 
 # --- lower bound ----------------------------------------------------------------

@@ -4,12 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from bharm import (
     LevelFunction,
     VertexId,
-    extend_harmonic,
     gen_binary_tree,
     gen_binary_tree_radial,
     gen_bottleneck,
@@ -71,22 +69,29 @@ def test_source_aware_check():
 
 # --- single-level extension ------------------------------------------------------
 
+def _prefix_pins(f, n):
+    """Pins that fix levels 2..n of f: with the seed f_1, the whole prefix
+    f_0..f_n, so that only level n's equations keep an unknown."""
+    return {k: dict(enumerate(f.values[k])) for k in range(2, n + 1)}
+
+
 def test_pascal_extension_solution_set_is_one_dimensional():
     d = gen_pascal(6, 1.0)
     h = pascal_harmonic(6)
-    x, rep = extend_harmonic(d, h.values[:3])
+    f, rep = solve_chain(d, depth=3, seed_f1=h.values[1], pins=_prefix_pins(h, 2))
     assert harm_dimension(d).solution_set_dims[2] == 1
     assert rep.consistent
     # pinned leftmost coordinate reproduces the closed form exactly
-    x, rep = extend_harmonic(d, h.values[:3], pins={0: pascal_value(3, 0)})
-    assert np.allclose(x, h.values[3], atol=1e-10)
+    pins = {**_prefix_pins(h, 2), 3: {0: pascal_value(3, 0)}}
+    f, rep = solve_chain(d, depth=3, seed_f1=h.values[1], pins=pins)
+    assert np.allclose(f.values[3], h.values[3], atol=1e-10)
 
 
 def test_tree_extension_one_free_parameter_per_parent():
     lam = 2.0
     d = gen_binary_tree(5, lam)
     f = tree_symmetric_harmonic(5, lam)
-    x, rep = extend_harmonic(d, f.values[:3])
+    _, rep = solve_chain(d, depth=3, seed_f1=f.values[1], pins=_prefix_pins(f, 2))
     # 4 parents, 8 children, 4 equations of full row rank
     assert harm_dimension(d).solution_set_dims[2] == 4
     assert rep.consistent
@@ -109,9 +114,9 @@ def test_bottleneck_extension_inconsistent():
     best = np.linalg.lstsq(c1.reshape(-1, 1), rhs, rcond=None)[0]
     brute_resid = np.abs(c1 * best[0] - rhs).max()
     assert brute_resid > 1e-6
-    _, rep = extend_harmonic(d, [np.zeros(1), f1])
+    _, rep = solve_chain(d, depth=2, seed_f1=f1)
     assert not rep.consistent
-    assert rep.residuals[0] > 1e-6 / ref_degrees(d, 1).max()
+    assert rep.residuals[1] > 1e-6 / ref_degrees(d, 1).max()
     # the seeded chain is square and structurally singular: a maximum
     # transversal matches 2 of its 4 equations, so LSQR is returned with no
     # LU tried, and the report says why
@@ -257,47 +262,6 @@ def test_lsqr_path_is_the_minimum_norm_least_squares_solution(case):
     assert np.abs(got - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_extension_uses_the_whole_prefix(n):
-    # h + c is harmonic for a constant c, so the prefix (h + c)_0..n with the
-    # leftmost coordinate of level n + 1 pinned extends to h_{n+1} + c; at
-    # n = 1 this needs f_0 = c, not 0
-    d = gen_pascal(6, 1.0)
-    c = 2.5
-    shifted = [v + c for v in pascal_harmonic(6).values]
-    x, rep = extend_harmonic(d, shifted[: n + 1], pins={0: shifted[n + 1][0]})
-    assert rep.consistent
-    assert np.allclose(x, shifted[n + 1], atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [20, 199])
-@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-def test_extension_stacks_only_the_equations_with_unknowns(n, pinned, monkeypatch):
-    # only level n's equations reach f_{n+1}; stacking every level from the
-    # root, as the solve once did, must give the same bits
-    d = gen_pascal(200, 1.0)
-    prefix = pascal_harmonic(200).values[: n + 1]
-    pins = {0: pascal_value(n + 1, 0)} if pinned else None
-    laplacian = harmonic.laplacian
-    stacked = []
-
-    def recording(*args, **kwargs):
-        system = laplacian(*args, **kwargs)
-        stacked.append(np.unique(system.rows()))
-        return system
-
-    monkeypatch.setattr(harmonic, "laplacian", recording)
-    x, rep = extend_harmonic(d, prefix, pins=pins)
-    first = sum(d.level_sizes[:n])
-    assert len(stacked) == 1
-    assert stacked[0].tolist() == list(range(first, first + d.level_sizes[n]))
-    monkeypatch.setattr(harmonic, "laplacian", lambda d, first, last: laplacian(d, 0, last))
-    x_all, rep_all = extend_harmonic(d, prefix, pins=pins)
-    assert x.tobytes() == x_all.tobytes()
-    assert rep.residuals == rep_all.residuals and rep.diagnostics == rep_all.diagnostics
-    assert rep.diagnostics["path"] == ("lu" if pinned else "augmented-lu")
-
-
 def _random_weights(d, seed):
     rng = np.random.default_rng(seed)
     return make_diagram(d.level_sizes, [m.toarray() * rng.uniform(0.2, 5.0, m.shape)
@@ -326,11 +290,6 @@ def test_reported_residuals_are_the_returned_solutions_bit_for_bit(d):
         f, rep = solve_chain(d, source=source, **kwargs)
         assert rep.residuals == ref_chain_residuals(d, depth, rhs, f.values)
         assert rep.diagnostics["max_residual"] == max(rep.residuals)
-        for n in range(depth):
-            nxt, rep = extend_harmonic(d, f.values[: n + 1], source=source)
-            values = [*f.values[: n + 1], nxt, *(np.zeros(s) for s in sizes[n + 2:])]
-            assert rep.residuals == ref_chain_residuals(d, n + 1, rhs, values, n)
-            assert rep.diagnostics["max_residual"] == rep.residuals[0]
 
 
 @pytest.mark.parametrize("level, seed", [(0, None), (5, None), (7, None), (1, [1.0, -1.0])],
@@ -533,7 +492,7 @@ def _mixed_components():
     _mixed_components(),
 ], ids=["tree6-random", "pascal8-random", "bottleneck-b-random", "stationary",
         "irregular-file", "mixed-components"])
-def test_dimension_and_state_match_oracle(d):
+def test_dimension_matches_oracle(d):
     for n, c in enumerate(level_matrices(d)):
         s = np.linalg.svd(c.toarray(), compute_uv=False)
         assert _level_rank(c) == (s > RANK_RCOND * s[0]).sum(), f"C_{n}"
@@ -541,14 +500,6 @@ def test_dimension_and_state_match_oracle(d):
     assert sorted(res.per_level) == list(range(1, d.num_levels + 1))
     for k, dim in res.per_level.items():
         assert dim == stacked_nullity(d, k), f"level {k}"
-    for k in range(2, d.num_levels + 1):
-        # the pair basis spans the last two levels of the admissible prefixes
-        state = harm_dimension(d, up_to_level=k).state
-        null = scipy.linalg.null_space(stacked_constraint_matrix(d, k), rcond=1e-10)
-        pairs = scipy.linalg.orth(null[-state.basis.shape[0]:], rcond=1e-10)
-        assert pairs.shape[1] == state.pair_dimension, f"level {k}"
-        if pairs.shape[1]:
-            assert scipy.linalg.subspace_angles(pairs, state.basis).max() < 1e-9
 
 
 def test_level_rank_threshold_is_relative_to_the_whole_level():
@@ -693,15 +644,6 @@ def test_dimension_of_an_isolated_vertex_names_it():
             harm_dimension(d, up_to_level=depth)
 
 
-def test_dimension_state_is_orthonormal():
-    # the kernel block of each level is appended without re-orthonormalizing
-    for d in (gen_pascal(5, 1.0), gen_binary_tree(6, 2.0),
-              gen_bottleneck([1, 4, 4, 1, 4, 4], 29)):
-        res = harm_dimension(d)
-        b = res.state.basis
-        assert np.allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-12)
-
-
 # --- monopoles and dipoles ---------------------------------------------------------
 
 def test_root_monopole_satisfies_source_equation():
@@ -836,7 +778,7 @@ def test_the_recursion_replays_its_arithmetic(d, path):
         fixed[cols], values[cols] = True, list(at.values())
     rhs = np.zeros(off[depth])
     rhs[off[2] + 1] = 1.0
-    a, b = bruteforce.ref_fixed_system(bruteforce.ref_delta_rows(d, 0, depth), fixed, values, rhs)
+    a, b = bruteforce.ref_fixed_system(bruteforce.ref_delta_rows(d, depth), fixed, values, rhs)
     values[~fixed], want_path, steps = bruteforce.replay_recursion(a, b)
     assert (rep.diagnostics["path"], want_path) == (path, path)
     assert rep.diagnostics["refine_steps"] == steps

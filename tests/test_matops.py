@@ -40,8 +40,8 @@ def test_level_matrix_products_are_scipys_bit_for_bit(seed):
         for v, u in ((rng.standard_normal(k) * 10.0 ** rng.integers(-5, 6, k),
                       rng.standard_normal(m) * 10.0 ** rng.integers(-5, 6, m)),
                      (np.ones(k), np.ones(m))):
-            child = table.edge_sums(0, 1, np.append(np.zeros(m), v))[0][:m]
-            parent = table.edge_sums(0, 1, np.append(u, np.zeros(k)))[1][m:]
+            child = table.edge_sums(1, np.append(np.zeros(m), v))[0][:m]
+            parent = table.edge_sums(1, np.append(u, np.zeros(k)))[1][m:]
             for got, want in ((child, ref @ v), (parent, ref.T @ u)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)

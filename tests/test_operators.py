@@ -249,6 +249,13 @@ def test_spectral_bounds_on_pascal():
     assert rep.max_violation <= 1e-12
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_spectral_bound_check_refuses_a_count_that_checks_nothing(trials):
+    # no trial once reported a max_violation of 0.0, a pass by default
+    with pytest.raises(ValueError, match=f"^trials must be >= 1, not {trials}$"):
+        spectral_bound_check(gen_pascal(6, 1.0), trials, 1)
+
+
 def test_delta_vertex_quadratic_form_is_zero():
     # graded structure: P has zero diagonal, so <delta_x, P delta_x> = 0
     d = gen_binary_tree(4, 2.0)
@@ -289,8 +296,8 @@ def _parity_diagrams():
 
 @pytest.mark.parametrize("d", _parity_diagrams())
 def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
-    # P, Delta, the degrees, the recursion residuals of every (depth, first)
-    # from the edge table's sums, the one-step read of P off every interior row of
+    # P, Delta, the degrees, the recursion residuals of every depth from
+    # the edge table's sums, the one-step read of P off every interior row of
     # every Dirichlet system and the Dirichlet boundary coupling, against the
     # level-by-level reference of tests/bruteforce.py, on values from 1e-8
     # to 1e8
@@ -308,10 +315,8 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
             assert all(np.array_equal(a, b) for a, b in zip(got.values, want))
         rhs = [rng.standard_normal(s) for s in d.level_sizes]
         for depth in range(1, n_levels + 1):
-            for first in range(depth):
-                assert harmonic._level_residuals(d, f.flat(), LevelFunction(rhs).flat(),
-                                                 first, depth) \
-                    == bruteforce.ref_chain_residuals(d, depth, rhs, f.values, first)
+            assert harmonic._level_residuals(d, f.flat(), LevelFunction(rhs).flat(), depth) \
+                == bruteforce.ref_chain_residuals(d, depth, rhs, f.values)
         for sysm in systems:
             b = sysm.boundary_level  # every caller's f is 0 from there down
             g = LevelFunction(f.values[:b] + tuple(np.zeros(s) for s in d.level_sizes[b:]))
@@ -329,7 +334,7 @@ def test_the_edge_table_route_is_the_per_level_route_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", _parity_diagrams())
 def test_the_kept_dirichlet_system_solves_as_a_fresh_one_bit_for_bit(d):
-    # three library calls per boundary level share the diagram's system
+    # two library calls per boundary level share the diagram's system
     rng = np.random.default_rng(d.total_vertices)
     for level in range(1, d.num_levels + 1):
         fresh = pathspace.DirichletSystem(d, level)
@@ -337,12 +342,10 @@ def test_the_kept_dirichlet_system_solves_as_a_fresh_one_bit_for_bit(d):
         f = rng.standard_normal(d.level_sizes[level])
         w = fresh.solve(source={x: 1.0}).flat()
         assert np.array_equal(pathspace.monopole_green(d, x, level).flat(), w)
-        assert np.array_equal(pathspace.hitting_function(d, x, level).flat(),
-                              w / w[fresh.flat(x)])
         assert np.array_equal(pathspace.poisson_kernel(d, f, level).values.flat(),
                               fresh.solve(boundary_values=f).flat()[:d.table.offsets[level + 1]])
         kept = pathspace.DirichletSystem.of(d, level).diagnostics
-        assert (kept["factorizations"], kept["solves"]) == (1, 3)
+        assert (kept["factorizations"], kept["solves"]) == (1, 2)
 
 
 @pytest.mark.parametrize("d", _parity_diagrams())
@@ -359,17 +362,6 @@ def test_the_edge_table_keeps_each_entrys_two_vertices(d):
         assert a.dtype == t.indices.dtype and not a.flags.writeable
         with pytest.raises(ValueError):
             a[:1] = 0
-
-
-def test_compatibility_residuals_are_the_per_level_ones_bit_for_bit():
-    d = _parity_diagrams()[7]
-    rng = np.random.default_rng(3)
-    f = LevelFunction([rng.standard_normal(s) for s in d.level_sizes])
-    for n0 in range(d.num_levels + 1):
-        rep = pathspace.poisson_stabilization(d, f, VertexId(0, 0), n0=n0, tol=np.inf)
-        assert rep.compatibility_residuals == tuple(
-            float(np.abs(bruteforce.ref_p_back(d, n, f.values[n + 1]) - f.values[n]).max())
-            for n in range(n0, d.num_levels))
 
 
 def _laplacian_diagrams():
@@ -389,22 +381,20 @@ def _laplacian_diagrams():
 @pytest.mark.parametrize("d", _laplacian_diagrams())
 def test_laplacian_rows_are_the_dense_adjacency_in_canonical_csr(d):
     # off the diagonal -A of tests/bruteforce.py, on it the degrees; each
-    # row's columns increase, and only levels first..last-1 have rows
+    # row's columns increase, and every row of levels 0..last-1 is there
     adjacency, off = bruteforce.dense_adjacency(d), d.table.offsets
     for last in range(1, d.num_levels + 1):
-        for first in range(last):
-            lap = operators.laplacian(d, first, last)
-            assert lap.shape == (off[last], off[last + 1])
-            assert lap.data.dtype == float and lap.indices.dtype == lap.indptr.dtype
-            rows = lap.rows()
-            assert np.array_equal(np.unique(rows), np.arange(off[first], off[last]))
-            assert np.all((np.diff(lap.indices) > 0) | (np.diff(rows) > 0))
-            dense = lap.toarray()
-            diag = np.arange(off[first], off[last])
-            assert np.array_equal(dense[diag, diag], d.degrees[diag])
-            dense[diag, diag] = 0.0
-            assert np.array_equal(dense[off[first]:], -adjacency[off[first]:off[last],
-                                                                 :off[last + 1]])
+        lap = operators.laplacian(d, last)
+        assert lap.shape == (off[last], off[last + 1])
+        assert lap.data.dtype == float and lap.indices.dtype == lap.indptr.dtype
+        rows = lap.rows()
+        assert np.array_equal(np.unique(rows), np.arange(off[last]))
+        assert np.all((np.diff(lap.indices) > 0) | (np.diff(rows) > 0))
+        dense = lap.toarray()
+        diag = np.arange(off[last])
+        assert np.array_equal(dense[diag, diag], d.degrees[diag])
+        dense[diag, diag] = 0.0
+        assert np.array_equal(dense, -adjacency[:off[last], :off[last + 1]])
 
 
 @pytest.mark.parametrize("d", _laplacian_diagrams())
@@ -432,9 +422,9 @@ def test_the_rows_of_delta_are_built_once_per_system(monkeypatch):
     calls = []
     build = operators.laplacian
 
-    def counting(d, first, last):
-        calls.append((first, last))
-        return build(d, first, last)
+    def counting(d, last):
+        calls.append(last)
+        return build(d, last)
 
     for module in (operators, harmonic, pathspace):
         monkeypatch.setattr(module, "laplacian", counting)
@@ -443,10 +433,7 @@ def test_the_rows_of_delta_are_built_once_per_system(monkeypatch):
     sysm.solve(source={VertexId(1, 0): 1.0})
     sysm.solve(boundary_values=np.arange(1.0, 6.0))
     sysm.solve(pinned={VertexId(2, 1): 0.5})
-    assert calls == [(0, 4)]
+    assert calls == [4]
     calls.clear()
     harmonic.solve_chain(d, 4, seed_f1=np.ones(2))
-    assert calls == [(0, 4)]
-    calls.clear()
-    harmonic.extend_harmonic(d, pascal_harmonic(6).values[:4])
-    assert calls == [(3, 4)]
+    assert calls == [4]

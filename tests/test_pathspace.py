@@ -22,12 +22,9 @@ from bharm import (
     green_exact,
     green_identity_report,
     harmonicity_check,
-    hitting_function,
     make_diagram,
     monopole_green,
-    multipole,
     poisson_kernel,
-    poisson_stabilization,
     simulate_walks,
     solve_monopole,
     transience_report,
@@ -36,7 +33,6 @@ from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 from bharm.energy import resistance_distance
 from bharm import pathspace
 from bharm.fileio import parse_diagram
-from bharm.operators import markov_apply
 from bharm.pathspace import _philox_doubles, _transitions
 import bruteforce
 from bruteforce import broom, brute_green, flat_of, walk_path, walk_tables
@@ -157,9 +153,7 @@ def test_every_dirichlet_solve_on_one_diagram_and_level_shares_one_factorization
     x, y, z = VertexId(2, 1), VertexId(5, 17), VertexId(7, 100)
     for v in (x, y, z):
         monopole_green(d, v, level)
-    hitting_function(d, x, level)
     dipole_green(d, x, y, level)
-    multipole(d, x, [(y, 0.25), (z, 0.75)], level)
     gs = green_exact(d, level, vertices=[x, y, z])
     assert green_identity_report(d, gs).ratio_vs_hit <= 1e-12
     dipole_matrix_M(d, x, y, level)
@@ -243,9 +237,18 @@ def test_transience_classification_is_empirical():
 
 # --- hitting functions ----------------------------------------------------------
 
+def _hitting(d, x, level):
+    """F(., x) of the walk killed at `level`: x's column of green_exact's
+    reach ratios over the interior, and 0 from the boundary level on."""
+    gs = green_exact(d, level)
+    f = np.zeros(d.total_vertices)
+    f[:d.table.offsets[level]] = gs.reach_ratio[:, gs.vertices.index(x)]
+    return LevelFunction.from_flat(d, f)
+
+
 def test_hitting_function_basics():
     x = VertexId(2, 1)
-    h = hitting_function(TREE8, x, 8)
+    h = _hitting(TREE8, x, 8)
     assert np.isclose(h.at(x), 1.0)
     for v in h.values[:-1]:
         assert np.all(v >= -1e-12) and np.all(v <= 1 + 1e-12)
@@ -262,7 +265,7 @@ def test_hitting_energy_upper_bound():
     gs = green_exact(d, 6)  # all interior pairs
     i = gs.vertices.index(x)
     from bharm.energy import energy_norm
-    h = hitting_function(d, x, 6)
+    h = _hitting(d, x, 6)
     lhs = energy_norm(d, h).energy
     cx = gs.degrees[i]
     rhs = 0.5 * cx * float(np.sum(gs.reach_ratio[i, :] * (1.0 - gs.reach_ratio[:, i])))
@@ -281,7 +284,7 @@ def test_monopole_green_unit_source():
 def test_monopole_is_scaled_hitting_function():
     x = VertexId(2, 1)
     w = monopole_green(TREE8, x, 8)
-    h = hitting_function(TREE8, x, 8)
+    h = _hitting(TREE8, x, 8)
     gs = green_exact(TREE8, 8, vertices=[x])
     scale = gs.green[0, 0] / gs.degrees[0]
     for a, b in zip(w.values, h.values):
@@ -320,23 +323,6 @@ def test_dipole_green_properties():
         assert np.allclose(a, -b, atol=1e-12)
     rep = harmonicity_check(TREE8, v, source={x1: 1.0, x2: -1.0})
     assert rep.max_residual <= 1e-9
-
-
-def test_multipole_reductions():
-    x0 = VertexId(1, 0)
-    single = multipole(TREE8, x0, [(VertexId(2, 2), 1.0)], 8)
-    pair_dip = dipole_green(TREE8, x0, VertexId(2, 2), 8)
-    for a, b in zip(single.values, pair_dip.values):
-        assert np.allclose(a, b, atol=1e-12)
-    halves = multipole(TREE8, x0, [(VertexId(2, 2), 0.5), (VertexId(3, 1), 0.5)], 8)
-    rep = harmonicity_check(TREE8, halves,
-                            source={x0: 1.0, VertexId(2, 2): -0.5, VertexId(3, 1): -0.5})
-    assert rep.max_residual <= 1e-9
-    with pytest.raises(ValueError):
-        multipole(TREE8, x0, [(VertexId(2, 2), 0.7)], 8)
-    for poles in ([(x0, 1.0)], [(VertexId(2, 2), 0.5), (VertexId(2, 2), 0.5)]):
-        with pytest.raises(ValueError, match="pole vertices must be distinct"):
-            multipole(TREE8, x0, poles, 8)
 
 
 def test_dipole_matrix_checks():
@@ -849,43 +835,6 @@ def test_poisson_mc_three_sigma_agreement():
 
 # --- stabilization ----------------------------------------------------------------
 
-def compatible_family(d, top):
-    """f_N = top and f_n = P<-_n f_{n+1} below, each level of P applied to
-    the function that is f_{n+1} on level n+1 and 0 elsewhere."""
-    vals = [None] * (d.num_levels + 1)
-    vals[d.num_levels] = np.asarray(top, dtype=float)
-    for n in range(d.num_levels - 1, -1, -1):
-        f = LevelFunction.zeros(d)
-        f.values[n + 1][:] = vals[n + 1]
-        vals[n] = markov_apply(d, f).values[n]
-    return LevelFunction(vals)
-
-
-def test_stabilization_compatible_family_is_monotone():
-    d = gen_binary_tree(7, 2.0)
-    f = compatible_family(d, np.abs(np.random.default_rng(5).standard_normal(128)) + 0.25)
-    rep = poisson_stabilization(d, f, VertexId(1, 0))
-    diffs = np.diff(rep.values)
-    assert np.all(diffs >= -1e-12)
-    assert max(rep.compatibility_residuals) <= 1e-12
-
-
-def test_stabilization_zero_family_trivial():
-    d = gen_binary_tree(6, 2.0)
-    f = LevelFunction.zeros(d)
-    rep = poisson_stabilization(d, f, VertexId(1, 0))
-    assert rep.stabilization_level == rep.levels[0]
-    assert all(v == 0.0 for v in rep.values)
-
-
-def test_stabilization_rejects_incompatible_family():
-    # the level-1 edge rows of the closed form coincide with compatibility,
-    # so the first genuine violation is at level 2 and must be named
-    d = gen_pascal(8, 1.0)
-    with pytest.raises(ValueError, match="level 2"):
-        poisson_stabilization(d, pascal_harmonic(8), VertexId(1, 0))
-
-
 def test_harmonic_family_stabilizes_at_level_plus_one():
     # globally harmonic boundary data: successive Dirichlet solves return the
     # same interior values at every depth past the vertex level
@@ -908,7 +857,7 @@ def test_the_dirichlet_solves_replay_their_arithmetic(d):
     # green_exact, exact poisson_kernel and a pinned solve with a source and
     # boundary values, against bruteforce's replay of a Dirichlet solve
     for level in (d.num_levels, d.num_levels - 1):
-        delta, n = bruteforce.ref_delta_rows(d, 0, level), d.table.offsets[level]
+        delta, n = bruteforce.ref_delta_rows(d, level), d.table.offsets[level]
         fixed = np.arange(delta.shape[1]) >= n
         vertices = [VertexId(k, k % d.level_sizes[k]) for k in range(level)]
         gs = green_exact(d, level, vertices)
