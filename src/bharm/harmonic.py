@@ -9,9 +9,10 @@ where rhs is a point-source vector (empty for harmonic functions, delta_x
 for a monopole at x, delta_x - delta_o for a dipole).  solve_chain stacks
 these equations for all levels and returns one representative: the global
 minimum-norm solution with the seed and the pins fixed.  Here and in
-pathspace's Dirichlet systems, free_matrix and fixed_rhs move fixed values to the
-right-hand side and a FactoredSystem factors, solves and refines, by the
-caller's settings and rule.  Inconsistent levels are reported, not thrown.
+pathspace's Dirichlet systems, free_matrix and fixed_rhs move fixed values
+to the right-hand side and a FactoredSystem factors, solves and refines, by
+the caller's settings and rule.  Inconsistent levels are reported, not
+thrown.
 """
 from __future__ import annotations
 
@@ -299,7 +300,8 @@ def _level_residuals(d: Diagram, x: np.ndarray, rhs: np.ndarray, depth: int) -> 
     table's entries of levels 0..depth-1 (EdgeTable.edge_sums) with scale
     1/c(x).  x and rhs are numbered as the table's vertices."""
     off = d.table.offsets
-    x, rhs, c = (a[:off[depth + 1]] for a in (x, rhs, d.degrees))
+    n = off[depth + 1]
+    x, rhs, c = x[:n], rhs[:n], d.degrees[:n]
     child, parent = d.table.edge_sums(depth, x, 1.0 / c)
     eq = slice(0, off[depth])
     r = np.abs(child[eq] - (x[eq] - parent[eq] - rhs[eq] / c[eq]))
@@ -746,6 +748,9 @@ def _propagate(d: Diagram, n_max: int):
         dim_p = (dim_p - r) + nullity
         sol_dims[n] = nullity
         drops[n] = r
+        per_level[n + 1] = dim_p
+        if n + 1 == n_max:  # no level below needs the pair basis
+            break
         # minimum-norm particular next-level solutions for the surviving pair
         # basis (the pseudo-inverse of C_n applied to g_map @ z)
         f_next = vt[:rank_cn].T @ ((qt_g @ z) / s[:rank_cn, None])
@@ -754,5 +759,4 @@ def _propagate(d: Diagram, n_max: int):
         top, bot = part[: cur.shape[0]], part[cur.shape[0]:]
         prev = np.hstack([top, np.zeros((cur.shape[0], kern.shape[1]))])
         cur = np.hstack([bot, kern])
-        per_level[n + 1] = dim_p
     return per_level, sol_dims, drops, unique
