@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from bharm import (
+    ExtensionRule,
     GeneralGraph,
     check_bratteli_structure,
     diagram_from_graph,
@@ -654,6 +655,38 @@ def test_out_of_range_root_and_ray_are_errors():
         extract_maximal_bratteli(g, [-2, 0])
     with pytest.raises(ValueError, match="root 8 outside vertex range"):
         extract_maximal_bratteli(g, [8])
+
+
+# --- deeper prefixes ---------------------------------------------------------------
+
+@pytest.mark.parametrize("generate", [
+    lambda depth: gen_binary_tree(depth, 2.0),
+    lambda depth: gen_pascal(depth, 1.5),
+    lambda depth: gen_stationary([[1, 1], [1, 0]], depth, 2.0),
+    lambda depth: gen_ladder(depth, 0.5),
+    lambda depth: gen_binary_tree_radial(depth, 2.0, 2),
+    lambda depth: gen_bottleneck([1, 2, 3, 2, 4, 3, 5][:depth + 1], 3),
+], ids=["tree", "pascal", "stationary", "ladder", "radial", "bottleneck"])
+def test_a_deeper_prefix_is_the_generator_called_again(generate):
+    # no diagram extends itself: the generator at a larger depth stores the
+    # same levels, bit for bit, and the same extension rule
+    d, deeper = generate(3), generate(6)
+    assert deeper.num_levels == 6
+    assert deeper.level_sizes[:4] == d.level_sizes
+    for n in range(3):
+        a, b = d.table.level(n), deeper.table.level(n)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), (n, attr)
+    assert deeper.extension == d.extension
+
+
+def test_only_the_stationary_generator_sets_an_extension_rule():
+    rule = gen_stationary([[1, 1], [1, 0]], 4, 2.0).extension
+    assert rule == ExtensionRule("stationary", 2.0, ((1.0, 1.0), (1.0, 0.0)))
+    for d in (gen_binary_tree(4, 2.0), gen_pascal(4, 1.0), gen_ladder(4),
+              gen_binary_tree_radial(4, 2.0, 2), gen_bottleneck([1, 2, 2], 3),
+              make_diagram([1, 2], [np.ones((1, 2))])):
+        assert d.extension is None
 
 
 # --- validation battery ---------------------------------------------------

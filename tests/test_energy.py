@@ -11,9 +11,13 @@ from bharm import (
     gen_binary_tree,
     gen_pascal,
     gen_stationary,
+    harmonicity_check,
+    laplacian_apply,
     make_diagram,
+    markov_apply,
     monopole_green,
     resistance_distance,
+    solve_chain,
     stationary_energy_criterion,
 )
 from bharm.closedforms import (
@@ -102,6 +106,37 @@ def test_energy_makes_no_level_views():
     dissipation_check(d, f)
     current_balance(d, f)
     assert "conductance" not in d.__dict__
+
+
+# --- harmonic energy identities ----------------------------------------------
+
+def _harmonic_cases():
+    ds = gen_stationary([[1, 1], [1, 0]], 8, 2.0)
+    tree = gen_binary_tree(6, 2.0)
+    return [
+        pytest.param(gen_pascal(10, 1.0), pascal_harmonic(10), 1e-9, id="pascal"),
+        pytest.param(tree, tree_symmetric_harmonic(6, 2.0), 1e-9, id="tree-symmetric"),
+        pytest.param(ds, solve_chain(ds, seed_f1=[1.0, -1.0])[0], 1e-6, id="stationary"),
+        pytest.param(tree, LevelFunction.constant(tree, 2.0), 1e-12, id="constant"),
+    ]
+
+
+@pytest.mark.parametrize("d, f, tol", _harmonic_cases())
+def test_harmonic_formulas_agree(d, f, tol):
+    # for f harmonic on the interior levels 0..N-1, (1/2) sum c (P f^2 - f^2)
+    # and -(1/2) sum Delta f^2 over them are the edge energy with full weight
+    # on the interior edges and half weight on the edges into level N
+    assert harmonicity_check(d, f).consistent
+    f2 = LevelFunction.from_flat(d, f.flat() ** 2)
+    pf2, lf2 = markov_apply(d, f2), laplacian_apply(d, f2)
+    c, off, interior = d.degrees, d.table.offsets, range(d.num_levels)
+    via_markov = 0.5 * sum(float(np.dot(c[off[n]:off[n + 1]], pf2.values[n] - f2.values[n]))
+                           for n in interior)
+    via_laplacian = -0.5 * sum(float(lf2.values[n].sum()) for n in interior)
+    incs = energy_norm(d, f).level_increments
+    edge_sum = sum(incs[:-1]) + 0.5 * incs[-1]
+    assert abs(via_markov - edge_sum) <= tol * max(1.0, edge_sum)
+    assert abs(via_laplacian - edge_sum) <= tol * max(1.0, edge_sum)
 
 
 # --- lower bound ----------------------------------------------------------------

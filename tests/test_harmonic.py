@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bharm import (
     LevelFunction,
@@ -230,6 +231,42 @@ def test_a_failed_factorization_is_named_in_bharms_words(spec, seed, path, monke
     _, rep = solve_chain(d, seed_f1=seed)
     assert rep.diagnostics["path"] == "lsqr"
     assert rep.diagnostics["fallback"] == f"{path} factorization failed"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extension_uses_the_whole_prefix(n):
+    # the prefix h_0..h_n fixed by the seed and the pins, with the leftmost
+    # coordinate of level n + 1 pinned, extends to h_{n+1}
+    d = gen_pascal(6, 1.0)
+    h = pascal_harmonic(6)
+    pins = {**_prefix_pins(h, n), n + 1: {0: pascal_value(n + 1, 0)}}
+    f, rep = solve_chain(d, depth=n + 1, seed_f1=h.values[1], pins=pins)
+    assert rep.consistent
+    assert np.allclose(f.values[n + 1], h.values[n + 1], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 199])
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_a_fixed_prefix_is_extended_by_its_last_levels_equations(n, pinned):
+    # with f_0..f_n fixed only level n's equations keep an unknown, f_{n+1}:
+    # one free parameter on Pascal, so the minimum-norm solution is h_{n+1}
+    # less its part along the kernel of C_n, and pinning the leftmost
+    # coordinate leaves h_{n+1} alone
+    d = gen_pascal(200, 1.0)
+    h = pascal_harmonic(200)
+    pins = _prefix_pins(h, n)
+    if pinned:
+        pins[n + 1] = {0: pascal_value(n + 1, 0)}
+    f, rep = solve_chain(d, depth=n + 1, seed_f1=h.values[1], pins=pins)
+    assert rep.diagnostics["path"] == ("lu" if pinned else "augmented-lu")
+    assert rep.consistent
+    assert all(np.array_equal(a, b) for a, b in zip(f.values[: n + 1], h.values[: n + 1]))
+    want = h.values[n + 1]
+    if not pinned:
+        kernel = scipy.linalg.null_space(d.table.level(n).toarray())
+        assert kernel.shape[1] == 1
+        want = want - kernel[:, 0] * (kernel[:, 0] @ want)
+    assert np.allclose(f.values[n + 1], want, rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("case", ["pascal3-all-of-level-3-pinned", "bottleneck-seeded"])

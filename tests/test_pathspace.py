@@ -19,10 +19,12 @@ from bharm import (
     gen_binary_tree_radial,
     gen_bottleneck,
     gen_pascal,
+    gen_stationary,
     green_exact,
     green_identity_report,
     harmonicity_check,
     make_diagram,
+    markov_apply,
     monopole_green,
     poisson_kernel,
     simulate_walks,
@@ -322,6 +324,20 @@ def test_dipole_green_properties():
     for a, b in zip(v.values, v_rev.values):
         assert np.allclose(a, -b, atol=1e-12)
     rep = harmonicity_check(TREE8, v, source={x1: 1.0, x2: -1.0})
+    assert rep.max_residual <= 1e-9
+
+
+def test_multipole_reductions():
+    # a multipole is a Dirichlet solve with a unit source at x0 and sinks of
+    # total weight 1: with one sink it is the dipole, with two it is
+    # harmonic off its poles
+    x0, y, z = VertexId(1, 0), VertexId(2, 2), VertexId(3, 1)
+    sysm = pathspace.DirichletSystem.of(TREE8, 8)
+    single = sysm.solve(source={x0: 1.0, y: -1.0})
+    for a, b in zip(single.values, dipole_green(TREE8, x0, y, 8).values):
+        assert np.allclose(a, b, atol=1e-12)
+    source = {x0: 1.0, y: -0.5, z: -0.5}
+    rep = harmonicity_check(TREE8, sysm.solve(source=source), source=source)
     assert rep.max_residual <= 1e-9
 
 
@@ -834,6 +850,45 @@ def test_poisson_mc_three_sigma_agreement():
 
 
 # --- stabilization ----------------------------------------------------------------
+
+def compatible_family(d, top):
+    """f_N = top and f_n = P<-_n f_{n+1} below, each level of P applied to
+    the function that is f_{n+1} on level n+1 and 0 elsewhere."""
+    vals = [None] * (d.num_levels + 1)
+    vals[d.num_levels] = np.asarray(top, dtype=float)
+    for n in range(d.num_levels - 1, -1, -1):
+        f = LevelFunction.zeros(d)
+        f.values[n + 1][:] = vals[n + 1]
+        vals[n] = markov_apply(d, f).values[n]
+    return LevelFunction(vals)
+
+
+@pytest.mark.parametrize("d, x", [
+    (gen_binary_tree(7, 2.0), VertexId(1, 0)),
+    (gen_pascal(8, 1.0), VertexId(1, 0)),
+    (gen_bottleneck([1, 3, 4, 5, 6, 7], 11), VertexId(2, 1)),
+    (gen_stationary([[1, 1], [1, 0]], 8, 2.0), VertexId(1, 1)),
+], ids=["tree7", "pascal8", "bottleneck", "stationary"])
+def test_stabilization_compatible_family_is_monotone(d, x):
+    # positive compatible data: h_{n+1} >= f_n = h_n on level n, so by the
+    # maximum principle h_n(x) does not decrease with n
+    top = np.abs(np.random.default_rng(5).standard_normal(d.level_sizes[-1])) + 0.25
+    f = compatible_family(d, top)
+    for n in range(d.num_levels):
+        assert np.abs(bruteforce.ref_p_back(d, n, f.values[n + 1]) - f.values[n]).max() \
+            <= 1e-12 * max(1.0, np.abs(f.values[n]).max())
+    values = [poisson_kernel(d, f.values[n], n).values.at(x)
+              for n in range(x.level + 1, d.num_levels + 1)]
+    assert np.all(np.diff(values) >= -1e-12)
+
+
+@pytest.mark.parametrize("d", [gen_binary_tree(6, 2.0), gen_pascal(6, 1.0)],
+                         ids=["tree6", "pascal6"])
+def test_stabilization_zero_family_trivial(d):
+    for n in range(1, d.num_levels + 1):
+        u = poisson_kernel(d, np.zeros(d.level_sizes[n]), n).values
+        assert all(not v.any() for v in u.values)
+
 
 def test_harmonic_family_stabilizes_at_level_plus_one():
     # globally harmonic boundary data: successive Dirichlet solves return the
