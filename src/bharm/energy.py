@@ -146,9 +146,12 @@ class CurrentBalanceReport:
 
 def current_balance(d: Diagram, f: LevelFunction) -> CurrentBalanceReport:
     """Kirchhoff check: incoming equals outgoing current at every interior
-    vertex iff f is harmonic."""
+    vertex iff f is harmonic.  Raises ValueError on a value of f that is not
+    finite, as energy_norm does."""
     f.check_shape(d)
-    i_in, i_out = _flows(d, f.flat())
+    flat = f.flat()
+    check_finite(d, flat)
+    i_in, i_out = _flows(d, flat)
     gap = np.abs(i_in - i_out)
     per_level = np.maximum.reduceat(gap, d.table.offsets[:-1])[1:d.num_levels].tolist()
     worst = max(per_level) if per_level else 0.0

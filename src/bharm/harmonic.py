@@ -121,9 +121,10 @@ class FactoredSystem:
     a symmetric A factored as A^T, its CSC form; path "direct"; one plain
     refinement step a solve, which makes it componentwise backward stable
     (Skeel, Math. Comp. 35, 1980); and max_residual, the largest
-    max|b - A x|.  Rule "exact", the recursion's, by shape, counting
-    refine_steps and fallback (None, or why lsqr).  Square, "lu": refined
-    on exactly rounded residuals up to _EXACT_REFINE_ENTRIES entries.
+    max|b - A x|, nan once one is nan.  Rule "exact", the recursion's, by
+    shape, counting refine_steps and fallback (None, or why lsqr).  Square,
+    "lu": refined on exactly rounded residuals up to _EXACT_REFINE_ENTRIES
+    entries.
     Underdetermined, "augmented-lu": an LU of [[I, A^T], [A, 0]], plainly
     refined, whose x block is the minimum-norm solution (Bjorck; Arioli,
     Duff & de Rijk, Numer. Math. 1989).  Overdetermined, structurally rank
@@ -176,8 +177,9 @@ class FactoredSystem:
             check(x[:n])
         if self.rule == "one-step":
             x += lu.solve(b - a @ x)
-            counts["max_residual"] = max(counts["max_residual"],
-                                         float(np.abs(b - a @ x).max(initial=0.0)))
+            # np.maximum, unlike max, keeps a nan
+            counts["max_residual"] = float(np.maximum(counts["max_residual"],
+                                                      np.abs(b - a @ x).max(initial=0.0)))
             return x
         # until the step falls to rounding level or stops shrinking; above
         # _EXACT_REFINE_ENTRIES the square path keeps its first solve

@@ -129,21 +129,28 @@ class DirichletSystem:
               boundary_values: Optional[np.ndarray] = None,
               pinned: Optional[Dict[VertexId, float]] = None) -> LevelFunction:
         """Solve the Dirichlet problem; output has the boundary values at the
-        boundary level and zeros at any deeper stored levels."""
+        boundary level and zeros at any deeper stored levels.  Raises
+        ValueError at a source value, boundary value or pin that is not
+        finite."""
         d, level, n = self.diagram, self.boundary_level, self.n_interior
         u = np.zeros(d.table.offsets[level + 1])  # the interior, then the boundary
         b = np.zeros(n)
         if source:
             for v, val in source.items():
                 b[self.flat(v)] += val
+            check_finite(d, b)
         if boundary_values is not None:
             bvals = np.asarray(boundary_values, dtype=float).reshape(-1)
             if bvals.shape[0] != d.level_sizes[level]:
                 raise ValueError("boundary values have the wrong length")
+            check_finite(d, bvals, level)
             u[n:] = bvals
         fixed = np.arange(u.size) >= n
         if pinned:
             at = [self.flat(v) for v in pinned]
+            for v, val in pinned.items():
+                if not np.isfinite(val):
+                    raise ValueError(f"pinned value {val} at {v} is not finite")
             u[at], fixed[at] = list(pinned.values()), True
         lo = int(self.offsets[-2])
         # a row's fixed children come before its fixed parents, and level
@@ -239,16 +246,17 @@ def _p_row_apply(sysm: DirichletSystem, x: int, f: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GreenIdentityReport:
-    """Max violations of the four reach/return/visit identities plus the two
-    reversibility identities.  F_hit and U_hit come from independent pinned
+    """Max violations of the four reach/return/visit identities plus the
+    reversibility of G.  F_hit and U_hit come from independent pinned
     hitting solves, F_ratio and U_ratio from the Green solve, so none of the
-    checks is vacuous."""
+    checks is vacuous.  F is not reversible across levels; what holds,
+    c(x)F(x,y)G(y,y) = c(y)F(y,x)G(x,x), follows from ratio_vs_hit and
+    reversibility_g."""
     diag_product: float      # G(x,x)(1 - U_hit(x,x)) = 1
     ratio_vs_hit: float      # G(x,y) = F_hit(x,y) G(y,y)
     one_step_return: float   # U_hit(x,x) = U_ratio(x,x) = sum_z p(x,z) F_ratio(z,x)
     one_step_reach: float    # F_ratio(x,y) = sum_z p(x,z) F_hit(z,y), x != y
     reversibility_g: float   # c(x) G(x,y) = c(y) G(y,x)
-    reversibility_f: float   # c(x) F_hit(x,y) = c(y) F_hit(y,x)
 
     @property
     def max_violation(self) -> float:
@@ -272,12 +280,10 @@ def green_identity_report(d: Diagram, gs: GreenSolve) -> GreenIdentityReport:
                           if i != j), default=0.0)
     cg = gs.degrees[:, None] * gs.green
     rev_g = np.abs(cg - cg.T).max()
-    cf = gs.degrees[:, None] * f_hit
-    rev_f = np.abs(cf - cf.T).max()
     return GreenIdentityReport(diag_product=float(diag), ratio_vs_hit=float(ratio_hit),
                                one_step_return=float(one_step_return),
                                one_step_reach=float(one_step_reach),
-                               reversibility_g=float(rev_g), reversibility_f=float(rev_f))
+                               reversibility_g=float(rev_g))
 
 
 @dataclass(frozen=True)
@@ -408,9 +414,7 @@ class WalkEstimates:
 
     Walks that hit the step cap before absorbing are excluded from the
     estimates and counted in n_capped; conditioning on completion slightly
-    underweights long excursions (bias note in `notes`).
-    forward_fraction[m] is the fraction of completed walks whose first
-    visits progressed level by level from level m on.  diagnostics holds
+    underweights long excursions (bias note in `notes`).  diagnostics holds
     the engine's counts: `steps` taken over all walks, which depends only on
     the inputs and the seed, and the `draws` and `refills` made.
     """
@@ -421,7 +425,6 @@ class WalkEstimates:
     return_stderr: float
     n_absorbed: int
     n_capped: int
-    forward_fraction: Dict[int, float]
     notes: str = ("estimates condition on walks that reached the absorbing level "
                   "within the step cap; capped walks are reported, not resampled")
     diagnostics: dict = field(default_factory=dict)
@@ -441,7 +444,6 @@ class _Transitions:
     the walk: its column of `cum` is all +inf and its row of `nbr` is x.
     """
     offsets: np.ndarray
-    level: np.ndarray
     degree: np.ndarray
     cum: np.ndarray
     nbr: np.ndarray
@@ -468,10 +470,7 @@ def _transitions(d: Diagram, absorb_level: int) -> _Transitions:
         cum[:k, rows] = (np.cumsum(w, axis=1) / w.sum(axis=1)[:, None]).T
         nbr[rows, :k] = lap.indices[at]
         nbr[rows, k:] = nbr[rows, k - 1:k]
-    # levels in the smallest signed type that also holds -1, for the bookkeeping
-    level = np.repeat(np.arange(absorb_level + 1, dtype=np.min_scalar_type(-absorb_level - 1)),
-                      np.diff(offsets))
-    return _Transitions(offsets=offsets, level=level, degree=degree, cum=cum, nbr=nbr)
+    return _Transitions(offsets=offsets, degree=degree, cum=cum, nbr=nbr)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -686,7 +685,7 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     uniq, tcol = np.unique(np.array([tr.offsets[t.level] + t.index for t in targets],
                                     dtype=np.int64), return_inverse=True)
     k = uniq.size
-    col = np.full(tr.level.size, k + 1)
+    col = np.full(tr.nbr.shape[0], k + 1)
     col[uniq] = np.arange(k)
     initial = int(col[start_flat] < k)  # a start that is a target counts its first visit
     col[start_flat] = min(col[start_flat], k)
@@ -695,40 +694,28 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
     reach_hits = np.zeros(k)
     visit_sum = np.zeros(k)
     visit_sq = np.zeros(k)
-    returns = 0
-    done = []
+    returns = n_absorbed = 0
+    n_int = int(tr.offsets[-2])
     counts = dict(steps=0, draws=0, refills=0)
     for w0 in range(0, cfg.num_walks, _LANES):
         n = min(_LANES, cfg.num_walks - w0)
         visits = np.zeros((n, k + 2), dtype=np.int64)
         visits[:, ret] = initial
-        # forward bookkeeping: bad is the deepest level so far at the last
-        # step that reached no new level (-1 before any such step); after
-        # it the walk first-visits bad + 1, bad + 2, ... on successive
-        # steps, so bad is the deepest level where that fails
-        deep, bad = np.full(n, start.level, tr.level.dtype), np.full(n, -1, tr.level.dtype)
+        absorbed = np.zeros(n, dtype=bool)
         for lane, path in _walk_blocks(
                 tr, np.full(n, start_flat), np.full(n, cfg.seed % 2 ** 64, dtype=np.uint64),
                 np.arange(w0, w0 + n, dtype=np.uint64), cfg.max_steps, counts):
             visits[lane] += np.bincount((col[path] + (k + 2) * np.arange(lane.size)).ravel(),
                                         minlength=lane.size * (k + 2)).reshape(lane.size, k + 2)
-            # the deepest level after each step; a step keeps it unless it
-            # goes deeper, and a held step is at the absorbing level
-            deep_s = np.maximum.accumulate(np.vstack([deep[lane], tr.level[path]]), axis=0)
-            stalled = (deep_s[1:] == deep_s[:-1]) & (deep_s[1:] < cfg.absorb_level)
-            bad[lane] = np.maximum(bad[lane], np.where(stalled, deep_s[1:], -1).max(axis=0))
-            deep[lane] = deep_s[-1]
-        absorbed = deep == cfg.absorb_level
+            # a lane's path ends on its absorbing vertex, where it is held,
+            # or above the absorbing level if it is still running
+            absorbed[lane] = path[-1] >= n_int
         vis = visits[absorbed]
         reach_hits += (vis[:, :k] > 0).sum(axis=0)
         visit_sum += vis[:, :k].sum(axis=0)
         visit_sq += (vis[:, :k] ** 2).sum(axis=0)
         returns += int((vis[:, ret] > initial).sum())
-        done.append(bad[absorbed])
-    # per absorbed walk, in walk-index order: the worst level whose next
-    # level's first visit did not follow its own by one step (-1 if none)
-    done = np.concatenate(done)
-    n_absorbed = int(done.size)
+        n_absorbed += vis.shape[0]
     n_capped = cfg.num_walks - n_absorbed
     n = max(n_absorbed, 1)
     pairs = []
@@ -744,12 +731,9 @@ def simulate_walks(d: Diagram, start: VertexId, cfg: WalkConfig,
                                   visits=float(mean), visits_stderr=vse))
     rp = returns / n
     rse = float(np.sqrt(max(rp * (1 - rp), 0.0) / n))
-    fwd = {}
-    for m in range(start.level, cfg.absorb_level):
-        fwd[m] = float((done < m).sum() / n) if n_absorbed else 0.0
     return WalkEstimates(start=start, config=cfg, pairs=pairs, return_prob=float(rp),
                          return_stderr=rse, n_absorbed=n_absorbed, n_capped=n_capped,
-                         forward_fraction=fwd, diagnostics=counts)
+                         diagnostics=counts)
 
 
 # ---------------------------------------------------------------------------

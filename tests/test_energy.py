@@ -97,6 +97,15 @@ def test_energy_norm_names_a_value_that_is_not_finite(value):
         energy_norm(d, f)
 
 
+def test_current_balance_names_a_value_that_is_not_finite():
+    # a nan once gave nan imbalances on three levels and max_imbalance 0.0
+    d = gen_pascal(6, 1.0)
+    f = pascal_harmonic(6)
+    f.values[4][1] = np.nan
+    with pytest.raises(ValueError, match=r"^value nan at \(4,1\) is not finite$"):
+        current_balance(d, f)
+
+
 def test_energy_makes_no_level_views():
     # the energies read per-edge differences off the edge table; they once
     # made all the diagram's level matrices

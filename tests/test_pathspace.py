@@ -83,12 +83,15 @@ def test_identity_battery_small():
 
 
 def test_identity_report_detects_a_perturbed_green_function():
-    # same-level automorphic pair: every identity, reversibility of F too,
-    # holds, so max_violation is small before and large after the scaling
-    gs = green_exact(TREE8, 8, vertices=[VertexId(2, 0), VertexId(2, 3)])
-    assert green_identity_report(TREE8, gs).max_violation <= 1e-9
+    # vertices on four levels, where F is not reversible: max_violation
+    # covers only identities that hold, so it is small before the scaling
+    # (it once read 0.106 from c(x)F(x,y) = c(y)F(y,x)) and large after
+    d = gen_binary_tree(6, 2.0)
+    gs = green_exact(d, 6, vertices=[VertexId(0, 0), VertexId(1, 0), VertexId(2, 1),
+                                     VertexId(3, 4)])
+    assert green_identity_report(d, gs).max_violation <= 1e-9
     bad = dataclasses.replace(gs, green=gs.green * (1.0 + 1e-6))
-    assert green_identity_report(TREE8, bad).max_violation > 1e-9
+    assert green_identity_report(d, bad).max_violation > 1e-9
 
 
 def test_green_exact_factors_once(splu_calls):
@@ -426,16 +429,6 @@ def test_absorbed_fraction_grows_with_step_cap():
     assert fractions[2] == 1.0
 
 
-def test_forward_fraction_table():
-    cfg = WalkConfig(max_steps=4000, num_walks=5000, seed=9, absorb_level=8)
-    est = simulate_walks(TREE8, VertexId(0, 0), cfg, [])
-    ms = sorted(est.forward_fraction)
-    vals = [est.forward_fraction[m] for m in ms]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    # last entry: single forward step from level N-1, probability 2*lam/c = 4/5
-    assert abs(vals[-1] - 0.8) < 0.05
-
-
 def test_walk_validation():
     with pytest.raises(ValueError):
         simulate_walks(TREE8, VertexId(8, 0),
@@ -592,8 +585,7 @@ def test_a_target_listed_twice_is_estimated_each_time(start, targets, distinct):
     once = simulate_walks(d, start, cfg, list(dict.fromkeys(targets)))
     twice = simulate_walks(d, start, cfg, targets)
     assert twice.pairs == [once.pairs[j] for j in distinct]
-    assert (twice.return_prob, twice.forward_fraction) == (once.return_prob,
-                                                           once.forward_fraction)
+    assert twice.return_prob == once.return_prob
     assert all(p.visits > 0 for p in twice.pairs)
 
 
@@ -608,10 +600,9 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
     est = simulate_walks(d, start, cfg, targets)
     tables = walk_tables(d, cfg.absorb_level)
     off = tables[0]
-    level = np.repeat(np.arange(cfg.absorb_level + 1), d.level_sizes[:cfg.absorb_level + 1])
     s = off[start.level] + start.index
     tflat = [off[t.level] + t.index for t in targets]
-    visits, returned, bad, steps = [], [], [], 0
+    visits, returned, steps = [], [], 0
     for w in range(cfg.num_walks):
         path = walk_path(tables, s, cfg.seed, w, cfg.max_steps)
         steps += len(path)
@@ -619,11 +610,6 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
             continue  # capped
         visits.append([path[:-1].count(f) + (f == s) for f in tflat])
         returned.append(s in path)
-        first = {start.level: 0}
-        for step, v in enumerate(path, start=1):
-            first.setdefault(int(level[v]), step)
-        bad.append(max([m for m in range(start.level, cfg.absorb_level)
-                        if first[m + 1] != first[m] + 1], default=-1))
     n = len(visits)
     assert (est.n_absorbed, est.n_capped) == (n, cfg.num_walks - n)
     assert 0 < n
@@ -633,8 +619,6 @@ def test_walk_estimates_match_per_walk_reference(d, start, cfg, targets):
         reach = 1.0 if t == start else sum(v[j] > 0 for v in visits) / n
         assert (p.reach, p.visits) == (reach, sum(v[j] for v in visits) / n)
     assert est.return_prob == sum(returned) / n
-    assert est.forward_fraction == {m: sum(b < m for b in bad) / n
-                                    for m in range(start.level, cfg.absorb_level)}
 
 
 def _batching_cases():
@@ -667,8 +651,8 @@ def test_walk_results_do_not_depend_on_batching(monkeypatch):
     monkeypatch.setattr(pathspace, "_LANES", 5)
     assert _batching_cases()[0] == whole
     assert max(lanes) == 5 and lanes.count(1) == 2 * 21
-    # every refill one Philox block of 4 steps: visit counts and the forward
-    # bookkeeping carry across every block, and absorbed lanes are held
+    # every refill one Philox block of 4 steps: visit counts and the
+    # absorbed flags carry across every block, and absorbed lanes are held
     monkeypatch.setattr(pathspace, "_MAX_BLOCKS", 1)
     monkeypatch.setattr(pathspace, "_MAX_DRAWS", 4)
     assert _batching_cases()[0] == whole
@@ -688,6 +672,27 @@ def test_walk_results_do_not_depend_on_the_scalar_finish(lanes, monkeypatch):
     assert lockstep == scalar == whole
     # each lane that finishes on its own makes at least one batch of draws
     assert all(s[1] > w[1] for s, w in zip(scalar_made, lockstep_made))
+
+
+@pytest.mark.parametrize("scalar_lanes", [0, 10 ** 6], ids=["lockstep", "scalar-finish"])
+def test_a_walk_absorbed_on_its_last_step_is_absorbed(scalar_lanes, monkeypatch):
+    """From the root of a tree a walk reaches level 6 on an even step, so
+    under a cap of 8 steps some walks absorb on step 6, some on step 8, the
+    cap's own, and the rest are capped: in lockstep to the cap, and with
+    every lane finishing on its own after the first refill's 4 steps."""
+    monkeypatch.setattr(pathspace, "_SCALAR_LANES", scalar_lanes)
+    d, cfg = gen_binary_tree(6, 2.0), WalkConfig(max_steps=8, num_walks=400, seed=11,
+                                                 absorb_level=6)
+    est = simulate_walks(d, VertexId(0, 0), cfg)
+    tables = walk_tables(d, 6)
+    n_int = tables[0][-2]
+    paths = [walk_path(tables, 0, cfg.seed, w, cfg.max_steps) for w in range(cfg.num_walks)]
+    absorbed = sum(p[-1] >= n_int for p in paths)
+    on_the_cap = sum(len(p) == 8 and p[-1] >= n_int for p in paths)
+    assert 0 < on_the_cap < absorbed < cfg.num_walks
+    assert (est.n_absorbed, est.n_capped) == (absorbed, cfg.num_walks - absorbed)
+    # two lockstep refills, or one and then one batch of draws per walk
+    assert est.diagnostics["refills"] == (2 if scalar_lanes == 0 else 1 + cfg.num_walks)
 
 
 def _lane_paths(tr, v, key, walk, max_steps):
@@ -819,6 +824,33 @@ def test_poisson_names_boundary_data_that_is_not_finite(method, value):
     with pytest.raises(ValueError, match=rf"^value {value} at \(3,5\) is not finite$"):
         poisson_kernel(d, f3, 3, method=method,
                        cfg=WalkConfig(max_steps=100, num_walks=5, seed=1, absorb_level=3))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(pinned={VertexId(1, 0): np.nan}), r"pinned value nan at \(1,0\)"),
+    (dict(pinned={VertexId(1, 0): np.inf}), r"pinned value inf at \(1,0\)"),
+    (dict(boundary_values=np.full(16, np.nan)), r"value nan at \(4,0\)"),
+    (dict(source={VertexId(2, 1): np.nan}), r"value nan at \(2,1\)"),
+], ids=["nan-pin", "inf-pin", "nan-boundary", "nan-source"])
+def test_dirichlet_solve_names_an_input_that_is_not_finite(kwargs, message):
+    # each once returned a function that was not finite, with max_residual 0.0
+    d = gen_binary_tree(4, 2.0)
+    sysm = pathspace.DirichletSystem(d, 4)
+    with pytest.raises(ValueError, match=rf"^{message} is not finite$"):
+        sysm.solve(**kwargs)
+    assert sysm.diagnostics["solves"] == 0
+
+
+def test_the_one_step_max_residual_keeps_a_nan():
+    d = gen_binary_tree(4, 2.0)
+    sysm = pathspace.DirichletSystem(d, 4)
+    system, b = sysm._unpinned, np.ones(sysm.n_interior)
+    b[3] = np.nan
+    with np.errstate(invalid="ignore"):
+        system.solve(b)
+    assert np.isnan(sysm.diagnostics["max_residual"])
+    system.solve(np.ones(sysm.n_interior))  # a later finite solve does not hide it
+    assert np.isnan(sysm.diagnostics["max_residual"])
 
 
 def test_poisson_mc_refuses_a_config_absorbing_off_the_target_level():
