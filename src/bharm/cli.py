@@ -37,16 +37,17 @@ FMT = "{:.12g}"  # a number in text for people; data files are written by _lines
 # the header of the green and walk tables
 _PAIRS_HEAD = "x_level,x_index,y_level,y_index,quantity,estimate,stderr,n_samples\n"
 
-# the input files read by one invocation, hashed only when a run manifest
-# records them; main lets them go when it returns
+# the input files read by one invocation, stdin's text under "-", hashed
+# only when a run manifest records them; main lets them go when it returns
 _INPUT_TEXTS: dict = {}
 
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     _INPUT_TEXTS[path] = text
     return text
 

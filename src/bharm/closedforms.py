@@ -95,7 +95,7 @@ def stationary_formula(d: Diagram, f_1: np.ndarray) -> LevelFunction:
     the residuals explicitly).
     """
     rule = d.extension
-    if rule is None or rule.kind != "stationary":
+    if rule is None:
         raise ValueError("diagram was not built by the stationary generator")
     f_1 = np.asarray(f_1, dtype=float).reshape(-1)
     values = [np.zeros(1)]

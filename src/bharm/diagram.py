@@ -37,14 +37,13 @@ class VertexId:
 
 @dataclass(frozen=True)
 class ExtensionRule:
-    """How the stored prefix continues past level N: kind "stationary", set
-    by gen_stationary, with lam and the repeating 0-1 matrix, which
-    closedforms.stationary_formula and energy.stationary_energy_criterion
-    read.  A diagram without a known rule has extension None.
+    """How the stored prefix continues past level N, set by gen_stationary:
+    lam and the repeating 0-1 matrix, which closedforms.stationary_formula
+    and energy.stationary_energy_criterion read.  A diagram without a known
+    rule has extension None.
     """
-    kind: str
-    lam: float = 1.0
-    matrix: Optional[tuple] = None  # rows of A as tuples
+    lam: float
+    matrix: tuple  # rows of A as tuples
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def gen_stationary(a, depth: int, lam: float) -> Diagram:
     _check_edges(d + (depth - 1) * int(a.sum()))
     sizes = [1] + [d] * depth
     mats = [np.ones((1, d))] + [p * a for p in _powers(lam, depth)[1:]]
-    rule = ExtensionRule("stationary", lam, tuple(tuple(row) for row in a))
+    rule = ExtensionRule(lam, tuple(tuple(row) for row in a))
     return make_diagram(sizes, mats, extension=rule)
 
 

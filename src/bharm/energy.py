@@ -213,7 +213,7 @@ def stationary_energy_criterion(d: Diagram, f_1: np.ndarray,
     Requires a stationary diagram with symmetric invertible A and lam > 1.
     """
     rule = d.extension
-    if rule is None or rule.kind != "stationary":
+    if rule is None:
         raise ValueError("diagram was not built by the stationary generator")
     a = np.array(rule.matrix, dtype=float)
     if not np.array_equal(a, a.T):

@@ -10,9 +10,9 @@ for a monopole at x, delta_x - delta_o for a dipole).  solve_chain stacks
 these equations for all levels and returns one representative: the global
 minimum-norm solution with the seed and the pins fixed.  Here and in
 pathspace's Dirichlet systems, free_matrix and fixed_rhs move fixed values
-to the right-hand side and a FactoredSystem factors, solves and refines, by
-the caller's settings and rule.  Inconsistent levels are reported, not
-thrown.
+to the right-hand side and a FactoredSystem factors, solves and refines by
+the caller's rule, which alone sets SuperLU's options.  Inconsistent levels
+are reported, not thrown.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .diagram import Diagram, VertexId
-from .operators import (LevelFunction, build_level_operators, laplacian, laplacian_apply,
-                        vertex_at)
+from .operators import (LevelFunction, LevelMatrix, build_level_operators, laplacian,
+                        laplacian_apply, vertex_at)
 
 # Singular values below RANK_RCOND * sigma_max are treated as zero.
 RANK_RCOND = 1e-12
@@ -113,18 +113,20 @@ def _exact_residual(m, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class FactoredSystem:
-    """A x = b for a free matrix A (free_matrix's), factored once by
-    spla.splu with the caller's settings and solved on flat vectors by the
-    caller's rule, which with the settings fixes the bits.  counts (the
-    caller's dict, which holds factorizations and solves, or a new one)
-    counts them and gets the path.  Rule "one-step", the Dirichlet systems':
-    a symmetric A factored as A^T, its CSC form; path "direct"; one plain
+    """A x = b for a free matrix A (free_matrix's LevelMatrix, whose arrays
+    `a`, the one scipy CSR matrix of the solve, wraps without a copy),
+    factored once by spla.splu and solved on flat vectors by the caller's
+    rule, which alone sets SuperLU's options and so fixes the bits.  counts
+    (the caller's dict, which holds factorizations and solves, or a new
+    one) counts them and gets the path.  Rule "one-step", the Dirichlet
+    systems': a symmetric A factored as A^T, its CSC form, by minimum degree
+    on A + A^T with one-column supernode panels; path "direct"; one plain
     refinement step a solve, which makes it componentwise backward stable
     (Skeel, Math. Comp. 35, 1980); and max_residual, the largest
-    max|b - A x|, nan once one is nan.  Rule "exact", the recursion's, by
-    shape, counting refine_steps and fallback (None, or why lsqr).  Square,
-    "lu": refined on exactly rounded residuals up to _EXACT_REFINE_ENTRIES
-    entries.
+    max|b - A x|, nan once one is nan.  Rule "exact", the recursion's, with
+    SuperLU's defaults, by shape, counting refine_steps and fallback (None,
+    or why lsqr).  Square, "lu": refined on exactly rounded residuals up to
+    _EXACT_REFINE_ENTRIES entries.
     Underdetermined, "augmented-lu": an LU of [[I, A^T], [A, 0]], plainly
     refined, whose x block is the minimum-norm solution (Bjorck; Arioli,
     Duff & de Rijk, Numer. Math. 1989).  Overdetermined, structurally rank
@@ -133,9 +135,10 @@ class FactoredSystem:
     TOMS 1982), and its itn and istop.
     """
 
-    def __init__(self, a, rule: str, counts: Optional[dict] = None, **settings):
+    def __init__(self, a: LevelMatrix, rule: str, counts: Optional[dict] = None):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
+        a = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
         self.a, self.rule, self.lu = a, rule, None
         self.counts = counts = {"factorizations": 0, "solves": 0} if counts is None else counts
         (m, n), exact = a.shape, rule == "exact"
@@ -151,7 +154,8 @@ class FactoredSystem:
             else:  # a symmetric A's transpose is its CSC form, without a copy
                 self.k = a.tocsc() if exact else a.T
             try:
-                self.lu = spla.splu(self.k, **settings)
+                self.lu = spla.splu(self.k) if exact else spla.splu(
+                    self.k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
                 counts["factorizations"] += 1
             except RuntimeError:  # SuperLU's message names its own source file
                 if not exact:
@@ -194,18 +198,17 @@ class FactoredSystem:
         return x[:n]
 
 
-def free_matrix(lap, fixed: np.ndarray):
+def free_matrix(lap: LevelMatrix, fixed: np.ndarray):
     """The equations of Delta's rows lap (operators.laplacian) on the
-    columns where `fixed` is False, the free ones, numbered in order: a
-    scipy CSR matrix of the live rows (those left with an unknown; the
-    others go), and the mask of them among lap's rows."""
-    import scipy.sparse as sp
+    columns where `fixed` is False, the free ones, numbered in order: the
+    LevelMatrix of the live rows (those left with an unknown; the others
+    go), in lap's index dtype, and the mask of them among lap's rows."""
     free, n_free = lap.masked(~fixed[lap.indices]), np.count_nonzero(~fixed)
     live, indices = np.diff(free.indptr) > 0, free.indices
     if fixed[:n_free].any():  # else the free columns come first and keep their numbers
         indices = (np.cumsum(~fixed, dtype=indices.dtype) - 1)[indices]
-    indptr = np.append(free.indptr[:-1][live], free.nnz)
-    return sp.csr_matrix((free.data, indices, indptr), shape=(indptr.size - 1, n_free)), live
+    indptr = np.append(free.indptr[:-1][live], free.indptr[-1:])
+    return LevelMatrix(free.data, indices, indptr, (indptr.size - 1, n_free)), live
 
 
 def fixed_rhs(d: Diagram, lap, fixed: np.ndarray, source: np.ndarray,
@@ -270,7 +273,7 @@ def _global_solve(d: Diagram, depth: int, rhs: np.ndarray, prefix: Sequence[np.n
     x_full[: off[fixed_levels]] = np.concatenate(prefix)
     for lvl, coord_map in pins.items():
         for idx, val in coord_map.items():
-            if not (0 <= idx < sizes[lvl]):
+            if not (isinstance(idx, (int, np.integer)) and 0 <= idx < sizes[lvl]):
                 raise ValueError(f"pinned index {idx} outside level of size {sizes[lvl]}")
             if not np.isfinite(val):
                 raise ValueError(f"pinned value {val} at ({lvl},{idx}) is not finite")
@@ -352,9 +355,7 @@ def auto_seed(d: Diagram) -> np.ndarray:
     ValueError where build_level_operators does, and when C_0 admits only
     the zero seed."""
     build_level_operators(d)
-    c0 = np.zeros((1, d.level_sizes[1]))  # C_0, the table's first row
-    c0[0, d.table.indices[:d.table.starts[1]]] = d.table.data[:d.table.starts[1]]
-    basis = _nullspace(c0)
+    basis = _nullspace(d.table.level(0).toarray())
     if basis.shape[1] == 0:
         raise ValueError("root constraint admits only the zero seed")
     seed = basis[:, 0]
@@ -445,8 +446,6 @@ def _orth(m: np.ndarray) -> np.ndarray:
 
 def _nullspace(m: np.ndarray) -> np.ndarray:
     import scipy.linalg
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1])
     return scipy.linalg.null_space(m, rcond=RANK_RCOND)
 
 

@@ -39,7 +39,6 @@ every c(x), on every stored level (operators.build_level_operators).
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
@@ -56,10 +55,6 @@ from .operators import LevelFunction, LevelMatrix, check_finite, laplacian, lapl
 # Dirichlet systems on the truncated network
 # ---------------------------------------------------------------------------
 
-# SuperLU's settings for them: minimum degree on A + A^T (A is symmetric)
-# and one-column supernode panels
-_DIRICHLET = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}
-
 class DirichletSystem:
     """Conductance Laplacian on levels 0..boundary_level-1 with absorbing
     boundary at `boundary_level`; reusable factorized solver.
@@ -68,17 +63,19 @@ class DirichletSystem:
     boundary level and optional pinned interior vertices, by a
     FactoredSystem under the "one-step" rule (a small SuperLU workspace on
     trees), kept for the unpinned matrix.  It keeps Delta's interior rows
-    (operators.laplacian) once, on the interior's columns, as `matrix`, and
-    level b-1's terms in the boundary columns as `boundary`.  `diagnostics`
-    counts over all calls that share the system (see `of`).  Raises
-    ValueError where operators.build_level_operators does, on every stored
-    level, and at a level pair without edges above the boundary.
+    (operators.laplacian) once, on the interior's columns, as the
+    LevelMatrix `matrix`, and level b-1's terms in the boundary columns as
+    `boundary`.  `diagnostics` counts over all calls that share the system
+    (see `of`).  Raises ValueError where operators.build_level_operators
+    does, on every stored level, and at a level pair without edges above
+    the boundary.
     """
 
     def __init__(self, d: Diagram, boundary_level: int):
         if not (1 <= boundary_level <= d.num_levels):
             raise ValueError("boundary level must be within the stored prefix")
-        self.diagram = weakref.proxy(d)  # d keeps the system (see `of`), not back
+        # d keeps the system (see `of`); this one only shares d's table
+        self.diagram = Diagram(d.table, d.extension)
         self.boundary_level = boundary_level
         self.offsets = d.table.offsets[:boundary_level + 1]
         self.n_interior = n = int(self.offsets[-1])
@@ -114,13 +111,16 @@ class DirichletSystem:
 
     @cached_property
     def _unpinned(self) -> FactoredSystem:  # the kept one, factored on first use
-        return FactoredSystem(self.matrix, "one-step", self.diagnostics, **_DIRICHLET)
+        return FactoredSystem(self.matrix, "one-step", self.diagnostics)
 
     def columns(self, at: Sequence[int]):
         """Generates the interior's u for L u = e_y, y each interior vertex
-        of `at` (flat numbers) in turn, from one right-hand side."""
+        of `at` (flat numbers) in turn, from one right-hand side.  Raises
+        ValueError at a y that is not one."""
         b = np.zeros(self.n_interior)
         for y in at:
+            if not (isinstance(y, (int, np.integer)) and 0 <= y < b.size):
+                raise ValueError(f"column index {y} outside interior of size {b.size}")
             b[y] = 1.0
             yield self._unpinned.solve(b)
             b[y] = 0.0
@@ -158,10 +158,9 @@ class DirichletSystem:
         b[lo:] = fixed_rhs(d, self.boundary, fixed, b[lo:], u, ~fixed[lo:n])
         if pinned:
             m = self.matrix
-            rows = LevelMatrix(m.data, m.indices, m.indptr, m.shape)
-            rows = rows.masked(~fixed[rows.rows()])  # a pinned vertex's equation goes
+            rows = m.masked(~fixed[m.rows()])  # a pinned vertex's equation goes
             matrix, live = free_matrix(rows, fixed[:n])
-            system = FactoredSystem(matrix, "one-step", self.diagnostics, **_DIRICHLET)
+            system = FactoredSystem(matrix, "one-step", self.diagnostics)
             u[~fixed] = system.solve(fixed_rhs(d, rows, fixed, b, u, live)[live])
         else:
             u[:n] = self._unpinned.solve(b)

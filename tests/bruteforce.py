@@ -280,8 +280,8 @@ def ref_p_row(d: Diagram, v: VertexId, values) -> float:
 
 
 # --- replay of the solves' arithmetic -------------------------------------------
-# The exact solves' bits rest on each caller's SuperLU settings and
-# refinement rule, so these write them out step by step, on systems built
+# The exact solves' bits rest on each caller's refinement rule, which sets
+# SuperLU's options, so these write them out step by step, on systems built
 # from dense arrays: the Dirichlet solves and the recursion.
 
 def ref_delta_rows(d: Diagram, last: int) -> np.ndarray:

@@ -162,6 +162,23 @@ def test_inputs_are_hashed_only_for_a_manifest(tmp_path, monkeypatch, capsys):
         str(path): hashlib.sha256(path.read_bytes()).hexdigest()[:16]}
 
 
+def test_a_manifest_hashes_the_text_read_from_stdin(tmp_path, monkeypatch):
+    # the function comes from stdin, and the manifest records it under "-"
+    import io
+    d = gen_pascal(6, 1.0)
+    path, out = tmp_path / "d.bd", tmp_path / "e.csv"
+    path.write_text(cli.format_diagram(d))
+    text = format_function(LevelFunction.constant(d, 1.0))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["energy", "--diagram", str(path), "--fn", "-", "--format", "csv",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    assert manifest["input_sha256_16"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()[:16],
+        "-": hashlib.sha256(text.encode()).hexdigest()[:16]}
+    assert cli._INPUT_TEXTS == {}
+
+
 def test_manifest_records_the_argv_given_to_main(tmp_path):
     out_file = tmp_path / "h.fn"
     argv = ["harmonic", "--diagram", "pascal:8:1", "--out", str(out_file)]

@@ -682,7 +682,7 @@ def test_a_deeper_prefix_is_the_generator_called_again(generate):
 
 def test_only_the_stationary_generator_sets_an_extension_rule():
     rule = gen_stationary([[1, 1], [1, 0]], 4, 2.0).extension
-    assert rule == ExtensionRule("stationary", 2.0, ((1.0, 1.0), (1.0, 0.0)))
+    assert rule == ExtensionRule(2.0, ((1.0, 1.0), (1.0, 0.0)))
     for d in (gen_binary_tree(4, 2.0), gen_pascal(4, 1.0), gen_ladder(4),
               gen_binary_tree_radial(4, 2.0, 2), gen_bottleneck([1, 2, 2], 3),
               make_diagram([1, 2], [np.ones((1, 2))])):

@@ -337,6 +337,14 @@ def test_pins_off_the_free_levels_are_rejected(level, seed):
         solve_chain(gen_pascal(6, 1.0), depth=4, seed_f1=seed, pins={level: {0: 1.0}})
 
 
+@pytest.mark.parametrize("index", [0.5, 3, -1])
+def test_a_pinned_index_off_its_level_is_refused(index):
+    # level 2 of pascal:6 has 3 vertices; a non-integer index is refused as
+    # one off the level, before it indexes anything
+    with pytest.raises(ValueError, match=f"pinned index {index} outside level of size 3"):
+        solve_chain(gen_pascal(6, 1.0), pins={2: {index: 1.0}})
+
+
 def test_seed_vector_violating_root_equation_is_reported():
     d = gen_pascal(6, 1.0)
     _, rep = solve_chain(d, seed_f1=[1.0, 1.0])  # sum must vanish

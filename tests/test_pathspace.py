@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bharm import (
@@ -34,6 +35,7 @@ from bharm import (
 from bharm.closedforms import pascal_harmonic, tree_symmetric_harmonic
 from bharm.energy import resistance_distance
 from bharm import pathspace
+from bharm._matops import LevelMatrix
 from bharm.fileio import parse_diagram
 from bharm.pathspace import _philox_doubles, _transitions
 import bruteforce
@@ -120,10 +122,11 @@ def test_green_above_the_old_cg_size_is_one_direct_factorization():
     assert gs.diagnostics["path"] == "direct"
     assert gs.diagnostics["factorizations"] == 1
     sysm = pathspace.DirichletSystem(d, 16)
-    a = sysm.matrix.astype(np.longdouble)
+    m = sysm.matrix
+    a = sp.csr_matrix((m.data.astype(np.longdouble), m.indices, m.indptr), shape=m.shape)
     b = np.zeros(sysm.n_interior, dtype=np.longdouble)
     b[sysm.flat(y)] = 1
-    lu = spla.splu(sysm.matrix.tocsc())
+    lu = spla.splu(sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape))
     u = np.zeros_like(b)
     for _ in range(3):
         u += lu.solve(np.asarray(b - a @ u, dtype=float))
@@ -178,9 +181,9 @@ def test_results_hold_a_snapshot_of_the_shared_counts():
 
 
 def test_a_kept_system_does_not_keep_its_diagram_alive():
-    # the diagram holds its system, and the system only a weak proxy of the
-    # diagram, so the LU goes with the last reference and not at a later
-    # collection
+    # the diagram holds its system, and the system only a diagram that
+    # shares its table, so the LU goes with the last reference and not at a
+    # later collection
     gc.disable()
     try:
         d = gen_binary_tree(8, 2.0)
@@ -191,6 +194,34 @@ def test_a_kept_system_does_not_keep_its_diagram_alive():
         assert ref() is None and kept() is None
     finally:
         gc.enable()
+
+
+def test_a_system_outlives_the_diagram_it_was_built_on():
+    # nothing else holds the generated diagram, and the solve still reads
+    # its table
+    u = pathspace.DirichletSystem(gen_binary_tree(4, 2.0), 4).solve(
+        boundary_values=np.ones(16))
+    assert np.allclose(u.flat(), 1.0)
+
+
+def test_a_factored_system_wraps_its_level_matrix_without_a_copy():
+    # the free matrix's indices and indptr share one index dtype, so scipy
+    # takes every array as it is; a pinned solve masks the kept LevelMatrix
+    sysm = pathspace.DirichletSystem(gen_binary_tree(6, 2.0), 6)
+    m = sysm.matrix
+    assert isinstance(m, LevelMatrix) and m.indices.dtype == m.indptr.dtype
+    for a in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(sysm._unpinned.a, a), getattr(m, a)), a
+    sysm.solve(pinned={VertexId(2, 1): 1.0})
+    assert sysm.matrix is m
+
+
+@pytest.mark.parametrize("at", [-1, 63, 0.5])
+def test_a_column_off_the_interior_is_refused(at):
+    # tree:6's interior, levels 0..5, has 63 vertices
+    sysm = pathspace.DirichletSystem(gen_binary_tree(6, 2.0), 6)
+    with pytest.raises(ValueError, match=f"column index {at} outside interior of size 63"):
+        next(sysm.columns([at]))
 
 
 def test_dipole_matrix_factors_once(splu_calls):
